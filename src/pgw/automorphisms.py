@@ -130,11 +130,7 @@ def _inner_table(P):
     for x in range(tb.N):
         if seen[x]:
             continue
-        if tb.full is not None:
-            coset = tb.full[x, zidx]
-        else:
-            coset = [tb.mul_idx(x, int(z)) for z in zidx]
-        seen[coset] = True
+        seen[tb.mul(x, zidx)] = True
         t = tb.elements[x]
         images = tuple(pc.conj(P, g, t) for g in P.generators())
         assert images not in table, "distinct center cosets induced the same conjugation"
@@ -246,7 +242,7 @@ def construct_theorem_witness(P, skip_hypothesis_check=False):
     t = get_tables(P)
     Z = st.center(P)
     Z2 = st.second_center(P)
-    eligible = Z2.mask() & (t.pth_power() == 0) & ~Z.mask()
+    eligible = Z2.mask() & (t.pow(t.all, p) == 0) & ~Z.mask()
     idxs = np.flatnonzero(eligible)
     if idxs.size == 0:
         raise NoEligibleU(

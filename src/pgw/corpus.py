@@ -1,8 +1,8 @@
 """Built-in example groups, shipped as .pg files under pgw/data.
 
 Every file was derived from an explicit integer model of the group
-(see scripts/derive_demo_group.py for the largest one) and is parsed
-through the same validating reader as user input.
+(see scripts/derive_corpus.py) and is parsed through the same validating
+reader as user input.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 Everything raised on purpose derives from PgwError so callers can catch one
 base class at the CLI boundary.  The split mirrors where things can go wrong:
 presentation loading/validation, subgroup machinery misuse, automorphism
-certification, oracle disagreement.
+certification, oracle disagreement.  Every class pickles, so an error raised
+in an oracle worker process reaches the parent with its own type and message.
 """
 
 
@@ -35,6 +36,9 @@ class ConsistencyViolation(PgwError):
         self.lhs = lhs
         self.rhs = rhs
         super().__init__(f"{kind} check failed at {indices}: {lhs} != {rhs}")
+
+    def __reduce__(self):
+        return type(self), (self.kind, self.indices, self.lhs, self.rhs)
 
 
 class NotAbelian(PgwError):
@@ -76,7 +80,11 @@ class InnerWitnessFound(PgwError):
 
     def __init__(self, t, detail=""):
         self.t = t
+        self.detail = detail
         super().__init__(f"constructed witness is inner, conjugator {t}. {detail}")
+
+    def __reduce__(self):
+        return type(self), (self.t, self.detail)
 
 
 class MissingDefinitions(PgwError):
@@ -98,3 +106,6 @@ class PresentationSyntaxError(PgwError):
         self.line = line
         self.reason = reason
         super().__init__(f"{source}:{line}: {reason}")
+
+    def __reduce__(self):
+        return type(self), (self.source, self.line, self.reason)

@@ -32,17 +32,6 @@ class GroupFile:
     source: str
 
 
-def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _parse_word(text, p, n, min_index, source, lineno):
     text = text.strip()
     if not text:
@@ -102,7 +91,7 @@ def parse_text(text, source="<string>"):
                 p = int(rest)
             except ValueError:
                 raise PresentationSyntaxError(source, lineno, f"p must be an integer, got {rest!r}")
-            if not _is_prime(p):
+            if not pc._is_prime(p):
                 raise PresentationSyntaxError(source, lineno, f"p = {p} is not prime")
         elif key == "n":
             if n is not None:

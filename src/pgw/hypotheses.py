@@ -17,7 +17,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import presentation as pc
 from . import structure as st
 from .tables import get_tables
 
@@ -88,17 +87,9 @@ def check_zm_condition(P):
         zm = st.center_of(P, M)
         outside = np.flatnonzero(~M.mask())
         for m in zm.elements:
-            if t.full is not None:
-                col = t.comm_col(t.index[m])[outside]
-                bad = np.flatnonzero(~zmask[col])
-                if bad.size:
-                    g = t.elements[int(outside[bad[0]])]
-                    return False, (mi, m, g)
-            else:
-                for gi in outside:
-                    g = t.elements[int(gi)]
-                    if not zmask[t.index[pc.comm(P, m, g)]]:
-                        return False, (mi, m, g)
+            bad = np.flatnonzero(~zmask[t.comm(t.index[m], outside)])
+            if bad.size:
+                return False, (mi, m, t.elements[int(outside[bad[0]])])
     return True, None
 
 
@@ -115,8 +106,7 @@ def _full_report(P):
     cent_z_phi = st.centralizer(P, z_phi)
 
     qf = st.quotient_facts(P, Z2, Z)
-    pth = t.pth_power()
-    omega_set_mask = Z2.mask() & (pth == 0)
+    omega_set_mask = Z2.mask() & (t.pow(t.all, P.p) == 0)
     exceeds = bool(np.any(omega_set_mask & ~Z.mask()))
 
     diagnostics = {

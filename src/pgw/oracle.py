@@ -4,10 +4,11 @@ The search space is the |G|^d image tuples for the d minimal generators;
 images of the remaining generators are forced by their defn tags.  The pruned
 path drops tuples whose images are linearly dependent modulo the Frattini
 subgroup (Burnside: such a map cannot be surjective) and checks the relations
-as vectorized table lookups, then re-certifies every survivor through the
-pure collection arithmetic in automorphisms.verify.  The unpruned path skips
-both the pruning and the table sieve and pushes every tuple through verify;
-the two must agree exactly.
+as vectorized lookups in a |G| x |G| Cayley table that only this module
+builds, then re-certifies every survivor through the pure collection
+arithmetic in automorphisms.verify.  The unpruned path skips both the pruning
+and the table sieve and pushes every tuple through verify; the two must agree
+exactly.
 
 Work is partitioned by the image of f_1; counts merge by summation and the
 optional map stream is sorted by image vectors, so totals are independent of
@@ -51,13 +52,49 @@ def _check_defns(P):
 # worker state shared through fork(); set by the parent right before the pool starts
 _WORK = {}
 
+TABLE_CAP = 6600  # covers 3^8 = 6561; the Cayley table is then ~172 MB of int32
+
+
+def _steps(t):
+    """(pred, last) with y = pred[y] * f_{last[y]+1} for every index y >= 1:
+    last[y] is the position of y's last nonzero exponent, and pred[y] is y
+    with that exponent lowered by one."""
+    last = np.array([max((k for k, e in enumerate(v) if e), default=0) for v in t.elements])
+    return t.all - np.take(t.strides, last), last
+
+
+def _cayley_table(t, pred, last):
+    """T[x, y] = x * y, column by column: x * y = (x * pred(y)) * f_j."""
+    T = np.empty((t.N, t.N), dtype=np.int32)
+    T[:, 0] = t.all
+    for y in range(1, t.N):
+        T[:, y] = t.R[last[y], 1][T[:, pred[y]]]
+    return T
+
+
+def _perm_of_images(ctx, images_idx):
+    """The permutation of indices induced by a generator-image tuple.
+
+    images_idx: (rows, n) array, one candidate map per row.  Returns a
+    (rows, N) array whose [r, x] entry is the image of element x under the
+    multiplicative extension of row r.
+    """
+    T, pred, last = ctx["T"], ctx["pred"], ctx["last"]
+    out = np.empty((images_idx.shape[0], T.shape[0]), dtype=np.int32)
+    out[:, 0] = 0
+    for x in range(1, T.shape[0]):
+        out[:, x] = T[out[:, pred[x]], images_idx[:, last[x]]]
+    return out
+
 
 def _prepare(P):
-    t = get_tables(P)
-    if t.full is None:
+    if P.order > TABLE_CAP:
         raise SizeCap(
-            f"oracle needs the full multiplication table (|G| = {t.N} is over the cap)"
+            f"oracle needs the full multiplication table (|G| = {P.order} is over "
+            f"the cap {TABLE_CAP})"
         )
+    t = get_tables(P)
+    pred, last = _steps(t)
     _, coords = st.frattini_coordinates(P)
     d = P.minimal_count
     # encode each element's Phi-coset coordinate vector as one integer
@@ -70,7 +107,11 @@ def _prepare(P):
     return {
         "P": P,
         "t": t,
-        "pth": t.pth_power(),
+        "T": _cayley_table(t, pred, last),
+        "inv": t.inv(t.all),
+        "pred": pred,
+        "last": last,
+        "pth": t.pow(t.all, P.p),
         "coords": coords,
         "codes": codes,
         "d": d,
@@ -80,17 +121,17 @@ def _prepare(P):
     }
 
 
-def _comm_idx(t, a, b):
-    T, inv = t.full, t.inv
+def _comm_idx(ctx, a, b):
+    T, inv = ctx["T"], ctx["inv"]
     return T[T[inv[a], inv[b]], T[a, b]]
 
 
-def _eval_word_idx(t, img, w, shape):
+def _eval_word_idx(ctx, img, w, shape):
     acc = np.zeros(shape, dtype=np.int32)
     for g, m in w:
         x = img[g - 1]
         for _ in range(m):
-            acc = t.full[acc, x]
+            acc = ctx["T"][acc, x]
     return acc
 
 
@@ -101,7 +142,7 @@ def _sieve(ctx, prefix, batch):
     last minimal generator.  Returns the (rows, n) image-index matrix of the
     survivors.
     """
-    P, t = ctx["P"], ctx["t"]
+    P = ctx["P"]
     n = P.n
     img = [None] * n
     for k, y in enumerate(prefix):
@@ -112,7 +153,7 @@ def _sieve(ctx, prefix, batch):
         if tag[0] == "pow":
             img[i - 1] = ctx["pth"][img[tag[1] - 1]]
         else:
-            img[i - 1] = _comm_idx(t, img[tag[1] - 1], img[tag[2] - 1])
+            img[i - 1] = _comm_idx(ctx, img[tag[1] - 1], img[tag[2] - 1])
 
     alive = batch
     for rel in ctx["relations"]:
@@ -120,12 +161,12 @@ def _sieve(ctx, prefix, batch):
             break
         if rel[0] == "comm":
             i, j = rel[1], rel[2]
-            lhs = _comm_idx(t, img[i - 1], img[j - 1])
-            rhs = _eval_word_idx(t, img, P.comm_rel.get((i, j), ()), alive.shape)
+            lhs = _comm_idx(ctx, img[i - 1], img[j - 1])
+            rhs = _eval_word_idx(ctx, img, P.comm_rel.get((i, j), ()), alive.shape)
         else:
             i = rel[1]
             lhs = ctx["pth"][img[i - 1]]
-            rhs = _eval_word_idx(t, img, P.power_rel[i - 1], alive.shape)
+            rhs = _eval_word_idx(ctx, img, P.power_rel[i - 1], alive.shape)
         ok = np.broadcast_to(lhs == rhs, alive.shape)
         if not ok.all():
             alive = alive[ok]
@@ -172,8 +213,8 @@ def _classify_rows(ctx, rows):
     P, t = ctx["P"], ctx["t"]
     if len(rows) == 0:
         return 0, 0
-    perms = t.perm_of_images(rows)
-    idn = np.arange(t.N, dtype=np.int32)
+    perms = _perm_of_images(ctx, rows)
+    idn = t.all
     acc = perms
     for _ in range(P.p - 1):
         acc = np.take_along_axis(perms, acc, axis=1)

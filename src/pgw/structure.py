@@ -6,9 +6,11 @@ always by element set, never by generating list (recorded generating sets are
 a convenience for reports and for generator-based tests).  All functions take
 a validated presentation and are pure; per-presentation results are memoized.
 
-Fast paths use the cached multiplication tables; every operation also has a
-pure-collection fallback so nothing here silently requires the full Cayley
-table.
+Arithmetic is the index algebra of tables.GroupTables, on whole index arrays
+where a test runs over every element.  Subgroups defined by products, such as
+commutator subgroups and Frattini subgroups, are built from generators: the
+normal closure of a few generator words, never a pass over all pairs
+(Holt, Eick & O'Brien, Handbook of Computational Group Theory, ch. 8).
 """
 
 from __future__ import annotations
@@ -120,18 +122,12 @@ def trivial_subgroup(P):
 
 
 def _centralizer_mask(P, targets):
-    """Mask of {x : [x, s] = 1 for every s in targets (element tuples)}."""
+    """Mask of {x : x s = s x for every s in targets (element tuples)}."""
     t = get_tables(P)
-    if t.full is not None:
-        mask = np.ones(t.N, dtype=bool)
-        for s in targets:
-            mask &= t.comm_col(t.index[s]) == 0
-        return mask
-    one = pc.identity(P)
     mask = np.ones(t.N, dtype=bool)
-    for x in range(t.N):
-        e = t.elements[x]
-        mask[x] = all(pc.comm(P, e, s) == one for s in targets)
+    for e in targets:
+        s = t.index[e]
+        mask &= t.mul(t.all, s) == t.mul(s, t.all)
     return mask
 
 
@@ -160,24 +156,29 @@ def is_abelian(P, H=None):
     )
 
 
-def commutator_subgroup(P, A, B):
-    """<[a, b] : a in A, b in B>, over all element pairs."""
+def _normal_closure_mask(P, seeds, conjugators):
+    """Mask of the smallest subgroup containing the seed indices and normalized
+    by the conjugators (generators of an overgroup, as element tuples)."""
     t = get_tables(P)
-    ai = A.indices()
-    if t.full is not None:
-        T, inv = t.full, t.inv
-        seen = np.zeros(t.N, dtype=bool)
-        a_inv = inv[ai]
-        for b in B.indices():
-            left = T[a_inv, inv[b]]
-            right = T[ai, b]
-            seen[T[left, right]] = True
-        seeds = np.flatnonzero(seen)
-    else:
-        seeds_set = {t.index[pc.comm(P, a, b)] for a in A.elements for b in B.elements}
-        seeds = sorted(seeds_set)
-    mask = t.closure_mask(seeds)
-    return _from_mask(P, mask)
+    hs = [t.index[h] for h in conjugators]
+    gens = []
+    mask = t.closure_mask(gens)
+    queue = [int(s) for s in seeds]
+    while queue:
+        s = queue.pop()
+        if mask[s]:
+            continue
+        gens.append(s)
+        mask = t.closure_mask(gens)
+        queue += [int(t.conj(s, h)) for h in hs]
+    return mask
+
+
+def commutator_subgroup(P, A, B):
+    """[A, B]: the normal closure in <A, B> of the generator commutators."""
+    t = get_tables(P)
+    seeds = [t.comm(t.index[a], t.index[b]) for a in A.gens for b in B.gens]
+    return _from_mask(P, _normal_closure_mask(P, seeds, A.gens + B.gens))
 
 
 @lru_cache(maxsize=None)
@@ -190,17 +191,24 @@ def derived(P):
 def agemo(P):
     """G^p = <g^p : g in G>."""
     t = get_tables(P)
-    seeds = np.unique(t.pth_power())
-    mask = t.closure_mask(seeds)
-    return _from_mask(P, mask)
+    return _from_mask(P, t.closure_mask(np.unique(t.pow(t.all, P.p))))
+
+
+def _frattini_mask(P, H):
+    """Phi(H) = H^p H': the normal closure in H of the p-th powers and pairwise
+    commutators of H's generators (the quotient by it is elementary abelian
+    and generated by the images of those generators)."""
+    t = get_tables(P)
+    hidx = [t.index[h] for h in H.gens]
+    seeds = [t.pow(h, P.p) for h in hidx]
+    seeds += [t.comm(a, b) for i, a in enumerate(hidx) for b in hidx[i + 1 :]]
+    return _normal_closure_mask(P, seeds, H.gens)
 
 
 @lru_cache(maxsize=None)
 def frattini(P):
     """Phi(G) = G^p G' for p-groups."""
-    t = get_tables(P)
-    mask = t.closure_mask(np.flatnonzero(agemo(P).mask() | derived(P).mask()))
-    return _from_mask(P, mask)
+    return _from_mask(P, _frattini_mask(P, whole_group(P)))
 
 
 @dataclass(frozen=True)
@@ -216,17 +224,9 @@ def upper_central_series(P):
     cur = terms[0].mask()
     gens = [t.index[g] for g in P.generators()]
     while cur.sum() < t.N:
-        if t.full is not None:
-            nxt = np.ones(t.N, dtype=bool)
-            for g in gens:
-                nxt &= cur[t.comm_col(g)]
-        else:
-            nxt = np.zeros(t.N, dtype=bool)
-            for x in range(t.N):
-                e = t.elements[x]
-                nxt[x] = all(
-                    cur[t.index[pc.comm(P, e, gg)]] for gg in P.generators()
-                )
+        nxt = np.ones(t.N, dtype=bool)
+        for g in gens:
+            nxt &= cur[t.comm(t.all, g)]
         if nxt.sum() == cur.sum():
             raise AssertionError("upper central series stalled below G")  # p-groups are nilpotent
         terms.append(_from_mask(P, nxt))
@@ -275,24 +275,16 @@ def frattini_coordinates(P):
     while span.sum() < t.N:
         nxt = int(np.flatnonzero(~span)[0])
         basis.append(nxt)
-        span = t.closure_mask(list(fidx) + basis)
+        span = t.closure_mask([t.index[g] for g in F.gens] + basis)
     d = len(basis)
     assert p**d * F.order == t.N
 
-    coords = np.full((t.N, d), -1, dtype=np.int32)
+    coords = -np.ones((t.N, d), dtype=np.int32)
     for combo in np.ndindex(*([p] * d)):
         rep = 0
         for b, c in zip(basis, combo):
-            r = int(rep)
-            for _ in range(c):
-                r = int(t.mul_idx(r, b))
-            rep = r
-        if t.full is not None:
-            coset = t.full[rep, fidx]
-        else:
-            coset = np.fromiter(
-                (t.mul_idx(rep, int(i)) for i in fidx), dtype=np.int32, count=F.order
-            )
+            rep = t.mul(rep, t.pow(b, c))
+        coset = t.mul(rep, fidx)
         assert np.all(coords[coset, 0] == -1), "cosets overlap; arithmetic bug"
         coords[coset] = combo
 
@@ -337,20 +329,16 @@ def omega1(P, A):
     ):
         raise NotAbelian(f"omega1 needs an abelian subgroup, got order {A.order} non-abelian")
     t = get_tables(P)
-    pth = t.pth_power()
-    mask = A.mask() & (pth == 0)
-    return _from_mask(P, mask)
+    return _from_mask(P, A.mask() & (t.pow(t.all, P.p) == 0))
 
 
 def exponent(P, H=None):
     """exp(H): largest element order (H defaults to G)."""
     t = get_tables(P)
-    idxs = np.arange(t.N, dtype=np.int32) if H is None else H.indices()
-    pth = t.pth_power()
+    cur = t.all if H is None else H.indices()
     e = 1
-    cur = idxs.astype(np.int32)
     while np.any(cur != 0):
-        cur = pth[cur]
+        cur = t.pow(cur, P.p)
         e *= P.p
     return e
 
@@ -359,32 +347,25 @@ def rank(P, H=None):
     """d(H) = log_p |H / Phi(H)|, with Phi(H) computed inside H."""
     if H is None:
         H = whole_group(P)
-    if H.order == 1:
-        return 0
-    t = get_tables(P)
-    hidx = H.indices()
-    pth = t.pth_power()
-    seeds = set(int(i) for i in pth[hidx])
-    if t.full is not None:
-        T, inv = t.full, t.inv
-        h_inv = inv[hidx]
-        for b in hidx:
-            left = T[h_inv, inv[b]]
-            right = T[hidx, b]
-            seeds.update(int(i) for i in T[left, right])
-    else:
-        seeds.update(
-            t.index[pc.comm(P, a, b)] for a in H.elements for b in H.elements
-        )
-    phi_h = t.closure_mask(sorted(seeds))
-    quot = H.order // int(phi_h.sum())
-    d = round(np.log(quot) / np.log(P.p))
-    assert P.p**d == quot
+    return _log(P.p, H.order // int(_frattini_mask(P, H).sum()))
+
+
+def _log(p, q):
+    """The exact d with p^d = q."""
+    d = 0
+    while q % p == 0:
+        q //= p
+        d += 1
+    assert q == 1, "not a power of p"
     return d
 
 
 def quotient_facts(P, A, B):
-    """Order, elementary-abelianness and rank of A/B, at coset level."""
+    """Order, elementary-abelianness and rank of A/B, at coset level.
+
+    With B normal in A, A/B is elementary abelian iff the p-th powers and the
+    pairwise commutators of A's generators lie in B.
+    """
     if not B.element_set <= A.element_set:
         raise NotNormal("B is not contained in A")
     for a in A.gens:
@@ -392,28 +373,8 @@ def quotient_facts(P, A, B):
             if pc.conj(P, b, a) not in B:
                 raise NotNormal(f"conjugate of {b} by {a} leaves B")
     order = A.order // B.order
-    t = get_tables(P)
-    aidx = A.indices()
-    bmask = B.mask()
-    pth = t.pth_power()
-    powers_ok = bool(np.all(bmask[pth[aidx]]))
-    if t.full is not None:
-        T, inv = t.full, t.inv
-        a_inv = inv[aidx]
-        comms_ok = True
-        for b in aidx:
-            left = T[a_inv, inv[b]]
-            right = T[aidx, b]
-            if not np.all(bmask[T[left, right]]):
-                comms_ok = False
-                break
-    else:
-        comms_ok = all(
-            pc.comm(P, x, y) in B for x in A.elements for y in A.elements
-        )
-    ea = powers_ok and comms_ok
-    r = None
-    if ea:
-        r = round(np.log(order) / np.log(P.p)) if order > 1 else 0
-        assert P.p**r == order or order == 1
-    return {"order": order, "elementary_abelian": ea, "rank": r}
+    gens = A.gens
+    ea = all(pc.pow_(P, a, P.p) in B for a in gens) and all(
+        pc.comm(P, a, b) in B for i, a in enumerate(gens) for b in gens[i + 1 :]
+    )
+    return {"order": order, "elementary_abelian": ea, "rank": _log(P.p, order) if ea else None}

@@ -1,16 +1,18 @@
-"""Multiplication tables for a validated presentation.
+"""Index arithmetic for a validated presentation.
 
 Everything downstream of pc-core (subgroup enumeration, the hypothesis
 checker, the brute-force oracle) works on element *indices* into the lex-
-ordered list of normal forms.  The tables are built once per presentation
-from the pure collection arithmetic and memoized; index order equals
-lexicographic order on exponent vectors because the index is the mixed-radix
-value of the vector with e_1 most significant.
+ordered list of normal forms.  Index order equals lexicographic order on
+exponent vectors because the index is the mixed-radix value of the vector
+with e_1 most significant.
 
-For groups up to FULL_TABLE_CAP elements the full |G| x |G| Cayley table is
-materialized (int32; 2187^2 is ~19 MB), which makes centralizers, commutator
-subgroups and the oracle's relation sieve vectorizable.  Larger groups fall
-back to pure collection in the callers.
+The only products taken from the pure collector are x * f_k for every x and
+every generator.  From them GroupTables keeps n power columns,
+R[k, r, x] = x * f_{k+1}^r (n * p * |G| entries), and multiplies by walking
+the right operand's normal form f_1^e_1 ... f_n^e_n through them.  mul, inv, pow,
+comm and conj all take scalars or index arrays, which broadcast like numpy
+operands; subgroup closures are a BFS over one right-multiplication column
+per generator.  Memory stays linear in |G|.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import numpy as np
 from . import presentation as pc
 from .errors import SizeCap
 
-FULL_TABLE_CAP = 6600  # covers 3^8 = 6561; ~172 MB of int32
 ELEMENT_CAP = 200_000  # refuse to enumerate beyond desk scale
 
 
@@ -39,38 +40,20 @@ class GroupTables:
         self.elements = [tuple(e) for e in _vectors(p, n)]
         self.index = {e: i for i, e in enumerate(self.elements)}
         self.strides = [p ** (n - 1 - k) for k in range(n)]
-        self.gen_idx = [self.index[g] for g in P.generators()]
+        self.all = np.arange(N, dtype=np.int32)
 
-        # right multiplication by each generator, from the pure collector
-        self.right_gen = np.empty((n, N), dtype=np.int32)
-        for j in range(n):
-            g = P.generator(j + 1)
-            col = self.right_gen[j]
-            for x, e in enumerate(self.elements):
-                col[x] = self.index[pc.mul(P, e, g)]
+        # R[k, r] is right multiplication by f_{k+1}^r; r = 1 from the pure collector
+        self.R = np.empty((n, p, N), dtype=np.int32)
+        self.R[:, 0] = self.all
+        for k, g in enumerate(P.generators()):
+            self.R[k, 1] = [self.index[pc.mul(P, e, g)] for e in self.elements]
+            for r in range(2, p):
+                self.R[k, r] = self.R[k, 1][self.R[k, r - 1]]
+        # mul reads R flat: x * f_{k+1}^r = _flat[k][_offset[k][y] + x] for y's exponent r
+        self._flat = self.R.reshape(n, p * N)
+        self._offset = np.array([self.all // s % p * N for s in self.strides], dtype=np.int32)
 
-        # last nonzero coordinate of each element and the index with it decremented
-        self._last = np.zeros(N, dtype=np.int32)
-        self._pred = np.zeros(N, dtype=np.int32)
-        for x in range(1, N):
-            e = self.elements[x]
-            j = max(k for k in range(n) if e[k])
-            self._last[x] = j
-            self._pred[x] = x - self.strides[j]
-
-        if N <= FULL_TABLE_CAP:
-            T = np.empty((N, N), dtype=np.int32)
-            T[:, 0] = np.arange(N, dtype=np.int32)
-            for y in range(1, N):
-                # y = pred(y) * f_j, so x*y = (x*pred(y)) * f_j
-                T[:, y] = self.right_gen[self._last[y]][T[:, self._pred[y]]]
-            self.full = T
-            self.inv = np.argmin(T, axis=1).astype(np.int32)  # position of 0 in each row
-        else:
-            self.full = None
-            self.inv = np.fromiter(
-                (self.index[pc.inv(P, e)] for e in self.elements), dtype=np.int32, count=N
-            )
+        self._inv = self.pow(self.all, N - 1)  # x^N = 1
 
     def idx(self, e):
         return self.index[e]
@@ -78,81 +61,47 @@ class GroupTables:
     def elem(self, i):
         return self.elements[int(i)]
 
-    def mul_idx(self, a, b):
-        """a*b on indices; either side may be a numpy array."""
-        if self.full is not None:
-            return self.full[a, b]
-        return self.index[pc.mul(self.P, self.elem(a), self.elem(b))]
+    def mul(self, a, b):
+        """a * b on indices; a and b broadcast against each other."""
+        for flat, offset in zip(self._flat, self._offset):
+            a = flat.take(offset.take(b) + a)
+        return a
 
-    def comm_col(self, g):
-        """comm(x, g) for every x, as an index column (full table only)."""
-        T = self.full
-        inv = self.inv
-        t1 = T[inv, inv[g]]
-        t2 = T[:, g]
-        return T[t1, t2]
+    def inv(self, a):
+        return self._inv[a]
 
-    def conj_col(self, t):
-        """conj(x, t) = t^-1 x t for every x (full table only)."""
-        T = self.full
-        left = T[self.inv[t], :]
-        return T[left, t]
+    def pow(self, a, k):
+        if k < 0:
+            a, k = self.inv(a), -k
+        acc = np.zeros_like(a)
+        while k:
+            if k & 1:
+                acc = self.mul(acc, a)
+            a = self.mul(a, a)
+            k >>= 1
+        return acc
 
-    def pth_power(self):
-        """x^p for every x, as an index column."""
-        N = self.N
-        if self.full is not None:
-            ix = np.arange(N, dtype=np.int32)
-            c = np.zeros(N, dtype=np.int32)
-            for _ in range(self.P.p):
-                c = self.full[c, ix]
-            return c
-        return np.fromiter(
-            (self.index[pc.pow_(self.P, e, self.P.p)] for e in self.elements),
-            dtype=np.int32,
-            count=N,
-        )
+    def comm(self, a, b):
+        """[a, b] = a^-1 b^-1 a b."""
+        return self.mul(self.mul(self.inv(a), self.inv(b)), self.mul(a, b))
+
+    def conj(self, a, t):
+        """a^t = t^-1 a t."""
+        return self.mul(self.mul(self.inv(t), a), t)
 
     def closure_mask(self, seed_indices):
-        """Boolean membership mask of the subgroup generated by the seeds."""
-        N = self.N
-        mask = np.zeros(N, dtype=bool)
+        """Boolean membership mask of the subgroup generated by the seeds,
+        by a BFS over one right-multiplication column per distinct seed."""
+        mask = np.zeros(self.N, dtype=bool)
         mask[0] = True
-        seeds = [int(s) for s in seed_indices if int(s) != 0]
-        if not seeds:
-            return mask
-        frontier = np.array([0], dtype=np.int32)
-        seeds_arr = np.array(sorted(set(seeds)), dtype=np.int32)
+        seeds = np.unique(np.asarray(seed_indices, dtype=np.int32))
+        cols = self.mul(self.all, seeds[seeds != 0, None])  # cols[i, x] = x * seed_i
+        frontier = np.flatnonzero(mask)
         while frontier.size:
-            if self.full is not None:
-                prods = self.full[frontier[:, None], seeds_arr[None, :]].ravel()
-            else:
-                prods = np.fromiter(
-                    (self.mul_idx(int(x), int(s)) for x in frontier for s in seeds_arr),
-                    dtype=np.int32,
-                )
-            prods = np.unique(prods)
-            new = prods[~mask[prods]]
-            mask[new] = True
-            frontier = new
-            if mask.sum() > N:
-                raise SizeCap("closure exceeded group order")  # unreachable, bug guard
+            prods = np.unique(cols[:, frontier])
+            frontier = prods[~mask[prods]]
+            mask[frontier] = True
         return mask
-
-    def perm_of_images(self, images_idx):
-        """The permutation of indices induced by a generator-image tuple.
-
-        images_idx: (rows, n) array, one candidate map per row.  Returns a
-        (rows, N) array whose [r, x] entry is the image of element x under the
-        multiplicative extension of row r.  Full table only.
-        """
-        T = self.full
-        rows = images_idx.shape[0]
-        out = np.empty((rows, self.N), dtype=np.int32)
-        out[:, 0] = 0
-        for x in range(1, self.N):
-            out[:, x] = T[out[:, self._pred[x]], images_idx[:, self._last[x]]]
-        return out
 
 
 def _vectors(p, n):

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import pgw
-from pgw import cli
+from pgw import cli, oracle
 from pgw.report import TOP_KEYS
 
 
@@ -108,6 +108,49 @@ def test_info_accepts_user_file(capsys, tmp_path):
     code, out = run(capsys, "info", str(f), "--format", "json")
     assert code == 0
     assert json.loads(out)["group"]["name"] == "mygroup"
+
+
+# C343 : C49 acting by a -> a^8, as (x, y)(u, v) = (x + u 8^y mod 343, y + v mod 49),
+# on the pc sequence a, b, a^7, b^7, a^49: order 7^5, over the oracle's table cap
+C343C49 = """name c343c49
+p 7
+n 5
+pow 1 = g3^1
+pow 2 = g4^1
+pow 3 = g5^1
+comm 2 1 = g3^1 g5^6
+comm 3 2 = g5^6
+comm 4 1 = g5^1
+def 3 = pow 1
+def 4 = pow 2
+def 5 = pow 3
+"""
+
+
+def test_group_over_table_cap(capsys, tmp_path, monkeypatch):
+    f = tmp_path / "c343c49.pg"
+    f.write_text(C343C49)
+    P = pgw.parse_path(str(f)).presentation
+    assert P.validated and P.order == 7**5
+    for cmd in ("info", "check", "construct"):
+        code, out = run(capsys, cmd, str(f), "--format", "json")
+        rep = json.loads(out)
+        assert (rep["group"]["order"], rep["group"]["rank"]) == (16807, 2)
+        if cmd == "info":
+            assert code == 0
+        else:
+            assert code == (0 if rep["hypotheses"]["theorem_applicable"] else 1)
+    if code == 0:
+        assert rep["verification"]["certified"] is True
+        assert rep["verification"]["order"] == 7
+
+    def no_table(*args):
+        raise AssertionError("the oracle built its Cayley table above the cap")
+
+    monkeypatch.setattr(oracle, "_cayley_table", no_table)
+    code, out = run(capsys, "count", str(f), "--format", "json")
+    assert code == 2
+    assert "over the cap" in out
 
 
 def test_syntax_error_exit_two(capsys, tmp_path):

@@ -3,11 +3,13 @@
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 import pgw
 from pgw import automorphisms as au
 from pgw import groupfile
+from pgw import oracle
 from pgw import structure as st
 
 from conftest import MODELS, assert_isomorphic
@@ -101,6 +103,31 @@ def test_map_set_closed_under_composition():
         A = maps[rng.randrange(len(maps))]
         B = maps[rng.randrange(len(maps))]
         assert au.compose(A, B).images in image_set
+
+
+def test_perm_of_images_identity_and_conjugation():
+    P = pgw.load("h27")
+    ctx = oracle._prepare(P)
+    t = ctx["t"]
+    ident = np.array([[t.idx(g) for g in P.generators()]], dtype=np.int32)
+    perm = oracle._perm_of_images(ctx, ident)
+    assert (perm[0] == np.arange(len(t.elements))).all()
+    f1 = P.generator(1)
+    conj_images = np.array(
+        [[t.idx(pgw.conj(P, g, f1)) for g in P.generators()]], dtype=np.int32
+    )
+    perm = oracle._perm_of_images(ctx, conj_images)[0]
+    for i, a in enumerate(t.elements):
+        assert t.elements[perm[i]] == pgw.conj(P, a, f1)
+
+
+def test_cayley_table_matches_collection():
+    P = pgw.load("w81")
+    ctx = oracle._prepare(P)
+    t = ctx["t"]
+    for x, a in enumerate(t.elements):
+        for y, b in enumerate(t.elements):
+            assert t.elements[ctx["T"][x, y]] == pgw.mul(P, a, b)
 
 
 def test_budget_exhaustion_raises(demo_group):

@@ -2,10 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
 
 import pgw
 from pgw import structure as st
+from pgw.tables import get_tables
 
 from conftest import ALL_NAMES
 
@@ -196,6 +198,56 @@ def test_quotient_facts_examples(demo_group):
     q = pgw.quotient_facts(demo_group, Z2, Z)
     assert q["elementary_abelian"] is True
     assert q["rank"] == 2
+
+
+def _all_pairs(P, A, B):
+    """Mask of every commutator [a, b], a in A, b in B, by brute force."""
+    t = get_tables(P)
+    seen = np.zeros(t.N, dtype=bool)
+    ai, bi = A.indices(), B.indices()
+    if len(ai) < len(bi):
+        for a in ai:
+            seen[t.comm(a, bi)] = True
+    else:
+        for b in bi:
+            seen[t.comm(ai, b)] = True
+    return seen
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_generator_subgroups_match_all_pairs(name):
+    # the subgroup layer builds [A, B] and Phi(H) from generators; here they
+    # are rebuilt from every pair of elements
+    P = pgw.load(name)
+    t = get_tables(P)
+    G = st.whole_group(P)
+    Z = pgw.center(P)
+    trivial = st.trivial_subgroup(P)
+    for H in (G, Z, pgw.second_center(P)) + pgw.maximal_subgroups(P):
+        for K in (G, H):
+            ref = t.closure_mask(np.flatnonzero(_all_pairs(P, H, K)))
+            assert pgw.commutator_subgroup(P, H, K).mask().tolist() == ref.tolist()
+        comms = _all_pairs(P, H, H)
+        powers = t.pow(H.indices(), P.p)
+        phi = t.closure_mask(np.concatenate([np.flatnonzero(comms), powers]))
+        quot = H.order // int(phi.sum())
+        assert P.p ** pgw.rank(P, H) == quot
+        for B in (trivial, Z):
+            if B.element_set <= H.element_set:
+                ea = bool(B.mask()[powers].all() and B.mask()[comms].all())
+                q = pgw.quotient_facts(P, H, B)
+                assert q["elementary_abelian"] is ea
+                assert q["rank"] == (st._log(P.p, H.order // B.order) if ea else None)
+
+    assert pgw.derived(P).mask().tolist() == t.closure_mask(
+        np.flatnonzero(_all_pairs(P, G, G))
+    ).tolist()
+    term = G
+    for got in pgw.lower_central_series(P).terms[1:]:
+        ref = t.closure_mask(np.flatnonzero(_all_pairs(P, term, G)))
+        assert got.mask().tolist() == ref.tolist()
+        term = got
+    assert term.order == 1
 
 
 def test_quotient_facts_rejects_nonnormal():

@@ -1,33 +1,67 @@
-"""Multiplication tables against direct collection, on both code paths."""
+"""Index algebra against direct collection, on scalars and on index arrays."""
 
 import random
 
+import numpy as np
 import pytest
 
 import pgw
-from pgw import presentation as pc
 from pgw import tables
 
 from conftest import ALL_NAMES
+
+
+def _samples(t, seed, k=300):
+    rng = random.Random(seed)
+    return [rng.randrange(t.N) for _ in range(k)], [rng.randrange(t.N) for _ in range(k)]
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_table_matches_collection(name):
     P = pgw.load(name)
     t = tables.get_tables(P)
-    rng = random.Random(13)
-    for _ in range(300):
-        a = t.elements[rng.randrange(len(t.elements))]
-        b = t.elements[rng.randrange(len(t.elements))]
-        assert t.elem(t.mul_idx(t.idx(a), t.idx(b))) == pgw.mul(P, a, b)
+    xs, ys = _samples(t, 13)
+    prods = t.mul(np.array(xs), np.array(ys))
+    for a, b, ab in zip(xs, ys, prods):
+        want = pgw.mul(P, t.elem(a), t.elem(b))
+        assert t.elem(t.mul(a, b)) == want
+        assert t.elem(ab) == want
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_inverse_table(name):
     P = pgw.load(name)
     t = tables.get_tables(P)
+    invs = t.inv(t.all)
     for i, a in enumerate(t.elements):
-        assert t.elem(t.inv[i]) == pgw.inv(P, a)
+        assert t.elem(invs[i]) == pgw.inv(P, a)
+        assert t.elem(t.inv(i)) == pgw.inv(P, a)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_pow_matches_collection(name):
+    P = pgw.load(name)
+    t = tables.get_tables(P)
+    xs, _ = _samples(t, 7, k=60)
+    for k in (-P.order - 1, -5, -1, 0, 1, 2, P.p, 17, P.order + 3):
+        powers = t.pow(np.array(xs), k)
+        for a, ak in zip(xs, powers):
+            want = pgw.pow_(P, t.elem(a), k)
+            assert t.elem(ak) == want
+            assert t.elem(t.pow(a, k)) == want
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_comm_and_conj_match_collection(name):
+    P = pgw.load(name)
+    t = tables.get_tables(P)
+    xs, ys = _samples(t, 3, k=150)
+    comms = t.comm(np.array(xs), np.array(ys))
+    conjs = t.conj(np.array(xs), np.array(ys))
+    for a, b, c, d in zip(xs, ys, comms, conjs):
+        ea, eb = t.elem(a), t.elem(b)
+        assert t.elem(c) == t.elem(t.comm(a, b)) == pgw.comm(P, ea, eb)
+        assert t.elem(d) == t.elem(t.conj(a, b)) == pgw.conj(P, ea, eb)
 
 
 def test_elements_sorted_lexicographically():
@@ -41,18 +75,19 @@ def test_elements_sorted_lexicographically():
 def test_pth_power_table(name):
     P = pgw.load(name)
     t = tables.get_tables(P)
-    pth = t.pth_power()
+    pth = t.pow(t.all, P.p)
     for i, a in enumerate(t.elements):
         assert t.elem(pth[i]) == pgw.pow_(P, a, P.p)
 
 
 def test_comm_col_matches_collection():
+    # a whole column [x, g] over every x, as the subgroup layer uses it
     P = pgw.load("m243")
     t = tables.get_tables(P)
     rng = random.Random(5)
     for _ in range(20):
         g = rng.randrange(len(t.elements))
-        col = t.comm_col(g)
+        col = t.comm(t.all, g)
         for i in rng.sample(range(len(t.elements)), 40):
             assert t.elem(col[i]) == pgw.comm(P, t.elements[i], t.elements[g])
 
@@ -67,65 +102,11 @@ def test_closure_mask_matches_bfs():
     assert {t.elements[i] for i in range(len(t.elements)) if mask[i]} == H.element_set
 
 
-def test_pure_path_agrees_with_table_path(monkeypatch):
-    # force the no-full-table code path and compare structure results
-    monkeypatch.setattr(tables, "FULL_TABLE_CAP", 0)
-    tables.get_tables.cache_clear()
-    import pgw.structure as st
-    P = pgw.load("w81")
+def test_closure_mask_with_identity_and_repeated_seeds():
+    P = pgw.load("m243")
     t = tables.get_tables(P)
-    assert t.full is None
-    pure_center = pgw.center(P).element_set
-    pure_frattini = pgw.frattini(P).element_set
-    pure_maxes = [M.element_set for M in pgw.maximal_subgroups(P)]
-    pure_class = pgw.nilpotency_class(P)
-
-    monkeypatch.setattr(tables, "FULL_TABLE_CAP", 6600)
-    tables.get_tables.cache_clear()
-    st.center.cache_clear()
-    st.frattini.cache_clear()
-    st.agemo.cache_clear()
-    st.derived.cache_clear()
-    st.maximal_subgroups.cache_clear()
-    st.frattini_coordinates.cache_clear()
-    st.upper_central_series.cache_clear()
-    st.lower_central_series.cache_clear()
-    st.whole_group.cache_clear()
-    t2 = tables.get_tables(P)
-    assert t2.full is not None
-    assert pgw.center(P).element_set == pure_center
-    assert pgw.frattini(P).element_set == pure_frattini
-    assert [M.element_set for M in pgw.maximal_subgroups(P)] == pure_maxes
-    assert pgw.nilpotency_class(P) == pure_class
-
-
-@pytest.fixture(autouse=True)
-def _reset_caches_after_monkeypatch():
-    yield
-    import pgw.structure as st
-    tables.get_tables.cache_clear()
-    st.center.cache_clear()
-    st.frattini.cache_clear()
-    st.agemo.cache_clear()
-    st.derived.cache_clear()
-    st.maximal_subgroups.cache_clear()
-    st.frattini_coordinates.cache_clear()
-    st.upper_central_series.cache_clear()
-    st.lower_central_series.cache_clear()
-    st.whole_group.cache_clear()
-
-
-def test_perm_of_images_identity_and_conjugation():
-    import numpy as np
-    P = pgw.load("h27")
-    t = tables.get_tables(P)
-    ident = np.array([[t.idx(g) for g in P.generators()]], dtype=np.int32)
-    perm = t.perm_of_images(ident)
-    assert (perm[0] == np.arange(len(t.elements))).all()
-    f1 = P.generator(1)
-    conj_images = np.array(
-        [[t.idx(pgw.conj(P, g, f1)) for g in P.generators()]], dtype=np.int32
-    )
-    perm = t.perm_of_images(conj_images)[0]
-    for i, a in enumerate(t.elements):
-        assert t.elements[perm[i]] == pgw.conj(P, a, f1)
+    gens = [t.idx(g) for g in P.generators()]
+    assert t.closure_mask([]).tolist() == [True] + [False] * (t.N - 1)
+    assert t.closure_mask(gens[:2]).all()
+    redundant = [0] + gens[2:] + gens[:2] + list(t.all)
+    assert t.closure_mask(redundant).all()
