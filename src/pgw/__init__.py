@@ -55,7 +55,6 @@ from .structure import (
 )
 from .hypotheses import (
     HypothesisReport,
-    check_corollary_hypotheses,
     check_theorem_hypotheses,
     check_zm_condition,
     is_monolithic,

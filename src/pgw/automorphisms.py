@@ -1,11 +1,13 @@
 """Automorphisms as generator-image maps.
 
 A GenMap is an unverified candidate: one image per pc generator.  verify()
-checks every defining relation under the map and surjectivity of the image
-closure, which for a finite group certifies an automorphism.  On top of that
-sit conjugation maps, the inner test (a precomputed table of conjugation
-images, one per coset of the center), the maximal-subgroup extension map, and
-the full witness construction.
+checks every defining relation under the map by collection, and surjectivity
+of the image closure; for a finite group that certifies an automorphism.  On
+top of that sit conjugation maps (inner_from), the inner test, the
+maximal-subgroup extension map and the full witness construction.  The inner
+test looks the generator images up in one cached (n, |G|) array of
+conjugation images, computed with the index algebra of tables.py; the
+oracle's cross-validation re-derives every inner label by collection.
 """
 
 from __future__ import annotations
@@ -122,27 +124,27 @@ def inner_from(P, t):
 
 @lru_cache(maxsize=None)
 def _inner_table(P):
-    """Generator-image tuple -> lex-least conjugator, one entry per coset of Z(G)."""
-    tb = get_tables(P)
-    zidx = st.center(P).indices()
-    seen = np.zeros(tb.N, dtype=bool)
-    table = {}
-    for x in range(tb.N):
-        if seen[x]:
-            continue
-        seen[tb.mul(x, zidx)] = True
-        t = tb.elements[x]
-        images = tuple(pc.conj(P, g, t) for g in P.generators())
-        assert images not in table, "distinct center cosets induced the same conjugation"
-        table[images] = t
-    assert len(table) * len(zidx) == tb.N
-    return table
+    """(n, |G|) index array: column x holds the generator images under
+    conjugation by element x."""
+    t = get_tables(P)
+    gens = np.array([t.index[g] for g in P.generators()], dtype=np.int32)
+    return t.conj(gens[:, None], t.all)
 
 
 def is_inner(A):
-    """(True, conjugator) if A is conjugation by some t, else (False, None)."""
-    t = _inner_table(A.parent).get(tuple(A.images))
-    return t is not None, t
+    """(True, conjugator) if A is conjugation by some t, else (False, None).
+    The conjugator is the lex-least element of its coset of Z(G)."""
+    P = A.parent
+    if len(A.images) != P.n:
+        return False, None
+    t = get_tables(P)
+    # -1 matches no column: an image outside the group makes no inner map
+    images = np.array([t.index.get(tuple(x), -1) for x in A.images], dtype=np.int32)
+    hits = np.flatnonzero((_inner_table(P) == images[:, None]).all(axis=0))
+    if hits.size == 0:
+        return False, None
+    assert hits.size == st.center(P).order, "conjugators of one inner map are not a coset of Z(G)"
+    return True, t.elements[int(hits[0])]
 
 
 def fixes_elementwise(A, H):

@@ -94,7 +94,8 @@ def check_zm_condition(P):
 
 
 @lru_cache(maxsize=None)
-def _full_report(P):
+def check_theorem_hypotheses(P):
+    """The report for both the theorem and the corollary, cached per presentation."""
     t = get_tables(P)
     Z = st.center(P)
     Z2 = st.second_center(P)
@@ -128,11 +129,3 @@ def _full_report(P):
         corollary_centralizer_condition=cent_z_phi == F,
         diagnostics=diagnostics,
     )
-
-
-def check_theorem_hypotheses(P):
-    return _full_report(P)
-
-
-def check_corollary_hypotheses(P):
-    return _full_report(P)

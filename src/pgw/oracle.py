@@ -3,16 +3,19 @@
 The search space is the |G|^d image tuples for the d minimal generators;
 images of the remaining generators are forced by their defn tags.  The pruned
 path drops tuples whose images are linearly dependent modulo the Frattini
-subgroup (Burnside: such a map cannot be surjective) and checks the relations
-as vectorized lookups in a |G| x |G| Cayley table that only this module
-builds, then re-certifies every survivor through the pure collection
-arithmetic in automorphisms.verify.  The unpruned path skips both the pruning
-and the table sieve and pushes every tuple through verify; the two must agree
-exactly.
+subgroup (Burnside: such a map cannot be surjective), checks the relations on
+whole batches of candidates with the index algebra of tables.py, then
+re-certifies every survivor through the pure collection arithmetic in
+automorphisms.verify.  The classifier reads order p and the fixing of Phi(G)
+off the generator images, and finds inner maps in the inner test's array of
+conjugation images.  The unpruned path skips both the pruning and the sieve
+and pushes every tuple through verify; the two must agree exactly.
+cross_validate rebuilds every map labelled inner by collection.
 
 Work is partitioned by the image of f_1; counts merge by summation and the
 optional map stream is sorted by image vectors, so totals are independent of
-the job count.
+the job count.  The budget is checked between search prefixes, between sieve
+relations and before each certified row.
 """
 
 from __future__ import annotations
@@ -52,97 +55,68 @@ def _check_defns(P):
 # worker state shared through fork(); set by the parent right before the pool starts
 _WORK = {}
 
-TABLE_CAP = 6600  # covers 3^8 = 6561; the Cayley table is then ~172 MB of int32
+TABLE_CAP = 6600  # covers 3^8 = 6561; the |G|^d search, not memory, is the limit
 
 
-def _steps(t):
-    """(pred, last) with y = pred[y] * f_{last[y]+1} for every index y >= 1:
-    last[y] is the position of y's last nonzero exponent, and pred[y] is y
-    with that exponent lowered by one."""
-    last = np.array([max((k for k, e in enumerate(v) if e), default=0) for v in t.elements])
-    return t.all - np.take(t.strides, last), last
-
-
-def _cayley_table(t, pred, last):
-    """T[x, y] = x * y, column by column: x * y = (x * pred(y)) * f_j."""
-    T = np.empty((t.N, t.N), dtype=np.int32)
-    T[:, 0] = t.all
-    for y in range(1, t.N):
-        T[:, y] = t.R[last[y], 1][T[:, pred[y]]]
-    return T
-
-
-def _perm_of_images(ctx, images_idx):
-    """The permutation of indices induced by a generator-image tuple.
-
-    images_idx: (rows, n) array, one candidate map per row.  Returns a
-    (rows, N) array whose [r, x] entry is the image of element x under the
-    multiplicative extension of row r.
-    """
-    T, pred, last = ctx["T"], ctx["pred"], ctx["last"]
-    out = np.empty((images_idx.shape[0], T.shape[0]), dtype=np.int32)
-    out[:, 0] = 0
-    for x in range(1, T.shape[0]):
-        out[:, x] = T[out[:, pred[x]], images_idx[:, last[x]]]
-    return out
+def _check_deadline(deadline, where):
+    if deadline is not None and time.monotonic() > deadline:
+        raise OracleTimeout(f"budget exhausted {where}")
 
 
 def _prepare(P):
     if P.order > TABLE_CAP:
         raise SizeCap(
-            f"oracle needs the full multiplication table (|G| = {P.order} is over "
-            f"the cap {TABLE_CAP})"
+            f"oracle search is capped at order {TABLE_CAP} (|G| = {P.order} is over the cap)"
         )
     t = get_tables(P)
-    pred, last = _steps(t)
     _, coords = st.frattini_coordinates(P)
     d = P.minimal_count
     # encode each element's Phi-coset coordinate vector as one integer
     codes = np.zeros(t.N, dtype=np.int64)
     for k in range(d):
         codes = codes * P.p + coords[:, k]
-    # relation list, cheapest and most discriminating first: commutators then powers
+    # relation list, cheapest and most discriminating first: commutators then
+    # powers; a relation that defines f_k holds by construction of f_k's image
     relations = [("comm", i, j) for i in range(2, P.n + 1) for j in range(1, i)]
     relations += [("pow", i) for i in range(1, P.n + 1)]
+    defining = {tag: ((k, 1),) for k, tag in P.defn.items()}
+    relations = [r for r in relations if defining.get(r) != _relation_word(P, r)]
     return {
         "P": P,
         "t": t,
-        "T": _cayley_table(t, pred, last),
-        "inv": t.inv(t.all),
-        "pred": pred,
-        "last": last,
         "pth": t.pow(t.all, P.p),
         "coords": coords,
         "codes": codes,
         "d": d,
         "relations": relations,
-        "phi_idx": st.frattini(P).indices(),
-        "inner_table": au._inner_table(P),
+        "phi_gens": np.array([t.index[h] for h in st.frattini(P).gens], dtype=np.int32),
+        "inner": set(map(tuple, au._inner_table(P).T.tolist())),
     }
 
 
-def _comm_idx(ctx, a, b):
-    T, inv = ctx["T"], ctx["inv"]
-    return T[T[inv[a], inv[b]], T[a, b]]
+def _relation_word(P, rel):
+    """Right-hand side of the relation ("comm", i, j) or ("pow", i)."""
+    return P.comm_rel.get(rel[1:], ()) if rel[0] == "comm" else P.power_rel[rel[1] - 1]
 
 
-def _eval_word_idx(ctx, img, w, shape):
+def _eval_word_idx(t, img, w, shape):
+    """The word w in the images img; its exponents are below p, so repeated
+    mul costs less than pow."""
     acc = np.zeros(shape, dtype=np.int32)
     for g, m in w:
-        x = img[g - 1]
         for _ in range(m):
-            acc = ctx["T"][acc, x]
+            acc = t.mul(acc, img[g - 1])
     return acc
 
 
-def _sieve(ctx, prefix, batch):
+def _sieve(ctx, prefix, batch, deadline):
     """Vectorized relation check for image tuples (prefix..., y) over y in batch.
 
     prefix: d-1 image indices (python ints); batch: candidate indices for the
     last minimal generator.  Returns the (rows, n) image-index matrix of the
     survivors.
     """
-    P = ctx["P"]
+    P, t = ctx["P"], ctx["t"]
     n = P.n
     img = [None] * n
     for k, y in enumerate(prefix):
@@ -153,20 +127,18 @@ def _sieve(ctx, prefix, batch):
         if tag[0] == "pow":
             img[i - 1] = ctx["pth"][img[tag[1] - 1]]
         else:
-            img[i - 1] = _comm_idx(ctx, img[tag[1] - 1], img[tag[2] - 1])
+            img[i - 1] = t.comm(img[tag[1] - 1], img[tag[2] - 1])
 
     alive = batch
     for rel in ctx["relations"]:
         if len(alive) == 0:
             break
+        _check_deadline(deadline, f"in the sieve at prefix {prefix}")
         if rel[0] == "comm":
-            i, j = rel[1], rel[2]
-            lhs = _comm_idx(ctx, img[i - 1], img[j - 1])
-            rhs = _eval_word_idx(ctx, img, P.comm_rel.get((i, j), ()), alive.shape)
+            lhs = t.comm(img[rel[1] - 1], img[rel[2] - 1])
         else:
-            i = rel[1]
-            lhs = ctx["pth"][img[i - 1]]
-            rhs = _eval_word_idx(ctx, img, P.power_rel[i - 1], alive.shape)
+            lhs = ctx["pth"][img[rel[1] - 1]]
+        rhs = _eval_word_idx(t, img, _relation_word(P, rel), alive.shape)
         ok = np.broadcast_to(lhs == rhs, alive.shape)
         if not ok.all():
             alive = alive[ok]
@@ -192,45 +164,58 @@ def _span_codes(p, d, vecs):
     return np.fromiter(sorted(span), dtype=np.int64)
 
 
-def _certify_rows(ctx, rows):
+def _certify_rows(ctx, rows, deadline):
     """Pure re-verification of sieve survivors; any rejection is a route bug."""
     P, t = ctx["P"], ctx["t"]
     out = []
     for row in rows:
+        _check_deadline(deadline, f"after certifying {len(out)} of {len(rows)} sieve survivors")
         images = tuple(t.elements[int(i)] for i in row)
         try:
             au.verify(au.GenMap(P, images))
         except Exception as e:
             raise Mismatch(
-                f"table sieve accepted {images} but pure verification rejected it: {e}"
+                f"sieve accepted {images} but pure verification rejected it: {e}"
             ) from e
         out.append(images)
     return out
 
 
+def _apply_rows(t, rows, xs):
+    """A_r(x) for each row r of generator images and each x in row r of xs
+    (xs broadcasts against one column per row): the normal form
+    f_1^e_1 ... f_n^e_n of x goes to A_r(f_1)^e_1 ... A_r(f_n)^e_n."""
+    p = t.P.p
+    r = np.arange(len(rows))[:, None]
+    acc = np.zeros(np.broadcast_shapes(r.shape, np.shape(xs)), dtype=np.int32)
+    for k, s in enumerate(t.strides):
+        powers = [np.zeros(len(rows), dtype=np.int32)]
+        for _ in range(p - 1):
+            powers.append(t.mul(powers[-1], rows[:, k]))
+        acc = t.mul(acc, np.stack(powers, axis=1)[r, xs // s % p])
+    return acc
+
+
+def _row_flags(ctx, rows):
+    """(order p, fixes Phi(G) elementwise) flags for rows of automorphism
+    generator images, both read off the generators."""
+    t, phi = ctx["t"], ctx["phi_gens"]
+    gens = np.array(t.strides, dtype=np.int32)  # f_k is the element of index strides[k]
+    acc = rows
+    for _ in range(ctx["P"].p - 1):
+        acc = _apply_rows(t, rows, acc)
+    order_p = (acc == gens).all(axis=1) & (rows != gens).any(axis=1)
+    fixes_phi = (_apply_rows(t, rows, phi) == phi).all(axis=1)
+    return order_p, fixes_phi
+
+
 def _classify_rows(ctx, rows):
     """(inner, order-p non-inner Phi-fixing) tallies for certified rows."""
-    P, t = ctx["P"], ctx["t"]
-    if len(rows) == 0:
-        return 0, 0
-    perms = _perm_of_images(ctx, rows)
-    idn = t.all
-    acc = perms
-    for _ in range(P.p - 1):
-        acc = np.take_along_axis(perms, acc, axis=1)
-    is_id = (perms == idn).all(axis=1)
-    order_p = (acc == idn).all(axis=1) & ~is_id
-    fixes_phi = (perms[:, ctx["phi_idx"]] == ctx["phi_idx"]).all(axis=1)
-    inner_flags = np.fromiter(
-        (
-            tuple(t.elements[int(i)] for i in row) in ctx["inner_table"]
-            for row in rows
-        ),
-        dtype=bool,
-        count=len(rows),
+    inner = np.fromiter(
+        (row in ctx["inner"] for row in map(tuple, rows.tolist())), dtype=bool, count=len(rows)
     )
-    bucket = order_p & ~inner_flags & fixes_phi
-    return int(inner_flags.sum()), int(bucket.sum())
+    order_p, fixes_phi = _row_flags(ctx, rows)
+    return int(inner.sum()), int((order_p & ~inner & fixes_phi).sum())
 
 
 def _run_range(args):
@@ -242,20 +227,17 @@ def _run_range(args):
 
     survivors = []
     if d == 1:
-        if deadline is not None and time.monotonic() > deadline:
-            raise OracleTimeout("budget exhausted before the sieve started")
         batch = np.arange(lo, hi, dtype=np.int32)
         batch = batch[codes[batch] != 0]
-        survivors.append(_sieve(ctx, (), batch))
+        survivors.append(_sieve(ctx, (), batch, deadline))
     else:
 
         def descend(prefix, vecs):
-            if deadline is not None and time.monotonic() > deadline:
-                raise OracleTimeout(f"budget exhausted at prefix {prefix}")
+            _check_deadline(deadline, f"at prefix {prefix}")
             span = _span_codes(p, d, vecs)
             if len(prefix) == d - 1:
                 batch = np.flatnonzero(~np.isin(codes, span)).astype(np.int32)
-                survivors.append(_sieve(ctx, prefix, batch))
+                survivors.append(_sieve(ctx, prefix, batch, deadline))
                 return
             for y in range(t.N):
                 if codes[y] in span:
@@ -263,14 +245,13 @@ def _run_range(args):
                 descend(prefix + (y,), vecs + (tuple(coords[y]),))
 
         for y1 in range(lo, hi):
-            if deadline is not None and time.monotonic() > deadline:
-                raise OracleTimeout(f"budget exhausted at first image {y1}/{t.N}")
+            _check_deadline(deadline, f"at first image {y1}/{t.N}")
             if codes[y1] == 0:
                 continue
             descend((y1,), (tuple(coords[y1]),))
 
     rows = np.concatenate(survivors, axis=0) if survivors else np.empty((0, P.n), dtype=np.int32)
-    certified = _certify_rows(ctx, rows)
+    certified = _certify_rows(ctx, rows, deadline)
     inner, bucket = _classify_rows(ctx, rows)
     return len(certified), inner, bucket, certified
 
@@ -283,8 +264,7 @@ def _enumerate_unpruned(P, deadline, collect_maps):
     maps = []
     F = st.frattini(P)
     for combo in itertools.product(t.elements, repeat=d):
-        if deadline is not None and time.monotonic() > deadline:
-            raise OracleTimeout("budget exhausted in unpruned enumeration")
+        _check_deadline(deadline, "in unpruned enumeration")
         images = list(combo) + [None] * (P.n - d)
         for i in range(d + 1, P.n + 1):
             tag = P.defn[i]
@@ -350,10 +330,11 @@ def enumerate_automorphisms(P, budget=None, jobs=1, pruned=True, collect_maps=Fa
 def cross_validate(P, budget=None, jobs=1, precomputed=None):
     """Check the oracle against the construction code.
 
-    (a) the oracle's inner tally equals |G/Z(G)|; (b) every streamed map the
-    inner test labels inner has a working conjugation witness; (c) when the
-    witness construction succeeds, its output sits in the oracle's order-p
-    non-inner Frattini-fixing bucket.
+    (a) the oracle's inner tally equals |G/Z(G)|, so no inner map is labelled
+    non-inner; (b) every streamed map the inner test labels inner is rebuilt
+    from its conjugator by inner_from, by pure collection, and their number
+    equals the inner tally; (c) when the witness construction succeeds, its
+    output sits in the oracle's order-p non-inner Frattini-fixing bucket.
     """
     count = precomputed
     if count is None:

@@ -322,11 +322,7 @@ def _dual_vectors(p, d):
 
 def omega1(P, A):
     """{a in A : a^p = 1}, for abelian A."""
-    gens = A.gens
-    one = pc.identity(P)
-    if any(
-        pc.comm(P, a, b) != one for i, a in enumerate(gens) for b in gens[i + 1 :]
-    ):
+    if not is_abelian(P, A):
         raise NotAbelian(f"omega1 needs an abelian subgroup, got order {A.order} non-abelian")
     t = get_tables(P)
     return _from_mask(P, A.mask() & (t.pow(t.all, P.p) == 0))

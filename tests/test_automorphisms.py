@@ -113,6 +113,23 @@ def test_is_inner_on_inner_maps(name):
         assert au.equal(au.inner_from(P, witness), A)
 
 
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_is_inner_returns_lex_least_conjugator(name):
+    P = pgw.load(name)
+    Z = pgw.center(P).elements
+    for t in st.whole_group(P).elements:
+        inner, witness = au.is_inner(au.inner_from(P, t))
+        assert inner
+        assert witness == min(pgw.mul(P, t, z) for z in Z)
+
+
+def test_is_inner_rejects_malformed_images():
+    P = pgw.load("h27")
+    assert au.is_inner(au.GenMap(P, (P.generator(1),))) == (False, None)
+    outside = (P.generator(1), P.generator(2), (0, 0, P.p))
+    assert au.is_inner(au.GenMap(P, outside)) == (False, None)
+
+
 def test_is_inner_composition_invariance(demo_group):
     P = demo_group
     A = _printed_alpha(P)

@@ -144,10 +144,10 @@ def test_group_over_table_cap(capsys, tmp_path, monkeypatch):
         assert rep["verification"]["certified"] is True
         assert rep["verification"]["order"] == 7
 
-    def no_table(*args):
-        raise AssertionError("the oracle built its Cayley table above the cap")
+    def no_search(*args):
+        raise AssertionError("the oracle started its search above the cap")
 
-    monkeypatch.setattr(oracle, "_cayley_table", no_table)
+    monkeypatch.setattr(oracle, "_sieve", no_search)
     code, out = run(capsys, "count", str(f), "--format", "json")
     assert code == 2
     assert "over the cap" in out
@@ -180,6 +180,12 @@ def test_missing_file_exit_two(capsys, tmp_path):
 
 def test_oracle_budget_exit_two(capsys):
     code, out = run(capsys, "count", data_path("m243"), "--budget", "0")
+    assert code == 2
+    assert "budget" in out
+
+
+def test_count_budget_two_seconds_exits_two(capsys):
+    code, out = run(capsys, "count", "--budget", "2")
     assert code == 2
     assert "budget" in out
 

@@ -146,12 +146,6 @@ def test_corollary_condition_forces_nonabelian_maximals(name):
         assert rep.all_maximals_nonabelian
 
 
-def test_corollary_equals_theorem_report(demo_group):
-    assert pgw.check_corollary_hypotheses(demo_group) is pgw.check_theorem_hypotheses(
-        demo_group
-    )
-
-
 def test_to_dict_shape(demo_group):
     d = pgw.check_theorem_hypotheses(demo_group).to_dict(demo_group)
     assert set(d) == {

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import time
 
 import numpy as np
 import pytest
@@ -105,29 +106,21 @@ def test_map_set_closed_under_composition():
         assert au.compose(A, B).images in image_set
 
 
-def test_perm_of_images_identity_and_conjugation():
-    P = pgw.load("h27")
+@pytest.mark.parametrize("name", ["h27", "m243"])
+def test_row_flags_and_images_match_collection(name):
+    P = pgw.load(name)
     ctx = oracle._prepare(P)
     t = ctx["t"]
-    ident = np.array([[t.idx(g) for g in P.generators()]], dtype=np.int32)
-    perm = oracle._perm_of_images(ctx, ident)
-    assert (perm[0] == np.arange(len(t.elements))).all()
-    f1 = P.generator(1)
-    conj_images = np.array(
-        [[t.idx(pgw.conj(P, g, f1)) for g in P.generators()]], dtype=np.int32
-    )
-    perm = oracle._perm_of_images(ctx, conj_images)[0]
-    for i, a in enumerate(t.elements):
-        assert t.elements[perm[i]] == pgw.conj(P, a, f1)
-
-
-def test_cayley_table_matches_collection():
-    P = pgw.load("w81")
-    ctx = oracle._prepare(P)
-    t = ctx["t"]
-    for x, a in enumerate(t.elements):
-        for y, b in enumerate(t.elements):
-            assert t.elements[ctx["T"][x, y]] == pgw.mul(P, a, b)
+    maps = pgw.enumerate_automorphisms(P, budget=300, collect_maps=True).maps
+    rows = np.array([[t.idx(x) for x in A.images] for A in maps], dtype=np.int32)
+    order_p, fixes_phi = oracle._row_flags(ctx, rows)
+    F = pgw.frattini(P)
+    for A, op, fp in zip(maps, order_p, fixes_phi):
+        assert op == (au.aut_order(A) == P.p)
+        assert fp == au.fixes_elementwise(A, F)
+    xs = t.all[::7]  # a spread of elements keeps the pure apply() calls few
+    for A, row in zip(maps, oracle._apply_rows(t, rows, xs)):
+        assert [t.elements[y] for y in row] == [au.apply(A, t.elements[x]) for x in xs]
 
 
 def test_budget_exhaustion_raises(demo_group):
@@ -135,6 +128,26 @@ def test_budget_exhaustion_raises(demo_group):
         pgw.enumerate_automorphisms(demo_group, budget=0.0)
     with pytest.raises(pgw.OracleTimeout):
         pgw.enumerate_automorphisms(pgw.load("w81"), budget=0.0, pruned=False)
+    P = pgw.load("h27")
+    ctx = oracle._prepare(P)
+    identity = np.array([[ctx["t"].idx(g) for g in P.generators()]], dtype=np.int32)
+    with pytest.raises(pgw.OracleTimeout):
+        oracle._certify_rows(ctx, identity, time.monotonic() - 1)
+    with pytest.raises(pgw.OracleTimeout):
+        oracle._sieve(ctx, (1,), ctx["t"].all, time.monotonic() - 1)
+
+
+# The search checks its deadline between sieve relations and before each
+# certified row, steps of well under a second on g2187 (overrun under 0.05 s
+# on a 2-CPU machine), so the slack leaves room for a slow host.
+BUDGET_SLACK_S = 3.0
+
+
+def test_budget_holds_during_the_search(demo_group):
+    start = time.monotonic()
+    with pytest.raises(pgw.OracleTimeout):
+        pgw.enumerate_automorphisms(demo_group, budget=2)
+    assert time.monotonic() - start < 2 + BUDGET_SLACK_S
 
 
 def test_missing_defn_tags_rejected():
