@@ -1,13 +1,16 @@
 """Automorphisms as generator-image maps.
 
 A GenMap is an unverified candidate: one image per pc generator.  verify()
-checks every defining relation under the map by collection, and surjectivity
-of the image closure; for a finite group that certifies an automorphism.  On
-top of that sit conjugation maps (inner_from), the inner test, the
-maximal-subgroup extension map and the full witness construction.  The inner
-test looks the generator images up in one cached (n, |G|) array of
-conjugation images, computed with the index algebra of tables.py; the
-oracle's cross-validation re-derives every inner label by collection.
+certifies an automorphism by pure collection.  Each defining relation becomes
+an equality of two words in the images, collected once per side with no
+inverses.  Surjectivity is Burnside's basis test: a verified endomorphism is
+onto iff the images of f_1..f_d span G/Phi(G), which validate() makes the
+first d exponents.  On top of that sit conjugation maps (inner_from), the
+inner test, the maximal-subgroup extension map and the full witness
+construction.  The inner test looks the generator images up in one cached
+(n, |G|) array of conjugation images, computed with the index algebra of
+tables.py; the oracle's cross-validation re-checks every inner label by
+collection.
 """
 
 from __future__ import annotations
@@ -58,33 +61,69 @@ def apply(A, x):
     return acc
 
 
-def _eval_word(P, images, w):
-    acc = pc.identity(P)
+def _spelled(words, w):
+    """The relation word w spelled in the image words: word_of(A(f_g)) m times
+    for each letter (g, m)."""
+    out = ()
     for g, m in w:
-        acc = pc.mul(P, acc, pc.pow_(P, images[g - 1], m))
-    return acc
+        out += words[g - 1] * m
+    return out
+
+
+def _rank_mod_p(rows, p):
+    """Rank over F_p of a square integer matrix, by Gaussian elimination."""
+    rows = [[x % p for x in r] for r in rows]
+    rank = 0
+    for col in range(len(rows)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        scale = pow(rows[rank][col], -1, p)
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] * scale % p
+            if f:
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
 
 
 def verify(A):
     """Certify a GenMap: every relation must hold under the map and the
-    images must generate the group."""
+    images must generate the group.
+
+    Each relation is an equality of words in the images, and both sides are
+    collected once: f_i^p = w holds iff A(f_i)^p = w(A), and [f_i, f_j] = w
+    holds iff A(f_i) A(f_j) = A(f_j) A(f_i) w(A), where w(A) spells w in the
+    images.  No inverse is formed; only a failing commutator relation is
+    recomputed with comm for its message.  Once every relation holds the map
+    is an endomorphism, and by Burnside's basis theorem it is onto iff it is
+    onto modulo Phi(G).  validate() makes Phi(G) = <f_{d+1}, ..., f_n> with d
+    the minimal generator count, so the map is onto iff the first d exponents
+    of A(f_1), ..., A(f_d) form a d x d matrix of rank d mod p.
+    """
     P = A.parent
     images = tuple(tuple(x) for x in A.images)
     if len(images) != P.n:
         raise ValueError(f"need {P.n} images, got {len(images)}")
+    words = [pc.word_of(x) for x in images]
     for i in range(1, P.n + 1):
-        lhs = pc.pow_(P, images[i - 1], P.p)
-        rhs = _eval_word(P, images, P.power_rel[i - 1])
+        lhs = pc.collect(P, words[i - 1] * P.p)
+        rhs = pc.collect(P, _spelled(words, P.power_rel[i - 1]))
         if lhs != rhs:
             raise RelationViolated(f"power relation f_{i}^{P.p}: {lhs} != {rhs}")
     for i in range(2, P.n + 1):
         for j in range(1, i):
-            lhs = pc.comm(P, images[i - 1], images[j - 1])
-            rhs = _eval_word(P, images, P.comm_rel.get((i, j), ()))
-            if lhs != rhs:
+            w = _spelled(words, P.comm_rel.get((i, j), ()))
+            wi, wj = words[i - 1], words[j - 1]
+            if pc.collect(P, wi + wj) != pc.collect(P, wj + wi + w):
+                lhs = pc.comm(P, images[i - 1], images[j - 1])
+                rhs = pc.collect(P, w)
                 raise RelationViolated(f"commutator relation [f_{i},f_{j}]: {lhs} != {rhs}")
-    t = get_tables(P)
-    if int(t.closure_mask([t.index[im] for im in images]).sum()) != P.order:
+    if not P.validated:
+        raise ValueError("surjectivity needs a validated presentation")
+    d = P.minimal_count
+    if _rank_mod_p([x[:d] for x in images[:d]], P.p) != d:
         raise NotSurjective("images do not generate the group")
     return Automorphism(P, images)
 

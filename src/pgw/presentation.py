@@ -211,6 +211,8 @@ def validate(P):
       - every defn[i] collects to f_i
     Together these are the standard consistency conditions for a weighted pc
     presentation, so passing them guarantees |G| = p^n and unique normal forms.
+    Last, _check_frattini_split makes Phi(G) = <f_{d+1}, ..., f_n>, which lets
+    automorphisms.verify read surjectivity off the first d exponents.
     """
     if not _is_prime(P.p):
         raise ValueError(f"p = {P.p} is not prime")
@@ -275,5 +277,35 @@ def validate(P):
             value = comm(P, P.generator(tag[1]), P.generator(tag[2]))
         if value != P.generator(i):
             raise BadDefinition(f"defn[{i}] = {tag} collects to {value}, not f_{i}")
+    _check_frattini_split(P)
 
     return dataclasses.replace(P, validated=True)
+
+
+def _check_frattini_split(P):
+    """Require Phi(G) = <f_{d+1}, ..., f_n> for d = minimal_count.
+
+    Each f_i with i > d must carry a defn tag, so it is a p-th power or a
+    commutator and lies in Phi(G).  The power relations of f_1..f_d and the
+    commutator relations among them must use only f_{d+1}..f_n, so the
+    quotient by the normal subgroup <f_{d+1}, ..., f_n> is elementary abelian
+    and that subgroup contains Phi(G).  A generator that breaks either rule
+    needs a def line.
+    """
+    d = P.minimal_count
+    for i in range(d + 1, P.n + 1):
+        if i not in P.defn:
+            raise BadDefinition(f"f_{i} is not minimal (d = {d}) but has no definition")
+    rels = [(f"f_{i}^{P.p}", P.power_rel[i - 1]) for i in range(1, d + 1)]
+    rels += [
+        (f"[f_{i},f_{j}]", P.comm_rel.get((i, j), ()))
+        for i in range(2, d + 1)
+        for j in range(1, i)
+    ]
+    for name, w in rels:
+        low = [g for g, _ in w if g <= d]
+        if low:
+            raise BadDefinition(
+                f"relation {name} uses f_{low[0]}, so f_{low[0]} lies in the Frattini "
+                "subgroup and is not minimal; give it a def line"
+            )

@@ -1,5 +1,6 @@
 """Certification, inner tests, Lemma-style extension, witness construction."""
 
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import pgw
 from pgw import automorphisms as au
 from pgw import structure as st
+from pgw import tables
 
 from conftest import ALL_NAMES
 
@@ -59,6 +61,112 @@ def test_verify_rejects_relation_break():
     images = (P.generator(2), P.generator(1), P.generator(3))
     with pytest.raises(pgw.RelationViolated):
         au.verify(au.GenMap(parent=P, images=images))
+
+
+def _reference_verify(P, images):
+    """The certificate verify() replaced: pc.comm/pow_ relations, then the
+    closure of the images must reach |G|.  Returns (class name, message)."""
+    def word(w):
+        acc = pgw.identity(P)
+        for g, m in w:
+            acc = pgw.mul(P, acc, pgw.pow_(P, images[g - 1], m))
+        return acc
+
+    for i in range(1, P.n + 1):
+        lhs = pgw.pow_(P, images[i - 1], P.p)
+        rhs = word(P.power_rel[i - 1])
+        if lhs != rhs:
+            return "RelationViolated", f"power relation f_{i}^{P.p}: {lhs} != {rhs}"
+    for i in range(2, P.n + 1):
+        for j in range(1, i):
+            lhs = pgw.comm(P, images[i - 1], images[j - 1])
+            rhs = word(P.comm_rel.get((i, j), ()))
+            if lhs != rhs:
+                return "RelationViolated", f"commutator relation [f_{i},f_{j}]: {lhs} != {rhs}"
+    t = tables.get_tables(P)
+    if int(t.closure_mask([t.index[im] for im in images]).sum()) != P.order:
+        return "NotSurjective", "images do not generate the group"
+    return None, None
+
+
+def _verdict(P, images):
+    try:
+        A = au.verify(au.GenMap(P, images))
+    except (pgw.RelationViolated, pgw.NotSurjective) as e:
+        return type(e).__name__, str(e)
+    assert A.images == images
+    return None, None
+
+
+def _defn_forced(P, minimal):
+    """Images of f_1..f_d extended to f_{d+1}..f_n through the defn tags."""
+    images = list(minimal)
+    for i in range(P.minimal_count + 1, P.n + 1):
+        tag = P.defn[i]
+        if tag[0] == "pow":
+            images.append(pgw.pow_(P, images[tag[1] - 1], P.p))
+        else:
+            images.append(pgw.comm(P, images[tag[1] - 1], images[tag[2] - 1]))
+    return tuple(images)
+
+
+def _verify_cases(name):
+    P = pgw.load(name)
+    elems = st.whole_group(P).elements
+    if P.order ** P.n <= 20_000:
+        return P, itertools.product(elems, repeat=P.n)
+    rng = random.Random(f"verify-{name}")
+    cases = [tuple(rng.choice(elems) for _ in range(P.n)) for _ in range(300)]
+    cases += [
+        _defn_forced(P, [rng.choice(elems) for _ in range(P.minimal_count)])
+        for _ in range(300)
+    ]
+    # forced images from a rank-deficient span of f_1..f_d: endomorphisms that are not onto
+    cases += [
+        _defn_forced(P, [pgw.pow_(P, rng.choice(elems), rng.randrange(P.p))] * P.minimal_count)
+        for _ in range(100)
+    ]
+    cases += [  # inner automorphisms
+        tuple(pgw.conj(P, g, t) for g in P.generators())
+        for t in (rng.choice(elems) for _ in range(50))
+    ]
+    return P, cases
+
+
+@pytest.mark.parametrize("name", ["c9", "c3c3", "h27", "x27", "q8", "w81", "m243", "g2187"])
+def test_verify_matches_closure_reference(name):
+    P, cases = _verify_cases(name)
+    seen = set()
+    for images in cases:
+        got = _verdict(P, images)
+        assert got == _reference_verify(P, images), images
+        seen.add(got[0])
+    # an elementary abelian group breaks no relation
+    assert seen == {None, "NotSurjective"} | ({"RelationViolated"} if name != "c3c3" else set())
+
+
+def test_verify_rejects_non_onto_endomorphism():
+    P = pgw.load("h27")
+    one = pgw.identity(P)
+    images = (P.generator(1), one, one)  # every relation of h27 holds, the image is <f1>
+    assert _reference_verify(P, images)[0] == "NotSurjective"
+    with pytest.raises(pgw.NotSurjective):
+        au.verify(au.GenMap(parent=P, images=images))
+
+
+def test_verify_accepts_gl3_on_elementary_abelian():
+    # C3^3 with d = 3: the maps verify accepts are GL(3, 3), of order 26 * 24 * 18
+    raw = pgw.PcPresentation(name="c3c3c3", p=3, n=3, power_rel=((),) * 3, minimal_count=3)
+    P = pgw.validate(raw)
+    elems = st.whole_group(P).elements
+    accepted = 0
+    for images in itertools.product(elems, repeat=3):
+        try:
+            au.verify(au.GenMap(P, images))
+            accepted += 1
+        except pgw.NotSurjective:
+            pass
+    assert accepted == 26 * 24 * 18
 
 
 def test_aut_order_examples(demo_group):

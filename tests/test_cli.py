@@ -173,6 +173,17 @@ def test_inconsistent_file_exit_two(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["info", "check", "construct", "count"])
+def test_undefined_frattini_generator_exit_two(capsys, tmp_path, command):
+    # c9 without its def line: f_1^3 = f_2 puts f_2 in Phi(G), yet it counts as minimal
+    f = tmp_path / "c9nodef.pg"
+    f.write_text("name c9nodef\np 3\nn 2\npow 1 = g2^1\n")
+    code, out = run(capsys, command, str(f), "--format", "json")
+    assert code == 2
+    assert out.count("\n") == 1 and out.startswith("pgw: error: ")
+    assert "give it a def line" in out
+
+
 def test_missing_file_exit_two(capsys, tmp_path):
     code, out = run(capsys, "check", str(tmp_path / "nope.pg"))
     assert code == 2

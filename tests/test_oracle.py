@@ -207,3 +207,26 @@ def test_cross_validation_needs_maps(demo_group):
     bare = pgw.AutCount(total=1, inner=1, order_p_noninner_fixing_frattini=0, elapsed=0.0)
     with pytest.raises(ValueError):
         pgw.cross_validate(demo_group, precomputed=bare)
+
+
+def test_conjugates_by_matches_inner_from():
+    P = pgw.load("h27")
+    f1 = P.generator(1)  # not central, so t and t f1 give different inner maps
+    for t in st.whole_group(P).elements:
+        A = au.inner_from(P, t)
+        assert oracle._conjugates_by(P, A, t)
+        assert not oracle._conjugates_by(P, A, pgw.mul(P, t, f1))
+
+
+def test_cross_validation_catches_a_wrong_conjugator(monkeypatch):
+    P = pgw.load("h27")
+    count = pgw.enumerate_automorphisms(P, budget=60, collect_maps=True)
+    is_inner = au.is_inner
+
+    def shifted(A):
+        lab, t = is_inner(A)
+        return lab, (pgw.mul(P, t, P.generator(1)) if lab else t)
+
+    monkeypatch.setattr(au, "is_inner", shifted)
+    with pytest.raises(pgw.Mismatch, match="does not reproduce"):
+        pgw.cross_validate(P, precomputed=count)

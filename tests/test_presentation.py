@@ -1,5 +1,6 @@
 """Collection arithmetic against independent integer models and axioms."""
 
+import dataclasses
 import random
 
 import pytest
@@ -171,6 +172,22 @@ def test_validate_rejects_bad_definition():
                 defn={2: ("pow", 1)}, minimal_count=1,
             )
         )
+
+
+def test_validate_requires_def_line_for_frattini_generator():
+    # h27 with d = 3: [f2,f1] = f3 puts f3 in Phi(G), so f3 is not minimal
+    raw = pc.PcPresentation(
+        name="h27d3", p=3, n=3,
+        power_rel=((), (), ()), comm_rel={(2, 1): ((3, 1),)},
+        defn={}, minimal_count=3,
+    )
+    with pytest.raises(pgw.BadDefinition, match="give it a def line"):
+        pc.validate(raw)
+    # with f3 defined as that commutator it validates
+    assert pc.validate(dataclasses.replace(raw, defn={3: ("comm", 2, 1)}, minimal_count=2)).validated
+    # a non-minimal generator needs a definition
+    with pytest.raises(pgw.BadDefinition, match="no definition"):
+        pc.validate(dataclasses.replace(raw, minimal_count=2))
 
 
 def test_validate_rejects_oversize():
