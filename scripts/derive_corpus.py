@@ -47,12 +47,14 @@ def derive(name, p, seq, defn, mul, one, minimal):
     chains.append({one})
     G = chains[0]
 
-    inv = {}
-    for x in G:
-        for y in G:
-            if mul(x, y) == one:
-                inv[x] = y
-                break
+    def inverse(x):
+        # x^(ord(x) - 1), by walking the powers of x back to the identity
+        prev, y = one, x
+        while y != one:
+            prev, y = y, mul(y, x)
+        return prev
+
+    inv = {x: inverse(x) for x in seq}
 
     def power(x, k):
         r = one

@@ -166,8 +166,7 @@ def _inner_table(P):
     """(n, |G|) index array: column x holds the generator images under
     conjugation by element x."""
     t = get_tables(P)
-    gens = np.array([t.index[g] for g in P.generators()], dtype=np.int32)
-    return t.conj(gens[:, None], t.all)
+    return t.conj(t.strides[:, None], t.all)  # the generators' indices are the strides
 
 
 def is_inner(A):
@@ -177,13 +176,15 @@ def is_inner(A):
     if len(A.images) != P.n:
         return False, None
     t = get_tables(P)
-    # -1 matches no column: an image outside the group makes no inner map
-    images = np.array([t.index.get(tuple(x), -1) for x in A.images], dtype=np.int32)
+    try:
+        images = t.encode(A.images)
+    except ValueError:  # an image outside the group makes no inner map
+        return False, None
     hits = np.flatnonzero((_inner_table(P) == images[:, None]).all(axis=0))
     if hits.size == 0:
         return False, None
     assert hits.size == st.center(P).order, "conjugators of one inner map are not a coset of Z(G)"
-    return True, t.elements[int(hits[0])]
+    return True, tuple(t.decode(hits[0]).tolist())
 
 
 def fixes_elementwise(A, H):
@@ -283,14 +284,13 @@ def construct_theorem_witness(P, skip_hypothesis_check=False):
     t = get_tables(P)
     Z = st.center(P)
     Z2 = st.second_center(P)
-    eligible = Z2.mask() & (t.pow(t.all, p) == 0) & ~Z.mask()
-    idxs = np.flatnonzero(eligible)
+    idxs = np.flatnonzero(Z2.mask & (t.pow(t.all, p) == 0) & ~Z.mask)
     if idxs.size == 0:
         raise NoEligibleU(
             "every order-p element of the second center is central "
             f"(|Z| = {Z.order}, |Z2| = {Z2.order})"
         )
-    u = t.elements[int(idxs[0])]
+    u = tuple(t.decode(idxs[0]).tolist())
 
     M = st.centralizer(P, u)
     if M.order * p != P.order:

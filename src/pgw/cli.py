@@ -201,13 +201,13 @@ def _cmd_demo(args, t0):
     Z = st.center(P)
     f = {i: P.generator(i) for i in range(1, 8)}
     chk("Z(G) = <f7> of order 3",
-        Z.order == 3 and Z.element_set == st.closure(P, [f[7]]).element_set)
+        Z.order == 3 and Z == st.closure(P, [f[7]]))
     chk("G is monolithic", hy.is_monolithic(P))
 
     F = st.frattini(P)
     chk("Phi(G) = <f3,f4,f5,f6,f7> of order 243",
         F.order == 243
-        and F.element_set == st.closure(P, [f[3], f[4], f[5], f[6], f[7]]).element_set)
+        and F == st.closure(P, [f[3], f[4], f[5], f[6], f[7]]))
     chk("Phi(G) is non-abelian", not st.is_abelian(P, F))
 
     maxs = st.maximal_subgroups(P)
@@ -224,15 +224,15 @@ def _cmd_demo(args, t0):
          [pc.mul(P, pc.mul(P, f[5], f[6]), pc.pow_(P, f[7], 2)), f[7]]),
     ]
     tail = [f[3], f[4], f[5], f[6], f[7]]
-    by_set = {M.element_set: M for M in maxs}
+    by_set = {M: M for M in maxs}
     for k, (head, zgens) in enumerate(printed, start=1):
         Mk = st.closure(P, head + tail)
-        hit = by_set.pop(Mk.element_set, None)
+        hit = by_set.pop(Mk, None)
         chk(f"M{k} matches a computed maximal subgroup as an element set", hit is not None)
         Zk = st.closure(P, zgens)
         chk(f"Z(M{k}) matches as an element set",
             hit is not None
-            and st.center_of(P, hit).element_set == Zk.element_set)
+            and st.center_of(P, hit) == Zk)
     chk("the four maximal subgroups are exactly M1..M4", not by_set)
 
     h = hy.check_theorem_hypotheses(P)

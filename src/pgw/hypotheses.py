@@ -82,14 +82,14 @@ def check_zm_condition(P):
     scanning maximals, then m, then g in canonical order.
     """
     t = get_tables(P)
-    zmask = st.center(P).mask()
+    zmask = st.center(P).mask
     for mi, M in enumerate(st.maximal_subgroups(P)):
         zm = st.center_of(P, M)
-        outside = np.flatnonzero(~M.mask())
-        for m in zm.elements:
-            bad = np.flatnonzero(~zmask[t.comm(t.index[m], outside)])
+        outside = np.flatnonzero(~M.mask)
+        for m in zm.indices():
+            bad = np.flatnonzero(~zmask[t.comm(m, outside)])
             if bad.size:
-                return False, (mi, m, t.elements[int(outside[bad[0]])])
+                return False, (mi, *st._tuples(t, [m, outside[bad[0]]]))
     return True, None
 
 
@@ -107,13 +107,12 @@ def check_theorem_hypotheses(P):
     cent_z_phi = st.centralizer(P, z_phi)
 
     qf = st.quotient_facts(P, Z2, Z)
-    omega_set_mask = Z2.mask() & (t.pow(t.all, P.p) == 0)
-    exceeds = bool(np.any(omega_set_mask & ~Z.mask()))
+    exceeds = bool(np.any(Z2.mask & (t.pow(t.all, P.p) == 0) & ~Z.mask))
 
     diagnostics = {
         "z2_abelian": st.is_abelian(P, Z2),
-        "z2_in_z_phi": Z2.element_set <= z_phi.element_set,
-        "zm_in_z2": [st.center_of(P, M).element_set <= Z2.element_set for M in maxls],
+        "z2_in_z_phi": Z2 <= z_phi,
+        "zm_in_z2": [st.center_of(P, M) <= Z2 for M in maxls],
         "z2_mod_z_elementary": qf["elementary_abelian"],
         "rank_z2_mod_z": qf["rank"],
         "rank_g": st.rank(P),

@@ -11,10 +11,12 @@ off the generator images, and finds inner maps in the inner test's array of
 conjugation images.  The unpruned path skips both the pruning and the sieve
 and pushes every tuple through verify; the two must agree exactly.
 
-The two routes read G/Phi(G) by different computations: the pruning uses the
-coset coordinates of structure.frattini_coordinates, built from the tables,
-while verify reads the first d exponents of a pure normal form.  So pruned ==
-unpruned also cross-checks those two.  cross_validate checks every map
+The sieve shares no arithmetic with verify: tables.py builds its tables from
+the parsed relations by induction down the pc series, and verify collects.  So
+pruned == unpruned tests that induction against the collector.  It also
+cross-checks two readings of G/Phi(G): the pruning uses the coset coordinates
+of structure.frattini_coordinates, built from the tables, while verify reads
+the first d exponents of a pure normal form.  cross_validate checks every map
 labelled inner against conjugation by its witness t by collection,
 t A(f_i) = f_i t, without certifying it a second time.
 
@@ -95,7 +97,7 @@ def _prepare(P):
         "codes": codes,
         "d": d,
         "relations": relations,
-        "phi_gens": np.array([t.index[h] for h in st.frattini(P).gens], dtype=np.int32),
+        "phi_gens": t.encode(st.frattini(P).gens),
         "inner": set(map(tuple, au._inner_table(P).T.tolist())),
     }
 
@@ -173,10 +175,13 @@ def _span_codes(p, d, vecs):
 def _certify_rows(ctx, rows, deadline):
     """Pure re-verification of sieve survivors; any rejection is a route bug."""
     P, t = ctx["P"], ctx["t"]
+    # decode each distinct image once, so that the kept maps share their tuples
+    distinct, inverse = np.unique(rows, return_inverse=True)
+    forms = st._tuples(t, distinct)
     out = []
-    for row in rows:
+    for row in inverse.reshape(rows.shape).tolist():
         _check_deadline(deadline, f"after certifying {len(out)} of {len(rows)} sieve survivors")
-        images = tuple(t.elements[int(i)] for i in row)
+        images = tuple(forms[i] for i in row)
         try:
             au.verify(au.GenMap(P, images))
         except Exception as e:
@@ -264,12 +269,11 @@ def _run_range(args):
 
 def _enumerate_unpruned(P, deadline, collect_maps):
     """Pure route: every |G|^d tuple through verify, no tables, no pruning."""
-    t = get_tables(P)
     d = P.minimal_count
     total = inner = bucket = 0
     maps = []
     F = st.frattini(P)
-    for combo in itertools.product(t.elements, repeat=d):
+    for combo in itertools.product(itertools.product(range(P.p), repeat=P.n), repeat=d):
         _check_deadline(deadline, "in unpruned enumeration")
         images = list(combo) + [None] * (P.n - d)
         for i in range(d + 1, P.n + 1):

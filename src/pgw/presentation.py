@@ -26,9 +26,6 @@ from .errors import BadDefinition, BadWeight, ConsistencyViolation, SizeCap
 MAX_P = 97
 MAX_N = 16
 
-Element = tuple
-Word = tuple  # of (gen index, exponent) pairs
-
 
 @dataclass(frozen=True, eq=False)  # eq=False: identity hash, lets lru_cache key on P
 class PcPresentation:

@@ -1,11 +1,11 @@
 """Subgroup-level computations: closures, centers, centralizers, central
 series, Frattini subgroup, maximal subgroups, omega_1, ranks.
 
-Subgroups are fully enumerated element sets at desk scale.  Comparisons are
-always by element set, never by generating list (recorded generating sets are
-a convenience for reports and for generator-based tests).  All functions take
-a validated presentation and are pure; per-presentation results are memoized.
-
+A subgroup is a membership mask over the element indices of
+tables.GroupTables, at desk scale.  Comparisons are always by element set,
+never by generating list (recorded generating sets are a convenience for
+reports and for generator-based tests).  All functions take a validated
+presentation and are pure; per-presentation results are memoized.
 Arithmetic is the index algebra of tables.GroupTables, on whole index arrays
 where a test runs over every element.  Subgroups defined by products, such as
 commutator subgroups and Frattini subgroups, are built from generators: the
@@ -26,51 +26,49 @@ from .tables import get_tables
 
 
 class Subgroup:
-    """An explicitly enumerated subgroup with a recorded generating set."""
+    """A subgroup as a read-only membership mask over the element indices,
+    with a recorded generating set (by default the lex-greedy one)."""
 
-    def __init__(self, parent, elements, gens):
+    def __init__(self, parent, mask, gens=None):
         self.parent = parent
-        self.elements = tuple(sorted(elements))
-        self.element_set = frozenset(self.elements)
-        self.gens = tuple(gens)
+        self.mask = mask
+        self.mask.flags.writeable = False
+        self.order = int(mask.sum())
+        self.gens = tuple(_greedy_gens(parent, self.indices()) if gens is None else gens)
 
     @property
-    def order(self):
-        return len(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
+    def elements(self):
+        """The elements as exponent tuples, in index (= lexicographic) order."""
+        return tuple(_tuples(get_tables(self.parent), self.indices()))
 
     def __iter__(self):
         return iter(self.elements)
 
     def __contains__(self, e):
-        return e in self.element_set
+        try:
+            return bool(self.mask[get_tables(self.parent).encode(e)])
+        except ValueError:  # not an exponent vector of this group
+            return False
 
     def __eq__(self, other):
         if not isinstance(other, Subgroup):
             return NotImplemented
-        return self.parent is other.parent and self.element_set == other.element_set
+        return self.parent is other.parent and np.array_equal(self.mask, other.mask)
 
     def __le__(self, other):
-        return self.element_set <= other.element_set
+        if not isinstance(other, Subgroup):
+            return NotImplemented
+        return self.parent is other.parent and not np.any(self.mask & ~other.mask)
 
     def __hash__(self):
-        return hash(self.element_set)
+        return hash(self.mask.tobytes())
 
     def __repr__(self):
         gens = ", ".join(word_str(self.parent, g) for g in self.gens) or "1"
         return f"<subgroup of {self.parent.name} order {self.order} = <{gens}>>"
 
     def indices(self):
-        t = get_tables(self.parent)
-        return np.fromiter((t.index[e] for e in self.elements), dtype=np.int32, count=self.order)
-
-    def mask(self):
-        t = get_tables(self.parent)
-        m = np.zeros(t.N, dtype=bool)
-        m[self.indices()] = True
-        return m
+        return np.flatnonzero(self.mask).astype(np.int32)
 
 
 def word_str(P, e):
@@ -79,54 +77,44 @@ def word_str(P, e):
     return " ".join(parts) if parts else "1"
 
 
-def _from_mask(P, mask, gens=None):
-    t = get_tables(P)
-    idxs = np.flatnonzero(mask)
-    elements = [t.elements[int(i)] for i in idxs]
-    if gens is None:
-        gens = _greedy_gens(P, idxs)
-    return Subgroup(P, elements, gens)
+def _tuples(t, indices):
+    """Exponent tuples of a sequence of indices."""
+    return list(map(tuple, t.decode(indices).tolist()))
 
 
 def _greedy_gens(P, sorted_indices):
     """Lex-greedy generating set: add each element not yet generated."""
     t = get_tables(P)
     gens = []
-    cur = np.zeros(t.N, dtype=bool)
-    cur[0] = True
-    for i in sorted_indices:
-        i = int(i)
+    cur = t.closure_mask(gens)
+    for i in map(int, sorted_indices):
         if not cur[i]:
             gens.append(i)
             cur = t.closure_mask(gens)
-    return [t.elements[i] for i in gens]
+    return _tuples(t, gens)
 
 
 def closure(P, S):
     """Smallest subgroup containing the elements of S (empty S gives 1)."""
     t = get_tables(P)
-    seeds = [t.index[tuple(e)] for e in S]
-    mask = t.closure_mask(seeds)
-    gens = _greedy_gens(P, [s for s in sorted(set(seeds)) if s != 0])
-    return _from_mask(P, mask, gens)
+    seeds = np.unique(t.encode(list(S)))
+    return Subgroup(P, t.closure_mask(seeds), _greedy_gens(P, seeds[seeds != 0]))
 
 
 @lru_cache(maxsize=None)
 def whole_group(P):
-    t = get_tables(P)
-    return Subgroup(P, t.elements, P.generators())
+    return Subgroup(P, np.ones(P.order, dtype=bool), P.generators())
 
 
 def trivial_subgroup(P):
-    return Subgroup(P, [pc.identity(P)], [])
+    return Subgroup(P, get_tables(P).closure_mask([]), [])
 
 
 def _centralizer_mask(P, targets):
     """Mask of {x : x s = s x for every s in targets (element tuples)}."""
     t = get_tables(P)
     mask = np.ones(t.N, dtype=bool)
-    for e in targets:
-        s = t.index[e]
+    for s in t.encode(targets):
         mask &= t.mul(t.all, s) == t.mul(s, t.all)
     return mask
 
@@ -134,18 +122,17 @@ def _centralizer_mask(P, targets):
 def centralizer(P, S):
     """C_G(S); S may be a Subgroup (generator test) or a single Element."""
     targets = S.gens if isinstance(S, Subgroup) else (tuple(S),)
-    return _from_mask(P, _centralizer_mask(P, targets))
+    return Subgroup(P, _centralizer_mask(P, targets))
 
 
 @lru_cache(maxsize=None)
 def center(P):
-    return _from_mask(P, _centralizer_mask(P, P.generators()))
+    return Subgroup(P, _centralizer_mask(P, P.generators()))
 
 
 def center_of(P, H):
     """Z(H): the center of H as a group, embedded back in G."""
-    mask = _centralizer_mask(P, H.gens) & H.mask()
-    return _from_mask(P, mask)
+    return Subgroup(P, _centralizer_mask(P, H.gens) & H.mask)
 
 
 def is_abelian(P, H=None):
@@ -160,7 +147,7 @@ def _normal_closure_mask(P, seeds, conjugators):
     """Mask of the smallest subgroup containing the seed indices and normalized
     by the conjugators (generators of an overgroup, as element tuples)."""
     t = get_tables(P)
-    hs = [t.index[h] for h in conjugators]
+    hs = t.encode(conjugators)
     gens = []
     mask = t.closure_mask(gens)
     queue = [int(s) for s in seeds]
@@ -177,8 +164,8 @@ def _normal_closure_mask(P, seeds, conjugators):
 def commutator_subgroup(P, A, B):
     """[A, B]: the normal closure in <A, B> of the generator commutators."""
     t = get_tables(P)
-    seeds = [t.comm(t.index[a], t.index[b]) for a in A.gens for b in B.gens]
-    return _from_mask(P, _normal_closure_mask(P, seeds, A.gens + B.gens))
+    seeds = t.comm(t.encode(A.gens)[:, None], t.encode(B.gens)).ravel()
+    return Subgroup(P, _normal_closure_mask(P, seeds, A.gens + B.gens))
 
 
 @lru_cache(maxsize=None)
@@ -191,7 +178,7 @@ def derived(P):
 def agemo(P):
     """G^p = <g^p : g in G>."""
     t = get_tables(P)
-    return _from_mask(P, t.closure_mask(np.unique(t.pow(t.all, P.p))))
+    return Subgroup(P, t.closure_mask(np.unique(t.pow(t.all, P.p))))
 
 
 def _frattini_mask(P, H):
@@ -199,8 +186,8 @@ def _frattini_mask(P, H):
     commutators of H's generators (the quotient by it is elementary abelian
     and generated by the images of those generators)."""
     t = get_tables(P)
-    hidx = [t.index[h] for h in H.gens]
-    seeds = [t.pow(h, P.p) for h in hidx]
+    hidx = t.encode(H.gens)
+    seeds = list(t.pow(hidx, P.p))
     seeds += [t.comm(a, b) for i, a in enumerate(hidx) for b in hidx[i + 1 :]]
     return _normal_closure_mask(P, seeds, H.gens)
 
@@ -208,7 +195,7 @@ def _frattini_mask(P, H):
 @lru_cache(maxsize=None)
 def frattini(P):
     """Phi(G) = G^p G' for p-groups."""
-    return _from_mask(P, _frattini_mask(P, whole_group(P)))
+    return Subgroup(P, _frattini_mask(P, whole_group(P)))
 
 
 @dataclass(frozen=True)
@@ -221,15 +208,14 @@ class CentralSeries:
 def upper_central_series(P):
     t = get_tables(P)
     terms = [trivial_subgroup(P)]
-    cur = terms[0].mask()
-    gens = [t.index[g] for g in P.generators()]
+    cur = terms[0].mask
     while cur.sum() < t.N:
         nxt = np.ones(t.N, dtype=bool)
-        for g in gens:
+        for g in t.strides:  # the indices of the generators
             nxt &= cur[t.comm(t.all, g)]
         if nxt.sum() == cur.sum():
             raise AssertionError("upper central series stalled below G")  # p-groups are nilpotent
-        terms.append(_from_mask(P, nxt))
+        terms.append(Subgroup(P, nxt))
         cur = nxt
     return CentralSeries("upper", tuple(terms))
 
@@ -271,11 +257,10 @@ def frattini_coordinates(P):
 
     # lift a basis: lex-least element outside the span, repeatedly
     basis = []
-    span = F.mask().copy()
+    span = F.mask
     while span.sum() < t.N:
-        nxt = int(np.flatnonzero(~span)[0])
-        basis.append(nxt)
-        span = t.closure_mask([t.index[g] for g in F.gens] + basis)
+        basis.append(int(np.flatnonzero(~span)[0]))
+        span = t.closure_mask(list(t.encode(F.gens)) + basis)
     d = len(basis)
     assert p**d * F.order == t.N
 
@@ -288,7 +273,7 @@ def frattini_coordinates(P):
         assert np.all(coords[coset, 0] == -1), "cosets overlap; arithmetic bug"
         coords[coset] = combo
 
-    return tuple(t.elements[b] for b in basis), coords
+    return tuple(_tuples(t, basis)), coords
 
 
 @lru_cache(maxsize=None)
@@ -301,9 +286,7 @@ def maximal_subgroups(P):
 
     out = []
     for phi in _dual_vectors(p, d):
-        dot = coords @ np.array(phi, dtype=np.int32)
-        mask = (dot % p) == 0
-        M = _from_mask(P, mask)
+        M = Subgroup(P, (coords @ np.array(phi, dtype=np.int32)) % p == 0)
         assert M.order * p == t.N
         out.append(M)
     return tuple(out)
@@ -325,7 +308,7 @@ def omega1(P, A):
     if not is_abelian(P, A):
         raise NotAbelian(f"omega1 needs an abelian subgroup, got order {A.order} non-abelian")
     t = get_tables(P)
-    return _from_mask(P, A.mask() & (t.pow(t.all, P.p) == 0))
+    return Subgroup(P, A.mask & (t.pow(t.all, P.p) == 0))
 
 
 def exponent(P, H=None):
@@ -362,7 +345,7 @@ def quotient_facts(P, A, B):
     With B normal in A, A/B is elementary abelian iff the p-th powers and the
     pairwise commutators of A's generators lie in B.
     """
-    if not B.element_set <= A.element_set:
+    if not B <= A:
         raise NotNormal("B is not contained in A")
     for a in A.gens:
         for b in B.gens:

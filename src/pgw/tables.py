@@ -1,18 +1,20 @@
 """Index arithmetic for a validated presentation.
 
-Everything downstream of pc-core (subgroup enumeration, the hypothesis
-checker, the brute-force oracle) works on element *indices* into the lex-
-ordered list of normal forms.  Index order equals lexicographic order on
-exponent vectors because the index is the mixed-radix value of the vector
-with e_1 most significant.
+Everything downstream of pc-core works on element indices.  The index of
+f_1^e_1 ... f_n^e_n is the mixed-radix value of (e_1, ..., e_n), e_1 most
+significant, so index order is lexicographic order on normal forms; encode
+and decode convert between the two on arrays.
 
-The only products taken from the pure collector are x * f_k for every x and
-every generator.  From them GroupTables keeps n power columns,
-R[k, r, x] = x * f_{k+1}^r (n * p * |G| entries), and multiplies by walking
-the right operand's normal form f_1^e_1 ... f_n^e_n through them.  mul, inv, pow,
-comm and conj all take scalars or index arrays, which broadcast like numpy
-operands; subgroup closures are a BFS over one right-multiplication column
-per generator.  Memory stays linear in |G|.
+GroupTables keeps n power columns, R[k, r, x] = x * f_{k+1}^r, and multiplies
+by walking the right operand's normal form through them.  The columns come
+from the parsed relations alone, never from the collector, by induction down
+the series G_k = <f_k, ..., f_n>, whose elements are the first |G_k| indices
+(Holt, Eick & O'Brien, Handbook of Computational Group Theory, ch. 8).  For
+y in G_{k+1} and j > k, (f_k^a y) f_j = f_k^a (y f_j) is a block-shifted copy
+of G_{k+1}'s column, and (f_k^a y) f_k = f_k^(a+1) y^(f_k), where mul applies
+conjugation by f_k, f_i -> f_i [f_i, f_k], to all of G_{k+1} at once, and
+f_k^p is replaced by its power word when a + 1 = p.  mul, inv, pow, comm and
+conj take scalars or index arrays, which broadcast like numpy operands.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import presentation as pc
 from .errors import SizeCap
 
 ELEMENT_CAP = 200_000  # refuse to enumerate beyond desk scale
@@ -37,33 +38,60 @@ class GroupTables:
         self.P = P
         self.N = N
         p, n = P.p, P.n
-        self.elements = [tuple(e) for e in _vectors(p, n)]
-        self.index = {e: i for i, e in enumerate(self.elements)}
-        self.strides = [p ** (n - 1 - k) for k in range(n)]
+        self.strides = np.array([p ** (n - 1 - k) for k in range(n)], dtype=np.int32)
         self.all = np.arange(N, dtype=np.int32)
 
-        # R[k, r] is right multiplication by f_{k+1}^r; r = 1 from the pure collector
         self.R = np.empty((n, p, N), dtype=np.int32)
         self.R[:, 0] = self.all
-        for k, g in enumerate(P.generators()):
-            self.R[k, 1] = [self.index[pc.mul(P, e, g)] for e in self.elements]
-            for r in range(2, p):
-                self.R[k, r] = self.R[k, 1][self.R[k, r - 1]]
         # mul reads R flat: x * f_{k+1}^r = _flat[k][_offset[k][y] + x] for y's exponent r
         self._flat = self.R.reshape(n, p * N)
-        self._offset = np.array([self.all // s % p * N for s in self.strides], dtype=np.int32)
+        self._offset = np.ascontiguousarray(self.decode(self.all).T) * N
+        for k in range(n - 1, -1, -1):
+            self._extend(k)
 
         self._inv = self.pow(self.all, N - 1)  # x^N = 1
 
-    def idx(self, e):
-        return self.index[e]
+    def _extend(self, k):
+        """Fill every column on G_{k+1} (0-based k) from the columns on G_{k+2}."""
+        P, R = self.P, self.R
+        p, size = P.p, int(self.strides[k])
+        for a in range(1, p):
+            R[k + 1 :, 1:, a * size : (a + 1) * size] = R[k + 1 :, 1:, :size] + a * size
+        conj = np.zeros(size, dtype=np.int32)  # y^(f_{k+1}) for every y in G_{k+2}
+        for i in range(k + 1, P.n):
+            image = self._word(((i + 1, 1),) + P.comm_rel.get((i + 1, k + 1), ()))
+            powers = np.array([self.pow(image, r) for r in range(p)], dtype=np.int32)
+            conj = self.mul(conj, powers[self.all[:size] // self.strides[i] % p])
+        shifted = [(a + 1) * size + conj for a in range(p - 1)]  # f_{k+1}^(a+1) y^(f_{k+1})
+        R[k, 1, : p * size] = np.concatenate(shifted + [self.mul(self._word(P.power_rel[k]), conj)])
+        for r in range(2, p):
+            R[k, r, : p * size] = R[k, 1, R[k, r - 1, : p * size]]
 
-    def elem(self, i):
-        return self.elements[int(i)]
+    def _word(self, w):
+        """Index of a relation word; validate() makes it a normal form."""
+        return sum(m * int(self.strides[g - 1]) for g, m in w)
+
+    def encode(self, e):
+        """Indices of exponent vectors: e has shape (..., n) with entries in 0..p-1;
+        an empty sequence gives an empty index array."""
+        P = self.P
+        e = np.asarray(e)
+        if e.shape == (0,):
+            return np.zeros(0, dtype=np.int32)
+        if e.shape[-1:] != (P.n,) or e.dtype.kind not in "iu" or e.min() < 0 or e.max() >= P.p:
+            raise ValueError(f"not exponent vectors of length {P.n} over 0..{P.p - 1}: {e.tolist()}")
+        return (e @ self.strides).astype(np.int32)
+
+    def decode(self, x):
+        """Exponent vectors of indices: shape (..., n)."""
+        return np.asarray(x)[..., None] // self.strides % self.P.p
 
     def mul(self, a, b):
         """a * b on indices; a and b broadcast against each other."""
-        for flat, offset in zip(self._flat, self._offset):
+        cols = zip(self._flat, self._offset)
+        if np.ndim(b) == 0:  # one right factor: walk only the generators it uses
+            cols = [(flat, offset) for flat, offset in cols if offset[b]]
+        for flat, offset in cols:
             a = flat.take(offset.take(b) + a)
         return a
 
@@ -95,27 +123,15 @@ class GroupTables:
         mask = np.zeros(self.N, dtype=bool)
         mask[0] = True
         seeds = np.unique(np.asarray(seed_indices, dtype=np.int32))
-        cols = self.mul(self.all, seeds[seeds != 0, None])  # cols[i, x] = x * seed_i
+        # cols[i, x] = x * seed_i, one seed at a time so that mul skips its zero exponents
+        cols = [self.mul(self.all, s) for s in seeds[seeds != 0]]
+        cols = np.array(cols, dtype=np.int32).reshape(-1, self.N)
         frontier = np.flatnonzero(mask)
         while frontier.size:
             prods = np.unique(cols[:, frontier])
             frontier = prods[~mask[prods]]
             mask[frontier] = True
         return mask
-
-
-def _vectors(p, n):
-    # lexicographic order, first coordinate most significant
-    e = [0] * n
-    while True:
-        yield tuple(e)
-        k = n - 1
-        while k >= 0 and e[k] == p - 1:
-            e[k] = 0
-            k -= 1
-        if k < 0:
-            return
-        e[k] += 1
 
 
 @lru_cache(maxsize=None)

@@ -98,9 +98,9 @@ def test_w81_zm_counterexample():
     mi, m, g = triple
     M = st.maximal_subgroups(P)[mi]
     Z = st.center(P)
-    assert m in st.center_of(P, M).element_set
-    assert g not in M.element_set
-    assert pgw.comm(P, m, g) not in Z.element_set
+    assert m in st.center_of(P, M)
+    assert g not in M
+    assert pgw.comm(P, m, g) not in Z
 
 
 def test_zm_condition_deterministic():
@@ -119,12 +119,12 @@ def test_zm_verdict_independent_of_maximal_order(name):
     verdict = True
     for M in reversed(st.maximal_subgroups(P)):
         ZM = st.center_of(P, M)
-        outside = [x for x in st.whole_group(P).elements if x not in M.element_set]
+        outside = [x for x in st.whole_group(P).elements if x not in M]
         for m in ZM.elements:
             if not verdict:
                 break
             for g in outside:
-                if pgw.comm(P, m, g) not in Z.element_set:
+                if pgw.comm(P, m, g) not in Z:
                     verdict = False
                     break
     assert verdict == pgw.check_theorem_hypotheses(P).zm_condition

@@ -112,7 +112,7 @@ def test_row_flags_and_images_match_collection(name):
     ctx = oracle._prepare(P)
     t = ctx["t"]
     maps = pgw.enumerate_automorphisms(P, budget=300, collect_maps=True).maps
-    rows = np.array([[t.idx(x) for x in A.images] for A in maps], dtype=np.int32)
+    rows = t.encode([A.images for A in maps])
     order_p, fixes_phi = oracle._row_flags(ctx, rows)
     F = pgw.frattini(P)
     for A, op, fp in zip(maps, order_p, fixes_phi):
@@ -120,7 +120,7 @@ def test_row_flags_and_images_match_collection(name):
         assert fp == au.fixes_elementwise(A, F)
     xs = t.all[::7]  # a spread of elements keeps the pure apply() calls few
     for A, row in zip(maps, oracle._apply_rows(t, rows, xs)):
-        assert [t.elements[y] for y in row] == [au.apply(A, t.elements[x]) for x in xs]
+        assert row.tolist() == [t.encode(au.apply(A, tuple(t.decode(x).tolist()))) for x in xs]
 
 
 def test_budget_exhaustion_raises(demo_group):
@@ -130,7 +130,7 @@ def test_budget_exhaustion_raises(demo_group):
         pgw.enumerate_automorphisms(pgw.load("w81"), budget=0.0, pruned=False)
     P = pgw.load("h27")
     ctx = oracle._prepare(P)
-    identity = np.array([[ctx["t"].idx(g) for g in P.generators()]], dtype=np.int32)
+    identity = ctx["t"].encode([P.generators()])
     with pytest.raises(pgw.OracleTimeout):
         oracle._certify_rows(ctx, identity, time.monotonic() - 1)
     with pytest.raises(pgw.OracleTimeout):

@@ -20,18 +20,18 @@ def test_closure_examples(demo_group):
     assert pgw.closure(h27, []).order == 1
     F = pgw.closure(demo_group, [demo_group.generator(i) for i in range(3, 8)])
     assert F.order == 243
-    assert F.element_set == pgw.frattini(demo_group).element_set
+    assert F == pgw.frattini(demo_group)
 
 
 def test_center_examples(demo_group):
     h27 = pgw.load("h27")
     Z = pgw.center(h27)
-    assert Z.element_set == pgw.closure(h27, [h27.generator(3)]).element_set
+    assert Z == pgw.closure(h27, [h27.generator(3)])
     c9 = pgw.load("c9")
     assert pgw.center(c9).order == 9
     Zd = pgw.center(demo_group)
     assert Zd.order == 3
-    assert Zd.element_set == pgw.closure(demo_group, [demo_group.generator(7)]).element_set
+    assert Zd == pgw.closure(demo_group, [demo_group.generator(7)])
 
 
 @pytest.mark.parametrize("name", SMALL)
@@ -47,7 +47,7 @@ def test_centralizer_generator_test_agrees_with_full_scan(name):
             x for x in elems
             if all(pgw.comm(P, x, h) == pgw.identity(P) for h in H.elements)
         }
-        assert C.element_set == brute
+        assert set(C.elements) == brute
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -56,16 +56,16 @@ def test_centralizer_sandwich(name):
     Z = pgw.center(P)
     H = pgw.closure(P, [P.generator(1)])
     C = pgw.centralizer(P, H)
-    assert Z.element_set <= C.element_set
+    assert Z <= C
     assert pgw.centralizer(P, Z).order == P.order
 
 
 def test_derived_agemo_frattini_h27():
     P = pgw.load("h27")
-    f3 = pgw.closure(P, [P.generator(3)]).element_set
-    assert pgw.derived(P).element_set == f3
+    f3 = pgw.closure(P, [P.generator(3)])
+    assert pgw.derived(P) == f3
     assert pgw.agemo(P).order == 1
-    assert pgw.frattini(P).element_set == f3
+    assert pgw.frattini(P) == f3
 
 
 def test_derived_trivial_for_abelian():
@@ -77,8 +77,8 @@ def test_derived_trivial_for_abelian():
 def test_frattini_equals_intersection_of_maximals(name):
     P = pgw.load(name)
     maxes = pgw.maximal_subgroups(P)
-    inter = set.intersection(*(set(M.element_set) for M in maxes))
-    assert pgw.frattini(P).element_set == inter
+    inter = set.intersection(*(set(M.elements) for M in maxes))
+    assert set(pgw.frattini(P).elements) == inter
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -90,7 +90,7 @@ def test_maximal_subgroup_count_and_shape(name):
     F = pgw.frattini(P)
     for M in maxes:
         assert M.order * P.p == P.order
-        assert F.element_set <= M.element_set
+        assert F <= M
 
 
 @pytest.mark.parametrize("name", SMALL)
@@ -98,19 +98,19 @@ def test_maximals_are_genuinely_maximal_and_normal(name):
     P = pgw.load(name)
     elems = pgw.closure(P, P.generators()).elements
     for M in pgw.maximal_subgroups(P):
-        outside = [x for x in elems if x not in M.element_set]
+        outside = [x for x in elems if x not in M]
         for x in outside[:6]:
             assert pgw.closure(P, list(M.gens) + [x]).order == P.order
         for t in (P.generators()):
             for m in M.gens:
-                assert pgw.conj(P, m, t) in M.element_set
+                assert pgw.conj(P, m, t) in M
 
 
 def test_c9_single_maximal():
     P = pgw.load("c9")
     maxes = pgw.maximal_subgroups(P)
     assert len(maxes) == 1
-    assert maxes[0].element_set == pgw.closure(P, [P.generator(2)]).element_set
+    assert maxes[0] == pgw.closure(P, [P.generator(2)])
 
 
 def test_h27_maximals_all_abelian():
@@ -139,10 +139,10 @@ def test_series_are_strict_and_agree(name):
     assert low[0].order == P.order and low[-1].order == 1
     for a, b in zip(up, up[1:]):
         assert a.order < b.order
-        assert a.element_set <= b.element_set
+        assert a <= b
     for a, b in zip(low, low[1:]):
         assert b.order < a.order
-        assert b.element_set <= a.element_set
+        assert b <= a
     assert len(up) == len(low)
 
 
@@ -154,19 +154,19 @@ def test_second_center_matches_definition(name):
     elems = pgw.closure(P, P.generators()).elements
     brute = {
         x for x in elems
-        if all(pgw.comm(P, x, g) in Z.element_set for g in P.generators())
+        if all(pgw.comm(P, x, g) in Z for g in P.generators())
     }
-    assert Z2.element_set == brute
+    assert set(Z2.elements) == brute
 
 
 def test_omega1_examples(demo_group):
     c9 = pgw.load("c9")
     W = pgw.omega1(c9, st.whole_group(c9))
-    assert W.element_set == pgw.closure(c9, [c9.generator(2)]).element_set
+    assert W == pgw.closure(c9, [c9.generator(2)])
     c3c3 = pgw.load("c3c3")
     assert pgw.omega1(c3c3, st.whole_group(c3c3)).order == 9
     A = pgw.closure(demo_group, [demo_group.generator(6), demo_group.generator(7)])
-    assert pgw.omega1(demo_group, A).element_set == A.element_set
+    assert pgw.omega1(demo_group, A) == A
     assert A.order == 9
 
 
@@ -226,26 +226,26 @@ def test_generator_subgroups_match_all_pairs(name):
     for H in (G, Z, pgw.second_center(P)) + pgw.maximal_subgroups(P):
         for K in (G, H):
             ref = t.closure_mask(np.flatnonzero(_all_pairs(P, H, K)))
-            assert pgw.commutator_subgroup(P, H, K).mask().tolist() == ref.tolist()
+            assert pgw.commutator_subgroup(P, H, K).mask.tolist() == ref.tolist()
         comms = _all_pairs(P, H, H)
         powers = t.pow(H.indices(), P.p)
         phi = t.closure_mask(np.concatenate([np.flatnonzero(comms), powers]))
         quot = H.order // int(phi.sum())
         assert P.p ** pgw.rank(P, H) == quot
         for B in (trivial, Z):
-            if B.element_set <= H.element_set:
-                ea = bool(B.mask()[powers].all() and B.mask()[comms].all())
+            if B <= H:
+                ea = bool(B.mask[powers].all() and B.mask[comms].all())
                 q = pgw.quotient_facts(P, H, B)
                 assert q["elementary_abelian"] is ea
                 assert q["rank"] == (st._log(P.p, H.order // B.order) if ea else None)
 
-    assert pgw.derived(P).mask().tolist() == t.closure_mask(
+    assert pgw.derived(P).mask.tolist() == t.closure_mask(
         np.flatnonzero(_all_pairs(P, G, G))
     ).tolist()
     term = G
     for got in pgw.lower_central_series(P).terms[1:]:
         ref = t.closure_mask(np.flatnonzero(_all_pairs(P, term, G)))
-        assert got.mask().tolist() == ref.tolist()
+        assert got.mask.tolist() == ref.tolist()
         term = got
     assert term.order == 1
 
@@ -272,7 +272,7 @@ def test_exponent_bound_on_second_center(name):
     Z = pgw.center(P)
     e = pgw.exponent(P, Z)
     for g in pgw.second_center(P).elements:
-        assert pgw.pow_(P, g, e) in Z.element_set
+        assert pgw.pow_(P, g, e) in Z
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -284,12 +284,12 @@ def test_subgroup_elements_sorted_and_closed(name):
         seed = [elems[rng.randrange(len(elems))] for _ in range(2)]
         H = pgw.closure(P, seed)
         assert list(H.elements) == sorted(H.elements)
-        assert pgw.identity(P) in H.element_set
+        assert pgw.identity(P) in H
         sample = list(H.elements)[:25]
         for a in sample:
-            assert pgw.inv(P, a) in H.element_set
+            assert pgw.inv(P, a) in H
             for b in sample[:8]:
-                assert pgw.mul(P, a, b) in H.element_set
+                assert pgw.mul(P, a, b) in H
         k = P.order // H.order
         assert H.order * k == P.order
 
@@ -307,3 +307,26 @@ def test_exponent_values(demo_group):
     assert pgw.exponent(demo_group) == 81
     Z = pgw.center(demo_group)
     assert pgw.exponent(demo_group, Z) == 3
+
+
+def test_subgroup_comparisons_need_the_same_presentation():
+    # two parses of one file are different presentations: their subgroups
+    # never compare equal or contained, although their element tuples agree
+    text = pgw.serialize(pgw.load("h27"))
+    P = pgw.parse_text(text).presentation
+    Q = pgw.parse_text(text).presentation
+    G, H = st.whole_group(P), st.whole_group(Q)
+    Z = pgw.center(P)
+    assert G.elements == H.elements
+    assert G == G and G <= G and Z <= G
+    assert G != H
+    assert not G <= H and not pgw.center(Q) <= G
+    assert not G <= Z
+
+
+def test_subgroup_membership_of_malformed_tuples():
+    P = pgw.load("h27")
+    G = st.whole_group(P)
+    assert pgw.identity(P) in G
+    for bad in [(0, 0), (0, 0, 0, 0), (0, 0, 3), (0, -1, 0)]:
+        assert bad not in G

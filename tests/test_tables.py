@@ -6,9 +6,40 @@ import numpy as np
 import pytest
 
 import pgw
-from pgw import tables
+from pgw import groupfile, tables
 
 from conftest import ALL_NAMES
+
+# C_{p^3} x| C_{p^2}, the generator of the second factor acting by 1 + p: m243's
+# text with p - 1 in place of 2.  Not shipped; parse_text runs the full
+# consistency battery on it.
+FAMILY = """name m{order}
+p {p}
+n 5
+pow 1 = g3^1
+pow 2 = g4^1
+pow 3 = g5^1
+comm 2 1 = g3^1 g5^{q}
+comm 3 2 = g5^{q}
+comm 4 1 = g5^1
+def 3 = pow 1
+def 4 = pow 2
+def 5 = pow 3
+"""
+FAMILY_NAMES = ("m3125", "m16807")  # p = 5 and p = 7
+
+
+def _group(name):
+    if name in FAMILY_NAMES:
+        p = {"m3125": 5, "m16807": 7}[name]
+        text = FAMILY.format(order=p**5, p=p, q=p - 1)
+        return groupfile.parse_text(text, source=name).presentation
+    return pgw.load(name)
+
+
+def _nf(t, x):
+    """The normal form of index x as a plain exponent tuple."""
+    return tuple(t.decode(x).tolist())
 
 
 def _samples(t, seed, k=300):
@@ -16,16 +47,55 @@ def _samples(t, seed, k=300):
     return [rng.randrange(t.N) for _ in range(k)], [rng.randrange(t.N) for _ in range(k)]
 
 
-@pytest.mark.parametrize("name", ALL_NAMES)
+@pytest.mark.parametrize("name", ALL_NAMES + FAMILY_NAMES)
+def test_columns_match_collection(name):
+    # the tables are built from the relations alone; every column x -> x f_k
+    # must agree with the pure collector on every element
+    P = _group(name)
+    t = tables.get_tables(P)
+    elements = [tuple(e) for e in t.decode(t.all).tolist()]
+    for k, g in enumerate(P.generators()):
+        want = t.encode([pgw.mul(P, e, g) for e in elements])
+        assert t.R[k, 1].tolist() == want.tolist(), f"column of f_{k + 1}"
+
+
+@pytest.mark.parametrize("name", ALL_NAMES + FAMILY_NAMES)
 def test_table_matches_collection(name):
-    P = pgw.load(name)
+    P = _group(name)
     t = tables.get_tables(P)
     xs, ys = _samples(t, 13)
     prods = t.mul(np.array(xs), np.array(ys))
     for a, b, ab in zip(xs, ys, prods):
-        want = pgw.mul(P, t.elem(a), t.elem(b))
-        assert t.elem(t.mul(a, b)) == want
-        assert t.elem(ab) == want
+        want = t.encode(pgw.mul(P, _nf(t, a), _nf(t, b)))
+        assert t.mul(a, b) == want
+        assert ab == want
+
+
+@pytest.mark.parametrize("name", ["c9", "q8", "g2187", "m3125"])
+def test_encode_decode_round_trip(name):
+    P = _group(name)
+    t = tables.get_tables(P)
+    vectors = t.decode(t.all)
+    assert vectors.shape == (t.N, P.n)
+    assert t.encode(vectors).tolist() == t.all.tolist()
+    assert _nf(t, 0) == pgw.identity(P)
+    for k, g in enumerate(P.generators()):
+        assert t.encode(g) == t.strides[k]
+        assert _nf(t, t.strides[k]) == g
+    top = (P.p - 1,) * P.n
+    assert t.encode(top) == t.N - 1
+    assert _nf(t, t.N - 1) == top
+    assert t.encode([]).tolist() == []
+
+
+def test_encode_rejects_malformed_tuples():
+    P = pgw.load("h27")
+    t = tables.get_tables(P)
+    for bad in [(0, 1), (0, 1, 2, 0), (0, 0, 3), (0, -1, 0), (0.0, 1.0, 2.0), ((0, 1), (0, 1, 2))]:
+        with pytest.raises(ValueError):
+            t.encode(bad)
+    with pytest.raises(ValueError):
+        t.encode([(0, 1, 2), (1, 3, 0)])
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -33,9 +103,10 @@ def test_inverse_table(name):
     P = pgw.load(name)
     t = tables.get_tables(P)
     invs = t.inv(t.all)
-    for i, a in enumerate(t.elements):
-        assert t.elem(invs[i]) == pgw.inv(P, a)
-        assert t.elem(t.inv(i)) == pgw.inv(P, a)
+    for i in range(t.N):
+        want = t.encode(pgw.inv(P, _nf(t, i)))
+        assert invs[i] == want
+        assert t.inv(i) == want
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -46,9 +117,9 @@ def test_pow_matches_collection(name):
     for k in (-P.order - 1, -5, -1, 0, 1, 2, P.p, 17, P.order + 3):
         powers = t.pow(np.array(xs), k)
         for a, ak in zip(xs, powers):
-            want = pgw.pow_(P, t.elem(a), k)
-            assert t.elem(ak) == want
-            assert t.elem(t.pow(a, k)) == want
+            want = t.encode(pgw.pow_(P, _nf(t, a), k))
+            assert ak == want
+            assert t.pow(a, k) == want
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -59,16 +130,17 @@ def test_comm_and_conj_match_collection(name):
     comms = t.comm(np.array(xs), np.array(ys))
     conjs = t.conj(np.array(xs), np.array(ys))
     for a, b, c, d in zip(xs, ys, comms, conjs):
-        ea, eb = t.elem(a), t.elem(b)
-        assert t.elem(c) == t.elem(t.comm(a, b)) == pgw.comm(P, ea, eb)
-        assert t.elem(d) == t.elem(t.conj(a, b)) == pgw.conj(P, ea, eb)
+        ea, eb = _nf(t, a), _nf(t, b)
+        assert c == t.comm(a, b) == t.encode(pgw.comm(P, ea, eb))
+        assert d == t.conj(a, b) == t.encode(pgw.conj(P, ea, eb))
 
 
 def test_elements_sorted_lexicographically():
     P = pgw.load("w81")
     t = tables.get_tables(P)
-    assert list(t.elements) == sorted(t.elements)
-    assert t.elements[0] == pgw.identity(P)
+    elements = [tuple(e) for e in t.decode(t.all).tolist()]
+    assert elements == sorted(elements)
+    assert elements[0] == pgw.identity(P)
 
 
 @pytest.mark.parametrize("name", ["h27", "x27", "w81"])
@@ -76,8 +148,8 @@ def test_pth_power_table(name):
     P = pgw.load(name)
     t = tables.get_tables(P)
     pth = t.pow(t.all, P.p)
-    for i, a in enumerate(t.elements):
-        assert t.elem(pth[i]) == pgw.pow_(P, a, P.p)
+    for i in range(t.N):
+        assert pth[i] == t.encode(pgw.pow_(P, _nf(t, i), P.p))
 
 
 def test_comm_col_matches_collection():
@@ -86,26 +158,26 @@ def test_comm_col_matches_collection():
     t = tables.get_tables(P)
     rng = random.Random(5)
     for _ in range(20):
-        g = rng.randrange(len(t.elements))
+        g = rng.randrange(t.N)
         col = t.comm(t.all, g)
-        for i in rng.sample(range(len(t.elements)), 40):
-            assert t.elem(col[i]) == pgw.comm(P, t.elements[i], t.elements[g])
+        for i in rng.sample(range(t.N), 40):
+            assert col[i] == t.encode(pgw.comm(P, _nf(t, i), _nf(t, g)))
 
 
 def test_closure_mask_matches_bfs():
     P = pgw.load("g2187")
     t = tables.get_tables(P)
-    seed = [t.idx(P.generator(3)), t.idx(P.generator(6))]
+    seed = t.encode([P.generator(3), P.generator(6)])
     mask = t.closure_mask(seed)
     H = pgw.closure(P, [P.generator(3), P.generator(6)])
     assert int(mask.sum()) == H.order
-    assert {t.elements[i] for i in range(len(t.elements)) if mask[i]} == H.element_set
+    assert {_nf(t, i) for i in np.flatnonzero(mask)} == set(H.elements)
 
 
 def test_closure_mask_with_identity_and_repeated_seeds():
     P = pgw.load("m243")
     t = tables.get_tables(P)
-    gens = [t.idx(g) for g in P.generators()]
+    gens = list(t.encode(P.generators()))
     assert t.closure_mask([]).tolist() == [True] + [False] * (t.N - 1)
     assert t.closure_mask(gens[:2]).all()
     redundant = [0] + gens[2:] + gens[:2] + list(t.all)
