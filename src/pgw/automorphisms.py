@@ -101,11 +101,20 @@ def verify(A):
     onto modulo Phi(G).  validate() makes Phi(G) = <f_{d+1}, ..., f_n> with d
     the minimal generator count, so the map is onto iff the first d exponents
     of A(f_1), ..., A(f_d) form a d x d matrix of rank d mod p.
+
+    Every image must be a normal form, a length-n tuple of ints in 0..p-1;
+    anything else raises ValueError, as a wrong number of images does.  The
+    collector would read (4, 0) on C3 x C3 as the word f_1^4 = f_1, but the
+    certified map keeps its images as given, and is_inner, apply and the
+    tables know each element by its normal form only.
     """
     P = A.parent
     images = tuple(tuple(x) for x in A.images)
     if len(images) != P.n:
         raise ValueError(f"need {P.n} images, got {len(images)}")
+    for x in images:
+        if len(x) != P.n or not all(isinstance(v, (int, np.integer)) and 0 <= v < P.p for v in x):
+            raise ValueError(f"image {x} is not a normal form: need {P.n} ints in 0..{P.p - 1}")
     words = [pc.word_of(x) for x in images]
     for i in range(1, P.n + 1):
         lhs = pc.collect(P, words[i - 1] * P.p)

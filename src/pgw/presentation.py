@@ -14,12 +14,25 @@ normal form f_1^e1 ... f_n^en with 0 <= e_k < p.
 Elements are plain exponent tuples of length n.  Words are sequences of
 (generator index, exponent) pairs with 1-based indices and arbitrary integer
 exponents; `collect` normalizes them.
+
+Collection is from the left (Leedham-Green & Soicher, J. Symb. Comput. 9,
+1990; Vaughan-Lee, same issue).  The collector keeps the exponents e placed so
+far and `top`, the highest position with a nonzero exponent.  A letter f_j at
+or right of `top` is placed directly.  Otherwise f_j is moved across the tail
+T = f_{j+1}^e_{j+1} ... f_top^e_top, which is zeroed in one walk from `top`
+down, and T^{f_j} is pushed as one stored word per nonzero e_k: the normal
+form of (f_k^e_k)^{f_j} = (f_k [f_k, f_j])^e_k.  `conjugates` stores those
+words once per presentation.  Conjugating by f_j is collection in
+G_{j+1} = <f_{j+1}, ..., f_n>, which needs only the rows for f_{j+1}..f_n, so
+the collector builds the table itself from j = n down to 1; there is no
+second collector to bootstrap it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import BadDefinition, BadWeight, ConsistencyViolation, SizeCap
 
@@ -71,15 +84,44 @@ def collect(P, w):
     return _collect_into(P, e, w)
 
 
-def _collect_into(P, e, w):
-    # invariant: value = normalform(e) * product(stack, top first)
+@lru_cache(maxsize=None)
+def conjugates(P):
+    """The stored conjugates, one table per presentation object.
+
+    conjugates(P)[j-1][k-1][m], for k > j and 1 <= m < p, is the normal-form
+    word of (f_k^m)^{f_j} = (f_k [f_k, f_j])^m, stored reversed (in push order
+    for the collector's stack); entry 0 is unused.  Row j is built by the
+    collector from rows j+1..n only, so the rows go from j = n down to 1.
+    """
+    n, p = P.n, P.p
+    table = [None] * n
+    for j in range(n, 0, -1):
+        row = [None] * n
+        for k in range(j + 1, n + 1):
+            unit = ((k, 1),) + tuple(P.comm_rel.get((k, j), ()))
+            words = [()]
+            x = [0] * n
+            for _ in range(1, p):
+                x = _collect_into(P, list(x), unit, table)
+                words.append(word_of(x)[::-1])
+            row[k - 1] = tuple(words)
+        table[j - 1] = row
+    return table
+
+
+def _collect_into(P, e, w, table=None):
+    # invariant: value = normalform(e) * product(stack, top first), and
+    # e[k] == 0 for every k > top, e[top] != 0 (top = -1 when e is all zero)
     p = P.p
-    n = P.n
     power_rel = P.power_rel
-    comm_rel = P.comm_rel
+    conj = conjugates(P) if table is None else table  # table: rows being built
     stack = [(g, m) for (g, m) in reversed(tuple(w)) if m]
+    pop, push = stack.pop, stack.extend
+    top = P.n - 1
+    while top >= 0 and not e[top]:
+        top -= 1
     while stack:
-        j, m = stack.pop()
+        j, m = pop()
         if not (0 < m < p):
             r = m % p
             q = (m - r) // p
@@ -88,45 +130,40 @@ def _collect_into(P, e, w):
             rep = wj if q > 0 else inverse_word(wj)
             for _ in range(abs(q)):
                 if rep:
-                    stack.extend(reversed(rep))
+                    push(reversed(rep))
             if r:
                 stack.append((j, r))
             continue
         jj = j - 1
-        tail = [(k + 1, e[k]) for k in range(jj + 1, n) if e[k]]
-        if not tail:
-            s = e[jj] + m
-            if s < p:
-                e[jj] = s
-            else:
-                e[jj] = s - p
-                wj = power_rel[jj]
-                if wj:
-                    stack.extend(reversed(wj))
+        if jj < top:
+            # move one f_j across the tail T = f_{j+1}^e.. f_{top+1}^e:
+            # NF(e)*T*f_j^m = NF(e)*f_j*T^{f_j}*f_j^{m-1}, where T^{f_j} is the
+            # product of the stored (f_k^e_k)^{f_j}.  Push in reverse processing
+            # order: f_j^{m-1} deepest, then T^{f_j} from its last factor on;
+            # the tail is zeroed in the same walk.
+            if m > 1:
+                stack.append((j, m - 1))
+            row = conj[jj]
+            for k in range(top, jj, -1):
+                ek = e[k]
+                if ek:
+                    e[k] = 0
+                    push(row[k][ek])
+            m = 1
+        # nothing right of f_j now: place f_j^m directly
+        s = e[jj] + m
+        if s < p:
+            e[jj] = s
+            top = jj
             continue
-        # move one f_j across the tail T:  NF(e)*T*f_j^m = NF(e)*f_j*T^{f_j}*f_j^{m-1}
-        for k, _ in tail:
-            e[k - 1] = 0
-        overflow = None
-        if e[jj] + 1 < p:
-            e[jj] += 1
-        else:
-            e[jj] = 0
-            overflow = power_rel[jj]
-        # push in reverse processing order: f_j^{m-1} deepest, then T^{f_j}, then f_j^p word
-        if m > 1:
-            stack.append((j, m - 1))
-        for gk, ek in reversed(tail):
-            c = comm_rel.get((gk, j))
-            if not c:
-                stack.append((gk, ek))
-            else:
-                # f_k^{f_j} = f_k * [f_k,f_j]; (f_k c)^ek pushed as ek copies
-                unit = ((gk, 1),) + tuple(c)
-                for _ in range(ek):
-                    stack.extend(reversed(unit))
-        if overflow:
-            stack.extend(reversed(overflow))
+        # f_j^p overflows into its power word, which lies right of f_j
+        e[jj] = s - p
+        wj = power_rel[jj]
+        if wj:
+            push(reversed(wj))
+        top = jj
+        while top >= 0 and not e[top]:
+            top -= 1
     return tuple(e)
 
 

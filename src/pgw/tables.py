@@ -49,7 +49,13 @@ class GroupTables:
         for k in range(n - 1, -1, -1):
             self._extend(k)
 
-        self._inv = self.pow(self.all, N - 1)  # x^N = 1
+        # x^-1 = f_n^-e_n ... f_1^-e_1: walk each x's normal form backwards
+        # through the inverse permutations of its columns, x -> x f_k^-r
+        self._inv = np.zeros(N, dtype=np.int32)
+        back = np.empty((p, N), dtype=np.int32)
+        for k in range(n - 1, -1, -1):
+            back[np.arange(p)[:, None], self.R[k]] = self.all
+            self._inv = back.reshape(-1).take(self._offset[k] + self._inv)
 
     def _extend(self, k):
         """Fill every column on G_{k+1} (0-based k) from the columns on G_{k+2}."""

@@ -9,6 +9,7 @@ presentation) from the generator pairing and fails on any inconsistency.
 import pytest
 
 import pgw
+from pgw import groupfile
 
 
 def mul_c9(a, b):
@@ -78,6 +79,33 @@ MODELS = {
 }
 
 ALL_NAMES = tuple(MODELS)
+
+# C_{p^3} x| C_{p^2}, the generator of the second factor acting by 1 + p: m243's
+# text with p - 1 in place of 2.  Not shipped; parse_text runs the full
+# consistency battery on it.
+FAMILY = """name m{order}
+p {p}
+n 5
+pow 1 = g3^1
+pow 2 = g4^1
+pow 3 = g5^1
+comm 2 1 = g3^1 g5^{q}
+comm 3 2 = g5^{q}
+comm 4 1 = g5^1
+def 3 = pow 1
+def 4 = pow 2
+def 5 = pow 3
+"""
+FAMILY_NAMES = ("m3125", "m16807")  # p = 5 and p = 7
+
+
+def load_group(name):
+    """A shipped group by name, or a FAMILY member parsed from its text."""
+    if name in FAMILY_NAMES:
+        p = {"m3125": 5, "m16807": 7}[name]
+        text = FAMILY.format(order=p**5, p=p, q=p - 1)
+        return groupfile.parse_text(text, source=name).presentation
+    return pgw.load(name)
 
 
 def assert_isomorphic(P, mul, one, gen_images):

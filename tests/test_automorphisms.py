@@ -55,6 +55,22 @@ def test_verify_rejects_collapse(demo_group):
         au.verify(au.GenMap(parent=P, images=images))
 
 
+@pytest.mark.parametrize(
+    "images",
+    [
+        ((4, 0), (0, 1)),  # f_1^4 = f_1: the identity map, spelled off normal form
+        ((1, 0, 0), (0, 1)),  # too long
+        ((-1, 0), (0, 1)),  # negative exponent
+        ((1,), (0, 1)),  # too short
+    ],
+)
+def test_verify_rejects_images_off_normal_form(images):
+    P = pgw.load("c3c3")
+    with pytest.raises(ValueError, match="not a normal form"):
+        au.verify(au.GenMap(P, images))
+    assert au.verify(au.GenMap(P, ((1, 0), (0, 1)))).images == ((1, 0), (0, 1))
+
+
 def test_verify_rejects_relation_break():
     P = pgw.load("h27")
     # swap f1 <-> f2 : [f2,f1] = f3 becomes [f1,f2] = f3^-1 != f3

@@ -1,5 +1,10 @@
 """Packaged example groups: identities and basic invariants."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 import pgw
@@ -64,3 +69,20 @@ def test_definitions_reproduce_generators(name):
         else:
             got = pgw.comm(P, P.generator(tag[1]), P.generator(tag[2]))
         assert got == P.generator(i)
+
+
+def test_derive_corpus_matches_shipped_files():
+    # scripts/derive_corpus.py rebuilds each .pg file from an integer model
+    # with the pgw under test; compare mode writes nothing
+    root = pathlib.Path(__file__).resolve().parents[1]
+    src = str(pathlib.Path(pgw.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "derive_corpus.py")],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert sorted(lines) == sorted(
+        f"{name}: derived text matches shipped file byte for byte" for name in ALL_NAMES
+    )

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as hst
 
 import pgw
 from pgw import presentation as pc
+from pgw import tables
 
-from conftest import ALL_NAMES, MODELS, assert_isomorphic
+from conftest import ALL_NAMES, FAMILY_NAMES, MODELS, assert_isomorphic, load_group
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -130,6 +131,63 @@ def test_lemma_expansion_identities(name):
             cn = pgw.pow_(P, pgw.comm(P, x, y), n)
             assert pgw.comm(P, pgw.pow_(P, x, n), y) == cn
             assert pgw.comm(P, x, pgw.pow_(P, y, n)) == cn
+
+
+def _random_word(rng, P, max_len=12):
+    """Letters (g, m) with m in [-2p, 2p], zero included."""
+    return [
+        (rng.randrange(1, P.n + 1), rng.randrange(-2 * P.p, 2 * P.p + 1))
+        for _ in range(rng.randrange(max_len + 1))
+    ]
+
+
+@pytest.mark.parametrize("name", ALL_NAMES + FAMILY_NAMES)
+def test_collect_matches_index_algebra(name):
+    # the index algebra is built from the relations and never collects, so it
+    # is an independent value for any word; f_g has index strides[g - 1]
+    P = load_group(name)
+    t = tables.get_tables(P)
+    rng = random.Random(19)
+    for _ in range(400):
+        w = _random_word(rng, P)
+        want = 0
+        for g, m in w:
+            want = t.mul(want, t.pow(t.strides[g - 1], m))
+        assert t.encode(pc.collect(P, w)) == want, w
+
+
+@pytest.mark.parametrize("name", ALL_NAMES + FAMILY_NAMES)
+def test_stored_conjugates_match_index_algebra(name):
+    P = load_group(name)
+    t = tables.get_tables(P)
+    table = pc.conjugates(P)
+    for j in range(1, P.n + 1):
+        for k in range(j + 1, P.n + 1):
+            entries = table[j - 1][k - 1]
+            assert len(entries) == P.p
+            for m in range(1, P.p):
+                word = entries[m][::-1]  # stored in push order
+                gens = [g for g, _ in word]
+                assert gens == sorted(set(gens)) and gens[0] == k, word
+                assert all(0 < e < P.p for _, e in word), word
+                x = sum(e * t.strides[g - 1] for g, e in word)
+                fk_m = t.pow(t.strides[k - 1], m)
+                assert x == t.conj(fk_m, t.strides[j - 1]), (j, k, m)
+
+
+@pytest.mark.parametrize("name", ["h27", "g2187", "m3125"])
+def test_collect_and_mul_leave_inputs_unchanged(name):
+    P = load_group(name)
+    rng = random.Random(23)
+    for _ in range(50):
+        w = _random_word(rng, P)
+        before = list(w)
+        pc.collect(P, w)
+        assert w == before
+        a, b = list(_random_element(rng, P)), _random_element(rng, P)
+        a_before = list(a)
+        pc.mul(P, a, b)
+        assert a == a_before
 
 
 def test_validate_rejects_bad_weight():

@@ -6,35 +6,9 @@ import numpy as np
 import pytest
 
 import pgw
-from pgw import groupfile, tables
+from pgw import tables
 
-from conftest import ALL_NAMES
-
-# C_{p^3} x| C_{p^2}, the generator of the second factor acting by 1 + p: m243's
-# text with p - 1 in place of 2.  Not shipped; parse_text runs the full
-# consistency battery on it.
-FAMILY = """name m{order}
-p {p}
-n 5
-pow 1 = g3^1
-pow 2 = g4^1
-pow 3 = g5^1
-comm 2 1 = g3^1 g5^{q}
-comm 3 2 = g5^{q}
-comm 4 1 = g5^1
-def 3 = pow 1
-def 4 = pow 2
-def 5 = pow 3
-"""
-FAMILY_NAMES = ("m3125", "m16807")  # p = 5 and p = 7
-
-
-def _group(name):
-    if name in FAMILY_NAMES:
-        p = {"m3125": 5, "m16807": 7}[name]
-        text = FAMILY.format(order=p**5, p=p, q=p - 1)
-        return groupfile.parse_text(text, source=name).presentation
-    return pgw.load(name)
+from conftest import ALL_NAMES, FAMILY_NAMES, load_group
 
 
 def _nf(t, x):
@@ -51,7 +25,7 @@ def _samples(t, seed, k=300):
 def test_columns_match_collection(name):
     # the tables are built from the relations alone; every column x -> x f_k
     # must agree with the pure collector on every element
-    P = _group(name)
+    P = load_group(name)
     t = tables.get_tables(P)
     elements = [tuple(e) for e in t.decode(t.all).tolist()]
     for k, g in enumerate(P.generators()):
@@ -61,7 +35,7 @@ def test_columns_match_collection(name):
 
 @pytest.mark.parametrize("name", ALL_NAMES + FAMILY_NAMES)
 def test_table_matches_collection(name):
-    P = _group(name)
+    P = load_group(name)
     t = tables.get_tables(P)
     xs, ys = _samples(t, 13)
     prods = t.mul(np.array(xs), np.array(ys))
@@ -73,7 +47,7 @@ def test_table_matches_collection(name):
 
 @pytest.mark.parametrize("name", ["c9", "q8", "g2187", "m3125"])
 def test_encode_decode_round_trip(name):
-    P = _group(name)
+    P = load_group(name)
     t = tables.get_tables(P)
     vectors = t.decode(t.all)
     assert vectors.shape == (t.N, P.n)
