@@ -95,7 +95,9 @@ def verify(A):
     Each relation is an equality of words in the images, and both sides are
     collected once: f_i^p = w holds iff A(f_i)^p = w(A), and [f_i, f_j] = w
     holds iff A(f_i) A(f_j) = A(f_j) A(f_i) w(A), where w(A) spells w in the
-    images.  No inverse is formed; only a failing commutator relation is
+    images.  A side that starts with an image is collected from that image's
+    exponent vector, so its letters are not placed one at a time first.
+    No inverse is formed; only a failing commutator relation is
     recomputed with comm for its message.  Once every relation holds the map
     is an endomorphism, and by Burnside's basis theorem it is onto iff it is
     onto modulo Phi(G).  validate() makes Phi(G) = <f_{d+1}, ..., f_n> with d
@@ -117,7 +119,7 @@ def verify(A):
             raise ValueError(f"image {x} is not a normal form: need {P.n} ints in 0..{P.p - 1}")
     words = [pc.word_of(x) for x in images]
     for i in range(1, P.n + 1):
-        lhs = pc.collect(P, words[i - 1] * P.p)
+        lhs = pc._collect_into(P, list(images[i - 1]), words[i - 1] * (P.p - 1))
         rhs = pc.collect(P, _spelled(words, P.power_rel[i - 1]))
         if lhs != rhs:
             raise RelationViolated(f"power relation f_{i}^{P.p}: {lhs} != {rhs}")
@@ -125,7 +127,8 @@ def verify(A):
         for j in range(1, i):
             w = _spelled(words, P.comm_rel.get((i, j), ()))
             wi, wj = words[i - 1], words[j - 1]
-            if pc.collect(P, wi + wj) != pc.collect(P, wj + wi + w):
+            lhs = pc._collect_into(P, list(images[i - 1]), wj)
+            if lhs != pc._collect_into(P, list(images[j - 1]), wi + w):
                 lhs = pc.comm(P, images[i - 1], images[j - 1])
                 rhs = pc.collect(P, w)
                 raise RelationViolated(f"commutator relation [f_{i},f_{j}]: {lhs} != {rhs}")

@@ -1,29 +1,35 @@
 """Brute-force enumeration of Aut(G), independent of the construction code.
 
-The search space is the |G|^d image tuples for the d minimal generators;
-images of the remaining generators are forced by their defn tags.  The pruned
-path drops tuples whose images are linearly dependent modulo the Frattini
-subgroup (Burnside: such a map cannot be surjective), checks the relations on
-whole batches of candidates with the index algebra of tables.py, then
-re-certifies every survivor through the pure collection arithmetic in
+A map is fixed by the images of the d minimal generators; the defn tags force
+the rest.  The pruned route lifts those images one pc layer at a time (Eick,
+Leedham-Green & O'Brien, Comm. Algebra 30, 2002; Handbook of Computational
+Group Theory, ch. 8-9).  Each G_k = <f_k, ..., f_n> is normal and the first k
+digits of an index are its image in G/G_{k+1}, so an automorphism satisfies
+every relation modulo every G_{k+1}.  A level-k node is a tuple of minimal
+images modulo G_{k+1} that does.  validate() makes Phi(G) = G_{d+1}, so the
+level-d nodes are GL(d, p).  A node's p^d children add one digit to each
+minimal image, and _sieve keeps those whose relations hold one level down,
+with the index algebra of tables.py.  The level-n survivors are exactly the
+automorphisms; each is re-certified by the pure collection of
 automorphisms.verify.  The classifier reads order p and the fixing of Phi(G)
 off the generator images, and finds inner maps in the inner test's array of
-conjugation images.  The unpruned path skips both the pruning and the sieve
-and pushes every tuple through verify; the two must agree exactly.
+conjugation images.  The unpruned route pushes every |G|^d tuple through
+verify; the two must agree exactly.
 
-The sieve shares no arithmetic with verify: tables.py builds its tables from
-the parsed relations by induction down the pc series, and verify collects.  So
-pruned == unpruned tests that induction against the collector.  It also
-cross-checks two readings of G/Phi(G): the pruning uses the coset coordinates
-of structure.frattini_coordinates, built from the tables, while verify reads
-the first d exponents of a pure normal form.  cross_validate checks every map
-labelled inner against conjugation by its witness t by collection,
-t A(f_i) = f_i t, without certifying it a second time.
+The sieve's tables come from the parsed relations by induction down the pc
+series and verify collects, so pruned == unpruned tests that induction and the
+lift against the collector.  Both routes read G/Phi(G) off the first d
+exponents and neither reads structure.frattini_coordinates, so it no longer
+compares two computations of G/Phi(G).  cross_validate checks each map
+labelled inner against conjugation by its witness t, t A(f_i) = f_i t, by
+collection, without certifying it a second time.
 
-Work is partitioned by the image of f_1; counts merge by summation and the
-optional map stream is sorted by image vectors, so totals are independent of
-the job count.  The budget is checked between search prefixes, between sieve
-relations and before each certified row.
+Work is partitioned into chunks of level-d nodes by the image of f_1 modulo
+Phi(G); counts are summed and the optional map stream is sorted by image
+vectors, so the output does not depend on the job count.  The lift is depth
+first with at most _ROWS children per _sieve call, which bounds memory.  The
+budget is checked per level, per block of nodes, between sieve relations and
+before each certified row.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ import numpy as np
 from . import automorphisms as au
 from . import presentation as pc
 from . import structure as st
-from .errors import Mismatch, MissingDefinitions, OracleTimeout, PreconditionFailed, SizeCap
+from .errors import Mismatch, MissingDefinitions, OracleTimeout, PreconditionFailed
 from .tables import get_tables
 
 
@@ -63,7 +69,7 @@ def _check_defns(P):
 # worker state shared through fork(); set by the parent right before the pool starts
 _WORK = {}
 
-TABLE_CAP = 6600  # covers 3^8 = 6561; the |G|^d search, not memory, is the limit
+_ROWS = 1 << 13  # child rows per _sieve call; bounds the lift's memory (census peak RSS)
 
 
 def _check_deadline(deadline, where):
@@ -72,17 +78,8 @@ def _check_deadline(deadline, where):
 
 
 def _prepare(P):
-    if P.order > TABLE_CAP:
-        raise SizeCap(
-            f"oracle search is capped at order {TABLE_CAP} (|G| = {P.order} is over the cap)"
-        )
     t = get_tables(P)
-    _, coords = st.frattini_coordinates(P)
     d = P.minimal_count
-    # encode each element's Phi-coset coordinate vector as one integer
-    codes = np.zeros(t.N, dtype=np.int64)
-    for k in range(d):
-        codes = codes * P.p + coords[:, k]
     # relation list, cheapest and most discriminating first: commutators then
     # powers; a relation that defines f_k holds by construction of f_k's image
     relations = [("comm", i, j) for i in range(2, P.n + 1) for j in range(1, i)]
@@ -93,9 +90,8 @@ def _prepare(P):
         "P": P,
         "t": t,
         "pth": t.pow(t.all, P.p),
-        "coords": coords,
-        "codes": codes,
         "d": d,
+        "digits": np.array(list(np.ndindex(*(P.p,) * d)), dtype=np.int32),
         "relations": relations,
         "phi_gens": t.encode(st.frattini(P).gens),
         "inner": set(map(tuple, au._inner_table(P).T.tolist())),
@@ -107,69 +103,83 @@ def _relation_word(P, rel):
     return P.comm_rel.get(rel[1:], ()) if rel[0] == "comm" else P.power_rel[rel[1] - 1]
 
 
-def _eval_word_idx(t, img, w, shape):
-    """The word w in the images img; its exponents are below p, so repeated
-    mul costs less than pow."""
-    acc = np.zeros(shape, dtype=np.int32)
-    for g, m in w:
-        for _ in range(m):
-            acc = t.mul(acc, img[g - 1])
-    return acc
+def _sieve(ctx, mins, level, deadline):
+    """Vectorized relation check modulo G_{level+1}.
 
-
-def _sieve(ctx, prefix, batch, deadline):
-    """Vectorized relation check for image tuples (prefix..., y) over y in batch.
-
-    prefix: d-1 image indices (python ints); batch: candidate indices for the
-    last minimal generator.  Returns the (rows, n) image-index matrix of the
-    survivors.
+    mins: (rows, d) indices of candidate images of the minimal generators.
+    The images of the others are forced by their defn tags.  Both sides of
+    every relation are cut to their first `level` digits, which is their
+    image in G/G_{level+1}.  Returns the (survivors, n) image-index matrix.
     """
     P, t = ctx["P"], ctx["t"]
-    n = P.n
-    img = [None] * n
-    for k, y in enumerate(prefix):
-        img[k] = int(y)
-    img[ctx["d"] - 1] = batch
-    for i in range(ctx["d"] + 1, n + 1):
+    img = list(mins.T) + [None] * (P.n - ctx["d"])
+    for i in range(ctx["d"] + 1, P.n + 1):
         tag = P.defn[i]
         if tag[0] == "pow":
             img[i - 1] = ctx["pth"][img[tag[1] - 1]]
         else:
             img[i - 1] = t.comm(img[tag[1] - 1], img[tag[2] - 1])
 
-    alive = batch
+    cut = int(t.strides[level - 1])
     for rel in ctx["relations"]:
-        if len(alive) == 0:
+        if len(img[0]) == 0:
             break
-        _check_deadline(deadline, f"in the sieve at prefix {prefix}")
+        _check_deadline(deadline, f"in the sieve at level {level}")
         if rel[0] == "comm":
             lhs = t.comm(img[rel[1] - 1], img[rel[2] - 1])
         else:
             lhs = ctx["pth"][img[rel[1] - 1]]
-        rhs = _eval_word_idx(t, img, _relation_word(P, rel), alive.shape)
-        ok = np.broadcast_to(lhs == rhs, alive.shape)
+        rhs = np.zeros_like(lhs)
+        for g, m in _relation_word(P, rel):  # exponents below p: repeated mul beats pow
+            for _ in range(m):
+                rhs = t.mul(rhs, img[g - 1])
+        ok = lhs // cut == rhs // cut
         if not ok.all():
-            alive = alive[ok]
-            img = [x[ok] if isinstance(x, np.ndarray) else x for x in img]
-    rows = np.empty((len(alive), n), dtype=np.int32)
-    for k in range(n):
-        rows[:, k] = img[k]
-    return rows
+            img = [x[ok] for x in img]
+    return np.stack(img, axis=1)
 
 
-def _span_codes(p, d, vecs):
-    """Coset codes of the F_p span of the given coordinate vectors."""
-    span = set()
-    for combo in itertools.product(range(p), repeat=len(vecs)):
-        v = [0] * d
-        for c, vec in zip(combo, vecs):
-            for k in range(d):
-                v[k] = (v[k] + c * vec[k]) % p
-        code = 0
-        for k in range(d):
-            code = code * p + v[k]
-        span.add(code)
-    return np.fromiter(sorted(span), dtype=np.int64)
+def _bases(p, d, part, deadline):
+    """The full-rank d x d matrices over F_p that extend the partial ones.
+
+    part: (rows, r) codes of the first r rows, a row v coded as the integer
+    with base-p digits v.  Each new row lies outside the span of the rows
+    before it.  Yields blocks of codes of shape (rows, d), depth first.
+    """
+    r = part.shape[1]
+    if r == d:
+        yield part
+        return
+    radix = p ** np.arange(d - 1, -1, -1)
+    digits = part[:, :, None] // radix % p
+    combos = np.array(list(np.ndindex(*(p,) * r)))
+    per = max(1, _ROWS // (p**d - p**r))
+    for s in range(0, len(part), per):
+        _check_deadline(deadline, f"building row {r + 1} of the images modulo Phi(G)")
+        block = digits[s : s + per]
+        span = np.einsum("cr,mrd->mcd", combos, block) % p @ radix
+        free = np.ones((len(block), p**d), dtype=bool)
+        free[np.arange(len(block))[:, None], span] = False
+        m, code = np.nonzero(free)
+        yield from _bases(p, d, np.column_stack([part[s : s + per][m], code]), deadline)
+
+
+def _lift(ctx, rows, level, deadline):
+    """The level-n nodes below the level-`level` nodes, depth first, in blocks.
+
+    rows: (nodes, >= d) image rows whose first d columns are the minimal
+    images.  A child adds e_j * p^(n-level-1) to the j-th minimal image for
+    each e in F_p^d; _sieve keeps the children that hold one level down.
+    """
+    if level == ctx["P"].n:
+        yield rows
+        return
+    steps = ctx["digits"] * ctx["t"].strides[level]
+    per = max(1, _ROWS // len(steps))
+    for s in range(0, len(rows), per):
+        _check_deadline(deadline, f"at level {level + 1}")
+        children = (rows[s : s + per, None, : ctx["d"]] + steps).reshape(-1, ctx["d"])
+        yield from _lift(ctx, _sieve(ctx, children, level + 1, deadline), level + 1, deadline)
 
 
 def _certify_rows(ctx, rows, deadline):
@@ -229,42 +239,23 @@ def _classify_rows(ctx, rows):
     return int(inner.sum()), int((order_p & ~inner & fixes_phi).sum())
 
 
-def _run_range(args):
-    lo, hi, deadline = args
+def _run_chunk(args):
+    """Lift, certify and classify the level-d nodes whose image of f_1
+    modulo Phi(G) has one of the given codes."""
+    firsts, deadline, collect_maps = args
     ctx = _WORK["ctx"]
-    P, t = ctx["P"], ctx["t"]
-    p, d = P.p, ctx["d"]
-    codes, coords = ctx["codes"], ctx["coords"]
-
-    survivors = []
-    if d == 1:
-        batch = np.arange(lo, hi, dtype=np.int32)
-        batch = batch[codes[batch] != 0]
-        survivors.append(_sieve(ctx, (), batch, deadline))
-    else:
-
-        def descend(prefix, vecs):
-            _check_deadline(deadline, f"at prefix {prefix}")
-            span = _span_codes(p, d, vecs)
-            if len(prefix) == d - 1:
-                batch = np.flatnonzero(~np.isin(codes, span)).astype(np.int32)
-                survivors.append(_sieve(ctx, prefix, batch, deadline))
-                return
-            for y in range(t.N):
-                if codes[y] in span:
-                    continue
-                descend(prefix + (y,), vecs + (tuple(coords[y]),))
-
-        for y1 in range(lo, hi):
-            _check_deadline(deadline, f"at first image {y1}/{t.N}")
-            if codes[y1] == 0:
-                continue
-            descend((y1,), (tuple(coords[y1]),))
-
-    rows = np.concatenate(survivors, axis=0) if survivors else np.empty((0, P.n), dtype=np.int32)
-    certified = _certify_rows(ctx, rows, deadline)
-    inner, bucket = _classify_rows(ctx, rows)
-    return len(certified), inner, bucket, certified
+    P, t, d = ctx["P"], ctx["t"], ctx["d"]
+    total = inner = bucket = 0
+    maps = []
+    for bases in _bases(P.p, d, firsts[:, None], deadline):
+        mins = (bases * t.strides[d - 1]).astype(np.int32)  # digits past d are zero
+        for rows in _lift(ctx, mins, d, deadline):
+            certified = _certify_rows(ctx, rows, deadline)
+            i, b = _classify_rows(ctx, rows)
+            total, inner, bucket = total + len(certified), inner + i, bucket + b
+            if collect_maps:
+                maps += certified
+    return total, inner, bucket, maps
 
 
 def _enumerate_unpruned(P, deadline, collect_maps):
@@ -316,20 +307,16 @@ def enumerate_automorphisms(P, budget=None, jobs=1, pruned=True, collect_maps=Fa
 
     ctx = _prepare(P)
     _WORK["ctx"] = ctx
-    N = ctx["t"].N
+    firsts = np.arange(1, P.p ** ctx["d"])  # nonzero images of f_1 modulo Phi(G)
     jobs = max(1, int(jobs))
     if jobs == 1:
-        results = [_run_range((0, N, deadline))]
+        results = [_run_chunk((firsts, deadline, collect_maps))]
     else:
-        chunks = jobs * 4
-        bounds = np.linspace(0, N, chunks + 1, dtype=int)
-        tasks = [(int(bounds[k]), int(bounds[k + 1]), deadline) for k in range(chunks)]
+        tasks = [(c, deadline, collect_maps) for c in np.array_split(firsts, jobs * 4) if len(c)]
         with multiprocessing.get_context("fork").Pool(jobs) as pool:
-            results = pool.map(_run_range, tasks)
+            results = pool.map(_run_chunk, tasks)
 
-    total = sum(r[0] for r in results)
-    inner = sum(r[1] for r in results)
-    bucket = sum(r[2] for r in results)
+    total, inner, bucket = (sum(r[k] for r in results) for k in range(3))
     maps = None
     if collect_maps:
         images = sorted(img for r in results for img in r[3])

@@ -22,17 +22,16 @@ or right of `top` is placed directly.  Otherwise f_j is moved across the tail
 T = f_{j+1}^e_{j+1} ... f_top^e_top, which is zeroed in one walk from `top`
 down, and T^{f_j} is pushed as one stored word per nonzero e_k: the normal
 form of (f_k^e_k)^{f_j} = (f_k [f_k, f_j])^e_k.  `conjugates` stores those
-words once per presentation.  Conjugating by f_j is collection in
-G_{j+1} = <f_{j+1}, ..., f_n>, which needs only the rows for f_{j+1}..f_n, so
-the collector builds the table itself from j = n down to 1; there is no
-second collector to bootstrap it.
+words on the presentation, and `validate` hands them on.  Conjugating by
+f_j is collection in G_{j+1} = <f_{j+1}, ..., f_n>, which needs only the
+rows for f_{j+1}..f_n, so the collector builds the table itself from j = n
+down to 1; there is no second collector to bootstrap it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .errors import BadDefinition, BadWeight, ConsistencyViolation, SizeCap
 
@@ -50,6 +49,7 @@ class PcPresentation:
     defn: dict = field(default_factory=dict)  # i -> ("pow", j) or ("comm", j, k)
     minimal_count: int = 0
     validated: bool = False
+    _conjugates: list = field(default=None, init=False, repr=False)  # see conjugates()
 
     @property
     def order(self):
@@ -84,15 +84,21 @@ def collect(P, w):
     return _collect_into(P, e, w)
 
 
-@lru_cache(maxsize=None)
 def conjugates(P):
-    """The stored conjugates, one table per presentation object.
+    """The stored conjugates, one table per presentation object, built on
+    first use; validate() hands its table to the validated object.
 
     conjugates(P)[j-1][k-1][m], for k > j and 1 <= m < p, is the normal-form
     word of (f_k^m)^{f_j} = (f_k [f_k, f_j])^m, stored reversed (in push order
     for the collector's stack); entry 0 is unused.  Row j is built by the
     collector from rows j+1..n only, so the rows go from j = n down to 1.
     """
+    if P._conjugates is None:
+        object.__setattr__(P, "_conjugates", _conjugate_table(P))
+    return P._conjugates
+
+
+def _conjugate_table(P):
     n, p = P.n, P.p
     table = [None] * n
     for j in range(n, 0, -1):
@@ -313,7 +319,9 @@ def validate(P):
             raise BadDefinition(f"defn[{i}] = {tag} collects to {value}, not f_{i}")
     _check_frattini_split(P)
 
-    return dataclasses.replace(P, validated=True)
+    V = dataclasses.replace(P, validated=True)
+    object.__setattr__(V, "_conjugates", conjugates(P))
+    return V
 
 
 def _check_frattini_split(P):

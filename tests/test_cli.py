@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import pgw
-from pgw import cli, oracle
+from pgw import cli, tables
 from pgw.report import TOP_KEYS
 
 
@@ -111,7 +111,7 @@ def test_info_accepts_user_file(capsys, tmp_path):
 
 
 # C343 : C49 acting by a -> a^8, as (x, y)(u, v) = (x + u 8^y mod 343, y + v mod 49),
-# on the pc sequence a, b, a^7, b^7, a^49: order 7^5, over the oracle's table cap
+# on the pc sequence a, b, a^7, b^7, a^49: order 7^5, whose count takes far longer than 2 s
 C343C49 = """name c343c49
 p 7
 n 5
@@ -127,7 +127,7 @@ def 5 = pow 3
 """
 
 
-def test_group_over_table_cap(capsys, tmp_path, monkeypatch):
+def test_group_of_order_7_to_the_5(capsys, tmp_path):
     f = tmp_path / "c343c49.pg"
     f.write_text(C343C49)
     P = pgw.parse_path(str(f)).presentation
@@ -144,13 +144,23 @@ def test_group_over_table_cap(capsys, tmp_path, monkeypatch):
         assert rep["verification"]["certified"] is True
         assert rep["verification"]["order"] == 7
 
-    def no_search(*args):
-        raise AssertionError("the oracle started its search above the cap")
+    code, out = run(capsys, "count", str(f), "--format", "json", "--budget", "2")
+    assert code == 2
+    assert "budget" in out
 
-    monkeypatch.setattr(oracle, "_sieve", no_search)
+
+def test_count_over_element_cap_exit_two(capsys, tmp_path):
+    # C_{3^12}: f_i^3 = f_{i+1}, order 531441, over the tables' element cap
+    lines = ["name c531441", "p 3", "n 12"]
+    lines += [f"pow {i} = g{i + 1}^1" for i in range(1, 12)]
+    lines += [f"def {i + 1} = pow {i}" for i in range(1, 12)]
+    f = tmp_path / "c531441.pg"
+    f.write_text("\n".join(lines) + "\n")
+    assert pgw.parse_path(str(f)).presentation.order == 3**12 > tables.ELEMENT_CAP
     code, out = run(capsys, "count", str(f), "--format", "json")
     assert code == 2
-    assert "over the cap" in out
+    assert out.count("\n") == 1 and out.startswith("pgw: error: ")
+    assert f"enumeration cap {tables.ELEMENT_CAP}" in out
 
 
 def test_syntax_error_exit_two(capsys, tmp_path):
@@ -195,8 +205,10 @@ def test_oracle_budget_exit_two(capsys):
     assert "budget" in out
 
 
-def test_count_budget_two_seconds_exits_two(capsys):
-    code, out = run(capsys, "count", "--budget", "2")
+def test_count_budget_two_seconds_exits_two(capsys, tmp_path):
+    f = tmp_path / "c343c49.pg"
+    f.write_text(C343C49)
+    code, out = run(capsys, "count", str(f), "--budget", "2")
     assert code == 2
     assert "budget" in out
 

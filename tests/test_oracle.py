@@ -13,7 +13,7 @@ from pgw import groupfile
 from pgw import oracle
 from pgw import structure as st
 
-from conftest import MODELS, assert_isomorphic
+from conftest import MODELS, assert_isomorphic, load_group
 
 # total, inner, order-p non-inner Frattini-fixing bucket (None = not pinned here)
 EXPECTED = {
@@ -133,21 +133,66 @@ def test_budget_exhaustion_raises(demo_group):
     identity = ctx["t"].encode([P.generators()])
     with pytest.raises(pgw.OracleTimeout):
         oracle._certify_rows(ctx, identity, time.monotonic() - 1)
+    mins = np.stack([ctx["t"].all, ctx["t"].all], axis=1)  # every pair of minimal images
     with pytest.raises(pgw.OracleTimeout):
-        oracle._sieve(ctx, (1,), ctx["t"].all, time.monotonic() - 1)
+        oracle._sieve(ctx, mins, P.n, time.monotonic() - 1)
 
 
-# The search checks its deadline between sieve relations and before each
-# certified row, steps of well under a second on g2187 (overrun under 0.05 s
-# on a 2-CPU machine), so the slack leaves room for a slow host.
+# The search checks its deadline per level, per block of nodes, between sieve
+# relations and before each certified row, steps of well under a second on
+# the 7^5 group, so the slack leaves room for a slow host.
 BUDGET_SLACK_S = 3.0
 
 
-def test_budget_holds_during_the_search(demo_group):
+def test_budget_holds_during_the_search():
+    P = load_group("m16807")
     start = time.monotonic()
     with pytest.raises(pgw.OracleTimeout):
-        pgw.enumerate_automorphisms(demo_group, budget=2)
+        pgw.enumerate_automorphisms(P, budget=2)
     assert time.monotonic() - start < 2 + BUDGET_SLACK_S
+
+
+@pytest.mark.parametrize("p, d", [(2, 3), (3, 2), (3, 3), (5, 2)])
+def test_bases_are_gl_d_p(p, d):
+    firsts = np.arange(1, p**d)
+    blocks = list(oracle._bases(p, d, firsts[:, None], None))
+    codes = np.concatenate(blocks)
+    gl = 1
+    for r in range(d):
+        gl *= p**d - p**r
+    assert codes.shape == (gl, d)
+    assert len({tuple(row) for row in codes.tolist()}) == gl
+    radix = [p**k for k in range(d - 1, -1, -1)]
+    for row in codes[:: max(1, gl // 500)].tolist():
+        assert au._rank_mod_p([[c // r % p for r in radix] for c in row], p) == d
+
+
+def test_small_blocks_change_nothing(monkeypatch):
+    P = pgw.load("m243")
+    a = pgw.enumerate_automorphisms(P, budget=300, collect_maps=True)
+    monkeypatch.setattr(oracle, "_ROWS", 5)  # one node per _sieve call
+    b = pgw.enumerate_automorphisms(P, budget=300, collect_maps=True)
+    assert (a.total, a.inner, a.order_p_noninner_fixing_frattini) == (
+        b.total,
+        b.inner,
+        b.order_p_noninner_fixing_frattini,
+    )
+    assert [A.images for A in a.maps] == [B.images for B in b.maps]
+
+
+def test_p5_group_counts_and_cross_validates():
+    P = load_group("m3125")
+    a = pgw.enumerate_automorphisms(P, budget=300, jobs=1, collect_maps=True)
+    assert a.total == 12500
+    assert a.inner * pgw.center(P).order == P.order
+    assert pgw.cross_validate(P, precomputed=a) is True
+    b = pgw.enumerate_automorphisms(P, budget=300, jobs=2, collect_maps=True)
+    assert (a.total, a.inner, a.order_p_noninner_fixing_frattini) == (
+        b.total,
+        b.inner,
+        b.order_p_noninner_fixing_frattini,
+    )
+    assert [A.images for A in a.maps] == [B.images for B in b.maps]
 
 
 def test_missing_defn_tags_rejected():

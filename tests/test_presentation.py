@@ -1,12 +1,16 @@
 """Collection arithmetic against independent integer models and axioms."""
 
 import dataclasses
+import gc
+import importlib.resources
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as hst
 
 import pgw
+from pgw import groupfile
 from pgw import presentation as pc
 from pgw import tables
 
@@ -173,6 +177,42 @@ def test_stored_conjugates_match_index_algebra(name):
                 x = sum(e * t.strides[g - 1] for g, e in word)
                 fk_m = t.pow(t.strides[k - 1], m)
                 assert x == t.conj(fk_m, t.strides[j - 1]), (j, k, m)
+
+
+def _g2187_text():
+    return importlib.resources.files("pgw").joinpath("data/g2187.pg").read_text()
+
+
+def test_conjugates_built_once_per_parse(monkeypatch):
+    built = []
+    build = pc._conjugate_table
+
+    def counting(P):
+        built.append(P)
+        return build(P)
+
+    monkeypatch.setattr(pc, "_conjugate_table", counting)
+    P = groupfile.parse_text(_g2187_text()).presentation
+    pgw.mul(P, P.generator(2), P.generator(1))
+    pgw.inv(P, P.generator(1))
+    assert len(built) == 1
+    assert pc.conjugates(P) is built[0]._conjugates
+
+
+def test_validate_keeps_no_reference_to_the_raw_presentation(monkeypatch):
+    refs = []
+    validate = pc.validate
+
+    def recording(P):
+        refs.append(weakref.ref(P))
+        return validate(P)
+
+    monkeypatch.setattr(pc, "validate", recording)
+    P = groupfile.parse_text(_g2187_text()).presentation
+    pgw.mul(P, P.generator(2), P.generator(1))
+    gc.collect()
+    assert len(refs) == 1 and refs[0]() is None
+    assert P.validated
 
 
 @pytest.mark.parametrize("name", ["h27", "g2187", "m3125"])
