@@ -43,8 +43,7 @@ class GenMap:
 
 @dataclass(frozen=True, eq=False)
 class Automorphism(GenMap):
-    is_hom: bool = True
-    is_bijective: bool = True
+    """A GenMap that verify certified, or a composite of certified maps."""
 
 
 def identity_automorphism(P):

@@ -135,7 +135,7 @@ def _cmd_check(P, args, t0):
     h = hy.check_theorem_hypotheses(P)
     rep = rp.build(
         P,
-        hypotheses=rp.hypotheses_section(P, h),
+        hypotheses=h.to_dict(P),
         timing={"total_s": time.monotonic() - t0},
     )
     _emit(args, rep)
@@ -147,7 +147,7 @@ def _cmd_construct(P, args, t0):
     if not h.theorem_applicable:
         rep = rp.build(
             P,
-            hypotheses=rp.hypotheses_section(P, h),
+            hypotheses=h.to_dict(P),
             timing={"total_s": time.monotonic() - t0},
         )
         _emit(args, rep, extra_lines=["hypotheses not applicable; no witness constructed"])
@@ -163,7 +163,7 @@ def _cmd_construct(P, args, t0):
         timing["oracle_s"] = elapsed_oracle
     rep = rp.build(
         P,
-        hypotheses=rp.hypotheses_section(P, h),
+        hypotheses=h.to_dict(P),
         witness=rp.witness_section(P, w),
         verification=rp.verification_section(P, w),
         oracle=oracle_sec,
@@ -268,7 +268,7 @@ def _cmd_demo(args, t0):
     timing["total_s"] = time.monotonic() - t0
     rep = rp.build(
         P,
-        hypotheses=rp.hypotheses_section(P, h),
+        hypotheses=h.to_dict(P),
         witness=rp.witness_section(P, w),
         verification=rp.verification_section(P, w),
         oracle=oracle_sec,

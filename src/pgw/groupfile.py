@@ -180,8 +180,13 @@ def parse_text(text, source="<string>"):
 
 
 def parse_path(path):
+    source = str(path)
     with open(path, encoding="utf-8") as fh:
-        return parse_text(fh.read(), source=str(path))
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise PresentationSyntaxError(source, 0, f"not UTF-8: {e.reason} at byte {e.start}")
+    return parse_text(text, source=source)
 
 
 def word_text(w):

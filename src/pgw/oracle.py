@@ -19,8 +19,7 @@ verify; the two must agree exactly.
 The sieve's tables come from the parsed relations by induction down the pc
 series and verify collects, so pruned == unpruned tests that induction and the
 lift against the collector.  Both routes read G/Phi(G) off the first d
-exponents and neither reads structure.frattini_coordinates, so it no longer
-compares two computations of G/Phi(G).  cross_validate checks each map
+exponents.  cross_validate checks each map
 labelled inner against conjugation by its witness t, t A(f_i) = f_i t, by
 collection, without certifying it a second time.
 
@@ -44,7 +43,14 @@ import numpy as np
 from . import automorphisms as au
 from . import presentation as pc
 from . import structure as st
-from .errors import Mismatch, MissingDefinitions, OracleTimeout, PreconditionFailed
+from .errors import (
+    Mismatch,
+    MissingDefinitions,
+    NotSurjective,
+    OracleTimeout,
+    PreconditionFailed,
+    RelationViolated,
+)
 from .tables import get_tables
 
 
@@ -93,7 +99,7 @@ def _prepare(P):
         "d": d,
         "digits": np.array(list(np.ndindex(*(P.p,) * d)), dtype=np.int32),
         "relations": relations,
-        "phi_gens": t.encode(st.frattini(P).gens),
+        "phi_gens": t.strides[d:],
         "inner": set(map(tuple, au._inner_table(P).T.tolist())),
     }
 
@@ -275,7 +281,7 @@ def _enumerate_unpruned(P, deadline, collect_maps):
                 images[i - 1] = pc.comm(P, images[tag[1] - 1], images[tag[2] - 1])
         try:
             A = au.verify(au.GenMap(P, tuple(images)))
-        except Exception:
+        except (RelationViolated, NotSurjective):
             continue
         total += 1
         lab, _ = au.is_inner(A)
@@ -335,8 +341,9 @@ def _conjugates_by(P, A, t):
     )
 
 
-def cross_validate(P, budget=None, jobs=1, precomputed=None):
-    """Check the oracle against the construction code.
+def cross_validate(P, precomputed):
+    """Check the oracle's count, enumerated with collect_maps=True, against
+    the construction code.
 
     (a) the oracle's inner tally equals |G/Z(G)|, so no inner map is labelled
     non-inner; (b) every streamed map the inner test labels inner is
@@ -346,8 +353,6 @@ def cross_validate(P, budget=None, jobs=1, precomputed=None):
     the oracle's order-p non-inner Frattini-fixing bucket.
     """
     count = precomputed
-    if count is None:
-        count = enumerate_automorphisms(P, budget=budget, jobs=jobs, collect_maps=True)
     if count.maps is None:
         raise ValueError("cross_validate needs a count with collected maps")
 

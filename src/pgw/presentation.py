@@ -273,15 +273,17 @@ def validate(P):
         raise ValueError(f"minimal_count {d} out of range 1..{P.n}")
     for i, tag in P.defn.items():
         if not (d < i <= P.n):
-            raise ValueError(f"defn[{i}]: only non-minimal generators ({d + 1}..{P.n}) take definitions")
+            raise BadDefinition(
+                f"defn[{i}]: only non-minimal generators ({d + 1}..{P.n}) take definitions"
+            )
         if tag[0] == "pow":
             if not (1 <= tag[1] < i):
-                raise ValueError(f"defn[{i}] = pow({tag[1]}): index must be < {i}")
+                raise BadDefinition(f"defn[{i}] = pow({tag[1]}): index must be < {i}")
         elif tag[0] == "comm":
             if not (1 <= tag[1] < i and 1 <= tag[2] < i):
-                raise ValueError(f"defn[{i}] = comm{tag[1:]}: indices must be < {i}")
+                raise BadDefinition(f"defn[{i}] = comm{tag[1:]}: indices must be < {i}")
         else:
-            raise ValueError(f"defn[{i}]: unknown tag {tag[0]!r}")
+            raise BadDefinition(f"defn[{i}]: unknown tag {tag[0]!r}")
 
     p = P.p
     for i in range(1, P.n + 1):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 
 from . import automorphisms as au
-from . import hypotheses as hy
 from . import structure as st
 
 TOP_KEYS = ("group", "hypotheses", "witness", "verification", "oracle", "timing")
@@ -62,10 +61,6 @@ def group_section(P):
             _subgroup_entry(P, M, with_center=True) for M in st.maximal_subgroups(P)
         ],
     }
-
-
-def hypotheses_section(P, rep):
-    return rep.to_dict(P)
 
 
 def witness_section(P, w):

@@ -7,10 +7,14 @@ never by generating list (recorded generating sets are a convenience for
 reports and for generator-based tests).  All functions take a validated
 presentation and are pure; per-presentation results are memoized.
 Arithmetic is the index algebra of tables.GroupTables, on whole index arrays
-where a test runs over every element.  Subgroups defined by products, such as
-commutator subgroups and Frattini subgroups, are built from generators: the
-normal closure of a few generator words, never a pass over all pairs
-(Holt, Eick & O'Brien, Handbook of Computational Group Theory, ch. 8).
+where a test runs over every element.  Phi(G) comes from the pc series, not
+from a closure: validate() makes Phi(G) = G_{d+1} = <f_{d+1}, ..., f_n>, whose
+elements are the first p^(n-d) indices, so G/Phi(G) is read off the first d
+digits and the maximal subgroups are the preimages of its hyperplanes.  Other
+subgroups defined by products, such as commutator subgroups and Phi(H) for
+rank, are built from generators: the normal closure of a few generator words,
+never a pass over all pairs (Holt, Eick & O'Brien, Handbook of Computational
+Group Theory, ch. 8).
 """
 
 from __future__ import annotations
@@ -194,8 +198,12 @@ def _frattini_mask(P, H):
 
 @lru_cache(maxsize=None)
 def frattini(P):
-    """Phi(G) = G^p G' for p-groups."""
-    return Subgroup(P, _frattini_mask(P, whole_group(P)))
+    """Phi(G) = <f_{d+1}, ..., f_n>: the indices whose first d digits are zero,
+    generated by f_n, ..., f_{d+1} (the lex-greedy order)."""
+    t = get_tables(P)
+    d = P.minimal_count
+    gens = [P.generator(i) for i in range(P.n, d, -1)]
+    return Subgroup(P, t.all < t.strides[d - 1], gens)
 
 
 @dataclass(frozen=True)
@@ -247,49 +255,13 @@ def second_center(P):
 
 
 @lru_cache(maxsize=None)
-def frattini_coordinates(P):
-    """(basis, coords): a lex-least lift of a basis of G/Phi(G), plus the
-    coordinate vector of every element's Phi-coset with respect to it."""
-    t = get_tables(P)
-    p = P.p
-    F = frattini(P)
-    fidx = F.indices()
-
-    # lift a basis: lex-least element outside the span, repeatedly
-    basis = []
-    span = F.mask
-    while span.sum() < t.N:
-        basis.append(int(np.flatnonzero(~span)[0]))
-        span = t.closure_mask(list(t.encode(F.gens)) + basis)
-    d = len(basis)
-    assert p**d * F.order == t.N
-
-    coords = -np.ones((t.N, d), dtype=np.int32)
-    for combo in np.ndindex(*([p] * d)):
-        rep = 0
-        for b, c in zip(basis, combo):
-            rep = t.mul(rep, t.pow(b, c))
-        coset = t.mul(rep, fidx)
-        assert np.all(coords[coset, 0] == -1), "cosets overlap; arithmetic bug"
-        coords[coset] = combo
-
-    return tuple(_tuples(t, basis)), coords
-
-
-@lru_cache(maxsize=None)
 def maximal_subgroups(P):
-    """All index-p subgroups: preimages of hyperplanes of G/Phi(G)."""
+    """All index-p subgroups: preimages of hyperplanes of G/Phi(G), whose
+    coordinates are the first d digits taken as (e_d, ..., e_1)."""
     t = get_tables(P)
-    p = P.p
-    basis, coords = frattini_coordinates(P)
-    d = len(basis)
-
-    out = []
-    for phi in _dual_vectors(p, d):
-        M = Subgroup(P, (coords @ np.array(phi, dtype=np.int32)) % p == 0)
-        assert M.order * p == t.N
-        out.append(M)
-    return tuple(out)
+    d = P.minimal_count
+    coords = t.decode(t.all)[:, d - 1 :: -1]
+    return tuple(Subgroup(P, coords @ phi % P.p == 0) for phi in _dual_vectors(P.p, d))
 
 
 def _dual_vectors(p, d):

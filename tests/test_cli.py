@@ -194,6 +194,29 @@ def test_undefined_frattini_generator_exit_two(capsys, tmp_path, command):
     assert "give it a def line" in out
 
 
+H27 = "name h27\np 3\nn 3\ncomm 2 1 = g3^1\n"
+
+
+# a def naming a generator at or after its own, and a file that is not UTF-8
+@pytest.mark.parametrize(
+    "body, reason",
+    [
+        ((H27 + "def 3 = pow 5\n").encode(), "pow(5): index must be < 3"),
+        ((H27 + "def 3 = comm 3 1\n").encode(), "indices must be < 3"),
+        (b"name h\xe9\np 3\nn 1\n", "not UTF-8"),
+    ],
+    ids=["pow-index", "comm-index", "not-utf8"],
+)
+@pytest.mark.parametrize("command", ["info", "check", "construct", "count"])
+def test_bad_input_file_exit_two(capsys, tmp_path, command, body, reason):
+    f = tmp_path / "bad.pg"
+    f.write_bytes(body)
+    code, out = run(capsys, command, str(f), "--format", "json")
+    assert code == 2
+    assert out.count("\n") == 1 and out.startswith("pgw: error: ")
+    assert reason in out
+
+
 def test_missing_file_exit_two(capsys, tmp_path):
     code, out = run(capsys, "check", str(tmp_path / "nope.pg"))
     assert code == 2

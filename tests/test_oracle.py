@@ -81,6 +81,16 @@ def test_pruned_matches_unpruned(name):
     assert [A.images for A in a.maps] == [B.images for B in b.maps]
 
 
+def test_unpruned_route_propagates_a_verify_bug(monkeypatch):
+    # only a relation or surjectivity failure means "not an automorphism"
+    def broken(A):
+        raise RuntimeError("bug inside verify")
+
+    monkeypatch.setattr(au, "verify", broken)
+    with pytest.raises(RuntimeError, match="bug inside verify"):
+        pgw.enumerate_automorphisms(pgw.load("h27"), pruned=False)
+
+
 def test_jobs_do_not_change_anything():
     P = pgw.load("m243")
     a = pgw.enumerate_automorphisms(P, budget=300, jobs=1, collect_maps=True)
@@ -241,7 +251,9 @@ def test_count_invariant_under_presentation_change():
 
 @pytest.mark.parametrize("name", SMALL + ["m243"])
 def test_cross_validation_small(name):
-    assert pgw.cross_validate(pgw.load(name), budget=300) is True
+    P = pgw.load(name)
+    count = pgw.enumerate_automorphisms(P, budget=300, collect_maps=True)
+    assert pgw.cross_validate(P, precomputed=count) is True
 
 
 def test_cross_validation_demo(demo_group, demo_oracle_count):

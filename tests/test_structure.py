@@ -9,7 +9,7 @@ import pgw
 from pgw import structure as st
 from pgw.tables import get_tables
 
-from conftest import ALL_NAMES
+from conftest import ALL_NAMES, FAMILY_NAMES, load_group
 
 SMALL = [n for n in ALL_NAMES if pgw.load(n).order <= 81]
 
@@ -104,6 +104,45 @@ def test_maximals_are_genuinely_maximal_and_normal(name):
         for t in (P.generators()):
             for m in M.gens:
                 assert pgw.conj(P, m, t) in M
+
+
+def _lifted_basis_reference(P):
+    """Phi(G) as a normal closure, and the maximals as hyperplanes in the
+    coordinates of a lex-least lifted basis of G/Phi(G), each Phi-coset
+    labelled by multiplying out its representative."""
+    t = get_tables(P)
+    p = P.p
+    F = st.Subgroup(P, st._frattini_mask(P, st.whole_group(P)))
+    basis = []
+    span = F.mask
+    while span.sum() < t.N:
+        basis.append(int(np.flatnonzero(~span)[0]))
+        span = t.closure_mask(list(t.encode(F.gens)) + basis)
+    d = len(basis)
+    assert p**d * F.order == t.N
+    coords = -np.ones((t.N, d), dtype=np.int32)
+    for combo in np.ndindex(*([p] * d)):
+        rep = 0
+        for b, c in zip(basis, combo):
+            rep = t.mul(rep, t.pow(b, c))
+        coset = t.mul(rep, F.indices())
+        assert np.all(coords[coset, 0] == -1), "cosets overlap"
+        coords[coset] = combo
+    maxes = [st.Subgroup(P, coords @ np.array(v) % p == 0) for v in st._dual_vectors(p, d)]
+    return F, maxes
+
+
+@pytest.mark.parametrize("name", ALL_NAMES + FAMILY_NAMES)
+def test_pc_frattini_and_maximals_match_lifted_basis(name):
+    # the subgroup layer reads both off the first d digits; the reference
+    # works them out from closures, and the numbering M1..Mk must agree
+    P = load_group(name)
+    F, maxes = _lifted_basis_reference(P)
+    got = [pgw.frattini(P)] + list(pgw.maximal_subgroups(P))
+    want = [F] + maxes
+    assert [(H.mask.tolist(), H.gens, H.order) for H in got] == [
+        (H.mask.tolist(), H.gens, H.order) for H in want
+    ]
 
 
 def test_c9_single_maximal():
@@ -232,6 +271,8 @@ def test_generator_subgroups_match_all_pairs(name):
         phi = t.closure_mask(np.concatenate([np.flatnonzero(comms), powers]))
         quot = H.order // int(phi.sum())
         assert P.p ** pgw.rank(P, H) == quot
+        if H is G:
+            assert pgw.frattini(P).mask.tolist() == phi.tolist()
         for B in (trivial, Z):
             if B <= H:
                 ea = bool(B.mask[powers].all() and B.mask[comms].all())
