@@ -1,15 +1,18 @@
 """Automorphisms as generator-image maps.
 
-A GenMap is an unverified candidate: one image per pc generator.  verify()
-certifies an automorphism by pure collection.  Each defining relation becomes
-an equality of two words in the images, collected once per side with no
-inverses.  Surjectivity is Burnside's basis test: a verified endomorphism is
-onto iff the images of f_1..f_d span G/Phi(G), which validate() makes the
-first d exponents.  On top of that sit conjugation maps (inner_from), the
-inner test, the maximal-subgroup extension map and the full witness
-construction.  The inner test looks the generator images up in one cached
-(n, |G|) array of conjugation images, computed with the index algebra of
-tables.py; the oracle's cross-validation re-checks every inner label by
+A GenMap is an unverified candidate: one image per pc generator.  The
+certificate is pure collection.  verify_rows() takes a batch of image rows
+and checks them relation-major: each defining relation becomes an equality
+of two words in the images, and each side is collected once per distinct
+tuple of images it reads, with no inverses and no table.  Surjectivity is
+Burnside's basis test: a verified endomorphism is onto iff the images of
+f_1..f_d span G/Phi(G), which validate() makes the first d exponents.
+verify() is verify_rows() on one row.  On top of that sit conjugation maps
+(inner_from), the inner test, the maximal-subgroup extension map and the full
+witness construction.  The inner test looks the generator images up in one
+cached table of the inner maps' image rows and their lex-least conjugators,
+computed with the index algebra of tables.py; the oracle's classifier reads
+the same table, and its cross-validation re-checks every inner label by
 collection.
 """
 
@@ -17,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
+from operator import eq, itemgetter
 
 import numpy as np
 
@@ -60,15 +65,6 @@ def apply(A, x):
     return acc
 
 
-def _spelled(words, w):
-    """The relation word w spelled in the image words: word_of(A(f_g)) m times
-    for each letter (g, m)."""
-    out = ()
-    for g, m in w:
-        out += words[g - 1] * m
-    return out
-
-
 def _rank_mod_p(rows, p):
     """Rank over F_p of a square integer matrix, by Gaussian elimination."""
     rows = [[x % p for x in r] for r in rows]
@@ -87,56 +83,147 @@ def _rank_mod_p(rows, p):
     return rank
 
 
+def _off_normal_form(images, n, p):
+    """The first of the images that is not a normal form, a length-n tuple of
+    ints in 0..p-1, or None.  Plain ints in range pass without a per-entry
+    loop."""
+    flat = list(chain.from_iterable(images))
+    if set(map(len, images)) == {n} and set(map(type, flat)) == {int}:
+        if min(flat) >= 0 and max(flat) < p:
+            return None
+    for x in images:
+        if len(x) != n or not all(isinstance(v, (int, np.integer)) and 0 <= v < p for v in x):
+            return x
+    return None
+
+
 def verify(A):
     """Certify a GenMap: every relation must hold under the map and the
-    images must generate the group.
+    images must generate the group.  This is verify_rows on one row, so a
+    rejected map raises the exception verify_rows reports for it."""
+    P = A.parent
+    images = tuple(map(tuple, A.images))
+    failed = verify_rows(P, [images])
+    if failed is not None:
+        try:
+            raise failed[1]
+        finally:
+            failed = None  # else the traceback's frame and the error keep each other alive
+    return Automorphism(P, images)
 
-    Each relation is an equality of words in the images, and both sides are
-    collected once: f_i^p = w holds iff A(f_i)^p = w(A), and [f_i, f_j] = w
-    holds iff A(f_i) A(f_j) = A(f_j) A(f_i) w(A), where w(A) spells w in the
-    images.  A side that starts with an image is collected from that image's
-    exponent vector, so its letters are not placed one at a time first.
-    No inverse is formed; only a failing commutator relation is
-    recomputed with comm for its message.  Once every relation holds the map
-    is an endomorphism, and by Burnside's basis theorem it is onto iff it is
-    onto modulo Phi(G).  validate() makes Phi(G) = <f_{d+1}, ..., f_n> with d
-    the minimal generator count, so the map is onto iff the first d exponents
-    of A(f_1), ..., A(f_d) form a d x d matrix of rank d mod p.
+
+def verify_rows(P, rows):
+    """Certify a batch of image rows by pure collection, relation by relation.
+
+    A row holds candidate images A(f_1), ..., A(f_n).  Each relation is an
+    equality of words in the images: f_i^p = w holds iff A(f_i)^p = w(A), and
+    [f_i, f_j] = w holds iff A(f_i) A(f_j) = A(f_j) A(f_i) w(A), where w(A)
+    spells w in the images.  The relations go in a fixed order, the powers of
+    f_1..f_n, then the commutators [f_i, f_j] for i > j.  For each relation,
+    each side is collected once per distinct tuple of images that it reads
+    (A(f_i) and A(f_j) for the left side of [f_i, f_j]), from the exponent
+    vector of the image it starts with, and the two sides are compared row
+    by row.  No inverse is formed; only a failing commutator relation is
+    recomputed with comm for its message.  Once every relation holds a row is
+    an endomorphism, and by Burnside's basis theorem it is onto iff it is onto
+    modulo Phi(G).  validate() makes Phi(G) = <f_{d+1}, ..., f_n> with d the
+    minimal generator count, so the map is onto iff the first d exponents of
+    A(f_1), ..., A(f_d) form a d x d matrix of rank d mod p.  The memos live
+    for one relation of one call, and nothing is read from the tables.
 
     Every image must be a normal form, a length-n tuple of ints in 0..p-1;
-    anything else raises ValueError, as a wrong number of images does.  The
+    anything else is a ValueError, as a wrong number of images is.  The
     collector would read (4, 0) on C3 x C3 as the word f_1^4 = f_1, but the
     certified map keeps its images as given, and is_inner, apply and the
     tables know each element by its normal form only.
+
+    A row drops out at its first failing relation, and so do the rows after
+    it, which can no longer be the first to fail.  Returns None when every
+    row is an automorphism, else (k, error) for the first failing row k, where
+    error is the exception verify raises for that row alone.
     """
-    P = A.parent
-    images = tuple(tuple(x) for x in A.images)
-    if len(images) != P.n:
-        raise ValueError(f"need {P.n} images, got {len(images)}")
-    for x in images:
-        if len(x) != P.n or not all(isinstance(v, (int, np.integer)) and 0 <= v < P.p for v in x):
-            raise ValueError(f"image {x} is not a normal form: need {P.n} ints in 0..{P.p - 1}")
-    words = [pc.word_of(x) for x in images]
-    for i in range(1, P.n + 1):
-        lhs = pc._collect_into(P, list(images[i - 1]), words[i - 1] * (P.p - 1))
-        rhs = pc.collect(P, _spelled(words, P.power_rel[i - 1]))
+    n, p = P.n, P.p
+    # number the distinct images in order of appearance; a row becomes the
+    # numbers of its images
+    number, coded = {}, []
+    failed = None
+    for k, row in enumerate(rows):
+        row = tuple(map(tuple, row))
+        if len(row) != n:
+            failed = k, ValueError(f"need {n} images, got {len(row)}")
+            break
+        bad = _off_normal_form(row, n, p)
+        if bad is not None:
+            failed = k, ValueError(f"image {bad} is not a normal form: need {n} ints in 0..{p - 1}")
+            break
+        coded.append([number.setdefault(x, len(number)) for x in row])
+    forms = list(number)
+    words = [pc.word_of(x) for x in forms]
+    conj = pc.conjugates(P)  # handed to the collector, which would look it up per call
+
+    def value(r, start, letters):
+        """A(f_start) times A(f_g)^m for each letter (g, m), start 0 being the
+        identity, for the row r of image numbers."""
+        w = ()
+        for g, m in letters:
+            w += words[r[g - 1]] * m
+        return pc._collect_into(P, list(forms[r[start - 1]]) if start else [0] * n, w, conj)
+
+    def collected(live, start, letters):
+        """value() for each live row, once per distinct tuple of images read."""
+        if len(live) == 1:  # nothing to share
+            return [value(coded[live[0]], start, letters)]
+        reads = [g - 1 for g, _ in letters]
+        if start:
+            reads.insert(0, start - 1)
+        reads = list(dict.fromkeys(reads))  # A(f_i)^p reads A(f_i) once
+        if not reads:
+            return [value(None, 0, ())] * len(live)
+        batch = [coded[k] for k in live]
+        keys = list(map(itemgetter(*reads), batch))
+        memo = dict(zip(keys, batch))  # a row for each key, then its value
+        for key, r in memo.items():
+            memo[key] = value(r, start, letters)
+        return list(map(memo.__getitem__, keys))
+
+    live = list(range(len(coded)))  # the rows that hold every relation so far
+    for i in range(1, n + 1):
+        if not live:
+            return failed
+        lhs = collected(live, i, ((i, p - 1),))
+        rhs = collected(live, 0, P.power_rel[i - 1])
         if lhs != rhs:
-            raise RelationViolated(f"power relation f_{i}^{P.p}: {lhs} != {rhs}")
-    for i in range(2, P.n + 1):
+            q = list(map(eq, lhs, rhs)).index(False)
+            failed = live[q], RelationViolated(f"power relation f_{i}^{p}: {lhs[q]} != {rhs[q]}")
+            live = live[:q]
+    for i in range(2, n + 1):
         for j in range(1, i):
-            w = _spelled(words, P.comm_rel.get((i, j), ()))
-            wi, wj = words[i - 1], words[j - 1]
-            lhs = pc._collect_into(P, list(images[i - 1]), wj)
-            if lhs != pc._collect_into(P, list(images[j - 1]), wi + w):
-                lhs = pc.comm(P, images[i - 1], images[j - 1])
-                rhs = pc.collect(P, w)
-                raise RelationViolated(f"commutator relation [f_{i},f_{j}]: {lhs} != {rhs}")
+            if not live:
+                return failed
+            w = P.comm_rel.get((i, j), ())
+            lhs = collected(live, i, ((j, 1),))
+            rhs = collected(live, j, ((i, 1),) + w)
+            if lhs != rhs:
+                q = list(map(eq, lhs, rhs)).index(False)
+                r = coded[live[q]]
+                lhs = pc.comm(P, forms[r[i - 1]], forms[r[j - 1]])
+                failed = live[q], RelationViolated(
+                    f"commutator relation [f_{i},f_{j}]: {lhs} != {value(r, 0, w)}"
+                )
+                live = live[:q]
+    if not live:
+        return failed
     if not P.validated:
-        raise ValueError("surjectivity needs a validated presentation")
+        return live[0], ValueError("surjectivity needs a validated presentation")
     d = P.minimal_count
-    if _rank_mod_p([x[:d] for x in images[:d]], P.p) != d:
-        raise NotSurjective("images do not generate the group")
-    return Automorphism(P, images)
+    ranks = {}
+    for k in live:
+        key = tuple([forms[c][:d] for c in coded[k][:d]])
+        if key not in ranks:
+            ranks[key] = _rank_mod_p(key, p)
+        if ranks[key] != d:
+            return k, NotSurjective("images do not generate the group")
+    return failed
 
 
 def compose(A, B):
@@ -174,10 +261,26 @@ def inner_from(P, t):
 
 @lru_cache(maxsize=None)
 def _inner_table(P):
-    """(n, |G|) index array: column x holds the generator images under
-    conjugation by element x."""
+    """The inner maps: their generator-image rows of element indices, as
+    sorted void scalars, and the lex-least conjugator of each.  The
+    conjugators of one inner map are a coset of Z(G), so every row of
+    conjugation images occurs |Z(G)| times."""
     t = get_tables(P)
-    return t.conj(t.strides[:, None], t.all)  # the generators' indices are the strides
+    columns = t.conj(t.strides[:, None], t.all)  # the generators' indices are the strides
+    rows = np.ascontiguousarray(columns.T).view(np.dtype((np.void, columns.itemsize * P.n)))
+    keys, first, counts = np.unique(rows.ravel(), return_index=True, return_counts=True)
+    # x conjugates trivially iff x is central, so the identity map's row occurs |Z(G)| times
+    assert (counts == counts[0]).all(), "conjugators of one inner map are not a coset of Z(G)"
+    return keys, first
+
+
+def _conjugators(P, rows):
+    """For each row of generator-image indices, the index of the lex-least
+    element conjugating by which gives it, or -1 when it is no inner map."""
+    keys, first = _inner_table(P)
+    q = np.ascontiguousarray(rows, dtype=np.int32).view(keys.dtype).ravel()
+    k = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
+    return np.where(keys[k] == q, first[k], -1)
 
 
 def is_inner(A):
@@ -191,11 +294,10 @@ def is_inner(A):
         images = t.encode(A.images)
     except ValueError:  # an image outside the group makes no inner map
         return False, None
-    hits = np.flatnonzero((_inner_table(P) == images[:, None]).all(axis=0))
-    if hits.size == 0:
+    x = _conjugators(P, images[None])[0]
+    if x < 0:
         return False, None
-    assert hits.size == st.center(P).order, "conjugators of one inner map are not a coset of Z(G)"
-    return True, tuple(t.decode(hits[0]).tolist())
+    return True, tuple(t.decode(x).tolist())
 
 
 def fixes_elementwise(A, H):

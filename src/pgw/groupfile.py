@@ -10,7 +10,8 @@ Line-based UTF-8 format, `#` comments and blank lines ignored:
     def   <i> = pow <j>         # or: def <i> = comm <j> <k>
 
 A word is `1` or space-separated `g<k>^<e>` tokens with strictly increasing k
-and 1 <= e < p.  Parsing validates the presentation, so a parsed GroupFile
+and 1 <= e < p.  The p and n lines are held to presentation.MAX_P and MAX_N
+as they are read.  Parsing validates the presentation, so a parsed GroupFile
 always holds a consistent group; serialize() emits the canonical form and
 parse(serialize(P)) reproduces P field for field.
 """
@@ -91,6 +92,8 @@ def parse_text(text, source="<string>"):
                 p = int(rest)
             except ValueError:
                 raise PresentationSyntaxError(source, lineno, f"p must be an integer, got {rest!r}")
+            if p > pc.MAX_P:  # before the trial division, which a huge p would stall
+                raise pc.size_cap(p=p)
             if not pc._is_prime(p):
                 raise PresentationSyntaxError(source, lineno, f"p = {p} is not prime")
         elif key == "n":
@@ -102,6 +105,8 @@ def parse_text(text, source="<string>"):
                 raise PresentationSyntaxError(source, lineno, f"n must be an integer, got {rest!r}")
             if n < 1:
                 raise PresentationSyntaxError(source, lineno, f"n must be >= 1, got {n}")
+            if n > pc.MAX_N:  # before n sizes the relation tuples
+                raise pc.size_cap(n=n)
         elif key in ("pow", "comm", "def"):
             if p is None or n is None:
                 raise PresentationSyntaxError(

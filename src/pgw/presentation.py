@@ -71,7 +71,7 @@ def identity(P):
 
 def word_of(e):
     """Normal-form word of an exponent vector."""
-    return tuple((i + 1, ei) for i, ei in enumerate(e) if ei)
+    return tuple([(i, ei) for i, ei in enumerate(e, 1) if ei])
 
 
 def inverse_word(w):
@@ -120,8 +120,11 @@ def _collect_into(P, e, w, table=None):
     # e[k] == 0 for every k > top, e[top] != 0 (top = -1 when e is all zero)
     p = P.p
     power_rel = P.power_rel
-    conj = conjugates(P) if table is None else table  # table: rows being built
-    stack = [(g, m) for (g, m) in reversed(tuple(w)) if m]
+    # table: the stored conjugates when the caller holds them, or the rows
+    # that _conjugate_table is building
+    conj = conjugates(P) if table is None else table
+    stack = list(w)  # a letter with m = 0 is dropped when it is popped
+    stack.reverse()
     pop, push = stack.pop, stack.extend
     top = P.n - 1
     while top >= 0 and not e[top]:
@@ -129,6 +132,8 @@ def _collect_into(P, e, w, table=None):
     while stack:
         j, m = pop()
         if not (0 < m < p):
+            if not m:
+                continue
             r = m % p
             q = (m - r) // p
             # f_j^m = f_j^r * (f_j^p)^q, powers of f_j commute with each other
@@ -216,6 +221,12 @@ def element_order(P, a):
     return order
 
 
+def size_cap(**given):
+    """The SizeCap for a p over MAX_P or an n over MAX_N, naming the values given."""
+    got = ", ".join(f"{k}={v}" for k, v in given.items())
+    return SizeCap(f"p <= {MAX_P} and n <= {MAX_N} required, got {got}")
+
+
 def _is_prime(p):
     if p < 2:
         return False
@@ -254,10 +265,10 @@ def validate(P):
     Last, _check_frattini_split makes Phi(G) = <f_{d+1}, ..., f_n>, which lets
     automorphisms.verify read surjectivity off the first d exponents.
     """
+    if P.p > MAX_P or P.n > MAX_N:
+        raise size_cap(p=P.p, n=P.n)
     if not _is_prime(P.p):
         raise ValueError(f"p = {P.p} is not prime")
-    if P.p > MAX_P or P.n > MAX_N:
-        raise SizeCap(f"p <= {MAX_P} and n <= {MAX_N} required, got p={P.p}, n={P.n}")
     if P.n < 1:
         raise ValueError("need at least one generator")
     if len(P.power_rel) != P.n:

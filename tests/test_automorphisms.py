@@ -10,7 +10,7 @@ from pgw import automorphisms as au
 from pgw import structure as st
 from pgw import tables
 
-from conftest import ALL_NAMES
+from conftest import ALL_NAMES, load_group
 
 ODD = [n for n in ALL_NAMES if pgw.load(n).p != 2]
 
@@ -183,6 +183,74 @@ def test_verify_accepts_gl3_on_elementary_abelian():
         except pgw.NotSurjective:
             pass
     assert accepted == 26 * 24 * 18
+
+
+def _corrupted(P, maps, rng):
+    """Automorphism rows, some left alone and some broken in one of four ways."""
+    elems = st.whole_group(P).elements
+    Z = pgw.center(P).elements
+    rows = []
+    for _ in range(400):
+        row = list(rng.choice(maps))
+        kind, k = rng.randrange(5), rng.randrange(P.n)
+        if kind == 0:  # one image replaced: mostly a power relation breaks
+            row[k] = rng.choice(elems)
+        elif kind == 1:  # every image to its p-th power: mostly a commutator breaks
+            row = [pgw.pow_(P, x, P.p) for x in row]
+        elif kind == 2:  # an exponent out of range
+            row[k] = (P.p,) + row[k][1:]
+        elif kind == 3:  # f_1..f_d all to one central element: not onto
+            row = _defn_forced(P, [rng.choice(Z)] * P.minimal_count)
+        rows.append(tuple(row))
+    return rows
+
+
+def _rows_verdicts(P, rows):
+    """Per-row verdicts from verify_rows, calling it again after each failure."""
+    out = []
+    while len(out) < len(rows):
+        failed = au.verify_rows(P, rows[len(out):])
+        if failed is None:
+            out += [(None, None)] * (len(rows) - len(out))
+        else:
+            k, e = failed
+            out += [(None, None)] * k + [(type(e).__name__, str(e))]
+    return out
+
+
+def _map_verdict(P, images):
+    try:
+        au.verify(au.GenMap(P, images))
+    except (pgw.RelationViolated, pgw.NotSurjective, ValueError) as e:
+        return type(e).__name__, str(e)
+    return None, None
+
+
+@pytest.mark.parametrize("name", ["h27", "m243", "g2187", "m3125"])
+def test_batch_verdicts_match_per_map_verify(name):
+    P = load_group(name)
+    maps = [A.images for A in pgw.enumerate_automorphisms(P, collect_maps=True).maps]
+    rows = _corrupted(P, maps, random.Random(f"corrupt-{name}"))
+    got = _rows_verdicts(P, rows)
+    assert got == [_map_verdict(P, images) for images in rows]
+    seen = {kind if kind != "RelationViolated" else msg.split()[0] for kind, msg in got}
+    # h27 has exponent p and trivial power words, so no power relation can break
+    assert seen == {None, "commutator", "NotSurjective", "ValueError"} | (
+        {"power"} if name != "h27" else set()
+    )
+    assert au.verify_rows(P, maps) is None
+
+
+def test_verify_rows_stops_at_the_first_failure():
+    P = pgw.load("h27")
+    good = tuple(P.generators())
+    swapped = (P.generator(2), P.generator(1), P.generator(3))  # breaks [f2, f1] = f3
+    short = good[:2]
+    assert au.verify_rows(P, []) is None
+    k, e = au.verify_rows(P, [good, swapped, short])
+    assert (k, type(e)) == (1, pgw.RelationViolated)
+    k, e = au.verify_rows(P, [good, short, swapped])
+    assert (k, type(e), str(e)) == (1, ValueError, "need 3 images, got 2")
 
 
 def test_aut_order_examples(demo_group):

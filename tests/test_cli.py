@@ -9,6 +9,7 @@ import pytest
 
 import pgw
 from pgw import cli, tables
+from pgw import presentation as pc
 from pgw.report import TOP_KEYS
 
 
@@ -215,6 +216,31 @@ def test_bad_input_file_exit_two(capsys, tmp_path, command, body, reason):
     assert code == 2
     assert out.count("\n") == 1 and out.startswith("pgw: error: ")
     assert reason in out
+
+
+# The caps apply at the p and n lines: a huge p never reaches the primality
+# trial division, which would run for minutes, and a huge n never sizes the
+# relation tuples.  The bad line after n is only reached if the cap waits.
+@pytest.mark.parametrize(
+    "header, got",
+    [
+        ("p 1000000000000000003\nn 2\n", "got p=1000000000000000003"),
+        ("p 3\nn 2000000\nbad\n", "got n=2000000"),
+    ],
+    ids=["huge-p", "huge-n"],
+)
+def test_size_cap_at_the_header_exit_two(tmp_path, header, got):
+    f = tmp_path / "big.pg"
+    f.write_text("name big\n" + header)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pgw.cli", "info", str(f)],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"pgw: error: p <= {pc.MAX_P} and n <= {pc.MAX_N} required, {got}\n"
 
 
 def test_missing_file_exit_two(capsys, tmp_path):

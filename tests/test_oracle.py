@@ -12,6 +12,7 @@ from pgw import automorphisms as au
 from pgw import groupfile
 from pgw import oracle
 from pgw import structure as st
+from pgw.tables import get_tables
 
 from conftest import MODELS, assert_isomorphic, load_group
 
@@ -149,8 +150,8 @@ def test_budget_exhaustion_raises(demo_group):
 
 
 # The search checks its deadline per level, per block of nodes, between sieve
-# relations and before each certified row, steps of well under a second on
-# the 7^5 group, so the slack leaves room for a slow host.
+# relations and before each block of certified rows, steps of well under a
+# second on the 7^5 group, so the slack leaves room for a slow host.
 BUDGET_SLACK_S = 3.0
 
 
@@ -160,6 +161,48 @@ def test_budget_holds_during_the_search():
     with pytest.raises(pgw.OracleTimeout):
         pgw.enumerate_automorphisms(P, budget=2)
     assert time.monotonic() - start < 2 + BUDGET_SLACK_S
+
+
+def test_certify_rows_names_the_first_bad_row(demo_group, demo_oracle_count):
+    P = demo_group
+    ctx = oracle._prepare(P)
+    maps = [A.images for A in demo_oracle_count.maps]
+    assert oracle._certify_rows(ctx, ctx["t"].encode(maps), None) == maps
+    rng = random.Random(5)
+    elems = st.whole_group(P).elements
+    bad = (rng.choice(elems),) + maps[1500][1:]  # past the first block of rows
+    planted = maps[:1500] + [bad] + maps[1501:3000] + [(pgw.identity(P),) * P.n] + maps[3001:]
+    with pytest.raises(pgw.RelationViolated) as why:
+        au.verify(au.GenMap(P, bad))
+    with pytest.raises(pgw.Mismatch) as err:
+        oracle._certify_rows(ctx, ctx["t"].encode(planted), None)
+    assert str(err.value) == f"sieve accepted {bad} but pure verification rejected it: {why.value}"
+    assert type(err.value.__cause__) is pgw.RelationViolated
+
+
+def test_certify_rows_checks_the_deadline_between_blocks(demo_group, demo_oracle_count):
+    P = demo_group
+    ctx = oracle._prepare(P)
+    rows = ctx["t"].encode([A.images for A in demo_oracle_count.maps])
+    assert len(rows) > oracle._CERTIFY
+    start = time.monotonic()
+    with pytest.raises(pgw.OracleTimeout, match="after certifying"):
+        oracle._certify_rows(ctx, rows, start + 0.03)
+    assert time.monotonic() - start < 0.03 + BUDGET_SLACK_S
+
+
+@pytest.mark.parametrize("name", ["h27", "m243"])
+def test_classifier_and_inner_test_share_one_table(name):
+    P = pgw.load(name)
+    t = get_tables(P)
+    keys, _ = au._inner_table(P)
+    assert len(keys) * pgw.center(P).order == P.order
+    maps = pgw.enumerate_automorphisms(P, collect_maps=True).maps
+    found = au._conjugators(P, t.encode([A.images for A in maps]))
+    for A, x in zip(maps, found.tolist()):
+        inner, conjugator = au.is_inner(A)
+        assert (x >= 0) == inner
+        assert conjugator is None or t.encode(conjugator) == x
 
 
 @pytest.mark.parametrize("p, d", [(2, 3), (3, 2), (3, 3), (5, 2)])
