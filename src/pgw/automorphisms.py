@@ -36,6 +36,7 @@ from .errors import (
     NotSurjective,
     PreconditionFailed,
     RelationViolated,
+    check_deadline,
 )
 from .tables import get_tables
 
@@ -112,7 +113,7 @@ def verify(A):
     return Automorphism(P, images)
 
 
-def verify_rows(P, rows):
+def verify_rows(P, rows, deadline=None):
     """Certify a batch of image rows by pure collection, relation by relation.
 
     A row holds candidate images A(f_1), ..., A(f_n).  Each relation is an
@@ -140,7 +141,10 @@ def verify_rows(P, rows):
     A row drops out at its first failing relation, and so do the rows after
     it, which can no longer be the first to fail.  Returns None when every
     row is an automorphism, else (k, error) for the first failing row k, where
-    error is the exception verify raises for that row alone.
+    error is the exception verify raises for that row alone.  deadline, a
+    time.monotonic() value or None, is checked before each relation and
+    raises OracleTimeout once passed, so one call over a large batch still
+    ends near the oracle's budget.
     """
     n, p = P.n, P.p
     # number the distinct images in order of appearance; a row becomes the
@@ -190,6 +194,8 @@ def verify_rows(P, rows):
     for i in range(1, n + 1):
         if not live:
             return failed
+        if deadline is not None:  # no message to format on verify's path
+            check_deadline(deadline, f"certifying {len(coded)} rows, at f_{i}^{p}")
         lhs = collected(live, i, ((i, p - 1),))
         rhs = collected(live, 0, P.power_rel[i - 1])
         if lhs != rhs:
@@ -200,6 +206,8 @@ def verify_rows(P, rows):
         for j in range(1, i):
             if not live:
                 return failed
+            if deadline is not None:
+                check_deadline(deadline, f"certifying {len(coded)} rows, at [f_{i},f_{j}]")
             w = P.comm_rel.get((i, j), ())
             lhs = collected(live, i, ((j, 1),))
             rhs = collected(live, j, ((i, 1),) + w)

@@ -5,7 +5,11 @@ base class at the CLI boundary.  The split mirrors where things can go wrong:
 presentation loading/validation, subgroup machinery misuse, automorphism
 certification, oracle disagreement.  Every class pickles, so an error raised
 in an oracle worker process reaches the parent with its own type and message.
+check_deadline raises OracleTimeout for the oracle's budget; the oracle and
+the certificate it calls share it.
 """
+
+import time
 
 
 class PgwError(Exception):
@@ -94,6 +98,13 @@ class MissingDefinitions(PgwError):
 
 class OracleTimeout(PgwError):
     pass
+
+
+def check_deadline(deadline, where):
+    """Raise OracleTimeout once time.monotonic() has passed the deadline; a
+    deadline of None never expires."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise OracleTimeout(f"budget exhausted {where}")
 
 
 class Mismatch(PgwError):

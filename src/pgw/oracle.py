@@ -9,28 +9,34 @@ every relation modulo every G_{k+1}.  A level-k node is a tuple of minimal
 images modulo G_{k+1} that does.  validate() makes Phi(G) = G_{d+1}, so the
 level-d nodes are GL(d, p).  A node's p^d children add one digit to each
 minimal image, and _sieve keeps those whose relations hold one level down,
-with the index algebra of tables.py.  The level-n survivors are exactly the
-automorphisms.  They are re-certified by the pure collection of
-automorphisms.verify_rows, in blocks of _CERTIFY rows: relation by relation,
-each distinct side is collected once per block, and the tables are not read.
-The classifier reads order p and the fixing of Phi(G) off the generator
-images, and finds inner maps in the inner test's table of conjugation
+with the index algebra of tables.py; a commutator relation [a, b] = w is
+tested as a b = b a w, with no inverse.  The level-n survivors are exactly
+the automorphisms.  Each block of them that the lift yields is re-certified
+in one call to the pure collection of automorphisms.verify_rows: relation by
+relation, each distinct side is collected once per block, and the tables are
+not read.  The classifier works on the same blocks.  An automorphism is fixed
+by its images of f_1..f_d, which generate G, so order p is read off those d
+columns, with the powers of every image built once per block; it fixes
+Phi(G) = <f_{d+1}, ..., f_n> elementwise iff the other columns hold f_{d+1},
+..., f_n.  Inner maps are found in the inner test's table of conjugation
 images.  The unpruned route pushes every |G|^d tuple through verify, one map
 at a time; the two must agree exactly.
 
 The sieve's tables come from the parsed relations by induction down the pc
 series and verify collects, so pruned == unpruned tests that induction and the
 lift against the collector.  Both routes read G/Phi(G) off the first d
-exponents.  cross_validate checks each map
-labelled inner against conjugation by its witness t, t A(f_i) = f_i t, by
-collection, without certifying it a second time.
+exponents.  cross_validate labels the whole map stream in one lookup of the
+inner table and checks each map labelled inner against conjugation by its
+conjugator t, t A(f_i) = f_i t for i <= d, by collection, without certifying
+it a second time: the map is certified and f_1..f_d generate G.
 
 Work is partitioned into chunks of level-d nodes by the image of f_1 modulo
 Phi(G); counts are summed and the optional map stream is sorted by image
 vectors, so the output does not depend on the job count.  The lift is depth
 first with at most _ROWS children per _sieve call, which bounds memory.  The
 budget is checked per level, per block of nodes, between sieve relations and
-before each block of certified rows.
+inside verify_rows before each relation of a certified block.
+cross_validate runs after the enumeration and has no deadline.
 """
 
 from __future__ import annotations
@@ -49,9 +55,9 @@ from .errors import (
     Mismatch,
     MissingDefinitions,
     NotSurjective,
-    OracleTimeout,
     PreconditionFailed,
     RelationViolated,
+    check_deadline,
 )
 from .tables import get_tables
 
@@ -78,12 +84,6 @@ def _check_defns(P):
 _WORK = {}
 
 _ROWS = 1 << 13  # child rows per _sieve call; bounds the lift's memory (census peak RSS)
-_CERTIFY = 1 << 8  # survivors per verify_rows call; 2^10 raised census peak RSS by 0.4 MB
-
-
-def _check_deadline(deadline, where):
-    if deadline is not None and time.monotonic() > deadline:
-        raise OracleTimeout(f"budget exhausted {where}")
 
 
 def _prepare(P):
@@ -102,7 +102,6 @@ def _prepare(P):
         "d": d,
         "digits": np.array(list(np.ndindex(*(P.p,) * d)), dtype=np.int32),
         "relations": relations,
-        "phi_gens": t.strides[d:],
     }
 
 
@@ -117,7 +116,9 @@ def _sieve(ctx, mins, level, deadline):
     mins: (rows, d) indices of candidate images of the minimal generators.
     The images of the others are forced by their defn tags.  Both sides of
     every relation are cut to their first `level` digits, which is their
-    image in G/G_{level+1}.  Returns the (survivors, n) image-index matrix.
+    image in G/G_{level+1}.  A commutator relation [a, b] = w is checked as
+    a b = b a w, which holds modulo the normal subgroup G_{level+1} exactly
+    when [a, b] = w does.  Returns the (survivors, n) image-index matrix.
     """
     P, t = ctx["P"], ctx["t"]
     img = list(mins.T) + [None] * (P.n - ctx["d"])
@@ -132,12 +133,13 @@ def _sieve(ctx, mins, level, deadline):
     for rel in ctx["relations"]:
         if len(img[0]) == 0:
             break
-        _check_deadline(deadline, f"in the sieve at level {level}")
-        if rel[0] == "comm":
-            lhs = t.comm(img[rel[1] - 1], img[rel[2] - 1])
+        check_deadline(deadline, f"in the sieve at level {level}")
+        if rel[0] == "comm":  # [a, b] = w iff a b = b a w, with no inverse
+            a, b = img[rel[1] - 1], img[rel[2] - 1]
+            lhs, rhs = t.mul(a, b), t.mul(b, a)
         else:
             lhs = ctx["pth"][img[rel[1] - 1]]
-        rhs = np.zeros_like(lhs)
+            rhs = np.zeros_like(lhs)
         for g, m in _relation_word(P, rel):  # exponents below p: repeated mul beats pow
             for _ in range(m):
                 rhs = t.mul(rhs, img[g - 1])
@@ -163,7 +165,7 @@ def _bases(p, d, part, deadline):
     combos = np.array(list(np.ndindex(*(p,) * r)))
     per = max(1, _ROWS // (p**d - p**r))
     for s in range(0, len(part), per):
-        _check_deadline(deadline, f"building row {r + 1} of the images modulo Phi(G)")
+        check_deadline(deadline, f"building row {r + 1} of the images modulo Phi(G)")
         block = digits[s : s + per]
         span = np.einsum("cr,mrd->mcd", combos, block) % p @ radix
         free = np.ones((len(block), p**d), dtype=bool)
@@ -185,55 +187,63 @@ def _lift(ctx, rows, level, deadline):
     steps = ctx["digits"] * ctx["t"].strides[level]
     per = max(1, _ROWS // len(steps))
     for s in range(0, len(rows), per):
-        _check_deadline(deadline, f"at level {level + 1}")
+        check_deadline(deadline, f"at level {level + 1}")
         children = (rows[s : s + per, None, : ctx["d"]] + steps).reshape(-1, ctx["d"])
         yield from _lift(ctx, _sieve(ctx, children, level + 1, deadline), level + 1, deadline)
 
 
 def _certify_rows(ctx, rows, deadline):
-    """Pure re-verification of sieve survivors, _CERTIFY rows per
-    automorphisms.verify_rows call; any rejection is a route bug."""
+    """Pure re-verification of one block of sieve survivors (at most _ROWS
+    rows) in one automorphisms.verify_rows call, which checks the deadline
+    before each relation; any rejection is a route bug."""
     P, t = ctx["P"], ctx["t"]
     # decode each distinct image once, so that the kept maps share their tuples
     distinct, inverse = np.unique(rows, return_inverse=True)
     forms = st._tuples(t, distinct)
     maps = [tuple(forms[i] for i in row) for row in inverse.reshape(rows.shape).tolist()]
-    for s in range(0, len(maps), _CERTIFY):
-        _check_deadline(deadline, f"after certifying {s} of {len(maps)} sieve survivors")
-        failed = au.verify_rows(P, maps[s : s + _CERTIFY])
-        if failed is not None:
-            k, e = failed
-            raise Mismatch(
-                f"sieve accepted {maps[s + k]} but pure verification rejected it: {e}"
-            ) from e
+    failed = au.verify_rows(P, maps, deadline)
+    if failed is not None:
+        k, e = failed
+        raise Mismatch(f"sieve accepted {maps[k]} but pure verification rejected it: {e}") from e
     return maps
 
 
-def _apply_rows(t, rows, xs):
-    """A_r(x) for each row r of generator images and each x in row r of xs
-    (xs broadcasts against one column per row): the normal form
+def _powers(t, rows):
+    """powers[k, r, e] = A_r(f_{k+1})^e for each row r of generator images
+    and 0 <= e < p: the factors _apply_rows multiplies."""
+    p = t.P.p
+    powers = np.zeros((rows.shape[1], len(rows), p), dtype=np.int32)
+    for e in range(1, p):
+        powers[:, :, e] = t.mul(powers[:, :, e - 1], rows.T)
+    return powers
+
+
+def _apply_rows(t, powers, xs):
+    """A_r(x) for each row r of _powers and each x in row r of xs (xs
+    broadcasts against one column per row): the normal form
     f_1^e_1 ... f_n^e_n of x goes to A_r(f_1)^e_1 ... A_r(f_n)^e_n."""
     p = t.P.p
-    r = np.arange(len(rows))[:, None]
+    r = np.arange(powers.shape[1])[:, None]
     acc = np.zeros(np.broadcast_shapes(r.shape, np.shape(xs)), dtype=np.int32)
     for k, s in enumerate(t.strides):
-        powers = [np.zeros(len(rows), dtype=np.int32)]
-        for _ in range(p - 1):
-            powers.append(t.mul(powers[-1], rows[:, k]))
-        acc = t.mul(acc, np.stack(powers, axis=1)[r, xs // s % p])
+        acc = t.mul(acc, powers[k][r, xs // s % p])
     return acc
 
 
 def _row_flags(ctx, rows):
     """(order p, fixes Phi(G) elementwise) flags for rows of automorphism
-    generator images, both read off the generators."""
-    t, phi = ctx["t"], ctx["phi_gens"]
-    gens = np.array(t.strides, dtype=np.int32)  # f_k is the element of index strides[k]
-    acc = rows
+    generator images.  An automorphism is fixed by its images of f_1..f_d,
+    which generate G, so A^p = id and A != id are read off the first d
+    columns; Phi(G) = <f_{d+1}, ..., f_n>, so A fixes it elementwise iff the
+    other columns hold f_{d+1}, ..., f_n."""
+    t, d = ctx["t"], ctx["d"]
+    gens = t.strides  # f_k is the element of index strides[k - 1]
+    powers = _powers(t, rows)
+    acc = rows[:, :d]
     for _ in range(ctx["P"].p - 1):
-        acc = _apply_rows(t, rows, acc)
-    order_p = (acc == gens).all(axis=1) & (rows != gens).any(axis=1)
-    fixes_phi = (_apply_rows(t, rows, phi) == phi).all(axis=1)
+        acc = _apply_rows(t, powers, acc)
+    order_p = (acc == gens[:d]).all(axis=1) & (rows[:, :d] != gens[:d]).any(axis=1)
+    fixes_phi = (rows[:, d:] == gens[d:]).all(axis=1)
     return order_p, fixes_phi
 
 
@@ -270,7 +280,7 @@ def _enumerate_unpruned(P, deadline, collect_maps):
     maps = []
     F = st.frattini(P)
     for combo in itertools.product(itertools.product(range(P.p), repeat=P.n), repeat=d):
-        _check_deadline(deadline, "in unpruned enumeration")
+        check_deadline(deadline, "in unpruned enumeration")
         images = list(combo) + [None] * (P.n - d)
         for i in range(d + 1, P.n + 1):
             tag = P.defn[i]
@@ -330,45 +340,77 @@ def enumerate_automorphisms(P, budget=None, jobs=1, pruned=True, collect_maps=Fa
 
 
 def _conjugates_by(P, A, t):
-    """True iff A is conjugation by t, x -> t^-1 x t: t A(f_i) = f_i t for every
-    generator, two collections each.  A is already certified, so this skips
-    inner_from and its second verify."""
+    """True iff the certified automorphism A is conjugation by t, x -> t^-1 x t.
+
+    Checks t A(f_i) = f_i t for i <= d only, each side collected from the
+    exponent vector of its first factor.  That is enough: A and conjugation
+    by t are both automorphisms, and validate() makes Phi(G) = G_{d+1}, so
+    f_1..f_d generate G and their images determine each map.  A is already
+    certified, so this skips inner_from and its second verify.
+    """
     wt = pc.word_of(t)
+    conj = pc.conjugates(P)
     return all(
-        pc.collect(P, wt + pc.word_of(a)) == pc.collect(P, pc.word_of(f) + wt)
-        for f, a in zip(P.generators(), A.images)
+        pc._collect_into(P, list(t), pc.word_of(a), conj)
+        == pc._collect_into(P, list(f), wt, conj)
+        for f, a in zip(P.generators()[: P.minimal_count], A.images)
     )
+
+
+def _stream_conjugators(P, maps):
+    """au._conjugators over the index rows of the streamed maps, in one call.
+    Each distinct image is encoded once, since the maps share their image
+    tuples, and the rows are filled from a flat iterator of image numbers."""
+    n, t = P.n, get_tables(P)
+    if any(len(A.images) != n for A in maps):
+        raise Mismatch(f"a streamed map does not hold {n} images")
+    number = {}
+    rows = np.fromiter(
+        (number.setdefault(x, len(number)) for A in maps for x in A.images),
+        dtype=np.int32,
+        count=len(maps) * n,
+    )
+    try:
+        index = t.encode(list(number))
+    except ValueError as e:
+        raise Mismatch(f"a streamed image is not an element: {e}") from e
+    rows = index[rows].reshape(-1, n)  # rebinding frees the codes before the lookup
+    return au._conjugators(P, rows)
 
 
 def cross_validate(P, precomputed):
     """Check the oracle's count, enumerated with collect_maps=True, against
     the construction code.
 
-    (a) the oracle's inner tally equals |G/Z(G)|, so no inner map is labelled
-    non-inner; (b) every streamed map the inner test labels inner is
-    conjugation by its conjugator t, checked by pure collection as
-    t A(f_i) = f_i t on each generator, and their number equals the inner
-    tally; (c) when the witness construction succeeds, its output sits in
-    the oracle's order-p non-inner Frattini-fixing bucket.
+    The stream must hold count.total maps of n images each.  (a) the oracle's
+    inner tally equals |G/Z(G)|, so no inner map is labelled non-inner;
+    (b) the streamed maps are labelled in one lookup of the inner test's
+    table, each distinct image encoded once, and every map labelled inner is
+    conjugation by its lex-least conjugator t, checked by pure collection as
+    t A(f_i) = f_i t on f_1..f_d (see _conjugates_by); their number equals
+    the inner tally; (c) when the witness construction succeeds, its output
+    sits in the oracle's order-p non-inner Frattini-fixing bucket.  No
+    deadline applies here; the budget bounds the enumeration only.
     """
     count = precomputed
     if count.maps is None:
         raise ValueError("cross_validate needs a count with collected maps")
+    if len(count.maps) != count.total:
+        raise Mismatch(f"the stream holds {len(count.maps)} maps, the count says {count.total}")
 
     Z = st.center(P)
     if count.inner * Z.order != P.order:
         raise Mismatch(f"inner count {count.inner} != |G/Z(G)| = {P.order // Z.order}")
 
-    labeled_inner = 0
-    for A in count.maps:
-        lab, t_witness = au.is_inner(A)
-        if lab:
-            labeled_inner += 1
-            if not _conjugates_by(P, A, t_witness):
-                raise Mismatch(f"inner witness {t_witness} does not reproduce {A.images}")
-    if labeled_inner != count.inner:
+    t = get_tables(P)
+    found = _stream_conjugators(P, count.maps)
+    labeled = np.flatnonzero(found >= 0)
+    for k, c in zip(labeled.tolist(), t.decode(found[labeled]).tolist()):
+        if not _conjugates_by(P, count.maps[k], tuple(c)):
+            raise Mismatch(f"inner witness {tuple(c)} does not reproduce {count.maps[k].images}")
+    if len(labeled) != count.inner:
         raise Mismatch(
-            f"stream relabeling finds {labeled_inner} inner maps, count says {count.inner}"
+            f"stream relabeling finds {len(labeled)} inner maps, count says {count.inner}"
         )
 
     try:

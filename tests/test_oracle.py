@@ -117,20 +117,32 @@ def test_map_set_closed_under_composition():
         assert au.compose(A, B).images in image_set
 
 
-@pytest.mark.parametrize("name", ["h27", "m243"])
-def test_row_flags_and_images_match_collection(name):
-    P = pgw.load(name)
+@pytest.fixture(scope="module")
+def m3125_count():
+    """The p = 5 group's enumeration with its maps, shared by the tests here."""
+    return pgw.enumerate_automorphisms(load_group("m3125"), budget=300, jobs=1, collect_maps=True)
+
+
+@pytest.mark.parametrize("name", ["h27", "m243", "m3125"])
+def test_row_flags_and_images_match_collection(name, request):
+    # at p = 5 the classifier's power loop runs four times; a seeded sample of
+    # the 12500 maps keeps the pure aut_order() and apply() calls few
+    if name == "m3125":
+        maps = random.Random(3).sample(request.getfixturevalue("m3125_count").maps, 200)
+    else:
+        maps = pgw.enumerate_automorphisms(pgw.load(name), budget=300, collect_maps=True).maps
+    P = maps[0].parent
     ctx = oracle._prepare(P)
     t = ctx["t"]
-    maps = pgw.enumerate_automorphisms(P, budget=300, collect_maps=True).maps
+    xs = t.all[:: 97 if name == "m3125" else 7]  # a spread of elements
     rows = t.encode([A.images for A in maps])
     order_p, fixes_phi = oracle._row_flags(ctx, rows)
     F = pgw.frattini(P)
+    assert order_p.any() and not order_p.all() and fixes_phi.any() and not fixes_phi.all()
     for A, op, fp in zip(maps, order_p, fixes_phi):
         assert op == (au.aut_order(A) == P.p)
         assert fp == au.fixes_elementwise(A, F)
-    xs = t.all[::7]  # a spread of elements keeps the pure apply() calls few
-    for A, row in zip(maps, oracle._apply_rows(t, rows, xs)):
+    for A, row in zip(maps, oracle._apply_rows(t, oracle._powers(t, rows), xs)):
         assert row.tolist() == [t.encode(au.apply(A, tuple(t.decode(x).tolist()))) for x in xs]
 
 
@@ -181,12 +193,14 @@ def test_certify_rows_names_the_first_bad_row(demo_group, demo_oracle_count):
 
 
 def test_certify_rows_checks_the_deadline_between_blocks(demo_group, demo_oracle_count):
+    # all 4374 survivors go to one verify_rows call, which checks the deadline
+    # before each relation, so the call ends soon after the deadline passes
     P = demo_group
     ctx = oracle._prepare(P)
     rows = ctx["t"].encode([A.images for A in demo_oracle_count.maps])
-    assert len(rows) > oracle._CERTIFY
+    assert len(rows) == 4374
     start = time.monotonic()
-    with pytest.raises(pgw.OracleTimeout, match="after certifying"):
+    with pytest.raises(pgw.OracleTimeout, match="certifying 4374 rows"):
         oracle._certify_rows(ctx, rows, start + 0.03)
     assert time.monotonic() - start < 0.03 + BUDGET_SLACK_S
 
@@ -233,9 +247,9 @@ def test_small_blocks_change_nothing(monkeypatch):
     assert [A.images for A in a.maps] == [B.images for B in b.maps]
 
 
-def test_p5_group_counts_and_cross_validates():
-    P = load_group("m3125")
-    a = pgw.enumerate_automorphisms(P, budget=300, jobs=1, collect_maps=True)
+def test_p5_group_counts_and_cross_validates(m3125_count):
+    a = m3125_count
+    P = a.maps[0].parent
     assert a.total == 12500
     assert a.inner * pgw.center(P).order == P.order
     assert pgw.cross_validate(P, precomputed=a) is True
@@ -321,12 +335,81 @@ def test_conjugates_by_matches_inner_from():
 def test_cross_validation_catches_a_wrong_conjugator(monkeypatch):
     P = pgw.load("h27")
     count = pgw.enumerate_automorphisms(P, budget=60, collect_maps=True)
-    is_inner = au.is_inner
+    t = get_tables(P)
+    conjugators = au._conjugators
 
-    def shifted(A):
-        lab, t = is_inner(A)
-        return lab, (pgw.mul(P, t, P.generator(1)) if lab else t)
+    def shifted(P, rows):  # f_1 is not central, so t f_1 conjugates differently
+        found = conjugators(P, rows)
+        return np.where(found >= 0, t.mul(np.maximum(found, 0), t.strides[0]), -1)
 
-    monkeypatch.setattr(au, "is_inner", shifted)
+    monkeypatch.setattr(au, "_conjugators", shifted)
     with pytest.raises(pgw.Mismatch, match="does not reproduce"):
         pgw.cross_validate(P, precomputed=count)
+
+
+@pytest.mark.parametrize("name", ["h27", "m243", "g2187"])
+def test_stream_labels_match_is_inner(name, request):
+    if name == "g2187":
+        maps = request.getfixturevalue("demo_oracle_count").maps
+    else:
+        maps = pgw.enumerate_automorphisms(pgw.load(name), collect_maps=True).maps
+    P = maps[0].parent
+    t = get_tables(P)
+    found = oracle._stream_conjugators(P, maps)
+    assert len(found) == len(maps)
+    for A, x in zip(maps, found.tolist()):
+        inner, conjugator = au.is_inner(A)
+        assert (x >= 0) == inner
+        assert x < 0 or tuple(t.decode(x).tolist()) == conjugator
+
+
+def test_cross_validation_rejects_a_truncated_stream():
+    # every inner map is there, so the inner checks alone would pass
+    P = pgw.load("h27")
+    count = pgw.enumerate_automorphisms(P, budget=60, collect_maps=True)
+    inner_only = tuple(A for A in count.maps if au.is_inner(A)[0])
+    short = dataclasses.replace(count, maps=inner_only)
+    with pytest.raises(pgw.Mismatch, match="the stream holds 9 maps, the count says 432"):
+        pgw.cross_validate(P, precomputed=short)
+
+
+def _comm_sieve(ctx, mins, level):
+    """The sieve's relation check in its commutator form, as a reference:
+    [a, b] by t.comm (two inverses, three products) against w."""
+    P, t = ctx["P"], ctx["t"]
+    img = list(mins.T) + [None] * (P.n - ctx["d"])
+    for i in range(ctx["d"] + 1, P.n + 1):
+        tag = P.defn[i]
+        if tag[0] == "pow":
+            img[i - 1] = ctx["pth"][img[tag[1] - 1]]
+        else:
+            img[i - 1] = t.comm(img[tag[1] - 1], img[tag[2] - 1])
+    cut = int(t.strides[level - 1])
+    for rel in ctx["relations"]:
+        if rel[0] == "comm":
+            lhs = t.comm(img[rel[1] - 1], img[rel[2] - 1])
+        else:
+            lhs = ctx["pth"][img[rel[1] - 1]]
+        rhs = np.zeros_like(lhs)
+        for g, m in oracle._relation_word(P, rel):
+            for _ in range(m):
+                rhs = t.mul(rhs, img[g - 1])
+        ok = lhs // cut == rhs // cut
+        img = [x[ok] for x in img]
+    return np.stack(img, axis=1)
+
+
+@pytest.mark.parametrize(
+    "name, total", [("h27", 432), ("m243", 486), ("g2187", 4374), ("m3125", 12500)]
+)
+def test_sieve_matches_the_commutator_form(name, total):
+    P = load_group(name)
+    ctx = oracle._prepare(P)
+    t, d = ctx["t"], ctx["d"]
+    bases = np.concatenate(list(oracle._bases(P.p, d, np.arange(1, P.p**d)[:, None], None)))
+    rows = (bases * t.strides[d - 1]).astype(np.int32)
+    for level in range(d, P.n):
+        children = (rows[:, None, :d] + ctx["digits"] * t.strides[level]).reshape(-1, d)
+        rows = oracle._sieve(ctx, children, level + 1, None)
+        assert np.array_equal(rows, _comm_sieve(ctx, children, level + 1)), level + 1
+    assert len(rows) == total
