@@ -1,7 +1,8 @@
 """Command-line front end.
 
-    pgw {info|check|construct|count|demo} [<file>] [--with-oracle]
-        [--budget <sec>] [--jobs <k>] [--report <path>] [--format {text|json}]
+    pgw {info|check|construct|count|demo} [<file>] [--report <path>] [--format {text|json}]
+    pgw {construct|count|demo} ... [--budget <sec>] [--jobs <k>]
+    pgw {construct|demo} ... [--with-oracle]
 
 Exit codes: 0 success, 1 hypothesis not applicable, 2 input errors,
 3 internal contradiction (a certificate or cross-check failed, which means
@@ -78,12 +79,6 @@ def _parser():
                 nargs="?",
                 help="group file; omitted means the built-in example group",
             )
-        sp.add_argument("--with-oracle", action="store_true", dest="with_oracle",
-                        help="also enumerate the full automorphism group")
-        sp.add_argument("--budget", type=float, default=None, metavar="SEC",
-                        help="wall-clock budget for the oracle")
-        sp.add_argument("--jobs", type=int, default=1, metavar="K",
-                        help="worker processes for the oracle")
         sp.add_argument("--report", default=None, metavar="PATH",
                         help="write the JSON report to PATH")
         sp.add_argument("--format", choices=("text", "json"), default="text",
@@ -92,10 +87,18 @@ def _parser():
 
     add("info", "structural summary: order, class, center, Frattini, maximals")
     add("check", "decide the theorem hypotheses")
-    add("construct", "build and certify the non-inner automorphism")
-    add("count", "enumerate Aut(G) and cross-validate the tallies")
-    add("demo", "run the full pipeline on the built-in example group, "
-        "asserting every expected fact", with_file=False)
+    construct = add("construct", "build and certify the non-inner automorphism")
+    count = add("count", "enumerate Aut(G) and cross-validate the tallies")
+    demo = add("demo", "run the full pipeline on the built-in example group, "
+               "asserting every expected fact", with_file=False)
+    for sp in (construct, demo):
+        sp.add_argument("--with-oracle", action="store_true", dest="with_oracle",
+                        help="also enumerate the full automorphism group")
+    for sp in (construct, count, demo):
+        sp.add_argument("--budget", type=float, default=None, metavar="SEC",
+                        help="wall-clock budget for the oracle")
+        sp.add_argument("--jobs", type=int, default=1, metavar="K",
+                        help="worker processes for the oracle")
     return ap
 
 
@@ -122,7 +125,7 @@ def _run_oracle(P, args):
         P, budget=args.budget, jobs=args.jobs, collect_maps=True
     )
     ok = orc.cross_validate(P, precomputed=count)
-    return count, rp.oracle_section(count, cross_validated=ok)
+    return count, rp.oracle_section(count, ok)
 
 
 def _cmd_info(P, args, t0):

@@ -84,22 +84,20 @@ def verification_section(P, w):
     }
 
 
-def oracle_section(count, cross_validated=None):
-    sec = {
+def oracle_section(count, cross_validated):
+    return {
         "total": count.total,
         "inner": count.inner,
         "order_p_noninner_fixing_frattini": count.order_p_noninner_fixing_frattini,
+        "cross_validated": cross_validated,
     }
-    if cross_validated is not None:
-        sec["cross_validated"] = cross_validated
-    return sec
 
 
 def build(P, *, hypotheses=None, witness=None, verification=None, oracle=None, timing=None):
     """Assemble the six fixed sections; absent sections are null."""
     out = {}
     out["group"] = _canon(group_section(P))
-    out["hypotheses"] = _canon(hypotheses if hypotheses is not None else None)
+    out["hypotheses"] = _canon(hypotheses)
     out["witness"] = _canon(witness)
     out["verification"] = _canon(verification)
     out["oracle"] = _canon(oracle)
@@ -184,8 +182,7 @@ def render_text(rep):
         lines.append(
             f"  order-p non-inner fixing Phi(G) = {o['order_p_noninner_fixing_frattini']}"
         )
-        if "cross_validated" in o:
-            lines.append(f"  cross_validated: {str(o['cross_validated']).lower()}")
+        lines.append(f"  cross_validated: {str(o['cross_validated']).lower()}")
     t = rep["timing"]
     if t is not None:
         for key in sorted(t):

@@ -7,14 +7,14 @@ never by generating list (recorded generating sets are a convenience for
 reports and for generator-based tests).  All functions take a validated
 presentation and are pure; per-presentation results are memoized.
 Arithmetic is the index algebra of tables.GroupTables, on whole index arrays
-where a test runs over every element.  Phi(G) comes from the pc series, not
-from a closure: validate() makes Phi(G) = G_{d+1} = <f_{d+1}, ..., f_n>, whose
-elements are the first p^(n-d) indices, so G/Phi(G) is read off the first d
-digits and the maximal subgroups are the preimages of its hyperplanes.  Other
-subgroups defined by products, such as commutator subgroups and Phi(H) for
-rank, are built from generators: the normal closure of a few generator words,
-never a pass over all pairs (Holt, Eick & O'Brien, Handbook of Computational
-Group Theory, ch. 8).
+where a test runs over every element.  The pc series G_k = <f_k, ..., f_n>,
+whose elements are the first p^(n-k+1) indices, spares most closures: each
+subgroup's generators are read off its mask layer by layer (_layer_gens), and
+validate() makes Phi(G) = G_{d+1}, so G/Phi(G) is read off the first d digits
+and the maximal subgroups are the preimages of its hyperplanes.  Commutator
+subgroups and Phi(H) for rank are normal closures of a few generator words,
+never a pass over all pairs (Laue, Neubueser & Schoenwaelder, SOGOS, 1984;
+Holt, Eick & O'Brien, Handbook of Computational Group Theory, ch. 8).
 """
 
 from __future__ import annotations
@@ -24,21 +24,21 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import presentation as pc
 from .errors import NotAbelian, NotNormal
 from .tables import get_tables
 
 
 class Subgroup:
     """A subgroup as a read-only membership mask over the element indices,
-    with a recorded generating set (by default the lex-greedy one)."""
+    with its layer generators as exponent tuples (see _layer_gens)."""
 
-    def __init__(self, parent, mask, gens=None):
+    def __init__(self, parent, mask):
         self.parent = parent
         self.mask = mask
         self.mask.flags.writeable = False
         self.order = int(mask.sum())
-        self.gens = tuple(_greedy_gens(parent, self.indices()) if gens is None else gens)
+        t = get_tables(parent)
+        self.gens = tuple(_tuples(t, _layer_gens(t, mask)))
 
     @property
     def elements(self):
@@ -86,32 +86,34 @@ def _tuples(t, indices):
     return list(map(tuple, t.decode(indices).tolist()))
 
 
-def _greedy_gens(P, sorted_indices):
-    """Lex-greedy generating set: add each element not yet generated."""
-    t = get_tables(P)
+def _layer_gens(t, mask):
+    """Indices of H's layer generators: the least element of H in each slice
+    mask[s:2s], s = 1, p, p^2, ... (f_n's layer first).  With s = p^(n-k) the
+    slice holds the elements of H_k = H intersect G_k with f_k exponent 1, and
+    the f_k digit maps H_k onto F_p or 0 with kernel H_(k+1), so these are the
+    lex-greedy generators of H, one per nontrivial layer."""
     gens = []
-    cur = t.closure_mask(gens)
-    for i in map(int, sorted_indices):
-        if not cur[i]:
+    for s in map(int, t.strides[::-1]):
+        i = s + int(np.argmax(mask[s : 2 * s]))
+        if mask[i]:
             gens.append(i)
-            cur = t.closure_mask(gens)
-    return _tuples(t, gens)
+    return np.array(gens, dtype=np.int32)
 
 
 def closure(P, S):
-    """Smallest subgroup containing the elements of S (empty S gives 1)."""
+    """Smallest subgroup containing S (empty S gives 1); gens are its layer gens."""
     t = get_tables(P)
-    seeds = np.unique(t.encode(list(S)))
-    return Subgroup(P, t.closure_mask(seeds), _greedy_gens(P, seeds[seeds != 0]))
+    return Subgroup(P, t.closure_mask(t.encode(list(S))))
 
 
 @lru_cache(maxsize=None)
 def whole_group(P):
-    return Subgroup(P, np.ones(P.order, dtype=bool), P.generators())
+    """G, whose layer generators are f_n, ..., f_1."""
+    return Subgroup(P, np.ones(P.order, dtype=bool))
 
 
 def trivial_subgroup(P):
-    return Subgroup(P, get_tables(P).closure_mask([]), [])
+    return Subgroup(P, get_tables(P).all == 0)
 
 
 def _centralizer_mask(P, targets):
@@ -140,29 +142,26 @@ def center_of(P, H):
 
 
 def is_abelian(P, H=None):
-    gens = P.generators() if H is None else H.gens
-    one = pc.identity(P)
-    return all(
-        pc.comm(P, a, b) == one for i, a in enumerate(gens) for b in gens[i + 1 :]
-    )
+    t = get_tables(P)
+    gens = t.strides if H is None else t.encode(H.gens)
+    return bool(np.all(t.comm(gens[:, None], gens) == 0))
 
 
 def _normal_closure_mask(P, seeds, conjugators):
     """Mask of the smallest subgroup containing the seed indices and normalized
-    by the conjugators (generators of an overgroup, as element tuples)."""
+    by the conjugators (generators of an overgroup, as element tuples), in
+    rounds: close, then add the conjugates of the layer generators that fall
+    outside."""
     t = get_tables(P)
     hs = t.encode(conjugators)
-    gens = []
-    mask = t.closure_mask(gens)
-    queue = [int(s) for s in seeds]
-    while queue:
-        s = queue.pop()
-        if mask[s]:
-            continue
-        gens.append(s)
-        mask = t.closure_mask(gens)
-        queue += [int(t.conj(s, h)) for h in hs]
-    return mask
+    mask = t.closure_mask(seeds)
+    while True:
+        gens = _layer_gens(t, mask)
+        conj = t.conj(gens[:, None], hs).ravel()
+        outside = conj[~mask[conj]]
+        if not outside.size:
+            return mask
+        mask = t.closure_mask(np.concatenate([gens, outside]))
 
 
 def commutator_subgroup(P, A, B):
@@ -182,7 +181,7 @@ def derived(P):
 def agemo(P):
     """G^p = <g^p : g in G>."""
     t = get_tables(P)
-    return Subgroup(P, t.closure_mask(np.unique(t.pow(t.all, P.p))))
+    return Subgroup(P, t.closure_mask(t.pow(t.all, P.p)))
 
 
 def _frattini_mask(P, H):
@@ -191,19 +190,17 @@ def _frattini_mask(P, H):
     and generated by the images of those generators)."""
     t = get_tables(P)
     hidx = t.encode(H.gens)
-    seeds = list(t.pow(hidx, P.p))
-    seeds += [t.comm(a, b) for i, a in enumerate(hidx) for b in hidx[i + 1 :]]
+    seeds = np.concatenate([t.pow(hidx, P.p), t.comm(hidx[:, None], hidx).ravel()])
     return _normal_closure_mask(P, seeds, H.gens)
 
 
 @lru_cache(maxsize=None)
 def frattini(P):
-    """Phi(G) = <f_{d+1}, ..., f_n>: the indices whose first d digits are zero,
-    generated by f_n, ..., f_{d+1} (the lex-greedy order)."""
+    """Phi(G) = G_{d+1} = <f_{d+1}, ..., f_n>: the indices whose first d digits
+    are zero.  Each of its layers is full, so its layer generators are
+    f_n, ..., f_{d+1}."""
     t = get_tables(P)
-    d = P.minimal_count
-    gens = [P.generator(i) for i in range(P.n, d, -1)]
-    return Subgroup(P, t.all < t.strides[d - 1], gens)
+    return Subgroup(P, t.all < t.strides[P.minimal_count - 1])
 
 
 @dataclass(frozen=True)
@@ -319,13 +316,12 @@ def quotient_facts(P, A, B):
     """
     if not B <= A:
         raise NotNormal("B is not contained in A")
-    for a in A.gens:
-        for b in B.gens:
-            if pc.conj(P, b, a) not in B:
-                raise NotNormal(f"conjugate of {b} by {a} leaves B")
+    t = get_tables(P)
+    a, b = t.encode(A.gens), t.encode(B.gens)
+    leaves = np.argwhere(~B.mask[t.conj(b, a[:, None])])  # [i, j]: b_j ^ a_i
+    if leaves.size:
+        i, j = leaves[0]
+        raise NotNormal(f"conjugate of {B.gens[j]} by {A.gens[i]} leaves B")
     order = A.order // B.order
-    gens = A.gens
-    ea = all(pc.pow_(P, a, P.p) in B for a in gens) and all(
-        pc.comm(P, a, b) in B for i, a in enumerate(gens) for b in gens[i + 1 :]
-    )
+    ea = bool(B.mask[t.pow(a, P.p)].all() and B.mask[t.comm(a[:, None], a)].all())
     return {"order": order, "elementary_abelian": ea, "rank": _log(P.p, order) if ea else None}

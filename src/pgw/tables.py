@@ -125,18 +125,20 @@ class GroupTables:
 
     def closure_mask(self, seed_indices):
         """Boolean membership mask of the subgroup generated by the seeds,
-        by a BFS over one right-multiplication column per distinct seed."""
+        by a BFS over one right-multiplication column per distinct seed.  No
+        np.unique: it imports numpy.ma, about 15 ms of every CLI process."""
+        # x -> x * s, one seed at a time so that mul skips its zero exponents
+        cols = [self.mul(self.all, s) for s in dict.fromkeys(map(int, seed_indices)) if s]
         mask = np.zeros(self.N, dtype=bool)
         mask[0] = True
-        seeds = np.unique(np.asarray(seed_indices, dtype=np.int32))
-        # cols[i, x] = x * seed_i, one seed at a time so that mul skips its zero exponents
-        cols = [self.mul(self.all, s) for s in seeds[seeds != 0]]
-        cols = np.array(cols, dtype=np.int32).reshape(-1, self.N)
         frontier = np.flatnonzero(mask)
-        while frontier.size:
-            prods = np.unique(cols[:, frontier])
-            frontier = prods[~mask[prods]]
-            mask[frontier] = True
+        while cols and frontier.size:
+            fresh = []
+            for col in cols:  # col permutes G and the reached mask drops repeats
+                prods = col[frontier]
+                fresh.append(prods[~mask[prods]])
+                mask[fresh[-1]] = True
+            frontier = np.concatenate(fresh)
         return mask
 
 

@@ -294,6 +294,23 @@ def test_demo_rejects_file_argument():
         cli.main(["demo", data_path("h27")])
 
 
+# each flag is registered only on the subcommands that read it
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["info", data_path("c9"), "--jobs", "2"],
+        ["check", data_path("c9"), "--budget", "5"],
+        ["count", data_path("c9"), "--with-oracle"],
+    ],
+    ids=["info-jobs", "check-budget", "count-with-oracle"],
+)
+def test_flag_on_a_subcommand_that_ignores_it_exits_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "pgw.cli", "info", "--format", "json"],

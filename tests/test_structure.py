@@ -106,6 +106,46 @@ def test_maximals_are_genuinely_maximal_and_normal(name):
                 assert pgw.conj(P, m, t) in M
 
 
+def _greedy_gens_reference(P, mask):
+    """Lex-greedy generating set of the subgroup with this mask: walk it in
+    index order and add each element not yet generated, one closure per
+    generator added."""
+    t = get_tables(P)
+    gens = []
+    cur = t.closure_mask(gens)
+    for i in np.flatnonzero(mask):
+        if not cur[i]:
+            gens.append(i)
+            cur = t.closure_mask(gens)
+    return tuple(st._tuples(t, gens))
+
+
+@pytest.mark.parametrize("name", ALL_NAMES + FAMILY_NAMES)
+def test_layer_gens_match_greedy_reference(name):
+    # Subgroup reads one generator per pc layer off the mask; the reference
+    # finds the same set by closures
+    P = load_group(name)
+    rng = random.Random(5)
+    maxes = pgw.maximal_subgroups(P)
+    subgroups = [
+        st.whole_group(P),
+        st.trivial_subgroup(P),
+        pgw.center(P),
+        pgw.frattini(P),
+        pgw.derived(P),
+        pgw.agemo(P),
+        *maxes,
+        *(pgw.center_of(P, M) for M in maxes),
+        *pgw.upper_central_series(P).terms,
+        *pgw.lower_central_series(P).terms,
+    ]
+    elems = st.whole_group(P).elements
+    for _ in range(3):
+        subgroups.append(pgw.closure(P, [elems[rng.randrange(P.order)] for _ in range(2)]))
+    for H in subgroups:
+        assert H.gens == _greedy_gens_reference(P, H.mask)
+
+
 def _lifted_basis_reference(P):
     """Phi(G) as a normal closure, and the maximals as hyperplanes in the
     coordinates of a lex-least lifted basis of G/Phi(G), each Phi-coset
@@ -141,7 +181,7 @@ def test_pc_frattini_and_maximals_match_lifted_basis(name):
     got = [pgw.frattini(P)] + list(pgw.maximal_subgroups(P))
     want = [F] + maxes
     assert [(H.mask.tolist(), H.gens, H.order) for H in got] == [
-        (H.mask.tolist(), H.gens, H.order) for H in want
+        (H.mask.tolist(), _greedy_gens_reference(P, H.mask), H.order) for H in want
     ]
 
 
@@ -289,6 +329,18 @@ def test_generator_subgroups_match_all_pairs(name):
         assert got.mask.tolist() == ref.tolist()
         term = got
     assert term.order == 1
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_normal_closure_matches_all_conjugates(name):
+    # the closure of one element is rarely normal, so the rounds that add
+    # conjugates of the layer generators are exercised here
+    P = pgw.load(name)
+    t = get_tables(P)
+    rng = random.Random(3)
+    for x in [int(t.strides[0])] + [rng.randrange(P.order) for _ in range(4)]:
+        got = st._normal_closure_mask(P, [x], P.generators())
+        assert got.tolist() == t.closure_mask(t.conj(x, t.all)).tolist()
 
 
 def test_quotient_facts_rejects_nonnormal():
