@@ -1,10 +1,12 @@
 """Automorphisms as generator-image maps.
 
 A GenMap is an unverified candidate: one image per pc generator.  The
-certificate is pure collection.  verify_rows() takes a batch of image rows
-and checks them relation-major: each defining relation becomes an equality
-of two words in the images, and each side is collected once per distinct
-tuple of images it reads, with no inverses and no table.  Surjectivity is
+certificate is pure collection.  verify_rows() takes a batch of image rows,
+numbers their distinct images and hands the numbered rows to verify_coded(),
+which the oracle calls directly.  It checks them relation-major: each
+defining relation becomes an equality of two words in the images, and each
+side is collected once per distinct tuple of images it reads, with no
+inverses and no table.  Surjectivity is
 Burnside's basis test: a verified endomorphism is onto iff the images of
 f_1..f_d span G/Phi(G), which validate() makes the first d exponents.
 verify() is verify_rows() on one row.  On top of that sit conjugation maps
@@ -21,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from operator import eq, itemgetter
 
 import numpy as np
 
@@ -136,7 +137,9 @@ def verify_rows(P, rows, deadline=None):
     anything else is a ValueError, as a wrong number of images is.  The
     collector would read (4, 0) on C3 x C3 as the word f_1^4 = f_1, but the
     certified map keeps its images as given, and is_inner, apply and the
-    tables know each element by its normal form only.
+    tables know each element by its normal form only.  The images are
+    numbered in order of appearance, and each is checked in the first row
+    that holds it; the rows then go to verify_coded as numbers.
 
     A row drops out at its first failing relation, and so do the rows after
     it, which can no longer be the first to fail.  Returns None when every
@@ -147,8 +150,6 @@ def verify_rows(P, rows, deadline=None):
     ends near the oracle's budget.
     """
     n, p = P.n, P.p
-    # number the distinct images in order of appearance; a row becomes the
-    # numbers of its images
     number, coded = {}, []
     failed = None
     for k, row in enumerate(rows):
@@ -156,12 +157,26 @@ def verify_rows(P, rows, deadline=None):
         if len(row) != n:
             failed = k, ValueError(f"need {n} images, got {len(row)}")
             break
-        bad = _off_normal_form(row, n, p)
+        bad = _off_normal_form([x for x in row if x not in number], n, p)
         if bad is not None:
             failed = k, ValueError(f"image {bad} is not a normal form: need {n} ints in 0..{p - 1}")
             break
         coded.append([number.setdefault(x, len(number)) for x in row])
-    forms = list(number)
+    if len(coded) > 1:  # one row, as from verify, stays a list: no numpy on that path
+        coded = np.array(coded)
+    found = verify_coded(P, list(number), coded, deadline)
+    return failed if found is None else found
+
+
+def verify_coded(P, forms, coded, deadline=None):
+    """verify_rows on rows of image numbers: row k maps f_i to
+    forms[coded[k][i - 1]].  forms are distinct normal forms; coded is a list
+    of one row or an (R, n) integer array.  While more than one row is live,
+    the numbers of the images that a side reads are keyed with numpy, each
+    distinct key is collected once, the values are numbered, and the two
+    sides are compared as integer arrays.  Returns None or (k, error) for
+    the first failing row k, as verify_rows does."""
+    n, p = P.n, P.p
     words = [pc.word_of(x) for x in forms]
     conj = pc.conjugates(P)  # handed to the collector, which would look it up per call
 
@@ -173,65 +188,92 @@ def verify_rows(P, rows, deadline=None):
             w += words[r[g - 1]] * m
         return pc._collect_into(P, list(forms[r[start - 1]]) if start else [0] * n, w, conj)
 
-    def collected(live, start, letters):
-        """value() for each live row, once per distinct tuple of images read."""
-        if len(live) == 1:  # nothing to share
-            return [value(coded[live[0]], start, letters)]
+    def numbered(m, start, letters, results):
+        """The number in results of value() on each of rows 0..m-1, collected
+        once per distinct tuple of images read."""
         reads = [g - 1 for g, _ in letters]
         if start:
             reads.insert(0, start - 1)
         reads = list(dict.fromkeys(reads))  # A(f_i)^p reads A(f_i) once
         if not reads:
-            return [value(None, 0, ())] * len(live)
-        batch = [coded[k] for k in live]
-        keys = list(map(itemgetter(*reads), batch))
-        memo = dict(zip(keys, batch))  # a row for each key, then its value
-        for key, r in memo.items():
-            memo[key] = value(r, start, letters)
-        return list(map(memo.__getitem__, keys))
+            return np.full(m, results.setdefault(value(None, 0, ()), len(results)))
+        first, inverse = _distinct_rows(coded[:m, reads])
+        found = [results.setdefault(value(r, start, letters), len(results))
+                 for r in coded[first].tolist()]
+        return np.array(found)[inverse]
 
-    live = list(range(len(coded)))  # the rows that hold every relation so far
+    def differ(m, left, right):
+        """(q, lhs, rhs) for the first of rows 0..m-1 whose two sides, each a
+        (start, letters) pair, differ, or None."""
+        if m == 1:  # nothing to share
+            lhs, rhs = value(coded[0], *left), value(coded[0], *right)
+            return None if lhs == rhs else (0, lhs, rhs)
+        results = {}
+        lhs, rhs = numbered(m, *left, results), numbered(m, *right, results)
+        where = np.flatnonzero(lhs != rhs)
+        if not where.size:
+            return None
+        q, values = int(where[0]), list(results)
+        return q, values[lhs[q]], values[rhs[q]]
+
+    m = len(coded)  # rows 0..m-1 hold every relation so far
+    failed = None
     for i in range(1, n + 1):
-        if not live:
+        if not m:
             return failed
         if deadline is not None:  # no message to format on verify's path
             check_deadline(deadline, f"certifying {len(coded)} rows, at f_{i}^{p}")
-        lhs = collected(live, i, ((i, p - 1),))
-        rhs = collected(live, 0, P.power_rel[i - 1])
-        if lhs != rhs:
-            q = list(map(eq, lhs, rhs)).index(False)
-            failed = live[q], RelationViolated(f"power relation f_{i}^{p}: {lhs[q]} != {rhs[q]}")
-            live = live[:q]
+        bad = differ(m, (i, ((i, p - 1),)), (0, P.power_rel[i - 1]))
+        if bad is not None:
+            m, lhs, rhs = bad
+            failed = m, RelationViolated(f"power relation f_{i}^{p}: {lhs} != {rhs}")
     for i in range(2, n + 1):
         for j in range(1, i):
-            if not live:
+            if not m:
                 return failed
             if deadline is not None:
                 check_deadline(deadline, f"certifying {len(coded)} rows, at [f_{i},f_{j}]")
             w = P.comm_rel.get((i, j), ())
-            lhs = collected(live, i, ((j, 1),))
-            rhs = collected(live, j, ((i, 1),) + w)
-            if lhs != rhs:
-                q = list(map(eq, lhs, rhs)).index(False)
-                r = coded[live[q]]
+            bad = differ(m, (i, ((j, 1),)), (j, ((i, 1),) + w))
+            if bad is not None:
+                m = bad[0]
+                r = coded[m]
                 lhs = pc.comm(P, forms[r[i - 1]], forms[r[j - 1]])
-                failed = live[q], RelationViolated(
+                failed = m, RelationViolated(
                     f"commutator relation [f_{i},f_{j}]: {lhs} != {value(r, 0, w)}"
                 )
-                live = live[:q]
-    if not live:
+    if not m:
         return failed
     if not P.validated:
-        return live[0], ValueError("surjectivity needs a validated presentation")
+        return 0, ValueError("surjectivity needs a validated presentation")
     d = P.minimal_count
-    ranks = {}
-    for k in live:
-        key = tuple([forms[c][:d] for c in coded[k][:d]])
-        if key not in ranks:
-            ranks[key] = _rank_mod_p(key, p)
-        if ranks[key] != d:
-            return k, NotSurjective("images do not generate the group")
+    if m == 1:
+        if _rank_mod_p([forms[c][:d] for c in coded[0][:d]], p) != d:
+            return 0, NotSurjective("images do not generate the group")
+        return failed
+    # number the images' first d exponents, so that rows with the same
+    # d x d matrix share one rank
+    used, at = np.unique(coded[:m, :d], return_inverse=True)
+    heads = {}
+    codes = np.array([heads.setdefault(forms[c][:d], len(heads)) for c in used.tolist()])
+    matrices = codes[at].reshape(m, d)
+    first, inverse = _distinct_rows(matrices)
+    heads = list(heads)
+    ranks = [_rank_mod_p([heads[h] for h in r], p) for r in matrices[first].tolist()]
+    k = np.flatnonzero((np.array(ranks) != d)[inverse])
+    if k.size:
+        return int(k[0]), NotSurjective("images do not generate the group")
     return failed
+
+
+def _distinct_rows(keys):
+    """(first, inverse) for the rows of a 2-d integer array: the index of one
+    row for each distinct row, and the distinct row of each row."""
+    keys = np.ascontiguousarray(keys)
+    if keys.shape[1] > 1:  # one void scalar per row, compared bytewise
+        keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))
+    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    return first, inverse
 
 
 def compose(A, B):

@@ -1,26 +1,36 @@
 """Brute-force enumeration of Aut(G), independent of the construction code.
 
 A map is fixed by the images of the d minimal generators; the defn tags force
-the rest.  The pruned route lifts those images one pc layer at a time (Eick,
-Leedham-Green & O'Brien, Comm. Algebra 30, 2002; Handbook of Computational
-Group Theory, ch. 8-9).  Each G_k = <f_k, ..., f_n> is normal and the first k
-digits of an index are its image in G/G_{k+1}, so an automorphism satisfies
-every relation modulo every G_{k+1}.  A level-k node is a tuple of minimal
-images modulo G_{k+1} that does.  validate() makes Phi(G) = G_{d+1}, so the
-level-d nodes are GL(d, p).  A node's p^d children add one digit to each
-minimal image, and _sieve keeps those whose relations hold one level down,
-with the index algebra of tables.py; a commutator relation [a, b] = w is
-tested as a b = b a w, with no inverse.  The level-n survivors are exactly
-the automorphisms.  Each block of them that the lift yields is re-certified
-in one call to the pure collection of automorphisms.verify_rows: relation by
-relation, each distinct side is collected once per block, and the tables are
-not read.  The classifier works on the same blocks.  An automorphism is fixed
-by its images of f_1..f_d, which generate G, so order p is read off those d
-columns, with the powers of every image built once per block; it fixes
-Phi(G) = <f_{d+1}, ..., f_n> elementwise iff the other columns hold f_{d+1},
-..., f_n.  Inner maps are found in the inner test's table of conjugation
-images.  The unpruned route pushes every |G|^d tuple through verify, one map
-at a time; the two must agree exactly.
+the rest.  The pruned route lifts those images one pc layer at a time, down
+the central series of the pc presentation (Eick, Leedham-Green & O'Brien,
+Comm. Algebra 30, 2002; Handbook of Computational Group Theory, ch. 8-9).
+Each G_k = <f_k, ..., f_n> is normal and the first k digits of an index are
+its image in G/G_{k+1}, so an automorphism satisfies every relation modulo
+every G_{k+1}.  A level-k node is a tuple of minimal images modulo G_{k+1}
+that does.  validate() makes Phi(G) = G_{d+1}, so the level-d nodes are
+GL(d, p).  A node's p^d children add one digit to each minimal image, that
+is, multiply it by an element z of G_{k+1}.  validate() also enforces the
+weighted form, so G_{k+1}/G_{k+2} is central in G/G_{k+2}: modulo G_{k+2},
+z drops out of every commutator and z^p is trivial.  Each non-minimal
+generator is a commutator or a p-th power by its defn tag, and each relation
+sets a commutator or a p-th power equal to a word in f_{d+1}..f_n, so modulo
+G_{k+2} a child's forced images and both sides of its relations are its
+parent's: the p^d children hold one level down all together or not at all.
+So _sieve checks each level-k node once at level k + 1, where its new digits
+are zero, with the index algebra of tables.py, and only the nodes that pass
+are expanded into their children; a commutator relation [a, b] = w is tested
+as a b = b a w, with no inverse.  At level n the children only need their
+forced images, and they are exactly the automorphisms.  Each block of them
+that the lift yields is re-certified in one call to the pure collection of
+automorphisms.verify_coded, with each distinct image decoded once: relation
+by relation, each distinct side is collected once per block, and the tables
+are not read.  The classifier works on the same blocks.  An automorphism is
+fixed by its images of f_1..f_d, which generate G, so order p is read off
+those d columns, with the powers of every image built once per block; it
+fixes Phi(G) = <f_{d+1}, ..., f_n> elementwise iff the other columns hold
+f_{d+1}, ..., f_n.  Inner maps are found in the inner test's table of
+conjugation images.  The unpruned route pushes every |G|^d tuple through
+verify, one map at a time; the two must agree exactly.
 
 The sieve's tables come from the parsed relations by induction down the pc
 series and verify collects, so pruned == unpruned tests that induction and the
@@ -33,9 +43,10 @@ it a second time: the map is certified and f_1..f_d generate G.
 Work is partitioned into chunks of level-d nodes by the image of f_1 modulo
 Phi(G); counts are summed and the optional map stream is sorted by image
 vectors, so the output does not depend on the job count.  The lift is depth
-first with at most _ROWS children per _sieve call, which bounds memory.  The
-budget is checked per level, per block of nodes, between sieve relations and
-inside verify_rows before each relation of a certified block.
+first, with at most _ROWS nodes per _sieve call and at most _ROWS children
+(or one node's p^d) per block, which bounds memory.  The budget is checked
+per level, per block of nodes, between sieve relations and inside
+verify_coded before each relation of a certified block.
 cross_validate runs after the enumeration and has no deadline.
 """
 
@@ -83,7 +94,7 @@ def _check_defns(P):
 # worker state shared through fork(); set by the parent right before the pool starts
 _WORK = {}
 
-_ROWS = 1 << 13  # child rows per _sieve call; bounds the lift's memory (census peak RSS)
+_ROWS = 1 << 13  # nodes per _sieve call and rows per lift block; bounds the lift's memory
 
 
 def _prepare(P):
@@ -110,16 +121,9 @@ def _relation_word(P, rel):
     return P.comm_rel.get(rel[1:], ()) if rel[0] == "comm" else P.power_rel[rel[1] - 1]
 
 
-def _sieve(ctx, mins, level, deadline):
-    """Vectorized relation check modulo G_{level+1}.
-
-    mins: (rows, d) indices of candidate images of the minimal generators.
-    The images of the others are forced by their defn tags.  Both sides of
-    every relation are cut to their first `level` digits, which is their
-    image in G/G_{level+1}.  A commutator relation [a, b] = w is checked as
-    a b = b a w, which holds modulo the normal subgroup G_{level+1} exactly
-    when [a, b] = w does.  Returns the (survivors, n) image-index matrix.
-    """
+def _force(ctx, mins):
+    """The image columns of f_1..f_n: the columns of mins, (rows, d) indices
+    of minimal images, then the images that the defn tags force."""
     P, t = ctx["P"], ctx["t"]
     img = list(mins.T) + [None] * (P.n - ctx["d"])
     for i in range(ctx["d"] + 1, P.n + 1):
@@ -128,7 +132,24 @@ def _sieve(ctx, mins, level, deadline):
             img[i - 1] = ctx["pth"][img[tag[1] - 1]]
         else:
             img[i - 1] = t.comm(img[tag[1] - 1], img[tag[2] - 1])
+    return img
 
+
+def _sieve(ctx, mins, level, deadline):
+    """Vectorized relation check modulo G_{level+1}.
+
+    mins: (rows, d) indices of candidate images of the minimal generators;
+    _force adds the others.  Both sides of every relation are cut to their
+    first `level` digits, which is their image in G/G_{level+1}.  A
+    commutator relation [a, b] = w is checked as a b = b a w, which holds
+    modulo the normal subgroup G_{level+1} exactly when [a, b] = w does.
+    Returns the (survivors, n) image-index matrix.  _lift passes level-
+    (level - 1) nodes, whose digit `level` is zero: G_level/G_{level+1} is
+    central in G/G_{level+1}, so a node's verdict here is that of each of
+    its children.
+    """
+    P, t = ctx["P"], ctx["t"]
+    img = _force(ctx, mins)
     cut = int(t.strides[level - 1])
     for rel in ctx["relations"]:
         if len(img[0]) == 0:
@@ -174,38 +195,47 @@ def _bases(p, d, part, deadline):
         yield from _bases(p, d, np.column_stack([part[s : s + per][m], code]), deadline)
 
 
-def _lift(ctx, rows, level, deadline):
-    """The level-n nodes below the level-`level` nodes, depth first, in blocks.
+def _lift(ctx, nodes, level, deadline):
+    """The level-n nodes below the level-`level` nodes, depth first, in
+    blocks of (rows, n) image rows.
 
-    rows: (nodes, >= d) image rows whose first d columns are the minimal
-    images.  A child adds e_j * p^(n-level-1) to the j-th minimal image for
-    each e in F_p^d; _sieve keeps the children that hold one level down.
+    nodes: (count, >= d) rows whose first d columns are minimal images with
+    zero digits past `level`.  A child adds e_j * p^(n-level-1) to the j-th
+    minimal image for each e in F_p^d, a factor from G_{level+1}, which is
+    central modulo G_{level+2}; so modulo G_{level+2} the child's forced
+    images and relation sides are its parent's (see the module docstring).
+    Each node is therefore sieved once at level + 1, with its new digits
+    zero, and only the nodes that pass are expanded, each into all its p^d
+    children.  At level n the children only need their forced images.
     """
-    if level == ctx["P"].n:
-        yield rows
+    P, d = ctx["P"], ctx["d"]
+    if level == P.n:
+        yield np.stack(_force(ctx, nodes[:, :d]), axis=1)
         return
     steps = ctx["digits"] * ctx["t"].strides[level]
     per = max(1, _ROWS // len(steps))
-    for s in range(0, len(rows), per):
+    for s in range(0, len(nodes), _ROWS):
         check_deadline(deadline, f"at level {level + 1}")
-        children = (rows[s : s + per, None, : ctx["d"]] + steps).reshape(-1, ctx["d"])
-        yield from _lift(ctx, _sieve(ctx, children, level + 1, deadline), level + 1, deadline)
+        kept = _sieve(ctx, nodes[s : s + _ROWS, :d], level + 1, deadline)
+        for r in range(0, len(kept), per):
+            children = (kept[r : r + per, None, :d] + steps).reshape(-1, d)
+            yield from _lift(ctx, children, level + 1, deadline)
 
 
 def _certify_rows(ctx, rows, deadline):
-    """Pure re-verification of one block of sieve survivors (at most _ROWS
-    rows) in one automorphisms.verify_rows call, which checks the deadline
-    before each relation; any rejection is a route bug."""
-    P, t = ctx["P"], ctx["t"]
-    # decode each distinct image once, so that the kept maps share their tuples
+    """Pure re-verification of one block of sieve survivors in one
+    automorphisms.verify_coded call, which checks the deadline before each
+    relation; any rejection is a route bug.  Each distinct image is decoded
+    once, so the certified maps share their image tuples."""
     distinct, inverse = np.unique(rows, return_inverse=True)
-    forms = st._tuples(t, distinct)
-    maps = [tuple(forms[i] for i in row) for row in inverse.reshape(rows.shape).tolist()]
-    failed = au.verify_rows(P, maps, deadline)
+    forms = st._tuples(ctx["t"], distinct)
+    coded = inverse.reshape(rows.shape)
+    failed = au.verify_coded(ctx["P"], forms, coded, deadline)
     if failed is not None:
         k, e = failed
-        raise Mismatch(f"sieve accepted {maps[k]} but pure verification rejected it: {e}") from e
-    return maps
+        bad = tuple(forms[c] for c in coded[k])
+        raise Mismatch(f"sieve accepted {bad} but pure verification rejected it: {e}") from e
+    return [tuple(map(forms.__getitem__, row)) for row in coded.tolist()]
 
 
 def _powers(t, rows):

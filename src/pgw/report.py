@@ -31,14 +31,14 @@ def _canon(x):
     return x
 
 
-def _subgroup_entry(P, H, with_center=False):
+def _subgroup_entry(P, H, Z=None):
+    """H's generators, order and abelianness, and its center Z when given."""
     entry = {
         "generators": [st.word_str(P, g) for g in H.gens],
         "order": H.order,
         "abelian": st.is_abelian(P, H),
     }
-    if with_center:
-        Z = st.center_of(P, H)
+    if Z is not None:
         entry["center_generators"] = [st.word_str(P, g) for g in Z.gens]
         entry["center_order"] = Z.order
     return entry
@@ -58,7 +58,8 @@ def group_section(P):
         "center": _subgroup_entry(P, Z),
         "frattini": _subgroup_entry(P, F),
         "maximal_subgroups": [
-            _subgroup_entry(P, M, with_center=True) for M in st.maximal_subgroups(P)
+            _subgroup_entry(P, M, ZM)
+            for M, ZM in zip(st.maximal_subgroups(P), st.maximal_centers(P))
         ],
     }
 

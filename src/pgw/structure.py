@@ -261,6 +261,12 @@ def maximal_subgroups(P):
     return tuple(Subgroup(P, coords @ phi % P.p == 0) for phi in _dual_vectors(P.p, d))
 
 
+@lru_cache(maxsize=None)
+def maximal_centers(P):
+    """Z(M) for each maximal subgroup M, in the order of maximal_subgroups."""
+    return tuple(center_of(P, M) for M in maximal_subgroups(P))
+
+
 def _dual_vectors(p, d):
     """Nonzero vectors of F_p^d up to scalar, first nonzero entry 1, lex order."""
     vecs = []

@@ -124,22 +124,29 @@ class GroupTables:
         return self.mul(self.mul(self.inv(t), a), t)
 
     def closure_mask(self, seed_indices):
-        """Boolean membership mask of the subgroup generated by the seeds,
-        by a BFS over one right-multiplication column per distinct seed.  No
-        np.unique: it imports numpy.ma, about 15 ms of every CLI process."""
-        # x -> x * s, one seed at a time so that mul skips its zero exponents
-        cols = [self.mul(self.all, s) for s in dict.fromkeys(map(int, seed_indices)) if s]
+        """Boolean membership mask of the subgroup generated by the seeds.
+        Seeds are taken in order, skipping those already in the closure;
+        each one taken adds its right-multiplication column, and a BFS from
+        the whole closure grows it.  A seed taken at least multiplies the
+        order by p, so at most n columns are built, however many seeds
+        there are."""
+        seeds = np.asarray(seed_indices, dtype=np.int64).ravel()
         mask = np.zeros(self.N, dtype=bool)
         mask[0] = True
-        frontier = np.flatnonzero(mask)
-        while cols and frontier.size:
-            fresh = []
-            for col in cols:  # col permutes G and the reached mask drops repeats
-                prods = col[frontier]
-                fresh.append(prods[~mask[prods]])
-                mask[fresh[-1]] = True
-            frontier = np.concatenate(fresh)
-        return mask
+        cols = []
+        while True:
+            seeds = seeds[~mask[seeds]]
+            if not seeds.size:
+                return mask
+            cols.append(self.mul(self.all, seeds[0]))  # one seed: mul skips its zero exponents
+            frontier = np.flatnonzero(mask)
+            while frontier.size:
+                fresh = []
+                for col in cols:  # col permutes G and the reached mask drops repeats
+                    prods = col[frontier]
+                    fresh.append(prods[~mask[prods]])
+                    mask[fresh[-1]] = True
+                frontier = np.concatenate(fresh)
 
 
 @lru_cache(maxsize=None)

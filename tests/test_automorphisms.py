@@ -253,6 +253,31 @@ def test_verify_rows_stops_at_the_first_failure():
     assert (k, type(e), str(e)) == (1, ValueError, "need 3 images, got 2")
 
 
+@pytest.mark.parametrize("k", [0, 137, 299])
+def test_verify_rows_checks_each_image_once(demo_group, demo_oracle_count, monkeypatch, k):
+    P = demo_group
+    maps = [A.images for A in demo_oracle_count.maps]
+    rows = maps[:300]
+    bad = (P.p,) + (0,) * (P.n - 1)
+    rows[k] = rows[k][:3] + (bad,) + rows[k][4:]
+    want = f"image {bad} is not a normal form: need {P.n} ints in 0..{P.p - 1}"
+    with pytest.raises(ValueError) as err:
+        au.verify(au.GenMap(P, rows[k]))
+    assert str(err.value) == want
+    checked = []
+    off = au._off_normal_form
+
+    def recording(images, n, p):
+        checked.extend(images)
+        return off(images, n, p)
+
+    monkeypatch.setattr(au, "_off_normal_form", recording)
+    failed = au.verify_rows(P, rows)
+    assert (failed[0], type(failed[1]), str(failed[1])) == (k, ValueError, want)
+    seen = {x for row in rows[: k + 1] for x in row}
+    assert sorted(checked) == sorted(seen)  # each distinct image once, up to row k
+
+
 def test_aut_order_examples(demo_group):
     assert au.aut_order(au.identity_automorphism(demo_group)) == 1
     assert au.aut_order(_printed_alpha(demo_group)) == 3

@@ -1,9 +1,13 @@
 """Hypothesis checks across the corpus."""
 
+import importlib.resources
+
 import pytest
 
 import pgw
+from pgw import groupfile
 from pgw import hypotheses as hy
+from pgw import report
 from pgw import structure as st
 
 from conftest import ALL_NAMES
@@ -164,3 +168,23 @@ def test_to_dict_counterexample_words():
     assert isinstance(ce["maximal"], int)
     assert isinstance(ce["m"], str) and ce["m"].startswith("g")
     assert isinstance(ce["g"], str)
+
+
+def test_each_maximal_center_is_built_once(monkeypatch):
+    # a fresh parse, so that no cached result of another test is read
+    text = importlib.resources.files("pgw").joinpath("data/g2187.pg").read_text()
+    P = groupfile.parse_text(text).presentation
+    calls = []
+    center_of = st.center_of
+
+    def counting(P, H):
+        calls.append(H)
+        return center_of(P, H)
+
+    monkeypatch.setattr(st, "center_of", counting)
+    hy.check_theorem_hypotheses(P)
+    report.group_section(P)
+    maximals = st.maximal_subgroups(P)
+    # Z(M) once per maximal M, and Z(Phi(G)) once for the corollary
+    assert len(calls) == len(maximals) + 1
+    assert calls[: len(maximals)] == list(maximals)

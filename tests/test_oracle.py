@@ -413,3 +413,66 @@ def test_sieve_matches_the_commutator_form(name, total):
         rows = oracle._sieve(ctx, children, level + 1, None)
         assert np.array_equal(rows, _comm_sieve(ctx, children, level + 1)), level + 1
     assert len(rows) == total
+
+
+def _lift_reference(ctx, rows, level):
+    """The lift _lift replaced: every child of every node goes through
+    _sieve one level down, in blocks of at most _ROWS children."""
+    if level == ctx["P"].n:
+        yield rows
+        return
+    steps = ctx["digits"] * ctx["t"].strides[level]
+    per = max(1, oracle._ROWS // len(steps))
+    for s in range(0, len(rows), per):
+        children = (rows[s : s + per, None, : ctx["d"]] + steps).reshape(-1, ctx["d"])
+        yield from _lift_reference(ctx, oracle._sieve(ctx, children, level + 1, None), level + 1)
+
+
+def _level_d_nodes(ctx):
+    P, t, d = ctx["P"], ctx["t"], ctx["d"]
+    bases = np.concatenate(list(oracle._bases(P.p, d, np.arange(1, P.p**d)[:, None], None)))
+    return (bases * t.strides[d - 1]).astype(np.int32)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS) + ["m3125"])
+def test_lift_matches_the_children_sieve(name):
+    P = load_group(name)
+    ctx = oracle._prepare(P)
+    mins = _level_d_nodes(ctx)
+    got = np.concatenate(list(oracle._lift(ctx, mins, ctx["d"], None)))
+    assert np.array_equal(got, np.concatenate(list(_lift_reference(ctx, mins, ctx["d"]))))
+
+
+def test_lift_level_sizes_g2187(demo_group, monkeypatch):
+    sizes = {}
+    lift = oracle._lift
+
+    def counting(ctx, nodes, level, deadline):
+        sizes[level] = sizes.get(level, 0) + len(nodes)
+        return lift(ctx, nodes, level, deadline)
+
+    monkeypatch.setattr(oracle, "_lift", counting)
+    ctx = oracle._prepare(demo_group)
+    rows = np.concatenate(list(oracle._lift(ctx, _level_d_nodes(ctx), ctx["d"], None)))
+    assert len(rows) == 4374
+    assert [sizes[k] for k in sorted(sizes)] == [48, 162, 486, 1458, 4374, 4374]
+
+
+@pytest.mark.parametrize("name", sorted(MODELS) + ["m3125"])
+def test_children_share_their_parents_verdict(name):
+    # G_{k+1}/G_{k+2} is central in G/G_{k+2}, so at each level the p^d
+    # children of a node pass the sieve all together or not at all, exactly
+    # when the node itself passes one level down
+    P = load_group(name)
+    ctx = oracle._prepare(P)
+    d, width = ctx["d"], len(ctx["digits"])
+    nodes = _level_d_nodes(ctx)
+    for level in range(d, P.n):
+        children = (nodes[:, None, :d] + ctx["digits"] * ctx["t"].strides[level]).reshape(-1, d)
+        survivors = oracle._sieve(ctx, children, level + 1, None)
+        kept = set(map(tuple, survivors[:, :d].tolist()))
+        passed = np.array([c in kept for c in map(tuple, children.tolist())]).reshape(-1, width)
+        assert (passed.all(axis=1) | ~passed.any(axis=1)).all(), level + 1
+        alone = set(map(tuple, oracle._sieve(ctx, nodes[:, :d], level + 1, None)[:, :d].tolist()))
+        assert passed[:, 0].tolist() == [r in alone for r in map(tuple, nodes[:, :d].tolist())]
+        nodes = survivors

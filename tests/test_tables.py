@@ -156,3 +156,48 @@ def test_closure_mask_with_identity_and_repeated_seeds():
     assert t.closure_mask(gens[:2]).all()
     redundant = [0] + gens[2:] + gens[:2] + list(t.all)
     assert t.closure_mask(redundant).all()
+
+
+def _closure_mask_reference(t, seeds):
+    """The closure BFS closure_mask replaced: one right-multiplication column
+    for every distinct nonidentity seed, built up front."""
+    cols = [t.mul(t.all, s) for s in dict.fromkeys(map(int, seeds)) if s]
+    mask = np.zeros(t.N, dtype=bool)
+    mask[0] = True
+    frontier = np.flatnonzero(mask)
+    while cols and frontier.size:
+        fresh = []
+        for col in cols:
+            prods = col[frontier]
+            fresh.append(prods[~mask[prods]])
+            mask[fresh[-1]] = True
+        frontier = np.concatenate(fresh)
+    return mask
+
+
+@pytest.mark.parametrize("name", ["g2187", "m243"])
+def test_closure_mask_builds_at_most_n_columns(name, monkeypatch):
+    P = pgw.load(name)
+    t = tables.get_tables(P)
+    rng = random.Random(f"closure-{name}")
+    seed_sets = [
+        t.pow(t.all, P.p),  # every p-th power, as agemo seeds it
+        t.comm(t.all[:, None], t.strides).ravel(),  # every [x, f_k]
+        t.all,
+        t.strides[::-1],
+        [0, 0],
+        [],
+    ] + [rng.sample(range(t.N), k) for k in (1, 2, 3, 30)]
+    expected = [_closure_mask_reference(t, seeds) for seeds in seed_sets]
+    built = []
+    mul = t.mul
+
+    def counting(a, b):
+        built.append(b)
+        return mul(a, b)
+
+    monkeypatch.setattr(t, "mul", counting)
+    for seeds, want in zip(seed_sets, expected):
+        built.clear()
+        assert np.array_equal(t.closure_mask(seeds), want)
+        assert len(built) <= P.n
