@@ -58,13 +58,10 @@ def identity_automorphism(P):
 
 
 def apply(A, x):
-    """Image of x: substitute generator images into its normal-form word."""
-    P = A.parent
-    acc = pc.identity(P)
-    for i, e in enumerate(x):
-        if e:
-            acc = pc.mul(P, acc, pc.pow_(P, A.images[i], e))
-    return acc
+    """Image of x: substitute generator images into its normal-form word,
+    A(f_1)^x_1 ... A(f_n)^x_n, and collect it as one word."""
+    w = [letter for img, e in zip(A.images, x) for letter in pc.word_of(img) * e]
+    return pc.collect(A.parent, w)
 
 
 def _rank_mod_p(rows, p):

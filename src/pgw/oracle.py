@@ -222,11 +222,12 @@ def _lift(ctx, nodes, level, deadline):
             yield from _lift(ctx, children, level + 1, deadline)
 
 
-def _certify_rows(ctx, rows, deadline):
+def _certify_rows(ctx, rows, deadline, keep=False):
     """Pure re-verification of one block of sieve survivors in one
     automorphisms.verify_coded call, which checks the deadline before each
     relation; any rejection is a route bug.  Each distinct image is decoded
-    once, so the certified maps share their image tuples."""
+    once.  Returns the certified maps as image tuples, which share those
+    decoded images, when keep is set, and otherwise the rows themselves."""
     distinct, inverse = np.unique(rows, return_inverse=True)
     forms = st._tuples(ctx["t"], distinct)
     coded = inverse.reshape(rows.shape)
@@ -235,6 +236,8 @@ def _certify_rows(ctx, rows, deadline):
         k, e = failed
         bad = tuple(forms[c] for c in coded[k])
         raise Mismatch(f"sieve accepted {bad} but pure verification rejected it: {e}") from e
+    if not keep:
+        return rows
     return [tuple(map(forms.__getitem__, row)) for row in coded.tolist()]
 
 
@@ -295,7 +298,7 @@ def _run_chunk(args):
     for bases in _bases(P.p, d, firsts[:, None], deadline):
         mins = (bases * t.strides[d - 1]).astype(np.int32)  # digits past d are zero
         for rows in _lift(ctx, mins, d, deadline):
-            certified = _certify_rows(ctx, rows, deadline)
+            certified = _certify_rows(ctx, rows, deadline, collect_maps)
             i, b = _classify_rows(ctx, rows)
             total, inner, bucket = total + len(certified), inner + i, bucket + b
             if collect_maps:

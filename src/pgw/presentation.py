@@ -25,7 +25,21 @@ form of (f_k^e_k)^{f_j} = (f_k [f_k, f_j])^e_k.  `conjugates` stores those
 words on the presentation, and `validate` hands them on.  Conjugating by
 f_j is collection in G_{j+1} = <f_{j+1}, ..., f_n>, which needs only the
 rows for f_{j+1}..f_n, so the collector builds the table itself from j = n
-down to 1; there is no second collector to bootstrap it.
+down to 1; there is no second collector to bootstrap it.  On a validated
+presentation a letter f_j^m first drops the whole multiples of
+|G_j| = p^(n-j+1) from m.
+
+The derived operations never collect an inverse word, whose negative
+letters each expand into an inverted power word.  inv, comm and conj are
+left division (Sims, Computation with Finitely Presented Groups, ch. 9):
+_solve finds the x with u x = v one pc letter at a time, since right
+multiplication by f_k^x adds x to digit k modulo p and leaves the digits
+before it alone.  So inv(a) solves a x = 1, comm(a, b) solves b a x = a b
+and conj(a, t) solves t x = a t.  pow_ writes a^k as the product of
+(a^(p^i))^(k_i) over the base-p digits k_i of k, one collection of the
+concatenated words, with each a^(p^i) collected once from the term before
+it; a negative k is reduced modulo ord(a) = p^m, read off the same chain
+of p-th powers that element_order counts.
 """
 
 from __future__ import annotations
@@ -132,6 +146,9 @@ def _collect_into(P, e, w, table=None):
     while stack:
         j, m = pop()
         if not (0 < m < p):
+            if P.validated:  # f_j lies in G_j, of order p^(n-j+1)
+                r = abs(m) % p ** (P.n - j + 1)
+                m = r if m > 0 else -r
             if not m:
                 continue
             r = m % p
@@ -182,43 +199,75 @@ def mul(P, a, b):
     return _collect_into(P, list(a), word_of(b))
 
 
+def _solve(P, u, v):
+    """The x with u x = v, by left division one pc letter at a time.
+
+    cur = NF(u f_1^x_1 ... f_{k-1}^x_{k-1}) already agrees with v in digits
+    1..k-1.  G_k is normal and |G_k / G_{k+1}| = p, so right multiplication
+    by f_k^x adds x to digit k modulo p and leaves the digits before it
+    alone: x_k = v_k - cur_k modulo p.
+    """
+    p = P.p
+    table = conjugates(P)
+    cur = list(u)
+    x = [0] * P.n
+    for k, vk in enumerate(v):
+        xk = (vk - cur[k]) % p
+        if xk:
+            x[k] = xk
+            _collect_into(P, cur, ((k + 1, xk),), table)
+    return tuple(x)
+
+
 def inv(P, a):
-    return collect(P, inverse_word(word_of(a)))
-
-
-def pow_(P, a, k):
-    if k < 0:
-        a = inv(P, a)
-        k = -k
-    result = identity(P)
-    base = a
-    while k:
-        if k & 1:
-            result = mul(P, result, base)
-        base = mul(P, base, base)
-        k >>= 1
-    return result
+    return _solve(P, a, identity(P))
 
 
 def comm(P, a, b):
-    return mul(P, mul(P, inv(P, a), inv(P, b)), mul(P, a, b))
+    """[a, b] = a^-1 b^-1 a b, the x with b a x = a b."""
+    return _solve(P, mul(P, b, a), mul(P, a, b))
 
 
 def conj(P, a, t):
-    return mul(P, mul(P, inv(P, t), a), t)
+    """a^t = t^-1 a t, the x with t x = a t."""
+    return _solve(P, t, mul(P, a, t))
+
+
+def _p_powers(P, a, limit=None):
+    """The terms a^(p^i) = (a^(p^(i-1)))^p with p^i <= limit, each one
+    collection, stopping before the identity; with no limit, ord(a) is p to
+    the number of terms."""
+    p, one = P.p, identity(P)
+    chain = []
+    x = tuple(a)
+    while x != one and (limit is None or p ** len(chain) <= limit):
+        if len(chain) == P.n:
+            raise SizeCap(f"element order exceeded group order, arithmetic bug: {a}")
+        chain.append(x)
+        x = _collect_into(P, list(x), word_of(x) * (p - 1))
+    return chain
+
+
+def pow_(P, a, k):
+    """a^k as the product of (a^(p^i))^(k_i) over the base-p digits k_i of k,
+    collected as one word; powers of a commute.  A negative k is first
+    reduced modulo ord(a), so no inverse is formed."""
+    p = P.p
+    if k < 0:
+        chain = _p_powers(P, a)
+        k %= p ** len(chain)
+    else:
+        chain = _p_powers(P, a, k)
+    w = []
+    for x in chain:
+        k, digit = divmod(k, p)
+        w += word_of(x) * digit
+    return collect(P, w)
 
 
 def element_order(P, a):
     """Least k >= 1 with a^k = 1; always a power of p in a p-group."""
-    order = 1
-    x = a
-    e = identity(P)
-    while x != e:
-        x = pow_(P, x, P.p)
-        order *= P.p
-        if order > P.order:
-            raise SizeCap(f"element order exceeded group order, arithmetic bug: {a}")
-    return order
+    return P.p ** len(_p_powers(P, a))
 
 
 def size_cap(**given):

@@ -145,7 +145,7 @@ def test_group_of_order_7_to_the_5(capsys, tmp_path):
         assert rep["verification"]["certified"] is True
         assert rep["verification"]["order"] == 7
 
-    code, out = run(capsys, "count", str(f), "--format", "json", "--budget", "2")
+    code, out = run(capsys, "count", str(f), "--format", "json", "--budget", "0.5")
     assert code == 2
     assert "budget" in out
 

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import importlib.resources
 import random
+import time
 import weakref
 
 import pytest
@@ -349,3 +350,65 @@ def test_comm_definition_consistency(name, data):
         P, pgw.mul(P, pgw.inv(P, a), pgw.inv(P, b)), pgw.mul(P, a, b)
     )
     assert pgw.comm(P, a, b) == expect
+
+
+def _exponents(rng, P, order):
+    """k = 0, +-1, +-p^m for m <= n, +-ord(a), and seeded |k| up to 2 p^n."""
+    ks = [0, 1, -1, order, -order]
+    ks += [s * P.p**m for m in range(P.n + 1) for s in (1, -1)]
+    ks += [rng.randint(-2 * P.order, 2 * P.order) for _ in range(6)]
+    return ks
+
+
+@pytest.mark.parametrize("name", ALL_NAMES + FAMILY_NAMES)
+def test_derived_operations_match_index_algebra(name):
+    # left division and p-adic powers against the index algebra, which is
+    # built from the relations by induction and never collects
+    P = load_group(name)
+    t = tables.get_tables(P)
+    rng = random.Random(41)
+    for _ in range(60):
+        a, b, c = (_random_element(rng, P) for _ in range(3))
+        x, y, z = (int(t.encode(e)) for e in (a, b, c))
+        assert t.encode(pc.inv(P, a)) == t.inv(x)
+        assert t.encode(pc.comm(P, a, b)) == t.comm(x, y)
+        assert t.encode(pc.conj(P, a, c)) == t.conj(x, z)
+        order = 1
+        while t.pow(x, order) != 0:
+            order *= P.p
+        assert pc.element_order(P, a) == order
+        for k in _exponents(rng, P, order):
+            assert t.encode(pc.pow_(P, a, k)) == t.pow(x, k), (a, k)
+
+
+@pytest.mark.parametrize("name", ["h27", "q8", "g2187", "m3125"])
+def test_derived_operations_form_no_inverse_word(name, monkeypatch):
+    P = load_group(name)
+    rng = random.Random(43)
+    cases = []
+    for _ in range(40):
+        a, b = _random_element(rng, P), _random_element(rng, P)
+        k = rng.randint(-2 * P.order, 2 * P.order)
+        cases.append((a, b, k, pc.inv(P, a), pc.comm(P, a, b), pc.conj(P, a, b), pc.pow_(P, a, k)))
+
+    def refuse(w):
+        raise AssertionError(f"inverse word formed for {w}")
+
+    monkeypatch.setattr(pc, "inverse_word", refuse)
+    with pytest.raises(AssertionError, match="inverse word"):
+        pc.collect(P, ((1, -1),))  # the guard bites on a negative letter
+    for a, b, k, *want in cases:
+        got = [pc.inv(P, a), pc.comm(P, a, b), pc.conj(P, a, b), pc.pow_(P, a, k)]
+        assert got == want, (a, b, k)
+
+
+@pytest.mark.parametrize("k", [10**12, -(10**12), 10**6 + 1, -(10**6 + 1)])
+def test_collect_reduces_large_exponents(k):
+    # f_1 lies in G_1 = G, so a letter f_1^k needs only k modulo |G|
+    P = pgw.load("g2187")
+    t = tables.get_tables(P)
+    start = time.perf_counter()
+    got = pgw.collect(P, ((1, k),))
+    assert time.perf_counter() - start < 1.0
+    assert got == pgw.pow_(P, P.generator(1), k)
+    assert t.encode(got) == t.pow(t.strides[0], k)
