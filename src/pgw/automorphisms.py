@@ -1,28 +1,26 @@
 """Automorphisms as generator-image maps.
 
 A GenMap is an unverified candidate: one image per pc generator.  The
-certificate is pure collection.  verify_rows() takes a batch of image rows,
-numbers their distinct images and hands the numbered rows to verify_coded(),
-which the oracle calls directly.  It checks them relation-major: each
-defining relation becomes an equality of two words in the images, and each
-side is collected once per distinct tuple of images it reads, with no
-inverses and no table.  Surjectivity is
+certificate is pure collection.  verify() checks that a map's images are
+normal forms, numbers the distinct ones and hands the numbered row to
+verify_coded(), which the oracle calls directly on whole blocks of rows.  It
+checks them relation-major: each defining relation becomes an equality of
+two words in the images, and each side is collected once per distinct tuple
+of images it reads, with no inverses and no table.  Surjectivity is
 Burnside's basis test: a verified endomorphism is onto iff the images of
-f_1..f_d span G/Phi(G), which validate() makes the first d exponents.
-verify() is verify_rows() on one row.  On top of that sit conjugation maps
-(inner_from), the inner test, the maximal-subgroup extension map and the full
-witness construction.  The inner test looks the generator images up in one
-cached table of the inner maps' image rows and their lex-least conjugators,
-computed with the index algebra of tables.py; the oracle's classifier reads
-the same table, and its cross-validation re-checks every inner label by
-collection.
+f_1..f_d span G/Phi(G), which validate() makes the first d exponents.  On
+top of that sit conjugation maps (inner_from), the inner test, the
+maximal-subgroup extension map and the full witness construction.  The inner
+test looks the generator images up in one cached table of the inner maps'
+image rows and their lex-least conjugators, computed with the index algebra
+of tables.py; the oracle's classifier reads the same table, and its
+cross-validation re-checks every inner label by collection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -82,27 +80,31 @@ def _rank_mod_p(rows, p):
     return rank
 
 
-def _off_normal_form(images, n, p):
-    """The first of the images that is not a normal form, a length-n tuple of
-    ints in 0..p-1, or None.  Plain ints in range pass without a per-entry
-    loop."""
-    flat = list(chain.from_iterable(images))
-    if set(map(len, images)) == {n} and set(map(type, flat)) == {int}:
-        if min(flat) >= 0 and max(flat) < p:
-            return None
-    for x in images:
-        if len(x) != n or not all(isinstance(v, (int, np.integer)) and 0 <= v < p for v in x):
-            return x
-    return None
-
-
 def verify(A):
     """Certify a GenMap: every relation must hold under the map and the
-    images must generate the group.  This is verify_rows on one row, so a
-    rejected map raises the exception verify_rows reports for it."""
+    images must generate the group; a rejected map raises the error that
+    verify_coded reports for it.
+
+    Every image must be a normal form, a length-n tuple of ints in 0..p-1;
+    anything else is a ValueError, as a wrong number of images is.  The
+    collector would read (4, 0) on C3 x C3 as the word f_1^4 = f_1, but the
+    certified map keeps its images as given, and is_inner, apply and the
+    tables know each element by its normal form only.  The distinct images
+    are numbered in order, each checked once, and the row goes to
+    verify_coded as numbers."""
     P = A.parent
+    n, p = P.n, P.p
     images = tuple(map(tuple, A.images))
-    failed = verify_rows(P, [images])
+    if len(images) != n:
+        raise ValueError(f"need {n} images, got {len(images)}")
+    number = {}
+    for x in images:
+        if x in number:
+            continue
+        if len(x) != n or not all(isinstance(v, (int, np.integer)) and 0 <= v < p for v in x):
+            raise ValueError(f"image {x} is not a normal form: need {n} ints in 0..{p - 1}")
+        number[x] = len(number)
+    failed = verify_coded(P, list(number), [[number[x] for x in images]])
     if failed is not None:
         try:
             raise failed[1]
@@ -111,68 +113,38 @@ def verify(A):
     return Automorphism(P, images)
 
 
-def verify_rows(P, rows, deadline=None):
-    """Certify a batch of image rows by pure collection, relation by relation.
+def verify_coded(P, forms, coded, deadline=None):
+    """Certify rows of image numbers by pure collection, relation by relation.
 
-    A row holds candidate images A(f_1), ..., A(f_n).  Each relation is an
-    equality of words in the images: f_i^p = w holds iff A(f_i)^p = w(A), and
-    [f_i, f_j] = w holds iff A(f_i) A(f_j) = A(f_j) A(f_i) w(A), where w(A)
-    spells w in the images.  The relations go in a fixed order, the powers of
-    f_1..f_n, then the commutators [f_i, f_j] for i > j.  For each relation,
-    each side is collected once per distinct tuple of images that it reads
-    (A(f_i) and A(f_j) for the left side of [f_i, f_j]), from the exponent
-    vector of the image it starts with, and the two sides are compared row
-    by row.  No inverse is formed; only a failing commutator relation is
-    recomputed with comm for its message.  Once every relation holds a row is
-    an endomorphism, and by Burnside's basis theorem it is onto iff it is onto
-    modulo Phi(G).  validate() makes Phi(G) = <f_{d+1}, ..., f_n> with d the
-    minimal generator count, so the map is onto iff the first d exponents of
-    A(f_1), ..., A(f_d) form a d x d matrix of rank d mod p.  The memos live
-    for one relation of one call, and nothing is read from the tables.
-
-    Every image must be a normal form, a length-n tuple of ints in 0..p-1;
-    anything else is a ValueError, as a wrong number of images is.  The
-    collector would read (4, 0) on C3 x C3 as the word f_1^4 = f_1, but the
-    certified map keeps its images as given, and is_inner, apply and the
-    tables know each element by its normal form only.  The images are
-    numbered in order of appearance, and each is checked in the first row
-    that holds it; the rows then go to verify_coded as numbers.
+    Row k maps f_i to forms[coded[k][i - 1]], where forms are distinct normal
+    forms and coded is a list of one row or an (R, n) integer array.  Each
+    relation is an equality of words in the images: f_i^p = w holds iff
+    A(f_i)^p = w(A), and [f_i, f_j] = w holds iff A(f_i) A(f_j) =
+    A(f_j) A(f_i) w(A), where w(A) spells w in the images.  The relations go
+    in a fixed order, the powers of f_1..f_n, then the commutators [f_i, f_j]
+    for i > j.  For each relation, each side is collected once per distinct
+    tuple of images that it reads (A(f_i) and A(f_j) for the left side of
+    [f_i, f_j]), from the exponent vector of the image it starts with, and
+    the two sides are compared row by row.  While more than one row is live,
+    the numbers of the images that a side reads are keyed with numpy, each
+    distinct key is collected once, the values are numbered, and the two
+    sides are compared as integer arrays.  No inverse is formed; only a
+    failing commutator relation is recomputed with comm for its message.
+    Once every relation holds a row is an endomorphism, and by Burnside's
+    basis theorem it is onto iff it is onto modulo Phi(G).  validate() makes
+    Phi(G) = <f_{d+1}, ..., f_n> with d the minimal generator count, so the
+    map is onto iff the first d exponents of A(f_1), ..., A(f_d) form a
+    d x d matrix of rank d mod p.  The memos live for one relation of one
+    call, and nothing is read from the tables.
 
     A row drops out at its first failing relation, and so do the rows after
     it, which can no longer be the first to fail.  Returns None when every
     row is an automorphism, else (k, error) for the first failing row k, where
     error is the exception verify raises for that row alone.  deadline, a
     time.monotonic() value or None, is checked before each relation and
-    raises OracleTimeout once passed, so one call over a large batch still
+    raises OracleTimeout once passed, so one call over a large block still
     ends near the oracle's budget.
     """
-    n, p = P.n, P.p
-    number, coded = {}, []
-    failed = None
-    for k, row in enumerate(rows):
-        row = tuple(map(tuple, row))
-        if len(row) != n:
-            failed = k, ValueError(f"need {n} images, got {len(row)}")
-            break
-        bad = _off_normal_form([x for x in row if x not in number], n, p)
-        if bad is not None:
-            failed = k, ValueError(f"image {bad} is not a normal form: need {n} ints in 0..{p - 1}")
-            break
-        coded.append([number.setdefault(x, len(number)) for x in row])
-    if len(coded) > 1:  # one row, as from verify, stays a list: no numpy on that path
-        coded = np.array(coded)
-    found = verify_coded(P, list(number), coded, deadline)
-    return failed if found is None else found
-
-
-def verify_coded(P, forms, coded, deadline=None):
-    """verify_rows on rows of image numbers: row k maps f_i to
-    forms[coded[k][i - 1]].  forms are distinct normal forms; coded is a list
-    of one row or an (R, n) integer array.  While more than one row is live,
-    the numbers of the images that a side reads are keyed with numpy, each
-    distinct key is collected once, the values are numbered, and the two
-    sides are compared as integer arrays.  Returns None or (k, error) for
-    the first failing row k, as verify_rows does."""
     n, p = P.n, P.p
     words = [pc.word_of(x) for x in forms]
     conj = pc.conjugates(P)  # handed to the collector, which would look it up per call

@@ -121,9 +121,7 @@ def _emit(args, rep, extra_lines=()):
 
 
 def _run_oracle(P, args):
-    count = orc.enumerate_automorphisms(
-        P, budget=args.budget, jobs=args.jobs, collect_maps=True
-    )
+    count = orc.enumerate_automorphisms(P, budget=args.budget, jobs=args.jobs)
     ok = orc.cross_validate(P, precomputed=count)
     return count, rp.oracle_section(count, ok)
 
@@ -155,7 +153,7 @@ def _cmd_construct(P, args, t0):
         )
         _emit(args, rep, extra_lines=["hypotheses not applicable; no witness constructed"])
         return 1
-    w = au.construct_theorem_witness(P, skip_hypothesis_check=True)
+    w = au.construct_theorem_witness(P)
     oracle_sec = None
     elapsed_oracle = None
     if args.with_oracle:
@@ -251,7 +249,7 @@ def _cmd_demo(args, t0):
     chk("printed automorphism fixes Phi(G) elementwise",
         au.fixes_elementwise(alpha, F))
 
-    w = au.construct_theorem_witness(P, skip_hypothesis_check=True)
+    w = au.construct_theorem_witness(P)
     chk("witness construction succeeds", True)
     chk("constructed automorphism has order 3", au.aut_order(w.A) == 3)
     chk("constructed automorphism is non-inner", not au.is_inner(w.A)[0])

@@ -41,13 +41,14 @@ conjugator t, t A(f_i) = f_i t for i <= d, by collection, without certifying
 it a second time: the map is certified and f_1..f_d generate G.
 
 Work is partitioned into chunks of level-d nodes by the image of f_1 modulo
-Phi(G); counts are summed and the optional map stream is sorted by image
-vectors, so the output does not depend on the job count.  The lift is depth
-first, with at most _ROWS nodes per _sieve call and at most _ROWS children
-(or one node's p^d) per block, which bounds memory.  The budget is checked
-per level, per block of nodes, between sieve relations and inside
-verify_coded before each relation of a certified block.
-cross_validate runs after the enumeration and has no deadline.
+Phi(G), with at most one worker per chunk; counts are summed and the map
+stream, which both routes always return, is sorted by image vectors, so the
+output does not depend on the job count.  The lift is depth first, with at
+most _ROWS nodes per _sieve call and at most _ROWS children (or one node's
+p^d) per block, which bounds memory.  The budget is checked per level, per
+block of nodes, between sieve relations and inside verify_coded before each
+relation of a certified block.  cross_validate runs after the enumeration
+and has no deadline.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class AutCount:
     inner: int
     order_p_noninner_fixing_frattini: int
     elapsed: float
-    maps: tuple = None  # certified Automorphisms, sorted by image vectors, when collected
+    maps: tuple  # the certified Automorphisms, sorted by image vectors
 
 
 def _check_defns(P):
@@ -222,12 +223,12 @@ def _lift(ctx, nodes, level, deadline):
             yield from _lift(ctx, children, level + 1, deadline)
 
 
-def _certify_rows(ctx, rows, deadline, keep=False):
+def _certify_rows(ctx, rows, deadline):
     """Pure re-verification of one block of sieve survivors in one
     automorphisms.verify_coded call, which checks the deadline before each
     relation; any rejection is a route bug.  Each distinct image is decoded
-    once.  Returns the certified maps as image tuples, which share those
-    decoded images, when keep is set, and otherwise the rows themselves."""
+    once.  Returns the certified maps as image tuples, one per row, which
+    share those decoded images."""
     distinct, inverse = np.unique(rows, return_inverse=True)
     forms = st._tuples(ctx["t"], distinct)
     coded = inverse.reshape(rows.shape)
@@ -236,8 +237,6 @@ def _certify_rows(ctx, rows, deadline, keep=False):
         k, e = failed
         bad = tuple(forms[c] for c in coded[k])
         raise Mismatch(f"sieve accepted {bad} but pure verification rejected it: {e}") from e
-    if not keep:
-        return rows
     return [tuple(map(forms.__getitem__, row)) for row in coded.tolist()]
 
 
@@ -290,7 +289,7 @@ def _classify_rows(ctx, rows):
 def _run_chunk(args):
     """Lift, certify and classify the level-d nodes whose image of f_1
     modulo Phi(G) has one of the given codes."""
-    firsts, deadline, collect_maps = args
+    firsts, deadline = args
     ctx = _WORK["ctx"]
     P, t, d = ctx["P"], ctx["t"], ctx["d"]
     total = inner = bucket = 0
@@ -298,15 +297,13 @@ def _run_chunk(args):
     for bases in _bases(P.p, d, firsts[:, None], deadline):
         mins = (bases * t.strides[d - 1]).astype(np.int32)  # digits past d are zero
         for rows in _lift(ctx, mins, d, deadline):
-            certified = _certify_rows(ctx, rows, deadline, collect_maps)
+            maps += _certify_rows(ctx, rows, deadline)
             i, b = _classify_rows(ctx, rows)
-            total, inner, bucket = total + len(certified), inner + i, bucket + b
-            if collect_maps:
-                maps += certified
+            total, inner, bucket = total + len(rows), inner + i, bucket + b
     return total, inner, bucket, maps
 
 
-def _enumerate_unpruned(P, deadline, collect_maps):
+def _enumerate_unpruned(P, deadline):
     """Pure route: every |G|^d tuple through verify, no tables, no pruning."""
     d = P.minimal_count
     total = inner = bucket = 0
@@ -331,16 +328,16 @@ def _enumerate_unpruned(P, deadline, collect_maps):
             inner += 1
         elif au.aut_order(A) == P.p and au.fixes_elementwise(A, F):
             bucket += 1
-        if collect_maps:
-            maps.append(A)
+        maps.append(A)
     return total, inner, bucket, maps
 
 
-def enumerate_automorphisms(P, budget=None, jobs=1, pruned=True, collect_maps=False):
-    """Count (and optionally collect) all automorphisms of G.
+def enumerate_automorphisms(P, budget=None, jobs=1, pruned=True):
+    """Count and collect all automorphisms of G.
 
     budget: wall-clock seconds before OracleTimeout; jobs: worker processes
-    for the pruned path; pruned=False selects the pure exhaustive route.
+    for the pruned path, never more than it has chunks; pruned=False selects
+    the pure exhaustive route.
     """
     if not P.validated:
         raise PreconditionFailed("presentation must be validated first")
@@ -349,8 +346,8 @@ def enumerate_automorphisms(P, budget=None, jobs=1, pruned=True, collect_maps=Fa
     deadline = start + budget if budget is not None else None
 
     if not pruned:
-        total, inner, bucket, maps = _enumerate_unpruned(P, deadline, collect_maps)
-        maps = tuple(sorted(maps, key=lambda A: A.images)) if collect_maps else None
+        total, inner, bucket, maps = _enumerate_unpruned(P, deadline)
+        maps = tuple(sorted(maps, key=lambda A: A.images))
         return AutCount(total, inner, bucket, time.monotonic() - start, maps)
 
     ctx = _prepare(P)
@@ -358,17 +355,15 @@ def enumerate_automorphisms(P, budget=None, jobs=1, pruned=True, collect_maps=Fa
     firsts = np.arange(1, P.p ** ctx["d"])  # nonzero images of f_1 modulo Phi(G)
     jobs = max(1, int(jobs))
     if jobs == 1:
-        results = [_run_chunk((firsts, deadline, collect_maps))]
+        results = [_run_chunk((firsts, deadline))]
     else:
-        tasks = [(c, deadline, collect_maps) for c in np.array_split(firsts, jobs * 4) if len(c)]
-        with multiprocessing.get_context("fork").Pool(jobs) as pool:
+        tasks = [(c, deadline) for c in np.array_split(firsts, jobs * 4) if len(c)]
+        with multiprocessing.get_context("fork").Pool(min(jobs, len(tasks))) as pool:
             results = pool.map(_run_chunk, tasks)
 
     total, inner, bucket = (sum(r[k] for r in results) for k in range(3))
-    maps = None
-    if collect_maps:
-        images = sorted(img for r in results for img in r[3])
-        maps = tuple(au.Automorphism(P, img) for img in images)
+    images = sorted(img for r in results for img in r[3])
+    maps = tuple(au.Automorphism(P, img) for img in images)
     return AutCount(total, inner, bucket, time.monotonic() - start, maps)
 
 
@@ -412,8 +407,8 @@ def _stream_conjugators(P, maps):
 
 
 def cross_validate(P, precomputed):
-    """Check the oracle's count, enumerated with collect_maps=True, against
-    the construction code.
+    """Check the oracle's count and its map stream against the construction
+    code.
 
     The stream must hold count.total maps of n images each.  (a) the oracle's
     inner tally equals |G/Z(G)|, so no inner map is labelled non-inner;
@@ -426,8 +421,6 @@ def cross_validate(P, precomputed):
     deadline applies here; the budget bounds the enumeration only.
     """
     count = precomputed
-    if count.maps is None:
-        raise ValueError("cross_validate needs a count with collected maps")
     if len(count.maps) != count.total:
         raise Mismatch(f"the stream holds {len(count.maps)} maps, the count says {count.total}")
 

@@ -141,9 +141,7 @@ def demo_group():
 def demo_oracle_count(demo_group):
     """One full enumeration of Aut for the demo group, shared by every test
     that needs it (it is the expensive step)."""
-    return pgw.enumerate_automorphisms(
-        demo_group, budget=600, jobs=1, collect_maps=True
-    )
+    return pgw.enumerate_automorphisms(demo_group, budget=600, jobs=1)
 
 
 def model_order(name):

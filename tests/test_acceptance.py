@@ -195,8 +195,8 @@ def test_criterion_5_oracle_cross_validation(demo_oracle_count):
         assert c9_total == totient == 6, "c9 totient"
         for name in SMALL:
             P = pgw.load(name)
-            a = pgw.enumerate_automorphisms(P, budget=300, pruned=True, collect_maps=True)
-            b = pgw.enumerate_automorphisms(P, budget=300, pruned=False, collect_maps=True)
+            a = pgw.enumerate_automorphisms(P, budget=300, pruned=True)
+            b = pgw.enumerate_automorphisms(P, budget=300, pruned=False)
             assert [x.images for x in a.maps] == [y.images for y in b.maps], (
                 f"{name}: pruned != unpruned"
             )

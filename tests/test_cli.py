@@ -8,7 +8,9 @@ import sys
 import pytest
 
 import pgw
+from pgw import automorphisms as au
 from pgw import cli, tables
+from pgw import oracle as orc
 from pgw import presentation as pc
 from pgw.report import TOP_KEYS
 
@@ -78,6 +80,32 @@ def test_construct_demo_matches_known_map(capsys):
     assert rep["witness"]["u"] == "g6^1"
     assert rep["witness"]["g"] == "g2^1"
     assert rep["witness"]["images"][1] == "g2^1 g6^1"
+
+
+@pytest.mark.parametrize("broken", ["inner", "moves_frattini"])
+def test_construct_contradicting_witness_exits_three(capsys, monkeypatch, broken):
+    # a witness that breaks the theorem is a bug: no report, exit 3
+    if broken == "inner":
+        monkeypatch.setattr(au, "is_inner", lambda A: (True, pgw.identity(A.parent)))
+        error = "InnerWitnessFound"
+    else:
+        fixes = au.fixes_elementwise
+        monkeypatch.setattr(
+            au, "fixes_elementwise", lambda A, H: H != pgw.frattini(A.parent) and fixes(A, H)
+        )
+        error = "CertificationFailed"
+    assert cli.main(["construct", "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"pgw: internal contradiction: {error}: ")
+
+
+def test_count_cross_validation_mismatch_exits_three(capsys, monkeypatch):
+    monkeypatch.setattr(orc, "_conjugates_by", lambda P, A, t: False)
+    assert cli.main(["count", data_path("h27")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("pgw: internal contradiction: Mismatch: inner witness ")
 
 
 def test_count_small_group(capsys):

@@ -3,6 +3,7 @@
 import dataclasses
 import random
 import time
+import types
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ def test_counts(name):
     assert count.inner == inner
     if bucket is not None:
         assert count.order_p_noninner_fixing_frattini == bucket
-    assert count.maps is None
+    assert len(count.maps) == total
     assert count.elapsed >= 0
 
 
@@ -72,8 +73,8 @@ def test_c3c3_total_is_gl2():
 @pytest.mark.parametrize("name", SMALL)
 def test_pruned_matches_unpruned(name):
     P = pgw.load(name)
-    a = pgw.enumerate_automorphisms(P, budget=300, pruned=True, collect_maps=True)
-    b = pgw.enumerate_automorphisms(P, budget=300, pruned=False, collect_maps=True)
+    a = pgw.enumerate_automorphisms(P, budget=300, pruned=True)
+    b = pgw.enumerate_automorphisms(P, budget=300, pruned=False)
     assert (a.total, a.inner, a.order_p_noninner_fixing_frattini) == (
         b.total,
         b.inner,
@@ -94,8 +95,49 @@ def test_unpruned_route_propagates_a_verify_bug(monkeypatch):
 
 def test_jobs_do_not_change_anything():
     P = pgw.load("m243")
-    a = pgw.enumerate_automorphisms(P, budget=300, jobs=1, collect_maps=True)
-    b = pgw.enumerate_automorphisms(P, budget=300, jobs=4, collect_maps=True)
+    a = pgw.enumerate_automorphisms(P, budget=300, jobs=1)
+    b = pgw.enumerate_automorphisms(P, budget=300, jobs=4)
+    assert (a.total, a.inner, a.order_p_noninner_fixing_frattini) == (
+        b.total,
+        b.inner,
+        b.order_p_noninner_fixing_frattini,
+    )
+    assert [A.images for A in a.maps] == [B.images for B in b.maps]
+
+
+class _InlinePool:
+    """A stand-in for multiprocessing's Pool that records its size and the
+    number of tasks it is given, and maps them in this process."""
+
+    sizes = []
+
+    def __init__(self, processes):
+        self.processes = processes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        self.sizes.append((self.processes, len(tasks)))
+        return [fn(task) for task in tasks]
+
+
+@pytest.mark.parametrize("name", ["h27", "g2187"])
+def test_jobs_never_exceed_the_tasks(name, request, monkeypatch):
+    P = pgw.load(name)
+    if name == "g2187":
+        a = request.getfixturevalue("demo_oracle_count")
+    else:
+        a = pgw.enumerate_automorphisms(P, jobs=1)
+    _InlinePool.sizes = []
+    context = types.SimpleNamespace(Pool=_InlinePool)
+    monkeypatch.setattr(oracle.multiprocessing, "get_context", lambda method: context)
+    b = pgw.enumerate_automorphisms(P, jobs=1000)
+    [(processes, tasks)] = _InlinePool.sizes
+    assert processes <= tasks == P.p ** P.minimal_count - 1
     assert (a.total, a.inner, a.order_p_noninner_fixing_frattini) == (
         b.total,
         b.inner,
@@ -106,7 +148,7 @@ def test_jobs_do_not_change_anything():
 
 def test_map_set_closed_under_composition():
     P = pgw.load("h27")
-    count = pgw.enumerate_automorphisms(P, budget=300, collect_maps=True)
+    count = pgw.enumerate_automorphisms(P, budget=300)
     image_set = {A.images for A in count.maps}
     assert len(image_set) == count.total
     rng = random.Random(7)
@@ -120,7 +162,7 @@ def test_map_set_closed_under_composition():
 @pytest.fixture(scope="module")
 def m3125_count():
     """The p = 5 group's enumeration with its maps, shared by the tests here."""
-    return pgw.enumerate_automorphisms(load_group("m3125"), budget=300, jobs=1, collect_maps=True)
+    return pgw.enumerate_automorphisms(load_group("m3125"), budget=300, jobs=1)
 
 
 @pytest.mark.parametrize("name", ["h27", "m243", "m3125"])
@@ -130,7 +172,7 @@ def test_row_flags_and_images_match_collection(name, request):
     if name == "m3125":
         maps = random.Random(3).sample(request.getfixturevalue("m3125_count").maps, 200)
     else:
-        maps = pgw.enumerate_automorphisms(pgw.load(name), budget=300, collect_maps=True).maps
+        maps = pgw.enumerate_automorphisms(pgw.load(name), budget=300).maps
     P = maps[0].parent
     ctx = oracle._prepare(P)
     t = ctx["t"]
@@ -180,8 +222,7 @@ def test_certify_rows_names_the_first_bad_row(demo_group, demo_oracle_count):
     ctx = oracle._prepare(P)
     maps = [A.images for A in demo_oracle_count.maps]
     rows = ctx["t"].encode(maps)
-    assert oracle._certify_rows(ctx, rows, None, keep=True) == maps
-    assert oracle._certify_rows(ctx, rows, None) is rows
+    assert oracle._certify_rows(ctx, rows, None) == maps
     rng = random.Random(5)
     elems = st.whole_group(P).elements
     bad = (rng.choice(elems),) + maps[1500][1:]  # past the first block of rows
@@ -195,7 +236,7 @@ def test_certify_rows_names_the_first_bad_row(demo_group, demo_oracle_count):
 
 
 def test_certify_rows_checks_the_deadline_between_blocks(demo_group, demo_oracle_count):
-    # all 4374 survivors go to one verify_rows call, which checks the deadline
+    # all 4374 survivors go to one verify_coded call, which checks the deadline
     # before each relation, so the call ends soon after the deadline passes
     P = demo_group
     ctx = oracle._prepare(P)
@@ -213,7 +254,7 @@ def test_classifier_and_inner_test_share_one_table(name):
     t = get_tables(P)
     keys, _ = au._inner_table(P)
     assert len(keys) * pgw.center(P).order == P.order
-    maps = pgw.enumerate_automorphisms(P, collect_maps=True).maps
+    maps = pgw.enumerate_automorphisms(P).maps
     found = au._conjugators(P, t.encode([A.images for A in maps]))
     for A, x in zip(maps, found.tolist()):
         inner, conjugator = au.is_inner(A)
@@ -238,9 +279,9 @@ def test_bases_are_gl_d_p(p, d):
 
 def test_small_blocks_change_nothing(monkeypatch):
     P = pgw.load("m243")
-    a = pgw.enumerate_automorphisms(P, budget=300, collect_maps=True)
+    a = pgw.enumerate_automorphisms(P, budget=300)
     monkeypatch.setattr(oracle, "_ROWS", 5)  # one node per _sieve call
-    b = pgw.enumerate_automorphisms(P, budget=300, collect_maps=True)
+    b = pgw.enumerate_automorphisms(P, budget=300)
     assert (a.total, a.inner, a.order_p_noninner_fixing_frattini) == (
         b.total,
         b.inner,
@@ -255,7 +296,7 @@ def test_p5_group_counts_and_cross_validates(m3125_count):
     assert a.total == 12500
     assert a.inner * pgw.center(P).order == P.order
     assert pgw.cross_validate(P, precomputed=a) is True
-    b = pgw.enumerate_automorphisms(P, budget=300, jobs=2, collect_maps=True)
+    b = pgw.enumerate_automorphisms(P, budget=300, jobs=2)
     assert (a.total, a.inner, a.order_p_noninner_fixing_frattini) == (
         b.total,
         b.inner,
@@ -311,7 +352,7 @@ def test_count_invariant_under_presentation_change():
 @pytest.mark.parametrize("name", SMALL + ["m243"])
 def test_cross_validation_small(name):
     P = pgw.load(name)
-    count = pgw.enumerate_automorphisms(P, budget=300, collect_maps=True)
+    count = pgw.enumerate_automorphisms(P, budget=300)
     assert pgw.cross_validate(P, precomputed=count) is True
 
 
@@ -320,8 +361,8 @@ def test_cross_validation_demo(demo_group, demo_oracle_count):
 
 
 def test_cross_validation_needs_maps(demo_group):
-    bare = pgw.AutCount(total=1, inner=1, order_p_noninner_fixing_frattini=0, elapsed=0.0)
-    with pytest.raises(ValueError):
+    bare = pgw.AutCount(total=1, inner=1, order_p_noninner_fixing_frattini=0, elapsed=0.0, maps=())
+    with pytest.raises(pgw.Mismatch, match="the stream holds 0 maps, the count says 1"):
         pgw.cross_validate(demo_group, precomputed=bare)
 
 
@@ -336,7 +377,7 @@ def test_conjugates_by_matches_inner_from():
 
 def test_cross_validation_catches_a_wrong_conjugator(monkeypatch):
     P = pgw.load("h27")
-    count = pgw.enumerate_automorphisms(P, budget=60, collect_maps=True)
+    count = pgw.enumerate_automorphisms(P, budget=60)
     t = get_tables(P)
     conjugators = au._conjugators
 
@@ -354,7 +395,7 @@ def test_stream_labels_match_is_inner(name, request):
     if name == "g2187":
         maps = request.getfixturevalue("demo_oracle_count").maps
     else:
-        maps = pgw.enumerate_automorphisms(pgw.load(name), collect_maps=True).maps
+        maps = pgw.enumerate_automorphisms(pgw.load(name)).maps
     P = maps[0].parent
     t = get_tables(P)
     found = oracle._stream_conjugators(P, maps)
@@ -368,7 +409,7 @@ def test_stream_labels_match_is_inner(name, request):
 def test_cross_validation_rejects_a_truncated_stream():
     # every inner map is there, so the inner checks alone would pass
     P = pgw.load("h27")
-    count = pgw.enumerate_automorphisms(P, budget=60, collect_maps=True)
+    count = pgw.enumerate_automorphisms(P, budget=60)
     inner_only = tuple(A for A in count.maps if au.is_inner(A)[0])
     short = dataclasses.replace(count, maps=inner_only)
     with pytest.raises(pgw.Mismatch, match="the stream holds 9 maps, the count says 432"):
