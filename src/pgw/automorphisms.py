@@ -91,7 +91,8 @@ def verify(A):
     certified map keeps its images as given, and is_inner, apply and the
     tables know each element by its normal form only.  The distinct images
     are numbered in order, each checked once, and the row goes to
-    verify_coded as numbers."""
+    verify_coded as numbers.  Entries are kept as ints, so a numpy integer
+    or a bool becomes the int it stands for."""
     P = A.parent
     n, p = P.n, P.p
     images = tuple(map(tuple, A.images))
@@ -104,13 +105,14 @@ def verify(A):
         if len(x) != n or not all(isinstance(v, (int, np.integer)) and 0 <= v < p for v in x):
             raise ValueError(f"image {x} is not a normal form: need {n} ints in 0..{p - 1}")
         number[x] = len(number)
-    failed = verify_coded(P, list(number), [[number[x] for x in images]])
+    forms = [tuple(map(int, x)) for x in number]
+    failed = verify_coded(P, forms, [[number[x] for x in images]])
     if failed is not None:
         try:
             raise failed[1]
         finally:
             failed = None  # else the traceback's frame and the error keep each other alive
-    return Automorphism(P, images)
+    return Automorphism(P, tuple(forms[number[x]] for x in images))
 
 
 def verify_coded(P, forms, coded, deadline=None):

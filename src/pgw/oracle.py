@@ -30,25 +30,28 @@ those d columns, with the powers of every image built once per block; it
 fixes Phi(G) = <f_{d+1}, ..., f_n> elementwise iff the other columns hold
 f_{d+1}, ..., f_n.  Inner maps are found in the inner test's table of
 conjugation images.  The unpruned route pushes every |G|^d tuple through
-verify, one map at a time; the two must agree exactly.
+verify, one map at a time, and numbers the images by their mixed-radix value;
+the two must agree exactly.
 
 The sieve's tables come from the parsed relations by induction down the pc
 series and verify collects, so pruned == unpruned tests that induction and the
 lift against the collector.  Both routes read G/Phi(G) off the first d
 exponents.  cross_validate labels the whole map stream in one lookup of the
-inner table and checks each map labelled inner against conjugation by its
-conjugator t, t A(f_i) = f_i t for i <= d, by collection, without certifying
-it a second time: the map is certified and f_1..f_d generate G.
+inner table and decodes only the maps labelled inner, each checked against
+conjugation by its conjugator t, t A(f_i) = f_i t for i <= d, by collection,
+without certifying it a second time: the map is certified and f_1..f_d
+generate G.
 
 Work is partitioned into chunks of level-d nodes by the image of f_1 modulo
-Phi(G), with at most one worker per chunk; counts are summed and the map
-stream, which both routes always return, is sorted by image vectors, so the
-output does not depend on the job count.  The lift is depth first, with at
-most _ROWS nodes per _sieve call and at most _ROWS children (or one node's
-p^d) per block, which bounds memory.  The budget is checked per level, per
-block of nodes, between sieve relations and inside verify_coded before each
-relation of a certified block.  cross_validate runs after the enumeration
-and has no deadline.
+Phi(G), with at most one worker per chunk.  The map stream, which both
+routes return, is one read-only (total, n) int32 array of image indices,
+sorted with np.lexsort; index order is normal-form order, so the output does
+not depend on the job count.  The lift is depth first, with at most _ROWS
+nodes per _sieve call and at most _ROWS children (or one node's p^d) per
+block, which bounds memory.  The budget is checked per level, per block of
+nodes, between sieve relations and inside verify_coded before each relation
+of a certified block.  cross_validate runs after the enumeration and has no
+deadline.
 """
 
 from __future__ import annotations
@@ -74,13 +77,13 @@ from .errors import (
 from .tables import get_tables
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # an array field breaks the generated __eq__
 class AutCount:
     total: int
     inner: int
     order_p_noninner_fixing_frattini: int
     elapsed: float
-    maps: tuple  # the certified Automorphisms, sorted by image vectors
+    maps: np.ndarray  # (total, n) int32 image indices, one sorted row per automorphism
 
 
 def _check_defns(P):
@@ -227,8 +230,7 @@ def _certify_rows(ctx, rows, deadline):
     """Pure re-verification of one block of sieve survivors in one
     automorphisms.verify_coded call, which checks the deadline before each
     relation; any rejection is a route bug.  Each distinct image is decoded
-    once.  Returns the certified maps as image tuples, one per row, which
-    share those decoded images."""
+    once.  Returns the certified rows."""
     distinct, inverse = np.unique(rows, return_inverse=True)
     forms = st._tuples(ctx["t"], distinct)
     coded = inverse.reshape(rows.shape)
@@ -237,7 +239,7 @@ def _certify_rows(ctx, rows, deadline):
         k, e = failed
         bad = tuple(forms[c] for c in coded[k])
         raise Mismatch(f"sieve accepted {bad} but pure verification rejected it: {e}") from e
-    return [tuple(map(forms.__getitem__, row)) for row in coded.tolist()]
+    return rows
 
 
 def _powers(t, rows):
@@ -262,17 +264,17 @@ def _apply_rows(t, powers, xs):
     return acc
 
 
-def _row_flags(ctx, rows):
+def _row_flags(t, rows):
     """(order p, fixes Phi(G) elementwise) flags for rows of automorphism
     generator images.  An automorphism is fixed by its images of f_1..f_d,
     which generate G, so A^p = id and A != id are read off the first d
     columns; Phi(G) = <f_{d+1}, ..., f_n>, so A fixes it elementwise iff the
     other columns hold f_{d+1}, ..., f_n."""
-    t, d = ctx["t"], ctx["d"]
+    d = t.P.minimal_count
     gens = t.strides  # f_k is the element of index strides[k - 1]
     powers = _powers(t, rows)
     acc = rows[:, :d]
-    for _ in range(ctx["P"].p - 1):
+    for _ in range(t.P.p - 1):
         acc = _apply_rows(t, powers, acc)
     order_p = (acc == gens[:d]).all(axis=1) & (rows[:, :d] != gens[:d]).any(axis=1)
     fixes_phi = (rows[:, d:] == gens[d:]).all(axis=1)
@@ -282,7 +284,7 @@ def _row_flags(ctx, rows):
 def _classify_rows(ctx, rows):
     """(inner, order-p non-inner Phi-fixing) tallies for certified rows."""
     inner = au._conjugators(ctx["P"], rows) >= 0
-    order_p, fixes_phi = _row_flags(ctx, rows)
+    order_p, fixes_phi = _row_flags(ctx["t"], rows)
     return int(inner.sum()), int((order_p & ~inner & fixes_phi).sum())
 
 
@@ -293,14 +295,14 @@ def _run_chunk(args):
     ctx = _WORK["ctx"]
     P, t, d = ctx["P"], ctx["t"], ctx["d"]
     total = inner = bucket = 0
-    maps = []
+    blocks = []
     for bases in _bases(P.p, d, firsts[:, None], deadline):
         mins = (bases * t.strides[d - 1]).astype(np.int32)  # digits past d are zero
         for rows in _lift(ctx, mins, d, deadline):
-            maps += _certify_rows(ctx, rows, deadline)
+            blocks.append(_certify_rows(ctx, rows, deadline))
             i, b = _classify_rows(ctx, rows)
             total, inner, bucket = total + len(rows), inner + i, bucket + b
-    return total, inner, bucket, maps
+    return total, inner, bucket, blocks
 
 
 def _enumerate_unpruned(P, deadline):
@@ -328,8 +330,9 @@ def _enumerate_unpruned(P, deadline):
             inner += 1
         elif au.aut_order(A) == P.p and au.fixes_elementwise(A, F):
             bucket += 1
-        maps.append(A)
-    return total, inner, bucket, maps
+        maps.append(A.images)
+    radix = P.p ** np.arange(P.n - 1, -1, -1, dtype=np.int64)
+    return total, inner, bucket, [np.array(maps).reshape(-1, P.n, P.n) @ radix]
 
 
 def enumerate_automorphisms(P, budget=None, jobs=1, pruned=True):
@@ -346,29 +349,29 @@ def enumerate_automorphisms(P, budget=None, jobs=1, pruned=True):
     deadline = start + budget if budget is not None else None
 
     if not pruned:
-        total, inner, bucket, maps = _enumerate_unpruned(P, deadline)
-        maps = tuple(sorted(maps, key=lambda A: A.images))
-        return AutCount(total, inner, bucket, time.monotonic() - start, maps)
-
-    ctx = _prepare(P)
-    _WORK["ctx"] = ctx
-    firsts = np.arange(1, P.p ** ctx["d"])  # nonzero images of f_1 modulo Phi(G)
-    jobs = max(1, int(jobs))
-    if jobs == 1:
-        results = [_run_chunk((firsts, deadline))]
+        results = [_enumerate_unpruned(P, deadline)]
     else:
-        tasks = [(c, deadline) for c in np.array_split(firsts, jobs * 4) if len(c)]
-        with multiprocessing.get_context("fork").Pool(min(jobs, len(tasks))) as pool:
-            results = pool.map(_run_chunk, tasks)
+        ctx = _prepare(P)
+        _WORK["ctx"] = ctx
+        firsts = np.arange(1, P.p ** ctx["d"])  # nonzero images of f_1 modulo Phi(G)
+        jobs = max(1, int(jobs))
+        if jobs == 1:
+            results = [_run_chunk((firsts, deadline))]
+        else:
+            tasks = [(c, deadline) for c in np.array_split(firsts, jobs * 4) if len(c)]
+            with multiprocessing.get_context("fork").Pool(min(jobs, len(tasks))) as pool:
+                results = pool.map(_run_chunk, tasks)
 
     total, inner, bucket = (sum(r[k] for r in results) for k in range(3))
-    images = sorted(img for r in results for img in r[3])
-    maps = tuple(au.Automorphism(P, img) for img in images)
+    maps = np.concatenate([b for r in results for b in r[3]], dtype=np.int32)
+    maps = maps[np.lexsort(maps.T[::-1])]  # lexsort's last key is the primary one
+    maps.flags.writeable = False
     return AutCount(total, inner, bucket, time.monotonic() - start, maps)
 
 
-def _conjugates_by(P, A, t):
-    """True iff the certified automorphism A is conjugation by t, x -> t^-1 x t.
+def _conjugates_by(P, images, t):
+    """True iff the certified automorphism A, given by its generator images,
+    is conjugation by t, x -> t^-1 x t.
 
     Checks t A(f_i) = f_i t for i <= d only, each side collected from the
     exponent vector of its first factor.  That is enough: A and conjugation
@@ -381,59 +384,49 @@ def _conjugates_by(P, A, t):
     return all(
         pc._collect_into(P, list(t), pc.word_of(a), conj)
         == pc._collect_into(P, list(f), wt, conj)
-        for f, a in zip(P.generators()[: P.minimal_count], A.images)
+        for f, a in zip(P.generators()[: P.minimal_count], images)
     )
-
-
-def _stream_conjugators(P, maps):
-    """au._conjugators over the index rows of the streamed maps, in one call.
-    Each distinct image is encoded once, since the maps share their image
-    tuples, and the rows are filled from a flat iterator of image numbers."""
-    n, t = P.n, get_tables(P)
-    if any(len(A.images) != n for A in maps):
-        raise Mismatch(f"a streamed map does not hold {n} images")
-    number = {}
-    rows = np.fromiter(
-        (number.setdefault(x, len(number)) for A in maps for x in A.images),
-        dtype=np.int32,
-        count=len(maps) * n,
-    )
-    try:
-        index = t.encode(list(number))
-    except ValueError as e:
-        raise Mismatch(f"a streamed image is not an element: {e}") from e
-    rows = index[rows].reshape(-1, n)  # rebinding frees the codes before the lookup
-    return au._conjugators(P, rows)
 
 
 def cross_validate(P, precomputed):
     """Check the oracle's count and its map stream against the construction
     code.
 
-    The stream must hold count.total maps of n images each.  (a) the oracle's
-    inner tally equals |G/Z(G)|, so no inner map is labelled non-inner;
-    (b) the streamed maps are labelled in one lookup of the inner test's
-    table, each distinct image encoded once, and every map labelled inner is
-    conjugation by its lex-least conjugator t, checked by pure collection as
-    t A(f_i) = f_i t on f_1..f_d (see _conjugates_by); their number equals
-    the inner tally; (c) when the witness construction succeeds, its output
-    sits in the oracle's order-p non-inner Frattini-fixing bucket.  No
-    deadline applies here; the budget bounds the enumeration only.
+    The stream must hold count.total rows of n element indices each.  (a) the
+    oracle's inner tally equals |G/Z(G)|, so no inner map is labelled
+    non-inner; (b) the stream is labelled in one lookup of the inner test's
+    table, and every map labelled inner is conjugation by its lex-least
+    conjugator t, checked by pure collection as t A(f_i) = f_i t on f_1..f_d
+    (see _conjugates_by); their number equals the inner tally; (c) when the
+    witness construction succeeds, its images are one row of the stream, and
+    the oracle's classifier puts that row in the order-p non-inner
+    Frattini-fixing bucket: _row_flags gives its order-p and Phi(G) flags, and
+    (b)'s lookup its inner label.  No deadline applies here; the budget bounds
+    the enumeration only.
     """
     count = precomputed
-    if len(count.maps) != count.total:
-        raise Mismatch(f"the stream holds {len(count.maps)} maps, the count says {count.total}")
+    maps = count.maps
+    if len(maps) != count.total:
+        raise Mismatch(f"the stream holds {len(maps)} maps, the count says {count.total}")
 
     Z = st.center(P)
     if count.inner * Z.order != P.order:
         raise Mismatch(f"inner count {count.inner} != |G/Z(G)| = {P.order // Z.order}")
 
     t = get_tables(P)
-    found = _stream_conjugators(P, count.maps)
+    if maps.ndim != 2 or maps.shape[1] != P.n:
+        raise Mismatch(f"a streamed map does not hold {P.n} images")
+    outside = maps[(maps < 0) | (maps >= P.order)]
+    if outside.size:
+        raise Mismatch(
+            f"a streamed image is not an element: index {outside[0]} is outside 0..{P.order - 1}"
+        )
+    found = au._conjugators(P, maps)
     labeled = np.flatnonzero(found >= 0)
-    for k, c in zip(labeled.tolist(), t.decode(found[labeled]).tolist()):
-        if not _conjugates_by(P, count.maps[k], tuple(c)):
-            raise Mismatch(f"inner witness {tuple(c)} does not reproduce {count.maps[k].images}")
+    for c, images in zip(t.decode(found[labeled]).tolist(), t.decode(maps[labeled]).tolist()):
+        images = tuple(map(tuple, images))
+        if not _conjugates_by(P, images, tuple(c)):
+            raise Mismatch(f"inner witness {tuple(c)} does not reproduce {images}")
     if len(labeled) != count.inner:
         raise Mismatch(
             f"stream relabeling finds {len(labeled)} inner maps, count says {count.inner}"
@@ -445,15 +438,15 @@ def cross_validate(P, precomputed):
         wit = None
     if wit is not None:
         target = tuple(wit.A.images)
-        matches = [A for A in count.maps if tuple(A.images) == target]
-        if len(matches) != 1:
-            raise Mismatch(f"witness images {target} appear {len(matches)} times in the stream")
-        A = matches[0]
-        if au.aut_order(A) != P.p:
+        hits = np.flatnonzero((maps == t.encode(target)).all(axis=1))
+        if len(hits) != 1:
+            raise Mismatch(f"witness images {target} appear {len(hits)} times in the stream")
+        order_p, fixes_phi = _row_flags(t, maps[hits])
+        if not order_p[0]:
             raise Mismatch("witness does not have order p under the oracle's copy")
-        if au.is_inner(A)[0]:
+        if found[hits[0]] >= 0:
             raise Mismatch("witness is inner under the oracle's copy")
-        if not au.fixes_elementwise(A, st.frattini(P)):
+        if not fixes_phi[0]:
             raise Mismatch("witness moves the Frattini subgroup under the oracle's copy")
         if count.order_p_noninner_fixing_frattini < 1:
             raise Mismatch("order-p non-inner Frattini-fixing bucket is empty despite a witness")

@@ -73,6 +73,16 @@ def test_verify_rejects_images_off_normal_form(images):
     assert au.verify(au.GenMap(P, ((1, 0), (0, 1)))).images == ((1, 0), (0, 1))
 
 
+@pytest.mark.parametrize("one", [np.int64(1), np.int32(1), True])
+def test_verify_certifies_images_as_ints(one):
+    # a numpy integer or a bool stands for the int it equals; the certified
+    # images hold that int
+    P = pgw.load("c3c3")
+    A = au.verify(au.GenMap(P, ((one, 0), (0, 1))))
+    assert A.images == ((1, 0), (0, 1))
+    assert all(type(v) is int for x in A.images for v in x)
+
+
 def test_verify_rejects_relation_break():
     P = pgw.load("h27")
     # swap f1 <-> f2 : [f2,f1] = f3 becomes [f1,f2] = f3^-1 != f3
@@ -240,7 +250,8 @@ def _map_verdict(P, images):
 @pytest.mark.parametrize("name", ["h27", "m243", "g2187", "m3125"])
 def test_batch_verdicts_match_per_map_verify(name):
     P = load_group(name)
-    maps = [A.images for A in pgw.enumerate_automorphisms(P).maps]
+    stream = pgw.enumerate_automorphisms(P).maps
+    maps = [tuple(map(tuple, r)) for r in tables.get_tables(P).decode(stream).tolist()]
     rows = _corrupted(P, maps, random.Random(f"corrupt-{name}"))
     verdicts = [_map_verdict(P, images) for images in rows]
     # only verify checks normal forms: an exponent out of range has no number

@@ -31,6 +31,15 @@ EXPECTED = {
 SMALL = ["c9", "c3c3", "h27", "x27", "w81", "q8"]  # order <= 81
 
 
+def _images(P, rows):
+    """The generator-image tuples of rows of element indices."""
+    return [tuple(map(tuple, row)) for row in get_tables(P).decode(rows).tolist()]
+
+
+def _automorphisms(P, rows):
+    return [au.Automorphism(P, images) for images in _images(P, rows)]
+
+
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_counts(name):
     P = pgw.load(name)
@@ -42,6 +51,24 @@ def test_counts(name):
         assert count.order_p_noninner_fixing_frattini == bucket
     assert len(count.maps) == total
     assert count.elapsed >= 0
+
+
+@pytest.mark.parametrize(
+    "name, pruned, jobs", [("h27", True, 1), ("h27", False, 1), ("m243", True, 2)]
+)
+def test_maps_are_one_read_only_index_array(name, pruned, jobs):
+    P = pgw.load(name)
+    count = pgw.enumerate_automorphisms(P, pruned=pruned, jobs=jobs)
+    maps = count.maps
+    assert isinstance(maps, np.ndarray)
+    assert maps.dtype == np.int32
+    assert maps.shape == (count.total, P.n)
+    assert not maps.flags.writeable
+    with pytest.raises(ValueError):
+        maps[0, 0] = 1
+    assert _images(P, maps) == sorted(_images(P, maps))
+    [first] = _images(P, maps[:1])
+    assert au.verify(au.GenMap(P, first)).images == first
 
 
 def test_demo_counts(demo_group, demo_oracle_count):
@@ -80,7 +107,7 @@ def test_pruned_matches_unpruned(name):
         b.inner,
         b.order_p_noninner_fixing_frattini,
     )
-    assert [A.images for A in a.maps] == [B.images for B in b.maps]
+    assert np.array_equal(a.maps, b.maps)
 
 
 def test_unpruned_route_propagates_a_verify_bug(monkeypatch):
@@ -102,7 +129,7 @@ def test_jobs_do_not_change_anything():
         b.inner,
         b.order_p_noninner_fixing_frattini,
     )
-    assert [A.images for A in a.maps] == [B.images for B in b.maps]
+    assert np.array_equal(a.maps, b.maps)
 
 
 class _InlinePool:
@@ -143,16 +170,16 @@ def test_jobs_never_exceed_the_tasks(name, request, monkeypatch):
         b.inner,
         b.order_p_noninner_fixing_frattini,
     )
-    assert [A.images for A in a.maps] == [B.images for B in b.maps]
+    assert np.array_equal(a.maps, b.maps)
 
 
 def test_map_set_closed_under_composition():
     P = pgw.load("h27")
     count = pgw.enumerate_automorphisms(P, budget=300)
-    image_set = {A.images for A in count.maps}
+    maps = _automorphisms(P, count.maps)
+    image_set = {A.images for A in maps}
     assert len(image_set) == count.total
     rng = random.Random(7)
-    maps = count.maps
     for _ in range(150):
         A = maps[rng.randrange(len(maps))]
         B = maps[rng.randrange(len(maps))]
@@ -169,16 +196,16 @@ def m3125_count():
 def test_row_flags_and_images_match_collection(name, request):
     # at p = 5 the classifier's power loop runs four times; a seeded sample of
     # the 12500 maps keeps the pure aut_order() and apply() calls few
+    P = load_group(name)
     if name == "m3125":
-        maps = random.Random(3).sample(request.getfixturevalue("m3125_count").maps, 200)
+        rows = request.getfixturevalue("m3125_count").maps
+        rows = rows[random.Random(3).sample(range(len(rows)), 200)]
     else:
-        maps = pgw.enumerate_automorphisms(pgw.load(name), budget=300).maps
-    P = maps[0].parent
-    ctx = oracle._prepare(P)
-    t = ctx["t"]
+        rows = pgw.enumerate_automorphisms(P, budget=300).maps
+    maps = _automorphisms(P, rows)
+    t = get_tables(P)
     xs = t.all[:: 97 if name == "m3125" else 7]  # a spread of elements
-    rows = t.encode([A.images for A in maps])
-    order_p, fixes_phi = oracle._row_flags(ctx, rows)
+    order_p, fixes_phi = oracle._row_flags(t, rows)
     F = pgw.frattini(P)
     assert order_p.any() and not order_p.all() and fixes_phi.any() and not fixes_phi.all()
     for A, op, fp in zip(maps, order_p, fixes_phi):
@@ -220,9 +247,9 @@ def test_budget_holds_during_the_search():
 def test_certify_rows_names_the_first_bad_row(demo_group, demo_oracle_count):
     P = demo_group
     ctx = oracle._prepare(P)
-    maps = [A.images for A in demo_oracle_count.maps]
-    rows = ctx["t"].encode(maps)
-    assert oracle._certify_rows(ctx, rows, None) == maps
+    rows = demo_oracle_count.maps
+    assert np.array_equal(oracle._certify_rows(ctx, rows, None), rows)
+    maps = _images(P, rows)
     rng = random.Random(5)
     elems = st.whole_group(P).elements
     bad = (rng.choice(elems),) + maps[1500][1:]  # past the first block of rows
@@ -240,7 +267,7 @@ def test_certify_rows_checks_the_deadline_between_blocks(demo_group, demo_oracle
     # before each relation, so the call ends soon after the deadline passes
     P = demo_group
     ctx = oracle._prepare(P)
-    rows = ctx["t"].encode([A.images for A in demo_oracle_count.maps])
+    rows = demo_oracle_count.maps
     assert len(rows) == 4374
     start = time.monotonic()
     with pytest.raises(pgw.OracleTimeout, match="certifying 4374 rows"):
@@ -254,9 +281,9 @@ def test_classifier_and_inner_test_share_one_table(name):
     t = get_tables(P)
     keys, _ = au._inner_table(P)
     assert len(keys) * pgw.center(P).order == P.order
-    maps = pgw.enumerate_automorphisms(P).maps
-    found = au._conjugators(P, t.encode([A.images for A in maps]))
-    for A, x in zip(maps, found.tolist()):
+    rows = pgw.enumerate_automorphisms(P).maps
+    found = au._conjugators(P, rows)
+    for A, x in zip(_automorphisms(P, rows), found.tolist()):
         inner, conjugator = au.is_inner(A)
         assert (x >= 0) == inner
         assert conjugator is None or t.encode(conjugator) == x
@@ -287,12 +314,12 @@ def test_small_blocks_change_nothing(monkeypatch):
         b.inner,
         b.order_p_noninner_fixing_frattini,
     )
-    assert [A.images for A in a.maps] == [B.images for B in b.maps]
+    assert np.array_equal(a.maps, b.maps)
 
 
 def test_p5_group_counts_and_cross_validates(m3125_count):
     a = m3125_count
-    P = a.maps[0].parent
+    P = load_group("m3125")
     assert a.total == 12500
     assert a.inner * pgw.center(P).order == P.order
     assert pgw.cross_validate(P, precomputed=a) is True
@@ -302,7 +329,7 @@ def test_p5_group_counts_and_cross_validates(m3125_count):
         b.inner,
         b.order_p_noninner_fixing_frattini,
     )
-    assert [A.images for A in a.maps] == [B.images for B in b.maps]
+    assert np.array_equal(a.maps, b.maps)
 
 
 def test_missing_defn_tags_rejected():
@@ -371,8 +398,8 @@ def test_conjugates_by_matches_inner_from():
     f1 = P.generator(1)  # not central, so t and t f1 give different inner maps
     for t in st.whole_group(P).elements:
         A = au.inner_from(P, t)
-        assert oracle._conjugates_by(P, A, t)
-        assert not oracle._conjugates_by(P, A, pgw.mul(P, t, f1))
+        assert oracle._conjugates_by(P, A.images, t)
+        assert not oracle._conjugates_by(P, A.images, pgw.mul(P, t, f1))
 
 
 def test_cross_validation_catches_a_wrong_conjugator(monkeypatch):
@@ -393,14 +420,15 @@ def test_cross_validation_catches_a_wrong_conjugator(monkeypatch):
 @pytest.mark.parametrize("name", ["h27", "m243", "g2187"])
 def test_stream_labels_match_is_inner(name, request):
     if name == "g2187":
-        maps = request.getfixturevalue("demo_oracle_count").maps
+        P = request.getfixturevalue("demo_group")
+        count = request.getfixturevalue("demo_oracle_count")
     else:
-        maps = pgw.enumerate_automorphisms(pgw.load(name)).maps
-    P = maps[0].parent
+        P = pgw.load(name)
+        count = pgw.enumerate_automorphisms(P)
     t = get_tables(P)
-    found = oracle._stream_conjugators(P, maps)
-    assert len(found) == len(maps)
-    for A, x in zip(maps, found.tolist()):
+    found = au._conjugators(P, count.maps)
+    assert len(found) == count.total
+    for A, x in zip(_automorphisms(P, count.maps), found.tolist()):
         inner, conjugator = au.is_inner(A)
         assert (x >= 0) == inner
         assert x < 0 or tuple(t.decode(x).tolist()) == conjugator
@@ -410,10 +438,108 @@ def test_cross_validation_rejects_a_truncated_stream():
     # every inner map is there, so the inner checks alone would pass
     P = pgw.load("h27")
     count = pgw.enumerate_automorphisms(P, budget=60)
-    inner_only = tuple(A for A in count.maps if au.is_inner(A)[0])
+    inner_only = count.maps[au._conjugators(P, count.maps) >= 0]
     short = dataclasses.replace(count, maps=inner_only)
     with pytest.raises(pgw.Mismatch, match="the stream holds 9 maps, the count says 432"):
         pgw.cross_validate(P, precomputed=short)
+
+
+@pytest.fixture(scope="module")
+def m243_count():
+    """m243, which has a witness, and its enumeration, shared by the tests below."""
+    P = pgw.load("m243")
+    return P, pgw.enumerate_automorphisms(P, budget=300)
+
+
+def _witness_row(P, count):
+    target = get_tables(P).encode(pgw.construct_theorem_witness(P).A.images)
+    [k] = np.flatnonzero((count.maps == target).all(axis=1))
+    return int(k)
+
+
+def test_cross_validation_rejects_a_stream_of_the_wrong_width(m243_count):
+    P, count = m243_count
+    narrow = dataclasses.replace(count, maps=count.maps[:, :-1])
+    with pytest.raises(pgw.Mismatch, match="a streamed map does not hold 5 images"):
+        pgw.cross_validate(P, precomputed=narrow)
+
+
+@pytest.mark.parametrize("bad", [243, -1])
+def test_cross_validation_rejects_an_index_outside_the_group(m243_count, bad):
+    P, count = m243_count
+    maps = count.maps.copy()
+    maps[-1, 2] = bad
+    with pytest.raises(pgw.Mismatch) as err:
+        pgw.cross_validate(P, precomputed=dataclasses.replace(count, maps=maps))
+    assert str(err.value) == f"a streamed image is not an element: index {bad} is outside 0..242"
+
+
+@pytest.mark.parametrize("times", [0, 2])
+def test_cross_validation_finds_the_witness_row_once(m243_count, times):
+    # the witness's row overwrites, or is overwritten by, another non-inner
+    # row, so the total and every inner label stay as they were
+    P, count = m243_count
+    k = _witness_row(P, count)
+    maps = count.maps.copy()
+    found = au._conjugators(P, maps)
+    other = next(j for j in range(len(maps)) if j != k and found[j] < 0)
+    if times:
+        maps[other] = maps[k]
+    else:
+        maps[k] = maps[other]
+    target = pgw.construct_theorem_witness(P).A.images
+    with pytest.raises(pgw.Mismatch) as err:
+        pgw.cross_validate(P, precomputed=dataclasses.replace(count, maps=maps))
+    assert str(err.value) == f"witness images {target} appear {times} times in the stream"
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [(0, "witness does not have order p"), (1, "witness moves the Frattini subgroup")],
+)
+def test_cross_validation_reads_the_witness_flags(m243_count, monkeypatch, flag, message):
+    P, count = m243_count
+    row_flags = oracle._row_flags
+
+    def forced(t, rows):
+        flags = list(row_flags(t, rows))
+        assert flags[flag].all()
+        flags[flag] = np.zeros_like(flags[flag])
+        return tuple(flags)
+
+    monkeypatch.setattr(oracle, "_row_flags", forced)
+    with pytest.raises(pgw.Mismatch) as err:
+        pgw.cross_validate(P, precomputed=count)
+    assert str(err.value) == f"{message} under the oracle's copy"
+
+
+def test_cross_validation_reads_the_witness_inner_label(m243_count, monkeypatch):
+    # one inner map's label moves to the witness's row, and every label
+    # passes the collection check, so only (c) can see it
+    P, count = m243_count
+    k = _witness_row(P, count)
+    conjugators = au._conjugators
+
+    def moved(P, rows):
+        found = conjugators(P, rows)
+        if len(rows) == count.total:  # the stream, not the witness's own inner test
+            j = np.flatnonzero(found >= 0)[0]
+            found[k], found[j] = found[j], -1
+        return found
+
+    monkeypatch.setattr(au, "_conjugators", moved)
+    monkeypatch.setattr(oracle, "_conjugates_by", lambda P, images, t: True)
+    with pytest.raises(pgw.Mismatch) as err:
+        pgw.cross_validate(P, precomputed=count)
+    assert str(err.value) == "witness is inner under the oracle's copy"
+
+
+def test_cross_validation_needs_a_bucket_for_the_witness(m243_count):
+    P, count = m243_count
+    empty = dataclasses.replace(count, order_p_noninner_fixing_frattini=0)
+    with pytest.raises(pgw.Mismatch) as err:
+        pgw.cross_validate(P, precomputed=empty)
+    assert str(err.value) == "order-p non-inner Frattini-fixing bucket is empty despite a witness"
 
 
 def _comm_sieve(ctx, mins, level):
