@@ -17,17 +17,20 @@ exponents; `collect` normalizes them.
 
 Collection is from the left (Leedham-Green & Soicher, J. Symb. Comput. 9,
 1990; Vaughan-Lee, same issue).  The collector keeps the exponents e placed so
-far and `top`, the highest position with a nonzero exponent.  A letter f_j at
-or right of `top` is placed directly.  Otherwise f_j is moved across the tail
-T = f_{j+1}^e_{j+1} ... f_top^e_top, which is zeroed in one walk from `top`
-down, and T^{f_j} is pushed as one stored word per nonzero e_k: the normal
-form of (f_k^e_k)^{f_j} = (f_k [f_k, f_j])^e_k.  `conjugates` stores those
-words on the presentation, and `validate` hands them on.  Conjugating by
-f_j is collection in G_{j+1} = <f_{j+1}, ..., f_n>, which needs only the
-rows for f_{j+1}..f_n, so the collector builds the table itself from j = n
-down to 1; there is no second collector to bootstrap it.  On a validated
-presentation a letter f_j^m first drops the whole multiples of
-|G_j| = p^(n-j+1) from m.
+far and `top`, the highest position with a nonzero exponent.  A letter f_j^m
+at or right of `top` is placed directly.  Otherwise, with h = 2^b the lowest
+set bit of m, f_j^h is moved across the tail T = f_{j+1}^e_{j+1} ...
+f_top^e_top, which is zeroed in one walk from `top` down; T^{f_j^h} is pushed
+as one stored word per nonzero e_k, the normal form of (f_k^e_k)^{f_j^h}, and
+f_j^(m-h) goes back on the stack beneath it.  So a letter crosses the tail
+once per set bit of m, at most bit_length(p-1) times, not m times.
+`conjugates` stores those words on the presentation, one row for each 2^b < p,
+and `validate` hands them on.  Conjugating by f_j^h is collection in
+G_{j+1} = <f_{j+1}, ..., f_n>, which needs only the rows for f_{j+1}..f_n,
+so the collector builds the table itself from j = n down to 1; there is no
+second collector to bootstrap it.  On a validated presentation a letter f_j^m
+outside 0 < m < p is first reduced modulo |G_j| = p^(n-j+1), and pow_ spells
+the rest as a normal form, so a huge m costs O(n) collections.
 
 The derived operations never collect an inverse word, whose negative
 letters each expand into an inverted power word.  inv, comm and conj are
@@ -102,10 +105,13 @@ def conjugates(P):
     """The stored conjugates, one table per presentation object, built on
     first use; validate() hands its table to the validated object.
 
-    conjugates(P)[j-1][k-1][m], for k > j and 1 <= m < p, is the normal-form
-    word of (f_k^m)^{f_j} = (f_k [f_k, f_j])^m, stored reversed (in push order
-    for the collector's stack); entry 0 is unused.  Row j is built by the
-    collector from rows j+1..n only, so the rows go from j = n down to 1.
+    conjugates(P)[j-1][b][k-1][e], for k > j, 2^b < p and 1 <= e < p, is the
+    normal-form word of (f_k^e)^{f_j^(2^b)}, stored reversed (in push order
+    for the collector's stack); entry 0 is unused.  That is bit_length(p-1)
+    rows per j.  Row 0 takes the powers of f_k [f_k, f_j]; row b conjugates
+    row b-1's f_k once more by f_j^(2^(b-1)), letter by letter, and takes the
+    powers of that.  Both are collection in G_{j+1}, from the rows of
+    j+1..n only, so the rows go from j = n down to 1.
     """
     if P._conjugates is None:
         object.__setattr__(P, "_conjugates", _conjugate_table(P))
@@ -115,17 +121,33 @@ def conjugates(P):
 def _conjugate_table(P):
     n, p = P.n, P.p
     table = [None] * n
+    plain = [((),) + tuple(((k, e),) for e in range(1, p)) for k in range(1, n + 1)]
     for j in range(n, 0, -1):
-        row = [None] * n
-        for k in range(j + 1, n + 1):
-            unit = ((k, 1),) + tuple(P.comm_rel.get((k, j), ()))
-            words = [()]
-            x = [0] * n
-            for _ in range(1, p):
-                x = _collect_into(P, list(x), unit, table)
-                words.append(word_of(x)[::-1])
-            row[k - 1] = tuple(words)
-        table[j - 1] = row
+        # units[k] spells f_k^{f_j^(2^b)}; row 0 starts from f_k [f_k, f_j]
+        units = {k: ((k, 1),) + tuple(P.comm_rel.get((k, j), ())) for k in range(j + 1, n + 1)}
+        rows = []
+        for _ in range((p - 1).bit_length()):
+            if rows:
+                # conjugate each unit once more by f_j^(2^(b-1)), letter by
+                # letter from the last row; every letter lies in G_{j+1}
+                last = rows[-1]
+                units = {
+                    k: tuple(u for g, e in last[k - 1][1][::-1] for u in last[g - 1][e][::-1])
+                    for k in units
+                }
+            row = [None] * n
+            for k, unit in units.items():
+                if unit == ((k, 1),):  # f_j^(2^b) commutes with f_k
+                    row[k - 1] = plain[k - 1]
+                    continue
+                words = [()]
+                x = [0] * n
+                for _ in range(1, p):
+                    x = _collect_into(P, list(x), unit, table)
+                    words.append(word_of(x)[::-1])
+                row[k - 1] = tuple(words)
+            rows.append(row)
+        table[j - 1] = tuple(rows)
     return table
 
 
@@ -146,9 +168,13 @@ def _collect_into(P, e, w, table=None):
     while stack:
         j, m = pop()
         if not (0 < m < p):
-            if P.validated:  # f_j lies in G_j, of order p^(n-j+1)
-                r = abs(m) % p ** (P.n - j + 1)
-                m = r if m > 0 else -r
+            if P.validated:
+                # f_j lies in G_j, of order p^(n-j+1), and pow_ takes the rest
+                # p-adically: O(n) collections, not m/p copies of f_j's power
+                m %= p ** (P.n - j + 1)
+                if m:
+                    push(reversed(word_of(pow_(P, P.generator(j), m))))
+                continue
             if not m:
                 continue
             r = m % p
@@ -164,20 +190,22 @@ def _collect_into(P, e, w, table=None):
             continue
         jj = j - 1
         if jj < top:
-            # move one f_j across the tail T = f_{j+1}^e.. f_{top+1}^e:
-            # NF(e)*T*f_j^m = NF(e)*f_j*T^{f_j}*f_j^{m-1}, where T^{f_j} is the
-            # product of the stored (f_k^e_k)^{f_j}.  Push in reverse processing
-            # order: f_j^{m-1} deepest, then T^{f_j} from its last factor on;
-            # the tail is zeroed in the same walk.
-            if m > 1:
-                stack.append((j, m - 1))
-            row = conj[jj]
+            # move f_j^h across the tail T = f_{j+1}^e.. f_{top+1}^e, where
+            # h = 2^b is the lowest set bit of m: NF(e)*T*f_j^m =
+            # NF(e)*f_j^h*T^{f_j^h}*f_j^{m-h}, and T^{f_j^h} is the product of
+            # the stored (f_k^e_k)^{f_j^h} in row b.  Push in reverse
+            # processing order: f_j^{m-h} deepest, then T^{f_j^h} from its
+            # last factor on; the tail is zeroed in the same walk.
+            h = m & -m
+            if m > h:
+                stack.append((j, m - h))
+            row = conj[jj][h.bit_length() - 1]
             for k in range(top, jj, -1):
                 ek = e[k]
                 if ek:
                     e[k] = 0
                     push(row[k][ek])
-            m = 1
+            m = h
         # nothing right of f_j now: place f_j^m directly
         s = e[jj] + m
         if s < p:

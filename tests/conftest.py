@@ -39,10 +39,16 @@ def mul_w81(x, y):
     return ((i + j) % 3, tuple((sv[k] + w[k]) % 3 for k in range(3)))
 
 
-def mul_m243(x, y):
-    a, b = x
-    c, d = y
-    return ((a + c * pow(4, b, 27)) % 27, (b + d) % 9)
+def mul_metacyclic(p):
+    """C_{p^3} x| C_{p^2}, the generator of the second factor acting as
+    k -> (1 + p) k: m243 at p = 3, and the FAMILY text below at any p."""
+
+    def mul(x, y):
+        a, b = x
+        c, d = y
+        return ((a + c * pow(1 + p, b, p**3)) % p**3, (b + d) % p**2)
+
+    return mul
 
 
 def mul_g2187(x, y):
@@ -69,7 +75,7 @@ MODELS = {
         (0, (0, 0, 0)),
         [(1, (0, 0, 0)), (0, (1, 0, 0)), (0, (2, 1, 0)), (0, (1, 1, 1))],
     ),
-    "m243": (mul_m243, (0, 0), [(1, 0), (0, 1), (3, 0), (0, 3), (9, 0)]),
+    "m243": (mul_metacyclic(3), (0, 0), [(1, 0), (0, 1), (3, 0), (0, 3), (9, 0)]),
     "g2187": (
         mul_g2187,
         (0, 0),

@@ -15,7 +15,15 @@ from pgw import groupfile
 from pgw import presentation as pc
 from pgw import tables
 
-from conftest import ALL_NAMES, FAMILY_NAMES, MODELS, assert_isomorphic, load_group
+from conftest import (
+    ALL_NAMES,
+    FAMILY,
+    FAMILY_NAMES,
+    MODELS,
+    assert_isomorphic,
+    load_group,
+    mul_metacyclic,
+)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -163,21 +171,28 @@ def test_collect_matches_index_algebra(name):
 
 @pytest.mark.parametrize("name", ALL_NAMES + FAMILY_NAMES)
 def test_stored_conjugates_match_index_algebra(name):
+    # row b of f_j holds (f_k^e)^(f_j^(2^b)) for every 2^b < p: two rows at
+    # p = 3, three at p = 5 and p = 7
     P = load_group(name)
     t = tables.get_tables(P)
     table = pc.conjugates(P)
     for j in range(1, P.n + 1):
-        for k in range(j + 1, P.n + 1):
-            entries = table[j - 1][k - 1]
-            assert len(entries) == P.p
-            for m in range(1, P.p):
-                word = entries[m][::-1]  # stored in push order
-                gens = [g for g, _ in word]
-                assert gens == sorted(set(gens)) and gens[0] == k, word
-                assert all(0 < e < P.p for _, e in word), word
-                x = sum(e * t.strides[g - 1] for g, e in word)
-                fk_m = t.pow(t.strides[k - 1], m)
-                assert x == t.conj(fk_m, t.strides[j - 1]), (j, k, m)
+        rows = table[j - 1]
+        assert len(rows) == (P.p - 1).bit_length()
+        for b, row in enumerate(rows):
+            fj_b = t.pow(t.strides[j - 1], 2**b)
+            for k in range(j + 1, P.n + 1):
+                entries = row[k - 1]
+                assert len(entries) == P.p
+                for e in range(1, P.p):
+                    word = entries[e][::-1]  # stored in push order
+                    gens = [g for g, _ in word]
+                    assert gens == sorted(set(gens)) and gens[0] == k, word
+                    assert word[0][1] == e, word
+                    assert all(0 < c < P.p for _, c in word), word
+                    x = sum(c * t.strides[g - 1] for g, c in word)
+                    fk_e = t.pow(t.strides[k - 1], e)
+                    assert x == t.conj(fk_e, fj_b), (j, b, k, e)
 
 
 def _g2187_text():
@@ -260,6 +275,53 @@ def test_validate_rejects_inconsistent_presentation():
                 defn={}, minimal_count=3,
             )
         )
+
+
+def _perturbed(rng, P):
+    """P's relations with one or two letters set to a seeded exponent, or
+    dropped, each in a pow or comm relation of some f_i, right of f_i."""
+    rels = {("pow", i): dict(P.power_rel[i - 1]) for i in range(1, P.n + 1)}
+    rels.update({("comm",) + key: dict(w) for key, w in P.comm_rel.items()})
+    for _ in range(rng.randint(1, 2)):
+        i = rng.randint(1, P.n - 1)
+        w = rels.setdefault(rng.choice([("pow", i)] + [("comm", i, j) for j in range(1, i)]), {})
+        g = rng.randint(i + 1, P.n)
+        if g in w and rng.random() < 0.5:
+            del w[g]
+        else:
+            w[g] = rng.randint(1, P.p - 1)
+    return dataclasses.replace(
+        P,
+        power_rel=tuple(tuple(sorted(rels[("pow", i)].items())) for i in range(1, P.n + 1)),
+        comm_rel={key[1:]: tuple(sorted(w.items())) for key, w in rels.items() if key[0] == "comm" and w},
+        validated=False,
+    )
+
+
+@pytest.mark.parametrize("name, verdicts", [
+    ("m3125", {"accepted": 21, "ConsistencyViolation": 256, "BadDefinition": 23}),
+    ("m16807", {"accepted": 35, "ConsistencyViolation": 239, "BadDefinition": 26}),
+])
+def test_battery_on_perturbed_presentations(name, verdicts):
+    # at p = 5 and 7 a letter f_j^m crosses the tail in several steps, one
+    # per set bit of m; collecting one f_j per crossing instead gives these
+    # verdicts and the same messages.  An accepted presentation must multiply
+    # as its index algebra, built by induction from the relations, does.
+    base = load_group(name)
+    rng = random.Random(base.p)
+    seen = {}
+    for _ in range(300):
+        try:
+            P = pc.validate(_perturbed(rng, base))
+        except (pgw.ConsistencyViolation, pgw.BadDefinition) as ex:
+            seen[type(ex).__name__] = seen.get(type(ex).__name__, 0) + 1
+            continue
+        seen["accepted"] = seen.get("accepted", 0) + 1
+        t = tables.GroupTables(P)
+        for _ in range(20):
+            a, b = _random_element(rng, P), _random_element(rng, P)
+            assert t.encode(pc.mul(P, a, b)) == t.mul(int(t.encode(a)), int(t.encode(b))), (a, b)
+    assert seen == verdicts
 
 
 def test_validate_rejects_bad_definition():
@@ -396,10 +458,57 @@ def test_derived_operations_form_no_inverse_word(name, monkeypatch):
 
     monkeypatch.setattr(pc, "inverse_word", refuse)
     with pytest.raises(AssertionError, match="inverse word"):
-        pc.collect(P, ((1, -1),))  # the guard bites on a negative letter
+        # the guard bites on a negative letter, which only an unvalidated
+        # presentation spells with inverse words
+        pc.collect(dataclasses.replace(P, validated=False), ((1, -1),))
     for a, b, k, *want in cases:
         got = [pc.inv(P, a), pc.comm(P, a, b), pc.conj(P, a, b), pc.pow_(P, a, k)]
         assert got == want, (a, b, k)
+
+
+@pytest.mark.parametrize("p", [31, 97])
+def test_large_p_arithmetic_matches_integer_model(p):
+    # p^5 > ELEMENT_CAP at p = 97, so no index table exists: the model
+    # C_{p^3} x| C_{p^2} is the reference, read through each normal form's image
+    P = groupfile.parse_text(FAMILY.format(order=p**5, p=p, q=p - 1)).presentation
+    model = mul_metacyclic(p)
+    one = (0, 0)
+    gens = [(1, 0), (0, 1), (p, 0), (0, p), (p * p, 0)]
+
+    def power(x, k):  # k modulo the exponent p^3, by squaring
+        acc, k = one, k % p**3
+        while k:
+            if k & 1:
+                acc = model(acc, x)
+            x, k = model(x, x), k >> 1
+        return acc
+
+    def image(e):
+        acc = one
+        for g, m in zip(gens, e):
+            acc = model(acc, power(g, m))
+        return acc
+
+    rng = random.Random(p)
+    for _ in range(150):
+        a, b, c = (_random_element(rng, P) for _ in range(3))
+        x, y, z = image(a), image(b), image(c)
+        inv_x, inv_z = power(x, -1), power(z, -1)
+        assert image(pc.mul(P, a, b)) == model(x, y), (a, b)
+        assert image(pc.inv(P, a)) == inv_x, a
+        assert image(pc.comm(P, a, b)) == model(model(inv_x, power(y, -1)), model(x, y)), (a, b)
+        assert image(pc.conj(P, a, c)) == model(model(inv_z, x), z), (a, c)
+    for _ in range(20):
+        a = _random_element(rng, P)
+        k = rng.randint(-200, 200)
+        assert image(pc.pow_(P, a, k)) == power(image(a), k), (a, k)
+    # a letter f_j^m right of a random element: crossings of every bit
+    # pattern, the power word at m = p, and the reduction of huge exponents
+    for j in range(1, P.n + 1):
+        for m in (p - 1, p, 2 * p + 1, 10**12, -(10**12)):
+            a = _random_element(rng, P)
+            got = pc.collect(P, pc.word_of(a) + ((j, m),))
+            assert image(got) == model(image(a), power(gens[j - 1], m)), (a, j, m)
 
 
 @pytest.mark.parametrize("k", [10**12, -(10**12), 10**6 + 1, -(10**6 + 1)])
