@@ -27,6 +27,7 @@ from .errors import (
     PresentationSyntaxError,
     RelationViolated,
     SizeCap,
+    WorkerDied,
 )
 from .presentation import PcPresentation, collect, comm, conj, element_order
 from .presentation import identity, inv, mul, pow_, validate, word_of

@@ -148,16 +148,16 @@ def verify_coded(P, forms, coded, deadline=None):
     ends near the oracle's budget.
     """
     n, p = P.n, P.p
-    words = [pc.word_of(x) for x in forms]
+    stacks = [pc.word_of(x)[::-1] for x in forms]  # in the collector's push order
     conj = pc.conjugates(P)  # handed to the collector, which would look it up per call
 
     def value(r, start, letters):
         """A(f_start) times A(f_g)^m for each letter (g, m), start 0 being the
         identity, for the row r of image numbers."""
-        w = ()
-        for g, m in letters:
-            w += words[r[g - 1]] * m
-        return pc._collect_into(P, list(forms[r[start - 1]]) if start else [0] * n, w, conj)
+        stack = []
+        for g, m in reversed(letters):
+            stack += stacks[r[g - 1]] * m
+        return pc._collect_into(P, list(forms[r[start - 1]]) if start else [0] * n, stack, conj)
 
     def numbered(m, start, letters, results):
         """The number in results of value() on each of rows 0..m-1, collected

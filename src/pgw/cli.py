@@ -39,6 +39,7 @@ from .errors import (
     PresentationSyntaxError,
     RelationViolated,
     SizeCap,
+    WorkerDied,
 )
 
 _INPUT_ERRORS = (
@@ -49,6 +50,7 @@ _INPUT_ERRORS = (
     BadDefinition,
     MissingDefinitions,
     OracleTimeout,
+    WorkerDied,
     OSError,
 )
 _CONTRADICTIONS = (

@@ -107,6 +107,10 @@ def check_deadline(deadline, where):
         raise OracleTimeout(f"budget exhausted {where}")
 
 
+class WorkerDied(PgwError):
+    """An oracle worker process ended before it reported its chunks."""
+
+
 class Mismatch(PgwError):
     """Oracle cross-validation disagreement."""
 

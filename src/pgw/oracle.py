@@ -70,8 +70,10 @@ from .errors import (
     Mismatch,
     MissingDefinitions,
     NotSurjective,
+    PgwError,
     PreconditionFailed,
     RelationViolated,
+    WorkerDied,
     check_deadline,
 )
 from .tables import get_tables
@@ -305,6 +307,59 @@ def _run_chunk(args):
     return total, inner, bucket, blocks
 
 
+def _report_chunks(tasks, conn):
+    """A worker's body: send (True, results) of _run_chunk on tasks, or
+    (False, error) for the PgwError one of them raised."""
+    try:
+        out = True, [_run_chunk(task) for task in tasks]
+    except PgwError as e:
+        out = False, e
+    conn.send(out)
+
+
+def _in_workers(tasks, jobs):
+    """_run_chunk on every task, in min(jobs, len(tasks)) forked worker
+    processes; worker i takes tasks i, i + w, ... for w workers.
+
+    Each worker reports once, through its own pipe.  The parent holds no
+    copy of the pipe's sending end, so a worker that dies before it reports
+    ends its pipe and raises WorkerDied here with the worker's exit status,
+    instead of leaving the parent waiting.  An error a worker reports is
+    raised as itself.  Every worker is stopped and reaped before this
+    returns or raises.
+    """
+    fork = multiprocessing.get_context("fork")
+    width = min(jobs, len(tasks))
+    workers = []
+    try:
+        for i in range(width):
+            receive, send = fork.Pipe(duplex=False)
+            proc = fork.Process(target=_report_chunks, args=(tasks[i::width], send))
+            proc.start()
+            send.close()
+            workers.append((proc, receive))
+        results = []
+        for proc, receive in workers:
+            try:
+                ok, out = receive.recv()
+            except EOFError:
+                proc.join()
+                raise WorkerDied(
+                    f"oracle worker {proc.pid} ended with exit status {proc.exitcode} "
+                    "before it reported its chunks"
+                ) from None
+            if not ok:
+                raise out
+            results += out
+        return results
+    finally:
+        for proc, receive in workers:
+            receive.close()
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+
+
 def _enumerate_unpruned(P, deadline):
     """Pure route: every |G|^d tuple through verify, no tables, no pruning."""
     d = P.minimal_count
@@ -359,8 +414,7 @@ def enumerate_automorphisms(P, budget=None, jobs=1, pruned=True):
             results = [_run_chunk((firsts, deadline))]
         else:
             tasks = [(c, deadline) for c in np.array_split(firsts, jobs * 4) if len(c)]
-            with multiprocessing.get_context("fork").Pool(min(jobs, len(tasks))) as pool:
-                results = pool.map(_run_chunk, tasks)
+            results = _in_workers(tasks, jobs)
 
     total, inner, bucket = (sum(r[k] for r in results) for k in range(3))
     maps = np.concatenate([b for r in results for b in r[3]], dtype=np.int32)
@@ -379,11 +433,8 @@ def _conjugates_by(P, images, t):
     f_1..f_d generate G and their images determine each map.  A is already
     certified, so this skips inner_from and its second verify.
     """
-    wt = pc.word_of(t)
-    conj = pc.conjugates(P)
     return all(
-        pc._collect_into(P, list(t), pc.word_of(a), conj)
-        == pc._collect_into(P, list(f), wt, conj)
+        pc.mul(P, t, a) == pc.mul(P, f, t)
         for f, a in zip(P.generators()[: P.minimal_count], images)
     )
 

@@ -30,7 +30,19 @@ G_{j+1} = <f_{j+1}, ..., f_n>, which needs only the rows for f_{j+1}..f_n,
 so the collector builds the table itself from j = n down to 1; there is no
 second collector to bootstrap it.  On a validated presentation a letter f_j^m
 outside 0 < m < p is first reduced modulo |G_j| = p^(n-j+1), and pow_ spells
-the rest as a normal form, so a huge m costs O(n) collections.
+the rest as a normal form, so a huge m costs O(n log p) collections.
+
+A validated presentation also carries a tail memo (see conjugates()), and
+three shortcuts follow from its normal forms.  When f_j commutes with every
+f_k, k > j, f_j^m crosses any tail unchanged, so it is added to digit j in
+place.  Otherwise, on a memoized level, one lookup keyed by the tail's
+digits gives those of T^{f_j^h}, or of w_j T^{f_j^h} when f_j^h overflows
+into its power word w_j, and they are written at once instead of pushing
+one stored word per nonzero digit and collecting them again.  A power word
+that lands on zero digits is a normal form right of f_j and is written
+directly.  The consistency battery collects on the unvalidated object,
+which holds no memo, so its verdicts and messages come from the plain
+collector above.
 
 The derived operations never collect an inverse word, whose negative
 letters each expand into an inverted power word.  inv, comm and conj are
@@ -40,9 +52,11 @@ multiplication by f_k^x adds x to digit k modulo p and leaves the digits
 before it alone.  So inv(a) solves a x = 1, comm(a, b) solves b a x = a b
 and conj(a, t) solves t x = a t.  pow_ writes a^k as the product of
 (a^(p^i))^(k_i) over the base-p digits k_i of k, one collection of the
-concatenated words, with each a^(p^i) collected once from the term before
-it; a negative k is reduced modulo ord(a) = p^m, read off the same chain
-of p-th powers that element_order counts.
+concatenated words, with each a^(p^i) raised to the p from the term
+before it; a negative k is reduced modulo ord(a) = p^m, read off the same
+chain of p-th powers that element_order counts.  A power x^d with d >= 4 is
+taken by squaring, O(log d) products, and a smaller one is spelled as d
+copies of x's word, so pow_ costs O(n log p) products.
 """
 
 from __future__ import annotations
@@ -54,6 +68,7 @@ from .errors import BadDefinition, BadWeight, ConsistencyViolation, SizeCap
 
 MAX_P = 97
 MAX_N = 16
+MEMO_TAILS = 729  # the largest tail space p^(n-j) that is memoized; see conjugates()
 
 
 @dataclass(frozen=True, eq=False)  # eq=False: identity hash, lets lru_cache key on P
@@ -67,6 +82,7 @@ class PcPresentation:
     minimal_count: int = 0
     validated: bool = False
     _conjugates: list = field(default=None, init=False, repr=False)  # see conjugates()
+    _tails: list = field(default=None, init=False, repr=False)  # see conjugates()
 
     @property
     def order(self):
@@ -97,8 +113,9 @@ def inverse_word(w):
 
 def collect(P, w):
     """Collection from the left: normal form of the group element spelled by w."""
-    e = [0] * P.n
-    return _collect_into(P, e, w)
+    stack = list(w)
+    stack.reverse()
+    return _collect_into(P, [0] * P.n, stack)
 
 
 def conjugates(P):
@@ -112,6 +129,28 @@ def conjugates(P):
     row b-1's f_k once more by f_j^(2^(b-1)), letter by letter, and takes the
     powers of that.  Both are collection in G_{j+1}, from the rows of
     j+1..n only, so the rows go from j = n down to 1.
+
+    Beside the table sits the tail memo, P._tails, which validate() makes
+    fresh for the validated object only: the unvalidated object that the
+    consistency battery collects on has none, and a copy made with
+    dataclasses.replace starts without one, so no two presentations share
+    entries.  Level j is memoized when its tail space p^(n-j) is at most
+    MEMO_TAILS = 729 (3^6, the largest level of the shipped groups).  A key
+    is (j, b, over, T): the tail's digits T right of f_j, the bit 2^b of
+    the letter that crosses it, and whether f_j overflows into its power
+    word; the entry is the digits of T^{f_j^(2^b)}, or of w_j T^{f_j^(2^b)},
+    collected once in G_{j+1} on the first miss.  A level whose f_j commutes
+    with G_{j+1} needs the overflow key only, whatever the letter.  So level
+    j holds at most p^(n-j) - 1 entries (nonzero tails) on such a level and
+    2 bit_length(p-1) (p^(n-j) - 1) on any other, plus one copy of each
+    distinct tail tuple, shared by keys and values.  Larger levels keep the
+    push path.  The bound comes from scripts/collector_scan.py, about 10^3
+    random products per group in a fresh interpreter: against no memoized
+    level, random mul took 1.06x at p = 7 and 0.83x at p = 31 with this
+    bound, but 1.27x at p = 7 with 2401, which adds p = 7's 2401-tail level,
+    and 1.25x at p = 31 with 29791, which adds p = 31's 29791-tail level.
+    Such a level is still mostly misses after the scan, and a miss costs
+    more than the push it replaces.
     """
     if P._conjugates is None:
         object.__setattr__(P, "_conjugates", _conjugate_table(P))
@@ -142,8 +181,9 @@ def _conjugate_table(P):
                     continue
                 words = [()]
                 x = [0] * n
+                stack = unit[::-1]
                 for _ in range(1, p):
-                    x = _collect_into(P, list(x), unit, table)
+                    x = _collect_into(P, list(x), list(stack), table)
                     words.append(word_of(x)[::-1])
                 row[k - 1] = tuple(words)
             rows.append(row)
@@ -151,7 +191,10 @@ def _conjugate_table(P):
     return table
 
 
-def _collect_into(P, e, w, table=None):
+def _collect_into(P, e, stack, table=None):
+    """Collect the letters of the list stack, in push order (the last one
+    first), to the right of the exponent vector e; both are consumed, and
+    the normal form is returned as a tuple."""
     # invariant: value = normalform(e) * product(stack, top first), and
     # e[k] == 0 for every k > top, e[top] != 0 (top = -1 when e is all zero)
     p = P.p
@@ -159,10 +202,9 @@ def _collect_into(P, e, w, table=None):
     # table: the stored conjugates when the caller holds them, or the rows
     # that _conjugate_table is building
     conj = conjugates(P) if table is None else table
-    stack = list(w)  # a letter with m = 0 is dropped when it is popped
-    stack.reverse()
-    pop, push = stack.pop, stack.extend
-    top = P.n - 1
+    tails = P._tails  # the tail memo, on a validated presentation only
+    pop, push = stack.pop, stack.extend  # a letter with m = 0 is dropped
+    last = top = P.n - 1
     while top >= 0 and not e[top]:
         top -= 1
     while stack:
@@ -170,7 +212,8 @@ def _collect_into(P, e, w, table=None):
         if not (0 < m < p):
             if P.validated:
                 # f_j lies in G_j, of order p^(n-j+1), and pow_ takes the rest
-                # p-adically: O(n) collections, not m/p copies of f_j's power
+                # p-adically: O(n log p) collections, not m/p copies of f_j's
+                # power word
                 m %= p ** (P.n - j + 1)
                 if m:
                     push(reversed(word_of(pow_(P, P.generator(j), m))))
@@ -192,13 +235,39 @@ def _collect_into(P, e, w, table=None):
         if jj < top:
             # move f_j^h across the tail T = f_{j+1}^e.. f_{top+1}^e, where
             # h = 2^b is the lowest set bit of m: NF(e)*T*f_j^m =
-            # NF(e)*f_j^h*T^{f_j^h}*f_j^{m-h}, and T^{f_j^h} is the product of
-            # the stored (f_k^e_k)^{f_j^h} in row b.  Push in reverse
-            # processing order: f_j^{m-h} deepest, then T^{f_j^h} from its
-            # last factor on; the tail is zeroed in the same walk.
+            # NF(e)*f_j^h*T^{f_j^h}*f_j^{m-h}.
             h = m & -m
+            memo = None
+            if tails is not None:
+                _, central, memo, _ = tails[jj]
+                if central:  # T^{f_j^m} = T, so f_j^m crosses in one step
+                    if e[jj] + m < p:
+                        e[jj] += m
+                        continue
+                    h = m
             if m > h:
                 stack.append((j, m - h))
+            if memo is not None:
+                # one lookup gives the digits right of f_j of T^{f_j^h}, or
+                # of w_j T^{f_j^h} when f_j overflows
+                s = e[jj] + h
+                over = s >= p
+                memo = memo[p + h if over else h]
+                key = tuple(e[j:])
+                digits = memo.get(key)
+                if digits is None:
+                    digits = _tail_entry(P, conj, memo, jj, h, over, key)
+                e[j:] = digits
+                e[jj] = s - p if over else s
+                top = last
+                while top >= 0 and not e[top]:
+                    top -= 1
+                continue
+            # T^{f_j^h} is the product of the stored (f_k^e_k)^{f_j^h} in
+            # row b.  Push in reverse processing order: f_j^{m-h} deepest,
+            # then T^{f_j^h} from its last factor on; the tail is zeroed in
+            # the same walk.  A central f_j^m has h = m, and every row of
+            # its j holds plain powers.
             row = conj[jj][h.bit_length() - 1]
             for k in range(top, jj, -1):
                 ek = e[k]
@@ -214,17 +283,72 @@ def _collect_into(P, e, w, table=None):
             continue
         # f_j^p overflows into its power word, which lies right of f_j
         e[jj] = s - p
-        wj = power_rel[jj]
-        if wj:
-            push(reversed(wj))
+        if tails is not None:
+            # on zero digits the power word is a normal form: write it
+            e[j:], top = tails[jj][0]
+            if top >= 0:
+                continue
+        else:
+            wj = power_rel[jj]
+            if wj:
+                push(reversed(wj))
         top = jj
         while top >= 0 and not e[top]:
             top -= 1
     return tuple(e)
 
 
+def _tail_entry(P, conj, memo, jj, h, over, tail):
+    """Fill memo[tail] with the digits right of f_j, j = jj + 1, of
+    T^{f_j^h}, or of w_j T^{f_j^h} when over, where T is the element whose
+    digits right of f_j are tail, by one collection in G_{j+1}; return them.
+    Key and value are the level's one copy of each tuple."""
+    row = conj[jj][h.bit_length() - 1]
+    stack = []
+    for k in range(P.n - 1, jj, -1):
+        ek = tail[k - jj - 1]
+        if ek:
+            stack += row[k][ek]
+    if over:
+        stack += reversed(P.power_rel[jj])
+    digits = _collect_into(P, [0] * P.n, stack, conj)[jj + 1:]
+    canon = P._tails[jj][3]
+    digits = canon.setdefault(digits, digits)
+    memo[canon.setdefault(tail, tail)] = digits
+    return digits
+
+
+def _fresh_tails(P):
+    """A cold tail memo for the validated P (see conjugates()).
+
+    Entry j-1 is (the digits right of f_j of its power word w_j and their
+    top, whether f_j commutes with G_{j+1}, the level's dicts or None, the
+    level's interned tail tuples).  The dicts are indexed by h for a
+    crossing f_j^h and by p + h when f_j overflows; a central level has one
+    dict, at every p + m, and nothing else."""
+    p, n = P.p, P.n
+    tails = []
+    for j in range(1, n + 1):
+        digits = [0] * n
+        for g, m in P.power_rel[j - 1]:
+            digits[g - 1] = m
+        top = max((g - 1 for g, _ in P.power_rel[j - 1]), default=-1)
+        central = not any(P.comm_rel.get((k, j)) for k in range(j + 1, n + 1))
+        memo = None
+        if 1 < p ** (n - j) <= MEMO_TAILS:
+            if central:  # f_j^m crosses whole, and only when it overflows
+                memo = [None] * p + [{}] * p
+            else:
+                memo = [None] * (2 * p)
+                for b in range((p - 1).bit_length()):
+                    memo[1 << b] = {}
+                    memo[p + (1 << b)] = {}
+        tails.append(((tuple(digits[j:]), top), central, memo, {}))
+    return tails
+
+
 def mul(P, a, b):
-    return _collect_into(P, list(a), word_of(b))
+    return _collect_into(P, list(a), [(k + 1, b[k]) for k in range(P.n - 1, -1, -1) if b[k]])
 
 
 def _solve(P, u, v):
@@ -243,7 +367,7 @@ def _solve(P, u, v):
         xk = (vk - cur[k]) % p
         if xk:
             x[k] = xk
-            _collect_into(P, cur, ((k + 1, xk),), table)
+            _collect_into(P, cur, [(k + 1, xk)], table)
     return tuple(x)
 
 
@@ -261,18 +385,37 @@ def conj(P, a, t):
     return _solve(P, t, mul(P, a, t))
 
 
+def _power_word(P, x, d):
+    """A word for x^d, d >= 0: d copies of x's word when d < 4, else the
+    normal form of x^d by squaring, x^(2^b) for each bit of d multiplied
+    over the set bits, O(log d) products; powers of x commute."""
+    if d < 4:
+        return word_of(x) * d
+    acc = None
+    while True:
+        if d & 1:
+            acc = x if acc is None else mul(P, acc, x)
+        d >>= 1
+        if not d:
+            return word_of(acc)
+        x = mul(P, x, x)
+
+
 def _p_powers(P, a, limit=None):
-    """The terms a^(p^i) = (a^(p^(i-1)))^p with p^i <= limit, each one
-    collection, stopping before the identity; with no limit, ord(a) is p to
-    the number of terms."""
+    """The terms a^(p^i) = (a^(p^(i-1)))^p with p^i <= limit, each raised
+    to the p by _power_word, stopping at the last term that limit needs or
+    before the identity; with no limit, ord(a) is p to the number of
+    terms."""
     p, one = P.p, identity(P)
     chain = []
     x = tuple(a)
-    while x != one and (limit is None or p ** len(chain) <= limit):
+    while x != one:
         if len(chain) == P.n:
             raise SizeCap(f"element order exceeded group order, arithmetic bug: {a}")
         chain.append(x)
-        x = _collect_into(P, list(x), word_of(x) * (p - 1))
+        if limit is not None and p ** len(chain) > limit:
+            break
+        x = collect(P, _power_word(P, x, p))
     return chain
 
 
@@ -289,7 +432,7 @@ def pow_(P, a, k):
     w = []
     for x in chain:
         k, digit = divmod(k, p)
-        w += word_of(x) * digit
+        w += _power_word(P, x, digit)
     return collect(P, w)
 
 
@@ -383,7 +526,7 @@ def validate(P):
         for i in range(1, j):
             fji = collect(P, ((j, 1), (i, 1)))
             lhs = mul(P, collect(P, ((j, p),)), P.generator(i))
-            rhs = _collect_into(P, [0] * P.n, ((j, p - 1),) + word_of(fji))
+            rhs = collect(P, ((j, p - 1),) + word_of(fji))
             if lhs != rhs:
                 raise ConsistencyViolation("power/swap", (j, i), lhs, rhs)
             lhs = collect(P, ((j, 1),) + word_of(collect(P, ((i, p),))))
@@ -411,6 +554,7 @@ def validate(P):
 
     V = dataclasses.replace(P, validated=True)
     object.__setattr__(V, "_conjugates", conjugates(P))
+    object.__setattr__(V, "_tails", _fresh_tails(V))
     return V
 
 

@@ -2,6 +2,9 @@
 
 import importlib.resources
 import json
+import multiprocessing
+import os
+import signal
 import subprocess
 import sys
 
@@ -13,6 +16,8 @@ from pgw import cli, tables
 from pgw import oracle as orc
 from pgw import presentation as pc
 from pgw.report import TOP_KEYS
+
+from conftest import FAMILY
 
 
 def data_path(name):
@@ -283,11 +288,39 @@ def test_oracle_budget_exit_two(capsys):
 
 
 def test_count_budget_two_seconds_exits_two(capsys, tmp_path):
-    f = tmp_path / "c343c49.pg"
-    f.write_text(C343C49)
+    # C_{11^3} x| C_{11^2}, whose search runs far past the budget; the 7^5
+    # group's whole count can end inside 2 s on a fast host
+    f = tmp_path / "m161051.pg"
+    f.write_text(FAMILY.format(order=11**5, p=11, q=10))
     code, out = run(capsys, "count", str(f), "--budget", "2")
     assert code == 2
     assert "budget" in out
+
+
+def test_count_dead_worker_exits_two(capsys, monkeypatch):
+    # a worker that dies mid-enumeration must end --jobs 2 with exit 2, not
+    # leave the parent waiting; the alarm fails the test instead of hanging
+    run_chunk = orc._run_chunk
+
+    def dying(args):
+        if args[0][0] == 1:  # the chunk holding the first level-d node
+            os._exit(7)
+        return run_chunk(args)
+
+    def hung(signum, frame):
+        pytest.fail("pgw count is still waiting for a dead worker")
+
+    monkeypatch.setattr(orc, "_run_chunk", dying)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        code, out = run(capsys, "count", data_path("m243"), "--jobs", "2")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2
+    assert "pgw: error: oracle worker" in out and "exit status 7" in out
+    assert multiprocessing.active_children() == []
 
 
 def test_report_file_written(capsys, tmp_path):

@@ -132,24 +132,32 @@ def test_jobs_do_not_change_anything():
     assert np.array_equal(a.maps, b.maps)
 
 
-class _InlinePool:
-    """A stand-in for multiprocessing's Pool that records its size and the
-    number of tasks it is given, and maps them in this process."""
+class _InlineFork:
+    """A stand-in for the fork context: a Process runs its target in this
+    process when started, and records how many tasks it was given; a Pipe
+    hands recv the one object that was sent."""
 
-    sizes = []
+    started = []
 
-    def __init__(self, processes):
-        self.processes = processes
+    class Process:
+        def __init__(self, target, args):
+            self.target, self.args = target, args
 
-    def __enter__(self):
-        return self
+        def start(self):
+            _InlineFork.started.append(len(self.args[0]))
+            self.target(*self.args)
 
-    def __exit__(self, *exc):
-        return False
+        def is_alive(self):
+            return False
 
-    def map(self, fn, tasks):
-        self.sizes.append((self.processes, len(tasks)))
-        return [fn(task) for task in tasks]
+        def join(self):
+            pass
+
+    @staticmethod
+    def Pipe(duplex):
+        box = []
+        end = types.SimpleNamespace(send=box.append, recv=box.pop, close=lambda: None)
+        return end, end
 
 
 @pytest.mark.parametrize("name", ["h27", "g2187"])
@@ -159,11 +167,10 @@ def test_jobs_never_exceed_the_tasks(name, request, monkeypatch):
         a = request.getfixturevalue("demo_oracle_count")
     else:
         a = pgw.enumerate_automorphisms(P, jobs=1)
-    _InlinePool.sizes = []
-    context = types.SimpleNamespace(Pool=_InlinePool)
-    monkeypatch.setattr(oracle.multiprocessing, "get_context", lambda method: context)
+    _InlineFork.started = []
+    monkeypatch.setattr(oracle.multiprocessing, "get_context", lambda method: _InlineFork)
     b = pgw.enumerate_automorphisms(P, jobs=1000)
-    [(processes, tasks)] = _InlinePool.sizes
+    processes, tasks = len(_InlineFork.started), sum(_InlineFork.started)
     assert processes <= tasks == P.p ** P.minimal_count - 1
     assert (a.total, a.inner, a.order_p_noninner_fixing_frattini) == (
         b.total,

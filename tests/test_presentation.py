@@ -231,6 +231,89 @@ def test_validate_keeps_no_reference_to_the_raw_presentation(monkeypatch):
     assert P.validated
 
 
+def _memo_dicts(P):
+    """The distinct dicts of P's tail memo; a central level shares one."""
+    dicts = {}
+    for _, _, memo, _ in P._tails or ():
+        for d in memo or ():
+            if d is not None:
+                dicts[id(d)] = d
+    return list(dicts.values())
+
+
+def _memo_entries(P):
+    return sum(len(d) for d in _memo_dicts(P))
+
+
+def _memo_bound(P):
+    # the bound of the conjugates() docstring: p^(n-j) - 1 nonzero tails per
+    # memoized level j, keyed once on a central level and 2 bit_length(p - 1)
+    # times on any other
+    bound = 0
+    for j in range(1, P.n + 1):
+        tails = P.p ** (P.n - j)
+        if 1 < tails <= pc.MEMO_TAILS:
+            central = not any(P.comm_rel.get((k, j)) for k in range(j + 1, P.n + 1))
+            bound += (tails - 1) * (1 if central else 2 * (P.p - 1).bit_length())
+    return bound
+
+
+@pytest.mark.parametrize("name", ALL_NAMES + FAMILY_NAMES)
+def test_tail_memo_cold_and_warm_match_index_algebra(name):
+    # a fresh validation starts with a cold memo; the second pass repeats the
+    # same products, finds every crossing in the memo and adds nothing to it
+    P = pc.validate(dataclasses.replace(load_group(name), validated=False))
+    t = tables.get_tables(P)
+    rng = random.Random(29)
+    pairs = [(_random_element(rng, P), _random_element(rng, P)) for _ in range(300)]
+    words = [_random_word(rng, P) for _ in range(100)]
+    assert _memo_entries(P) == 0
+    filled = None
+    for memo in ("cold", "warm"):
+        for a, b in pairs:
+            assert t.encode(pc.mul(P, a, b)) == t.mul(t.encode(a), t.encode(b)), (memo, a, b)
+        for w in words:
+            want = 0
+            for g, m in w:
+                want = t.mul(want, t.pow(t.strides[g - 1], m))
+            assert t.encode(pc.collect(P, w)) == want, (memo, w)
+        assert filled is None or _memo_entries(P) == filled
+        filled = _memo_entries(P)
+    assert filled <= _memo_bound(P)
+
+
+@pytest.mark.parametrize("name", ["g2187", "m_p97"])
+def test_tail_memo_stays_within_its_bound(name):
+    if name == "m_p97":
+        P = groupfile.parse_text(FAMILY.format(order=97**5, p=97, q=96)).presentation
+    else:
+        P = pgw.load(name)
+    rng = random.Random(97)
+    for _ in range(10**4):
+        pc.mul(P, _random_element(rng, P), _random_element(rng, P))
+    assert 0 < _memo_entries(P) <= _memo_bound(P)
+
+
+def test_tail_memo_only_on_validated_and_never_shared(monkeypatch):
+    raws = []
+    validate = pc.validate
+
+    def recording(P):
+        raws.append(P)
+        return validate(P)
+
+    monkeypatch.setattr(pc, "validate", recording)
+    P, Q = (groupfile.parse_text(_g2187_text()).presentation for _ in range(2))
+    # the consistency battery collects on the raw object, which holds no memo
+    assert len(raws) == 2 and all(raw._tails is None for raw in raws)
+    assert dataclasses.replace(P)._tails is None
+    rng = random.Random(31)
+    for _ in range(200):
+        pc.mul(P, _random_element(rng, P), _random_element(rng, P))
+    assert _memo_entries(P) > 0 and _memo_entries(Q) == 0
+    assert not {id(d) for d in _memo_dicts(P)} & {id(d) for d in _memo_dicts(Q)}
+
+
 @pytest.mark.parametrize("name", ["h27", "g2187", "m3125"])
 def test_collect_and_mul_leave_inputs_unchanged(name):
     P = load_group(name)
