@@ -1,6 +1,6 @@
 """Time pgw's element arithmetic per call, in process, at p = 3, 5, 7, 31 and 97.
 
-    python3 scripts/collector_scan.py [--seed 1] [--reps 5] [--memo-tails B]
+    python3 scripts/collector_scan.py [--seed 1] [--reps 5] [--memo-keys B]
 
 Each group is the FAMILY text of tests/conftest.py (C_{p^3} x| C_{p^2}, m243
 at p = 3), parsed and validated once.  A repetition draws fresh seeded random
@@ -11,8 +11,9 @@ so any per-presentation memo is cold there and warm after it.  The script
 imports pgw from the src directory of the checkout it lives in, whatever
 PYTHONPATH says; to compare two checkouts, run each one's own copy, in
 alternating fresh interpreters.
---memo-tails B sets presentation.MEMO_TAILS, the largest tail space that the
-collector memoizes, before any group is parsed (0 memoizes no level).
+--memo-keys B sets presentation.MEMO_KEYS, the largest key count of a pc
+level that the collector memoizes, before any group is parsed (0 memoizes
+no level).
 
 Prints one JSON object: for each group and operation, the per-call time of
 every repetition (us) and their median, plus the parse time and, where the
@@ -99,17 +100,17 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--reps", type=int, default=5)
     ap.add_argument("--primes", type=int, nargs="+", default=PRIMES)
-    ap.add_argument("--memo-tails", type=int, help="set presentation.MEMO_TAILS")
+    ap.add_argument("--memo-keys", type=int, help="set presentation.MEMO_KEYS")
     args = ap.parse_args(argv)
-    if args.memo_tails is not None:
-        if not hasattr(pc, "MEMO_TAILS"):
-            ap.error("this checkout's collector has no MEMO_TAILS")
-        pc.MEMO_TAILS = args.memo_tails
+    if args.memo_keys is not None:
+        if not hasattr(pc, "MEMO_KEYS"):
+            ap.error("this checkout's collector has no MEMO_KEYS")
+        pc.MEMO_KEYS = args.memo_keys
     result = {
         "python": platform.python_version(),
         "seed": args.seed,
         "reps": args.reps,
-        "memo_tails": getattr(pc, "MEMO_TAILS", None),
+        "memo_keys": getattr(pc, "MEMO_KEYS", None),
         "groups": {f"m_p{p}": scan_group(p, args.seed, args.reps) for p in args.primes},
     }
     print(json.dumps(result))

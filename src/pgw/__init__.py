@@ -4,7 +4,8 @@ Works with groups given by consistent power-commutator presentations:
 checks the hypotheses (odd p, monolithic, every maximal subgroup
 non-abelian, [Z(M), g] <= Z(G)), constructs the promised non-inner
 automorphism of order p fixing the Frattini subgroup elementwise, and can
-cross-check everything against a brute-force enumeration of Aut(G).
+cross-check everything against a brute-force enumeration of Aut(G).  Only
+that enumeration, the oracle, needs numpy.
 """
 
 from .corpus import CORPUS_NAMES, DEMO_NAME, demo, load
@@ -75,6 +76,16 @@ from .automorphisms import (
     is_inner,
     verify,
 )
-from .oracle import AutCount, cross_validate, enumerate_automorphisms
 
 __version__ = "0.1.0"
+
+# the oracle's names load it, and with it numpy and the tables, on first use
+_ORACLE_NAMES = ("AutCount", "cross_validate", "enumerate_automorphisms")
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

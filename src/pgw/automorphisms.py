@@ -11,18 +11,17 @@ Burnside's basis test: a verified endomorphism is onto iff the images of
 f_1..f_d span G/Phi(G), which validate() makes the first d exponents.  On
 top of that sit conjugation maps (inner_from), the inner test, the
 maximal-subgroup extension map and the full witness construction.  The inner
-test looks the generator images up in one cached table of the inner maps'
-image rows and their lex-least conjugators, computed with the index algebra
-of tables.py; the oracle's classifier reads the same table, and its
-cross-validation re-checks every inner label by collection.
+test is a conjugacy solve down the pc series, by collection.  The oracle
+labels whole blocks of maps with a second route, one cached table of the
+inner maps' image rows and their lex-least conjugators, computed with the
+index algebra of tables.py; only that route, and verify_coded on more than
+one row, import numpy, inside the functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from . import hypotheses as hp
 from . import presentation as pc
@@ -37,7 +36,6 @@ from .errors import (
     RelationViolated,
     check_deadline,
 )
-from .tables import get_tables
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,14 +96,15 @@ def verify(A):
     images = tuple(map(tuple, A.images))
     if len(images) != n:
         raise ValueError(f"need {n} images, got {len(images)}")
-    number = {}
+    number, forms = {}, []
     for x in images:
         if x in number:
             continue
-        if len(x) != n or not all(isinstance(v, (int, np.integer)) and 0 <= v < p for v in x):
+        form = pc.normal_form(P, x)
+        if form is None:
             raise ValueError(f"image {x} is not a normal form: need {n} ints in 0..{p - 1}")
-        number[x] = len(number)
-    forms = [tuple(map(int, x)) for x in number]
+        number[x] = len(forms)
+        forms.append(form)
     failed = verify_coded(P, forms, [[number[x] for x in images]])
     if failed is not None:
         try:
@@ -148,6 +147,8 @@ def verify_coded(P, forms, coded, deadline=None):
     ends near the oracle's budget.
     """
     n, p = P.n, P.p
+    if len(coded) > 1:  # blocks of rows are keyed with numpy; verify's one row is not
+        import numpy as np
     stacks = [pc.word_of(x)[::-1] for x in forms]  # in the collector's push order
     conj = pc.conjugates(P)  # handed to the collector, which would look it up per call
 
@@ -240,6 +241,8 @@ def verify_coded(P, forms, coded, deadline=None):
 def _distinct_rows(keys):
     """(first, inverse) for the rows of a 2-d integer array: the index of one
     row for each distinct row, and the distinct row of each row."""
+    import numpy as np
+
     keys = np.ascontiguousarray(keys)
     if keys.shape[1] > 1:  # one void scalar per row, compared bytewise
         keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))
@@ -285,7 +288,12 @@ def _inner_table(P):
     """The inner maps: their generator-image rows of element indices, as
     sorted void scalars, and the lex-least conjugator of each.  The
     conjugators of one inner map are a coset of Z(G), so every row of
-    conjugation images occurs |Z(G)| times."""
+    conjugation images occurs |Z(G)| times.  The oracle's route: it builds
+    the tables of tables.py and imports numpy."""
+    import numpy as np
+
+    from .tables import get_tables
+
     t = get_tables(P)
     columns = t.conj(t.strides[:, None], t.all)  # the generators' indices are the strides
     rows = np.ascontiguousarray(columns.T).view(np.dtype((np.void, columns.itemsize * P.n)))
@@ -298,6 +306,8 @@ def _inner_table(P):
 def _conjugators(P, rows):
     """For each row of generator-image indices, the index of the lex-least
     element conjugating by which gives it, or -1 when it is no inner map."""
+    import numpy as np
+
     keys, first = _inner_table(P)
     q = np.ascontiguousarray(rows, dtype=np.int32).view(keys.dtype).ravel()
     k = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
@@ -306,19 +316,21 @@ def _conjugators(P, rows):
 
 def is_inner(A):
     """(True, conjugator) if A is conjugation by some t, else (False, None).
-    The conjugator is the lex-least element of its coset of Z(G)."""
+
+    The conjugator is the lex-least element of its coset of Z(G), found by
+    the conjugacy solve of structure.conjugator on f_1, ..., f_d, which
+    generate G; then all n images are checked, so a map that is no
+    homomorphism is not inner.  A wrong number of images, or an image that
+    is no normal form, makes no inner map."""
     P = A.parent
-    if len(A.images) != P.n:
+    images = [pc.normal_form(P, x) for x in A.images]
+    if len(images) != P.n or None in images:
         return False, None
-    t = get_tables(P)
-    try:
-        images = t.encode(A.images)
-    except ValueError:  # an image outside the group makes no inner map
+    d = P.minimal_count
+    t = st.conjugator(P, P.generators()[:d], images[:d])
+    if t is None or any(pc.conj(P, f, t) != y for f, y in zip(P.generators(), images)):
         return False, None
-    x = _conjugators(P, images[None])[0]
-    if x < 0:
-        return False, None
-    return True, tuple(t.decode(x).tolist())
+    return True, t
 
 
 def fixes_elementwise(A, H):
@@ -415,16 +427,12 @@ def construct_theorem_witness(P, skip_hypothesis_check=False):
             ]
             raise PreconditionFailed("hypotheses not satisfied: " + ", ".join(failed))
 
-    t = get_tables(P)
-    Z = st.center(P)
-    Z2 = st.second_center(P)
-    idxs = np.flatnonzero(Z2.mask & (t.pow(t.all, p) == 0) & ~Z.mask)
-    if idxs.size == 0:
+    u = st.least_order_p_outside_center(P)
+    if u is None:
         raise NoEligibleU(
             "every order-p element of the second center is central "
-            f"(|Z| = {Z.order}, |Z2| = {Z2.order})"
+            f"(|Z| = {st.center(P).order}, |Z2| = {st.second_center(P).order})"
         )
-    u = tuple(t.decode(idxs[0]).tolist())
 
     M = st.centralizer(P, u)
     if M.order * p != P.order:

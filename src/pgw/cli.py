@@ -6,7 +6,9 @@
 
 Exit codes: 0 success, 1 hypothesis not applicable, 2 input errors,
 3 internal contradiction (a certificate or cross-check failed, which means
-a bug, not bad input).
+a bug, not bad input), 130 interrupted (Ctrl-C).
+
+Only count and --with-oracle load the oracle, and with it numpy.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from . import automorphisms as au
 from . import corpus
 from . import groupfile
 from . import hypotheses as hy
-from . import oracle as orc
 from . import presentation as pc
 from . import report as rp
 from . import structure as st
@@ -123,6 +124,8 @@ def _emit(args, rep, extra_lines=()):
 
 
 def _run_oracle(P, args):
+    from . import oracle as orc
+
     count = orc.enumerate_automorphisms(P, budget=args.budget, jobs=args.jobs)
     ok = orc.cross_validate(P, precomputed=count)
     return count, rp.oracle_section(count, ok)
@@ -301,6 +304,9 @@ def main(argv=None):
     except _CONTRADICTIONS as e:
         print(f"pgw: internal contradiction: {e.__class__.__name__}: {e}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:  # any oracle workers were stopped on the way out
+        print("pgw: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

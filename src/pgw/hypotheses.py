@@ -15,10 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
+from . import presentation as pc
 from . import structure as st
-from .tables import get_tables
 
 
 @dataclass(frozen=True)
@@ -78,24 +76,35 @@ def is_monolithic(P):
 def check_zm_condition(P):
     """[Z(M), g] <= Z(G) for every maximal M and every g outside M.
 
-    Returns (verdict, first violating (maximal index, m, g) or None),
-    scanning maximals, then m, then g in canonical order.
+    Returns (verdict, first violating (maximal index, m, g) or None), in the
+    order maximals, then m, then g, each lex-least, from generators.  Fix g0
+    outside M and take m in Z(M).  For m' in M, [m, m' g0^i] = [m, g0^i],
+    and m -> [m, g0] is a homomorphism on Z(M), since its values lie in M,
+    which m centralizes.  So the m with [m, g0] in Z(G) form a subgroup B,
+    and for them [m, g0^i] = [m, g0]^i is central: no g is bad.  Every other
+    m is bad with g = g0, so the first bad m is the lex-least element of
+    Z(M) outside B.  Whether g is bad for it depends only on g's coset of
+    M, and g is the least of the lex-least elements of the bad cosets.
     """
-    t = get_tables(P)
-    zmask = st.center(P).mask
+    Z = st.center(P)
     for mi, (M, zm) in enumerate(zip(st.maximal_subgroups(P), st.maximal_centers(P))):
-        outside = np.flatnonzero(~M.mask)
-        for m in zm.indices():
-            bad = np.flatnonzero(~zmask[t.comm(m, outside)])
-            if bad.size:
-                return False, (mi, *st._tuples(t, [m, outside[bad[0]]]))
+        g0 = next(f for f in P.generators() if f not in M)
+        good = st.kernel(P, zm, st.commutators_with(P, [g0]), Z)
+        m = st.least_outside(P, zm, good)
+        if m is None:
+            continue
+        bad = []
+        for i in range(1, P.p):
+            gi = pc.pow_(P, g0, i)
+            if pc.comm(P, m, gi) not in Z:
+                bad.append(st.least_in_coset(P, M, gi))
+        return False, (mi, m, min(bad))
     return True, None
 
 
 @lru_cache(maxsize=None)
 def check_theorem_hypotheses(P):
     """The report for both the theorem and the corollary, cached per presentation."""
-    t = get_tables(P)
     Z = st.center(P)
     Z2 = st.second_center(P)
     F = st.frattini(P)
@@ -106,7 +115,7 @@ def check_theorem_hypotheses(P):
     cent_z_phi = st.centralizer(P, z_phi)
 
     qf = st.quotient_facts(P, Z2, Z)
-    exceeds = bool(np.any(Z2.mask & (t.pow(t.all, P.p) == 0) & ~Z.mask))
+    exceeds = st.least_order_p_outside_center(P) is not None
 
     diagnostics = {
         "z2_abelian": st.is_abelian(P, Z2),

@@ -28,10 +28,11 @@ are not read.  The classifier works on the same blocks.  An automorphism is
 fixed by its images of f_1..f_d, which generate G, so order p is read off
 those d columns, with the powers of every image built once per block; it
 fixes Phi(G) = <f_{d+1}, ..., f_n> elementwise iff the other columns hold
-f_{d+1}, ..., f_n.  Inner maps are found in the inner test's table of
-conjugation images.  The unpruned route pushes every |G|^d tuple through
-verify, one map at a time, and numbers the images by their mixed-radix value;
-the two must agree exactly.
+f_{d+1}, ..., f_n.  Inner maps are found in the table of conjugation
+images (automorphisms._inner_table), a route apart from the conjugacy solve
+of automorphisms.is_inner.  The unpruned route pushes every |G|^d tuple
+through verify, one map at a time, and numbers the images by their
+mixed-radix value; the two must agree exactly.
 
 The sieve's tables come from the parsed relations by induction down the pc
 series and verify collects, so pruned == unpruned tests that induction and the
@@ -58,8 +59,10 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import signal
 import time
 from dataclasses import dataclass
+from multiprocessing import connection
 
 import numpy as np
 
@@ -70,6 +73,7 @@ from .errors import (
     Mismatch,
     MissingDefinitions,
     NotSurjective,
+    OracleTimeout,
     PgwError,
     PreconditionFailed,
     RelationViolated,
@@ -234,7 +238,7 @@ def _certify_rows(ctx, rows, deadline):
     relation; any rejection is a route bug.  Each distinct image is decoded
     once.  Returns the certified rows."""
     distinct, inverse = np.unique(rows, return_inverse=True)
-    forms = st._tuples(ctx["t"], distinct)
+    forms = list(map(tuple, ctx["t"].decode(distinct).tolist()))
     coded = inverse.reshape(rows.shape)
     failed = au.verify_coded(ctx["P"], forms, coded, deadline)
     if failed is not None:
@@ -309,7 +313,9 @@ def _run_chunk(args):
 
 def _report_chunks(tasks, conn):
     """A worker's body: send (True, results) of _run_chunk on tasks, or
-    (False, error) for the PgwError one of them raised."""
+    (False, error) for the PgwError one of them raised.  The worker ignores
+    Ctrl-C, which reaches the whole process group: the parent stops it."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
         out = True, [_run_chunk(task) for task in tasks]
     except PgwError as e:
@@ -317,16 +323,17 @@ def _report_chunks(tasks, conn):
     conn.send(out)
 
 
-def _in_workers(tasks, jobs):
+def _in_workers(tasks, jobs, deadline):
     """_run_chunk on every task, in min(jobs, len(tasks)) forked worker
     processes; worker i takes tasks i, i + w, ... for w workers.
 
-    Each worker reports once, through its own pipe.  The parent holds no
-    copy of the pipe's sending end, so a worker that dies before it reports
-    ends its pipe and raises WorkerDied here with the worker's exit status,
-    instead of leaving the parent waiting.  An error a worker reports is
-    raised as itself.  Every worker is stopped and reaped before this
-    returns or raises.
+    Each worker reports once, through its own pipe, and the parent waits on
+    all the pipes at once, up to the deadline.  The parent holds no copy of
+    a pipe's sending end, so a worker that dies before it reports ends its
+    pipe and raises WorkerDied here with the worker's exit status.  A worker
+    that hangs without dying raises OracleTimeout once the deadline passes.
+    An error a worker reports is raised as itself.  Every worker is stopped
+    and reaped before this returns or raises, Ctrl-C included.
     """
     fork = multiprocessing.get_context("fork")
     width = min(jobs, len(tasks))
@@ -338,20 +345,30 @@ def _in_workers(tasks, jobs):
             proc.start()
             send.close()
             workers.append((proc, receive))
-        results = []
-        for proc, receive in workers:
-            try:
-                ok, out = receive.recv()
-            except EOFError:
-                proc.join()
-                raise WorkerDied(
-                    f"oracle worker {proc.pid} ended with exit status {proc.exitcode} "
-                    "before it reported its chunks"
-                ) from None
-            if not ok:
-                raise out
-            results += out
-        return results
+        reports = [None] * width
+        pending = list(range(width))
+        while pending:
+            timeout = None if deadline is None else max(0.0, deadline - time.monotonic())
+            ready = connection.wait([workers[i][1] for i in pending], timeout)
+            if not ready:
+                raise OracleTimeout(
+                    f"budget exhausted waiting for {len(pending)} of {width} oracle workers"
+                )
+            for i in [i for i in pending if workers[i][1] in ready]:
+                pending.remove(i)
+                proc, receive = workers[i]
+                try:
+                    ok, out = receive.recv()
+                except EOFError:
+                    proc.join()
+                    raise WorkerDied(
+                        f"oracle worker {proc.pid} ended with exit status {proc.exitcode} "
+                        "before it reported its chunks"
+                    ) from None
+                if not ok:
+                    raise out
+                reports[i] = out
+        return [r for out in reports for r in out]
     finally:
         for proc, receive in workers:
             receive.close()
@@ -414,7 +431,7 @@ def enumerate_automorphisms(P, budget=None, jobs=1, pruned=True):
             results = [_run_chunk((firsts, deadline))]
         else:
             tasks = [(c, deadline) for c in np.array_split(firsts, jobs * 4) if len(c)]
-            results = _in_workers(tasks, jobs)
+            results = _in_workers(tasks, jobs, deadline)
 
     total, inner, bucket = (sum(r[k] for r in results) for k in range(3))
     maps = np.concatenate([b for r in results for b in r[3]], dtype=np.int32)
@@ -445,15 +462,17 @@ def cross_validate(P, precomputed):
 
     The stream must hold count.total rows of n element indices each.  (a) the
     oracle's inner tally equals |G/Z(G)|, so no inner map is labelled
-    non-inner; (b) the stream is labelled in one lookup of the inner test's
-    table, and every map labelled inner is conjugation by its lex-least
-    conjugator t, checked by pure collection as t A(f_i) = f_i t on f_1..f_d
-    (see _conjugates_by); their number equals the inner tally; (c) when the
-    witness construction succeeds, its images are one row of the stream, and
-    the oracle's classifier puts that row in the order-p non-inner
-    Frattini-fixing bucket: _row_flags gives its order-p and Phi(G) flags, and
-    (b)'s lookup its inner label.  No deadline applies here; the budget bounds
-    the enumeration only.
+    non-inner; (b) the stream is labelled in one lookup of the table of
+    conjugation images, and every map labelled inner is conjugation by its
+    lex-least conjugator t, checked by pure collection as t A(f_i) = f_i t
+    on f_1..f_d (see _conjugates_by); their number equals the inner tally;
+    (c) when the witness construction succeeds, its images are one row of
+    the stream, and the oracle's classifier puts that row in the order-p
+    non-inner Frattini-fixing bucket: _row_flags gives its order-p and
+    Phi(G) flags, and (b)'s lookup its inner label.  The construction found the witness
+    non-inner by the conjugacy solve of automorphisms.is_inner, so that
+    lookup checks it by an independent route.  No deadline applies here; the
+    budget bounds the enumeration only.
     """
     count = precomputed
     maps = count.maps

@@ -62,13 +62,15 @@ copies of x's word, so pow_ costs O(n log p) products.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass, field
 
 from .errors import BadDefinition, BadWeight, ConsistencyViolation, SizeCap
 
 MAX_P = 97
 MAX_N = 16
-MEMO_TAILS = 729  # the largest tail space p^(n-j) that is memoized; see conjugates()
+ELEMENT_CAP = 200_000  # refuse to enumerate G, or any set of its elements, beyond desk scale
+MEMO_KEYS = 2912  # the most keys a memoized pc level can take; see conjugates()
 
 
 @dataclass(frozen=True, eq=False)  # eq=False: identity hash, lets lru_cache key on P
@@ -100,6 +102,19 @@ class PcPresentation:
 
 def identity(P):
     return (0,) * P.n
+
+
+def normal_form(P, e):
+    """e as a tuple of ints when it is a normal form of P, a length-n
+    sequence of integers in 0..p-1 (a numpy integer or a bool counts as the
+    int it stands for), else None."""
+    try:
+        x = tuple(map(operator.index, e))
+    except TypeError:
+        return None
+    if len(x) != P.n or not all(0 <= v < P.p for v in x):
+        return None
+    return tuple(map(int, x))
 
 
 def word_of(e):
@@ -134,23 +149,26 @@ def conjugates(P):
     fresh for the validated object only: the unvalidated object that the
     consistency battery collects on has none, and a copy made with
     dataclasses.replace starts without one, so no two presentations share
-    entries.  Level j is memoized when its tail space p^(n-j) is at most
-    MEMO_TAILS = 729 (3^6, the largest level of the shipped groups).  A key
-    is (j, b, over, T): the tail's digits T right of f_j, the bit 2^b of
-    the letter that crosses it, and whether f_j overflows into its power
-    word; the entry is the digits of T^{f_j^(2^b)}, or of w_j T^{f_j^(2^b)},
-    collected once in G_{j+1} on the first miss.  A level whose f_j commutes
-    with G_{j+1} needs the overflow key only, whatever the letter.  So level
-    j holds at most p^(n-j) - 1 entries (nonzero tails) on such a level and
-    2 bit_length(p-1) (p^(n-j) - 1) on any other, plus one copy of each
-    distinct tail tuple, shared by keys and values.  Larger levels keep the
-    push path.  The bound comes from scripts/collector_scan.py, about 10^3
-    random products per group in a fresh interpreter: against no memoized
-    level, random mul took 1.06x at p = 7 and 0.83x at p = 31 with this
-    bound, but 1.27x at p = 7 with 2401, which adds p = 7's 2401-tail level,
-    and 1.25x at p = 31 with 29791, which adds p = 31's 29791-tail level.
-    Such a level is still mostly misses after the scan, and a miss costs
-    more than the push it replaces.
+    entries.  A key is (j, b, over, T): the tail's digits T right of f_j,
+    the bit 2^b of the letter that crosses it, and whether f_j overflows
+    into its power word; the entry is the digits of T^{f_j^(2^b)}, or of
+    w_j T^{f_j^(2^b)}, collected once in G_{j+1} on the first miss.  A level
+    whose f_j commutes with G_{j+1} needs the overflow key only, whatever
+    the letter.  So level j can take p^(n-j) - 1 keys (nonzero tails) on
+    such a level and 2 bit_length(p-1) (p^(n-j) - 1) on any other, and it
+    is memoized when that key count is at most MEMO_KEYS = 2912, the count
+    of p = 3's 729-tail level (3^6, the largest level of the shipped
+    groups).  Each entry shares one copy of each distinct tail tuple with
+    the keys.  Other levels keep the push path: a level that is still
+    mostly misses after a session costs more than it saves, since a miss
+    does the push work it replaces and more.  The bound comes from
+    scripts/collector_scan.py, about 10^3 random products per group in a
+    fresh interpreter.  Bounding the tails at 729 instead kept p = 5's
+    625-tail level (3,744 keys), where random mul took 1.18x the time of no
+    memoized level.  The key count drops it and lets in the central levels
+    with up to 2,913 tails (p = 31's 961-tail level in the scan); over 20
+    alternating rounds against the tail rule, random mul took 0.90x at
+    p = 5 and 0.99-1.03x at p = 3, 7, 31 and 97.
     """
     if P._conjugates is None:
         object.__setattr__(P, "_conjugates", _conjugate_table(P))
@@ -335,7 +353,8 @@ def _fresh_tails(P):
         top = max((g - 1 for g, _ in P.power_rel[j - 1]), default=-1)
         central = not any(P.comm_rel.get((k, j)) for k in range(j + 1, n + 1))
         memo = None
-        if 1 < p ** (n - j) <= MEMO_TAILS:
+        keys = (p ** (n - j) - 1) * (1 if central else 2 * (p - 1).bit_length())
+        if 0 < keys <= MEMO_KEYS:
             if central:  # f_j^m crosses whole, and only when it overflows
                 memo = [None] * p + [{}] * p
             else:
@@ -401,6 +420,11 @@ def _power_word(P, x, d):
         x = mul(P, x, x)
 
 
+def pth_power(P, x):
+    """x^p, collected from _power_word's word for it."""
+    return collect(P, _power_word(P, x, P.p))
+
+
 def _p_powers(P, a, limit=None):
     """The terms a^(p^i) = (a^(p^(i-1)))^p with p^i <= limit, each raised
     to the p by _power_word, stopping at the last term that limit needs or
@@ -415,7 +439,7 @@ def _p_powers(P, a, limit=None):
         chain.append(x)
         if limit is not None and p ** len(chain) > limit:
             break
-        x = collect(P, _power_word(P, x, p))
+        x = pth_power(P, x)
     return chain
 
 

@@ -15,6 +15,10 @@ of G_{k+1}'s column, and (f_k^a y) f_k = f_k^(a+1) y^(f_k), where mul applies
 conjugation by f_k, f_i -> f_i [f_i, f_k], to all of G_{k+1} at once, and
 f_k^p is replaced by its power word when a + 1 = p.  mul, inv, pow, comm and
 conj take scalars or index arrays, which broadcast like numpy operands.
+
+Only the oracle builds these tables (its sieve, its classifier and the table
+of conjugation images); deciding the hypotheses and constructing the witness
+never do, so they never load numpy.
 """
 
 from __future__ import annotations
@@ -24,8 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SizeCap
-
-ELEMENT_CAP = 200_000  # refuse to enumerate beyond desk scale
+from .presentation import ELEMENT_CAP
 
 
 class GroupTables:
@@ -122,31 +125,6 @@ class GroupTables:
     def conj(self, a, t):
         """a^t = t^-1 a t."""
         return self.mul(self.mul(self.inv(t), a), t)
-
-    def closure_mask(self, seed_indices):
-        """Boolean membership mask of the subgroup generated by the seeds.
-        Seeds are taken in order, skipping those already in the closure;
-        each one taken adds its right-multiplication column, and a BFS from
-        the whole closure grows it.  A seed taken at least multiplies the
-        order by p, so at most n columns are built, however many seeds
-        there are."""
-        seeds = np.asarray(seed_indices, dtype=np.int64).ravel()
-        mask = np.zeros(self.N, dtype=bool)
-        mask[0] = True
-        cols = []
-        while True:
-            seeds = seeds[~mask[seeds]]
-            if not seeds.size:
-                return mask
-            cols.append(self.mul(self.all, seeds[0]))  # one seed: mul skips its zero exponents
-            frontier = np.flatnonzero(mask)
-            while frontier.size:
-                fresh = []
-                for col in cols:  # col permutes G and the reached mask drops repeats
-                    prods = col[frontier]
-                    fresh.append(prods[~mask[prods]])
-                    mask[fresh[-1]] = True
-                frontier = np.concatenate(fresh)
 
 
 @lru_cache(maxsize=None)

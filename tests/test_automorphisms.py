@@ -11,6 +11,7 @@ from pgw import automorphisms as au
 from pgw import structure as st
 from pgw import tables
 
+import mask_reference as ref
 from conftest import ALL_NAMES, load_group
 
 ODD = [n for n in ALL_NAMES if pgw.load(n).p != 2]
@@ -112,7 +113,7 @@ def _reference_verify(P, images):
             if lhs != rhs:
                 return "RelationViolated", f"commutator relation [f_{i},f_{j}]: {lhs} != {rhs}"
     t = tables.get_tables(P)
-    if int(t.closure_mask(t.encode(list(images))).sum()) != P.order:
+    if int(ref.closure_mask(t, t.encode(list(images))).sum()) != P.order:
         return "NotSurjective", "images do not generate the group"
     return None, None
 

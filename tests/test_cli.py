@@ -323,6 +323,113 @@ def test_count_dead_worker_exits_two(capsys, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def _alarm(seconds, handler):
+    """Run handler on SIGALRM after the given seconds; returns the undo."""
+    previous = signal.signal(signal.SIGALRM, handler)
+    signal.alarm(seconds)
+
+    def undo():
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    return undo
+
+
+def test_count_hung_worker_ends_at_the_budget(capsys, monkeypatch):
+    # a worker that hangs without dying and without checking the budget:
+    # the parent stops waiting when the budget is spent, exits 2 and leaves
+    # no worker behind; the alarm fails the test instead of hanging
+    def hanging(args):
+        import time
+
+        time.sleep(120)
+
+    def hung(signum, frame):
+        pytest.fail("pgw count is still waiting for a hung worker")
+
+    monkeypatch.setattr(orc, "_run_chunk", hanging)
+    undo = _alarm(30, hung)
+    try:
+        code, out = run(capsys, "count", data_path("m243"), "--jobs", "2", "--budget", "1")
+    finally:
+        undo()
+    assert code == 2
+    assert out.startswith("pgw: error: budget exhausted") and out.count("\n") == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_interrupt_exits_130(capsys, monkeypatch):
+    def interrupted(P):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(pgw.hypotheses, "check_theorem_hypotheses", interrupted)
+    assert cli.main(["check", data_path("h27")]) == 130
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "pgw: interrupted\n"
+
+
+def test_interrupt_reaps_oracle_workers(capfd, monkeypatch):
+    # Ctrl-C reaches the whole process group: here the workers get SIGINT
+    # first and the parent, waiting on them, a moment later.  Exit 130, one
+    # line, and every worker stopped; a worker that did not ignore SIGINT
+    # would print its own traceback, which capfd would catch
+    def hanging(args):
+        import time
+
+        time.sleep(120)
+
+    def interrupt(signum, frame):
+        import time
+
+        for proc in multiprocessing.active_children():
+            os.kill(proc.pid, signal.SIGINT)
+        time.sleep(0.5)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(orc, "_run_chunk", hanging)
+    undo = _alarm(2, interrupt)
+    try:
+        code = cli.main(["count", data_path("m243"), "--jobs", "2"])
+    finally:
+        undo()
+    captured = capfd.readouterr()
+    assert code == 130
+    assert captured.err == "pgw: interrupted\n" and captured.out == ""
+    assert multiprocessing.active_children() == []
+
+
+def test_decide_commands_never_load_numpy():
+    # info, check, construct and demo run on induced pc sequences and plain
+    # collection; only the oracle loads numpy and the tables, and it still
+    # works afterwards in the same process
+    script = """
+import contextlib, io, sys
+from pgw import cli
+runs = []
+for path in PATHS:
+    for cmd in ("info", "check", "construct"):
+        for fmt in ("text", "json"):
+            runs.append([cmd, path, "--format", fmt])
+runs.append(["demo"])
+codes = []
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+loaded = sorted(m for m in ("numpy", "pgw.tables", "pgw.oracle") if m in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    count = cli.main(["count", PATHS[1], "--format", "json"])
+print(codes, loaded, count, "numpy" in sys.modules, out.getvalue().count('"total": 24'))
+"""
+    paths = f"PATHS = {[data_path('g2187'), data_path('q8')]!r}\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", paths + script], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes = [0, 0, 0, 0, 0, 0] + [0, 0, 1, 1, 1, 1] + [0]
+    assert proc.stdout.split("\n")[0] == f"{codes} [] 0 True 1"
+
+
 def test_report_file_written(capsys, tmp_path):
     target = tmp_path / "rep.json"
     code, out = run(capsys, "check", data_path("w81"), "--report", str(target))

@@ -135,7 +135,8 @@ def test_jobs_do_not_change_anything():
 class _InlineFork:
     """A stand-in for the fork context: a Process runs its target in this
     process when started, and records how many tasks it was given; a Pipe
-    hands recv the one object that was sent."""
+    hands recv the one object that was sent, so waiting on it returns at
+    once."""
 
     started = []
 
@@ -169,6 +170,7 @@ def test_jobs_never_exceed_the_tasks(name, request, monkeypatch):
         a = pgw.enumerate_automorphisms(P, jobs=1)
     _InlineFork.started = []
     monkeypatch.setattr(oracle.multiprocessing, "get_context", lambda method: _InlineFork)
+    monkeypatch.setattr(oracle.connection, "wait", lambda ends, timeout: list(ends))
     b = pgw.enumerate_automorphisms(P, jobs=1000)
     processes, tasks = len(_InlineFork.started), sum(_InlineFork.started)
     assert processes <= tasks == P.p ** P.minimal_count - 1

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import pgw
+from pgw import hypotheses as hy
 from pgw import structure as st
 from pgw.tables import get_tables
 
+import mask_reference as ref
 from conftest import ALL_NAMES, FAMILY_NAMES, load_group
 
 SMALL = [n for n in ALL_NAMES if pgw.load(n).order <= 81]
@@ -112,12 +114,12 @@ def _greedy_gens_reference(P, mask):
     generator added."""
     t = get_tables(P)
     gens = []
-    cur = t.closure_mask(gens)
+    cur = ref.closure_mask(t, gens)
     for i in np.flatnonzero(mask):
         if not cur[i]:
             gens.append(i)
-            cur = t.closure_mask(gens)
-    return tuple(st._tuples(t, gens))
+            cur = ref.closure_mask(t, gens)
+    return tuple(ref.tuples(t, gens))
 
 
 @pytest.mark.parametrize("name", ALL_NAMES + FAMILY_NAMES)
@@ -143,7 +145,7 @@ def test_layer_gens_match_greedy_reference(name):
     for _ in range(3):
         subgroups.append(pgw.closure(P, [elems[rng.randrange(P.order)] for _ in range(2)]))
     for H in subgroups:
-        assert H.gens == _greedy_gens_reference(P, H.mask)
+        assert H.gens == _greedy_gens_reference(P, ref.mask_of(H))
 
 
 def _lifted_basis_reference(P):
@@ -152,23 +154,23 @@ def _lifted_basis_reference(P):
     labelled by multiplying out its representative."""
     t = get_tables(P)
     p = P.p
-    F = st.Subgroup(P, st._frattini_mask(P, st.whole_group(P)))
+    F = ref.frattini_mask(P, np.ones(t.N, dtype=bool))
     basis = []
-    span = F.mask
+    span = F
     while span.sum() < t.N:
         basis.append(int(np.flatnonzero(~span)[0]))
-        span = t.closure_mask(list(t.encode(F.gens)) + basis)
+        span = ref.closure_mask(t, list(t.encode(list(ref.layer_gens(t, F)))) + basis)
     d = len(basis)
-    assert p**d * F.order == t.N
+    assert p**d * F.sum() == t.N
     coords = -np.ones((t.N, d), dtype=np.int32)
     for combo in np.ndindex(*([p] * d)):
         rep = 0
         for b, c in zip(basis, combo):
             rep = t.mul(rep, t.pow(b, c))
-        coset = t.mul(rep, F.indices())
+        coset = t.mul(rep, ref.indices(F))
         assert np.all(coords[coset, 0] == -1), "cosets overlap"
         coords[coset] = combo
-    maxes = [st.Subgroup(P, coords @ np.array(v) % p == 0) for v in st._dual_vectors(p, d)]
+    maxes = [coords @ np.array(v) % p == 0 for v in st._dual_vectors(p, d)]
     return F, maxes
 
 
@@ -180,8 +182,8 @@ def test_pc_frattini_and_maximals_match_lifted_basis(name):
     F, maxes = _lifted_basis_reference(P)
     got = [pgw.frattini(P)] + list(pgw.maximal_subgroups(P))
     want = [F] + maxes
-    assert [(H.mask.tolist(), H.gens, H.order) for H in got] == [
-        (H.mask.tolist(), _greedy_gens_reference(P, H.mask), H.order) for H in want
+    assert [(ref.mask_of(H).tolist(), H.gens, H.order) for H in got] == [
+        (H.tolist(), _greedy_gens_reference(P, H), int(H.sum())) for H in want
     ]
 
 
@@ -283,7 +285,7 @@ def _all_pairs(P, A, B):
     """Mask of every commutator [a, b], a in A, b in B, by brute force."""
     t = get_tables(P)
     seen = np.zeros(t.N, dtype=bool)
-    ai, bi = A.indices(), B.indices()
+    ai, bi = ref.indices(ref.mask_of(A)), ref.indices(ref.mask_of(B))
     if len(ai) < len(bi):
         for a in ai:
             seen[t.comm(a, bi)] = True
@@ -304,29 +306,30 @@ def test_generator_subgroups_match_all_pairs(name):
     trivial = st.trivial_subgroup(P)
     for H in (G, Z, pgw.second_center(P)) + pgw.maximal_subgroups(P):
         for K in (G, H):
-            ref = t.closure_mask(np.flatnonzero(_all_pairs(P, H, K)))
-            assert pgw.commutator_subgroup(P, H, K).mask.tolist() == ref.tolist()
+            want = ref.closure_mask(t, np.flatnonzero(_all_pairs(P, H, K)))
+            assert ref.mask_of(pgw.commutator_subgroup(P, H, K)).tolist() == want.tolist()
         comms = _all_pairs(P, H, H)
-        powers = t.pow(H.indices(), P.p)
-        phi = t.closure_mask(np.concatenate([np.flatnonzero(comms), powers]))
+        powers = t.pow(ref.indices(ref.mask_of(H)), P.p)
+        phi = ref.closure_mask(t, np.concatenate([np.flatnonzero(comms), powers]))
         quot = H.order // int(phi.sum())
         assert P.p ** pgw.rank(P, H) == quot
         if H is G:
-            assert pgw.frattini(P).mask.tolist() == phi.tolist()
+            assert ref.mask_of(pgw.frattini(P)).tolist() == phi.tolist()
         for B in (trivial, Z):
             if B <= H:
-                ea = bool(B.mask[powers].all() and B.mask[comms].all())
+                bmask = ref.mask_of(B)
+                ea = bool(bmask[powers].all() and bmask[comms].all())
                 q = pgw.quotient_facts(P, H, B)
                 assert q["elementary_abelian"] is ea
                 assert q["rank"] == (st._log(P.p, H.order // B.order) if ea else None)
 
-    assert pgw.derived(P).mask.tolist() == t.closure_mask(
-        np.flatnonzero(_all_pairs(P, G, G))
+    assert ref.mask_of(pgw.derived(P)).tolist() == ref.closure_mask(
+        t, np.flatnonzero(_all_pairs(P, G, G))
     ).tolist()
     term = G
     for got in pgw.lower_central_series(P).terms[1:]:
-        ref = t.closure_mask(np.flatnonzero(_all_pairs(P, term, G)))
-        assert got.mask.tolist() == ref.tolist()
+        want = ref.closure_mask(t, np.flatnonzero(_all_pairs(P, term, G)))
+        assert ref.mask_of(got).tolist() == want.tolist()
         term = got
     assert term.order == 1
 
@@ -339,8 +342,8 @@ def test_normal_closure_matches_all_conjugates(name):
     t = get_tables(P)
     rng = random.Random(3)
     for x in [int(t.strides[0])] + [rng.randrange(P.order) for _ in range(4)]:
-        got = st._normal_closure_mask(P, [x], P.generators())
-        assert got.tolist() == t.closure_mask(t.conj(x, t.all)).tolist()
+        got = st._normal_closure(P, ref.tuples(t, [x]), P.generators())
+        assert ref.mask_of(got).tolist() == ref.closure_mask(t, t.conj(x, t.all)).tolist()
 
 
 def test_quotient_facts_rejects_nonnormal():
@@ -423,3 +426,95 @@ def test_subgroup_membership_of_malformed_tuples():
     assert pgw.identity(P) in G
     for bad in [(0, 0), (0, 0, 0, 0), (0, 0, 3), (0, -1, 0)]:
         assert bad not in G
+
+
+def _same(P, H, mask):
+    """The pc subgroup H has the reference mask's elements and its layer
+    generators."""
+    t = get_tables(P)
+    assert ref.mask_of(H).tolist() == mask.tolist()
+    assert H.gens == ref.layer_gens(t, mask)
+    assert H.order == int(mask.sum())
+
+
+@pytest.mark.parametrize("name", ALL_NAMES + FAMILY_NAMES)
+def test_pc_subgroups_match_mask_reference(name):
+    # every subgroup the pc layer builds equals the mask the table algebra
+    # gives; the reference is the mask code the pc layer replaced
+    P = load_group(name)
+    t = get_tables(P)
+    rng = random.Random(13)
+    every = np.ones(t.N, dtype=bool)
+    _same(P, st.whole_group(P), every)
+    _same(P, st.trivial_subgroup(P), t.all == 0)
+    Z = ref.centralizer_mask(P, P.generators())
+    _same(P, pgw.center(P), Z)
+    upper = ref.upper_central_series(P)
+    assert len(pgw.upper_central_series(P).terms) == len(upper)
+    for H, mask in zip(pgw.upper_central_series(P).terms, upper):
+        _same(P, H, mask)
+    lower = ref.lower_central_series(P)
+    assert len(pgw.lower_central_series(P).terms) == len(lower)
+    for H, mask in zip(pgw.lower_central_series(P).terms, lower):
+        _same(P, H, mask)
+    _same(P, pgw.derived(P), ref.commutator_mask(P, every, every))
+    _same(P, pgw.agemo(P), ref.agemo(P))
+    _same(P, pgw.frattini(P), ref.frattini_mask(P, every))
+    maximals = ref.maximals(P, st._dual_vectors(P.p, P.minimal_count))
+    assert len(pgw.maximal_subgroups(P)) == len(maximals)
+    centers = []
+    for M, mask in zip(pgw.maximal_subgroups(P), maximals):
+        _same(P, M, mask)
+        centers.append(ref.centralizer_mask(P, ref.layer_gens(t, mask)) & mask)
+        _same(P, pgw.center_of(P, M), centers[-1])
+        assert pgw.rank(P, M) == st._log(P.p, M.order // int(ref.frattini_mask(P, mask).sum()))
+    Z2 = upper[min(2, len(upper) - 1)]
+    F = ref.frattini_mask(P, every)
+    z_phi = ref.centralizer_mask(P, ref.layer_gens(t, F)) & F
+    _same(P, pgw.center_of(P, pgw.frattini(P)), z_phi)
+    _same(P, pgw.centralizer(P, pgw.center_of(P, pgw.frattini(P))),
+          ref.centralizer_mask(P, ref.layer_gens(t, z_phi)))
+    for A in (pgw.center(P), pgw.second_center(P), pgw.derived(P)):
+        if pgw.is_abelian(P, A):
+            _same(P, pgw.omega1(P, A), ref.omega1(P, ref.mask_of(A)))
+        assert pgw.exponent(P, A) == ref.exponent(P, ref.mask_of(A))
+    assert pgw.exponent(P) == ref.exponent(P, every)
+    assert pgw.rank(P) == st._log(P.p, P.order // int(F.sum()))
+    _same(P, pgw.commutator_subgroup(P, pgw.second_center(P), pgw.derived(P)),
+          ref.commutator_mask(P, Z2, ref.mask_of(pgw.derived(P))))
+
+    # random closures and centralizers, and the normal closure of an element
+    elems = st.whole_group(P).elements
+    for k in (1, 2, 3):
+        seeds = [elems[rng.randrange(P.order)] for _ in range(k)]
+        H = pgw.closure(P, seeds)
+        _same(P, H, ref.closure_mask(t, t.encode(seeds)))
+        _same(P, pgw.centralizer(P, H), ref.centralizer_mask(P, H.gens))
+        _same(P, pgw.centralizer(P, seeds[0]), ref.centralizer_mask(P, [seeds[0]]))
+        _same(P, pgw.center_of(P, H), ref.centralizer_mask(P, H.gens) & ref.mask_of(H))
+        conj = st._normal_closure(P, seeds, P.generators())
+        _same(P, conj, ref.normal_closure_mask(P, t.encode(seeds), P.generators()))
+        members = elems[:: max(1, P.order // 50)]
+        mask = ref.mask_of(H)
+        assert [x in H for x in members] == [bool(mask[t.encode(x)]) for x in members]
+
+    # the hypotheses that read these subgroups
+    verdict = hy.check_zm_condition(P)
+    assert verdict == ref.zm_condition(P, Z, maximals, centers)
+    outside = ref.order_p_outside(P, Z2, Z)
+    assert st.least_order_p_outside_center(P) == (outside[0] if outside else None)
+    assert pgw.check_theorem_hypotheses(P).diagnostics["omega1_z2_exceeds_center"] is bool(outside)
+
+
+@pytest.mark.parametrize("name", ["c9", "c3c3", "h27", "x27", "m3125", "m16807"])
+def test_exponent_below_class_p_matches_the_scan(name):
+    # below class p the group is regular and exponent() takes the largest
+    # order of a generator; the scan that other groups take, and the order
+    # of every element, give the same value, on G and on its subgroups
+    P = load_group(name)
+    assert pgw.nilpotency_class(P) < P.p
+    for H in (None, pgw.center(P), pgw.derived(P), *pgw.maximal_subgroups(P)):
+        K = st.whole_group(P) if H is None else H
+        scan = max((pgw.element_order(P, x) for x in st._leading_ones(P, K.gens)), default=1)
+        every = max(pgw.element_order(P, x) for x in K.elements)
+        assert pgw.exponent(P, H) == scan == every
