@@ -1,9 +1,11 @@
 """Time pgw's element arithmetic per call, in process, at p = 3, 5, 7, 31 and 97.
 
-    python3 scripts/collector_scan.py [--seed 1] [--reps 5] [--memo-keys B]
+    python3 scripts/collector_scan.py [--seed 1] [--reps 5] [--primes P ...]
+        [--file GROUP.pg ...] [--memo-keys B] [--memo-tails T]
 
 Each group is the FAMILY text of tests/conftest.py (C_{p^3} x| C_{p^2}, m243
-at p = 3), parsed and validated once.  A repetition draws fresh seeded random
+at p = 3), parsed and validated once; with p = 3 also comes c243h27 below,
+whose first pc level is central with 3^7 tails.  A repetition draws fresh seeded random
 elements and times presentation.mul and presentation.inv on them, and
 presentation.pow_ with k drawn from [-200, 200], in process time per call.
 The first repetition of each group starts from a freshly parsed presentation,
@@ -11,9 +13,10 @@ so any per-presentation memo is cold there and warm after it.  The script
 imports pgw from the src directory of the checkout it lives in, whatever
 PYTHONPATH says; to compare two checkouts, run each one's own copy, in
 alternating fresh interpreters.
---memo-keys B sets presentation.MEMO_KEYS, the largest key count of a pc
-level that the collector memoizes, before any group is parsed (0 memoizes
-no level).
+--file adds the group of a .pg file, under its file name.  --memo-keys B
+and --memo-tails T set presentation.MEMO_KEYS and MEMO_TAILS, the largest
+key count and tail count of a pc level that the collector memoizes, before
+any group is parsed (0 memoizes no level).
 
 Prints one JSON object: for each group and operation, the per-call time of
 every repetition (us) and their median, plus the parse time and, where the
@@ -38,6 +41,25 @@ from pgw import presentation as pc  # noqa: E402
 
 PRIMES = (3, 5, 7, 31, 97)
 POW_RANGE = 200  # the arith workload's range of pow_ exponents
+
+# C_{3^5} x h27, with f_1, the generator of C_{3^5}, first: f_1 is central,
+# so its level takes 3^7 - 1 = 2,186 keys, within MEMO_KEYS, while its
+# 2,187 tails are over the 729-tail bound the memo had before.  No shipped
+# group has such a level.
+C243H27 = """name c243h27
+p 3
+n 8
+pow 1 = g5^1
+pow 5 = g6^1
+pow 6 = g7^1
+pow 7 = g8^1
+comm 3 2 = g4^1
+def 4 = comm 3 2
+def 5 = pow 1
+def 6 = pow 5
+def 7 = pow 6
+def 8 = pow 7
+"""
 
 
 def family_text(p):
@@ -68,10 +90,10 @@ def memo_entries(P):
     return sum(map(len, dicts.values()))
 
 
-def scan_group(p, seed, reps):
-    text = family_text(p)
+def scan_group(name, text, seed, reps):
     t0 = time.process_time()
-    P = groupfile.parse_text(text, source=f"m_p{p}").presentation
+    P = groupfile.parse_text(text, source=name).presentation
+    p = P.p
     parse_ms = (time.process_time() - t0) * 1e3
     rng = random.Random(seed * 1000 + p)
     n_mul, n_pow = calls(p)
@@ -100,8 +122,12 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--reps", type=int, default=5)
     ap.add_argument("--primes", type=int, nargs="+", default=PRIMES)
+    ap.add_argument("--file", type=pathlib.Path, nargs="+", default=(), help="also scan these .pg files")
     ap.add_argument("--memo-keys", type=int, help="set presentation.MEMO_KEYS")
+    ap.add_argument("--memo-tails", type=int, help="set presentation.MEMO_TAILS")
     args = ap.parse_args(argv)
+    if args.memo_tails is not None:
+        pc.MEMO_TAILS = args.memo_tails
     if args.memo_keys is not None:
         if not hasattr(pc, "MEMO_KEYS"):
             ap.error("this checkout's collector has no MEMO_KEYS")
@@ -111,8 +137,15 @@ def main(argv=None):
         "seed": args.seed,
         "reps": args.reps,
         "memo_keys": getattr(pc, "MEMO_KEYS", None),
-        "groups": {f"m_p{p}": scan_group(p, args.seed, args.reps) for p in args.primes},
+        "memo_tails": getattr(pc, "MEMO_TAILS", None),
+        "groups": {},
     }
+    for p in args.primes:
+        groups = [(f"m_p{p}", family_text(p))] + [("c243h27", C243H27)] * (p == 3)
+        for name, text in groups:
+            result["groups"][name] = scan_group(name, text, args.seed, args.reps)
+    for path in args.file:
+        result["groups"][path.stem] = scan_group(path.stem, path.read_text(), args.seed, args.reps)
     print(json.dumps(result))
     return 0
 

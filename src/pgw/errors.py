@@ -17,7 +17,8 @@ class PgwError(Exception):
 
 
 class SizeCap(PgwError):
-    """Computation would exceed the desk-scale caps (p <= 97, n <= 16, or an
+    """Computation would exceed the desk-scale caps (p <= 97, n <= 16, at most
+    ELEMENT_CAP elements to enumerate or maximal subgroups to list, or an
     enumerated set growing past the group order, which signals an arithmetic bug)."""
 
 

@@ -70,6 +70,7 @@ from .errors import BadDefinition, BadWeight, ConsistencyViolation, SizeCap
 MAX_P = 97
 MAX_N = 16
 ELEMENT_CAP = 200_000  # refuse to enumerate G, or any set of its elements, beyond desk scale
+MEMO_TAILS = 729  # the most tails, p^(n-j), of a memoized pc level; see conjugates()
 MEMO_KEYS = 2912  # the most keys a memoized pc level can take; see conjugates()
 
 
@@ -155,20 +156,22 @@ def conjugates(P):
     w_j T^{f_j^(2^b)}, collected once in G_{j+1} on the first miss.  A level
     whose f_j commutes with G_{j+1} needs the overflow key only, whatever
     the letter.  So level j can take p^(n-j) - 1 keys (nonzero tails) on
-    such a level and 2 bit_length(p-1) (p^(n-j) - 1) on any other, and it
-    is memoized when that key count is at most MEMO_KEYS = 2912, the count
-    of p = 3's 729-tail level (3^6, the largest level of the shipped
-    groups).  Each entry shares one copy of each distinct tail tuple with
-    the keys.  Other levels keep the push path: a level that is still
-    mostly misses after a session costs more than it saves, since a miss
-    does the push work it replaces and more.  The bound comes from
-    scripts/collector_scan.py, about 10^3 random products per group in a
-    fresh interpreter.  Bounding the tails at 729 instead kept p = 5's
-    625-tail level (3,744 keys), where random mul took 1.18x the time of no
-    memoized level.  The key count drops it and lets in the central levels
-    with up to 2,913 tails (p = 31's 961-tail level in the scan); over 20
-    alternating rounds against the tail rule, random mul took 0.90x at
-    p = 5 and 0.99-1.03x at p = 3, 7, 31 and 97.
+    such a level and 2 bit_length(p-1) (p^(n-j) - 1) on any other.  It is
+    memoized when its tails number at most MEMO_TAILS = 729 (3^6, the
+    largest level of the shipped groups) and its keys at most MEMO_KEYS =
+    2912, the count of p = 3's 729-tail level.  Each entry shares one copy
+    of each distinct tail tuple with the keys.  Other levels keep the push
+    path: a level that is still mostly misses after a session costs more
+    than it saves, since a miss does the push work it replaces and more.
+    The bounds come from scripts/collector_scan.py, about 10^3 random
+    products per group in a fresh interpreter.  The key bound drops the
+    levels within 729 tails that take the most keys: against the tail bound
+    alone, over 20 alternating rounds, random mul took 0.89x at p = 5 (its
+    625-tail level, 3,744 keys) and 0.92x and 0.87x on the Heisenberg groups
+    at p = 19 and 23 (3,600 and 5,280 keys).  The tail bound stays because
+    the key bound alone lets in central levels of up to 2,913 tails: on
+    C_{3^5} x h27 (the scan's c243h27), with its central 2,187-tail level
+    memoized, random mul took 1.10x and inv 1.08x.
     """
     if P._conjugates is None:
         object.__setattr__(P, "_conjugates", _conjugate_table(P))
@@ -354,7 +357,7 @@ def _fresh_tails(P):
         central = not any(P.comm_rel.get((k, j)) for k in range(j + 1, n + 1))
         memo = None
         keys = (p ** (n - j) - 1) * (1 if central else 2 * (p - 1).bit_length())
-        if 0 < keys <= MEMO_KEYS:
+        if 0 < keys <= MEMO_KEYS and p ** (n - j) <= MEMO_TAILS:
             if central:  # f_j^m crosses whole, and only when it overflows
                 memo = [None] * p + [{}] * p
             else:

@@ -22,6 +22,7 @@ validate() makes Phi(G) = G_{d+1}, so G/Phi(G) is read off the first d
 digits and the maximal subgroups are the preimages of its hyperplanes.  No
 function here holds an array of size |G|; exponent and agemo alone scan G,
 under ELEMENT_CAP, and exponent skips the scan when the class is below p.
+maximal_subgroups lists (p^d - 1)/(p - 1) subgroups, under the same cap.
 All functions take a validated presentation and are pure; per-presentation
 results are memoized.
 """
@@ -490,8 +491,12 @@ def maximal_subgroups(P):
     the coefficient of digit k and j the last digit with c_j != 0, the
     canonical sequence takes, for every other k < d, the element with digit
     k equal to 1, digit j equal to -c_k / c_j and no other digit, then
-    f_{d+1}, ..., f_n."""
+    f_{d+1}, ..., f_n.  More than ELEMENT_CAP of them raises SizeCap before
+    any is built: the report lists them all and the hypotheses visit each."""
     p, n, d = P.p, P.n, P.minimal_count
+    count = (p**d - 1) // (p - 1)
+    if count > ELEMENT_CAP:
+        raise SizeCap(f"G has {count} maximal subgroups, over the enumeration cap {ELEMENT_CAP}")
     phi = P.generators()[d:]
     out = []
     for v in _dual_vectors(p, d):
@@ -516,13 +521,12 @@ def maximal_centers(P):
 
 
 def _dual_vectors(p, d):
-    """Nonzero vectors of F_p^d up to scalar, first nonzero entry 1, lex order."""
+    """Nonzero vectors of F_p^d up to scalar, first nonzero entry 1, lex
+    order: the more leading zeros, the earlier."""
     vecs = []
-    for v in itertools.product(range(p), repeat=d):
-        nz = [c for c in v if c]
-        if nz and nz[0] == 1:
-            vecs.append(v)
-    assert len(vecs) == (p**d - 1) // (p - 1)
+    for i in range(d - 1, -1, -1):
+        head = (0,) * i + (1,)
+        vecs += [head + rest for rest in itertools.product(range(p), repeat=d - 1 - i)]
     return vecs
 
 

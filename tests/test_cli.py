@@ -197,6 +197,30 @@ def test_count_over_element_cap_exit_two(capsys, tmp_path):
     assert f"enumeration cap {tables.ELEMENT_CAP}" in out
 
 
+# es3's text at p = 97: class 2 < p, so nothing scans G, but d = 4 gives
+# (97^4 - 1)/96 = 922,180 maximal subgroups for the report to list and the
+# hypotheses to visit; they are refused before any is built
+ES97 = "name es97\np 97\nn 5\ncomm 2 1 = g5^1\ncomm 4 3 = g5^1\ndef 5 = comm 2 1\n"
+
+
+@pytest.mark.parametrize("command", ["info", "check", "construct"])
+def test_too_many_maximals_exit_two_at_once(capsys, tmp_path, command):
+    f = tmp_path / "es97.pg"
+    f.write_text(ES97)
+
+    def slow(signum, frame):
+        pytest.fail(f"pgw {command} is still enumerating maximal subgroups")
+
+    undo = _alarm(20, slow)
+    try:
+        code, out = run(capsys, command, str(f), "--format", "json")
+    finally:
+        undo()
+    assert code == 2
+    cap = tables.ELEMENT_CAP
+    assert out == f"pgw: error: G has 922180 maximal subgroups, over the enumeration cap {cap}\n"
+
+
 def test_syntax_error_exit_two(capsys, tmp_path):
     f = tmp_path / "bad.pg"
     f.write_text("name bad\np 4\nn 1\n")

@@ -248,13 +248,14 @@ def _memo_entries(P):
 def _memo_bound(P):
     # the bound of the conjugates() docstring: p^(n-j) - 1 nonzero tails per
     # level j, keyed once on a central level and 2 bit_length(p - 1) times
-    # on any other; a level is memoized when that key count is at most
-    # MEMO_KEYS
+    # on any other; a level is memoized when its tails number at most
+    # MEMO_TAILS and that key count is at most MEMO_KEYS
     bound = 0
     for j in range(1, P.n + 1):
+        tails = P.p ** (P.n - j)
         central = not any(P.comm_rel.get((k, j)) for k in range(j + 1, P.n + 1))
-        keys = (P.p ** (P.n - j) - 1) * (1 if central else 2 * (P.p - 1).bit_length())
-        if keys <= pc.MEMO_KEYS:
+        keys = (tails - 1) * (1 if central else 2 * (P.p - 1).bit_length())
+        if tails <= pc.MEMO_TAILS and keys <= pc.MEMO_KEYS:
             bound += keys
     return bound
 
