@@ -16,6 +16,7 @@ from .errors import (
     CertificationFailed,
     ConsistencyViolation,
     InnerWitnessFound,
+    InputError,
     Mismatch,
     MissingDefinitions,
     NoEligibleU,

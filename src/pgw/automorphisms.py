@@ -60,24 +60,6 @@ def apply(A, x):
     return pc.collect(A.parent, w)
 
 
-def _rank_mod_p(rows, p):
-    """Rank over F_p of a square integer matrix, by Gaussian elimination."""
-    rows = [[x % p for x in r] for r in rows]
-    rank = 0
-    for col in range(len(rows)):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        scale = pow(rows[rank][col], -1, p)
-        for r in range(rank + 1, len(rows)):
-            f = rows[r][col] * scale % p
-            if f:
-                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
 def verify(A):
     """Certify a GenMap: every relation must hold under the map and the
     images must generate the group; a rejected map raises the error that
@@ -135,7 +117,8 @@ def verify_coded(P, forms, coded, deadline=None):
     basis theorem it is onto iff it is onto modulo Phi(G).  validate() makes
     Phi(G) = <f_{d+1}, ..., f_n> with d the minimal generator count, so the
     map is onto iff the first d exponents of A(f_1), ..., A(f_d) form a
-    d x d matrix of rank d mod p.  The memos live for one relation of one
+    d x d matrix of rank d mod p: its rows have no kernel under
+    structure._solve_mod_p.  The memos live for one relation of one
     call, and nothing is read from the tables.
 
     A row drops out at its first failing relation, and so do the rows after
@@ -220,19 +203,20 @@ def verify_coded(P, forms, coded, deadline=None):
         return 0, ValueError("surjectivity needs a validated presentation")
     d = P.minimal_count
     if m == 1:
-        if _rank_mod_p([forms[c][:d] for c in coded[0][:d]], p) != d:
+        if st._solve_mod_p(p, [forms[c][:d] for c in coded[0][:d]])[0]:  # rank < d
             return 0, NotSurjective("images do not generate the group")
         return failed
     # number the images' first d exponents, so that rows with the same
-    # d x d matrix share one rank
+    # d x d matrix share one elimination
     used, at = np.unique(coded[:m, :d], return_inverse=True)
     heads = {}
     codes = np.array([heads.setdefault(forms[c][:d], len(heads)) for c in used.tolist()])
     matrices = codes[at].reshape(m, d)
     first, inverse = _distinct_rows(matrices)
     heads = list(heads)
-    ranks = [_rank_mod_p([heads[h] for h in r], p) for r in matrices[first].tolist()]
-    k = np.flatnonzero((np.array(ranks) != d)[inverse])
+    singular = [bool(st._solve_mod_p(p, [heads[h] for h in r])[0])
+                for r in matrices[first].tolist()]
+    k = np.flatnonzero(np.array(singular)[inverse])
     if k.size:
         return int(k[0]), NotSurjective("images do not generate the group")
     return failed
@@ -401,31 +385,27 @@ class WitnessResult:
     A: Automorphism
 
 
-def construct_theorem_witness(P, skip_hypothesis_check=False):
+def construct_theorem_witness(P):
     """Select u in the second center of order p outside the center (lex-least),
     extend over M = C_G(u), and certify the result: order p, fixes the
-    Frattini subgroup elementwise, non-inner.
-
-    skip_hypothesis_check is a test hook: construction still runs and the
-    extension is still certified (order, fixes M), but non-inner-ness and
-    Frattini fixing are not asserted for groups that fail the hypotheses.
+    Frattini subgroup elementwise, non-inner.  Raises PreconditionFailed when
+    the group fails the hypotheses; its steps, least_order_p_outside_center,
+    centralizer and extend_to_automorphism, take any group.
     """
-    p = P.p
-    if not skip_hypothesis_check:
-        report = hp.check_theorem_hypotheses(P)
-        if not report.theorem_applicable:
-            failed = [
-                name
-                for name in (
-                    "p_odd",
-                    "nonabelian",
-                    "monolithic",
-                    "all_maximals_nonabelian",
-                    "zm_condition",
-                )
-                if not getattr(report, name)
-            ]
-            raise PreconditionFailed("hypotheses not satisfied: " + ", ".join(failed))
+    report = hp.check_theorem_hypotheses(P)
+    if not report.theorem_applicable:
+        failed = [
+            name
+            for name in (
+                "p_odd",
+                "nonabelian",
+                "monolithic",
+                "all_maximals_nonabelian",
+                "zm_condition",
+            )
+            if not getattr(report, name)
+        ]
+        raise PreconditionFailed("hypotheses not satisfied: " + ", ".join(failed))
 
     u = st.least_order_p_outside_center(P)
     if u is None:
@@ -435,21 +415,15 @@ def construct_theorem_witness(P, skip_hypothesis_check=False):
         )
 
     M = st.centralizer(P, u)
-    if M.order * p != P.order:
+    if M.order * P.p != P.order:
         raise CentralizerNotMaximal(f"|C_G(u)| = {M.order} for u = {u}, group order {P.order}")
     g = next((gg for gg in P.generators() if gg not in M), None)
     assert g is not None, "index-p centralizer contains every generator"
-    assert pc.pow_(P, pc.mul(P, g, u), p) == pc.pow_(P, g, p), "odd-p power identity failed"
 
     A = extend_to_automorphism(P, M, g, u)
-    if not skip_hypothesis_check:
-        inner, conj_t = is_inner(A)
-        if inner:
-            raise InnerWitnessFound(
-                conj_t, f"u={u}, g={g}, M gens={M.gens}; images={A.images}"
-            )
-        if not fixes_elementwise(A, st.frattini(P)):
-            raise CertificationFailed(
-                f"witness moves the Frattini subgroup; images={A.images}"
-            )
+    inner, conj_t = is_inner(A)
+    if inner:
+        raise InnerWitnessFound(conj_t, f"u={u}, g={g}, M gens={M.gens}; images={A.images}")
+    if not fixes_elementwise(A, st.frattini(P)):
+        raise CertificationFailed(f"witness moves the Frattini subgroup; images={A.images}")
     return WitnessResult(u=u, M=M, g=g, A=A)

@@ -4,9 +4,18 @@
     pgw {construct|count|demo} ... [--budget <sec>] [--jobs <k>]
     pgw {construct|demo} ... [--with-oracle]
 
-Exit codes: 0 success, 1 hypothesis not applicable, 2 input errors,
-3 internal contradiction (a certificate or cross-check failed, which means
-a bug, not bad input), 130 interrupted (Ctrl-C).
+Every subcommand is one pipeline that runs only the stages it needs: the
+hypotheses for check, construct and demo; the witness when they hold (not
+for check); the oracle for count and --with-oracle.  One report follows.
+demo is that pipeline on the built-in group, followed by its fact list,
+which reads the pipeline's results.
+
+Exit codes: 0 success, 1 hypothesis not applicable, 2 input errors (an
+errors.InputError, an OSError, or a flag argparse rejects, such as a
+--budget that is negative or not finite or a --jobs below 1), 3 internal
+contradiction (any other PgwError, or a failed assertion: a certificate,
+cross-check or invariant failed, which means a bug, not bad input), 130
+interrupted (Ctrl-C).
 
 Only count and --with-oracle load the oracle, and with it numpy.
 """
@@ -14,6 +23,7 @@ Only count and --with-oracle load the oracle, and with it numpy.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -24,46 +34,20 @@ from . import hypotheses as hy
 from . import presentation as pc
 from . import report as rp
 from . import structure as st
-from .errors import (
-    BadDefinition,
-    BadWeight,
-    CentralizerNotMaximal,
-    CertificationFailed,
-    ConsistencyViolation,
-    InnerWitnessFound,
-    Mismatch,
-    MissingDefinitions,
-    NoEligibleU,
-    NotSurjective,
-    OracleTimeout,
-    PreconditionFailed,
-    PresentationSyntaxError,
-    RelationViolated,
-    SizeCap,
-    WorkerDied,
-)
+from .errors import InputError, Mismatch, PgwError
 
-_INPUT_ERRORS = (
-    PresentationSyntaxError,
-    ConsistencyViolation,
-    SizeCap,
-    BadWeight,
-    BadDefinition,
-    MissingDefinitions,
-    OracleTimeout,
-    WorkerDied,
-    OSError,
-)
-_CONTRADICTIONS = (
-    CertificationFailed,
-    InnerWitnessFound,
-    Mismatch,
-    NoEligibleU,
-    CentralizerNotMaximal,
-    RelationViolated,
-    NotSurjective,
-    PreconditionFailed,
-)
+
+def _at_least(convert, low, what):
+    """An argparse type: convert(text), which must lie in [low, inf)."""
+
+    def parse(text):
+        value = convert(text)
+        if not low <= value < math.inf:  # nan fails both
+            raise argparse.ArgumentTypeError(f"need {what}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # text convert rejects reads "invalid float value"
+    return parse
 
 
 def _parser():
@@ -98,128 +82,30 @@ def _parser():
         sp.add_argument("--with-oracle", action="store_true", dest="with_oracle",
                         help="also enumerate the full automorphism group")
     for sp in (construct, count, demo):
-        sp.add_argument("--budget", type=float, default=None, metavar="SEC",
-                        help="wall-clock budget for the oracle")
-        sp.add_argument("--jobs", type=int, default=1, metavar="K",
-                        help="worker processes for the oracle")
+        sp.add_argument("--budget", type=_at_least(float, 0, "a finite number of seconds >= 0"),
+                        default=None, metavar="SEC", help="wall-clock budget for the oracle")
+        sp.add_argument("--jobs", type=_at_least(int, 1, "a whole number >= 1"), default=1,
+                        metavar="K", help="worker processes for the oracle")
     return ap
 
 
-def _load(args):
-    name = getattr(args, "file", None)
-    if name is None:
-        return corpus.demo()
-    return groupfile.parse_path(name).presentation
-
-
-def _emit(args, rep, extra_lines=()):
-    text = rp.to_json(rep) if args.format == "json" else rp.render_text(rep)
-    if args.format == "text":
-        for line in extra_lines:
-            text += line + "\n"
-    sys.stdout.write(text)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(rp.to_json(rep))
-
-
-def _run_oracle(P, args):
-    from . import oracle as orc
-
-    count = orc.enumerate_automorphisms(P, budget=args.budget, jobs=args.jobs)
-    ok = orc.cross_validate(P, precomputed=count)
-    return count, rp.oracle_section(count, ok)
-
-
-def _cmd_info(P, args, t0):
-    rep = rp.build(P, timing={"total_s": time.monotonic() - t0})
-    _emit(args, rep)
-    return 0
-
-
-def _cmd_check(P, args, t0):
-    h = hy.check_theorem_hypotheses(P)
-    rep = rp.build(
-        P,
-        hypotheses=h.to_dict(P),
-        timing={"total_s": time.monotonic() - t0},
-    )
-    _emit(args, rep)
-    return 0 if h.theorem_applicable else 1
-
-
-def _cmd_construct(P, args, t0):
-    h = hy.check_theorem_hypotheses(P)
-    if not h.theorem_applicable:
-        rep = rp.build(
-            P,
-            hypotheses=h.to_dict(P),
-            timing={"total_s": time.monotonic() - t0},
-        )
-        _emit(args, rep, extra_lines=["hypotheses not applicable; no witness constructed"])
-        return 1
-    w = au.construct_theorem_witness(P)
-    oracle_sec = None
-    elapsed_oracle = None
-    if args.with_oracle:
-        count, oracle_sec = _run_oracle(P, args)
-        elapsed_oracle = count.elapsed
-    timing = {"total_s": time.monotonic() - t0}
-    if elapsed_oracle is not None:
-        timing["oracle_s"] = elapsed_oracle
-    rep = rp.build(
-        P,
-        hypotheses=h.to_dict(P),
-        witness=rp.witness_section(P, w),
-        verification=rp.verification_section(P, w),
-        oracle=oracle_sec,
-        timing=timing,
-    )
-    _emit(args, rep)
-    return 0
-
-
-def _cmd_count(P, args, t0):
-    count, oracle_sec = _run_oracle(P, args)
-    rep = rp.build(
-        P,
-        oracle=oracle_sec,
-        timing={"total_s": time.monotonic() - t0, "oracle_s": count.elapsed},
-    )
-    _emit(args, rep)
-    return 0
-
-
-def _demo_check(lines, fact, ok):
-    lines.append(("ok" if ok else "FAIL") + f": {fact}")
-    if not ok:
-        raise Mismatch(f"demo expectation failed: {fact}")
-
-
-def _cmd_demo(args, t0):
-    P = corpus.demo()
-    lines = []
-    chk = lambda fact, ok: _demo_check(lines, fact, ok)
-
-    chk("|G| = 3^7 = 2187", P.order == 2187)
-    chk("nilpotency class = 4", st.nilpotency_class(P) == 4)
-
-    Z = st.center(P)
+def _demo_facts(P, h, w, count):
+    """(fact, holds) for each stored fact about the built-in group, in order;
+    h, w and count are the pipeline's hypotheses, witness and oracle count
+    (None without --with-oracle)."""
     f = {i: P.generator(i) for i in range(1, 8)}
-    chk("Z(G) = <f7> of order 3",
-        Z.order == 3 and Z == st.closure(P, [f[7]]))
-    chk("G is monolithic", hy.is_monolithic(P))
-
+    yield "|G| = 3^7 = 2187", P.order == 2187
+    yield "nilpotency class = 4", st.nilpotency_class(P) == 4
+    Z = st.center(P)
+    yield "Z(G) = <f7> of order 3", Z.order == 3 and Z == st.closure(P, [f[7]])
+    yield "G is monolithic", hy.is_monolithic(P)
     F = st.frattini(P)
-    chk("Phi(G) = <f3,f4,f5,f6,f7> of order 243",
-        F.order == 243
-        and F == st.closure(P, [f[3], f[4], f[5], f[6], f[7]]))
-    chk("Phi(G) is non-abelian", not st.is_abelian(P, F))
-
+    yield ("Phi(G) = <f3,f4,f5,f6,f7> of order 243",
+           F.order == 243 and F == st.closure(P, [f[3], f[4], f[5], f[6], f[7]]))
+    yield "Phi(G) is non-abelian", not st.is_abelian(P, F)
     maxs = st.maximal_subgroups(P)
-    chk("exactly 4 maximal subgroups", len(maxs) == 4)
-    chk("all maximal subgroups non-abelian",
-        all(not st.is_abelian(P, M) for M in maxs))
+    yield "exactly 4 maximal subgroups", len(maxs) == 4
+    yield "all maximal subgroups non-abelian", all(not st.is_abelian(P, M) for M in maxs)
 
     printed = [
         ([f[1]], [f[6], f[7]]),
@@ -232,76 +118,86 @@ def _cmd_demo(args, t0):
     tail = [f[3], f[4], f[5], f[6], f[7]]
     by_set = {M: M for M in maxs}
     for k, (head, zgens) in enumerate(printed, start=1):
-        Mk = st.closure(P, head + tail)
-        hit = by_set.pop(Mk, None)
-        chk(f"M{k} matches a computed maximal subgroup as an element set", hit is not None)
-        Zk = st.closure(P, zgens)
-        chk(f"Z(M{k}) matches as an element set",
-            hit is not None
-            and st.center_of(P, hit) == Zk)
-    chk("the four maximal subgroups are exactly M1..M4", not by_set)
+        hit = by_set.pop(st.closure(P, head + tail), None)
+        yield f"M{k} matches a computed maximal subgroup as an element set", hit is not None
+        yield (f"Z(M{k}) matches as an element set",
+               hit is not None and st.center_of(P, hit) == st.closure(P, zgens))
+    yield "the four maximal subgroups are exactly M1..M4", not by_set
 
-    h = hy.check_theorem_hypotheses(P)
-    chk("[Z(M), g] <= Z(G) for every maximal M and g outside M", h.zm_condition)
-    chk("theorem hypotheses all hold", h.theorem_applicable)
+    yield "[Z(M), g] <= Z(G) for every maximal M and g outside M", h.zm_condition
+    yield "theorem hypotheses all hold", h.theorem_applicable
 
     images = list(P.generators())
     images[1] = pc.mul(P, f[2], f[6])
     alpha = au.verify(au.GenMap(parent=P, images=tuple(images)))
-    chk("printed map (f2 -> f2 f6, others fixed) is an automorphism", True)
-    chk("printed automorphism has order 3", au.aut_order(alpha) == 3)
-    chk("printed automorphism is non-inner", not au.is_inner(alpha)[0])
-    chk("printed automorphism fixes Phi(G) elementwise",
-        au.fixes_elementwise(alpha, F))
+    yield "printed map (f2 -> f2 f6, others fixed) is an automorphism", True
+    yield "printed automorphism has order 3", au.aut_order(alpha) == 3
+    yield "printed automorphism is non-inner", not au.is_inner(alpha)[0]
+    yield "printed automorphism fixes Phi(G) elementwise", au.fixes_elementwise(alpha, F)
 
-    w = au.construct_theorem_witness(P)
-    chk("witness construction succeeds", True)
-    chk("constructed automorphism has order 3", au.aut_order(w.A) == 3)
-    chk("constructed automorphism is non-inner", not au.is_inner(w.A)[0])
-    chk("constructed automorphism fixes Phi(G) elementwise",
-        au.fixes_elementwise(w.A, F))
+    yield "witness construction succeeds", w is not None
+    yield "constructed automorphism has order 3", au.aut_order(w.A) == 3
+    yield "constructed automorphism is non-inner", not au.is_inner(w.A)[0]
+    yield "constructed automorphism fixes Phi(G) elementwise", au.fixes_elementwise(w.A, F)
 
-    oracle_sec = None
-    timing = {}
-    if args.with_oracle:
-        count, oracle_sec = _run_oracle(P, args)
+    if count is not None:
+        yield "|Aut(G)| = 4374", count.total == 4374
+        yield "|Inn(G)| = 729", count.inner == 729
+        yield ("oracle sees an order-3 non-inner automorphism fixing Phi(G)",
+               count.order_p_noninner_fixing_frattini >= 1)
+
+
+def _run(args, t0):
+    """The stages args.command needs, one report on stdout (and in
+    --report), and the exit code."""
+    command = args.command
+    name = getattr(args, "file", None)
+    P = corpus.demo() if name is None else groupfile.parse_path(name).presentation
+    h = w = count = None
+    sections, lines = {}, []
+    if command in ("check", "construct", "demo"):
+        h = hy.check_theorem_hypotheses(P)
+        sections["hypotheses"] = h.to_dict(P)
+        if command != "check" and h.theorem_applicable:
+            w = au.construct_theorem_witness(P)
+            sections["witness"] = rp.witness_section(P, w)
+            sections["verification"] = rp.verification_section(P, w)
+        elif command == "construct":
+            lines.append("hypotheses not applicable; no witness constructed")
+    if command == "count" or (w is not None and args.with_oracle):
+        from . import oracle as orc
+
+        count = orc.enumerate_automorphisms(P, budget=args.budget, jobs=args.jobs)
+        sections["oracle"] = rp.oracle_section(count, orc.cross_validate(P, precomputed=count))
+    if command == "demo":
+        for fact, holds in _demo_facts(P, h, w, count):
+            if not holds:
+                raise Mismatch(f"demo expectation failed: {fact}")
+            lines.append(f"ok: {fact}")
+        lines.append("demo: all expectations hold")
+
+    timing = {"total_s": time.monotonic() - t0}
+    if count is not None:
         timing["oracle_s"] = count.elapsed
-        chk("|Aut(G)| = 4374", count.total == 4374)
-        chk("|Inn(G)| = 729", count.inner == 729)
-        chk("oracle sees an order-3 non-inner automorphism fixing Phi(G)",
-            count.order_p_noninner_fixing_frattini >= 1)
-
-    timing["total_s"] = time.monotonic() - t0
-    rep = rp.build(
-        P,
-        hypotheses=h.to_dict(P),
-        witness=rp.witness_section(P, w),
-        verification=rp.verification_section(P, w),
-        oracle=oracle_sec,
-        timing=timing,
-    )
-    _emit(args, rep, extra_lines=lines + ["demo: all expectations hold"])
-    return 0
+    rep = rp.build(P, **sections, timing=timing)
+    if args.format == "json":
+        sys.stdout.write(rp.to_json(rep))
+    else:
+        sys.stdout.write(rp.render_text(rep) + "".join(line + "\n" for line in lines))
+    if args.report:
+        with open(args.report, "w", encoding="utf-8") as fh:
+            fh.write(rp.to_json(rep))
+    return 1 if h is not None and not h.theorem_applicable else 0
 
 
 def main(argv=None):
     args = _parser().parse_args(argv)
-    t0 = time.monotonic()
     try:
-        if args.command == "demo":
-            return _cmd_demo(args, t0)
-        P = _load(args)
-        if args.command == "info":
-            return _cmd_info(P, args, t0)
-        if args.command == "check":
-            return _cmd_check(P, args, t0)
-        if args.command == "construct":
-            return _cmd_construct(P, args, t0)
-        return _cmd_count(P, args, t0)
-    except _INPUT_ERRORS as e:
+        return _run(args, time.monotonic())
+    except (InputError, OSError) as e:
         print(f"pgw: error: {e}", file=sys.stderr)
         return 2
-    except _CONTRADICTIONS as e:
+    except (PgwError, AssertionError) as e:
         print(f"pgw: internal contradiction: {e.__class__.__name__}: {e}", file=sys.stderr)
         return 3
     except KeyboardInterrupt:  # any oracle workers were stopped on the way out

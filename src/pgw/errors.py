@@ -1,12 +1,14 @@
 """Exception types for the whole package.
 
-Everything raised on purpose derives from PgwError so callers can catch one
-base class at the CLI boundary.  The split mirrors where things can go wrong:
-presentation loading/validation, subgroup machinery misuse, automorphism
-certification, oracle disagreement.  Every class pickles, so an error raised
-in an oracle worker process reaches the parent with its own type and message.
-check_deadline raises OracleTimeout for the oracle's budget; the oracle and
-the certificate it calls share it.
+Everything raised on purpose derives from PgwError, and the class decides the
+command line's exit code.  InputError and its subclasses blame the input or
+the run's limits: a bad or inconsistent file, a size cap, the oracle's budget
+or a dead worker; the CLI exits 2 on them.  Every other PgwError is a failed
+certificate or cross-check, so a bug; the CLI exits 3 on it, as on a failed
+assertion.  Every class pickles, so an error raised in an oracle worker
+process reaches the parent with its own type and message.  check_deadline
+raises OracleTimeout for the oracle's budget; the oracle and the certificate
+it calls share it.
 """
 
 import time
@@ -16,22 +18,26 @@ class PgwError(Exception):
     pass
 
 
-class SizeCap(PgwError):
+class InputError(PgwError):
+    """The input or the run's limits are at fault, not the arithmetic."""
+
+
+class SizeCap(InputError):
     """Computation would exceed the desk-scale caps (p <= 97, n <= 16, at most
     ELEMENT_CAP elements to enumerate or maximal subgroups to list, or an
     enumerated set growing past the group order, which signals an arithmetic bug)."""
 
 
-class BadWeight(PgwError):
+class BadWeight(InputError):
     """A relation word references a generator with index <= the relation's own
     generator, violating the weighted form."""
 
 
-class BadDefinition(PgwError):
+class BadDefinition(InputError):
     """A defn tag does not collect to its generator."""
 
 
-class ConsistencyViolation(PgwError):
+class ConsistencyViolation(InputError):
     """A local consistency check failed: the two collections of the same word
     disagree.  Carries which check and the two normal forms."""
 
@@ -92,12 +98,12 @@ class InnerWitnessFound(PgwError):
         return type(self), (self.t, self.detail)
 
 
-class MissingDefinitions(PgwError):
+class MissingDefinitions(InputError):
     """A non-minimal generator lacks a defn tag, so the oracle cannot derive
     its image."""
 
 
-class OracleTimeout(PgwError):
+class OracleTimeout(InputError):
     pass
 
 
@@ -108,7 +114,7 @@ def check_deadline(deadline, where):
         raise OracleTimeout(f"budget exhausted {where}")
 
 
-class WorkerDied(PgwError):
+class WorkerDied(InputError):
     """An oracle worker process ended before it reported its chunks."""
 
 
@@ -116,7 +122,7 @@ class Mismatch(PgwError):
     """Oracle cross-validation disagreement."""
 
 
-class PresentationSyntaxError(PgwError):
+class PresentationSyntaxError(InputError):
     def __init__(self, source, line, reason):
         self.source = source
         self.line = line

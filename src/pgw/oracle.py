@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import numbers
 import signal
 import time
 from dataclasses import dataclass
@@ -73,7 +74,6 @@ from .errors import (
     Mismatch,
     MissingDefinitions,
     NotSurjective,
-    OracleTimeout,
     PgwError,
     PreconditionFailed,
     RelationViolated,
@@ -331,7 +331,8 @@ def _in_workers(tasks, jobs, deadline):
     all the pipes at once, up to the deadline.  The parent holds no copy of
     a pipe's sending end, so a worker that dies before it reports ends its
     pipe and raises WorkerDied here with the worker's exit status.  A worker
-    that hangs without dying raises OracleTimeout once the deadline passes.
+    that hangs without dying raises OracleTimeout once the deadline has
+    passed; the wait goes in slices of at most a day, so any deadline works.
     An error a worker reports is raised as itself.  Every worker is stopped
     and reaped before this returns or raises, Ctrl-C included.
     """
@@ -348,12 +349,12 @@ def _in_workers(tasks, jobs, deadline):
         reports = [None] * width
         pending = list(range(width))
         while pending:
-            timeout = None if deadline is None else max(0.0, deadline - time.monotonic())
+            timeout = None
+            if deadline is not None:  # poll takes a C int of milliseconds: a day at most
+                timeout = min(max(0.0, deadline - time.monotonic()), 86400.0)
             ready = connection.wait([workers[i][1] for i in pending], timeout)
             if not ready:
-                raise OracleTimeout(
-                    f"budget exhausted waiting for {len(pending)} of {width} oracle workers"
-                )
+                check_deadline(deadline, f"waiting for {len(pending)} of {width} oracle workers")
             for i in [i for i in pending if workers[i][1] in ready]:
                 pending.remove(i)
                 proc, receive = workers[i]
@@ -410,10 +411,13 @@ def _enumerate_unpruned(P, deadline):
 def enumerate_automorphisms(P, budget=None, jobs=1, pruned=True):
     """Count and collect all automorphisms of G.
 
-    budget: wall-clock seconds before OracleTimeout; jobs: worker processes
-    for the pruned path, never more than it has chunks; pruned=False selects
-    the pure exhaustive route.
+    budget: wall-clock seconds before OracleTimeout, a number >= 0 (inf
+    never expires) or None; jobs: worker processes for the pruned path,
+    never more than it has chunks; pruned=False selects the pure exhaustive
+    route.
     """
+    if budget is not None and not (isinstance(budget, numbers.Real) and budget >= 0):
+        raise ValueError(f"budget must be a number of seconds >= 0 or None, got {budget!r}")
     if not P.validated:
         raise PreconditionFailed("presentation must be validated first")
     _check_defns(P)

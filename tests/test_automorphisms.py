@@ -485,21 +485,22 @@ def test_witness_construction_gates_on_hypotheses(name):
 
 
 def test_witness_bypass_h27():
-    # hypotheses fail (abelian maximals) but the construction still goes
-    # through and certifies; non-inner-ness is not asserted on this path
+    # hypotheses fail (abelian maximals), yet the construction's public steps
+    # still go through and certify; non-inner-ness is not asserted here
     P = pgw.load("h27")
-    w = pgw.construct_theorem_witness(P, skip_hypothesis_check=True)
-    assert w.u == P.generator(2)
-    assert w.M == pgw.centralizer(P, w.u)
-    assert au.aut_order(w.A) == 3
-    assert au.fixes_elementwise(w.A, w.M)
+    u = st.least_order_p_outside_center(P)
+    assert u == P.generator(2)
+    M = pgw.centralizer(P, u)
+    assert M.order * P.p == P.order
+    g = next(x for x in P.generators() if x not in M)
+    A = pgw.extend_to_automorphism(P, M, g, u)
+    assert au.aut_order(A) == 3
+    assert au.fixes_elementwise(A, M)
 
 
 def test_witness_bypass_q8_has_no_eligible_u():
     # Omega_1(Z_2) = {1, f3} = Z(G), so no eligible u exists
-    P = pgw.load("q8")
-    with pytest.raises(pgw.NoEligibleU):
-        pgw.construct_theorem_witness(P, skip_hypothesis_check=True)
+    assert st.least_order_p_outside_center(pgw.load("q8")) is None
 
 
 @pytest.mark.parametrize("name", ODD)

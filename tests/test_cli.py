@@ -12,12 +12,15 @@ import pytest
 
 import pgw
 from pgw import automorphisms as au
-from pgw import cli, tables
+from pgw import cli, errors, tables
+from pgw import hypotheses as hy
 from pgw import oracle as orc
 from pgw import presentation as pc
+from pgw import structure as st
 from pgw.report import TOP_KEYS
 
 from conftest import FAMILY
+from test_errors import ARGS, SUBCLASSES
 
 
 def data_path(name):
@@ -380,6 +383,70 @@ def test_count_hung_worker_ends_at_the_budget(capsys, monkeypatch):
     assert code == 2
     assert out.startswith("pgw: error: budget exhausted") and out.count("\n") == 1
     assert multiprocessing.active_children() == []
+
+
+def test_large_budget_with_two_jobs_runs(capsys):
+    # a budget past poll's C int of milliseconds is waited for in slices
+    code, out = run(capsys, "count", data_path("m243"), "--jobs", "2", "--budget", "1e7",
+                    "--format", "json")
+    assert code == 0
+    code, plain = run(capsys, "count", data_path("m243"), "--format", "json")
+    assert code == 0
+    budgeted, plain = json.loads(out), json.loads(plain)
+    budgeted.pop("timing"), plain.pop("timing")
+    assert budgeted == plain
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--budget", "nan"], ["--budget", "inf"], ["--budget", "-1"], ["--jobs", "0"],
+     ["--jobs", "-3"]],
+    ids=lambda f: " ".join(f),
+)
+def test_bad_budget_or_jobs_exits_two_at_parse_time(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["count", data_path("m243")] + flags)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: pgw count")
+    assert f"argument {flags[0]}: need " in captured.err
+
+
+# each command's stage that the policy test makes raise
+STAGES = [
+    ("info", st, "upper_central_series"),
+    ("check", hy, "check_theorem_hypotheses"),
+    ("construct", au, "construct_theorem_witness"),
+    ("count", orc, "enumerate_automorphisms"),
+]
+
+
+@pytest.mark.parametrize("cls", SUBCLASSES + [AssertionError], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("command, module, stage", STAGES, ids=[s[0] for s in STAGES])
+def test_error_class_picks_the_exit_code(capsys, monkeypatch, command, module, stage, cls):
+    # exit 2 for an InputError, 3 for any other error, always one stderr line
+    # and nothing on stdout: no error class falls through to a traceback
+    def raising(*args, **kwargs):
+        raise cls(*ARGS.get(cls, ("something failed",)))
+
+    monkeypatch.setattr(module, stage, raising)
+    code = cli.main([command, data_path("m243")])
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    if issubclass(cls, errors.InputError):
+        assert code == 2 and captured.err.startswith("pgw: error: ")
+    else:
+        assert code == 3
+        assert captured.err.startswith(f"pgw: internal contradiction: {cls.__name__}: ")
+
+
+def test_no_eligible_u_exits_three(capsys, monkeypatch):
+    # m243 satisfies the hypotheses, so a missing u is a bug
+    monkeypatch.setattr(st, "least_order_p_outside_center", lambda P: None)
+    assert cli.main(["construct", data_path("m243")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("pgw: internal contradiction: NoEligibleU: ")
 
 
 def test_interrupt_exits_130(capsys, monkeypatch):

@@ -310,7 +310,8 @@ def test_bases_are_gl_d_p(p, d):
     assert len({tuple(row) for row in codes.tolist()}) == gl
     radix = [p**k for k in range(d - 1, -1, -1)]
     for row in codes[:: max(1, gl // 500)].tolist():
-        assert au._rank_mod_p([[c // r % p for r in radix] for c in row], p) == d
+        kernel, _ = st._solve_mod_p(p, [[c // r % p for r in radix] for c in row])
+        assert d - len(kernel) == d
 
 
 def test_small_blocks_change_nothing(monkeypatch):
@@ -654,3 +655,17 @@ def test_children_share_their_parents_verdict(name):
         alone = set(map(tuple, oracle._sieve(ctx, nodes[:, :d], level + 1, None)[:, :d].tolist()))
         assert passed[:, 0].tolist() == [r in alone for r in map(tuple, nodes[:, :d].tolist())]
         nodes = survivors
+
+
+@pytest.mark.parametrize("budget", [float("nan"), -1, "5"], ids=repr)
+def test_budget_must_be_a_number_at_least_zero(budget):
+    with pytest.raises(ValueError, match="budget must be a number of seconds >= 0"):
+        pgw.enumerate_automorphisms(pgw.load("m243"), budget=budget)
+
+
+def test_infinite_budget_in_workers():
+    # the parent waits on the workers in slices, so no deadline is too far
+    P = pgw.load("m243")
+    count = pgw.enumerate_automorphisms(P, budget=float("inf"), jobs=2)
+    assert (count.total, count.inner) == (486, 81)
+    assert (count.maps == pgw.enumerate_automorphisms(P).maps).all()
