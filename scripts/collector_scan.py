@@ -83,7 +83,7 @@ def per_call_us(fn, args):
 
 def memo_entries(P):
     """Entries in P's tail memo, or None for a collector without one."""
-    tails = getattr(P, "_tails", None)
+    tails = P._memo.get(pc._fresh_tails)
     if tails is None:
         return None
     dicts = {id(d): d for level in tails for d in level[2] or () if d is not None}

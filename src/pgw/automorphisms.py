@@ -12,7 +12,7 @@ f_1..f_d span G/Phi(G), which validate() makes the first d exponents.  On
 top of that sit conjugation maps (inner_from), the inner test, the
 maximal-subgroup extension map and the full witness construction.  The inner
 test is a conjugacy solve down the pc series, by collection.  The oracle
-labels whole blocks of maps with a second route, one cached table of the
+labels whole blocks of maps with a second route, one memoized table of the
 inner maps' image rows and their lex-least conjugators, computed with the
 index algebra of tables.py; only that route, and verify_coded on more than
 one row, import numpy, inside the functions.
@@ -21,7 +21,6 @@ one row, import numpy, inside the functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import hypotheses as hp
 from . import presentation as pc
@@ -267,7 +266,7 @@ def inner_from(P, t):
     return verify(GenMap(P, tuple(pc.conj(P, g, t) for g in P.generators())))
 
 
-@lru_cache(maxsize=None)
+@pc.memoized
 def _inner_table(P):
     """The inner maps: their generator-image rows of element indices, as
     sorted void scalars, and the lex-least conjugator of each.  The

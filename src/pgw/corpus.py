@@ -18,14 +18,10 @@ CORPUS_NAMES = ("c9", "c3c3", "h27", "x27", "w81", "m243", "g2187")
 DEMO_NAME = "g2187"
 
 
-def _data_dir():
-    return resources.files("pgw").joinpath("data")
-
-
 @lru_cache(maxsize=None)
 def load(name):
     """Load a packaged presentation by name (cached, so identity is stable)."""
-    path = _data_dir().joinpath(f"{name}.pg")
+    path = resources.files("pgw") / "data" / f"{name}.pg"
     try:
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError:

@@ -5,15 +5,16 @@ non-abelian, monolithic p-group whose maximal subgroups are all non-abelian
 and satisfy [Z(M), g] <= Z(G) for every g outside M.  A variant replaces the
 maximal-subgroup condition with C_G(Z(Phi(G))) = Phi(G).
 
-Diagnostics (Z_2 abelian, Z(M) <= Z_2(G), rank equalities, ...) are reported
-but never asserted: they hold for the interesting examples yet are not part
-of the hypotheses, so a qualifying group is free to violate them.
+[Z(M), g] <= Z(G) holds for M iff Z(M) <= Z_2(G) (see check_zm_condition),
+so the diagnostic zm_in_z2 is that verdict per maximal.  The others (Z_2
+abelian, rank equalities, ...) are reported but never asserted: they hold
+for the interesting examples yet are not part of the hypotheses, so a
+qualifying group is free to violate them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import presentation as pc
 from . import structure as st
@@ -81,18 +82,19 @@ def check_zm_condition(P):
     outside M and take m in Z(M).  For m' in M, [m, m' g0^i] = [m, g0^i],
     and m -> [m, g0] is a homomorphism on Z(M), since its values lie in M,
     which m centralizes.  So the m with [m, g0] in Z(G) form a subgroup B,
-    and for them [m, g0^i] = [m, g0]^i is central: no g is bad.  Every other
-    m is bad with g = g0, so the first bad m is the lex-least element of
-    Z(M) outside B.  Whether g is bad for it depends only on g's coset of
-    M, and g is the least of the lex-least elements of the bad cosets.
+    and for them [m, g0^i] = [m, g0]^i is central: no g is bad, so
+    [m, G] <= Z(G) and m lies in Z_2(G).  Every other m is bad with g = g0
+    and lies outside Z_2(G).  So B is Z(M) intersected with Z_2(G), and the
+    first bad m is the lex-least element of Z(M) outside Z_2(G).  Whether g
+    is bad for it depends only on g's coset of M, and g is the least of the
+    lex-least elements of the bad cosets.
     """
-    Z = st.center(P)
+    Z, Z2 = st.center(P), st.second_center(P)
     for mi, (M, zm) in enumerate(zip(st.maximal_subgroups(P), st.maximal_centers(P))):
-        g0 = next(f for f in P.generators() if f not in M)
-        good = st.kernel(P, zm, st.commutators_with(P, [g0]), Z)
-        m = st.least_outside(P, zm, good)
+        m = st.least_outside(P, zm, Z2)
         if m is None:
             continue
+        g0 = next(f for f in P.generators() if f not in M)
         bad = []
         for i in range(1, P.p):
             gi = pc.pow_(P, g0, i)
@@ -102,11 +104,10 @@ def check_zm_condition(P):
     return True, None
 
 
-@lru_cache(maxsize=None)
+@pc.memoized
 def check_theorem_hypotheses(P):
-    """The report for both the theorem and the corollary, cached per presentation."""
-    Z = st.center(P)
-    Z2 = st.second_center(P)
+    """The report for both the theorem and the corollary, memoized per presentation."""
+    Z, Z2 = st.center(P), st.second_center(P)
     F = st.frattini(P)
     maxls = st.maximal_subgroups(P)
     zm_ok, zm_ce = check_zm_condition(P)

@@ -101,9 +101,6 @@ def _check_defns(P):
         )
 
 
-# worker state shared through fork(); set by the parent right before the pool starts
-_WORK = {}
-
 _ROWS = 1 << 13  # nodes per _sieve call and rows per lift block; bounds the lift's memory
 
 
@@ -294,11 +291,9 @@ def _classify_rows(ctx, rows):
     return int(inner.sum()), int((order_p & ~inner & fixes_phi).sum())
 
 
-def _run_chunk(args):
+def _run_chunk(ctx, firsts, deadline):
     """Lift, certify and classify the level-d nodes whose image of f_1
-    modulo Phi(G) has one of the given codes."""
-    firsts, deadline = args
-    ctx = _WORK["ctx"]
+    modulo Phi(G) has one of the codes firsts."""
     P, t, d = ctx["P"], ctx["t"], ctx["d"]
     total = inner = bucket = 0
     blocks = []
@@ -311,21 +306,22 @@ def _run_chunk(args):
     return total, inner, bucket, blocks
 
 
-def _report_chunks(tasks, conn):
-    """A worker's body: send (True, results) of _run_chunk on tasks, or
+def _report_chunks(ctx, chunks, deadline, conn):
+    """A worker's body: send (True, results) of _run_chunk on each chunk, or
     (False, error) for the PgwError one of them raised.  The worker ignores
     Ctrl-C, which reaches the whole process group: the parent stops it."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
-        out = True, [_run_chunk(task) for task in tasks]
+        out = True, [_run_chunk(ctx, firsts, deadline) for firsts in chunks]
     except PgwError as e:
         out = False, e
     conn.send(out)
 
 
-def _in_workers(tasks, jobs, deadline):
-    """_run_chunk on every task, in min(jobs, len(tasks)) forked worker
-    processes; worker i takes tasks i, i + w, ... for w workers.
+def _in_workers(ctx, chunks, jobs, deadline):
+    """_run_chunk on every chunk, in min(jobs, len(chunks)) forked worker
+    processes, which inherit ctx without pickling it; worker i takes chunks
+    i, i + w, ... for w workers.
 
     Each worker reports once, through its own pipe, and the parent waits on
     all the pipes at once, up to the deadline.  The parent holds no copy of
@@ -337,12 +333,12 @@ def _in_workers(tasks, jobs, deadline):
     and reaped before this returns or raises, Ctrl-C included.
     """
     fork = multiprocessing.get_context("fork")
-    width = min(jobs, len(tasks))
+    width = min(jobs, len(chunks))
     workers = []
     try:
         for i in range(width):
             receive, send = fork.Pipe(duplex=False)
-            proc = fork.Process(target=_report_chunks, args=(tasks[i::width], send))
+            proc = fork.Process(target=_report_chunks, args=(ctx, chunks[i::width], deadline, send))
             proc.start()
             send.close()
             workers.append((proc, receive))
@@ -412,12 +408,14 @@ def enumerate_automorphisms(P, budget=None, jobs=1, pruned=True):
     """Count and collect all automorphisms of G.
 
     budget: wall-clock seconds before OracleTimeout, a number >= 0 (inf
-    never expires) or None; jobs: worker processes for the pruned path,
-    never more than it has chunks; pruned=False selects the pure exhaustive
-    route.
+    never expires) or None; jobs: worker processes for the pruned path, an
+    integer >= 1, never more than it has chunks; pruned=False selects the
+    pure exhaustive route.
     """
     if budget is not None and not (isinstance(budget, numbers.Real) and budget >= 0):
         raise ValueError(f"budget must be a number of seconds >= 0 or None, got {budget!r}")
+    if not (isinstance(jobs, numbers.Integral) and jobs >= 1):
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     if not P.validated:
         raise PreconditionFailed("presentation must be validated first")
     _check_defns(P)
@@ -428,14 +426,12 @@ def enumerate_automorphisms(P, budget=None, jobs=1, pruned=True):
         results = [_enumerate_unpruned(P, deadline)]
     else:
         ctx = _prepare(P)
-        _WORK["ctx"] = ctx
         firsts = np.arange(1, P.p ** ctx["d"])  # nonzero images of f_1 modulo Phi(G)
-        jobs = max(1, int(jobs))
         if jobs == 1:
-            results = [_run_chunk((firsts, deadline))]
+            results = [_run_chunk(ctx, firsts, deadline)]
         else:
-            tasks = [(c, deadline) for c in np.array_split(firsts, jobs * 4) if len(c)]
-            results = _in_workers(tasks, jobs, deadline)
+            chunks = [c for c in np.array_split(firsts, jobs * 4) if len(c)]
+            results = _in_workers(ctx, chunks, jobs, deadline)
 
     total, inner, bucket = (sum(r[k] for r in results) for k in range(3))
     maps = np.concatenate([b for r in results for b in r[3]], dtype=np.int32)

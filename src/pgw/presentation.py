@@ -62,6 +62,7 @@ copies of x's word, so pow_ costs O(n log p) products.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import operator
 from dataclasses import dataclass, field
 
@@ -74,7 +75,7 @@ MEMO_TAILS = 729  # the most tails, p^(n-j), of a memoized pc level; see conjuga
 MEMO_KEYS = 2912  # the most keys a memoized pc level can take; see conjugates()
 
 
-@dataclass(frozen=True, eq=False)  # eq=False: identity hash, lets lru_cache key on P
+@dataclass(frozen=True, eq=False)  # eq=False: identity hash, so a P is only equal to itself
 class PcPresentation:
     name: str
     p: int
@@ -84,8 +85,7 @@ class PcPresentation:
     defn: dict = field(default_factory=dict)  # i -> ("pow", j) or ("comm", j, k)
     minimal_count: int = 0
     validated: bool = False
-    _conjugates: list = field(default=None, init=False, repr=False)  # see conjugates()
-    _tails: list = field(default=None, init=False, repr=False)  # see conjugates()
+    _memo: dict = field(default_factory=dict, init=False, repr=False)  # see memoized()
 
     @property
     def order(self):
@@ -99,6 +99,21 @@ class PcPresentation:
 
     def generators(self):
         return [self.generator(i) for i in range(1, self.n + 1)]
+
+
+def memoized(f):
+    """f(P), computed once per presentation object and kept in P._memo under
+    the returned wrapper, so it is freed with P; an exception is not kept.
+    P._memo is no init field, so a copy made with dataclasses.replace starts
+    empty.  validate() also keeps the tail memo there (see conjugates())."""
+
+    @functools.wraps(f)
+    def cached(P):
+        if cached not in P._memo:
+            P._memo[cached] = f(P)
+        return P._memo[cached]
+
+    return cached
 
 
 def identity(P):
@@ -134,6 +149,7 @@ def collect(P, w):
     return _collect_into(P, [0] * P.n, stack)
 
 
+@memoized
 def conjugates(P):
     """The stored conjugates, one table per presentation object, built on
     first use; validate() hands its table to the validated object.
@@ -146,10 +162,10 @@ def conjugates(P):
     powers of that.  Both are collection in G_{j+1}, from the rows of
     j+1..n only, so the rows go from j = n down to 1.
 
-    Beside the table sits the tail memo, P._tails, which validate() makes
-    fresh for the validated object only: the unvalidated object that the
-    consistency battery collects on has none, and a copy made with
-    dataclasses.replace starts without one, so no two presentations share
+    Beside the table sits the tail memo, P._memo[_fresh_tails], made fresh
+    by validate() for the validated object only: the unvalidated object that
+    the consistency battery collects on has none, and a dataclasses.replace
+    copy starts with an empty P._memo, so no two presentations share
     entries.  A key is (j, b, over, T): the tail's digits T right of f_j,
     the bit 2^b of the letter that crosses it, and whether f_j overflows
     into its power word; the entry is the digits of T^{f_j^(2^b)}, or of
@@ -173,12 +189,6 @@ def conjugates(P):
     C_{3^5} x h27 (the scan's c243h27), with its central 2,187-tail level
     memoized, random mul took 1.10x and inv 1.08x.
     """
-    if P._conjugates is None:
-        object.__setattr__(P, "_conjugates", _conjugate_table(P))
-    return P._conjugates
-
-
-def _conjugate_table(P):
     n, p = P.n, P.p
     table = [None] * n
     plain = [((),) + tuple(((k, e),) for e in range(1, p)) for k in range(1, n + 1)]
@@ -221,9 +231,9 @@ def _collect_into(P, e, stack, table=None):
     p = P.p
     power_rel = P.power_rel
     # table: the stored conjugates when the caller holds them, or the rows
-    # that _conjugate_table is building
-    conj = conjugates(P) if table is None else table
-    tails = P._tails  # the tail memo, on a validated presentation only
+    # that conjugates() is building; else P's, read from P._memo directly
+    conj = table or P._memo.get(conjugates) or conjugates(P)
+    tails = P._memo.get(_fresh_tails)  # the tail memo, on a validated presentation only
     pop, push = stack.pop, stack.extend  # a letter with m = 0 is dropped
     last = top = P.n - 1
     while top >= 0 and not e[top]:
@@ -333,7 +343,7 @@ def _tail_entry(P, conj, memo, jj, h, over, tail):
     if over:
         stack += reversed(P.power_rel[jj])
     digits = _collect_into(P, [0] * P.n, stack, conj)[jj + 1:]
-    canon = P._tails[jj][3]
+    canon = P._memo[_fresh_tails][jj][3]
     digits = canon.setdefault(digits, digits)
     memo[canon.setdefault(tail, tail)] = digits
     return digits
@@ -580,8 +590,8 @@ def validate(P):
     _check_frattini_split(P)
 
     V = dataclasses.replace(P, validated=True)
-    object.__setattr__(V, "_conjugates", conjugates(P))
-    object.__setattr__(V, "_tails", _fresh_tails(V))
+    V._memo[conjugates] = conjugates(P)
+    V._memo[_fresh_tails] = _fresh_tails(V)
     return V
 
 

@@ -23,15 +23,15 @@ digits and the maximal subgroups are the preimages of its hyperplanes.  No
 function here holds an array of size |G|; exponent and agemo alone scan G,
 under ELEMENT_CAP, and exponent skips the scan when the class is below p.
 maximal_subgroups lists (p^d - 1)/(p - 1) subgroups, under the same cap.
-All functions take a validated presentation and are pure; per-presentation
-results are memoized.
+All functions take a validated presentation and are pure; the results that
+depend on P alone (the center, the central series, the maximal subgroups,
+...) are kept in P._memo by presentation.memoized, and freed with P.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import presentation as pc
 from .errors import NotAbelian, NotNormal, SizeCap
@@ -327,7 +327,7 @@ def closure(P, S):
     return _subgroup(P, _close(P, {}, powers, [tuple(map(int, x)) for x in S]), powers)
 
 
-@lru_cache(maxsize=None)
+@pc.memoized
 def whole_group(P):
     """G, whose layer generators are f_n, ..., f_1."""
     return Subgroup(P, P.generators())
@@ -348,7 +348,7 @@ def centralizer(P, S):
     return kernel(P, whole_group(P), commutators_with(P, targets))
 
 
-@lru_cache(maxsize=None)
+@pc.memoized
 def center(P):
     return kernel(P, whole_group(P), commutators_with(P, _minimal_generators(P)))
 
@@ -377,7 +377,7 @@ def commutator_subgroup(P, A, B):
     return _normal_closure(P, seeds, A.gens + B.gens)
 
 
-@lru_cache(maxsize=None)
+@pc.memoized
 def derived(P):
     G = whole_group(P)
     return commutator_subgroup(P, G, G)
@@ -388,7 +388,7 @@ def _scan_cap(size, name):
         raise SizeCap(f"|{name}| = {size} exceeds the enumeration cap {ELEMENT_CAP}")
 
 
-@lru_cache(maxsize=None)
+@pc.memoized
 def agemo(P):
     """G^p = <g^p : g in G>, by a scan of G under ELEMENT_CAP."""
     _scan_cap(P.order, "G")
@@ -410,7 +410,7 @@ def _frattini_of(P, H):
     return _normal_closure(P, seeds, gens)
 
 
-@lru_cache(maxsize=None)
+@pc.memoized
 def frattini(P):
     """Phi(G) = G_{d+1} = <f_{d+1}, ..., f_n>: the elements whose first d
     digits are zero.  Each of its layers is full, so its layer generators
@@ -424,7 +424,7 @@ class CentralSeries:
     terms: tuple  # Subgroups; upper: 1 = Z_0 <= Z_1 <= ... = G; lower: G = g_1 >= ... >= 1
 
 
-@lru_cache(maxsize=None)
+@pc.memoized
 def upper_central_series(P):
     """Z_{i+1} = {x : [x, f_j] in Z_i for j <= d}, the centralizer of G
     modulo Z_i."""
@@ -439,7 +439,7 @@ def upper_central_series(P):
     return CentralSeries("upper", tuple(terms))
 
 
-@lru_cache(maxsize=None)
+@pc.memoized
 def lower_central_series(P):
     G = whole_group(P)
     terms = [G]
@@ -465,7 +465,7 @@ def second_center(P):
     return terms[min(2, len(terms) - 1)]
 
 
-@lru_cache(maxsize=None)
+@pc.memoized
 def least_order_p_outside_center(P):
     """The lex-least element of order p in Z_2(G) outside Z(G), or None.
 
@@ -484,7 +484,7 @@ def least_order_p_outside_center(P):
     return least_outside(P, omega, Z)
 
 
-@lru_cache(maxsize=None)
+@pc.memoized
 def maximal_subgroups(P):
     """All index-p subgroups: preimages of hyperplanes of G/Phi(G), whose
     coordinates are the first d digits taken as (e_d, ..., e_1).  With c_k
@@ -514,7 +514,7 @@ def maximal_subgroups(P):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@pc.memoized
 def maximal_centers(P):
     """Z(M) for each maximal subgroup M, in the order of maximal_subgroups."""
     return tuple(center_of(P, M) for M in maximal_subgroups(P))

@@ -23,12 +23,10 @@ never do, so they never load numpy.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .errors import SizeCap
-from .presentation import ELEMENT_CAP
+from .presentation import ELEMENT_CAP, memoized
 
 
 class GroupTables:
@@ -127,6 +125,6 @@ class GroupTables:
         return self.mul(self.mul(self.inv(t), a), t)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def get_tables(P):
     return GroupTables(P)

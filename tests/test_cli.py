@@ -329,10 +329,10 @@ def test_count_dead_worker_exits_two(capsys, monkeypatch):
     # leave the parent waiting; the alarm fails the test instead of hanging
     run_chunk = orc._run_chunk
 
-    def dying(args):
-        if args[0][0] == 1:  # the chunk holding the first level-d node
+    def dying(ctx, firsts, deadline):
+        if firsts[0] == 1:  # the chunk holding the first level-d node
             os._exit(7)
-        return run_chunk(args)
+        return run_chunk(ctx, firsts, deadline)
 
     def hung(signum, frame):
         pytest.fail("pgw count is still waiting for a dead worker")
@@ -366,7 +366,7 @@ def test_count_hung_worker_ends_at_the_budget(capsys, monkeypatch):
     # a worker that hangs without dying and without checking the budget:
     # the parent stops waiting when the budget is spent, exits 2 and leaves
     # no worker behind; the alarm fails the test instead of hanging
-    def hanging(args):
+    def hanging(ctx, firsts, deadline):
         import time
 
         time.sleep(120)
@@ -465,7 +465,7 @@ def test_interrupt_reaps_oracle_workers(capfd, monkeypatch):
     # first and the parent, waiting on them, a moment later.  Exit 130, one
     # line, and every worker stopped; a worker that did not ignore SIGINT
     # would print its own traceback, which capfd would catch
-    def hanging(args):
+    def hanging(ctx, firsts, deadline):
         import time
 
         time.sleep(120)

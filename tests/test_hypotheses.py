@@ -10,7 +10,7 @@ from pgw import hypotheses as hy
 from pgw import report
 from pgw import structure as st
 
-from conftest import ALL_NAMES
+from conftest import ALL_NAMES, FAMILY_NAMES, load_group
 
 # name -> expected theorem_applicable
 APPLICABLE = {
@@ -188,3 +188,23 @@ def test_each_maximal_center_is_built_once(monkeypatch):
     # Z(M) once per maximal M, and Z(Phi(G)) once for the corollary
     assert len(calls) == len(maximals) + 1
     assert calls[: len(maximals)] == list(maximals)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES + FAMILY_NAMES)
+def test_zm_condition_is_zm_in_z2_for_every_maximal(name):
+    # [Z(M), g] <= Z(G) for every g outside M iff Z(M) <= Z_2(G), so the
+    # diagnostic zm_in_z2 is the verdict per maximal
+    rep = pgw.check_theorem_hypotheses(load_group(name))
+    zm_in_z2 = rep.diagnostics["zm_in_z2"]
+    assert rep.zm_condition == all(zm_in_z2)
+    if rep.zm_condition:
+        assert rep.zm_counterexample is None
+    else:  # the counterexample comes from the first maximal that fails
+        assert rep.zm_counterexample[0] == zm_in_z2.index(False)
+
+
+def test_w81_zm_counterexample_pinned():
+    # the first failing maximal, its lex-least bad m and lex-least bad g
+    P = pgw.load("w81")
+    assert hy.check_zm_condition(P) == (False, (0, (0, 1, 0, 0), (1, 0, 0, 0)))
+    assert pgw.check_theorem_hypotheses(P).diagnostics["zm_in_z2"][0] is False

@@ -1,9 +1,12 @@
 """Exhaustive Aut(G) oracle: counts, pruned/unpruned agreement, determinism."""
 
 import dataclasses
+import gc
+import importlib.resources
 import random
 import time
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -134,7 +137,7 @@ def test_jobs_do_not_change_anything():
 
 class _InlineFork:
     """A stand-in for the fork context: a Process runs its target in this
-    process when started, and records how many tasks it was given; a Pipe
+    process when started, and records how many chunks it was given; a Pipe
     hands recv the one object that was sent, so waiting on it returns at
     once."""
 
@@ -145,7 +148,7 @@ class _InlineFork:
             self.target, self.args = target, args
 
         def start(self):
-            _InlineFork.started.append(len(self.args[0]))
+            _InlineFork.started.append(len(self.args[1]))  # (ctx, chunks, deadline, conn)
             self.target(*self.args)
 
         def is_alive(self):
@@ -669,3 +672,30 @@ def test_infinite_budget_in_workers():
     count = pgw.enumerate_automorphisms(P, budget=float("inf"), jobs=2)
     assert (count.total, count.inner) == (486, 81)
     assert (count.maps == pgw.enumerate_automorphisms(P).maps).all()
+
+
+@pytest.mark.parametrize("jobs", [0, -3, 1.5, "2"], ids=repr)
+def test_jobs_must_be_an_integer_at_least_one(jobs):
+    with pytest.raises(ValueError, match="jobs must be an integer >= 1"):
+        pgw.enumerate_automorphisms(pgw.load("h27"), jobs=jobs)
+
+
+def test_one_job_counts_h27():
+    assert pgw.enumerate_automorphisms(pgw.load("h27"), jobs=1).total == 432
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_presentation_freed_after_the_whole_pipeline(jobs):
+    # every stage keeps its results on the presentation, and the oracle hands
+    # its state to the workers as an argument, so once the caller drops P
+    # and what it got back, nothing is left holding P
+    text = importlib.resources.files("pgw").joinpath("data/m243.pg").read_text()
+    P = groupfile.parse_text(text).presentation
+    report = pgw.check_theorem_hypotheses(P)
+    witness = au.construct_theorem_witness(P)
+    count = pgw.enumerate_automorphisms(P, jobs=jobs)
+    assert report.theorem_applicable and oracle.cross_validate(P, count)
+    ref = weakref.ref(P)
+    del P, report, witness, count
+    gc.collect()
+    assert ref() is None

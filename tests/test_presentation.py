@@ -200,19 +200,22 @@ def _g2187_text():
 
 
 def test_conjugates_built_once_per_parse(monkeypatch):
-    built = []
-    build = pc._conjugate_table
+    # the consistency battery builds the table on the raw object, validate
+    # hands that one object on, and later products reuse it
+    raws = []
+    validate = pc.validate
 
-    def counting(P):
-        built.append(P)
-        return build(P)
+    def recording(P):
+        raws.append(P)
+        return validate(P)
 
-    monkeypatch.setattr(pc, "_conjugate_table", counting)
+    monkeypatch.setattr(pc, "validate", recording)
     P = groupfile.parse_text(_g2187_text()).presentation
+    table = P._memo[pc.conjugates]
     pgw.mul(P, P.generator(2), P.generator(1))
     pgw.inv(P, P.generator(1))
-    assert len(built) == 1
-    assert pc.conjugates(P) is built[0]._conjugates
+    assert len(raws) == 1
+    assert pc.conjugates(P) is table is raws[0]._memo[pc.conjugates]
 
 
 def test_validate_keeps_no_reference_to_the_raw_presentation(monkeypatch):
@@ -234,7 +237,7 @@ def test_validate_keeps_no_reference_to_the_raw_presentation(monkeypatch):
 def _memo_dicts(P):
     """The distinct dicts of P's tail memo; a central level shares one."""
     dicts = {}
-    for _, _, memo, _ in P._tails or ():
+    for _, _, memo, _ in P._memo.get(pc._fresh_tails) or ():
         for d in memo or ():
             if d is not None:
                 dicts[id(d)] = d
@@ -307,8 +310,8 @@ def test_tail_memo_only_on_validated_and_never_shared(monkeypatch):
     monkeypatch.setattr(pc, "validate", recording)
     P, Q = (groupfile.parse_text(_g2187_text()).presentation for _ in range(2))
     # the consistency battery collects on the raw object, which holds no memo
-    assert len(raws) == 2 and all(raw._tails is None for raw in raws)
-    assert dataclasses.replace(P)._tails is None
+    assert len(raws) == 2 and all(pc._fresh_tails not in raw._memo for raw in raws)
+    assert dataclasses.replace(P)._memo == {}
     rng = random.Random(31)
     for _ in range(200):
         pc.mul(P, _random_element(rng, P), _random_element(rng, P))
@@ -606,3 +609,22 @@ def test_collect_reduces_large_exponents(k):
     assert time.perf_counter() - start < 1.0
     assert got == pgw.pow_(P, P.generator(1), k)
     assert t.encode(got) == t.pow(t.strides[0], k)
+
+
+def test_memoized_keeps_one_result_per_presentation():
+    calls = []
+
+    @pc.memoized
+    def stage(P):
+        calls.append(P)
+        if len(calls) == 1:
+            raise ValueError("first call fails")
+        return object()
+
+    P = groupfile.parse_text(_g2187_text()).presentation
+    with pytest.raises(ValueError):
+        stage(P)  # a raised error is not kept
+    first = stage(P)
+    assert stage(P) is first and P._memo[stage] is first
+    Q = dataclasses.replace(P)  # a copy starts with an empty memo
+    assert stage(Q) is not first and calls == [P, P, Q]
