@@ -68,31 +68,23 @@ def verify(A):
     anything else is a ValueError, as a wrong number of images is.  The
     collector would read (4, 0) on C3 x C3 as the word f_1^4 = f_1, but the
     certified map keeps its images as given, and is_inner, apply and the
-    tables know each element by its normal form only.  The distinct images
-    are numbered in order, each checked once, and the row goes to
-    verify_coded as numbers.  Entries are kept as ints, so a numpy integer
-    or a bool becomes the int it stands for."""
+    tables know each element by its normal form only.  The distinct normal
+    forms are numbered in order and the row goes to verify_coded as
+    numbers.  Entries are kept as ints, so a numpy integer or a bool becomes
+    the int it stands for."""
     P = A.parent
-    n, p = P.n, P.p
-    images = tuple(map(tuple, A.images))
-    if len(images) != n:
-        raise ValueError(f"need {n} images, got {len(images)}")
-    number, forms = {}, []
-    for x in images:
-        if x in number:
-            continue
-        form = pc.normal_form(P, x)
-        if form is None:
-            raise ValueError(f"image {x} is not a normal form: need {n} ints in 0..{p - 1}")
-        number[x] = len(forms)
-        forms.append(form)
-    failed = verify_coded(P, forms, [[number[x] for x in images]])
+    if len(A.images) != P.n:
+        raise ValueError(f"need {P.n} images, got {len(A.images)}")
+    number = {}
+    row = [number.setdefault(pc.checked_form(P, x, "image"), len(number)) for x in A.images]
+    forms = list(number)
+    failed = verify_coded(P, forms, [row])
     if failed is not None:
         try:
             raise failed[1]
         finally:
             failed = None  # else the traceback's frame and the error keep each other alive
-    return Automorphism(P, tuple(forms[number[x]] for x in images))
+    return Automorphism(P, tuple(forms[c] for c in row))
 
 
 def verify_coded(P, forms, coded, deadline=None):
@@ -324,19 +316,20 @@ def fixes_elementwise(A, H):
 def extend_to_automorphism(P, M, g, u):
     """Extend g -> gu, m -> m (m in M) to an automorphism of G.
 
-    Needs M maximal, g outside M, u in Z(M) and (gu)^p = g^p.  The result
-    fixes M elementwise and has order p when it is not the identity; a
-    violation of either is raised as CertificationFailed since the underlying
-    lemma guarantees them (for odd p; a p = 2 run can genuinely trip the
-    order check, e.g. the quaternion group with u of order 4).
+    Needs M maximal, g outside M, u in Z(M) and (gu)^p = g^p; g and u must
+    be normal forms, else ValueError.  The result fixes M elementwise and has
+    order p when it is not the identity; a violation of either is raised as
+    CertificationFailed since the underlying lemma guarantees them (for odd
+    p; a p = 2 run can genuinely trip the order check, e.g. the quaternion
+    group with u of order 4).
     """
     p = P.p
     if not isinstance(M, st.Subgroup) or M.parent is not P:
         raise PreconditionFailed("M is not a subgroup of this presentation")
     if M.order * p != P.order:
         raise PreconditionFailed(f"M has order {M.order}, not index {p} in the group")
-    g = tuple(g)
-    u = tuple(u)
+    g = pc.checked_form(P, g, "g")
+    u = pc.checked_form(P, u, "u")
     if g in M:
         raise PreconditionFailed(f"g = {g} lies in M")
     if u not in M:
@@ -384,26 +377,19 @@ class WitnessResult:
     A: Automorphism
 
 
+@pc.memoized
 def construct_theorem_witness(P):
     """Select u in the second center of order p outside the center (lex-least),
     extend over M = C_G(u), and certify the result: order p, fixes the
-    Frattini subgroup elementwise, non-inner.  Raises PreconditionFailed when
-    the group fails the hypotheses; its steps, least_order_p_outside_center,
-    centralizer and extend_to_automorphism, take any group.
+    Frattini subgroup and M elementwise, non-inner.  A result is that
+    certificate: any violation raises.  Raises PreconditionFailed when the
+    group fails the hypotheses; its steps, least_order_p_outside_center,
+    centralizer and extend_to_automorphism, take any group.  Memoized per
+    presentation, so the pipeline and the oracle's cross-check share one.
     """
     report = hp.check_theorem_hypotheses(P)
     if not report.theorem_applicable:
-        failed = [
-            name
-            for name in (
-                "p_odd",
-                "nonabelian",
-                "monolithic",
-                "all_maximals_nonabelian",
-                "zm_condition",
-            )
-            if not getattr(report, name)
-        ]
+        failed = [name for name in hp.THEOREM if not getattr(report, name)]
         raise PreconditionFailed("hypotheses not satisfied: " + ", ".join(failed))
 
     u = st.least_order_p_outside_center(P)

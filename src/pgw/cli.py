@@ -161,7 +161,7 @@ def _run(args, t0):
         if command != "check" and h.theorem_applicable:
             w = au.construct_theorem_witness(P)
             sections["witness"] = rp.witness_section(P, w)
-            sections["verification"] = rp.verification_section(P, w)
+            sections["verification"] = rp.verification_section(P)
         elif command == "construct":
             lines.append("hypotheses not applicable; no witness constructed")
     if command == "count" or (w is not None and args.with_oracle):

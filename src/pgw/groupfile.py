@@ -26,6 +26,10 @@ from .errors import PresentationSyntaxError
 
 _WORD_TOKEN = re.compile(r"^g([0-9]+)\^([0-9]+)$")
 
+# how many generator indices each relation directive, and each def body, names
+_ARITY = {"pow": 1, "comm": 2, "def": 1}
+_ARITY_TEXT = {1: "one generator index", 2: "two generator indices"}
+
 
 @dataclass(frozen=True)
 class GroupFile:
@@ -63,14 +67,19 @@ def _parse_word(text, p, n, min_index, source, lineno):
     return tuple(word)
 
 
+def _indices(tokens, count):
+    """The ints that tokens spell when they are count generator indices in
+    ASCII digits, as in a word token, else None."""
+    digits = "".join(tokens)
+    if len(tokens) != count or not (digits.isascii() and digits.isdigit()):
+        return None
+    return tuple(map(int, tokens))
+
+
 def parse_text(text, source="<string>"):
     """Parse and validate a group file; returns a GroupFile."""
-    name = None
-    p = None
-    n = None
-    pow_lines = {}
-    comm_lines = {}
-    def_lines = {}
+    header = {}  # the name, p and n lines' values
+    lines = {key: {} for key in _ARITY}  # per directive: indices -> word or def body
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -79,89 +88,76 @@ def parse_text(text, source="<string>"):
         parts = line.split(None, 1)
         key = parts[0]
         rest = parts[1].strip() if len(parts) > 1 else ""
-        if key == "name":
-            if name is not None:
-                raise PresentationSyntaxError(source, lineno, "duplicate name line")
-            if not rest:
-                raise PresentationSyntaxError(source, lineno, "name line needs a label")
-            name = rest
-        elif key == "p":
-            if p is not None:
-                raise PresentationSyntaxError(source, lineno, "duplicate p line")
+        if key in ("name", "p", "n"):
+            if key in header:
+                raise PresentationSyntaxError(source, lineno, f"duplicate {key} line")
+            if key == "name":
+                if not rest:
+                    raise PresentationSyntaxError(source, lineno, "name line needs a label")
+                header[key] = rest
+                continue
             try:
-                p = int(rest)
+                value = header[key] = int(rest)
             except ValueError:
-                raise PresentationSyntaxError(source, lineno, f"p must be an integer, got {rest!r}")
-            if p > pc.MAX_P:  # before the trial division, which a huge p would stall
-                raise pc.size_cap(p=p)
-            if not pc._is_prime(p):
-                raise PresentationSyntaxError(source, lineno, f"p = {p} is not prime")
-        elif key == "n":
-            if n is not None:
-                raise PresentationSyntaxError(source, lineno, "duplicate n line")
-            try:
-                n = int(rest)
-            except ValueError:
-                raise PresentationSyntaxError(source, lineno, f"n must be an integer, got {rest!r}")
-            if n < 1:
-                raise PresentationSyntaxError(source, lineno, f"n must be >= 1, got {n}")
-            if n > pc.MAX_N:  # before n sizes the relation tuples
-                raise pc.size_cap(n=n)
-        elif key in ("pow", "comm", "def"):
-            if p is None or n is None:
+                raise PresentationSyntaxError(
+                    source, lineno, f"{key} must be an integer, got {rest!r}"
+                )
+            if key == "p":
+                if value > pc.MAX_P:  # before the trial division, which a huge p would stall
+                    raise pc.size_cap(p=value)
+                if not pc._is_prime(value):
+                    raise PresentationSyntaxError(source, lineno, f"p = {value} is not prime")
+            else:
+                if value < 1:
+                    raise PresentationSyntaxError(source, lineno, f"n must be >= 1, got {value}")
+                if value > pc.MAX_N:  # before n sizes the relation tuples
+                    raise pc.size_cap(n=value)
+        elif key in _ARITY:
+            if "p" not in header or "n" not in header:
                 raise PresentationSyntaxError(
                     source, lineno, f"{key} line before p and n are declared"
                 )
+            p, n = header["p"], header["n"]
             if "=" not in rest:
                 raise PresentationSyntaxError(source, lineno, f"{key} line needs '='")
             head, _, tail = rest.partition("=")
-            idx_parts = head.split()
-            if key == "pow":
-                if len(idx_parts) != 1 or not idx_parts[0].isdigit():
-                    raise PresentationSyntaxError(source, lineno, "pow needs one generator index")
-                i = int(idx_parts[0])
-                if not (1 <= i <= n):
-                    raise PresentationSyntaxError(source, lineno, f"pow index {i} out of range")
-                if i in pow_lines:
-                    raise PresentationSyntaxError(source, lineno, f"duplicate pow line for {i}")
-                pow_lines[i] = _parse_word(tail, p, n, i, source, lineno)
-            elif key == "comm":
-                if len(idx_parts) != 2 or not all(t.isdigit() for t in idx_parts):
-                    raise PresentationSyntaxError(source, lineno, "comm needs two generator indices")
-                i, j = int(idx_parts[0]), int(idx_parts[1])
-                if not (1 <= j < i <= n):
+            idx = _indices(head.split(), _ARITY[key])
+            if idx is None:
+                raise PresentationSyntaxError(
+                    source, lineno, f"{key} needs {_ARITY_TEXT[_ARITY[key]]}"
+                )
+            i = idx[0]
+            if key == "comm":
+                if not 1 <= idx[1] < i <= n:
                     raise PresentationSyntaxError(
-                        source, lineno, f"comm indices need 1 <= j < i <= n, got i={i} j={j}"
+                        source, lineno, f"comm indices need 1 <= j < i <= n, got i={i} j={idx[1]}"
                     )
-                if (i, j) in comm_lines:
-                    raise PresentationSyntaxError(source, lineno, f"duplicate comm line for {i} {j}")
-                w = _parse_word(tail, p, n, i, source, lineno)
-                if w:
-                    comm_lines[(i, j)] = w
+            elif not 1 <= i <= n:
+                raise PresentationSyntaxError(source, lineno, f"{key} index {i} out of range")
+            if idx in lines[key]:  # a trivial word still takes its line
+                raise PresentationSyntaxError(
+                    source, lineno, f"duplicate {key} line for {' '.join(map(str, idx))}"
+                )
+            if key == "def":
+                kind, *args = tail.split() or [""]
+                body = _indices(args, _ARITY[kind]) if kind in ("pow", "comm") else None
+                if body is None:
+                    raise PresentationSyntaxError(
+                        source,
+                        lineno,
+                        f"def body must be 'pow <j>' or 'comm <j> <k>', got {tail!r}",
+                    )
+                lines[key][idx] = (kind, *body)
             else:
-                if len(idx_parts) != 1 or not idx_parts[0].isdigit():
-                    raise PresentationSyntaxError(source, lineno, "def needs one generator index")
-                i = int(idx_parts[0])
-                if not (1 <= i <= n):
-                    raise PresentationSyntaxError(source, lineno, f"def index {i} out of range")
-                if i in def_lines:
-                    raise PresentationSyntaxError(source, lineno, f"duplicate def line for {i}")
-                toks = tail.split()
-                if len(toks) == 2 and toks[0] == "pow" and toks[1].isdigit():
-                    def_lines[i] = ("pow", int(toks[1]))
-                elif len(toks) == 3 and toks[0] == "comm" and all(t.isdigit() for t in toks[1:]):
-                    def_lines[i] = ("comm", int(toks[1]), int(toks[2]))
-                else:
-                    raise PresentationSyntaxError(
-                        source, lineno, f"def body must be 'pow <j>' or 'comm <j> <k>', got {tail!r}"
-                    )
+                lines[key][idx] = _parse_word(tail, p, n, i, source, lineno)
         else:
             raise PresentationSyntaxError(source, lineno, f"unknown directive {key!r}")
 
-    if p is None:
-        raise PresentationSyntaxError(source, 0, "missing p line")
-    if n is None:
-        raise PresentationSyntaxError(source, 0, "missing n line")
+    for key in ("p", "n"):
+        if key not in header:
+            raise PresentationSyntaxError(source, 0, f"missing {key} line")
+    p, n = header["p"], header["n"]
+    def_lines = {i: body for (i,), body in sorted(lines["def"].items())}
     if def_lines:
         expect = set(range(n - len(def_lines) + 1, n + 1))
         if set(def_lines) != expect:
@@ -173,12 +169,12 @@ def parse_text(text, source="<string>"):
     minimal_count = n - len(def_lines)
 
     P = pc.PcPresentation(
-        name=name if name is not None else "unnamed",
+        name=header.get("name", "unnamed"),
         p=p,
         n=n,
-        power_rel=tuple(pow_lines.get(i, ()) for i in range(1, n + 1)),
-        comm_rel=dict(sorted(comm_lines.items())),
-        defn=dict(sorted(def_lines.items())),
+        power_rel=tuple(lines["pow"].get((i,), ()) for i in range(1, n + 1)),
+        comm_rel={ij: w for ij, w in sorted(lines["comm"].items()) if w},
+        defn=def_lines,
         minimal_count=minimal_count,
     )
     return GroupFile(presentation=pc.validate(P), source=source)

@@ -14,10 +14,14 @@ qualifying group is free to violate them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import presentation as pc
 from . import structure as st
+
+# the HypothesisReport fields that must all hold for the theorem, and for the corollary
+THEOREM = ("p_odd", "nonabelian", "monolithic", "all_maximals_nonabelian", "zm_condition")
+COROLLARY = ("p_odd", "monolithic", "corollary_centralizer_condition", "zm_condition")
 
 
 @dataclass(frozen=True)
@@ -33,40 +37,20 @@ class HypothesisReport:
 
     @property
     def theorem_applicable(self):
-        return (
-            self.p_odd
-            and self.nonabelian
-            and self.monolithic
-            and self.all_maximals_nonabelian
-            and self.zm_condition
-        )
+        return all(getattr(self, name) for name in THEOREM)
 
     @property
     def corollary_applicable(self):
-        return (
-            self.p_odd
-            and self.monolithic
-            and self.corollary_centralizer_condition
-            and self.zm_condition
-        )
+        return all(getattr(self, name) for name in COROLLARY)
 
     def to_dict(self, P):
-        ce = None
+        d = asdict(self)
         if self.zm_counterexample is not None:
             mi, m, g = self.zm_counterexample
-            ce = {"maximal": mi, "m": st.word_str(P, m), "g": st.word_str(P, g)}
-        return {
-            "p_odd": self.p_odd,
-            "nonabelian": self.nonabelian,
-            "monolithic": self.monolithic,
-            "all_maximals_nonabelian": self.all_maximals_nonabelian,
-            "zm_condition": self.zm_condition,
-            "zm_counterexample": ce,
-            "corollary_centralizer_condition": self.corollary_centralizer_condition,
-            "theorem_applicable": self.theorem_applicable,
-            "corollary_applicable": self.corollary_applicable,
-            "diagnostics": dict(self.diagnostics),
-        }
+            d["zm_counterexample"] = {"maximal": mi, "m": st.word_str(P, m), "g": st.word_str(P, g)}
+        d["theorem_applicable"] = self.theorem_applicable
+        d["corollary_applicable"] = self.corollary_applicable
+        return d
 
 
 def is_monolithic(P):

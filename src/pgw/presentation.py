@@ -133,6 +133,16 @@ def normal_form(P, e):
     return tuple(map(int, x))
 
 
+def checked_form(P, e, what):
+    """normal_form(P, e), or a ValueError that names e as what when it is no
+    normal form; a tuple or list is shown as a tuple."""
+    x = normal_form(P, e)
+    if x is None:
+        shown = tuple(e) if isinstance(e, (tuple, list)) else e
+        raise ValueError(f"{what} {shown} is not a normal form: need {P.n} ints in 0..{P.p - 1}")
+    return x
+
+
 def word_of(e):
     """Normal-form word of an exponent vector."""
     return tuple([(i, ei) for i, ei in enumerate(e, 1) if ei])

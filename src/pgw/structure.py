@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 from . import presentation as pc
 from .errors import NotAbelian, NotNormal, SizeCap
+from .groupfile import word_text
 from .presentation import ELEMENT_CAP
 
 
@@ -86,8 +87,7 @@ class Subgroup:
 
 def word_str(P, e):
     """Render a normal form in the group-file word syntax."""
-    parts = [f"g{i + 1}^{x}" for i, x in enumerate(e) if x]
-    return " ".join(parts) if parts else "1"
+    return word_text(pc.word_of(e))
 
 
 def _leading(x):
@@ -322,9 +322,11 @@ def least_outside(P, A, B):
 
 
 def closure(P, S):
-    """Smallest subgroup containing S (empty S gives 1)."""
+    """Smallest subgroup containing S (empty S gives 1); each element of S
+    must be a normal form, else ValueError."""
     powers = {}
-    return _subgroup(P, _close(P, {}, powers, [tuple(map(int, x)) for x in S]), powers)
+    seeds = [pc.checked_form(P, x, "generator") for x in S]
+    return _subgroup(P, _close(P, {}, powers, seeds), powers)
 
 
 @pc.memoized
@@ -343,8 +345,9 @@ def _minimal_generators(P):
 
 
 def centralizer(P, S):
-    """C_G(S); S may be a Subgroup (generator test) or a single Element."""
-    targets = S.gens if isinstance(S, Subgroup) else (tuple(map(int, S)),)
+    """C_G(S); S may be a Subgroup (generator test) or a single Element,
+    which must be a normal form, else ValueError."""
+    targets = S.gens if isinstance(S, Subgroup) else (pc.checked_form(P, S, "element"),)
     return kernel(P, whole_group(P), commutators_with(P, targets))
 
 

@@ -8,6 +8,7 @@ import pytest
 
 import pgw
 from pgw import automorphisms as au
+from pgw import report as rp
 from pgw import structure as st
 from pgw import tables
 
@@ -539,3 +540,61 @@ def test_genmap_serializes_to_words(demo_group):
     A = _printed_alpha(P)
     words = [st.word_str(P, img) for img in A.images]
     assert words == ["g1^1", "g2^1 g6^1", "g3^1", "g4^1", "g5^1", "g6^1", "g7^1"]
+
+
+def _m243_witness_parts():
+    P = pgw.load("m243")
+    w = pgw.construct_theorem_witness(P)
+    return P, w.M, w.g, w.u
+
+
+# verify, closure, centralizer and extend_to_automorphism read an element
+# argument as a normal form, and name what is not one in a ValueError
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda P, M, g, u: au.verify(au.GenMap(P, (5,) + tuple(P.generators()[1:]))),
+         "image 5 is not a normal form: need 5 ints in 0..2"),
+        (lambda P, M, g, u: au.verify(au.GenMap(P, (None,) + tuple(P.generators()[1:]))),
+         "image None is not a normal form: need 5 ints in 0..2"),
+        (lambda P, M, g, u: au.verify(au.GenMap(P, ([1, 0, 0, 0, 3],) + tuple(P.generators()[1:]))),
+         "image (1, 0, 0, 0, 3) is not a normal form: need 5 ints in 0..2"),
+        (lambda P, M, g, u: au.extend_to_automorphism(P, M, g + (0,), u),
+         "g (1, 0, 0, 0, 0, 0) is not a normal form: need 5 ints in 0..2"),
+        (lambda P, M, g, u: au.extend_to_automorphism(P, M, g, u[:-1]),
+         "u (0, 0, 0, 1) is not a normal form: need 5 ints in 0..2"),
+        (lambda P, M, g, u: au.extend_to_automorphism(P, M, 7, u),
+         "g 7 is not a normal form: need 5 ints in 0..2"),
+    ],
+    ids=["verify-int", "verify-none", "verify-list", "extend-long-g", "extend-short-u",
+         "extend-int-g"],
+)
+def test_element_arguments_must_be_normal_forms(call, message):
+    with pytest.raises(ValueError) as err:
+        call(*_m243_witness_parts())
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("name", ["m243", "g2187", "m3125", "m16807"])
+def test_verification_section_matches_a_recomputed_certificate(name):
+    # the report states the certificate construct_theorem_witness enforced;
+    # recomputed here from the map itself
+    P = load_group(name)
+    w = pgw.construct_theorem_witness(P)
+    assert rp.verification_section(P) == {
+        "certified": True,
+        "order": au.aut_order(w.A),
+        "is_inner": au.is_inner(w.A)[0],
+        "fixes_frattini_elementwise": au.fixes_elementwise(w.A, pgw.frattini(P)),
+        "fixes_maximal_elementwise": au.fixes_elementwise(w.A, w.M),
+    }
+
+
+def test_witness_is_built_once_per_presentation():
+    P = load_group("m3125")
+    w = pgw.construct_theorem_witness(P)
+    assert pgw.construct_theorem_witness(P) is w
+    # a fresh parse of the same text is a new presentation with its own witness
+    Q = load_group("m3125")
+    assert pgw.construct_theorem_witness(Q) is not w
+    assert pgw.construct_theorem_witness(Q).A.images == w.A.images

@@ -92,7 +92,9 @@ def test_construct_demo_matches_known_map(capsys):
 
 @pytest.mark.parametrize("broken", ["inner", "moves_frattini"])
 def test_construct_contradicting_witness_exits_three(capsys, monkeypatch, broken):
-    # a witness that breaks the theorem is a bug: no report, exit 3
+    # a witness that breaks the theorem is a bug: no report, exit 3.  The
+    # demo group read from its file is a fresh presentation, with no witness
+    # memoized by an earlier test, so the patched check runs.
     if broken == "inner":
         monkeypatch.setattr(au, "is_inner", lambda A: (True, pgw.identity(A.parent)))
         error = "InnerWitnessFound"
@@ -102,7 +104,7 @@ def test_construct_contradicting_witness_exits_three(capsys, monkeypatch, broken
             au, "fixes_elementwise", lambda A, H: H != pgw.frattini(A.parent) and fixes(A, H)
         )
         error = "CertificationFailed"
-    assert cli.main(["construct", "--format", "json"]) == 3
+    assert cli.main(["construct", data_path("g2187"), "--format", "json"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"pgw: internal contradiction: {error}: ")
@@ -276,6 +278,28 @@ def test_bad_input_file_exit_two(capsys, tmp_path, command, body, reason):
     assert code == 2
     assert out.count("\n") == 1 and out.startswith("pgw: error: ")
     assert reason in out
+
+
+# a repeated relation line whose first word is trivial, and indices that
+# str.isdigit accepts but int() does not: one stderr line and exit 2
+@pytest.mark.parametrize(
+    "text, line, reason",
+    [
+        ("p 3\nn 3\ncomm 2 1 = 1\ncomm 2 1 = g3^1\ndef 3 = comm 2 1\n", 4,
+         "duplicate comm line for 2 1"),
+        ("p 3\nn 2\npow ² = g2^1\n", 3, "pow needs one generator index"),
+        (H27 + "def 3 = comm ² 1\n", 5,
+         "def body must be 'pow <j>' or 'comm <j> <k>', got ' comm ² 1'"),
+    ],
+    ids=["trivial-duplicate", "pow-superscript", "def-superscript"],
+)
+@pytest.mark.parametrize("command", ["info", "check"])
+def test_parser_rejects_exit_two(capsys, tmp_path, command, text, line, reason):
+    f = tmp_path / "bad.pg"
+    f.write_text(text, encoding="utf-8")
+    code, out = run(capsys, command, str(f))
+    assert code == 2
+    assert out == f"pgw: error: {f}:{line}: {reason}\n"
 
 
 # The caps apply at the p and n lines: a huge p never reaches the primality
@@ -587,3 +611,24 @@ def test_installed_script_available():
     )
     assert proc.returncode == 0
     assert "order 9" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["construct", data_path("m243"), "--with-oracle"], ["demo", "--with-oracle"]],
+    ids=["construct-m243", "demo"],
+)
+def test_with_oracle_builds_the_witness_once(capsys, monkeypatch, argv):
+    # the pipeline and cross_validate share the witness memoized on the
+    # presentation; demo runs on a fresh parse, so no earlier test built it
+    monkeypatch.setattr(
+        cli.corpus, "demo", lambda: pgw.parse_path(data_path("g2187")).presentation
+    )
+    calls = []
+    extend = au.extend_to_automorphism
+    monkeypatch.setattr(
+        au, "extend_to_automorphism", lambda *args: calls.append(args) or extend(*args)
+    )
+    assert cli.main(argv) == 0
+    assert "cross_validated: true" in capsys.readouterr().out
+    assert len(calls) == 1

@@ -114,3 +114,99 @@ def test_unnamed_presentation_gets_default():
     P = groupfile.parse_text("p 3\nn 1\n").presentation
     assert P.name == "unnamed"
     assert groupfile.parse_text(groupfile.serialize(P)).presentation.name == "unnamed"
+
+
+B2 = "name x\np 3\nn 2\n"
+B3 = "name x\np 3\nn 3\n"
+
+# (text, line, full message) for each syntax error parse_text and _parse_word raise
+SYNTAX_ERRORS = {
+    "empty-word": (B2 + "pow 1 =\n", 4, "empty word (use 1 for the identity)"),
+    "bad-token": (B2 + "pow 1 = f2^1\n", 4, "bad word token 'f2^1'"),
+    "token-unicode-digit": (B2 + "pow 1 = g²^1\n", 4, "bad word token 'g²^1'"),
+    "generator-range": (B2 + "pow 1 = g5^1\n", 4, "generator g5 out of range 1..2"),
+    "generator-too-low": (B2 + "pow 1 = g1^1\n", 4,
+                          "generator g1 not allowed here (needs index > 1)"),
+    "not-increasing": (B3 + "pow 1 = g3^1 g2^1\n", 4,
+                       "generator indices must strictly increase, g2 after g3"),
+    "exponent": (B2 + "pow 1 = g2^3\n", 4, "exponent 3 not in 1..2"),
+    "duplicate-name": ("name x\nname y\n", 2, "duplicate name line"),
+    "name-label": ("name\n", 1, "name line needs a label"),
+    "duplicate-p": ("p 3\np 3\nn 1\n", 2, "duplicate p line"),
+    "p-integer": ("p three\n", 1, "p must be an integer, got 'three'"),
+    "p-prime": ("name x\np 4\nn 1\n", 2, "p = 4 is not prime"),
+    "duplicate-n": ("p 3\nn 1\nn 1\n", 3, "duplicate n line"),
+    "n-integer": ("p 3\nn 2.5\n", 2, "n must be an integer, got '2.5'"),
+    "n-positive": ("p 3\nn 0\n", 2, "n must be >= 1, got 0"),
+    "pow-before-header": ("name x\npow 1 = g2^1\np 3\nn 2\n", 2,
+                          "pow line before p and n are declared"),
+    "comm-before-header": ("p 3\ncomm 2 1 = 1\nn 2\n", 2, "comm line before p and n are declared"),
+    "def-before-header": ("n 2\ndef 2 = pow 1\n", 2, "def line before p and n are declared"),
+    "pow-equals": (B2 + "pow 1 g2^1\n", 4, "pow line needs '='"),
+    "comm-equals": (B2 + "comm 2 1\n", 4, "comm line needs '='"),
+    "def-equals": (B2 + "def 2 pow 1\n", 4, "def line needs '='"),
+    "pow-arity": (B2 + "pow 1 2 = 1\n", 4, "pow needs one generator index"),
+    "pow-not-index": (B2 + "pow x = 1\n", 4, "pow needs one generator index"),
+    "pow-range": (B2 + "pow 3 = 1\n", 4, "pow index 3 out of range"),
+    "pow-zero": (B2 + "pow 0 = 1\n", 4, "pow index 0 out of range"),
+    "duplicate-pow": (B2 + "pow 1 = g2^1\npow 1 = g2^2\n", 5, "duplicate pow line for 1"),
+    "comm-arity": (B2 + "comm 2 = g2^1\n", 4, "comm needs two generator indices"),
+    "comm-not-index": (B2 + "comm 2 -1 = 1\n", 4, "comm needs two generator indices"),
+    "comm-order": (B2 + "comm 1 2 = g2^1\n", 4,
+                   "comm indices need 1 <= j < i <= n, got i=1 j=2"),
+    "comm-range": (B2 + "comm 3 1 = 1\n", 4, "comm indices need 1 <= j < i <= n, got i=3 j=1"),
+    "duplicate-comm": (B3 + "comm 2 1 = g3^1\ncomm 02 1 = g3^1\n", 5,
+                       "duplicate comm line for 2 1"),
+    "def-arity": (B2 + "def = pow 1\n", 4, "def needs one generator index"),
+    "def-range": (B2 + "def 3 = pow 1\n", 4, "def index 3 out of range"),
+    "duplicate-def": (B3 + "comm 2 1 = g3^1\ndef 3 = comm 2 1\ndef 3 = comm 2 1\n", 6,
+                      "duplicate def line for 3"),
+    "def-body-kind": (B2 + "def 2 = power 1\n", 4,
+                      "def body must be 'pow <j>' or 'comm <j> <k>', got ' power 1'"),
+    "def-body-arity": (B2 + "def 2 = comm 1\n", 4,
+                       "def body must be 'pow <j>' or 'comm <j> <k>', got ' comm 1'"),
+    "def-body-index": (B2 + "def 2 = pow x\n", 4,
+                       "def body must be 'pow <j>' or 'comm <j> <k>', got ' pow x'"),
+    "def-body-empty": (B2 + "def 2 =\n", 4,
+                       "def body must be 'pow <j>' or 'comm <j> <k>', got ''"),
+    "unknown-directive": (B2 + "powx 1 = g2^1\n", 4, "unknown directive 'powx'"),
+    "missing-p": ("name x\n", 0, "missing p line"),
+    "missing-n": ("name x\np 3\n", 0, "missing n line"),
+    "def-tail": (B3 + "def 2 = pow 1\n", 0,
+                 "def lines must cover a tail range of generators; got [2]"),
+}
+
+
+@pytest.mark.parametrize("text, line, reason", SYNTAX_ERRORS.values(), ids=SYNTAX_ERRORS)
+def test_syntax_error_message_and_line(text, line, reason):
+    e = _err(text)
+    assert (e.source, e.line, e.reason) == ("test.pg", line, reason)
+    assert str(e) == f"test.pg:{line}: {reason}"
+
+
+def test_trivial_commutator_line_counts_as_a_duplicate():
+    # a trivial word is not stored, but its line is still the one for 2 1
+    text = "p 3\nn 3\ncomm 2 1 = 1\ncomm 2 1 = g3^1\ndef 3 = comm 2 1\n"
+    e = _err(text)
+    assert (e.line, e.reason) == (4, "duplicate comm line for 2 1")
+    e = _err("p 3\nn 2\ncomm 2 1 = 1\ncomm 2 1 = 1\n")
+    assert (e.line, e.reason) == (4, "duplicate comm line for 2 1")
+
+
+# str.isdigit accepts these, int() rejects the superscript and reads the
+# Arabic-Indic digit as 3; an index is ASCII digits only, as inside a word
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ("pow ² = 1", "pow needs one generator index"),
+        ("comm 2 ¹ = 1", "comm needs two generator indices"),
+        ("def ٣ = comm 2 1", "def needs one generator index"),
+        ("def 3 = comm ² 1", "def body must be 'pow <j>' or 'comm <j> <k>', "
+                                  "got ' comm ² 1'"),
+        ("def 3 = pow ¹", "def body must be 'pow <j>' or 'comm <j> <k>', got ' pow ¹'"),
+    ],
+    ids=["pow", "comm", "def", "def-comm-body", "def-pow-body"],
+)
+def test_indices_are_ascii_digits(line, reason):
+    e = _err(B3 + "comm 2 1 = g3^1\n" + line + "\n")
+    assert (e.line, e.reason) == (5, reason)

@@ -518,3 +518,26 @@ def test_exponent_below_class_p_matches_the_scan(name):
         scan = max((pgw.element_order(P, x) for x in st._leading_ones(P, K.gens)), default=1)
         every = max(pgw.element_order(P, x) for x in K.elements)
         assert pgw.exponent(P, H) == scan == every
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda P: st.closure(P, [(1, 0, 0, 0)]),
+         "generator (1, 0, 0, 0) is not a normal form: need 3 ints in 0..2"),
+        (lambda P: st.closure(P, [(3, 0, 0)]),
+         "generator (3, 0, 0) is not a normal form: need 3 ints in 0..2"),
+        (lambda P: st.closure(P, [[0, 1, 0], None]),
+         "generator None is not a normal form: need 3 ints in 0..2"),
+        (lambda P: st.centralizer(P, (0, 0, -1)),
+         "element (0, 0, -1) is not a normal form: need 3 ints in 0..2"),
+        (lambda P: st.centralizer(P, [1, 0]),
+         "element (1, 0) is not a normal form: need 3 ints in 0..2"),
+    ],
+    ids=["closure-long", "closure-digit", "closure-none", "centralizer-negative",
+         "centralizer-short"],
+)
+def test_element_arguments_must_be_normal_forms(call, message):
+    with pytest.raises(ValueError) as err:
+        call(pgw.load("h27"))
+    assert str(err.value) == message
