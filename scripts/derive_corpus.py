@@ -5,7 +5,8 @@ triples of residues with an explicit multiplication), a polycyclic sequence
 m1..mn is fixed, and the power/commutator relations are read off by peeling
 normal-form exponents along the subgroup chain <m_i..m_n>.  The emitted text
 must match the shipped data file byte for byte, and the generator map
-m_i -> f_i must be an isomorphism onto the parsed presentation.
+m_i -> f_i must be an isomorphism onto the parsed presentation.  The tests
+load this file by path and read the same models from JOBS.
 
 Run:  python3 scripts/derive_corpus.py [--write]
 
@@ -45,7 +46,6 @@ def derive(name, p, seq, defn, mul, one, minimal):
         assert len(H) == p ** (n - i), (name, i, len(H))
         chains.append(H)
     chains.append({one})
-    G = chains[0]
 
     def inverse(x):
         # x^(ord(x) - 1), by walking the powers of x back to the identity
@@ -99,11 +99,13 @@ def derive(name, p, seq, defn, mul, one, minimal):
     for i, tag in sorted(defn.items()):
         lines.append("def {} = {}".format(i, " ".join(str(t) for t in tag)))
     assert n - len(defn) == minimal, name
-    return "\n".join(lines) + "\n", G
+    return "\n".join(lines) + "\n"
 
 
-def check_isomorphic(P, G, mul, one, seq):
-    """Pair the model with the presentation over the product graph."""
+def check_isomorphic(P, mul, one, seq):
+    """Pair the model with the presentation over the product graph: walk it
+    by BFS from the generator pairing m_i -> f_i, and fail on any pair that
+    multiplication by a generator maps inconsistently."""
     pair = {one: pc.identity(P)}
     frontier = [one]
     gens = list(zip(seq, [P.generator(i) for i in range(1, P.n + 1)]))
@@ -119,7 +121,7 @@ def check_isomorphic(P, G, mul, one, seq):
                     pair[ym] = yp
                     nxt.append(ym)
         frontier = nxt
-    assert len(pair) == P.order == len(G), P.name
+    assert len(pair) == P.order, P.name
     assert len(set(pair.values())) == len(pair), P.name
 
 
@@ -155,11 +157,17 @@ def mul_w81(x, y):
     return ((i + j) % 3, tuple((sv[k] + w[k]) % 3 for k in range(3)))
 
 
-def mul_m243(x, y):
-    # C27 : C9 with the order-9 automorphism k -> 4k
-    a, b = x
-    c, d = y
-    return ((a + c * pow(4, b, 27)) % 27, (b + d) % 9)
+def mul_metacyclic(p):
+    """C_{p^3} : C_{p^2}, the generator of the second factor acting as
+    k -> (1 + p) k: m243 at p = 3, and the FAMILY text of tests/conftest.py
+    at any p."""
+
+    def mul(x, y):
+        a, b = x
+        c, d = y
+        return ((a + c * pow(1 + p, b, p**3)) % p**3, (b + d) % p**2)
+
+    return mul
 
 
 def mul_g2187(x, y):
@@ -187,7 +195,7 @@ JOBS = [
     ("w81", 3, [(1, (0, 0, 0)), (0, (1, 0, 0)), (0, (2, 1, 0)), (0, (1, 1, 1))],
      {3: ("comm", 2, 1), 4: ("comm", 3, 1)}, mul_w81, (0, (0, 0, 0)), 2),
     ("m243", 3, [(1, 0), (0, 1), (3, 0), (0, 3), (9, 0)],
-     {3: ("pow", 1), 4: ("pow", 2), 5: ("pow", 3)}, mul_m243, (0, 0), 2),
+     {3: ("pow", 1), 4: ("pow", 2), 5: ("pow", 3)}, mul_metacyclic(3), (0, 0), 2),
     ("g2187", 3, [(1, 0), (0, 1), (0, 3), (3, 0), (0, 9), (9, 0), (0, 27)],
      {3: ("comm", 2, 1), 4: ("pow", 1), 5: ("pow", 3), 6: ("pow", 4), 7: ("pow", 5)},
      mul_g2187, (0, 0), 2),
@@ -204,9 +212,9 @@ def main():
     data = importlib.resources.files("pgw").joinpath("data")
     failures = 0
     for name, p, seq, defn, mul, one, minimal in JOBS:
-        text, G = derive(name, p, seq, defn, mul, one, minimal)
+        text = derive(name, p, seq, defn, mul, one, minimal)
         gf = groupfile.parse_text(text, source=f"derived:{name}")
-        check_isomorphic(gf.presentation, G, mul, one, seq)
+        check_isomorphic(gf.presentation, mul, one, seq)
         assert groupfile.serialize(gf.presentation) == text, name
         target = pathlib.Path(str(data.joinpath(f"{name}.pg")))
         if args.write:

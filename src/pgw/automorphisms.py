@@ -54,7 +54,9 @@ def identity_automorphism(P):
 
 def apply(A, x):
     """Image of x: substitute generator images into its normal-form word,
-    A(f_1)^x_1 ... A(f_n)^x_n, and collect it as one word."""
+    A(f_1)^x_1 ... A(f_n)^x_n, and collect it as one word.  x must be a
+    normal form, else ValueError."""
+    x = pc.checked_form(A.parent, x, "element")
     w = [letter for img, e in zip(A.images, x) for letter in pc.word_of(img) * e]
     return pc.collect(A.parent, w)
 
@@ -233,10 +235,6 @@ def compose(A, B):
     if isinstance(A, Automorphism) and isinstance(B, Automorphism):
         return Automorphism(A.parent, images)
     return GenMap(A.parent, images)
-
-
-def equal(A, B):
-    return A.parent is B.parent and tuple(A.images) == tuple(B.images)
 
 
 def aut_order(A):

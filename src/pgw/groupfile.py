@@ -96,12 +96,11 @@ def parse_text(text, source="<string>"):
                     raise PresentationSyntaxError(source, lineno, "name line needs a label")
                 header[key] = rest
                 continue
-            try:
-                value = header[key] = int(rest)
-            except ValueError:
+            if not (rest.isascii() and rest.isdigit()):  # as in a relation index
                 raise PresentationSyntaxError(
                     source, lineno, f"{key} must be an integer, got {rest!r}"
                 )
+            value = header[key] = int(rest)
             if key == "p":
                 if value > pc.MAX_P:  # before the trial division, which a huge p would stall
                     raise pc.size_cap(p=value)

@@ -75,7 +75,7 @@ def check_zm_condition(P):
     """
     Z, Z2 = st.center(P), st.second_center(P)
     for mi, (M, zm) in enumerate(zip(st.maximal_subgroups(P), st.maximal_centers(P))):
-        m = st.least_outside(P, zm, Z2)
+        m = st.least_outside(zm, Z2)
         if m is None:
             continue
         g0 = next(f for f in P.generators() if f not in M)

@@ -1,8 +1,8 @@
 """Brute-force enumeration of Aut(G), independent of the construction code.
 
 A map is fixed by the images of the d minimal generators; the defn tags force
-the rest.  The pruned route lifts those images one pc layer at a time, down
-the central series of the pc presentation (Eick, Leedham-Green & O'Brien,
+the rest.  The oracle lifts those images one pc layer at a time, down the
+central series of the pc presentation (Eick, Leedham-Green & O'Brien,
 Comm. Algebra 30, 2002; Handbook of Computational Group Theory, ch. 8-9).
 Each G_k = <f_k, ..., f_n> is normal and the first k digits of an index are
 its image in G/G_{k+1}, so an automorphism satisfies every relation modulo
@@ -30,12 +30,12 @@ those d columns, with the powers of every image built once per block; it
 fixes Phi(G) = <f_{d+1}, ..., f_n> elementwise iff the other columns hold
 f_{d+1}, ..., f_n.  Inner maps are found in the table of conjugation
 images (automorphisms._inner_table), a route apart from the conjugacy solve
-of automorphisms.is_inner.  The unpruned route pushes every |G|^d tuple
-through verify, one map at a time, and numbers the images by their
-mixed-radix value; the two must agree exactly.
+of automorphisms.is_inner.  The exhaustive route of the test reference
+tests/oracle_reference.py pushes every |G|^d tuple through verify, one map
+at a time; on small groups the two must agree exactly.
 
 The sieve's tables come from the parsed relations by induction down the pc
-series and verify collects, so pruned == unpruned tests that induction and the
+series and verify collects, so that agreement tests the induction and the
 lift against the collector.  Both routes read G/Phi(G) off the first d
 exponents.  cross_validate labels the whole map stream in one lookup of the
 inner table and decodes only the maps labelled inner, each checked against
@@ -44,20 +44,18 @@ without certifying it a second time: the map is certified and f_1..f_d
 generate G.
 
 Work is partitioned into chunks of level-d nodes by the image of f_1 modulo
-Phi(G), with at most one worker per chunk.  The map stream, which both
-routes return, is one read-only (total, n) int32 array of image indices,
-sorted with np.lexsort; index order is normal-form order, so the output does
-not depend on the job count.  The lift is depth first, with at most _ROWS
-nodes per _sieve call and at most _ROWS children (or one node's p^d) per
-block, which bounds memory.  The budget is checked per level, per block of
-nodes, between sieve relations and inside verify_coded before each relation
-of a certified block.  cross_validate runs after the enumeration and has no
-deadline.
+Phi(G), with at most one worker per chunk.  The map stream is one read-only
+(total, n) int32 array of image indices, sorted with np.lexsort; index order
+is normal-form order, so the output does not depend on the job count.  The
+lift is depth first, with at most _ROWS nodes per _sieve call and at most
+_ROWS children (or one node's p^d) per block, which bounds memory.  The
+budget is checked per level, per block of nodes, between sieve relations and
+inside verify_coded before each relation of a certified block.
+cross_validate runs after the enumeration and has no deadline.
 """
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 import numbers
 import signal
@@ -73,10 +71,8 @@ from . import structure as st
 from .errors import (
     Mismatch,
     MissingDefinitions,
-    NotSurjective,
     PgwError,
     PreconditionFailed,
-    RelationViolated,
     WorkerDied,
     check_deadline,
 )
@@ -374,43 +370,13 @@ def _in_workers(ctx, chunks, jobs, deadline):
             proc.join()
 
 
-def _enumerate_unpruned(P, deadline):
-    """Pure route: every |G|^d tuple through verify, no tables, no pruning."""
-    d = P.minimal_count
-    total = inner = bucket = 0
-    maps = []
-    F = st.frattini(P)
-    for combo in itertools.product(itertools.product(range(P.p), repeat=P.n), repeat=d):
-        check_deadline(deadline, "in unpruned enumeration")
-        images = list(combo) + [None] * (P.n - d)
-        for i in range(d + 1, P.n + 1):
-            tag = P.defn[i]
-            if tag[0] == "pow":
-                images[i - 1] = pc.pow_(P, images[tag[1] - 1], P.p)
-            else:
-                images[i - 1] = pc.comm(P, images[tag[1] - 1], images[tag[2] - 1])
-        try:
-            A = au.verify(au.GenMap(P, tuple(images)))
-        except (RelationViolated, NotSurjective):
-            continue
-        total += 1
-        lab, _ = au.is_inner(A)
-        if lab:
-            inner += 1
-        elif au.aut_order(A) == P.p and au.fixes_elementwise(A, F):
-            bucket += 1
-        maps.append(A.images)
-    radix = P.p ** np.arange(P.n - 1, -1, -1, dtype=np.int64)
-    return total, inner, bucket, [np.array(maps).reshape(-1, P.n, P.n) @ radix]
-
-
-def enumerate_automorphisms(P, budget=None, jobs=1, pruned=True):
-    """Count and collect all automorphisms of G.
+def enumerate_automorphisms(P, budget=None, jobs=1):
+    """Count and collect all automorphisms of G by the layered lift.
 
     budget: wall-clock seconds before OracleTimeout, a number >= 0 (inf
-    never expires) or None; jobs: worker processes for the pruned path, an
-    integer >= 1, never more than it has chunks; pruned=False selects the
-    pure exhaustive route.
+    never expires) or None; jobs: worker processes, an integer >= 1, never
+    more than there are chunks.  tests/oracle_reference.py holds the
+    exhaustive route the tests compare this one with.
     """
     if budget is not None and not (isinstance(budget, numbers.Real) and budget >= 0):
         raise ValueError(f"budget must be a number of seconds >= 0 or None, got {budget!r}")
@@ -422,16 +388,13 @@ def enumerate_automorphisms(P, budget=None, jobs=1, pruned=True):
     start = time.monotonic()
     deadline = start + budget if budget is not None else None
 
-    if not pruned:
-        results = [_enumerate_unpruned(P, deadline)]
+    ctx = _prepare(P)
+    firsts = np.arange(1, P.p ** ctx["d"])  # nonzero images of f_1 modulo Phi(G)
+    if jobs == 1:
+        results = [_run_chunk(ctx, firsts, deadline)]
     else:
-        ctx = _prepare(P)
-        firsts = np.arange(1, P.p ** ctx["d"])  # nonzero images of f_1 modulo Phi(G)
-        if jobs == 1:
-            results = [_run_chunk(ctx, firsts, deadline)]
-        else:
-            chunks = [c for c in np.array_split(firsts, jobs * 4) if len(c)]
-            results = _in_workers(ctx, chunks, jobs, deadline)
+        chunks = [c for c in np.array_split(firsts, jobs * 4) if len(c)]
+        results = _in_workers(ctx, chunks, jobs, deadline)
 
     total, inner, bucket = (sum(r[k] for r in results) for k in range(3))
     maps = np.concatenate([b for r in results for b in r[3]], dtype=np.int32)

@@ -19,15 +19,11 @@ TOP_KEYS = ("group", "hypotheses", "witness", "verification", "oracle", "timing"
 
 
 def _canon(x):
-    """Plain JSON-safe copy with sorted dict keys and Python scalars."""
+    """Plain JSON-safe copy with sorted dict keys; tuples become lists."""
     if isinstance(x, dict):
         return {str(k): _canon(x[k]) for k in sorted(x, key=str)}
     if isinstance(x, (list, tuple)):
         return [_canon(v) for v in x]
-    if isinstance(x, bool):
-        return x
-    if hasattr(x, "item"):
-        return x.item()
     return x
 
 
@@ -103,7 +99,7 @@ def build(P, *, hypotheses=None, witness=None, verification=None, oracle=None, t
     out["witness"] = _canon(witness)
     out["verification"] = _canon(verification)
     out["oracle"] = _canon(oracle)
-    out["timing"] = timing if timing is not None else None
+    out["timing"] = timing
     return out
 
 

@@ -121,8 +121,9 @@ def _sift(P, lead, powers, x):
 
 
 def least_in_coset(P, H, x):
-    """The lex-least element of the coset x H."""
-    return _least(P, H._lead, tuple(x), H._powers)
+    """The lex-least element of the coset x H; x must be a normal form, else
+    ValueError."""
+    return _least(P, H._lead, pc.checked_form(P, x, "element"), H._powers)
 
 
 def _least(P, lead, x, powers):
@@ -311,7 +312,7 @@ def conjugator(P, xs, ys):
     return _least(P, {_leading(z): z for z in seq}, t, powers)
 
 
-def least_outside(P, A, B):
+def least_outside(A, B):
     """The lex-least element of the subgroup A outside the subgroup B, or
     None when A <= B.  With a_1, ..., a_r the canonical sequence of A, first
     leading position first, and a_i the deepest one outside B, the later a_j
@@ -484,7 +485,7 @@ def least_order_p_outside_center(P):
     if p == 2:
         return next((x for x in Z2.elements if x not in Z and pc.pth_power(P, x) == one), None)
     omega = kernel(P, Z2, [lambda x: pc.pth_power(P, x)])
-    return least_outside(P, omega, Z)
+    return least_outside(omega, Z)
 
 
 @pc.memoized

@@ -4,7 +4,8 @@
 2. oracle on the demo group: 4374 total, 729 inner, under 600 s
 3. universal invariants on every corpus group, incl. 500+ expansion triples
 4. extension lemma on every valid (M, g, u) triple (exhaustive <= 3^4)
-5. oracle cross-validation: inner index, totient check, pruned == unpruned
+5. oracle cross-validation: inner index, totient check, agreement with the
+   exhaustive route of tests/oracle_reference.py
 6. byte-identical reports across runs and across --jobs 1 vs --jobs 8
 """
 
@@ -19,6 +20,8 @@ import pgw
 from pgw import automorphisms as au
 from pgw import cli
 from pgw import structure as st
+
+from oracle_reference import enumerate_unpruned
 
 CORPUS = list(pgw.CORPUS_NAMES)
 SMALL = [n for n in CORPUS if pgw.load(n).order <= 3**4]
@@ -197,12 +200,14 @@ def test_criterion_5_oracle_cross_validation(demo_oracle_count):
         assert c9_total == totient == 6, "c9 totient"
         for name in SMALL:
             P = pgw.load(name)
-            a = pgw.enumerate_automorphisms(P, budget=300, pruned=True)
-            b = pgw.enumerate_automorphisms(P, budget=300, pruned=False)
-            assert np.array_equal(a.maps, b.maps), f"{name}: pruned != unpruned"
+            a = pgw.enumerate_automorphisms(P, budget=300)
+            total, inner, bucket, maps = enumerate_unpruned(P)
+            tallies = (a.total, a.inner, a.order_p_noninner_fixing_frattini)
+            assert tallies == (total, inner, bucket), f"{name}: oracle != reference tallies"
+            assert np.array_equal(a.maps, maps), f"{name}: oracle != reference maps"
         return (
             f"inner = |G/Z| on {len(CORPUS)} groups; c9 total = totient(9) = 6; "
-            f"pruned == unpruned on {len(SMALL)} small groups"
+            f"oracle == exhaustive reference on {len(SMALL)} small groups"
         )
 
     _report(5, task)

@@ -280,8 +280,9 @@ def test_bad_input_file_exit_two(capsys, tmp_path, command, body, reason):
     assert reason in out
 
 
-# a repeated relation line whose first word is trivial, and indices that
-# str.isdigit accepts but int() does not: one stderr line and exit 2
+# a repeated relation line whose first word is trivial, indices that
+# str.isdigit accepts but int() does not, and a p that int() reads as 3: one
+# stderr line and exit 2
 @pytest.mark.parametrize(
     "text, line, reason",
     [
@@ -290,8 +291,9 @@ def test_bad_input_file_exit_two(capsys, tmp_path, command, body, reason):
         ("p 3\nn 2\npow ² = g2^1\n", 3, "pow needs one generator index"),
         (H27 + "def 3 = comm ² 1\n", 5,
          "def body must be 'pow <j>' or 'comm <j> <k>', got ' comm ² 1'"),
+        ("p ٣\nn 2\n", 1, "p must be an integer, got '٣'"),
     ],
-    ids=["trivial-duplicate", "pow-superscript", "def-superscript"],
+    ids=["trivial-duplicate", "pow-superscript", "def-superscript", "p-arabic-indic"],
 )
 @pytest.mark.parametrize("command", ["info", "check"])
 def test_parser_rejects_exit_two(capsys, tmp_path, command, text, line, reason):

@@ -134,6 +134,12 @@ SYNTAX_ERRORS = {
     "name-label": ("name\n", 1, "name line needs a label"),
     "duplicate-p": ("p 3\np 3\nn 1\n", 2, "duplicate p line"),
     "p-integer": ("p three\n", 1, "p must be an integer, got 'three'"),
+    # int() reads these four as 3, 13, 3 and 2; p and n are ASCII digits,
+    # as relation indices are
+    "p-arabic-indic": ("p ٣\nn 2\n", 1, "p must be an integer, got '٣'"),
+    "p-underscore": ("p 1_3\nn 2\n", 1, "p must be an integer, got '1_3'"),
+    "p-plus": ("p +3\nn 2\n", 1, "p must be an integer, got '+3'"),
+    "n-fullwidth": ("p 3\nn ２\n", 2, "n must be an integer, got '２'"),
     "p-prime": ("name x\np 4\nn 1\n", 2, "p = 4 is not prime"),
     "duplicate-n": ("p 3\nn 1\nn 1\n", 3, "duplicate n line"),
     "n-integer": ("p 3\nn 2.5\n", 2, "n must be an integer, got '2.5'"),
@@ -210,3 +216,4 @@ def test_trivial_commutator_line_counts_as_a_duplicate():
 def test_indices_are_ascii_digits(line, reason):
     e = _err(B3 + "comm 2 1 = g3^1\n" + line + "\n")
     assert (e.line, e.reason) == (5, reason)
+

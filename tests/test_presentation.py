@@ -3,7 +3,11 @@
 import dataclasses
 import gc
 import importlib.resources
+import json
+import pathlib
 import random
+import subprocess
+import sys
 import time
 import weakref
 
@@ -21,8 +25,8 @@ from conftest import (
     FAMILY_NAMES,
     MODELS,
     assert_isomorphic,
+    derive_corpus,
     load_group,
-    mul_metacyclic,
 )
 
 
@@ -319,6 +323,25 @@ def test_tail_memo_only_on_validated_and_never_shared(monkeypatch):
     assert not {id(d) for d in _memo_dicts(P)} & {id(d) for d in _memo_dicts(Q)}
 
 
+@pytest.mark.parametrize("memo_keys", [None, 0])
+def test_collector_scan_reads_the_tail_memo(memo_keys):
+    # scripts/collector_scan.py is where MEMO_KEYS and MEMO_TAILS were set
+    # from; it reads the memo itself and loads FAMILY from conftest
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "collector_scan.py"
+    argv = [sys.executable, str(script), "--reps", "1", "--primes", "3"]
+    if memo_keys is not None:
+        argv += ["--memo-keys", str(memo_keys)]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    groups = json.loads(proc.stdout)["groups"]
+    assert sorted(groups) == ["c243h27", "m_p3"]
+    for name, scan in groups.items():
+        if memo_keys == 0:  # no level is memoized
+            assert scan["memo_entries"] == 0, name
+        else:
+            assert scan["memo_entries"] > 0, name
+
+
 @pytest.mark.parametrize("name", ["h27", "g2187", "m3125"])
 def test_collect_and_mul_leave_inputs_unchanged(name):
     P = load_group(name)
@@ -559,7 +582,7 @@ def test_large_p_arithmetic_matches_integer_model(p):
     # p^5 > ELEMENT_CAP at p = 97, so no index table exists: the model
     # C_{p^3} x| C_{p^2} is the reference, read through each normal form's image
     P = groupfile.parse_text(FAMILY.format(order=p**5, p=p, q=p - 1)).presentation
-    model = mul_metacyclic(p)
+    model = derive_corpus.mul_metacyclic(p)
     one = (0, 0)
     gens = [(1, 0), (0, 1), (p, 0), (0, p), (p * p, 0)]
 

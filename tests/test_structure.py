@@ -533,9 +533,11 @@ def test_exponent_below_class_p_matches_the_scan(name):
          "element (0, 0, -1) is not a normal form: need 3 ints in 0..2"),
         (lambda P: st.centralizer(P, [1, 0]),
          "element (1, 0) is not a normal form: need 3 ints in 0..2"),
+        (lambda P: st.least_in_coset(P, pgw.center(P), (1, 0, 0, 5)),
+         "element (1, 0, 0, 5) is not a normal form: need 3 ints in 0..2"),
     ],
     ids=["closure-long", "closure-digit", "closure-none", "centralizer-negative",
-         "centralizer-short"],
+         "centralizer-short", "least-in-coset-long"],
 )
 def test_element_arguments_must_be_normal_forms(call, message):
     with pytest.raises(ValueError) as err:
