@@ -102,10 +102,11 @@ def verify_coded(P, forms, coded, deadline=None):
     tuple of images that it reads (A(f_i) and A(f_j) for the left side of
     [f_i, f_j]), from the exponent vector of the image it starts with, and
     the two sides are compared row by row.  While more than one row is live,
-    the numbers of the images that a side reads are keyed with numpy, each
-    distinct key is collected once, the values are numbered, and the two
-    sides are compared as integer arrays.  No inverse is formed; only a
-    failing commutator relation is recomputed with comm for its message.
+    the numbers of the images that a side reads are packed into one integer
+    key per row (_distinct_rows), each distinct key is collected once, the
+    values are numbered, and the two sides are compared as integer arrays.
+    No inverse is formed; only a failing commutator relation is recomputed
+    with comm for its message.
     Once every relation holds a row is an endomorphism, and by Burnside's
     basis theorem it is onto iff it is onto modulo Phi(G).  validate() makes
     Phi(G) = <f_{d+1}, ..., f_n> with d the minimal generator count, so the
@@ -216,14 +217,27 @@ def verify_coded(P, forms, coded, deadline=None):
 
 
 def _distinct_rows(keys):
-    """(first, inverse) for the rows of a 2-d integer array: the index of one
-    row for each distinct row, and the distinct row of each row."""
+    """(first, inverse) for the rows of a 2-d array of non-negative integers:
+    the index of the first row of each distinct row, and the distinct row of
+    each row.
+
+    Each row becomes one int64 key, a column at a time, as key * (max + 1) +
+    column; equal rows get equal keys and unequal rows unequal ones.  Before
+    a product would reach 2^62 the keys are renumbered by np.unique, which
+    brings them below the row count."""
     import numpy as np
 
-    keys = np.ascontiguousarray(keys)
-    if keys.shape[1] > 1:  # one void scalar per row, compared bytewise
-        keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))
-    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    keys = np.asarray(keys)
+    key = np.zeros(len(keys), dtype=np.int64)
+    bound = 1  # every key is below bound
+    for column in keys.T:
+        base = int(column.max()) + 1 if len(column) else 1
+        if bound * base >= 1 << 62:
+            distinct, key = np.unique(key, return_inverse=True)
+            bound = len(distinct)
+        key = key * base + column
+        bound *= base
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     return first, inverse
 
 

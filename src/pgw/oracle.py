@@ -24,13 +24,15 @@ forced images, and they are exactly the automorphisms.  Each block of them
 that the lift yields is re-certified in one call to the pure collection of
 automorphisms.verify_coded, with each distinct image decoded once: relation
 by relation, each distinct side is collected once per block, and the tables
-are not read.  The classifier works on the same blocks.  An automorphism is
-fixed by its images of f_1..f_d, which generate G, so order p is read off
-those d columns, with the powers of every image built once per block; it
-fixes Phi(G) = <f_{d+1}, ..., f_n> elementwise iff the other columns hold
-f_{d+1}, ..., f_n.  Inner maps are found in the table of conjugation
-images (automorphisms._inner_table), a route apart from the conjugacy solve
-of automorphisms.is_inner.  The exhaustive route of the test reference
+are not read.  The classifier works on the same blocks.  Inner maps are
+found in the table of conjugation images (automorphisms._inner_table), a
+route apart from the conjugacy solve of automorphisms.is_inner.  A map
+fixes Phi(G) = <f_{d+1}, ..., f_n> elementwise iff its columns past d hold
+f_{d+1}, ..., f_n.  Only the rows that are non-inner and fix Phi(G) can
+fall in the counted bucket, so only they take the order-p test: an
+automorphism is fixed by its images of f_1..f_d, which generate G, so
+order p is read off those d columns, with the powers of those rows' images
+built once per block.  The exhaustive route of the test reference
 tests/oracle_reference.py pushes every |G|^d tuple through verify, one map
 at a time; on small groups the two must agree exactly.
 
@@ -44,7 +46,8 @@ without certifying it a second time: the map is certified and f_1..f_d
 generate G.
 
 Work is partitioned into chunks of level-d nodes by the image of f_1 modulo
-Phi(G), with at most one worker per chunk.  The map stream is one read-only
+Phi(G), with at most one worker per chunk; multiprocessing is imported only
+when there is more than one job.  The map stream is one read-only
 (total, n) int32 array of image indices, sorted with np.lexsort; index order
 is normal-form order, so the output does not depend on the job count.  The
 lift is depth first, with at most _ROWS nodes per _sieve call and at most
@@ -56,12 +59,9 @@ cross_validate runs after the enumeration and has no deadline.
 
 from __future__ import annotations
 
-import multiprocessing
 import numbers
-import signal
 import time
 from dataclasses import dataclass
-from multiprocessing import connection
 
 import numpy as np
 
@@ -263,28 +263,39 @@ def _apply_rows(t, powers, xs):
     return acc
 
 
-def _row_flags(t, rows):
-    """(order p, fixes Phi(G) elementwise) flags for rows of automorphism
-    generator images.  An automorphism is fixed by its images of f_1..f_d,
-    which generate G, so A^p = id and A != id are read off the first d
-    columns; Phi(G) = <f_{d+1}, ..., f_n>, so A fixes it elementwise iff the
-    other columns hold f_{d+1}, ..., f_n."""
+def _order_p(t, rows):
+    """Flags A^p = id and A != id for rows of automorphism generator images.
+    An automorphism is fixed by its images of f_1..f_d, which generate G, so
+    both are read off the first d columns."""
     d = t.P.minimal_count
-    gens = t.strides  # f_k is the element of index strides[k - 1]
+    gens = t.strides[:d]  # f_k is the element of index strides[k - 1]
     powers = _powers(t, rows)
     acc = rows[:, :d]
     for _ in range(t.P.p - 1):
         acc = _apply_rows(t, powers, acc)
-    order_p = (acc == gens[:d]).all(axis=1) & (rows[:, :d] != gens[:d]).any(axis=1)
-    fixes_phi = (rows[:, d:] == gens[d:]).all(axis=1)
-    return order_p, fixes_phi
+    return (acc == gens).all(axis=1) & (rows[:, :d] != gens).any(axis=1)
+
+
+def _fixes_phi(t, rows):
+    """Flags A fixes Phi(G) elementwise: Phi(G) = <f_{d+1}, ..., f_n>, so
+    iff columns d+1..n hold f_{d+1}, ..., f_n."""
+    d = t.P.minimal_count
+    return (rows[:, d:] == t.strides[d:]).all(axis=1)
+
+
+def _row_flags(t, rows):
+    """(order p, fixes Phi(G) elementwise) flags for rows of automorphism
+    generator images."""
+    return _order_p(t, rows), _fixes_phi(t, rows)
 
 
 def _classify_rows(ctx, rows):
-    """(inner, order-p non-inner Phi-fixing) tallies for certified rows."""
+    """(inner, order-p non-inner Phi-fixing) tallies for certified rows.
+    The A^p test runs only on the non-inner rows that fix Phi(G)."""
+    t = ctx["t"]
     inner = au._conjugators(ctx["P"], rows) >= 0
-    order_p, fixes_phi = _row_flags(ctx["t"], rows)
-    return int(inner.sum()), int((order_p & ~inner & fixes_phi).sum())
+    candidates = rows[~inner & _fixes_phi(t, rows)]
+    return int(inner.sum()), int(_order_p(t, candidates).sum())
 
 
 def _run_chunk(ctx, firsts, deadline):
@@ -306,6 +317,8 @@ def _report_chunks(ctx, chunks, deadline, conn):
     """A worker's body: send (True, results) of _run_chunk on each chunk, or
     (False, error) for the PgwError one of them raised.  The worker ignores
     Ctrl-C, which reaches the whole process group: the parent stops it."""
+    import signal
+
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
         out = True, [_run_chunk(ctx, firsts, deadline) for firsts in chunks]
@@ -328,6 +341,9 @@ def _in_workers(ctx, chunks, jobs, deadline):
     An error a worker reports is raised as itself.  Every worker is stopped
     and reaped before this returns or raises, Ctrl-C included.
     """
+    import multiprocessing
+    from multiprocessing import connection
+
     fork = multiprocessing.get_context("fork")
     width = min(jobs, len(chunks))
     workers = []

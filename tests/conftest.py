@@ -78,3 +78,21 @@ def demo_oracle_count(demo_group):
     """One full enumeration of Aut for the demo group, shared by every test
     that needs it (it is the expensive step)."""
     return pgw.enumerate_automorphisms(demo_group, budget=600, jobs=1)
+
+
+@pytest.fixture(scope="session")
+def unpruned_reference():
+    """enumerate_unpruned on a shipped group by name, run once per group and
+    session: the exhaustive route is slow, and two test files compare the
+    oracle with it on the same groups."""
+    from oracle_reference import enumerate_unpruned  # scripts load this file by path
+
+    results = {}
+
+    def reference(name):
+        if name not in results:
+            results[name] = enumerate_unpruned(pgw.load(name))
+            results[name][3].flags.writeable = False
+        return results[name]
+
+    return reference

@@ -21,7 +21,6 @@ from pgw import automorphisms as au
 from pgw import cli
 from pgw import structure as st
 
-from oracle_reference import enumerate_unpruned
 
 CORPUS = list(pgw.CORPUS_NAMES)
 SMALL = [n for n in CORPUS if pgw.load(n).order <= 3**4]
@@ -186,7 +185,7 @@ def test_criterion_4_extension_lemma():
     _report(4, task)
 
 
-def test_criterion_5_oracle_cross_validation(demo_oracle_count):
+def test_criterion_5_oracle_cross_validation(demo_oracle_count, unpruned_reference):
     def task():
         for name in CORPUS:
             P = pgw.load(name)
@@ -201,7 +200,7 @@ def test_criterion_5_oracle_cross_validation(demo_oracle_count):
         for name in SMALL:
             P = pgw.load(name)
             a = pgw.enumerate_automorphisms(P, budget=300)
-            total, inner, bucket, maps = enumerate_unpruned(P)
+            total, inner, bucket, maps = unpruned_reference(name)
             tallies = (a.total, a.inner, a.order_p_noninner_fixing_frattini)
             assert tallies == (total, inner, bucket), f"{name}: oracle != reference tallies"
             assert np.array_equal(a.maps, maps), f"{name}: oracle != reference maps"

@@ -284,6 +284,43 @@ def test_verify_rows_stops_at_the_first_failure():
     assert (k, type(e), str(e)) == (1, pgw.NotSurjective, "images do not generate the group")
 
 
+def _distinct_rows_bytewise(keys):
+    """The reference for automorphisms._distinct_rows: each row one void
+    scalar, compared bytewise by np.unique."""
+    keys = np.ascontiguousarray(keys)
+    if keys.shape[1] > 1:
+        keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))
+    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    return first, inverse
+
+
+def _repeated_rows(rng, count, width, top):
+    """count rows drawn from fewer distinct ones, some differing from another
+    in a single column, with entries up to top."""
+    base = rng.integers(0, top + 1, size=(count // 4, width))
+    base[0, 0] = top
+    near = base[rng.integers(0, len(base), size=count // 4)]
+    at = np.arange(len(near)), rng.integers(0, width, size=len(near))
+    near[at] = (near[at] + 1) % (top + 1)
+    pool = np.concatenate([base, near])
+    return pool[rng.integers(0, len(pool), size=count)]
+
+
+@pytest.mark.parametrize(
+    "width, top", [(1, 5), (3, 2), (6, 700), (17, 199_999)]  # 17 x 199,999 renumbers
+)
+def test_distinct_rows_match_the_bytewise_reference(width, top):
+    rng = np.random.default_rng(width)
+    for keys in (_repeated_rows(rng, 3000, width, top), np.zeros((5, width), dtype=np.int64)):
+        keys = keys.astype(np.int32)
+        first, inverse = au._distinct_rows(keys)
+        want_first, want_inverse = _distinct_rows_bytewise(keys)
+        assert sorted(first.tolist()) == sorted(want_first.tolist())
+        # each row falls in the class of the same first row on both routes
+        assert np.array_equal(first[inverse], want_first[want_inverse])
+        assert np.array_equal(keys[first[inverse]], keys)
+
+
 def test_aut_order_examples(demo_group):
     assert au.aut_order(au.identity_automorphism(demo_group)) == 1
     assert au.aut_order(_printed_alpha(demo_group)) == 3

@@ -3,7 +3,12 @@
 import dataclasses
 import gc
 import importlib.resources
+import multiprocessing.connection
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import time
 import types
 import weakref
@@ -19,7 +24,6 @@ from pgw import structure as st
 from pgw.tables import get_tables
 
 from conftest import MODELS, assert_isomorphic, load_group
-from oracle_reference import enumerate_unpruned
 
 # total, inner, order-p non-inner Frattini-fixing bucket (None = not pinned here)
 EXPECTED = {
@@ -108,10 +112,10 @@ def test_c3c3_total_is_gl2():
 
 
 @pytest.mark.parametrize("name", SMALL)
-def test_pruned_matches_unpruned(name):
+def test_pruned_matches_unpruned(name, unpruned_reference):
     P = pgw.load(name)
     a = pgw.enumerate_automorphisms(P, budget=300)
-    total, inner, bucket, maps = enumerate_unpruned(P)
+    total, inner, bucket, maps = unpruned_reference(name)
     assert (a.total, a.inner, a.order_p_noninner_fixing_frattini) == (total, inner, bucket)
     assert np.array_equal(a.maps, maps)
 
@@ -165,8 +169,8 @@ def test_jobs_never_exceed_the_tasks(name, request, monkeypatch):
     else:
         a = pgw.enumerate_automorphisms(P, jobs=1)
     _InlineFork.started = []
-    monkeypatch.setattr(oracle.multiprocessing, "get_context", lambda method: _InlineFork)
-    monkeypatch.setattr(oracle.connection, "wait", lambda ends, timeout: list(ends))
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: _InlineFork)
+    monkeypatch.setattr(multiprocessing.connection, "wait", lambda ends, timeout: list(ends))
     b = pgw.enumerate_automorphisms(P, jobs=1000)
     processes, tasks = len(_InlineFork.started), sum(_InlineFork.started)
     assert processes <= tasks == P.p ** P.minimal_count - 1
@@ -176,6 +180,22 @@ def test_jobs_never_exceed_the_tasks(name, request, monkeypatch):
         b.order_p_noninner_fixing_frattini,
     )
     assert np.array_equal(a.maps, b.maps)
+
+
+def test_one_job_never_imports_multiprocessing():
+    script = (
+        "import sys, pgw\n"
+        "pgw.enumerate_automorphisms(pgw.load('h27'), jobs=1)\n"
+        "print('multiprocessing' in sys.modules)\n"
+    )
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    paths = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_map_set_closed_under_composition():
@@ -218,6 +238,22 @@ def test_row_flags_and_images_match_collection(name, request):
         assert fp == au.fixes_elementwise(A, F)
     for A, row in zip(maps, oracle._apply_rows(t, oracle._powers(t, rows), xs)):
         assert row.tolist() == [t.encode(au.apply(A, tuple(t.decode(x).tolist()))) for x in xs]
+
+
+@pytest.mark.parametrize("name", ["m243", "g2187", "m3125"])
+def test_bucket_counts_the_full_stream_flags(name, request):
+    # the classifier tests order p only on non-inner Phi(G)-fixing rows;
+    # flagging every row of the stream must give the same bucket
+    if name == "m243":
+        P, count = request.getfixturevalue("m243_count")
+    elif name == "g2187":
+        P = request.getfixturevalue("demo_group")
+        count = request.getfixturevalue("demo_oracle_count")
+    else:
+        P, count = load_group(name), request.getfixturevalue("m3125_count")
+    order_p, fixes_phi = oracle._row_flags(get_tables(P), count.maps)
+    inner = au._conjugators(P, count.maps) >= 0
+    assert (order_p & ~inner & fixes_phi).sum() == count.order_p_noninner_fixing_frattini
 
 
 def test_budget_exhaustion_raises(demo_group):
