@@ -3,8 +3,8 @@
     python3 scripts/collector_scan.py [--seed 1] [--reps 5] [--primes P ...]
         [--file GROUP.pg ...] [--memo-keys B] [--memo-tails T]
 
-Each group is the FAMILY text of tests/conftest.py (C_{p^3} x| C_{p^2}, m243
-at p = 3), parsed and validated once; with p = 3 also comes c243h27 below,
+Each group is the FAMILY text of scripts/derive_corpus.py (C_{p^3} x| C_{p^2},
+m243 at p = 3), parsed and validated once; with p = 3 also comes c243h27 below,
 whose first pc level is central with 3^7 tails.  A repetition draws fresh seeded random
 elements and times presentation.mul and presentation.inv on them, and
 presentation.pow_ with k drawn from [-200, 200], in process time per call.
@@ -63,10 +63,11 @@ def 8 = pow 7
 
 
 def family_text(p):
-    spec = importlib.util.spec_from_file_location("conftest", ROOT / "tests" / "conftest.py")
-    conftest = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(conftest)
-    return conftest.FAMILY.format(order=p**5, p=p, q=p - 1)
+    path = ROOT / "scripts" / "derive_corpus.py"
+    spec = importlib.util.spec_from_file_location("derive_corpus", path)
+    derive_corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(derive_corpus)
+    return derive_corpus.FAMILY.format(order=p**5, p=p, q=p - 1)
 
 
 def calls(p):

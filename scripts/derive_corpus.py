@@ -6,7 +6,8 @@ m1..mn is fixed, and the power/commutator relations are read off by peeling
 normal-form exponents along the subgroup chain <m_i..m_n>.  The emitted text
 must match the shipped data file byte for byte, and the generator map
 m_i -> f_i must be an isomorphism onto the parsed presentation.  The tests
-load this file by path and read the same models from JOBS.
+load this file by path and read the same models from JOBS, and FAMILY from
+beside mul_metacyclic.
 
 Run:  python3 scripts/derive_corpus.py [--write]
 
@@ -159,8 +160,7 @@ def mul_w81(x, y):
 
 def mul_metacyclic(p):
     """C_{p^3} : C_{p^2}, the generator of the second factor acting as
-    k -> (1 + p) k: m243 at p = 3, and the FAMILY text of tests/conftest.py
-    at any p."""
+    k -> (1 + p) k: m243 at p = 3, and the FAMILY text below at any p."""
 
     def mul(x, y):
         a, b = x
@@ -168,6 +168,24 @@ def mul_metacyclic(p):
         return ((a + c * pow(1 + p, b, p**3)) % p**3, (b + d) % p**2)
 
     return mul
+
+
+# mul_metacyclic(p) as a group file: m243's text with p - 1 in place of 2,
+# formatted with order=p**5, p=p, q=p - 1.  Not shipped; parse_text runs the
+# full consistency battery on it.
+FAMILY = """name m{order}
+p {p}
+n 5
+pow 1 = g3^1
+pow 2 = g4^1
+pow 3 = g5^1
+comm 2 1 = g3^1 g5^{q}
+comm 3 2 = g5^{q}
+comm 4 1 = g5^1
+def 3 = pow 1
+def 4 = pow 2
+def 5 = pow 3
+"""
 
 
 def mul_g2187(x, y):

@@ -18,7 +18,6 @@ from .errors import (
     InnerWitnessFound,
     InputError,
     Mismatch,
-    MissingDefinitions,
     NoEligibleU,
     NotAbelian,
     NotNormal,

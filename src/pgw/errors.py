@@ -2,8 +2,9 @@
 
 Everything raised on purpose derives from PgwError, and the class decides the
 command line's exit code.  InputError and its subclasses blame the input or
-the run's limits: a bad or inconsistent file, a size cap, the oracle's budget
-or a dead worker; the CLI exits 2 on them.  Every other PgwError is a failed
+the run's limits: a bad or inconsistent file (presentation.validate is the
+one check of a presentation), a size cap, the oracle's budget or a dead
+worker; the CLI exits 2 on them.  Every other PgwError is a failed
 certificate or cross-check, so a bug; the CLI exits 3 on it, as on a failed
 assertion.  Every class pickles, so an error raised in an oracle worker
 process reaches the parent with its own type and message.  check_deadline
@@ -24,8 +25,7 @@ class InputError(PgwError):
 
 class SizeCap(InputError):
     """Computation would exceed the desk-scale caps (p <= 97, n <= 16, at most
-    ELEMENT_CAP elements to enumerate or maximal subgroups to list, or an
-    enumerated set growing past the group order, which signals an arithmetic bug)."""
+    ELEMENT_CAP elements to enumerate or maximal subgroups to list)."""
 
 
 class BadWeight(InputError):
@@ -96,11 +96,6 @@ class InnerWitnessFound(PgwError):
 
     def __reduce__(self):
         return type(self), (self.t, self.detail)
-
-
-class MissingDefinitions(InputError):
-    """A non-minimal generator lacks a defn tag, so the oracle cannot derive
-    its image."""
 
 
 class OracleTimeout(InputError):

@@ -165,7 +165,6 @@ def parse_text(text, source="<string>"):
                 0,
                 f"def lines must cover a tail range of generators; got {sorted(def_lines)}",
             )
-    minimal_count = n - len(def_lines)
 
     P = pc.PcPresentation(
         name=header.get("name", "unnamed"),
@@ -174,7 +173,6 @@ def parse_text(text, source="<string>"):
         power_rel=tuple(lines["pow"].get((i,), ()) for i in range(1, n + 1)),
         comm_rel={ij: w for ij, w in sorted(lines["comm"].items()) if w},
         defn=def_lines,
-        minimal_count=minimal_count,
     )
     return GroupFile(presentation=pc.validate(P), source=source)
 

@@ -1,9 +1,10 @@
 """Brute-force enumeration of Aut(G), independent of the construction code.
 
-A map is fixed by the images of the d minimal generators; the defn tags force
-the rest.  The oracle lifts those images one pc layer at a time, down the
-central series of the pc presentation (Eick, Leedham-Green & O'Brien,
-Comm. Algebra 30, 2002; Handbook of Computational Group Theory, ch. 8-9).
+A map is fixed by the images of the d minimal generators; the defn tags,
+which validate() requires on each f_i past d, force the rest.  The oracle
+lifts those images one pc layer at a time, down the central series of the
+pc presentation (Eick, Leedham-Green & O'Brien, Comm. Algebra 30, 2002;
+Handbook of Computational Group Theory, ch. 8-9).
 Each G_k = <f_k, ..., f_n> is normal and the first k digits of an index are
 its image in G/G_{k+1}, so an automorphism satisfies every relation modulo
 every G_{k+1}.  A level-k node is a tuple of minimal images modulo G_{k+1}
@@ -68,14 +69,7 @@ import numpy as np
 from . import automorphisms as au
 from . import presentation as pc
 from . import structure as st
-from .errors import (
-    Mismatch,
-    MissingDefinitions,
-    PgwError,
-    PreconditionFailed,
-    WorkerDied,
-    check_deadline,
-)
+from .errors import Mismatch, PgwError, PreconditionFailed, WorkerDied, check_deadline
 from .tables import get_tables
 
 
@@ -86,15 +80,6 @@ class AutCount:
     order_p_noninner_fixing_frattini: int
     elapsed: float
     maps: np.ndarray  # (total, n) int32 image indices, one sorted row per automorphism
-
-
-def _check_defns(P):
-    missing = [i for i in range(P.minimal_count + 1, P.n + 1) if i not in P.defn]
-    if missing:
-        raise MissingDefinitions(
-            f"non-minimal generators without defn tags: {missing}; "
-            "the oracle cannot derive their images"
-        )
 
 
 _ROWS = 1 << 13  # nodes per _sieve call and rows per lift block; bounds the lift's memory
@@ -400,7 +385,6 @@ def enumerate_automorphisms(P, budget=None, jobs=1):
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     if not P.validated:
         raise PreconditionFailed("presentation must be validated first")
-    _check_defns(P)
     start = time.monotonic()
     deadline = start + budget if budget is not None else None
 

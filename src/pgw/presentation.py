@@ -77,19 +77,28 @@ MEMO_KEYS = 2912  # the most keys a memoized pc level can take; see conjugates()
 
 @dataclass(frozen=True, eq=False)  # eq=False: identity hash, so a P is only equal to itself
 class PcPresentation:
+    """A pc presentation, unchecked until validate() returns a validated
+    copy; a dataclasses.replace copy is unvalidated and must go through
+    validate() again."""
+
     name: str
     p: int
     n: int
     power_rel: tuple = ()  # length n, power_rel[i-1] = word for f_i^p, () = identity
     comm_rel: dict = field(default_factory=dict)  # (i,j) i>j -> word for [f_i,f_j]
     defn: dict = field(default_factory=dict)  # i -> ("pow", j) or ("comm", j, k)
-    minimal_count: int = 0
-    validated: bool = False
+    validated: bool = field(default=False, init=False)  # set by validate() alone
     _memo: dict = field(default_factory=dict, init=False, repr=False)  # see memoized()
 
     @property
     def order(self):
         return self.p**self.n
+
+    @property
+    def minimal_count(self):
+        """d: f_1..f_d are the minimal generators, and validate() holds the
+        defn tags to exactly f_{d+1}..f_n."""
+        return self.n - len(self.defn)
 
     def generator(self, i):
         """f_i as an element, 1-based."""
@@ -458,7 +467,7 @@ def _p_powers(P, a, limit=None):
     x = tuple(a)
     while x != one:
         if len(chain) == P.n:
-            raise SizeCap(f"element order exceeded group order, arithmetic bug: {a}")
+            raise AssertionError(f"the order of {a} exceeded the group order")
         chain.append(x)
         if limit is not None and p ** len(chain) > limit:
             break
@@ -494,6 +503,13 @@ def size_cap(**given):
     return SizeCap(f"p <= {MAX_P} and n <= {MAX_N} required, got {got}")
 
 
+def check_enumerable(size, name):
+    """Raise SizeCap when |name| = size is over ELEMENT_CAP, before a scan
+    or a table of that many elements."""
+    if size > ELEMENT_CAP:
+        raise SizeCap(f"|{name}| = {size} exceeds the enumeration cap {ELEMENT_CAP}")
+
+
 def _is_prime(p):
     if p < 2:
         return False
@@ -520,8 +536,10 @@ def _check_word(P, w, min_index, context):
 
 
 def validate(P):
-    """Run the local consistency battery; return the presentation marked validated.
+    """Run the local consistency battery; return a copy of P marked validated,
+    the only place the flag is set.
 
+    The defn tags must sit on exactly f_{d+1}..f_n, d = minimal_count.
     Checks, for the collector defined above:
       - f_k (f_j f_i) = (f_k f_j) f_i for all k > j > i
       - f_j^p f_i = f_j^{p-1} (f_j f_i)  and  f_j (f_i^p) = (f_j f_i) f_i^{p-1} for j > i
@@ -547,8 +565,8 @@ def validate(P):
             raise ValueError(f"comm_rel key ({i},{j}) needs 1 <= j < i <= n")
         _check_word(P, w, i, f"comm_rel[{i},{j}]")
     d = P.minimal_count
-    if not (1 <= d <= P.n):
-        raise ValueError(f"minimal_count {d} out of range 1..{P.n}")
+    if d < 1:
+        raise BadDefinition(f"{len(P.defn)} defn tags for {P.n} generators leave none minimal")
     for i, tag in P.defn.items():
         if not (d < i <= P.n):
             raise BadDefinition(
@@ -599,7 +617,8 @@ def validate(P):
             raise BadDefinition(f"defn[{i}] = {tag} collects to {value}, not f_{i}")
     _check_frattini_split(P)
 
-    V = dataclasses.replace(P, validated=True)
+    V = dataclasses.replace(P)
+    object.__setattr__(V, "validated", True)
     V._memo[conjugates] = conjugates(P)
     V._memo[_fresh_tails] = _fresh_tails(V)
     return V
@@ -608,17 +627,14 @@ def validate(P):
 def _check_frattini_split(P):
     """Require Phi(G) = <f_{d+1}, ..., f_n> for d = minimal_count.
 
-    Each f_i with i > d must carry a defn tag, so it is a p-th power or a
-    commutator and lies in Phi(G).  The power relations of f_1..f_d and the
-    commutator relations among them must use only f_{d+1}..f_n, so the
-    quotient by the normal subgroup <f_{d+1}, ..., f_n> is elementary abelian
-    and that subgroup contains Phi(G).  A generator that breaks either rule
-    needs a def line.
+    validate() has checked that f_{d+1}..f_n each carry a defn tag that
+    collects to them, so each is a p-th power or a commutator and lies in
+    Phi(G).  The power relations of f_1..f_d and the commutator relations
+    among them must use only f_{d+1}..f_n, so the quotient by the normal
+    subgroup <f_{d+1}, ..., f_n> is elementary abelian and that subgroup
+    contains Phi(G).  A generator that breaks this rule needs a def line.
     """
     d = P.minimal_count
-    for i in range(d + 1, P.n + 1):
-        if i not in P.defn:
-            raise BadDefinition(f"f_{i} is not minimal (d = {d}) but has no definition")
     rels = [(f"f_{i}^{P.p}", P.power_rel[i - 1]) for i in range(1, d + 1)]
     rels += [
         (f"[f_{i},f_{j}]", P.comm_rel.get((i, j), ()))

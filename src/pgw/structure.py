@@ -387,15 +387,10 @@ def derived(P):
     return commutator_subgroup(P, G, G)
 
 
-def _scan_cap(size, name):
-    if size > ELEMENT_CAP:
-        raise SizeCap(f"|{name}| = {size} exceeds the enumeration cap {ELEMENT_CAP}")
-
-
 @pc.memoized
 def agemo(P):
     """G^p = <g^p : g in G>, by a scan of G under ELEMENT_CAP."""
-    _scan_cap(P.order, "G")
+    pc.check_enumerable(P.order, "G")
     lead, powers = {}, {}
     for x in itertools.product(range(P.p), repeat=P.n):
         y = pc.pth_power(P, x)
@@ -408,10 +403,9 @@ def _frattini_of(P, H):
     """Phi(H) = H^p H': the normal closure in H of the p-th powers and
     pairwise commutators of H's generators (the quotient by it is
     elementary abelian and generated by the images of those generators)."""
-    gens = _minimal_generators(P) if H == whole_group(P) else H.gens
-    seeds = [pc.pth_power(P, h) for h in gens]
-    seeds += [pc.comm(P, a, b) for i, a in enumerate(gens) for b in gens[:i]]
-    return _normal_closure(P, seeds, gens)
+    seeds = [pc.pth_power(P, h) for h in H.gens]
+    seeds += [pc.comm(P, a, b) for i, a in enumerate(H.gens) for b in H.gens[:i]]
+    return _normal_closure(P, seeds, H.gens)
 
 
 @pc.memoized
@@ -552,7 +546,7 @@ def exponent(P, H=None):
     if nilpotency_class(P) < P.p:
         return max((pc.element_order(P, h) for h in gens), default=1)
     K = whole_group(P) if H is None else H
-    _scan_cap(K.order, "G" if H is None else "H")
+    pc.check_enumerable(K.order, "G" if H is None else "H")
     candidates = itertools.chain(gens, _leading_ones(P, K.gens))
     return _largest_order(P, candidates, P.p ** _p_class(P))
 
@@ -606,9 +600,10 @@ def _leading_ones(P, gens):
 
 
 def rank(P, H=None):
-    """d(H) = log_p |H / Phi(H)|, with Phi(H) computed inside H."""
+    """d(H) = log_p |H / Phi(H)|, with Phi(H) computed inside H; d(G) is
+    minimal_count, as validate() makes Phi(G) = G_{d+1}."""
     if H is None:
-        H = whole_group(P)
+        return P.minimal_count
     return _log(P.p, H.order // _frattini_of(P, H).order)
 
 

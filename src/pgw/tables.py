@@ -25,17 +25,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SizeCap
-from .presentation import ELEMENT_CAP, memoized
+from .presentation import check_enumerable, memoized
 
 
 class GroupTables:
     def __init__(self, P):
         if not P.validated:
             raise ValueError("tables need a validated presentation")
+        check_enumerable(P.order, "G")
         N = P.order
-        if N > ELEMENT_CAP:
-            raise SizeCap(f"|G| = {N} exceeds the enumeration cap {ELEMENT_CAP}")
         self.P = P
         self.N = N
         p, n = P.p, P.n

@@ -16,6 +16,7 @@ import pytest
 import pgw
 from pgw import groupfile
 
+from oracle_reference import enumerate_unpruned
 
 _spec = importlib.util.spec_from_file_location(
     "derive_corpus", pathlib.Path(__file__).resolve().parents[1] / "scripts" / "derive_corpus.py"
@@ -28,22 +29,8 @@ MODELS = {name: (mul, one, seq) for name, _, seq, _, mul, one, _ in derive_corpu
 
 ALL_NAMES = tuple(MODELS)
 
-# C_{p^3} x| C_{p^2}, the generator of the second factor acting by 1 + p: m243's
-# text with p - 1 in place of 2, presenting derive_corpus.mul_metacyclic(p).
-# Not shipped; parse_text runs the full consistency battery on it.
-FAMILY = """name m{order}
-p {p}
-n 5
-pow 1 = g3^1
-pow 2 = g4^1
-pow 3 = g5^1
-comm 2 1 = g3^1 g5^{q}
-comm 3 2 = g5^{q}
-comm 4 1 = g5^1
-def 3 = pow 1
-def 4 = pow 2
-def 5 = pow 3
-"""
+# C_{p^3} x| C_{p^2}, the text of derive_corpus.mul_metacyclic(p)
+FAMILY = derive_corpus.FAMILY
 FAMILY_NAMES = ("m3125", "m16807")  # p = 5 and p = 7
 
 
@@ -85,8 +72,6 @@ def unpruned_reference():
     """enumerate_unpruned on a shipped group by name, run once per group and
     session: the exhaustive route is slow, and two test files compare the
     oracle with it on the same groups."""
-    from oracle_reference import enumerate_unpruned  # scripts load this file by path
-
     results = {}
 
     def reference(name):

@@ -186,7 +186,7 @@ def test_verify_rejects_non_onto_endomorphism():
 
 def test_verify_accepts_gl3_on_elementary_abelian():
     # C3^3 with d = 3: the maps verify accepts are GL(3, 3), of order 26 * 24 * 18
-    raw = pgw.PcPresentation(name="c3c3c3", p=3, n=3, power_rel=((),) * 3, minimal_count=3)
+    raw = pgw.PcPresentation(name="c3c3c3", p=3, n=3, power_rel=((),) * 3)
     P = pgw.validate(raw)
     elems = st.whole_group(P).elements
     accepted = 0

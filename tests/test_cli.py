@@ -12,7 +12,7 @@ import pytest
 
 import pgw
 from pgw import automorphisms as au
-from pgw import cli, errors, tables
+from pgw import cli, errors
 from pgw import hypotheses as hy
 from pgw import oracle as orc
 from pgw import presentation as pc
@@ -195,11 +195,11 @@ def test_count_over_element_cap_exit_two(capsys, tmp_path):
     lines += [f"def {i + 1} = pow {i}" for i in range(1, 12)]
     f = tmp_path / "c531441.pg"
     f.write_text("\n".join(lines) + "\n")
-    assert pgw.parse_path(str(f)).presentation.order == 3**12 > tables.ELEMENT_CAP
+    assert pgw.parse_path(str(f)).presentation.order == 3**12 > pc.ELEMENT_CAP
     code, out = run(capsys, "count", str(f), "--format", "json")
     assert code == 2
     assert out.count("\n") == 1 and out.startswith("pgw: error: ")
-    assert f"enumeration cap {tables.ELEMENT_CAP}" in out
+    assert f"enumeration cap {pc.ELEMENT_CAP}" in out
 
 
 # es3's text at p = 97: class 2 < p, so nothing scans G, but d = 4 gives
@@ -222,7 +222,7 @@ def test_too_many_maximals_exit_two_at_once(capsys, tmp_path, command):
     finally:
         undo()
     assert code == 2
-    cap = tables.ELEMENT_CAP
+    cap = pc.ELEMENT_CAP
     assert out == f"pgw: error: G has 922180 maximal subgroups, over the enumeration cap {cap}\n"
 
 

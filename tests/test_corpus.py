@@ -51,8 +51,10 @@ def test_expected_invariants(name):
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_rank_equals_declared_minimal_count(name):
+    # rank(P) reads minimal_count; with G passed as a subgroup, Phi(G) is
+    # built as a normal closure instead
     P = pgw.load(name)
-    assert pgw.rank(P) == P.minimal_count
+    assert pgw.rank(P, pgw.closure(P, P.generators())) == P.minimal_count
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)

@@ -4,7 +4,7 @@
 import pytest
 
 import pgw
-from pgw import groupfile
+from pgw import cli, groupfile
 
 from conftest import ALL_NAMES
 
@@ -83,6 +83,18 @@ def test_structural_errors():
     assert "unknown directive" in str(_err(base + "powx 1 = g2^1\n"))
     assert "tail range" in str(_err("name x\np 3\nn 3\ndef 2 = pow 1\n"))
     assert "duplicate p" in str(_err("p 3\np 3\nn 1\n"))
+
+
+def test_def_line_on_every_generator_is_an_input_error(tmp_path, capsys):
+    # the def lines cover the tail range f_1..f_n, which leaves no minimal
+    # generator: an input error, exit 2, not a traceback
+    text = "name c9\np 3\nn 2\npow 1 = g2^1\ndef 1 = pow 1\ndef 2 = pow 1\n"
+    with pytest.raises(pgw.BadDefinition, match="2 defn tags for 2 generators leave none minimal"):
+        groupfile.parse_text(text)
+    f = tmp_path / "alldef.pg"
+    f.write_text(text)
+    assert cli.main(["info", str(f)]) == 2
+    assert capsys.readouterr().err.startswith("pgw: error: 2 defn tags")
 
 
 def test_consistency_violation_passes_through():

@@ -373,15 +373,17 @@ def test_p5_group_counts_and_cross_validates(m3125_count):
 
 
 def test_missing_defn_tags_rejected():
+    # a copy is unvalidated; validate() would refuse this one (see
+    # test_validate_requires_def_line_for_frattini_generator)
     P = pgw.load("h27")
     stripped = dataclasses.replace(P, defn={})
-    with pytest.raises(pgw.MissingDefinitions):
+    with pytest.raises(pgw.PreconditionFailed):
         pgw.enumerate_automorphisms(stripped, budget=60)
 
 
 def test_unvalidated_presentation_rejected():
     P = pgw.load("h27")
-    raw = dataclasses.replace(P, validated=False)
+    raw = dataclasses.replace(P)
     with pytest.raises(pgw.PreconditionFailed):
         pgw.enumerate_automorphisms(raw, budget=60)
 

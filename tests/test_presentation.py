@@ -271,7 +271,7 @@ def _memo_bound(P):
 def test_tail_memo_cold_and_warm_match_index_algebra(name):
     # a fresh validation starts with a cold memo; the second pass repeats the
     # same products, finds every crossing in the memo and adds nothing to it
-    P = pc.validate(dataclasses.replace(load_group(name), validated=False))
+    P = pc.validate(dataclasses.replace(load_group(name)))
     t = tables.get_tables(P)
     rng = random.Random(29)
     pairs = [(_random_element(rng, P), _random_element(rng, P)) for _ in range(300)]
@@ -326,7 +326,7 @@ def test_tail_memo_only_on_validated_and_never_shared(monkeypatch):
 @pytest.mark.parametrize("memo_keys", [None, 0])
 def test_collector_scan_reads_the_tail_memo(memo_keys):
     # scripts/collector_scan.py is where MEMO_KEYS and MEMO_TAILS were set
-    # from; it reads the memo itself and loads FAMILY from conftest
+    # from; it reads the memo itself and loads FAMILY from derive_corpus
     script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "collector_scan.py"
     argv = [sys.executable, str(script), "--reps", "1", "--primes", "3"]
     if memo_keys is not None:
@@ -362,7 +362,7 @@ def test_validate_rejects_bad_weight():
         pc.validate(
             pc.PcPresentation(
                 name="bad", p=3, n=2,
-                power_rel=(((1, 1),), ()), comm_rel={}, defn={}, minimal_count=2,
+                power_rel=(((1, 1),), ()), comm_rel={}, defn={},
             )
         )
     with pytest.raises(pgw.BadWeight):
@@ -370,7 +370,7 @@ def test_validate_rejects_bad_weight():
             pc.PcPresentation(
                 name="bad", p=3, n=3,
                 power_rel=((), (), ()), comm_rel={(3, 1): ((2, 1),)},
-                defn={}, minimal_count=3,
+                defn={},
             )
         )
 
@@ -383,7 +383,7 @@ def test_validate_rejects_inconsistent_presentation():
                 name="bad", p=3, n=3,
                 power_rel=(((2, 1),), ((3, 1),), ()),
                 comm_rel={(2, 1): ((3, 1),)},
-                defn={}, minimal_count=3,
+                defn={},
             )
         )
 
@@ -405,7 +405,6 @@ def _perturbed(rng, P):
         P,
         power_rel=tuple(tuple(sorted(rels[("pow", i)].items())) for i in range(1, P.n + 1)),
         comm_rel={key[1:]: tuple(sorted(w.items())) for key, w in rels.items() if key[0] == "comm" and w},
-        validated=False,
     )
 
 
@@ -441,7 +440,7 @@ def test_validate_rejects_bad_definition():
             pc.PcPresentation(
                 name="bad", p=3, n=2,
                 power_rel=((), ()), comm_rel={},
-                defn={2: ("pow", 1)}, minimal_count=1,
+                defn={2: ("pow", 1)},
             )
         )
 
@@ -451,15 +450,15 @@ def test_validate_requires_def_line_for_frattini_generator():
     raw = pc.PcPresentation(
         name="h27d3", p=3, n=3,
         power_rel=((), (), ()), comm_rel={(2, 1): ((3, 1),)},
-        defn={}, minimal_count=3,
+        defn={},
     )
     with pytest.raises(pgw.BadDefinition, match="give it a def line"):
         pc.validate(raw)
     # with f3 defined as that commutator it validates
-    assert pc.validate(dataclasses.replace(raw, defn={3: ("comm", 2, 1)}, minimal_count=2)).validated
-    # a non-minimal generator needs a definition
-    with pytest.raises(pgw.BadDefinition, match="no definition"):
-        pc.validate(dataclasses.replace(raw, minimal_count=2))
+    assert pc.validate(dataclasses.replace(raw, defn={3: ("comm", 2, 1)})).validated
+    # d = n - len(defn), so a tag on f_2 makes f_3 minimal and f_2 not
+    with pytest.raises(pgw.BadDefinition, match=r"defn\[2\]: only non-minimal generators \(3\.\.3\)"):
+        pc.validate(dataclasses.replace(raw, defn={2: ("comm", 1, 1)}))
 
 
 def test_validate_rejects_oversize():
@@ -468,25 +467,56 @@ def test_validate_rejects_oversize():
         pc.validate(
             pc.PcPresentation(
                 name="big", p=3, n=n,
-                power_rel=((),) * n, comm_rel={}, defn={}, minimal_count=n,
+                power_rel=((),) * n, comm_rel={}, defn={},
             )
         )
     with pytest.raises(pgw.SizeCap):
         pc.validate(
             pc.PcPresentation(
                 name="bigp", p=101, n=1,
-                power_rel=((),), comm_rel={}, defn={}, minimal_count=1,
+                power_rel=((),), comm_rel={}, defn={},
             )
         )
 
 
 def test_validated_flag_required_and_set():
     raw = pc.PcPresentation(
-        name="v", p=3, n=1, power_rel=((),), comm_rel={}, defn={}, minimal_count=1
+        name="v", p=3, n=1, power_rel=((),), comm_rel={}, defn={}
     )
     assert not raw.validated
     P = pc.validate(raw)
     assert P.validated
+    # neither the flag nor d is a constructor argument
+    for field in ("validated", "minimal_count"):
+        with pytest.raises(TypeError):
+            pc.PcPresentation(name="v", p=3, n=1, power_rel=((),), **{field: 1})
+    with pytest.raises(ValueError):
+        dataclasses.replace(P, validated=True)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES + FAMILY_NAMES)
+def test_a_copy_is_unvalidated_until_validated_again(name):
+    # only validate() sets the flag, so no copy skips the battery, whatever
+    # it changed; d is read off the defn tags
+    P = load_group(name)
+    assert P.minimal_count == P.n - len(P.defn)
+    same = dataclasses.replace(P, comm_rel=dict(P.comm_rel))
+    for copy in (dataclasses.replace(P), dataclasses.replace(P, comm_rel={}), same):
+        assert P.validated and not copy.validated
+        with pytest.raises(pgw.PreconditionFailed):
+            pgw.enumerate_automorphisms(copy)
+    V = pc.validate(same)
+    assert V.validated and not same.validated
+    assert (V.power_rel, V.comm_rel, V.defn) == (P.power_rel, P.comm_rel, P.defn)
+
+
+def test_order_runaway_is_an_internal_contradiction(monkeypatch):
+    # a p-th power that never reaches 1 is an arithmetic bug, which the CLI
+    # turns into exit 3, not an input error
+    P = pgw.load("g2187")
+    monkeypatch.setattr(pc, "pth_power", lambda P, x: x)
+    with pytest.raises(AssertionError, match="exceeded the group order"):
+        pc.element_order(P, P.generator(1))
 
 
 names_st = hst.sampled_from(ALL_NAMES)
@@ -571,7 +601,7 @@ def test_derived_operations_form_no_inverse_word(name, monkeypatch):
     with pytest.raises(AssertionError, match="inverse word"):
         # the guard bites on a negative letter, which only an unvalidated
         # presentation spells with inverse words
-        pc.collect(dataclasses.replace(P, validated=False), ((1, -1),))
+        pc.collect(dataclasses.replace(P), ((1, -1),))
     for a, b, k, *want in cases:
         got = [pc.inv(P, a), pc.comm(P, a, b), pc.conj(P, a, b), pc.pow_(P, a, k)]
         assert got == want, (a, b, k)
