@@ -20,7 +20,7 @@ one row, import numpy, inside the functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import hypotheses as hp
 from . import presentation as pc
@@ -37,13 +37,13 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class GenMap:
-    parent: object
-    images: tuple  # n Elements, images[i] = candidate image of f_{i+1}
+class GenMap(pc.Record):
+    _fields = ("parent", "images")
+
+    def __init__(self, parent, images):
+        vars(self).update(parent=parent, images=images)  # images[i] = candidate image of f_{i+1}
 
 
-@dataclass(frozen=True, eq=False)
 class Automorphism(GenMap):
     """A GenMap that verify certified, or a composite of certified maps."""
 
@@ -381,12 +381,7 @@ def extend_to_automorphism(P, M, g, u):
     return A
 
 
-@dataclass(frozen=True)
-class WitnessResult:
-    u: tuple
-    M: st.Subgroup
-    g: tuple
-    A: Automorphism
+WitnessResult = namedtuple("WitnessResult", "u M g A")  # M: a Subgroup, A: an Automorphism
 
 
 @pc.memoized

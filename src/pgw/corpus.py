@@ -8,7 +8,6 @@ reader as user input.
 from __future__ import annotations
 
 from functools import lru_cache
-from importlib import resources
 
 from . import groupfile
 
@@ -20,7 +19,10 @@ DEMO_NAME = "g2187"
 
 @lru_cache(maxsize=None)
 def load(name):
-    """Load a packaged presentation by name (cached, so identity is stable)."""
+    """Load a packaged presentation by name (cached, so identity is stable).
+    importlib.resources is imported here: a run on a group file never needs it."""
+    from importlib import resources
+
     path = resources.files("pgw") / "data" / f"{name}.pg"
     try:
         text = path.read_text(encoding="utf-8")

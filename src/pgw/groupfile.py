@@ -19,7 +19,7 @@ parse(serialize(P)) reproduces P field for field.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import presentation as pc
 from .errors import PresentationSyntaxError
@@ -31,10 +31,7 @@ _ARITY = {"pow": 1, "comm": 2, "def": 1}
 _ARITY_TEXT = {1: "one generator index", 2: "two generator indices"}
 
 
-@dataclass(frozen=True)
-class GroupFile:
-    presentation: pc.PcPresentation
-    source: str
+GroupFile = namedtuple("GroupFile", "presentation source")
 
 
 def _parse_word(text, p, n, min_index, source, lineno):

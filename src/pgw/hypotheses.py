@@ -14,7 +14,7 @@ qualifying group is free to violate them.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from . import presentation as pc
 from . import structure as st
@@ -24,16 +24,17 @@ THEOREM = ("p_odd", "nonabelian", "monolithic", "all_maximals_nonabelian", "zm_c
 COROLLARY = ("p_odd", "monolithic", "corollary_centralizer_condition", "zm_condition")
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
-    p_odd: bool
-    nonabelian: bool
-    monolithic: bool
-    all_maximals_nonabelian: bool
-    zm_condition: bool
-    zm_counterexample: tuple  # (maximal index, m, g) or None
-    corollary_centralizer_condition: bool
-    diagnostics: dict
+class HypothesisReport(
+    namedtuple(
+        "HypothesisReport",
+        "p_odd nonabelian monolithic all_maximals_nonabelian zm_condition"
+        " zm_counterexample corollary_centralizer_condition diagnostics",
+    )
+):
+    """The verdicts, all bools but zm_counterexample, (maximal index, m, g)
+    or None, and the diagnostics dict."""
+
+    __slots__ = ()
 
     @property
     def theorem_applicable(self):
@@ -44,7 +45,7 @@ class HypothesisReport:
         return all(getattr(self, name) for name in COROLLARY)
 
     def to_dict(self, P):
-        d = asdict(self)
+        d = self._asdict()
         if self.zm_counterexample is not None:
             mi, m, g = self.zm_counterexample
             d["zm_counterexample"] = {"maximal": mi, "m": st.word_str(P, m), "g": st.word_str(P, g)}

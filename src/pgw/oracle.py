@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import numbers
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,13 +72,17 @@ from .errors import Mismatch, PgwError, PreconditionFailed, WorkerDied, check_de
 from .tables import get_tables
 
 
-@dataclass(frozen=True, eq=False)  # an array field breaks the generated __eq__
-class AutCount:
-    total: int
-    inner: int
-    order_p_noninner_fixing_frattini: int
-    elapsed: float
-    maps: np.ndarray  # (total, n) int32 image indices, one sorted row per automorphism
+class AutCount(pc.Record):
+    _fields = ("total", "inner", "order_p_noninner_fixing_frattini", "elapsed", "maps")
+
+    def __init__(self, total, inner, order_p_noninner_fixing_frattini, elapsed, maps):
+        vars(self).update(
+            total=total,
+            inner=inner,
+            order_p_noninner_fixing_frattini=order_p_noninner_fixing_frattini,
+            elapsed=elapsed,
+            maps=maps,  # (total, n) int32 image indices, one sorted row per automorphism
+        )
 
 
 _ROWS = 1 << 13  # nodes per _sieve call and rows per lift block; bounds the lift's memory

@@ -61,10 +61,8 @@ copies of x's word, so pow_ costs O(n log p) products.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import operator
-from dataclasses import dataclass, field
 
 from .errors import BadDefinition, BadWeight, ConsistencyViolation, SizeCap
 
@@ -75,20 +73,47 @@ MEMO_TAILS = 729  # the most tails, p^(n-j), of a memoized pc level; see conjuga
 MEMO_KEYS = 2912  # the most keys a memoized pc level can take; see conjugates()
 
 
-@dataclass(frozen=True, eq=False)  # eq=False: identity hash, so a P is only equal to itself
-class PcPresentation:
-    """A pc presentation, unchecked until validate() returns a validated
-    copy; a dataclasses.replace copy is unvalidated and must go through
-    validate() again."""
+class Record:
+    """Base of pgw's immutable records, each equal only to itself.  A
+    subclass's __init__ writes its fields, named in order by _fields,
+    straight into the instance __dict__; assigning or deleting an attribute
+    afterwards raises AttributeError."""
 
-    name: str
-    p: int
-    n: int
-    power_rel: tuple = ()  # length n, power_rel[i-1] = word for f_i^p, () = identity
-    comm_rel: dict = field(default_factory=dict)  # (i,j) i>j -> word for [f_i,f_j]
-    defn: dict = field(default_factory=dict)  # i -> ("pow", j) or ("comm", j, k)
-    validated: bool = field(default=False, init=False)  # set by validate() alone
-    _memo: dict = field(default_factory=dict, init=False, repr=False)  # see memoized()
+    _fields = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: {name!r} cannot change")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        args = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._fields)
+        return f"{type(self).__name__}({args})"
+
+    def replace(self, **changes):
+        """A copy, built by the constructor, with the named fields changed."""
+        return type(self)(**{k: getattr(self, k) for k in self._fields} | changes)
+
+
+class PcPresentation(Record):
+    """A pc presentation, unchecked until validate() returns a validated
+    copy.  P.replace(...) makes an unvalidated copy with an empty _memo,
+    which must go through validate() again; validated and _memo are no
+    constructor arguments."""
+
+    _fields = ("name", "p", "n", "power_rel", "comm_rel", "defn")
+
+    def __init__(self, name, p, n, power_rel=(), comm_rel=None, defn=None):
+        vars(self).update(
+            name=name,
+            p=p,
+            n=n,
+            power_rel=power_rel,  # length n, power_rel[i-1] = word for f_i^p, () = identity
+            comm_rel={} if comm_rel is None else comm_rel,  # (i,j) i>j -> word for [f_i,f_j]
+            defn={} if defn is None else defn,  # i -> ("pow", j) or ("comm", j, k)
+            validated=False,  # set by validate() alone
+            _memo={},  # see memoized()
+        )
 
     @property
     def order(self):
@@ -113,8 +138,8 @@ class PcPresentation:
 def memoized(f):
     """f(P), computed once per presentation object and kept in P._memo under
     the returned wrapper, so it is freed with P; an exception is not kept.
-    P._memo is no init field, so a copy made with dataclasses.replace starts
-    empty.  validate() also keeps the tail memo there (see conjugates())."""
+    P._memo is no constructor argument, so a copy made with P.replace()
+    starts empty.  validate() also keeps the tail memo there (see conjugates())."""
 
     @functools.wraps(f)
     def cached(P):
@@ -183,8 +208,8 @@ def conjugates(P):
 
     Beside the table sits the tail memo, P._memo[_fresh_tails], made fresh
     by validate() for the validated object only: the unvalidated object that
-    the consistency battery collects on has none, and a dataclasses.replace
-    copy starts with an empty P._memo, so no two presentations share
+    the consistency battery collects on has none, and a P.replace() copy
+    starts with an empty P._memo, so no two presentations share
     entries.  A key is (j, b, over, T): the tail's digits T right of f_j,
     the bit 2^b of the letter that crosses it, and whether f_j overflows
     into its power word; the entry is the digits of T^{f_j^(2^b)}, or of
@@ -539,7 +564,8 @@ def validate(P):
     """Run the local consistency battery; return a copy of P marked validated,
     the only place the flag is set.
 
-    The defn tags must sit on exactly f_{d+1}..f_n, d = minimal_count.
+    The defn tags must sit on exactly f_{d+1}..f_n, d = minimal_count, and
+    defn[i] must be ("pow", j) or ("comm", j, k) with int indices below i.
     Checks, for the collector defined above:
       - f_k (f_j f_i) = (f_k f_j) f_i for all k > j > i
       - f_j^p f_i = f_j^{p-1} (f_j f_i)  and  f_j (f_i^p) = (f_j f_i) f_i^{p-1} for j > i
@@ -572,14 +598,20 @@ def validate(P):
             raise BadDefinition(
                 f"defn[{i}]: only non-minimal generators ({d + 1}..{P.n}) take definitions"
             )
-        if tag[0] == "pow":
+        kind = tag[0] if isinstance(tag, tuple) and tag else None
+        if (
+            kind not in ("pow", "comm")
+            or len(tag) != (2 if kind == "pow" else 3)
+            or not all(isinstance(j, int) for j in tag[1:])
+        ):
+            raise BadDefinition(
+                f"defn[{i}] = {tag!r}: need ('pow', j) or ('comm', j, k), j and k ints"
+            )
+        if kind == "pow":
             if not (1 <= tag[1] < i):
                 raise BadDefinition(f"defn[{i}] = pow({tag[1]}): index must be < {i}")
-        elif tag[0] == "comm":
-            if not (1 <= tag[1] < i and 1 <= tag[2] < i):
-                raise BadDefinition(f"defn[{i}] = comm{tag[1:]}: indices must be < {i}")
-        else:
-            raise BadDefinition(f"defn[{i}]: unknown tag {tag[0]!r}")
+        elif not (1 <= tag[1] < i and 1 <= tag[2] < i):
+            raise BadDefinition(f"defn[{i}] = comm{tag[1:]}: indices must be < {i}")
 
     p = P.p
     for i in range(1, P.n + 1):
@@ -617,7 +649,7 @@ def validate(P):
             raise BadDefinition(f"defn[{i}] = {tag} collects to {value}, not f_{i}")
     _check_frattini_split(P)
 
-    V = dataclasses.replace(P)
+    V = P.replace()
     object.__setattr__(V, "validated", True)
     V._memo[conjugates] = conjugates(P)
     V._memo[_fresh_tails] = _fresh_tails(V)

@@ -31,7 +31,7 @@ depend on P alone (the center, the central series, the maximal subgroups,
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import presentation as pc
 from .errors import NotAbelian, NotNormal, SizeCap
@@ -416,10 +416,9 @@ def frattini(P):
     return Subgroup(P, P.generators()[P.minimal_count :])
 
 
-@dataclass(frozen=True)
-class CentralSeries:
-    kind: str  # "upper" or "lower"
-    terms: tuple  # Subgroups; upper: 1 = Z_0 <= Z_1 <= ... = G; lower: G = g_1 >= ... >= 1
+# kind: "upper" or "lower"; terms: Subgroups, upper 1 = Z_0 <= Z_1 <= ... = G,
+# lower G = g_1 >= ... >= 1
+CentralSeries = namedtuple("CentralSeries", "kind terms")
 
 
 @pc.memoized

@@ -533,7 +533,8 @@ codes = []
 for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(cli.main(argv))
-loaded = sorted(m for m in ("numpy", "pgw.tables", "pgw.oracle") if m in sys.modules)
+heavy = ("numpy", "pgw.tables", "pgw.oracle", "dataclasses", "inspect")
+loaded = sorted(m for m in heavy if m in sys.modules)
 with contextlib.redirect_stdout(io.StringIO()) as out:
     count = cli.main(["count", PATHS[1], "--format", "json"])
 print(codes, loaded, count, "numpy" in sys.modules, out.getvalue().count('"total": 24'))
@@ -545,6 +546,25 @@ print(codes, loaded, count, "numpy" in sys.modules, out.getvalue().count('"total
     assert proc.returncode == 0, proc.stderr
     codes = [0, 0, 0, 0, 0, 0] + [0, 0, 1, 1, 1, 1] + [0]
     assert proc.stdout.split("\n")[0] == f"{codes} [] 0 True 1"
+
+
+def test_construct_on_a_file_loads_no_heavy_module():
+    # without site, nothing but pgw decides what a run on a group file loads
+    script = """
+import contextlib, io, sys
+from pgw import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["construct", PATH])
+heavy = ("dataclasses", "inspect", "importlib.resources", "numpy")
+print(code, [m for m in heavy if m in sys.modules])
+"""
+    src = os.path.dirname(os.path.dirname(pgw.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", f"PATH = {data_path('g2187')!r}\n" + script],
+        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 []\n"
 
 
 def test_report_file_written(capsys, tmp_path):

@@ -1,6 +1,5 @@
 """Aut(G) oracle: counts, agreement with tests/oracle_reference.py, determinism."""
 
-import dataclasses
 import gc
 import importlib.resources
 import multiprocessing.connection
@@ -376,14 +375,14 @@ def test_missing_defn_tags_rejected():
     # a copy is unvalidated; validate() would refuse this one (see
     # test_validate_requires_def_line_for_frattini_generator)
     P = pgw.load("h27")
-    stripped = dataclasses.replace(P, defn={})
+    stripped = P.replace(defn={})
     with pytest.raises(pgw.PreconditionFailed):
         pgw.enumerate_automorphisms(stripped, budget=60)
 
 
 def test_unvalidated_presentation_rejected():
     P = pgw.load("h27")
-    raw = dataclasses.replace(P)
+    raw = P.replace()
     with pytest.raises(pgw.PreconditionFailed):
         pgw.enumerate_automorphisms(raw, budget=60)
 
@@ -481,7 +480,7 @@ def test_cross_validation_rejects_a_truncated_stream():
     P = pgw.load("h27")
     count = pgw.enumerate_automorphisms(P, budget=60)
     inner_only = count.maps[au._conjugators(P, count.maps) >= 0]
-    short = dataclasses.replace(count, maps=inner_only)
+    short = count.replace(maps=inner_only)
     with pytest.raises(pgw.Mismatch, match="the stream holds 9 maps, the count says 432"):
         pgw.cross_validate(P, precomputed=short)
 
@@ -501,7 +500,7 @@ def _witness_row(P, count):
 
 def test_cross_validation_rejects_a_stream_of_the_wrong_width(m243_count):
     P, count = m243_count
-    narrow = dataclasses.replace(count, maps=count.maps[:, :-1])
+    narrow = count.replace(maps=count.maps[:, :-1])
     with pytest.raises(pgw.Mismatch, match="a streamed map does not hold 5 images"):
         pgw.cross_validate(P, precomputed=narrow)
 
@@ -512,7 +511,7 @@ def test_cross_validation_rejects_an_index_outside_the_group(m243_count, bad):
     maps = count.maps.copy()
     maps[-1, 2] = bad
     with pytest.raises(pgw.Mismatch) as err:
-        pgw.cross_validate(P, precomputed=dataclasses.replace(count, maps=maps))
+        pgw.cross_validate(P, precomputed=count.replace(maps=maps))
     assert str(err.value) == f"a streamed image is not an element: index {bad} is outside 0..242"
 
 
@@ -531,7 +530,7 @@ def test_cross_validation_finds_the_witness_row_once(m243_count, times):
         maps[k] = maps[other]
     target = pgw.construct_theorem_witness(P).A.images
     with pytest.raises(pgw.Mismatch) as err:
-        pgw.cross_validate(P, precomputed=dataclasses.replace(count, maps=maps))
+        pgw.cross_validate(P, precomputed=count.replace(maps=maps))
     assert str(err.value) == f"witness images {target} appear {times} times in the stream"
 
 
@@ -578,7 +577,7 @@ def test_cross_validation_reads_the_witness_inner_label(m243_count, monkeypatch)
 
 def test_cross_validation_needs_a_bucket_for_the_witness(m243_count):
     P, count = m243_count
-    empty = dataclasses.replace(count, order_p_noninner_fixing_frattini=0)
+    empty = count.replace(order_p_noninner_fixing_frattini=0)
     with pytest.raises(pgw.Mismatch) as err:
         pgw.cross_validate(P, precomputed=empty)
     assert str(err.value) == "order-p non-inner Frattini-fixing bucket is empty despite a witness"

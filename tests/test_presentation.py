@@ -1,11 +1,11 @@
 """Collection arithmetic against independent integer models and axioms."""
 
-import dataclasses
 import gc
 import importlib.resources
 import json
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import time
@@ -15,8 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 import pgw
+from pgw import automorphisms as au
 from pgw import groupfile
+from pgw import hypotheses as hy
 from pgw import presentation as pc
+from pgw import structure as st
 from pgw import tables
 
 from conftest import (
@@ -271,7 +274,7 @@ def _memo_bound(P):
 def test_tail_memo_cold_and_warm_match_index_algebra(name):
     # a fresh validation starts with a cold memo; the second pass repeats the
     # same products, finds every crossing in the memo and adds nothing to it
-    P = pc.validate(dataclasses.replace(load_group(name)))
+    P = pc.validate(load_group(name).replace())
     t = tables.get_tables(P)
     rng = random.Random(29)
     pairs = [(_random_element(rng, P), _random_element(rng, P)) for _ in range(300)]
@@ -315,7 +318,7 @@ def test_tail_memo_only_on_validated_and_never_shared(monkeypatch):
     P, Q = (groupfile.parse_text(_g2187_text()).presentation for _ in range(2))
     # the consistency battery collects on the raw object, which holds no memo
     assert len(raws) == 2 and all(pc._fresh_tails not in raw._memo for raw in raws)
-    assert dataclasses.replace(P)._memo == {}
+    assert P.replace()._memo == {}
     rng = random.Random(31)
     for _ in range(200):
         pc.mul(P, _random_element(rng, P), _random_element(rng, P))
@@ -401,8 +404,7 @@ def _perturbed(rng, P):
             del w[g]
         else:
             w[g] = rng.randint(1, P.p - 1)
-    return dataclasses.replace(
-        P,
+    return P.replace(
         power_rel=tuple(tuple(sorted(rels[("pow", i)].items())) for i in range(1, P.n + 1)),
         comm_rel={key[1:]: tuple(sorted(w.items())) for key, w in rels.items() if key[0] == "comm" and w},
     )
@@ -455,10 +457,10 @@ def test_validate_requires_def_line_for_frattini_generator():
     with pytest.raises(pgw.BadDefinition, match="give it a def line"):
         pc.validate(raw)
     # with f3 defined as that commutator it validates
-    assert pc.validate(dataclasses.replace(raw, defn={3: ("comm", 2, 1)})).validated
+    assert pc.validate(raw.replace(defn={3: ("comm", 2, 1)})).validated
     # d = n - len(defn), so a tag on f_2 makes f_3 minimal and f_2 not
     with pytest.raises(pgw.BadDefinition, match=r"defn\[2\]: only non-minimal generators \(3\.\.3\)"):
-        pc.validate(dataclasses.replace(raw, defn={2: ("comm", 1, 1)}))
+        pc.validate(raw.replace(defn={2: ("comm", 1, 1)}))
 
 
 def test_validate_rejects_oversize():
@@ -486,12 +488,54 @@ def test_validated_flag_required_and_set():
     assert not raw.validated
     P = pc.validate(raw)
     assert P.validated
-    # neither the flag nor d is a constructor argument
+    # neither the flag nor d is a constructor argument, and replace() takes
+    # neither the flag nor the memo
     for field in ("validated", "minimal_count"):
         with pytest.raises(TypeError):
             pc.PcPresentation(name="v", p=3, n=1, power_rel=((),), **{field: 1})
-    with pytest.raises(ValueError):
-        dataclasses.replace(P, validated=True)
+    for field in ("validated", "_memo"):
+        with pytest.raises(TypeError):
+            P.replace(**{field: True})
+
+
+@pytest.mark.parametrize("tag", [
+    ("pow",), ("comm", 1), ("pow", 1, 7), ("comm", 1, 1, 1), "pow", ("pow", "1"), (), ["pow", 1],
+])
+def test_malformed_defn_tag_is_a_bad_definition(tag):
+    # C9, f_1^3 = f_2, where ("pow", 1) would be a valid tag for f_2
+    raw = pc.PcPresentation(name="t", p=3, n=2, power_rel=(((2, 1),), ()), defn={2: tag})
+    with pytest.raises(pgw.BadDefinition, match=re.escape(f"defn[2] = {tag!r}: need ('pow', j)")):
+        pc.validate(raw)
+
+
+def _records():
+    """One object of each record class, with whether it equals a copy built
+    from its fields (field-wise) or only itself (identity)."""
+    P = pgw.load("m243")
+    count = pgw.AutCount(total=1, inner=1, order_p_noninner_fixing_frattini=0, elapsed=0.0, maps=())
+    return [
+        (P, False),
+        (au.GenMap(P, tuple(P.generators())), False),
+        (au.identity_automorphism(P), False),
+        (count, False),
+        (groupfile.parse_text(groupfile.serialize(P)), True),
+        (st.upper_central_series(P), True),
+        (hy.check_theorem_hypotheses(P), True),
+        (au.construct_theorem_witness(P), True),
+    ]
+
+
+@pytest.mark.parametrize("index", range(8))
+def test_records_are_immutable_with_their_equality(index):
+    obj, fieldwise = _records()[index]
+    for name in (obj._fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+    copy = type(obj)(*[getattr(obj, k) for k in obj._fields])
+    assert copy is not obj and obj == obj
+    assert (copy == obj) is fieldwise
+    if fieldwise and not isinstance(obj, hy.HypothesisReport):  # its diagnostics is a dict
+        assert hash(copy) == hash(obj)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES + FAMILY_NAMES)
@@ -500,8 +544,8 @@ def test_a_copy_is_unvalidated_until_validated_again(name):
     # it changed; d is read off the defn tags
     P = load_group(name)
     assert P.minimal_count == P.n - len(P.defn)
-    same = dataclasses.replace(P, comm_rel=dict(P.comm_rel))
-    for copy in (dataclasses.replace(P), dataclasses.replace(P, comm_rel={}), same):
+    same = P.replace(comm_rel=dict(P.comm_rel))
+    for copy in (P.replace(), P.replace(comm_rel={}), same):
         assert P.validated and not copy.validated
         with pytest.raises(pgw.PreconditionFailed):
             pgw.enumerate_automorphisms(copy)
@@ -601,7 +645,7 @@ def test_derived_operations_form_no_inverse_word(name, monkeypatch):
     with pytest.raises(AssertionError, match="inverse word"):
         # the guard bites on a negative letter, which only an unvalidated
         # presentation spells with inverse words
-        pc.collect(dataclasses.replace(P), ((1, -1),))
+        pc.collect(P.replace(), ((1, -1),))
     for a, b, k, *want in cases:
         got = [pc.inv(P, a), pc.comm(P, a, b), pc.conj(P, a, b), pc.pow_(P, a, k)]
         assert got == want, (a, b, k)
@@ -679,5 +723,5 @@ def test_memoized_keeps_one_result_per_presentation():
         stage(P)  # a raised error is not kept
     first = stage(P)
     assert stage(P) is first and P._memo[stage] is first
-    Q = dataclasses.replace(P)  # a copy starts with an empty memo
+    Q = P.replace()  # a copy starts with an empty memo
     assert stage(Q) is not first and calls == [P, P, Q]
