@@ -4,8 +4,8 @@ Works with groups given by consistent power-commutator presentations:
 checks the hypotheses (odd p, monolithic, every maximal subgroup
 non-abelian, [Z(M), g] <= Z(G)), constructs the promised non-inner
 automorphism of order p fixing the Frattini subgroup elementwise, and can
-cross-check everything against a brute-force enumeration of Aut(G).  Only
-that enumeration, the oracle, needs numpy.
+cross-check everything against a brute-force enumeration of Aut(G).  It
+needs nothing outside the Python standard library.
 """
 
 from .corpus import CORPUS_NAMES, DEMO_NAME, demo, load
@@ -79,7 +79,7 @@ from .automorphisms import (
 
 __version__ = "0.1.0"
 
-# the oracle's names load it, and with it numpy and the tables, on first use
+# the oracle's names load it, and with it the tables, on first use
 _ORACLE_NAMES = ("AutCount", "cross_validate", "enumerate_automorphisms")
 
 

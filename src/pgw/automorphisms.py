@@ -5,22 +5,22 @@ certificate is pure collection.  verify() checks that a map's images are
 normal forms, numbers the distinct ones and hands the numbered row to
 verify_coded(), which the oracle calls directly on whole blocks of rows.  It
 checks them relation-major: each defining relation becomes an equality of
-two words in the images, and each side is collected once per distinct tuple
-of images it reads, with no inverses and no table.  Surjectivity is
-Burnside's basis test: a verified endomorphism is onto iff the images of
-f_1..f_d span G/Phi(G), which validate() makes the first d exponents.  On
-top of that sit conjugation maps (inner_from), the inner test, the
-maximal-subgroup extension map and the full witness construction.  The inner
-test is a conjugacy solve down the pc series, by collection.  The oracle
-labels whole blocks of maps with a second route, one memoized table of the
-inner maps' image rows and their lex-least conjugators, computed with the
-index algebra of tables.py; only that route, and verify_coded on more than
-one row, import numpy, inside the functions.
+two words in the images, and both sides are collected once per distinct
+tuple of images the relation reads, with no inverses and no table.
+Surjectivity is Burnside's basis test: a verified endomorphism is onto iff
+the images of f_1..f_d span G/Phi(G), which validate() makes the first d
+exponents.  On top of that sit conjugation maps (inner_from), the inner
+test, the maximal-subgroup extension map and the full witness
+construction.  The inner test is a conjugacy solve down the pc series, by
+collection.  The oracle labels whole blocks of maps with a second route,
+one memoized table of the inner maps' image rows and their lex-least
+conjugators, computed with the index algebra of tables.py, which only that
+route imports, inside the functions.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from . import hypotheses as hp
 from . import presentation as pc
@@ -93,27 +93,26 @@ def verify_coded(P, forms, coded, deadline=None):
     """Certify rows of image numbers by pure collection, relation by relation.
 
     Row k maps f_i to forms[coded[k][i - 1]], where forms are distinct normal
-    forms and coded is a list of one row or an (R, n) integer array.  Each
+    forms and coded is a list of rows, each a sequence of n integers.  Each
     relation is an equality of words in the images: f_i^p = w holds iff
     A(f_i)^p = w(A), and [f_i, f_j] = w holds iff A(f_i) A(f_j) =
     A(f_j) A(f_i) w(A), where w(A) spells w in the images.  The relations go
     in a fixed order, the powers of f_1..f_n, then the commutators [f_i, f_j]
-    for i > j.  For each relation, each side is collected once per distinct
-    tuple of images that it reads (A(f_i) and A(f_j) for the left side of
-    [f_i, f_j]), from the exponent vector of the image it starts with, and
-    the two sides are compared row by row.  While more than one row is live,
-    the numbers of the images that a side reads are packed into one integer
-    key per row (_distinct_rows), each distinct key is collected once, the
-    values are numbered, and the two sides are compared as integer arrays.
-    No inverse is formed; only a failing commutator relation is recomputed
-    with comm for its message.
+    for i > j.  Each side is collected from the exponent vector of the image
+    it starts with.  While more than one row is live, the numbers of the
+    images that a relation reads (A(f_i), A(f_j) and the images w spells for
+    [f_i, f_j] = w) make one tuple per row, both sides are collected once
+    per distinct tuple and compared (_first_failing), and only the first
+    failing row's sides are collected again, for its message.  No inverse is
+    formed; only a failing commutator relation is recomputed with comm for
+    its message.
     Once every relation holds a row is an endomorphism, and by Burnside's
     basis theorem it is onto iff it is onto modulo Phi(G).  validate() makes
     Phi(G) = <f_{d+1}, ..., f_n> with d the minimal generator count, so the
     map is onto iff the first d exponents of A(f_1), ..., A(f_d) form a
     d x d matrix of rank d mod p: its rows have no kernel under
-    structure._solve_mod_p.  The memos live for one relation of one
-    call, and nothing is read from the tables.
+    structure._solve_mod_p, once per distinct matrix.  Nothing is kept
+    past one relation of one call, and nothing is read from the tables.
 
     A row drops out at its first failing relation, and so do the rows after
     it, which can no longer be the first to fail.  Returns None when every
@@ -124,8 +123,6 @@ def verify_coded(P, forms, coded, deadline=None):
     ends near the oracle's budget.
     """
     n, p = P.n, P.p
-    if len(coded) > 1:  # blocks of rows are keyed with numpy; verify's one row is not
-        import numpy as np
     stacks = [pc.word_of(x)[::-1] for x in forms]  # in the collector's push order
     conj = pc.conjugates(P)  # handed to the collector, which would look it up per call
 
@@ -137,45 +134,38 @@ def verify_coded(P, forms, coded, deadline=None):
             stack += stacks[r[g - 1]] * m
         return pc._collect_into(P, list(forms[r[start - 1]]) if start else [0] * n, stack, conj)
 
-    def numbered(m, start, letters, results):
-        """The number in results of value() on each of rows 0..m-1, collected
-        once per distinct tuple of images read."""
-        reads = [g - 1 for g, _ in letters]
-        if start:
-            reads.insert(0, start - 1)
-        reads = list(dict.fromkeys(reads))  # A(f_i)^p reads A(f_i) once
-        if not reads:
-            return np.full(m, results.setdefault(value(None, 0, ()), len(results)))
-        first, inverse = _distinct_rows(coded[:m, reads])
-        found = [results.setdefault(value(r, start, letters), len(results))
-                 for r in coded[first].tolist()]
-        return np.array(found)[inverse]
+    def differ(left, right):
+        """(q, lhs, rhs) for the first live row whose two sides, each a
+        (start, letters) pair, differ, or None.  While more than one row is
+        live, both sides are collected once per distinct tuple of the images
+        that the relation reads, and the first failing row's sides once more."""
+        q = 0
+        if m > 1:
+            read = list(dict.fromkeys(_reads(*left) + _reads(*right)))
 
-    def differ(m, left, right):
-        """(q, lhs, rhs) for the first of rows 0..m-1 whose two sides, each a
-        (start, letters) pair, differ, or None."""
-        if m == 1:  # nothing to share
-            lhs, rhs = value(coded[0], *left), value(coded[0], *right)
-            return None if lhs == rhs else (0, lhs, rhs)
-        results = {}
-        lhs, rhs = numbered(m, *left, results), numbered(m, *right, results)
-        where = np.flatnonzero(lhs != rhs)
-        if not where.size:
-            return None
-        q, values = int(where[0]), list(results)
-        return q, values[lhs[q]], values[rhs[q]]
+            def fails(key):
+                r = dict(zip(read, key))  # the images read, by generator
+                return value(r, *left) != value(r, *right)
+
+            q = _first_failing([columns[g] for g in read], fails)
+            if q is None:
+                return None
+        lhs, rhs = value(coded[q], *left), value(coded[q], *right)
+        return None if lhs == rhs else (q, lhs, rhs)
 
     m = len(coded)  # rows 0..m-1 hold every relation so far
+    columns = list(zip(*coded)) if m > 1 else None  # the live rows' image numbers, by generator
     failed = None
     for i in range(1, n + 1):
         if not m:
             return failed
         if deadline is not None:  # no message to format on verify's path
             check_deadline(deadline, f"certifying {len(coded)} rows, at f_{i}^{p}")
-        bad = differ(m, (i, ((i, p - 1),)), (0, P.power_rel[i - 1]))
+        bad = differ((i, ((i, p - 1),)), (0, P.power_rel[i - 1]))
         if bad is not None:
             m, lhs, rhs = bad
             failed = m, RelationViolated(f"power relation f_{i}^{p}: {lhs} != {rhs}")
+            columns = columns and [c[:m] for c in columns]
     for i in range(2, n + 1):
         for j in range(1, i):
             if not m:
@@ -183,7 +173,7 @@ def verify_coded(P, forms, coded, deadline=None):
             if deadline is not None:
                 check_deadline(deadline, f"certifying {len(coded)} rows, at [f_{i},f_{j}]")
             w = P.comm_rel.get((i, j), ())
-            bad = differ(m, (i, ((j, 1),)), (j, ((i, 1),) + w))
+            bad = differ((i, ((j, 1),)), (j, ((i, 1),) + w))
             if bad is not None:
                 m = bad[0]
                 r = coded[m]
@@ -191,6 +181,7 @@ def verify_coded(P, forms, coded, deadline=None):
                 failed = m, RelationViolated(
                     f"commutator relation [f_{i},f_{j}]: {lhs} != {value(r, 0, w)}"
                 )
+                columns = columns and [c[:m] for c in columns]
     if not m:
         return failed
     if not P.validated:
@@ -202,43 +193,34 @@ def verify_coded(P, forms, coded, deadline=None):
         return failed
     # number the images' first d exponents, so that rows with the same
     # d x d matrix share one elimination
-    used, at = np.unique(coded[:m, :d], return_inverse=True)
     heads = {}
-    codes = np.array([heads.setdefault(forms[c][:d], len(heads)) for c in used.tolist()])
-    matrices = codes[at].reshape(m, d)
-    first, inverse = _distinct_rows(matrices)
+    head = [heads.setdefault(f[:d], len(heads)) for f in forms]
     heads = list(heads)
-    singular = [bool(st._solve_mod_p(p, [heads[h] for h in r])[0])
-                for r in matrices[first].tolist()]
-    k = np.flatnonzero(np.array(singular)[inverse])
-    if k.size:
-        return int(k[0]), NotSurjective("images do not generate the group")
+    k = _first_failing(
+        [[head[c] for c in column] for column in columns[:d]],
+        lambda key: st._solve_mod_p(p, [heads[h] for h in key])[0],  # rank < d
+    )
+    if k is not None:
+        return k, NotSurjective("images do not generate the group")
     return failed
 
 
-def _distinct_rows(keys):
-    """(first, inverse) for the rows of a 2-d array of non-negative integers:
-    the index of the first row of each distinct row, and the distinct row of
-    each row.
+def _reads(start, letters):
+    """The 0-based generators whose images a relation side (start, letters)
+    reads, each once, in order."""
+    return list(dict.fromkeys(([start - 1] if start else []) + [g - 1 for g, _ in letters]))
 
-    Each row becomes one int64 key, a column at a time, as key * (max + 1) +
-    column; equal rows get equal keys and unequal rows unequal ones.  Before
-    a product would reach 2^62 the keys are renumbered by np.unique, which
-    brings them below the row count."""
-    import numpy as np
 
-    keys = np.asarray(keys)
-    key = np.zeros(len(keys), dtype=np.int64)
-    bound = 1  # every key is below bound
-    for column in keys.T:
-        base = int(column.max()) + 1 if len(column) else 1
-        if bound * base >= 1 << 62:
-            distinct, key = np.unique(key, return_inverse=True)
-            bound = len(distinct)
-        key = key * base + column
-        bound *= base
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    return first, inverse
+def _first_failing(columns, fails):
+    """The index of the first row of the equal-length columns for which
+    fails, called once on each distinct row as a tuple, is true; or None."""
+    if len(columns) == 1:  # no tuple per row
+        bad = {x for x in set(columns[0]) if fails((x,))}
+        rows = columns[0]
+    else:
+        bad = {row for row in set(zip(*columns)) if fails(row)}
+        rows = zip(*columns)
+    return next((q for q, row in enumerate(rows) if row in bad), None) if bad else None
 
 
 def compose(A, B):
@@ -272,33 +254,58 @@ def inner_from(P, t):
 
 @pc.memoized
 def _inner_table(P):
-    """The inner maps: their generator-image rows of element indices, as
-    sorted void scalars, and the lex-least conjugator of each.  The
-    conjugators of one inner map are a coset of Z(G), so every row of
-    conjugation images occurs |Z(G)| times.  The oracle's route: it builds
-    the tables of tables.py and imports numpy."""
-    import numpy as np
+    """The inner maps: a dict from each one's row of generator images, a
+    tuple of element indices, to its lex-least conjugator.  The conjugators
+    of one inner map are a coset of Z(G), so every row of conjugation images
+    occurs |Z(G)| times.  The oracle's route: it reads the tables of
+    tables.py.
 
+    The rows are taken in index order: x = x' f_j, with f_j the last
+    generator in x's normal form, gives f_i^x = (f_i^x')^(f_j), and
+    conjugation by f_j is itself a column built the same way, y = y' f_k
+    giving y^(f_j) = y'^(f_j) f_k^(f_j)."""
     from .tables import get_tables
 
     t = get_tables(P)
-    columns = t.conj(t.strides[:, None], t.all)  # the generators' indices are the strides
-    rows = np.ascontiguousarray(columns.T).view(np.dtype((np.void, columns.itemsize * P.n)))
-    keys, first, counts = np.unique(rows.ravel(), return_index=True, return_counts=True)
+    p, N = P.p, t.N
+
+    def in_index_order(first, steps):
+        """The list v over G with v[0] = first and v[y' f_j] = steps[j](v[y'])
+        for each y = y' f_j, f_j the last generator of y's normal form; each
+        step takes a list of values to their images."""
+        values = [first] * N
+        for j, s in enumerate(t.strides):
+            for e in range(1, p):
+                values[e * s :: p * s] = steps[j](values[(e - 1) * s :: p * s])
+        return values
+
+    def walking(cols):
+        def step(values):
+            for col in cols:
+                values = [col[v] for v in values]
+            return values
+
+        return step
+
+    # by_gen[j][y] = y^(f_{j+1}), for the walks of f_k^(f_j) = f_j^-1 f_k f_j
+    by_gen = [
+        in_index_order(0, [walking(t.columns(t.conj(fk, fj))) for fk in t.strides])
+        for fj in t.strides
+    ]
+    by_conj = [walking((col,)) for col in by_gen]
+    rows = list(zip(*[in_index_order(f, by_conj) for f in t.strides]))  # f_i's index is a stride
     # x conjugates trivially iff x is central, so the identity map's row occurs |Z(G)| times
-    assert (counts == counts[0]).all(), "conjugators of one inner map are not a coset of Z(G)"
-    return keys, first
+    runs = set(Counter(rows).values())
+    assert len(runs) == 1, "conjugators of one inner map are not a coset of Z(G)"
+    return dict(zip(reversed(rows), range(N - 1, -1, -1)))
 
 
 def _conjugators(P, rows):
-    """For each row of generator-image indices, the index of the lex-least
-    element conjugating by which gives it, or -1 when it is no inner map."""
-    import numpy as np
-
-    keys, first = _inner_table(P)
-    q = np.ascontiguousarray(rows, dtype=np.int32).view(keys.dtype).ravel()
-    k = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
-    return np.where(keys[k] == q, first[k], -1)
+    """For each row of generator-image indices, a tuple, the index of the
+    lex-least element conjugating by which gives it, or -1 when it is no
+    inner map."""
+    table = _inner_table(P)
+    return [table.get(row, -1) for row in rows]
 
 
 def is_inner(A):

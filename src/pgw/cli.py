@@ -17,8 +17,9 @@ contradiction (any other PgwError, or a failed assertion: a certificate,
 cross-check or invariant failed, which means a bug, not bad input), 130
 interrupted (Ctrl-C).
 
-Only count and --with-oracle load the oracle, and with it numpy;
-multiprocessing is loaded only for --jobs above 1.
+Only count and --with-oracle load the oracle and its tables; multiprocessing
+is loaded only for --jobs above 1.  No command needs a package outside the
+standard library.
 """
 
 from __future__ import annotations

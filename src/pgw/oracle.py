@@ -19,23 +19,27 @@ G_{k+2} a child's forced images and both sides of its relations are its
 parent's: the p^d children hold one level down all together or not at all.
 So _sieve checks each level-k node once at level k + 1, where its new digits
 are zero, with the index algebra of tables.py, and only the nodes that pass
-are expanded into their children; a commutator relation [a, b] = w is tested
-as a b = b a w, with no inverse.  At level n the children only need their
+are expanded into their children.  The sieve works on columns of indices,
+one list per generator, in plain Python: modulo G_{k+2} the nodes' p-th
+powers and commutators take few distinct arguments, so each is computed
+once and memoized (_arithmetic), and the relations go in an order fixed by
+the presentation (_relations).  At level n the children only need their
 forced images, and they are exactly the automorphisms.  Each block of them
 that the lift yields is re-certified in one call to the pure collection of
 automorphisms.verify_coded, with each distinct image decoded once: relation
-by relation, each distinct side is collected once per block, and the tables
-are not read.  The classifier works on the same blocks.  Inner maps are
-found in the table of conjugation images (automorphisms._inner_table), a
-route apart from the conjugacy solve of automorphisms.is_inner.  A map
-fixes Phi(G) = <f_{d+1}, ..., f_n> elementwise iff its columns past d hold
-f_{d+1}, ..., f_n.  Only the rows that are non-inner and fix Phi(G) can
-fall in the counted bucket, so only they take the order-p test: an
-automorphism is fixed by its images of f_1..f_d, which generate G, so
-order p is read off those d columns, with the powers of those rows' images
-built once per block.  The exhaustive route of the test reference
-tests/oracle_reference.py pushes every |G|^d tuple through verify, one map
-at a time; on small groups the two must agree exactly.
+by relation, both sides are collected once per distinct tuple of the images
+the relation reads, and the tables are not read.  The classifier works on
+the same blocks.  Inner maps are found in the table of conjugation images
+(automorphisms._inner_table), a route apart from the conjugacy solve of
+automorphisms.is_inner.  A map fixes Phi(G) = <f_{d+1}, ..., f_n>
+elementwise iff its entries past d hold f_{d+1}, ..., f_n.  Only the rows
+that are non-inner and fix Phi(G) can fall in the counted bucket, so only
+they take the order-p test: an automorphism is fixed by its images of
+f_1..f_d, which generate G, so order p is read off those d entries, with
+the powers of each such row's images built once.  The exhaustive route of
+the test reference tests/oracle_reference.py pushes every |G|^d tuple
+through verify, one map at a time; on small groups the two must agree
+exactly.
 
 The sieve's tables come from the parsed relations by induction down the pc
 series and verify collects, so that agreement tests the induction and the
@@ -49,8 +53,10 @@ generate G.
 Work is partitioned into chunks of level-d nodes by the image of f_1 modulo
 Phi(G), with at most one worker per chunk; multiprocessing is imported only
 when there is more than one job.  The map stream is one read-only
-(total, n) int32 array of image indices, sorted with np.lexsort; index order
-is normal-form order, so the output does not depend on the job count.  The
+memoryview of an array('i') of image indices, n to an automorphism, 4 * n
+bytes each: each chunk sorts its rows, and the chunks are joined in order
+of f_1's image, which leads the index of a row's first entry; index order is
+normal-form order, so the output does not depend on the job count.  The
 lift is depth first, with at most _ROWS nodes per _sieve call and at most
 _ROWS children (or one node's p^d) per block, which bounds memory.  The
 budget is checked per level, per block of nodes, between sieve relations and
@@ -62,8 +68,9 @@ from __future__ import annotations
 
 import numbers
 import time
-
-import numpy as np
+from array import array
+from itertools import chain, compress, product
+from operator import eq
 
 from . import automorphisms as au
 from . import presentation as pc
@@ -81,30 +88,135 @@ class AutCount(pc.Record):
             inner=inner,
             order_p_noninner_fixing_frattini=order_p_noninner_fixing_frattini,
             elapsed=elapsed,
-            maps=maps,  # (total, n) int32 image indices, one sorted row per automorphism
+            maps=maps,  # total * n image indices, one automorphism's n after another, rows sorted
         )
 
 
 _ROWS = 1 << 13  # nodes per _sieve call and rows per lift block; bounds the lift's memory
+_MEMO = 1 << 17  # entries _arithmetic's memos may hold together before they are emptied
+
+
+class _Memo(dict):
+    """f(x) for each x looked up, computed on the first lookup."""
+
+    def __init__(self, f):
+        super().__init__()
+        self.f = f
+
+    def __missing__(self, x):
+        value = self[x] = self.f(x)
+        return value
 
 
 def _prepare(P):
     t = get_tables(P)
-    d = P.minimal_count
-    # relation list, cheapest and most discriminating first: commutators then
-    # powers; a relation that defines f_k holds by construction of f_k's image
-    relations = [("comm", i, j) for i in range(2, P.n + 1) for j in range(1, i)]
-    relations += [("pow", i) for i in range(1, P.n + 1)]
-    defining = {tag: ((k, 1),) for k, tag in P.defn.items()}
-    relations = [r for r in relations if defining.get(r) != _relation_word(P, r)]
+    d, p = P.minimal_count, P.p
+    walks = _Memo(t.columns)
+
+    def mul(a, b):
+        for col in walks[b]:
+            a = col[a]
+        return a
+
     return {
         "P": P,
         "t": t,
-        "pth": t.pow(t.all, P.p),
         "d": d,
-        "digits": np.array(list(np.ndindex(*(P.p,) * d)), dtype=np.int32),
-        "relations": relations,
+        "mul": mul,
+        "arithmetic": {},  # cut -> _arithmetic's functions and memos
+        "digits": list(product(range(p), repeat=d)),
+        "relations": _relations(P),
     }
+
+
+def _arithmetic(ctx, cut):
+    """(powers, products, commutators, small): functions that take columns
+    of element indices to the column of x^p, of x y, of [x, y] and (with an
+    exponent 0 < m < p) of x^m, row by row, each value cut to a multiple of
+    cut, which is its image modulo the normal subgroup G_k that the cut
+    drops.
+
+    G_{k-1}/G_k is central in G/G_k and of exponent p, so modulo G_k,
+    x^p and [x, y] depend only on x and y modulo G_{k-1}: their arguments
+    are cut to multiples of cut * p.  Each value is memoized, since the
+    sieve meets few distinct arguments, each many times; the siblings the
+    lift makes differ only modulo G_{k-1}.  The memos are emptied once they
+    hold _MEMO entries together."""
+    cache = ctx["arithmetic"]
+    if sum(len(m) for _, memos in cache.values() for m in memos) > _MEMO:
+        cache.clear()
+    if cut not in cache:
+        t, p, mul = ctx["t"], ctx["P"].p, ctx["mul"]
+        N, coarse, inverse = t.N, cut * p, t.inverse
+        M = N // coarse  # classes modulo G_{k-1}, each keyed by x // coarse
+
+        def power(a):
+            x = acc = a * coarse
+            for _ in range(p - 1):
+                acc = mul(acc, x)
+            return acc - acc % cut
+
+        def times(key):
+            z = mul(*divmod(key, N))
+            return z - z % cut
+
+        def to_the(key):
+            x, m = divmod(key, p)
+            z = x
+            for _ in range(m - 1):
+                z = mul(z, x)
+            return z - z % cut
+
+        def comm(key):  # [x, y] = x^-1 y^-1 x y
+            x, y = divmod(key, M)
+            x, y = x * coarse, y * coarse
+            z = mul(mul(inverse[x], inverse[y]), mul(x, y))
+            return z - z % cut
+
+        pth, prod, comms, spow = _Memo(power), _Memo(times), _Memo(comm), _Memo(to_the)
+
+        def powers(a):
+            return [pth[x // coarse] for x in a]
+
+        def products(a, b):
+            return [prod[x * N + y] for x, y in zip(a, b)]
+
+        def commutators(a, b):
+            return [comms[x // coarse * M + y // coarse] for x, y in zip(a, b)]
+
+        def small(a, m):
+            return [spow[x * p + m] for x in a]
+
+        cache[cut] = (powers, products, commutators, small), (pth, prod, comms, spow)
+    return cache[cut][0]
+
+
+def _relations(P):
+    """The relations the sieve checks, as (relation, right-hand word, the
+    forced generators whose images it needs), in an order fixed by the
+    presentation, so that every job does the same work: the relations that
+    read only the images of f_1..f_d first, then the others by the highest
+    generator whose image they read, each group in the order f_1^p, ...,
+    f_n^p, [f_2, f_1], [f_3, f_1], [f_3, f_2], ....  The sieve forces an
+    image just before the first relation that needs it, so the images of the
+    later generators are forced only on the rows that pass the earlier
+    relations.  A relation that defines f_k holds by construction of f_k's
+    image and is left out."""
+    needs = {}  # k -> the forced generators that f_k's image is forced from
+    for k in range(1, P.n + 1):
+        tag = P.defn.get(k)
+        needs[k] = set() if tag is None else {k}.union(*(needs[g] for g in tag[1:]))
+    relations = [("pow", i) for i in range(1, P.n + 1)]
+    relations += [("comm", i, j) for i in range(2, P.n + 1) for j in range(1, i)]
+    defining = {tag: ((k, 1),) for k, tag in P.defn.items()}
+    out = []
+    for rel in relations:
+        word = _relation_word(P, rel)
+        if defining.get(rel) != word:
+            reads = set(rel[1:]) | {g for g, _ in word}
+            out.append((max(reads), rel, word, sorted(set().union(*(needs[g] for g in reads)))))
+    out.sort(key=lambda entry: (entry[0] > P.minimal_count, entry[0]))
+    return [entry[1:] for entry in out]
 
 
 def _relation_word(P, rel):
@@ -112,104 +224,122 @@ def _relation_word(P, rel):
     return P.comm_rel.get(rel[1:], ()) if rel[0] == "comm" else P.power_rel[rel[1] - 1]
 
 
-def _force(ctx, mins):
-    """The image columns of f_1..f_n: the columns of mins, (rows, d) indices
-    of minimal images, then the images that the defn tags force."""
-    P, t = ctx["P"], ctx["t"]
-    img = list(mins.T) + [None] * (P.n - ctx["d"])
-    for i in range(ctx["d"] + 1, P.n + 1):
-        tag = P.defn[i]
-        if tag[0] == "pow":
-            img[i - 1] = ctx["pth"][img[tag[1] - 1]]
-        else:
-            img[i - 1] = t.comm(img[tag[1] - 1], img[tag[2] - 1])
+def _force(ctx, img, k, arithmetic):
+    """Set img[k - 1] to the column of f_k's images that its defn tag forces
+    from the columns before it, by the functions of _arithmetic."""
+    tag = ctx["P"].defn[k]
+    powers, _, commutators, _ = arithmetic
+    if tag[0] == "pow":
+        img[k - 1] = powers(img[tag[1] - 1])
+    else:
+        img[k - 1] = commutators(img[tag[1] - 1], img[tag[2] - 1])
+
+
+def _images(ctx, mins):
+    """The columns of all n generator images from the d columns mins of
+    minimal images."""
+    P, d = ctx["P"], ctx["d"]
+    img = list(mins) + [None] * (P.n - d)
+    arithmetic = _arithmetic(ctx, 1)
+    for k in range(d + 1, P.n + 1):
+        _force(ctx, img, k, arithmetic)
     return img
 
 
 def _sieve(ctx, mins, level, deadline):
-    """Vectorized relation check modulo G_{level+1}.
+    """The relation check modulo G_{level+1}.
 
-    mins: (rows, d) indices of candidate images of the minimal generators;
-    _force adds the others.  Both sides of every relation are cut to their
-    first `level` digits, which is their image in G/G_{level+1}.  A
-    commutator relation [a, b] = w is checked as a b = b a w, which holds
-    modulo the normal subgroup G_{level+1} exactly when [a, b] = w does.
-    Returns the (survivors, n) image-index matrix.  _lift passes level-
-    (level - 1) nodes, whose digit `level` is zero: G_level/G_{level+1} is
-    central in G/G_{level+1}, so a node's verdict here is that of each of
-    its children.
+    mins: the columns of candidate images of f_1..f_d, one list per
+    generator.  Both sides of every relation are taken modulo G_{level+1},
+    as indices cut to their first `level` digits, by the functions of
+    _arithmetic.  The image of f_k is forced (_force) just before the first
+    relation that needs it, on the rows still alive.  Returns the surviving
+    rows of d minimal images, in order.  _lift passes level-(level - 1)
+    nodes, whose digit `level` is zero: G_level/G_{level+1} is central in
+    G/G_{level+1}, so a node's verdict here is that of each of its
+    children.
     """
-    P, t = ctx["P"], ctx["t"]
-    img = _force(ctx, mins)
-    cut = int(t.strides[level - 1])
-    for rel in ctx["relations"]:
-        if len(img[0]) == 0:
+    d, n = ctx["d"], ctx["P"].n
+    arithmetic = _arithmetic(ctx, ctx["t"].strides[level - 1])
+    powers, products, commutators, small = arithmetic
+    img = list(mins) + [None] * (n - d)
+    for rel, word, needs in ctx["relations"]:
+        if not img[0]:
             break
         check_deadline(deadline, f"in the sieve at level {level}")
-        if rel[0] == "comm":  # [a, b] = w iff a b = b a w, with no inverse
-            a, b = img[rel[1] - 1], img[rel[2] - 1]
-            lhs, rhs = t.mul(a, b), t.mul(b, a)
+        for k in needs:
+            if img[k - 1] is None:
+                _force(ctx, img, k, arithmetic)
+        if rel[0] == "comm":
+            lhs = commutators(img[rel[1] - 1], img[rel[2] - 1])
         else:
-            lhs = ctx["pth"][img[rel[1] - 1]]
-            rhs = np.zeros_like(lhs)
-        for g, m in _relation_word(P, rel):  # exponents below p: repeated mul beats pow
-            for _ in range(m):
-                rhs = t.mul(rhs, img[g - 1])
-        ok = lhs // cut == rhs // cut
-        if not ok.all():
-            img = [x[ok] for x in img]
-    return np.stack(img, axis=1)
+            lhs = powers(img[rel[1] - 1])
+        rhs = [0] * len(lhs)
+        for g, m in word:
+            rhs = products(rhs, img[g - 1] if m == 1 else small(img[g - 1], m))
+        if lhs != rhs:
+            ok = list(map(eq, lhs, rhs))
+            img = [col and list(compress(col, ok)) for col in img]
+    return list(zip(*img[:d]))
 
 
 def _bases(p, d, part, deadline):
     """The full-rank d x d matrices over F_p that extend the partial ones.
 
-    part: (rows, r) codes of the first r rows, a row v coded as the integer
-    with base-p digits v.  Each new row lies outside the span of the rows
-    before it.  Yields blocks of codes of shape (rows, d), depth first.
+    part: tuples of the codes of the first r rows, a row v coded as the
+    integer with base-p digits v.  Each new row lies outside the span of the
+    rows before it.  Yields lists of tuples of d codes, depth first, in
+    lexicographic order.
     """
-    r = part.shape[1]
+    if not part:
+        return
+    r = len(part[0])
     if r == d:
         yield part
         return
-    radix = p ** np.arange(d - 1, -1, -1)
-    digits = part[:, :, None] // radix % p
-    combos = np.array(list(np.ndindex(*(p,) * r)))
+    vectors = list(product(range(p), repeat=d))  # a code's digits
+    radix = [p**k for k in range(d - 1, -1, -1)]
+    combos = list(product(range(p), repeat=r))
     per = max(1, _ROWS // (p**d - p**r))
     for s in range(0, len(part), per):
         check_deadline(deadline, f"building row {r + 1} of the images modulo Phi(G)")
-        block = digits[s : s + per]
-        span = np.einsum("cr,mrd->mcd", combos, block) % p @ radix
-        free = np.ones((len(block), p**d), dtype=bool)
-        free[np.arange(len(block))[:, None], span] = False
-        m, code = np.nonzero(free)
-        yield from _bases(p, d, np.column_stack([part[s : s + per][m], code]), deadline)
+        grown = []
+        for rows in part[s : s + per]:
+            vs = [vectors[c] for c in rows]
+            span = {
+                sum(sum(c * v[k] for c, v in zip(cs, vs)) % p * radix[k] for k in range(d))
+                for cs in combos
+            }
+            grown += [rows + (c,) for c in range(p**d) if c not in span]
+        yield from _bases(p, d, grown, deadline)
 
 
 def _lift(ctx, nodes, level, deadline):
     """The level-n nodes below the level-`level` nodes, depth first, in
-    blocks of (rows, n) image rows.
+    blocks of rows of n image indices.
 
-    nodes: (count, >= d) rows whose first d columns are minimal images with
-    zero digits past `level`.  A child adds e_j * p^(n-level-1) to the j-th
-    minimal image for each e in F_p^d, a factor from G_{level+1}, which is
-    central modulo G_{level+2}; so modulo G_{level+2} the child's forced
-    images and relation sides are its parent's (see the module docstring).
-    Each node is therefore sieved once at level + 1, with its new digits
-    zero, and only the nodes that pass are expanded, each into all its p^d
-    children.  At level n the children only need their forced images.
+    nodes: the d columns of the nodes' minimal images, with zero digits past
+    `level`.  A child adds e_j * p^(n-level-1) to the j-th minimal image for
+    each e in F_p^d, a factor from G_{level+1}, which is central modulo
+    G_{level+2}; so modulo G_{level+2} the child's forced images and
+    relation sides are its parent's (see the module docstring).  Each node
+    is therefore sieved once at level + 1, with its new digits zero, and
+    only the nodes that pass are expanded, each into all its p^d children.
+    At level n the children only need their forced images.
     """
     P, d = ctx["P"], ctx["d"]
     if level == P.n:
-        yield np.stack(_force(ctx, nodes[:, :d]), axis=1)
+        yield list(zip(*_images(ctx, nodes)))
         return
-    steps = ctx["digits"] * ctx["t"].strides[level]
-    per = max(1, _ROWS // len(steps))
-    for s in range(0, len(nodes), _ROWS):
+    s = ctx["t"].strides[level]
+    steps = [[e[j] * s for e in ctx["digits"]] for j in range(d)]
+    per = max(1, _ROWS // len(ctx["digits"]))
+    for start in range(0, len(nodes[0]), _ROWS):
         check_deadline(deadline, f"at level {level + 1}")
-        kept = _sieve(ctx, nodes[s : s + _ROWS, :d], level + 1, deadline)
+        kept = _sieve(ctx, [col[start : start + _ROWS] for col in nodes], level + 1, deadline)
         for r in range(0, len(kept), per):
-            children = (kept[r : r + per, None, :d] + steps).reshape(-1, d)
+            columns = zip(*kept[r : r + per])
+            children = [[x + e for x in col for e in step] for col, step in zip(columns, steps)]
             yield from _lift(ctx, children, level + 1, deadline)
 
 
@@ -218,9 +348,11 @@ def _certify_rows(ctx, rows, deadline):
     automorphisms.verify_coded call, which checks the deadline before each
     relation; any rejection is a route bug.  Each distinct image is decoded
     once.  Returns the certified rows."""
-    distinct, inverse = np.unique(rows, return_inverse=True)
-    forms = list(map(tuple, ctx["t"].decode(distinct).tolist()))
-    coded = inverse.reshape(rows.shape)
+    t = ctx["t"]
+    distinct = list(set(chain.from_iterable(rows)))
+    number = dict(zip(distinct, range(len(distinct))))
+    coded = list(zip(*[[number[x] for x in col] for col in zip(*rows)]))
+    forms = [t.decode(x) for x in distinct]
     failed = au.verify_coded(ctx["P"], forms, coded, deadline)
     if failed is not None:
         k, e = failed
@@ -229,76 +361,100 @@ def _certify_rows(ctx, rows, deadline):
     return rows
 
 
-def _powers(t, rows):
-    """powers[k, r, e] = A_r(f_{k+1})^e for each row r of generator images
-    and 0 <= e < p: the factors _apply_rows multiplies."""
-    p = t.P.p
-    powers = np.zeros((rows.shape[1], len(rows), p), dtype=np.int32)
-    for e in range(1, p):
-        powers[:, :, e] = t.mul(powers[:, :, e - 1], rows.T)
+def _powers(mul, p, row):
+    """powers[k][e] = A(f_{k+1})^e for the row of A's generator images and
+    0 <= e < p: the factors _apply multiplies."""
+    powers = []
+    for a in row:
+        column = [0]
+        for _ in range(1, p):
+            column.append(mul(column[-1], a))
+        powers.append(column)
     return powers
 
 
-def _apply_rows(t, powers, xs):
-    """A_r(x) for each row r of _powers and each x in row r of xs (xs
-    broadcasts against one column per row): the normal form
-    f_1^e_1 ... f_n^e_n of x goes to A_r(f_1)^e_1 ... A_r(f_n)^e_n."""
-    p = t.P.p
-    r = np.arange(powers.shape[1])[:, None]
-    acc = np.zeros(np.broadcast_shapes(r.shape, np.shape(xs)), dtype=np.int32)
-    for k, s in enumerate(t.strides):
-        acc = t.mul(acc, powers[k][r, xs // s % p])
+def _apply(mul, t, powers, x):
+    """A(x) for the A of _powers: the normal form f_1^e_1 ... f_n^e_n of x
+    goes to A(f_1)^e_1 ... A(f_n)^e_n."""
+    acc = 0
+    for column, e in zip(powers, t.decode(x)):
+        if e:
+            acc = mul(acc, column[e])
     return acc
 
 
-def _order_p(t, rows):
-    """Flags A^p = id and A != id for rows of automorphism generator images.
-    An automorphism is fixed by its images of f_1..f_d, which generate G, so
-    both are read off the first d columns."""
-    d = t.P.minimal_count
-    gens = t.strides[:d]  # f_k is the element of index strides[k - 1]
-    powers = _powers(t, rows)
-    acc = rows[:, :d]
-    for _ in range(t.P.p - 1):
-        acc = _apply_rows(t, powers, acc)
-    return (acc == gens).all(axis=1) & (rows[:, :d] != gens).any(axis=1)
+def _order_p(t, rows, mul):
+    """Flags A^p = id and A != id for rows of automorphism generator images,
+    with mul the product of two indices.  An automorphism is fixed by its
+    images of f_1..f_d, which generate G, so both are read off the first d
+    entries."""
+    d, p = t.P.minimal_count, t.P.p
+    gens = tuple(t.strides[:d])  # f_k is the element of index strides[k - 1]
+    flags = []
+    for row in rows:
+        powers = _powers(mul, p, row)
+        acc = row[:d]
+        for _ in range(p - 1):
+            acc = tuple(_apply(mul, t, powers, x) for x in acc)
+        flags.append(acc == gens and tuple(row[:d]) != gens)
+    return flags
 
 
 def _fixes_phi(t, rows):
     """Flags A fixes Phi(G) elementwise: Phi(G) = <f_{d+1}, ..., f_n>, so
-    iff columns d+1..n hold f_{d+1}, ..., f_n."""
+    iff entries d+1..n hold f_{d+1}, ..., f_n."""
     d = t.P.minimal_count
-    return (rows[:, d:] == t.strides[d:]).all(axis=1)
+    phi = tuple(t.strides[d:])
+    return [tuple(row[d:]) == phi for row in rows]
 
 
 def _row_flags(t, rows):
     """(order p, fixes Phi(G) elementwise) flags for rows of automorphism
     generator images."""
-    return _order_p(t, rows), _fixes_phi(t, rows)
+    return _order_p(t, rows, t.mul), _fixes_phi(t, rows)
 
 
 def _classify_rows(ctx, rows):
     """(inner, order-p non-inner Phi-fixing) tallies for certified rows.
     The A^p test runs only on the non-inner rows that fix Phi(G)."""
     t = ctx["t"]
-    inner = au._conjugators(ctx["P"], rows) >= 0
-    candidates = rows[~inner & _fixes_phi(t, rows)]
-    return int(inner.sum()), int(_order_p(t, candidates).sum())
+    found = au._conjugators(ctx["P"], rows)
+    outer = [row for row, c, fixes in zip(rows, found, _fixes_phi(t, rows)) if c < 0 and fixes]
+    order_p = _order_p(t, outer, ctx["mul"])
+    return len(found) - found.count(-1), sum(order_p)
 
 
 def _run_chunk(ctx, firsts, deadline):
     """Lift, certify and classify the level-d nodes whose image of f_1
-    modulo Phi(G) has one of the codes firsts."""
+    modulo Phi(G) has one of the codes firsts.  Returns the tallies and the
+    chunk's rows, flat and sorted."""
     P, t, d = ctx["P"], ctx["t"], ctx["d"]
     total = inner = bucket = 0
-    blocks = []
-    for bases in _bases(P.p, d, firsts[:, None], deadline):
-        mins = (bases * t.strides[d - 1]).astype(np.int32)  # digits past d are zero
+    stream = array("i")
+    for bases in _bases(P.p, d, [(c,) for c in firsts], deadline):
+        mins = [[b[j] * t.strides[d - 1] for b in bases] for j in range(d)]  # zero past digit d
         for rows in _lift(ctx, mins, d, deadline):
-            blocks.append(_certify_rows(ctx, rows, deadline))
+            stream.extend(chain.from_iterable(_certify_rows(ctx, rows, deadline)))
             i, b = _classify_rows(ctx, rows)
             total, inner, bucket = total + len(rows), inner + i, bucket + b
-    return total, inner, bucket, blocks
+    return total, inner, bucket, _sorted(stream, P.n, d, P.order)
+
+
+def _sorted(stream, n, d, N):
+    """The flat stream of rows of n indices below N, its rows in
+    lexicographic order.  A row is fixed by its first d entries, the images
+    of generators of G, so the rows are sorted by those entries as the
+    digits of one integer base N."""
+    keys = stream[::n].tolist()
+    for j in range(1, d):
+        keys = [k * N + x for k, x in zip(keys, stream[j::n])]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    del keys
+    out = array("i", bytes(len(stream) * stream.itemsize))
+    for j in range(n):
+        column = stream[j::n].tolist()
+        out[j::n] = array("i", [column[k] for k in order])
+    return out
 
 
 def _report_chunks(ctx, chunks, deadline, conn):
@@ -318,7 +474,7 @@ def _report_chunks(ctx, chunks, deadline, conn):
 def _in_workers(ctx, chunks, jobs, deadline):
     """_run_chunk on every chunk, in min(jobs, len(chunks)) forked worker
     processes, which inherit ctx without pickling it; worker i takes chunks
-    i, i + w, ... for w workers.
+    i, i + w, ... for w workers.  Returns the results in chunk order.
 
     Each worker reports once, through its own pipe, and the parent waits on
     all the pipes at once, up to the deadline.  The parent holds no copy of
@@ -365,7 +521,10 @@ def _in_workers(ctx, chunks, jobs, deadline):
                 if not ok:
                     raise out
                 reports[i] = out
-        return [r for out in reports for r in out]
+        ordered = [None] * len(chunks)
+        for i, out in enumerate(reports):
+            ordered[i::width] = out
+        return ordered
     finally:
         for proc, receive in workers:
             receive.close()
@@ -392,18 +551,30 @@ def enumerate_automorphisms(P, budget=None, jobs=1):
     deadline = start + budget if budget is not None else None
 
     ctx = _prepare(P)
-    firsts = np.arange(1, P.p ** ctx["d"])  # nonzero images of f_1 modulo Phi(G)
+    firsts = range(1, P.p ** ctx["d"])  # nonzero images of f_1 modulo Phi(G)
     if jobs == 1:
         results = [_run_chunk(ctx, firsts, deadline)]
     else:
-        chunks = [c for c in np.array_split(firsts, jobs * 4) if len(c)]
-        results = _in_workers(ctx, chunks, jobs, deadline)
+        results = _in_workers(ctx, _split(firsts, jobs * 4), jobs, deadline)
 
     total, inner, bucket = (sum(r[k] for r in results) for k in range(3))
-    maps = np.concatenate([b for r in results for b in r[3]], dtype=np.int32)
-    maps = maps[np.lexsort(maps.T[::-1])]  # lexsort's last key is the primary one
-    maps.flags.writeable = False
-    return AutCount(total, inner, bucket, time.monotonic() - start, maps)
+    stream = results[0][3]
+    for r in results[1:]:
+        stream += r[3]
+    return AutCount(total, inner, bucket, time.monotonic() - start, memoryview(stream).toreadonly())
+
+
+def _split(items, k):
+    """items in at most k runs, in order, the first len(items) % k of them
+    one longer than the rest; empty runs are left out."""
+    q, r = divmod(len(items), k)
+    runs, start = [], 0
+    for i in range(k):
+        end = start + q + (i < r)
+        if end > start:
+            runs.append(items[start:end])
+        start = end
+    return runs
 
 
 def _conjugates_by(P, images, t):
@@ -441,28 +612,29 @@ def cross_validate(P, precomputed):
     budget bounds the enumeration only.
     """
     count = precomputed
-    maps = count.maps
-    if len(maps) != count.total:
-        raise Mismatch(f"the stream holds {len(maps)} maps, the count says {count.total}")
+    maps, n = count.maps, P.n
+    if len(maps) % n:
+        raise Mismatch(f"a streamed map does not hold {n} images")
+    if len(maps) // n != count.total:
+        raise Mismatch(f"the stream holds {len(maps) // n} maps, the count says {count.total}")
 
     Z = st.center(P)
     if count.inner * Z.order != P.order:
         raise Mismatch(f"inner count {count.inner} != |G/Z(G)| = {P.order // Z.order}")
 
     t = get_tables(P)
-    if maps.ndim != 2 or maps.shape[1] != P.n:
-        raise Mismatch(f"a streamed map does not hold {P.n} images")
-    outside = maps[(maps < 0) | (maps >= P.order)]
-    if outside.size:
+    if maps and not (0 <= min(maps) and max(maps) < P.order):
+        outside = next(x for x in maps if not 0 <= x < P.order)
         raise Mismatch(
-            f"a streamed image is not an element: index {outside[0]} is outside 0..{P.order - 1}"
+            f"a streamed image is not an element: index {outside} is outside 0..{P.order - 1}"
         )
-    found = au._conjugators(P, maps)
-    labeled = np.flatnonzero(found >= 0)
-    for c, images in zip(t.decode(found[labeled]).tolist(), t.decode(maps[labeled]).tolist()):
-        images = tuple(map(tuple, images))
-        if not _conjugates_by(P, images, tuple(c)):
-            raise Mismatch(f"inner witness {tuple(c)} does not reproduce {images}")
+    found = au._conjugators(P, zip(*[iter(maps)] * n))
+    labeled = [k for k, c in enumerate(found) if c >= 0]
+    for k in labeled:
+        c = t.decode(found[k])
+        images = tuple(t.decode(x) for x in maps[k * n : (k + 1) * n])
+        if not _conjugates_by(P, images, c):
+            raise Mismatch(f"inner witness {c} does not reproduce {images}")
     if len(labeled) != count.inner:
         raise Mismatch(
             f"stream relabeling finds {len(labeled)} inner maps, count says {count.inner}"
@@ -474,10 +646,11 @@ def cross_validate(P, precomputed):
         wit = None
     if wit is not None:
         target = tuple(wit.A.images)
-        hits = np.flatnonzero((maps == t.encode(target)).all(axis=1))
+        row = tuple(map(t.encode, target))
+        hits = [k for k, r in enumerate(zip(*[iter(maps)] * n)) if r == row]
         if len(hits) != 1:
             raise Mismatch(f"witness images {target} appear {len(hits)} times in the stream")
-        order_p, fixes_phi = _row_flags(t, maps[hits])
+        order_p, fixes_phi = _row_flags(t, [row])
         if not order_p[0]:
             raise Mismatch("witness does not have order p under the oracle's copy")
         if found[hits[0]] >= 0:

@@ -1,29 +1,32 @@
-"""Index arithmetic for a validated presentation.
+"""Index arithmetic for a validated presentation, in plain lists.
 
 Everything downstream of pc-core works on element indices.  The index of
 f_1^e_1 ... f_n^e_n is the mixed-radix value of (e_1, ..., e_n), e_1 most
 significant, so index order is lexicographic order on normal forms; encode
-and decode convert between the two on arrays.
+and decode convert between the two.
 
-GroupTables keeps n power columns, R[k, r, x] = x * f_{k+1}^r, and multiplies
-by walking the right operand's normal form through them.  The columns come
-from the parsed relations alone, never from the collector, by induction down
-the series G_k = <f_k, ..., f_n>, whose elements are the first |G_k| indices
-(Holt, Eick & O'Brien, Handbook of Computational Group Theory, ch. 8).  For
-y in G_{k+1} and j > k, (f_k^a y) f_j = f_k^a (y f_j) is a block-shifted copy
-of G_{k+1}'s column, and (f_k^a y) f_k = f_k^(a+1) y^(f_k), where mul applies
-conjugation by f_k, f_i -> f_i [f_i, f_k], to all of G_{k+1} at once, and
-f_k^p is replaced by its power word when a + 1 = p.  mul, inv, pow, comm and
-conj take scalars or index arrays, which broadcast like numpy operands.
+GroupTables keeps n power columns, R[k][r][x] = x * f_{k+1}^r, each a list
+of N indices, and multiplies by walking the right operand's normal form
+through them.  The columns come from the parsed relations alone, never from
+the collector, by induction down the series G_k = <f_k, ..., f_n>, whose
+elements are the first |G_k| indices (Holt, Eick & O'Brien, Handbook of
+Computational Group Theory, ch. 8).  For y in G_{k+1} and j > k,
+(f_k^a y) f_j = f_k^a (y f_j) is a block-shifted copy of G_{k+1}'s column,
+and (f_k^a y) f_k = f_k^(a+1) y^(f_k), with f_k^p replaced by its power word
+w when a + 1 = p.  Conjugation by f_k is an automorphism of G_{k+1}, so
+y^(f_k) and w y^(f_k) are taken in index order: a y whose last nonzero
+exponent is that of f_j is y' f_j for an earlier y', and its values are
+those of y' times f_j^(f_k) = f_j [f_j, f_k], one relation word walked
+through columns already built.  Every entry is an object of the list
+range(N) that the columns share, so a column costs one pointer per entry.
+mul, inv, pow, comm and conj take element indices.
 
 Only the oracle builds these tables (its sieve, its classifier and the table
 of conjugation images); deciding the hypotheses and constructing the witness
-never do, so they never load numpy.
+never do.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .presentation import check_enumerable, memoized
 
@@ -37,76 +40,91 @@ class GroupTables:
         self.P = P
         self.N = N
         p, n = P.p, P.n
-        self.strides = np.array([p ** (n - 1 - k) for k in range(n)], dtype=np.int32)
-        self.all = np.arange(N, dtype=np.int32)
-
-        self.R = np.empty((n, p, N), dtype=np.int32)
-        self.R[:, 0] = self.all
-        # mul reads R flat: x * f_{k+1}^r = _flat[k][_offset[k][y] + x] for y's exponent r
-        self._flat = self.R.reshape(n, p * N)
-        self._offset = np.ascontiguousarray(self.decode(self.all).T) * N
+        self.strides = [p ** (n - 1 - k) for k in range(n)]
+        self.all = list(range(N))
+        # R[k][0] is the identity map, shared; _extend(k) makes the others
+        self.R = [[self.all] + [None] * (p - 1) for _ in range(n)]
+        self.inverse = [0]
         for k in range(n - 1, -1, -1):
             self._extend(k)
 
-        # x^-1 = f_n^-e_n ... f_1^-e_1: walk each x's normal form backwards
-        # through the inverse permutations of its columns, x -> x f_k^-r
-        self._inv = np.zeros(N, dtype=np.int32)
-        back = np.empty((p, N), dtype=np.int32)
-        for k in range(n - 1, -1, -1):
-            back[np.arange(p)[:, None], self.R[k]] = self.all
-            self._inv = back.reshape(-1).take(self._offset[k] + self._inv)
-
     def _extend(self, k):
-        """Fill every column on G_{k+1} (0-based k) from the columns on G_{k+2}."""
-        P, R = self.P, self.R
-        p, size = P.p, int(self.strides[k])
-        for a in range(1, p):
-            R[k + 1 :, 1:, a * size : (a + 1) * size] = R[k + 1 :, 1:, :size] + a * size
-        conj = np.zeros(size, dtype=np.int32)  # y^(f_{k+1}) for every y in G_{k+2}
-        for i in range(k + 1, P.n):
-            image = self._word(((i + 1, 1),) + P.comm_rel.get((i + 1, k + 1), ()))
-            powers = np.array([self.pow(image, r) for r in range(p)], dtype=np.int32)
-            conj = self.mul(conj, powers[self.all[:size] // self.strides[i] % p])
-        shifted = [(a + 1) * size + conj for a in range(p - 1)]  # f_{k+1}^(a+1) y^(f_{k+1})
-        R[k, 1, : p * size] = np.concatenate(shifted + [self.mul(self._word(P.power_rel[k]), conj)])
+        """Fill every column on G_{k+1} (0-based k) from the columns on G_{k+2},
+        and the inverses of G_{k+1}."""
+        P, R, everything = self.P, self.R, self.all
+        p, size = P.p, self.strides[k]
+        shifts = [everything[a * size : (a + 1) * size] for a in range(p)]  # y -> a * size + y
+        for cols in R[k + 1 :]:
+            for col in cols[1:]:
+                head = col[:size]
+                for shift in shifts[1:]:
+                    col += [shift[y] for y in head]
+        # conj[y] = y^(f_{k+1}) and carry[y] = w y^(f_{k+1}) on G_{k+2}, in index
+        # order: y = y' f_{j+1} with y' earlier, f_{j+1}^(f_{k+1}) = f_{j+1} [f_{j+1}, f_{k+1}]
+        conj, carry = [0] * size, [0] * size
+        carry[0] = everything[self._word(P.power_rel[k])]
+        for j in range(k + 1, P.n):
+            walk = [R[j][1]] + [R[g - 1][m] for g, m in P.comm_rel.get((j + 1, k + 1), ())]
+            step = p * self.strides[j]
+            for e in range(1, p):
+                for values in (conj, carry):
+                    acc = values[(e - 1) * self.strides[j] : size : step]
+                    for col in walk:
+                        acc = [col[y] for y in acc]
+                    values[e * self.strides[j] : size : step] = acc
+        # (f_{k+1}^a y) f_{k+1} = f_{k+1}^(a+1) y^(f_{k+1}), and w y^(f_{k+1}) past a = p - 1
+        first = R[k][1] = []
+        for shift in shifts[1:]:
+            first += [shift[y] for y in conj]
+        first += carry
         for r in range(2, p):
-            R[k, r, : p * size] = R[k, 1, R[k, r - 1, : p * size]]
+            R[k][r] = [first[x] for x in R[k][r - 1]]
+        # x = f_{k+1} x' with x' = x - size, so x^-1 = x'^-1 f_{k+1}^-1
+        back = [0] * (p * size)
+        for x, y in zip(everything, first):
+            back[y] = x
+        inv = self.inverse
+        for a in range(1, p):
+            inv += [back[x] for x in inv[(a - 1) * size : a * size]]
 
     def _word(self, w):
         """Index of a relation word; validate() makes it a normal form."""
-        return sum(m * int(self.strides[g - 1]) for g, m in w)
+        return sum(m * self.strides[g - 1] for g, m in w)
 
     def encode(self, e):
-        """Indices of exponent vectors: e has shape (..., n) with entries in 0..p-1;
-        an empty sequence gives an empty index array."""
+        """Index of an exponent vector: a sequence of n integers in 0..p-1."""
         P = self.P
-        e = np.asarray(e)
-        if e.shape == (0,):
-            return np.zeros(0, dtype=np.int32)
-        if e.shape[-1:] != (P.n,) or e.dtype.kind not in "iu" or e.min() < 0 or e.max() >= P.p:
-            raise ValueError(f"not exponent vectors of length {P.n} over 0..{P.p - 1}: {e.tolist()}")
-        return (e @ self.strides).astype(np.int32)
+        if not (
+            len(e) == P.n
+            and all(isinstance(x, int) and not isinstance(x, bool) and 0 <= x < P.p for x in e)
+        ):
+            raise ValueError(f"not exponent vectors of length {P.n} over 0..{P.p - 1}: {list(e)}")
+        return sum(x * s for x, s in zip(e, self.strides))
 
     def decode(self, x):
-        """Exponent vectors of indices: shape (..., n)."""
-        return np.asarray(x)[..., None] // self.strides % self.P.p
+        """Exponent vector of index x, a tuple of n integers."""
+        p = self.P.p
+        return tuple(x // s % p for s in self.strides)
+
+    def columns(self, b):
+        """The columns that multiply by b on the right: x * b is x walked
+        through them in order, one per nonzero exponent of b."""
+        return tuple(cols[r] for cols, r in zip(self.R, self.decode(b)) if r)
 
     def mul(self, a, b):
-        """a * b on indices; a and b broadcast against each other."""
-        cols = zip(self._flat, self._offset)
-        if np.ndim(b) == 0:  # one right factor: walk only the generators it uses
-            cols = [(flat, offset) for flat, offset in cols if offset[b]]
-        for flat, offset in cols:
-            a = flat.take(offset.take(b) + a)
+        p = self.P.p
+        for cols, s in zip(self.R, self.strides):
+            if b // s % p:
+                a = cols[b // s % p][a]
         return a
 
     def inv(self, a):
-        return self._inv[a]
+        return self.inverse[a]
 
     def pow(self, a, k):
         if k < 0:
             a, k = self.inv(a), -k
-        acc = np.zeros_like(a)
+        acc = 0
         while k:
             if k & 1:
                 acc = self.mul(acc, a)

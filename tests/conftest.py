@@ -76,8 +76,8 @@ def unpruned_reference():
 
     def reference(name):
         if name not in results:
-            results[name] = enumerate_unpruned(pgw.load(name))
-            results[name][3].flags.writeable = False
+            total, inner, bucket, maps = enumerate_unpruned(pgw.load(name))
+            results[name] = total, inner, bucket, memoryview(maps).toreadonly()
         return results[name]
 
     return reference

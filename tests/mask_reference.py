@@ -2,15 +2,91 @@
 
 A subgroup here is a boolean mask over the element indices of
 tables.GroupTables, and every computation runs on whole index arrays of the
-table algebra, with no pc sequence and no sifting.  The pc subgroup layer of
-structure.py, hypotheses.py and automorphisms.is_inner must agree with it on
-every group the tests load.
+table algebra, with no pc sequence and no sifting: ArrayTables is a numpy
+view of pgw's columns whose operations broadcast like numpy operands.  The pc
+subgroup layer of structure.py, hypotheses.py and automorphisms.is_inner
+must agree with it on every group the tests load.
 """
+
+import weakref
 
 import numpy as np
 
 from pgw import automorphisms as au
-from pgw.tables import get_tables
+from pgw import tables
+
+
+class ArrayTables:
+    """pgw's tables as int32 arrays: R[k, r, x] = x * f_{k+1}^r.  mul, inv,
+    pow, comm and conj take scalars or index arrays, which broadcast like
+    numpy operands; encode and decode convert whole arrays of exponent
+    vectors and indices."""
+
+    def __init__(self, P):
+        t = tables.get_tables(P)
+        self.P, self.N = P, t.N
+        self.strides = np.array(t.strides, dtype=np.int32)
+        self.all = np.arange(t.N, dtype=np.int32)
+        self.R = np.array(t.R, dtype=np.int32)
+        self._flat = self.R.reshape(P.n, P.p * t.N)  # x * f_{k+1}^r = _flat[k][_offset[k][y] + x]
+        self._offset = np.ascontiguousarray(self.decode(self.all).T) * t.N
+        self._inv = np.array([t.inv(x) for x in range(t.N)], dtype=np.int32)
+
+    def encode(self, e):
+        """Indices of exponent vectors: e has shape (..., n) with entries in
+        0..p-1; an empty sequence gives an empty index array."""
+        P = self.P
+        e = np.asarray(e)
+        if e.shape == (0,):
+            return np.zeros(0, dtype=np.int32)
+        if e.shape[-1:] != (P.n,) or e.dtype.kind not in "iu" or e.min() < 0 or e.max() >= P.p:
+            raise ValueError(f"not exponent vectors of length {P.n} over 0..{P.p - 1}")
+        return (e @ self.strides).astype(np.int32)
+
+    def decode(self, x):
+        """Exponent vectors of indices: shape (..., n)."""
+        return np.asarray(x)[..., None] // self.strides % self.P.p
+
+    def mul(self, a, b):
+        """a * b on indices; a and b broadcast against each other."""
+        cols = zip(self._flat, self._offset)
+        if np.ndim(b) == 0:  # one right factor: walk only the generators it uses
+            cols = [(flat, offset) for flat, offset in cols if offset[b]]
+        for flat, offset in cols:
+            a = flat.take(offset.take(b) + a)
+        return a
+
+    def inv(self, a):
+        return self._inv[a]
+
+    def pow(self, a, k):
+        if k < 0:
+            a, k = self.inv(a), -k
+        acc = np.zeros_like(a)
+        while k:
+            if k & 1:
+                acc = self.mul(acc, a)
+            a = self.mul(a, a)
+            k >>= 1
+        return acc
+
+    def comm(self, a, b):
+        """[a, b] = a^-1 b^-1 a b."""
+        return self.mul(self.mul(self.inv(a), self.inv(b)), self.mul(a, b))
+
+    def conj(self, a, t):
+        """a^t = t^-1 a t."""
+        return self.mul(self.mul(self.inv(t), a), t)
+
+
+_VIEWS = weakref.WeakKeyDictionary()
+
+
+def get_tables(P):
+    """The ArrayTables of P, built once per presentation."""
+    if P not in _VIEWS:
+        _VIEWS[P] = ArrayTables(P)
+    return _VIEWS[P]
 
 
 def closure_mask(t, seed_indices):
@@ -187,7 +263,7 @@ def is_inner(A):
         images = t.encode(list(A.images))
     except ValueError:
         return False, None
-    x = au._conjugators(P, images[None])[0]
+    [x] = au._conjugators(P, [tuple(images.tolist())])
     if x < 0:
         return False, None
     return True, tuple(t.decode(x).tolist())

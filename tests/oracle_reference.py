@@ -10,8 +10,7 @@ must return the same counts, tallies and maps.
 """
 
 import itertools
-
-import numpy as np
+from array import array
 
 from pgw import automorphisms as au
 from pgw import presentation as pc
@@ -21,13 +20,15 @@ from pgw.errors import NotSurjective, RelationViolated
 
 def enumerate_unpruned(P):
     """(total, inner, order-p non-inner Phi(G)-fixing, maps) for G: the
-    three tallies and the sorted (total, n) int32 array of image indices,
-    one row per automorphism, as oracle.enumerate_automorphisms returns
-    them.  An element's index is its mixed-radix value."""
+    three tallies and the stream of image indices, one automorphism's n
+    after another in sorted rows, as an array('i'), as
+    oracle.enumerate_automorphisms returns them.  An element's index is its
+    mixed-radix value."""
     d = P.minimal_count
     F = st.frattini(P)
+    radix = [P.p ** (P.n - 1 - k) for k in range(P.n)]
     total = inner = bucket = 0
-    maps = []
+    rows = []
     for combo in itertools.product(itertools.product(range(P.p), repeat=P.n), repeat=d):
         images = list(combo) + [None] * (P.n - d)
         for i in range(d + 1, P.n + 1):
@@ -45,7 +46,5 @@ def enumerate_unpruned(P):
             inner += 1
         elif au.aut_order(A) == P.p and au.fixes_elementwise(A, F):
             bucket += 1
-        maps.append(A.images)
-    radix = P.p ** np.arange(P.n - 1, -1, -1)
-    rows = (np.array(maps, dtype=np.int64).reshape(-1, P.n, P.n) @ radix).astype(np.int32)
-    return total, inner, bucket, rows[np.lexsort(rows.T[::-1])]
+        rows.append(tuple(sum(e * r for e, r in zip(x, radix)) for x in A.images))
+    return total, inner, bucket, array("i", [x for row in sorted(rows) for x in row])

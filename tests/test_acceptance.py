@@ -203,7 +203,7 @@ def test_criterion_5_oracle_cross_validation(demo_oracle_count, unpruned_referen
             total, inner, bucket, maps = unpruned_reference(name)
             tallies = (a.total, a.inner, a.order_p_noninner_fixing_frattini)
             assert tallies == (total, inner, bucket), f"{name}: oracle != reference tallies"
-            assert np.array_equal(a.maps, maps), f"{name}: oracle != reference maps"
+            assert a.maps == maps, f"{name}: oracle != reference maps"
         return (
             f"inner = |G/Z| on {len(CORPUS)} groups; c9 total = totient(9) = 6; "
             f"oracle == exhaustive reference on {len(SMALL)} small groups"

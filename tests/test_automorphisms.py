@@ -113,7 +113,7 @@ def _reference_verify(P, images):
             rhs = word(P.comm_rel.get((i, j), ()))
             if lhs != rhs:
                 return "RelationViolated", f"commutator relation [f_{i},f_{j}]: {lhs} != {rhs}"
-    t = tables.get_tables(P)
+    t = ref.get_tables(P)
     if int(ref.closure_mask(t, t.encode(list(images))).sum()) != P.order:
         return "NotSurjective", "images do not generate the group"
     return None, None
@@ -220,11 +220,13 @@ def _corrupted(P, maps, rng):
 
 
 def _coded(P, rows):
-    """Distinct images and rows of image numbers, numbered as the oracle's
-    certificate numbers a block: the distinct images in index order."""
+    """Distinct images and rows of image numbers, the distinct images
+    numbered in index order."""
     t = tables.get_tables(P)
-    distinct, inverse = np.unique(t.encode(rows), return_inverse=True)
-    return [tuple(t.decode(x).tolist()) for x in distinct], inverse.reshape(len(rows), P.n)
+    distinct = sorted({t.encode(x) for row in rows for x in row})
+    number = {x: k for k, x in enumerate(distinct)}
+    coded = [tuple(number[t.encode(x)] for x in row) for row in rows]
+    return [t.decode(x) for x in distinct], coded
 
 
 def _rows_verdicts(P, rows):
@@ -252,8 +254,8 @@ def _map_verdict(P, images):
 @pytest.mark.parametrize("name", ["h27", "m243", "g2187", "m3125"])
 def test_batch_verdicts_match_per_map_verify(name):
     P = load_group(name)
-    stream = pgw.enumerate_automorphisms(P).maps
-    maps = [tuple(map(tuple, r)) for r in tables.get_tables(P).decode(stream).tolist()]
+    stream, t = pgw.enumerate_automorphisms(P).maps, tables.get_tables(P)
+    maps = list(zip(*[map(t.decode, stream)] * P.n))
     rows = _corrupted(P, maps, random.Random(f"corrupt-{name}"))
     verdicts = [_map_verdict(P, images) for images in rows]
     # only verify checks normal forms: an exponent out of range has no number
@@ -277,7 +279,7 @@ def test_verify_rows_stops_at_the_first_failure():
     assert au.verify_coded(P, forms, coded[:0]) is None
     k, e = au.verify_coded(P, forms, coded)
     assert (k, type(e)) == (1, pgw.RelationViolated)
-    k, e = au.verify_coded(P, forms, [coded[1].tolist()])  # one row, as verify passes it
+    k, e = au.verify_coded(P, forms, [list(coded[1])])  # one row, as verify passes it
     assert (k, type(e)) == (0, pgw.RelationViolated)
     forms, coded = _coded(P, [good, collapsed, swapped])
     k, e = au.verify_coded(P, forms, coded)
@@ -285,7 +287,7 @@ def test_verify_rows_stops_at_the_first_failure():
 
 
 def _distinct_rows_bytewise(keys):
-    """The reference for automorphisms._distinct_rows: each row one void
+    """The reference for the certificate's keying of rows: each row one void
     scalar, compared bytewise by np.unique."""
     keys = np.ascontiguousarray(keys)
     if keys.shape[1] > 1:
@@ -306,19 +308,23 @@ def _repeated_rows(rng, count, width, top):
     return pool[rng.integers(0, len(pool), size=count)]
 
 
-@pytest.mark.parametrize(
-    "width, top", [(1, 5), (3, 2), (6, 700), (17, 199_999)]  # 17 x 199,999 renumbers
-)
+@pytest.mark.parametrize("width, top", [(1, 5), (3, 2), (6, 700), (17, 199_999)])
 def test_distinct_rows_match_the_bytewise_reference(width, top):
+    # the certificate keys each live row by the images a relation reads
+    # (automorphisms._first_failing): it must test each bytewise-distinct
+    # row once, and name the first row of the earliest failing class
     rng = np.random.default_rng(width)
     for keys in (_repeated_rows(rng, 3000, width, top), np.zeros((5, width), dtype=np.int64)):
         keys = keys.astype(np.int32)
-        first, inverse = au._distinct_rows(keys)
         want_first, want_inverse = _distinct_rows_bytewise(keys)
-        assert sorted(first.tolist()) == sorted(want_first.tolist())
-        # each row falls in the class of the same first row on both routes
-        assert np.array_equal(first[inverse], want_first[want_inverse])
-        assert np.array_equal(keys[first[inverse]], keys)
+        columns = [column.tolist() for column in keys.T]
+        tested = []
+        assert au._first_failing(columns, tested.append) is None  # append returns None
+        assert sorted(tested) == sorted(map(tuple, keys[want_first].tolist()))
+        classes = rng.choice(len(want_first), size=min(3, len(want_first)), replace=False)
+        bad = {tuple(keys[want_first[c]].tolist()) for c in classes}
+        assert au._first_failing(columns, bad.__contains__) == min(want_first[classes])
+        assert np.array_equal(keys[want_first[want_inverse]], keys)
 
 
 def test_aut_order_examples(demo_group):

@@ -516,10 +516,11 @@ def test_interrupt_reaps_oracle_workers(capfd, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_decide_commands_never_load_numpy():
+def test_no_command_loads_numpy():
     # info, check, construct and demo run on induced pc sequences and plain
-    # collection; only the oracle loads numpy and the tables, and it still
-    # works afterwards in the same process
+    # collection, never loading the tables or the oracle; count, with one job
+    # or two, and demo --with-oracle run the oracle on plain lists, so no
+    # command loads numpy
     script = """
 import contextlib, io, sys
 from pgw import cli
@@ -535,9 +536,15 @@ for argv in runs:
         codes.append(cli.main(argv))
 heavy = ("numpy", "pgw.tables", "pgw.oracle", "dataclasses", "inspect")
 loaded = sorted(m for m in heavy if m in sys.modules)
+oracle_runs = [
+    ["count", PATHS[1], "--format", "json"],
+    ["count", PATHS[1], "--format", "json", "--jobs", "2"],
+    ["demo", "--with-oracle", "--format", "json"],
+]
 with contextlib.redirect_stdout(io.StringIO()) as out:
-    count = cli.main(["count", PATHS[1], "--format", "json"])
-print(codes, loaded, count, "numpy" in sys.modules, out.getvalue().count('"total": 24'))
+    counts = [cli.main(argv) for argv in oracle_runs]
+totals = [out.getvalue().count(f'"total": {t}') for t in (24, 4374)]
+print(codes, loaded, counts, "numpy" in sys.modules, *totals)
 """
     paths = f"PATHS = {[data_path('g2187'), data_path('q8')]!r}\n"
     proc = subprocess.run(
@@ -545,18 +552,19 @@ print(codes, loaded, count, "numpy" in sys.modules, out.getvalue().count('"total
     )
     assert proc.returncode == 0, proc.stderr
     codes = [0, 0, 0, 0, 0, 0] + [0, 0, 1, 1, 1, 1] + [0]
-    assert proc.stdout.split("\n")[0] == f"{codes} [] 0 True 1"
+    assert proc.stdout.split("\n")[0] == f"{codes} [] [0, 0, 0] False 2 1"
 
 
 def test_construct_on_a_file_loads_no_heavy_module():
-    # without site, nothing but pgw decides what a run on a group file loads
+    # without site, nothing but pgw decides what a run on a group file loads;
+    # count adds the oracle, which loads none of them either
     script = """
 import contextlib, io, sys
 from pgw import cli
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["construct", PATH])
+    codes = [cli.main(["construct", PATH]), cli.main(["count", PATH])]
 heavy = ("dataclasses", "inspect", "importlib.resources", "numpy")
-print(code, [m for m in heavy if m in sys.modules])
+print(codes, [m for m in heavy if m in sys.modules])
 """
     src = os.path.dirname(os.path.dirname(pgw.__file__))
     proc = subprocess.run(
@@ -564,7 +572,7 @@ print(code, [m for m in heavy if m in sys.modules])
         capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0 []\n"
+    assert proc.stdout == "[0, 0] []\n"
 
 
 def test_report_file_written(capsys, tmp_path):

@@ -11,6 +11,7 @@ import sys
 import time
 import types
 import weakref
+from array import array
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from pgw import oracle
 from pgw import structure as st
 from pgw.tables import get_tables
 
+import mask_reference as ref
 from conftest import MODELS, assert_isomorphic, load_group
 
 # total, inner, order-p non-inner Frattini-fixing bucket (None = not pinned here)
@@ -38,9 +40,14 @@ EXPECTED = {
 SMALL = ["c9", "c3c3", "h27", "x27", "w81", "q8"]  # order <= 81
 
 
+def _rows(P, maps):
+    """The rows of a flat stream of image indices, n to a row."""
+    return list(zip(*[iter(maps)] * P.n))
+
+
 def _images(P, rows):
     """The generator-image tuples of rows of element indices."""
-    return [tuple(map(tuple, row)) for row in get_tables(P).decode(rows).tolist()]
+    return [tuple(map(get_tables(P).decode, row)) for row in rows]
 
 
 def _automorphisms(P, rows):
@@ -56,7 +63,7 @@ def test_counts(name):
     assert count.inner == inner
     if bucket is not None:
         assert count.order_p_noninner_fixing_frattini == bucket
-    assert len(count.maps) == total
+    assert len(count.maps) == total * P.n
     assert count.elapsed >= 0
 
 
@@ -65,20 +72,21 @@ def test_maps_are_one_read_only_index_array(name, jobs):
     P = pgw.load(name)
     count = pgw.enumerate_automorphisms(P, jobs=jobs)
     maps = count.maps
-    assert isinstance(maps, np.ndarray)
-    assert maps.dtype == np.int32
-    assert maps.shape == (count.total, P.n)
-    assert not maps.flags.writeable
-    with pytest.raises(ValueError):
-        maps[0, 0] = 1
-    assert _images(P, maps) == sorted(_images(P, maps))
-    [first] = _images(P, maps[:1])
+    assert isinstance(maps, memoryview)
+    assert (maps.format, maps.itemsize) == ("i", 4)  # 4 * n bytes an automorphism
+    assert len(maps) == count.total * P.n
+    assert maps.readonly
+    with pytest.raises(TypeError):
+        maps[0] = 1
+    rows = _rows(P, maps)
+    assert _images(P, rows) == sorted(_images(P, rows))
+    [first] = _images(P, rows[:1])
     assert au.verify(au.GenMap(P, first)).images == first
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_tallies_are_python_ints(jobs):
-    # the report writes the tallies as they come, with no numpy conversion
+    # the report writes the tallies as they come, with no conversion
     count = pgw.enumerate_automorphisms(pgw.load("m243"), jobs=jobs)
     for tally in (count.total, count.inner, count.order_p_noninner_fixing_frattini):
         assert type(tally) is int
@@ -89,7 +97,7 @@ def test_demo_counts(demo_group, demo_oracle_count):
     assert count.total == 4374
     assert count.inner == 729
     assert count.order_p_noninner_fixing_frattini == 18
-    assert len(count.maps) == 4374
+    assert len(count.maps) == 4374 * demo_group.n
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
@@ -116,7 +124,7 @@ def test_pruned_matches_unpruned(name, unpruned_reference):
     a = pgw.enumerate_automorphisms(P, budget=300)
     total, inner, bucket, maps = unpruned_reference(name)
     assert (a.total, a.inner, a.order_p_noninner_fixing_frattini) == (total, inner, bucket)
-    assert np.array_equal(a.maps, maps)
+    assert a.maps == maps
 
 
 def test_jobs_do_not_change_anything():
@@ -128,7 +136,7 @@ def test_jobs_do_not_change_anything():
         b.inner,
         b.order_p_noninner_fixing_frattini,
     )
-    assert np.array_equal(a.maps, b.maps)
+    assert a.maps == b.maps
 
 
 class _InlineFork:
@@ -178,7 +186,7 @@ def test_jobs_never_exceed_the_tasks(name, request, monkeypatch):
         b.inner,
         b.order_p_noninner_fixing_frattini,
     )
-    assert np.array_equal(a.maps, b.maps)
+    assert a.maps == b.maps
 
 
 def test_one_job_never_imports_multiprocessing():
@@ -200,7 +208,7 @@ def test_one_job_never_imports_multiprocessing():
 def test_map_set_closed_under_composition():
     P = pgw.load("h27")
     count = pgw.enumerate_automorphisms(P, budget=300)
-    maps = _automorphisms(P, count.maps)
+    maps = _automorphisms(P, _rows(P, count.maps))
     image_set = {A.images for A in maps}
     assert len(image_set) == count.total
     rng = random.Random(7)
@@ -222,21 +230,23 @@ def test_row_flags_and_images_match_collection(name, request):
     # the 12500 maps keeps the pure aut_order() and apply() calls few
     P = load_group(name)
     if name == "m3125":
-        rows = request.getfixturevalue("m3125_count").maps
-        rows = rows[random.Random(3).sample(range(len(rows)), 200)]
+        rows = _rows(P, request.getfixturevalue("m3125_count").maps)
+        rows = [rows[k] for k in random.Random(3).sample(range(len(rows)), 200)]
     else:
-        rows = pgw.enumerate_automorphisms(P, budget=300).maps
+        rows = _rows(P, pgw.enumerate_automorphisms(P, budget=300).maps)
     maps = _automorphisms(P, rows)
     t = get_tables(P)
     xs = t.all[:: 97 if name == "m3125" else 7]  # a spread of elements
     order_p, fixes_phi = oracle._row_flags(t, rows)
     F = pgw.frattini(P)
-    assert order_p.any() and not order_p.all() and fixes_phi.any() and not fixes_phi.all()
+    assert any(order_p) and not all(order_p) and any(fixes_phi) and not all(fixes_phi)
     for A, op, fp in zip(maps, order_p, fixes_phi):
         assert op == (au.aut_order(A) == P.p)
         assert fp == au.fixes_elementwise(A, F)
-    for A, row in zip(maps, oracle._apply_rows(t, oracle._powers(t, rows), xs)):
-        assert row.tolist() == [t.encode(au.apply(A, tuple(t.decode(x).tolist()))) for x in xs]
+    for A, row in zip(maps, rows):
+        powers = oracle._powers(t.mul, P.p, row)
+        got = [oracle._apply(t.mul, t, powers, x) for x in xs]
+        assert got == [t.encode(au.apply(A, t.decode(x))) for x in xs]
 
 
 @pytest.mark.parametrize("name", ["m243", "g2187", "m3125"])
@@ -250,9 +260,11 @@ def test_bucket_counts_the_full_stream_flags(name, request):
         count = request.getfixturevalue("demo_oracle_count")
     else:
         P, count = load_group(name), request.getfixturevalue("m3125_count")
-    order_p, fixes_phi = oracle._row_flags(get_tables(P), count.maps)
-    inner = au._conjugators(P, count.maps) >= 0
-    assert (order_p & ~inner & fixes_phi).sum() == count.order_p_noninner_fixing_frattini
+    rows = _rows(P, count.maps)
+    order_p, fixes_phi = oracle._row_flags(get_tables(P), rows)
+    inner = [c >= 0 for c in au._conjugators(P, rows)]
+    flags = zip(order_p, inner, fixes_phi)
+    assert sum(o and not i and f for o, i, f in flags) == count.order_p_noninner_fixing_frattini
 
 
 def test_budget_exhaustion_raises(demo_group):
@@ -260,10 +272,10 @@ def test_budget_exhaustion_raises(demo_group):
         pgw.enumerate_automorphisms(demo_group, budget=0.0)
     P = pgw.load("h27")
     ctx = oracle._prepare(P)
-    identity = ctx["t"].encode([P.generators()])
+    identity = [tuple(map(ctx["t"].encode, P.generators()))]
     with pytest.raises(pgw.OracleTimeout):
         oracle._certify_rows(ctx, identity, time.monotonic() - 1)
-    mins = np.stack([ctx["t"].all, ctx["t"].all], axis=1)  # every pair of minimal images
+    mins = [ctx["t"].all, ctx["t"].all]  # the columns of the minimal images (x, x)
     with pytest.raises(pgw.OracleTimeout):
         oracle._sieve(ctx, mins, P.n, time.monotonic() - 1)
 
@@ -285,8 +297,8 @@ def test_budget_holds_during_the_search():
 def test_certify_rows_names_the_first_bad_row(demo_group, demo_oracle_count):
     P = demo_group
     ctx = oracle._prepare(P)
-    rows = demo_oracle_count.maps
-    assert np.array_equal(oracle._certify_rows(ctx, rows, None), rows)
+    rows = _rows(P, demo_oracle_count.maps)
+    assert oracle._certify_rows(ctx, rows, None) == rows
     maps = _images(P, rows)
     rng = random.Random(5)
     elems = st.whole_group(P).elements
@@ -295,7 +307,7 @@ def test_certify_rows_names_the_first_bad_row(demo_group, demo_oracle_count):
     with pytest.raises(pgw.RelationViolated) as why:
         au.verify(au.GenMap(P, bad))
     with pytest.raises(pgw.Mismatch) as err:
-        oracle._certify_rows(ctx, ctx["t"].encode(planted), None)
+        oracle._certify_rows(ctx, [tuple(map(ctx["t"].encode, row)) for row in planted], None)
     assert str(err.value) == f"sieve accepted {bad} but pure verification rejected it: {why.value}"
     assert type(err.value.__cause__) is pgw.RelationViolated
 
@@ -305,7 +317,7 @@ def test_certify_rows_checks_the_deadline_between_blocks(demo_group, demo_oracle
     # before each relation, so the call ends soon after the deadline passes
     P = demo_group
     ctx = oracle._prepare(P)
-    rows = demo_oracle_count.maps
+    rows = _rows(P, demo_oracle_count.maps)
     assert len(rows) == 4374
     start = time.monotonic()
     with pytest.raises(pgw.OracleTimeout, match="certifying 4374 rows"):
@@ -317,11 +329,10 @@ def test_certify_rows_checks_the_deadline_between_blocks(demo_group, demo_oracle
 def test_classifier_and_inner_test_share_one_table(name):
     P = pgw.load(name)
     t = get_tables(P)
-    keys, _ = au._inner_table(P)
-    assert len(keys) * pgw.center(P).order == P.order
-    rows = pgw.enumerate_automorphisms(P).maps
+    assert len(au._inner_table(P)) * pgw.center(P).order == P.order
+    rows = _rows(P, pgw.enumerate_automorphisms(P).maps)
     found = au._conjugators(P, rows)
-    for A, x in zip(_automorphisms(P, rows), found.tolist()):
+    for A, x in zip(_automorphisms(P, rows), found):
         inner, conjugator = au.is_inner(A)
         assert (x >= 0) == inner
         assert conjugator is None or t.encode(conjugator) == x
@@ -329,16 +340,15 @@ def test_classifier_and_inner_test_share_one_table(name):
 
 @pytest.mark.parametrize("p, d", [(2, 3), (3, 2), (3, 3), (5, 2)])
 def test_bases_are_gl_d_p(p, d):
-    firsts = np.arange(1, p**d)
-    blocks = list(oracle._bases(p, d, firsts[:, None], None))
-    codes = np.concatenate(blocks)
+    blocks = list(oracle._bases(p, d, [(c,) for c in range(1, p**d)], None))
+    codes = [row for block in blocks for row in block]
     gl = 1
     for r in range(d):
         gl *= p**d - p**r
-    assert codes.shape == (gl, d)
-    assert len({tuple(row) for row in codes.tolist()}) == gl
+    assert len(codes) == gl and {len(row) for row in codes} == {d}
+    assert codes == sorted(set(codes))  # distinct, in lexicographic order
     radix = [p**k for k in range(d - 1, -1, -1)]
-    for row in codes[:: max(1, gl // 500)].tolist():
+    for row in codes[:: max(1, gl // 500)]:
         kernel, _ = st._solve_mod_p(p, [[c // r % p for r in radix] for c in row])
         assert d - len(kernel) == d
 
@@ -353,7 +363,7 @@ def test_small_blocks_change_nothing(monkeypatch):
         b.inner,
         b.order_p_noninner_fixing_frattini,
     )
-    assert np.array_equal(a.maps, b.maps)
+    assert a.maps == b.maps
 
 
 def test_p5_group_counts_and_cross_validates(m3125_count):
@@ -368,7 +378,7 @@ def test_p5_group_counts_and_cross_validates(m3125_count):
         b.inner,
         b.order_p_noninner_fixing_frattini,
     )
-    assert np.array_equal(a.maps, b.maps)
+    assert a.maps == b.maps
 
 
 def test_missing_defn_tags_rejected():
@@ -450,8 +460,7 @@ def test_cross_validation_catches_a_wrong_conjugator(monkeypatch):
     conjugators = au._conjugators
 
     def shifted(P, rows):  # f_1 is not central, so t f_1 conjugates differently
-        found = conjugators(P, rows)
-        return np.where(found >= 0, t.mul(np.maximum(found, 0), t.strides[0]), -1)
+        return [t.mul(c, t.strides[0]) if c >= 0 else -1 for c in conjugators(P, rows)]
 
     monkeypatch.setattr(au, "_conjugators", shifted)
     with pytest.raises(pgw.Mismatch, match="does not reproduce"):
@@ -467,20 +476,22 @@ def test_stream_labels_match_is_inner(name, request):
         P = pgw.load(name)
         count = pgw.enumerate_automorphisms(P)
     t = get_tables(P)
-    found = au._conjugators(P, count.maps)
+    rows = _rows(P, count.maps)
+    found = au._conjugators(P, rows)
     assert len(found) == count.total
-    for A, x in zip(_automorphisms(P, count.maps), found.tolist()):
+    for A, x in zip(_automorphisms(P, rows), found):
         inner, conjugator = au.is_inner(A)
         assert (x >= 0) == inner
-        assert x < 0 or tuple(t.decode(x).tolist()) == conjugator
+        assert x < 0 or t.decode(x) == conjugator
 
 
 def test_cross_validation_rejects_a_truncated_stream():
     # every inner map is there, so the inner checks alone would pass
     P = pgw.load("h27")
     count = pgw.enumerate_automorphisms(P, budget=60)
-    inner_only = count.maps[au._conjugators(P, count.maps) >= 0]
-    short = count.replace(maps=inner_only)
+    rows = _rows(P, count.maps)
+    inner_only = [x for row, c in zip(rows, au._conjugators(P, rows)) if c >= 0 for x in row]
+    short = count.replace(maps=array("i", inner_only))
     with pytest.raises(pgw.Mismatch, match="the stream holds 9 maps, the count says 432"):
         pgw.cross_validate(P, precomputed=short)
 
@@ -493,14 +504,14 @@ def m243_count():
 
 
 def _witness_row(P, count):
-    target = get_tables(P).encode(pgw.construct_theorem_witness(P).A.images)
-    [k] = np.flatnonzero((count.maps == target).all(axis=1))
-    return int(k)
+    target = tuple(map(get_tables(P).encode, pgw.construct_theorem_witness(P).A.images))
+    [k] = [k for k, row in enumerate(_rows(P, count.maps)) if row == target]
+    return k
 
 
 def test_cross_validation_rejects_a_stream_of_the_wrong_width(m243_count):
     P, count = m243_count
-    narrow = count.replace(maps=count.maps[:, :-1])
+    narrow = count.replace(maps=array("i", [x for row in _rows(P, count.maps) for x in row[:-1]]))
     with pytest.raises(pgw.Mismatch, match="a streamed map does not hold 5 images"):
         pgw.cross_validate(P, precomputed=narrow)
 
@@ -508,8 +519,8 @@ def test_cross_validation_rejects_a_stream_of_the_wrong_width(m243_count):
 @pytest.mark.parametrize("bad", [243, -1])
 def test_cross_validation_rejects_an_index_outside_the_group(m243_count, bad):
     P, count = m243_count
-    maps = count.maps.copy()
-    maps[-1, 2] = bad
+    maps = array("i", count.maps)
+    maps[-P.n + 2] = bad  # the last row's third image
     with pytest.raises(pgw.Mismatch) as err:
         pgw.cross_validate(P, precomputed=count.replace(maps=maps))
     assert str(err.value) == f"a streamed image is not an element: index {bad} is outside 0..242"
@@ -521,13 +532,13 @@ def test_cross_validation_finds_the_witness_row_once(m243_count, times):
     # row, so the total and every inner label stay as they were
     P, count = m243_count
     k = _witness_row(P, count)
-    maps = count.maps.copy()
-    found = au._conjugators(P, maps)
-    other = next(j for j in range(len(maps)) if j != k and found[j] < 0)
+    maps, n = array("i", count.maps), P.n
+    found = au._conjugators(P, _rows(P, maps))
+    other = next(j for j in range(count.total) if j != k and found[j] < 0)
     if times:
-        maps[other] = maps[k]
+        maps[other * n : (other + 1) * n] = maps[k * n : (k + 1) * n]
     else:
-        maps[k] = maps[other]
+        maps[k * n : (k + 1) * n] = maps[other * n : (other + 1) * n]
     target = pgw.construct_theorem_witness(P).A.images
     with pytest.raises(pgw.Mismatch) as err:
         pgw.cross_validate(P, precomputed=count.replace(maps=maps))
@@ -544,8 +555,8 @@ def test_cross_validation_reads_the_witness_flags(m243_count, monkeypatch, flag,
 
     def forced(t, rows):
         flags = list(row_flags(t, rows))
-        assert flags[flag].all()
-        flags[flag] = np.zeros_like(flags[flag])
+        assert all(flags[flag])
+        flags[flag] = [False] * len(flags[flag])
         return tuple(flags)
 
     monkeypatch.setattr(oracle, "_row_flags", forced)
@@ -563,8 +574,8 @@ def test_cross_validation_reads_the_witness_inner_label(m243_count, monkeypatch)
 
     def moved(P, rows):
         found = conjugators(P, rows)
-        if len(rows) == count.total:  # the stream, not the witness's own inner test
-            j = np.flatnonzero(found >= 0)[0]
+        if len(found) == count.total:  # the stream, not the witness's own inner test
+            j = next(j for j, c in enumerate(found) if c >= 0)
             found[k], found[j] = found[j], -1
         return found
 
@@ -584,29 +595,50 @@ def test_cross_validation_needs_a_bucket_for_the_witness(m243_count):
 
 
 def _comm_sieve(ctx, mins, level):
-    """The sieve's relation check in its commutator form, as a reference:
-    [a, b] by t.comm (two inverses, three products) against w."""
-    P, t = ctx["P"], ctx["t"]
-    img = list(mins.T) + [None] * (P.n - ctx["d"])
-    for i in range(ctx["d"] + 1, P.n + 1):
+    """The sieve's relation check as a reference, on numpy index arrays of
+    whole indices (mask_reference's view of the tables): every image forced
+    by the tag's pow or comm, every relation [a, b] = w by comm and
+    f_i^p = w by pow against w by mul, both sides compared on their first
+    `level` digits."""
+    P, d = ctx["P"], ctx["d"]
+    t = ref.get_tables(P)
+    img = [np.array(col, dtype=np.int64) for col in mins] + [None] * (P.n - d)
+    for i in range(d + 1, P.n + 1):
         tag = P.defn[i]
         if tag[0] == "pow":
-            img[i - 1] = ctx["pth"][img[tag[1] - 1]]
+            img[i - 1] = t.pow(img[tag[1] - 1], P.p)
         else:
             img[i - 1] = t.comm(img[tag[1] - 1], img[tag[2] - 1])
     cut = int(t.strides[level - 1])
-    for rel in ctx["relations"]:
+    for rel, word, _ in ctx["relations"]:
         if rel[0] == "comm":
             lhs = t.comm(img[rel[1] - 1], img[rel[2] - 1])
         else:
-            lhs = ctx["pth"][img[rel[1] - 1]]
+            lhs = t.pow(img[rel[1] - 1], P.p)
         rhs = np.zeros_like(lhs)
-        for g, m in oracle._relation_word(P, rel):
+        for g, m in word:
             for _ in range(m):
                 rhs = t.mul(rhs, img[g - 1])
         ok = lhs // cut == rhs // cut
         img = [x[ok] for x in img]
-    return np.stack(img, axis=1)
+    return list(zip(*[x.tolist() for x in img[:d]]))
+
+
+def _children(ctx, rows, level):
+    """The columns of the p^d children of rows of minimal images, each row's
+    in lexicographic order of its new digits."""
+    s = ctx["t"].strides[level]
+    return [
+        [x[j] + e[j] * s for x in rows for e in ctx["digits"]] for j in range(ctx["d"])
+    ]
+
+
+def _level_d_nodes(ctx):
+    """The columns of the level-d nodes: every basis modulo Phi(G)."""
+    P, t, d = ctx["P"], ctx["t"], ctx["d"]
+    bases = [b for block in oracle._bases(P.p, d, [(c,) for c in range(1, P.p**d)], None)
+             for b in block]
+    return [[b[j] * t.strides[d - 1] for b in bases] for j in range(d)]
 
 
 @pytest.mark.parametrize(
@@ -615,33 +647,26 @@ def _comm_sieve(ctx, mins, level):
 def test_sieve_matches_the_commutator_form(name, total):
     P = load_group(name)
     ctx = oracle._prepare(P)
-    t, d = ctx["t"], ctx["d"]
-    bases = np.concatenate(list(oracle._bases(P.p, d, np.arange(1, P.p**d)[:, None], None)))
-    rows = (bases * t.strides[d - 1]).astype(np.int32)
-    for level in range(d, P.n):
-        children = (rows[:, None, :d] + ctx["digits"] * t.strides[level]).reshape(-1, d)
+    rows = list(zip(*_level_d_nodes(ctx)))
+    for level in range(ctx["d"], P.n):
+        children = _children(ctx, rows, level)
         rows = oracle._sieve(ctx, children, level + 1, None)
-        assert np.array_equal(rows, _comm_sieve(ctx, children, level + 1)), level + 1
+        assert rows == _comm_sieve(ctx, children, level + 1), level + 1
     assert len(rows) == total
 
 
-def _lift_reference(ctx, rows, level):
+def _lift_reference(ctx, mins, level):
     """The lift _lift replaced: every child of every node goes through
-    _sieve one level down, in blocks of at most _ROWS children."""
+    _sieve one level down, in blocks of at most _ROWS children; yields the
+    rows of minimal images at level n."""
+    rows = list(zip(*mins))
     if level == ctx["P"].n:
         yield rows
         return
-    steps = ctx["digits"] * ctx["t"].strides[level]
-    per = max(1, oracle._ROWS // len(steps))
+    per = max(1, oracle._ROWS // len(ctx["digits"]))
     for s in range(0, len(rows), per):
-        children = (rows[s : s + per, None, : ctx["d"]] + steps).reshape(-1, ctx["d"])
-        yield from _lift_reference(ctx, oracle._sieve(ctx, children, level + 1, None), level + 1)
-
-
-def _level_d_nodes(ctx):
-    P, t, d = ctx["P"], ctx["t"], ctx["d"]
-    bases = np.concatenate(list(oracle._bases(P.p, d, np.arange(1, P.p**d)[:, None], None)))
-    return (bases * t.strides[d - 1]).astype(np.int32)
+        kept = oracle._sieve(ctx, _children(ctx, rows[s : s + per], level), level + 1, None)
+        yield from _lift_reference(ctx, list(zip(*kept)) or [[]] * ctx["d"], level + 1)
 
 
 @pytest.mark.parametrize("name", sorted(MODELS) + ["m3125"])
@@ -649,8 +674,8 @@ def test_lift_matches_the_children_sieve(name):
     P = load_group(name)
     ctx = oracle._prepare(P)
     mins = _level_d_nodes(ctx)
-    got = np.concatenate(list(oracle._lift(ctx, mins, ctx["d"], None)))
-    assert np.array_equal(got, np.concatenate(list(_lift_reference(ctx, mins, ctx["d"]))))
+    got = [row[: ctx["d"]] for block in oracle._lift(ctx, mins, ctx["d"], None) for row in block]
+    assert got == [row for block in _lift_reference(ctx, mins, ctx["d"]) for row in block]
 
 
 def test_lift_level_sizes_g2187(demo_group, monkeypatch):
@@ -658,12 +683,13 @@ def test_lift_level_sizes_g2187(demo_group, monkeypatch):
     lift = oracle._lift
 
     def counting(ctx, nodes, level, deadline):
-        sizes[level] = sizes.get(level, 0) + len(nodes)
+        sizes[level] = sizes.get(level, 0) + len(nodes[0])
         return lift(ctx, nodes, level, deadline)
 
     monkeypatch.setattr(oracle, "_lift", counting)
     ctx = oracle._prepare(demo_group)
-    rows = np.concatenate(list(oracle._lift(ctx, _level_d_nodes(ctx), ctx["d"], None)))
+    blocks = oracle._lift(ctx, _level_d_nodes(ctx), ctx["d"], None)
+    rows = [row for block in blocks for row in block]
     assert len(rows) == 4374
     assert [sizes[k] for k in sorted(sizes)] == [48, 162, 486, 1458, 4374, 4374]
 
@@ -676,16 +702,40 @@ def test_children_share_their_parents_verdict(name):
     P = load_group(name)
     ctx = oracle._prepare(P)
     d, width = ctx["d"], len(ctx["digits"])
-    nodes = _level_d_nodes(ctx)
+    nodes = list(zip(*_level_d_nodes(ctx)))
     for level in range(d, P.n):
-        children = (nodes[:, None, :d] + ctx["digits"] * ctx["t"].strides[level]).reshape(-1, d)
-        survivors = oracle._sieve(ctx, children, level + 1, None)
-        kept = set(map(tuple, survivors[:, :d].tolist()))
-        passed = np.array([c in kept for c in map(tuple, children.tolist())]).reshape(-1, width)
-        assert (passed.all(axis=1) | ~passed.any(axis=1)).all(), level + 1
-        alone = set(map(tuple, oracle._sieve(ctx, nodes[:, :d], level + 1, None)[:, :d].tolist()))
-        assert passed[:, 0].tolist() == [r in alone for r in map(tuple, nodes[:, :d].tolist())]
-        nodes = survivors
+        children = _children(ctx, nodes, level)
+        kept = set(oracle._sieve(ctx, children, level + 1, None))
+        passed = [row in kept for row in zip(*children)]
+        groups = [passed[k : k + width] for k in range(0, len(passed), width)]
+        assert all(all(g) or not any(g) for g in groups), level + 1
+        columns = [list(c) for c in zip(*nodes)] if nodes else [[]] * d
+        alone = set(oracle._sieve(ctx, columns, level + 1, None))
+        assert [g[0] for g in groups] == [row in alone for row in nodes]
+        nodes = [row for row in zip(*children) if row in kept]
+
+
+@pytest.mark.parametrize("name", sorted(MODELS) + ["m3125", "m16807"])
+def test_stream_does_not_depend_on_the_relation_order(name, monkeypatch):
+    # the sieve's order of relations only decides which relation rejects a
+    # node first: checked in reverse, it keeps the same nodes
+    P = load_group(name)
+    a = pgw.enumerate_automorphisms(P)
+    prepare = oracle._prepare
+
+    def reversed_relations(P):
+        ctx = prepare(P)
+        ctx["relations"] = ctx["relations"][::-1]
+        return ctx
+
+    monkeypatch.setattr(oracle, "_prepare", reversed_relations)
+    b = pgw.enumerate_automorphisms(P)
+    assert (a.total, a.inner, a.order_p_noninner_fixing_frattini) == (
+        b.total,
+        b.inner,
+        b.order_p_noninner_fixing_frattini,
+    )
+    assert a.maps == b.maps
 
 
 @pytest.mark.parametrize("budget", [float("nan"), -1, "5"], ids=repr)
@@ -699,7 +749,7 @@ def test_infinite_budget_in_workers():
     P = pgw.load("m243")
     count = pgw.enumerate_automorphisms(P, budget=float("inf"), jobs=2)
     assert (count.total, count.inner) == (486, 81)
-    assert (count.maps == pgw.enumerate_automorphisms(P).maps).all()
+    assert count.maps == pgw.enumerate_automorphisms(P).maps
 
 
 @pytest.mark.parametrize("jobs", [0, -3, 1.5, "2"], ids=repr)

@@ -8,9 +8,9 @@ import pytest
 import pgw
 from pgw import hypotheses as hy
 from pgw import structure as st
-from pgw.tables import get_tables
 
 import mask_reference as ref
+from mask_reference import get_tables  # the numpy view of pgw's tables
 from conftest import ALL_NAMES, FAMILY_NAMES, load_group
 
 SMALL = [n for n in ALL_NAMES if pgw.load(n).order <= 81]
