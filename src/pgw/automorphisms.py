@@ -260,44 +260,22 @@ def _inner_table(P):
     occurs |Z(G)| times.  The oracle's route: it reads the tables of
     tables.py.
 
-    The rows are taken in index order: x = x' f_j, with f_j the last
-    generator in x's normal form, gives f_i^x = (f_i^x')^(f_j), and
-    conjugation by f_j is itself a column built the same way, y = y' f_k
-    giving y^(f_j) = y'^(f_j) f_k^(f_j)."""
+    Both lists are filled in index order by GroupTables.fill: x = x' f_j,
+    with f_j the last generator in x's normal form, gives f_i^x =
+    (f_i^x')^(f_j), one lookup in the column of conjugation by f_j; that
+    column is filled the same way, y = y' f_k giving y^(f_j) = y'^(f_j)
+    f_k^(f_j), a walk through the columns of f_k^(f_j)."""
     from .tables import get_tables
 
     t = get_tables(P)
-    p, N = P.p, t.N
-
-    def in_index_order(first, steps):
-        """The list v over G with v[0] = first and v[y' f_j] = steps[j](v[y'])
-        for each y = y' f_j, f_j the last generator of y's normal form; each
-        step takes a list of values to their images."""
-        values = [first] * N
-        for j, s in enumerate(t.strides):
-            for e in range(1, p):
-                values[e * s :: p * s] = steps[j](values[(e - 1) * s :: p * s])
-        return values
-
-    def walking(cols):
-        def step(values):
-            for col in cols:
-                values = [col[v] for v in values]
-            return values
-
-        return step
-
-    # by_gen[j][y] = y^(f_{j+1}), for the walks of f_k^(f_j) = f_j^-1 f_k f_j
-    by_gen = [
-        in_index_order(0, [walking(t.columns(t.conj(fk, fj))) for fk in t.strides])
-        for fj in t.strides
-    ]
-    by_conj = [walking((col,)) for col in by_gen]
-    rows = list(zip(*[in_index_order(f, by_conj) for f in t.strides]))  # f_i's index is a stride
+    # by_gen[j][y] = y^(f_{j+1}); f_i's index is a stride
+    by_gen = [t.fill(0, [t.columns(t.conj(fk, fj)) for fk in t.strides]) for fj in t.strides]
+    by_conj = [(col,) for col in by_gen]  # the walk of conjugation by f_{j+1}
+    rows = list(zip(*[t.fill(f, by_conj) for f in t.strides]))
     # x conjugates trivially iff x is central, so the identity map's row occurs |Z(G)| times
     runs = set(Counter(rows).values())
     assert len(runs) == 1, "conjugators of one inner map are not a coset of Z(G)"
-    return dict(zip(reversed(rows), range(N - 1, -1, -1)))
+    return dict(zip(reversed(rows), range(t.N - 1, -1, -1)))
 
 
 def _conjugators(P, rows):

@@ -159,7 +159,7 @@ def _run(args, t0):
     sections, lines = {}, []
     if command in ("check", "construct", "demo"):
         h = hy.check_theorem_hypotheses(P)
-        sections["hypotheses"] = h.to_dict(P)
+        sections["hypotheses"] = h.to_dict()
         if command != "check" and h.theorem_applicable:
             w = au.construct_theorem_witness(P)
             sections["witness"] = rp.witness_section(P, w)

@@ -44,11 +44,11 @@ class HypothesisReport(
     def corollary_applicable(self):
         return all(getattr(self, name) for name in COROLLARY)
 
-    def to_dict(self, P):
+    def to_dict(self):
         d = self._asdict()
         if self.zm_counterexample is not None:
             mi, m, g = self.zm_counterexample
-            d["zm_counterexample"] = {"maximal": mi, "m": st.word_str(P, m), "g": st.word_str(P, g)}
+            d["zm_counterexample"] = {"maximal": mi, "m": st.word_str(m), "g": st.word_str(g)}
         d["theorem_applicable"] = self.theorem_applicable
         d["corollary_applicable"] = self.corollary_applicable
         return d

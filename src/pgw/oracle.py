@@ -22,9 +22,10 @@ are zero, with the index algebra of tables.py, and only the nodes that pass
 are expanded into their children.  The sieve works on columns of indices,
 one list per generator, in plain Python: modulo G_{k+2} the nodes' p-th
 powers and commutators take few distinct arguments, so each is computed
-once and memoized (_arithmetic), and the relations go in an order fixed by
-the presentation (_relations).  At level n the children only need their
-forced images, and they are exactly the automorphisms.  Each block of them
+once, by the tables' mul, pow and comm, and memoized (_arithmetic), and the
+relations go in an order fixed by the presentation (_relations).  At level
+n the children only need their forced images, and they are exactly the
+automorphisms.  Each block of them
 that the lift yields is re-certified in one call to the pure collection of
 automorphisms.verify_coded, with each distinct image decoded once: relation
 by relation, both sides are collected once per distinct tuple of the images
@@ -76,7 +77,7 @@ from . import automorphisms as au
 from . import presentation as pc
 from . import structure as st
 from .errors import Mismatch, PgwError, PreconditionFailed, WorkerDied, check_deadline
-from .tables import get_tables
+from .tables import Memo, get_tables
 
 
 class AutCount(pc.Record):
@@ -96,35 +97,14 @@ _ROWS = 1 << 13  # nodes per _sieve call and rows per lift block; bounds the lif
 _MEMO = 1 << 17  # entries _arithmetic's memos may hold together before they are emptied
 
 
-class _Memo(dict):
-    """f(x) for each x looked up, computed on the first lookup."""
-
-    def __init__(self, f):
-        super().__init__()
-        self.f = f
-
-    def __missing__(self, x):
-        value = self[x] = self.f(x)
-        return value
-
-
 def _prepare(P):
-    t = get_tables(P)
-    d, p = P.minimal_count, P.p
-    walks = _Memo(t.columns)
-
-    def mul(a, b):
-        for col in walks[b]:
-            a = col[a]
-        return a
-
+    d = P.minimal_count
     return {
         "P": P,
-        "t": t,
+        "t": get_tables(P),
         "d": d,
-        "mul": mul,
         "arithmetic": {},  # cut -> _arithmetic's functions and memos
-        "digits": list(product(range(p), repeat=d)),
+        "digits": list(product(range(P.p), repeat=d)),
         "relations": _relations(P),
     }
 
@@ -140,40 +120,35 @@ def _arithmetic(ctx, cut):
     x^p and [x, y] depend only on x and y modulo G_{k-1}: their arguments
     are cut to multiples of cut * p.  Each value is memoized, since the
     sieve meets few distinct arguments, each many times; the siblings the
-    lift makes differ only modulo G_{k-1}.  The memos are emptied once they
-    hold _MEMO entries together."""
+    lift makes differ only modulo G_{k-1}.  A value missing from its memo
+    is computed by t.mul, t.pow or t.comm and then cut.  The memos are
+    emptied once they hold _MEMO entries together."""
     cache = ctx["arithmetic"]
     if sum(len(m) for _, memos in cache.values() for m in memos) > _MEMO:
         cache.clear()
     if cut not in cache:
-        t, p, mul = ctx["t"], ctx["P"].p, ctx["mul"]
-        N, coarse, inverse = t.N, cut * p, t.inverse
+        t, p = ctx["t"], ctx["P"].p
+        N, coarse = t.N, cut * p
         M = N // coarse  # classes modulo G_{k-1}, each keyed by x // coarse
 
         def power(a):
-            x = acc = a * coarse
-            for _ in range(p - 1):
-                acc = mul(acc, x)
-            return acc - acc % cut
+            z = t.pow(a * coarse, p)
+            return z - z % cut
 
         def times(key):
-            z = mul(*divmod(key, N))
+            z = t.mul(*divmod(key, N))
             return z - z % cut
 
         def to_the(key):
-            x, m = divmod(key, p)
-            z = x
-            for _ in range(m - 1):
-                z = mul(z, x)
+            z = t.pow(*divmod(key, p))
             return z - z % cut
 
-        def comm(key):  # [x, y] = x^-1 y^-1 x y
+        def comm(key):
             x, y = divmod(key, M)
-            x, y = x * coarse, y * coarse
-            z = mul(mul(inverse[x], inverse[y]), mul(x, y))
+            z = t.comm(x * coarse, y * coarse)
             return z - z % cut
 
-        pth, prod, comms, spow = _Memo(power), _Memo(times), _Memo(comm), _Memo(to_the)
+        pth, prod, comms, spow = Memo(power), Memo(times), Memo(comm), Memo(to_the)
 
         def powers(a):
             return [pth[x // coarse] for x in a]
@@ -361,41 +336,40 @@ def _certify_rows(ctx, rows, deadline):
     return rows
 
 
-def _powers(mul, p, row):
+def _powers(t, row):
     """powers[k][e] = A(f_{k+1})^e for the row of A's generator images and
     0 <= e < p: the factors _apply multiplies."""
     powers = []
     for a in row:
         column = [0]
-        for _ in range(1, p):
-            column.append(mul(column[-1], a))
+        for _ in range(1, t.P.p):
+            column.append(t.mul(column[-1], a))
         powers.append(column)
     return powers
 
 
-def _apply(mul, t, powers, x):
+def _apply(t, powers, x):
     """A(x) for the A of _powers: the normal form f_1^e_1 ... f_n^e_n of x
     goes to A(f_1)^e_1 ... A(f_n)^e_n."""
     acc = 0
     for column, e in zip(powers, t.decode(x)):
         if e:
-            acc = mul(acc, column[e])
+            acc = t.mul(acc, column[e])
     return acc
 
 
-def _order_p(t, rows, mul):
-    """Flags A^p = id and A != id for rows of automorphism generator images,
-    with mul the product of two indices.  An automorphism is fixed by its
-    images of f_1..f_d, which generate G, so both are read off the first d
-    entries."""
+def _order_p(t, rows):
+    """Flags A^p = id and A != id for rows of automorphism generator images.
+    An automorphism is fixed by its images of f_1..f_d, which generate G, so
+    both are read off the first d entries."""
     d, p = t.P.minimal_count, t.P.p
     gens = tuple(t.strides[:d])  # f_k is the element of index strides[k - 1]
     flags = []
     for row in rows:
-        powers = _powers(mul, p, row)
+        powers = _powers(t, row)
         acc = row[:d]
         for _ in range(p - 1):
-            acc = tuple(_apply(mul, t, powers, x) for x in acc)
+            acc = tuple(_apply(t, powers, x) for x in acc)
         flags.append(acc == gens and tuple(row[:d]) != gens)
     return flags
 
@@ -408,19 +382,13 @@ def _fixes_phi(t, rows):
     return [tuple(row[d:]) == phi for row in rows]
 
 
-def _row_flags(t, rows):
-    """(order p, fixes Phi(G) elementwise) flags for rows of automorphism
-    generator images."""
-    return _order_p(t, rows, t.mul), _fixes_phi(t, rows)
-
-
 def _classify_rows(ctx, rows):
     """(inner, order-p non-inner Phi-fixing) tallies for certified rows.
     The A^p test runs only on the non-inner rows that fix Phi(G)."""
     t = ctx["t"]
     found = au._conjugators(ctx["P"], rows)
     outer = [row for row, c, fixes in zip(rows, found, _fixes_phi(t, rows)) if c < 0 and fixes]
-    order_p = _order_p(t, outer, ctx["mul"])
+    order_p = _order_p(t, outer)
     return len(found) - found.count(-1), sum(order_p)
 
 
@@ -541,9 +509,11 @@ def enumerate_automorphisms(P, budget=None, jobs=1):
     more than there are chunks.  tests/oracle_reference.py holds the
     exhaustive route the tests compare this one with.
     """
-    if budget is not None and not (isinstance(budget, numbers.Real) and budget >= 0):
+    if budget is not None and (
+        isinstance(budget, bool) or not (isinstance(budget, numbers.Real) and budget >= 0)
+    ):
         raise ValueError(f"budget must be a number of seconds >= 0 or None, got {budget!r}")
-    if not (isinstance(jobs, numbers.Integral) and jobs >= 1):
+    if isinstance(jobs, bool) or not (isinstance(jobs, numbers.Integral) and jobs >= 1):
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     if not P.validated:
         raise PreconditionFailed("presentation must be validated first")
@@ -605,10 +575,11 @@ def cross_validate(P, precomputed):
     on f_1..f_d (see _conjugates_by); their number equals the inner tally;
     (c) when the witness construction succeeds, its images are one row of
     the stream, and the oracle's classifier puts that row in the order-p
-    non-inner Frattini-fixing bucket: _row_flags gives its order-p and
-    Phi(G) flags, and (b)'s lookup its inner label.  The construction found the witness
-    non-inner by the conjugacy solve of automorphisms.is_inner, so that
-    lookup checks it by an independent route.  No deadline applies here; the
+    non-inner Frattini-fixing bucket: _order_p and _fixes_phi give its
+    order-p and Phi(G) flags, and (b)'s lookup its inner label.  The
+    construction found the witness non-inner by the conjugacy solve of
+    automorphisms.is_inner, so that lookup checks it by an independent
+    route.  No deadline applies here; the
     budget bounds the enumeration only.
     """
     count = precomputed
@@ -650,12 +621,11 @@ def cross_validate(P, precomputed):
         hits = [k for k, r in enumerate(zip(*[iter(maps)] * n)) if r == row]
         if len(hits) != 1:
             raise Mismatch(f"witness images {target} appear {len(hits)} times in the stream")
-        order_p, fixes_phi = _row_flags(t, [row])
-        if not order_p[0]:
+        if not _order_p(t, [row])[0]:
             raise Mismatch("witness does not have order p under the oracle's copy")
         if found[hits[0]] >= 0:
             raise Mismatch("witness is inner under the oracle's copy")
-        if not fixes_phi[0]:
+        if not _fixes_phi(t, [row])[0]:
             raise Mismatch("witness moves the Frattini subgroup under the oracle's copy")
         if count.order_p_noninner_fixing_frattini < 1:
             raise Mismatch("order-p non-inner Frattini-fixing bucket is empty despite a witness")

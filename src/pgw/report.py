@@ -30,12 +30,12 @@ def _canon(x):
 def _subgroup_entry(P, H, Z=None):
     """H's generators, order and abelianness, and its center Z when given."""
     entry = {
-        "generators": [st.word_str(P, g) for g in H.gens],
+        "generators": [st.word_str(g) for g in H.gens],
         "order": H.order,
         "abelian": st.is_abelian(P, H),
     }
     if Z is not None:
-        entry["center_generators"] = [st.word_str(P, g) for g in Z.gens]
+        entry["center_generators"] = [st.word_str(g) for g in Z.gens]
         entry["center_order"] = Z.order
     return entry
 
@@ -62,10 +62,10 @@ def group_section(P):
 
 def witness_section(P, w):
     return {
-        "u": st.word_str(P, w.u),
-        "g": st.word_str(P, w.g),
-        "maximal_generators": [st.word_str(P, m) for m in w.M.gens],
-        "images": [st.word_str(P, w.A.images[i]) for i in range(P.n)],
+        "u": st.word_str(w.u),
+        "g": st.word_str(w.g),
+        "maximal_generators": [st.word_str(m) for m in w.M.gens],
+        "images": [st.word_str(w.A.images[i]) for i in range(P.n)],
     }
 
 

@@ -81,11 +81,11 @@ class Subgroup:
         return hash(self.gens)
 
     def __repr__(self):
-        gens = ", ".join(word_str(self.parent, g) for g in self.gens) or "1"
+        gens = ", ".join(word_str(g) for g in self.gens) or "1"
         return f"<subgroup of {self.parent.name} order {self.order} = <{gens}>>"
 
 
-def word_str(P, e):
+def word_str(e):
     """Render a normal form in the group-file word syntax."""
     return word_text(pc.word_of(e))
 

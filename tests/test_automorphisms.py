@@ -581,7 +581,7 @@ def test_sigma_kernel_has_index_p(name):
 def test_genmap_serializes_to_words(demo_group):
     P = demo_group
     A = _printed_alpha(P)
-    words = [st.word_str(P, img) for img in A.images]
+    words = [st.word_str(img) for img in A.images]
     assert words == ["g1^1", "g2^1 g6^1", "g3^1", "g4^1", "g5^1", "g6^1", "g7^1"]
 
 

@@ -1,0 +1,93 @@
+"""No dead code under src/pgw, read off the syntax trees with stdlib ast.
+
+Three checks: every function and lambda parameter is read in its body
+(dunder methods, whose signatures Python fixes, are exempt); every
+module-level import is read in its module (`__init__.py`, which imports to
+export, and `from __future__` are exempt); every `_private` function or
+class is referenced somewhere in the package beyond its own definition.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "pgw"
+TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _loaded(node):
+    """The names read anywhere under node."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def _unread_parameters(tree):
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if _is_dunder(node.name):
+                continue
+            body, where = node.body, f"{node.name}()"
+        elif isinstance(node, ast.Lambda):
+            body, where = [node.body], f"lambda at line {node.lineno}"
+        else:
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        read = set().union(*map(_loaded, body))
+        out += [f"{where}: {p.arg}" for p in params if p.arg not in read]
+    return out
+
+
+def _unread_imports(tree):
+    read = _loaded(tree)
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    out.append(f"line {node.lineno}: {name}")
+    return out
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_parameter_is_read(module):
+    assert _unread_parameters(TREES[module]) == []
+
+
+@pytest.mark.parametrize("module", sorted(set(TREES) - {"__init__.py"}))
+def test_every_module_level_import_is_read(module):
+    assert _unread_imports(TREES[module]) == []
+
+
+def test_every_private_definition_is_referenced():
+    defined, referenced = {}, set()
+    for module, tree in TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not _is_dunder(node.name):
+                    defined[node.name] = f"{module}:{node.lineno}"
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    assert {name: where for name, where in defined.items() if name not in referenced} == {}
+
+
+def test_the_checks_see_dead_code():
+    # each check finds what it is for, so a pass above is not a scan of nothing
+    tree = ast.parse(
+        "import os\n"
+        "def f(a, b):\n    return a\n"
+        "g = lambda x, y: y\n"
+        "def __eq__(self, other):\n    return True\n"
+    )
+    assert _unread_parameters(tree) == ["f(): b", "lambda at line 4: x"]
+    assert _unread_imports(tree) == ["line 1: os"]

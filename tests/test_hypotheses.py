@@ -151,7 +151,7 @@ def test_corollary_condition_forces_nonabelian_maximals(name):
 
 
 def test_to_dict_shape(demo_group):
-    d = pgw.check_theorem_hypotheses(demo_group).to_dict(demo_group)
+    d = pgw.check_theorem_hypotheses(demo_group).to_dict()
     assert set(d) == {
         "p_odd", "nonabelian", "monolithic", "all_maximals_nonabelian",
         "zm_condition", "zm_counterexample", "corollary_centralizer_condition",
@@ -162,7 +162,7 @@ def test_to_dict_shape(demo_group):
 
 def test_to_dict_counterexample_words():
     P = pgw.load("w81")
-    d = pgw.check_theorem_hypotheses(P).to_dict(P)
+    d = pgw.check_theorem_hypotheses(P).to_dict()
     ce = d["zm_counterexample"]
     assert ce is not None
     assert isinstance(ce["maximal"], int)

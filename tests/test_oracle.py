@@ -237,15 +237,15 @@ def test_row_flags_and_images_match_collection(name, request):
     maps = _automorphisms(P, rows)
     t = get_tables(P)
     xs = t.all[:: 97 if name == "m3125" else 7]  # a spread of elements
-    order_p, fixes_phi = oracle._row_flags(t, rows)
+    order_p, fixes_phi = oracle._order_p(t, rows), oracle._fixes_phi(t, rows)
     F = pgw.frattini(P)
     assert any(order_p) and not all(order_p) and any(fixes_phi) and not all(fixes_phi)
     for A, op, fp in zip(maps, order_p, fixes_phi):
         assert op == (au.aut_order(A) == P.p)
         assert fp == au.fixes_elementwise(A, F)
     for A, row in zip(maps, rows):
-        powers = oracle._powers(t.mul, P.p, row)
-        got = [oracle._apply(t.mul, t, powers, x) for x in xs]
+        powers = oracle._powers(t, row)
+        got = [oracle._apply(t, powers, x) for x in xs]
         assert got == [t.encode(au.apply(A, t.decode(x))) for x in xs]
 
 
@@ -261,7 +261,8 @@ def test_bucket_counts_the_full_stream_flags(name, request):
     else:
         P, count = load_group(name), request.getfixturevalue("m3125_count")
     rows = _rows(P, count.maps)
-    order_p, fixes_phi = oracle._row_flags(get_tables(P), rows)
+    t = get_tables(P)
+    order_p, fixes_phi = oracle._order_p(t, rows), oracle._fixes_phi(t, rows)
     inner = [c >= 0 for c in au._conjugators(P, rows)]
     flags = zip(order_p, inner, fixes_phi)
     assert sum(o and not i and f for o, i, f in flags) == count.order_p_noninner_fixing_frattini
@@ -551,15 +552,15 @@ def test_cross_validation_finds_the_witness_row_once(m243_count, times):
 )
 def test_cross_validation_reads_the_witness_flags(m243_count, monkeypatch, flag, message):
     P, count = m243_count
-    row_flags = oracle._row_flags
+    name = ("_order_p", "_fixes_phi")[flag]
+    flags = getattr(oracle, name)
 
     def forced(t, rows):
-        flags = list(row_flags(t, rows))
-        assert all(flags[flag])
-        flags[flag] = [False] * len(flags[flag])
-        return tuple(flags)
+        got = flags(t, rows)
+        assert all(got)
+        return [False] * len(got)
 
-    monkeypatch.setattr(oracle, "_row_flags", forced)
+    monkeypatch.setattr(oracle, name, forced)
     with pytest.raises(pgw.Mismatch) as err:
         pgw.cross_validate(P, precomputed=count)
     assert str(err.value) == f"{message} under the oracle's copy"
@@ -738,7 +739,7 @@ def test_stream_does_not_depend_on_the_relation_order(name, monkeypatch):
     assert a.maps == b.maps
 
 
-@pytest.mark.parametrize("budget", [float("nan"), -1, "5"], ids=repr)
+@pytest.mark.parametrize("budget", [float("nan"), -1, "5", True, False], ids=repr)
 def test_budget_must_be_a_number_at_least_zero(budget):
     with pytest.raises(ValueError, match="budget must be a number of seconds >= 0"):
         pgw.enumerate_automorphisms(pgw.load("m243"), budget=budget)
@@ -752,7 +753,7 @@ def test_infinite_budget_in_workers():
     assert count.maps == pgw.enumerate_automorphisms(P).maps
 
 
-@pytest.mark.parametrize("jobs", [0, -3, 1.5, "2"], ids=repr)
+@pytest.mark.parametrize("jobs", [0, -3, 1.5, "2", True, False], ids=repr)
 def test_jobs_must_be_an_integer_at_least_one(jobs):
     with pytest.raises(ValueError, match="jobs must be an integer >= 1"):
         pgw.enumerate_automorphisms(pgw.load("h27"), jobs=jobs)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import pgw
+from pgw import automorphisms as au
 from pgw import tables
 
 import mask_reference as ref
@@ -94,6 +95,36 @@ def test_pow_matches_collection(name):
     for k in (-P.order - 1, -5, -1, 0, 1, 2, P.p, 17, P.order + 3):
         for a in xs:
             assert t.pow(a, k) == t.encode(pgw.pow_(P, t.decode(a), k))
+
+
+@pytest.mark.parametrize("name", ["h27", "m3125"])
+def test_pow_takes_a_square_per_bit_and_a_product_per_further_set_bit(name, monkeypatch):
+    t = tables.get_tables(load_group(name))
+    mul, products = t.mul, []
+
+    def counting(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(t, "mul", counting)
+    for k in (0, 1, 2, 3, 4, 5, 7, 8, 17, t.N + 3, -1, -6):
+        products.clear()
+        t.pow(t.N - 1, k)
+        m = abs(k)
+        assert len(products) == max(0, m.bit_length() - 1 + bin(m).count("1") - 1), k
+
+
+@pytest.mark.parametrize("name", ALL_NAMES + ("m3125",))
+def test_fill_builds_the_conjugation_columns_and_the_inner_table(name):
+    P = load_group(name)
+    t = tables.get_tables(P)
+    for fj in t.strides:
+        walks = [t.columns(t.conj(fk, fj)) for fk in t.strides]
+        assert t.fill(0, walks) == [t.conj(y, fj) for y in t.all]
+    least = {}
+    for x in t.all:
+        least.setdefault(tuple(t.conj(f, x) for f in t.strides), x)
+    assert au._inner_table(P) == least
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
