@@ -25,15 +25,29 @@ powers and commutators take few distinct arguments, so each is computed
 once, by the tables' mul, pow and comm, and memoized (_arithmetic), and the
 relations go in an order fixed by the presentation (_relations).  At level
 n the children only need their forced images, and they are exactly the
-automorphisms.  Each block of them
-that the lift yields is re-certified in one call to the pure collection of
-automorphisms.verify_coded, with each distinct image decoded once: relation
-by relation, both sides are collected once per distinct tuple of the images
-the relation reads, and the tables are not read.  The classifier works on
-the same blocks.  Inner maps are found in the table of conjugation images
-(automorphisms._inner_table), a route apart from the conjugacy solve of
-automorphisms.is_inner.  A map fixes Phi(G) = <f_{d+1}, ..., f_n>
-elementwise iff its entries past d hold f_{d+1}, ..., f_n.  Only the rows
+automorphisms.  Each block of them that the lift yields is re-certified in
+one call to the pure collection of automorphisms.verify_coded, one row per
+central-twist class.  When n > d, two rows are in one class if their minimal
+images agree past f_n's digit (index // p) and their forced entries agree.
+validate()'s weighted form makes G_n = <f_n> central of order p, and G_n
+lies in Phi(G) = G_{d+1}.  Let A be an automorphism and A' a row of its
+class.  The elements A(f_i)^-1 A'(f_i), i <= d, lie in G_n, which is
+elementary abelian, so they extend to a homomorphism psi: G -> G_n through
+G/Phi(G), trivial on f_{d+1}..f_n (Adney & Yen, Illinois J. Math. 9, 1965).
+As G_n is central, x -> A(x) psi(x) is a homomorphism.  It sends f_i to
+A'(f_i) for i <= d and f_j to A(f_j) = A'(f_j) for j > d, and it agrees
+with A modulo Phi(G), so it is onto: A' is an automorphism.  So a class is
+all automorphisms or none, and verify_coded takes its first row, with each
+distinct image decoded once: relation by relation, both sides are collected
+once per distinct tuple of the images the relation reads, and the tables are
+not read.  A row with a wrong forced entry, or a minimal image wrong above
+f_n's digit, falls in a class apart from the true rows and is collected.
+When n = d, G_n is not in Phi(G) and every row is collected.  The
+classifier works on the same blocks.  Inner maps are found in the table of
+conjugation images (automorphisms._inner_table), a route apart from the
+conjugacy solve of automorphisms.is_inner.  A map fixes
+Phi(G) = <f_{d+1}, ..., f_n> elementwise iff its entries past d hold
+f_{d+1}, ..., f_n.  Only the rows
 that are non-inner and fix Phi(G) can fall in the counted bucket, so only
 they take the order-p test: an automorphism is fixed by its images of
 f_1..f_d, which generate G, so order p is read off those d entries, with
@@ -46,10 +60,10 @@ The sieve's tables come from the parsed relations by induction down the pc
 series and verify collects, so that agreement tests the induction and the
 lift against the collector.  Both routes read G/Phi(G) off the first d
 exponents.  cross_validate labels the whole map stream in one lookup of the
-inner table and decodes only the maps labelled inner, each checked against
-conjugation by its conjugator t, t A(f_i) = f_i t for i <= d, by collection,
-without certifying it a second time: the map is certified and f_1..f_d
-generate G.
+inner table and decodes only the images of f_1..f_d of the maps labelled
+inner, each checked against conjugation by its conjugator t,
+t A(f_i) = f_i t for i <= d, by collection, without certifying it a second
+time: the map is certified and f_1..f_d generate G.
 
 Work is partitioned into chunks of level-d nodes by the image of f_1 modulo
 Phi(G), with at most one worker per chunk; multiprocessing is imported only
@@ -321,14 +335,25 @@ def _lift(ctx, nodes, level, deadline):
 def _certify_rows(ctx, rows, deadline):
     """Pure re-verification of one block of sieve survivors in one
     automorphisms.verify_coded call, which checks the deadline before each
-    relation; any rejection is a route bug.  Each distinct image is decoded
-    once.  Returns the certified rows."""
-    t = ctx["t"]
-    distinct = list(set(chain.from_iterable(rows)))
+    relation; any rejection is a route bug.  When n > d only the first row
+    of each central-twist class goes to that call: rows whose minimal
+    images agree past f_n's digit (index // p) and whose forced entries
+    agree.  A class is all automorphisms or none (see the module
+    docstring), so the first failing representative is the first failing
+    row.  Each distinct image is decoded once.  Returns the certified rows,
+    all of them."""
+    P, t, d = ctx["P"], ctx["t"], ctx["d"]
+    reps = rows
+    if P.n > d:
+        p, first = P.p, {}
+        for row in rows:
+            first.setdefault(tuple(x // p for x in row[:d]) + row[d:], row)
+        reps = list(first.values())
+    distinct = list(set(chain.from_iterable(reps)))
     number = dict(zip(distinct, range(len(distinct))))
-    coded = list(zip(*[[number[x] for x in col] for col in zip(*rows)]))
+    coded = list(zip(*[[number[x] for x in col] for col in zip(*reps)]))
     forms = [t.decode(x) for x in distinct]
-    failed = au.verify_coded(ctx["P"], forms, coded, deadline)
+    failed = au.verify_coded(P, forms, coded, deadline)
     if failed is not None:
         k, e = failed
         bad = tuple(forms[c] for c in coded[k])
@@ -548,8 +573,9 @@ def _split(items, k):
 
 
 def _conjugates_by(P, images, t):
-    """True iff the certified automorphism A, given by its generator images,
-    is conjugation by t, x -> t^-1 x t.
+    """True iff the certified automorphism A, given by its images of
+    f_1..f_d (any images after those are not read), is conjugation by t,
+    x -> t^-1 x t.
 
     Checks t A(f_i) = f_i t for i <= d only, each side collected from the
     exponent vector of its first factor.  That is enough: A and conjugation
@@ -601,10 +627,12 @@ def cross_validate(P, precomputed):
         )
     found = au._conjugators(P, zip(*[iter(maps)] * n))
     labeled = [k for k, c in enumerate(found) if c >= 0]
+    d = P.minimal_count
     for k in labeled:
         c = t.decode(found[k])
-        images = tuple(t.decode(x) for x in maps[k * n : (k + 1) * n])
-        if not _conjugates_by(P, images, c):
+        row = maps[k * n : (k + 1) * n]
+        if not _conjugates_by(P, [t.decode(x) for x in row[:d]], c):
+            images = tuple(map(t.decode, row))
             raise Mismatch(f"inner witness {c} does not reproduce {images}")
     if len(labeled) != count.inner:
         raise Mismatch(

@@ -1,7 +1,9 @@
 """Aut(G) oracle: counts, agreement with tests/oracle_reference.py, determinism."""
 
+import collections
 import gc
 import importlib.resources
+import itertools
 import multiprocessing.connection
 import os
 import pathlib
@@ -18,6 +20,7 @@ import pytest
 
 import pgw
 from pgw import automorphisms as au
+from pgw import errors
 from pgw import groupfile
 from pgw import oracle
 from pgw import structure as st
@@ -313,17 +316,112 @@ def test_certify_rows_names_the_first_bad_row(demo_group, demo_oracle_count):
     assert type(err.value.__cause__) is pgw.RelationViolated
 
 
-def test_certify_rows_checks_the_deadline_between_blocks(demo_group, demo_oracle_count):
-    # all 4374 survivors go to one verify_coded call, which checks the deadline
-    # before each relation, so the call ends soon after the deadline passes
+def test_certify_rows_checks_the_deadline_between_blocks(
+    demo_group, demo_oracle_count, monkeypatch
+):
+    # the demo block's 486 class representatives go to one verify_coded call,
+    # which checks the deadline before each relation: with a clock that passes
+    # the deadline after the first check, the call stops at its second relation
     P = demo_group
     ctx = oracle._prepare(P)
     rows = _rows(P, demo_oracle_count.maps)
     assert len(rows) == 4374
-    start = time.monotonic()
-    with pytest.raises(pgw.OracleTimeout, match="certifying 4374 rows"):
-        oracle._certify_rows(ctx, rows, start + 0.03)
-    assert time.monotonic() - start < 0.03 + BUDGET_SLACK_S
+    clock = itertools.chain([0.0], itertools.repeat(2.0))
+    monkeypatch.setattr(errors, "time", types.SimpleNamespace(monotonic=clock.__next__))
+    with pytest.raises(pgw.OracleTimeout) as err:
+        oracle._certify_rows(ctx, rows, 1.0)
+    assert str(err.value) == "budget exhausted certifying 486 rows, at f_2^3"
+
+
+def _stream(name, request):
+    """(P, its oracle count) for a shipped group or a FAMILY member, taking
+    the demo group's and m3125's from the shared fixtures."""
+    if name == "g2187":
+        return request.getfixturevalue("demo_group"), request.getfixturevalue("demo_oracle_count")
+    if name == "m3125":
+        return load_group(name), request.getfixturevalue("m3125_count")
+    P = load_group(name)
+    return P, pgw.enumerate_automorphisms(P)
+
+
+def _twist_key(P, row):
+    """The minimal images of a row with f_n's digit dropped."""
+    return tuple(x // P.p for x in row[: P.minimal_count])
+
+
+@pytest.mark.parametrize("name", sorted(MODELS) + ["m3125", "m16807"])
+def test_stream_splits_into_central_twist_classes(name, request):
+    # f_n commutes with every generator, and when n > d it lies in Phi(G):
+    # the maps whose minimal images agree past f_n's digit come p^d at a
+    # time and share their forced images, so _certify_rows collects one each.
+    # The route before those classes stays the reference: every row of the
+    # stream passes verify_coded.
+    P, count = _stream(name, request)
+    t, d = get_tables(P), P.minimal_count
+    rows = _rows(P, count.maps)
+    distinct = sorted(set(count.maps))
+    number = {x: k for k, x in enumerate(distinct)}
+    coded = [[number[x] for x in row] for row in rows]
+    assert au.verify_coded(P, [t.decode(x) for x in distinct], coded) is None
+    assert not any(i == P.n for i, _ in P.comm_rel)
+    if P.n == d:
+        return
+    sizes = collections.Counter(_twist_key(P, row) for row in rows)
+    assert set(sizes.values()) == {P.p**d}
+    forced = {_twist_key(P, row): row[d:] for row in rows}
+    assert all(row[d:] == forced[_twist_key(P, row)] for row in rows)
+
+
+@pytest.mark.parametrize("name, collected", [("c3c3", 48), ("g2187", 486)])
+def test_certify_rows_collects_one_row_per_class(name, collected, request, monkeypatch):
+    # c3c3 has n = d, so its whole block is collected; the demo group's 4374
+    # maps fall in 486 classes of 3^2
+    P, count = _stream(name, request)
+    rows = _rows(P, count.maps)
+    seen = []
+    verify_coded = au.verify_coded
+
+    def spy(P, forms, coded, deadline=None):
+        seen.append(len(coded))
+        return verify_coded(P, forms, coded, deadline)
+
+    monkeypatch.setattr(au, "verify_coded", spy)
+    assert oracle._certify_rows(oracle._prepare(P), rows, None) == rows
+    assert seen == [collected]
+
+
+def _next_digit(P, x):
+    """x with the digit of f_{n-1} moved up by one, mod p."""
+    p = P.p
+    return x - x // p % p * p + (x // p + 1) % p * p
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda P, t, row: row[:2] + ((row[2] + 1) % t.N,) + row[3:],  # f_3's forced image
+        lambda P, t, row: (_next_digit(P, row[0]),) + row[1:],  # A(f_1) above f_n's digit
+    ],
+    ids=["forced-entry", "minimal-image"],
+)
+def test_certify_rows_collects_a_tampered_sibling(demo_group, demo_oracle_count, tamper):
+    # the sibling is not the first row of its class, so it is certified only
+    # if tampering moves it to a class of its own
+    P = demo_group
+    ctx = oracle._prepare(P)
+    t = ctx["t"]
+    rows = _rows(P, demo_oracle_count.maps)
+    k = next(k for k in range(1, len(rows)) if _twist_key(P, rows[k]) == _twist_key(P, rows[0]))
+    assert rows[k][2:] == rows[0][2:]
+    bad = tamper(P, t, rows[k])
+    assert bad != rows[k] and bad not in set(rows)
+    images = tuple(map(t.decode, bad))
+    with pytest.raises(pgw.RelationViolated) as why:
+        au.verify(au.GenMap(P, images))
+    with pytest.raises(pgw.Mismatch) as err:
+        oracle._certify_rows(ctx, rows[:k] + [bad] + rows[k + 1 :], None)
+    expected = f"sieve accepted {images} but pure verification rejected it: {why.value}"
+    assert str(err.value) == expected
 
 
 @pytest.mark.parametrize("name", ["h27", "m243"])
@@ -463,9 +561,13 @@ def test_cross_validation_catches_a_wrong_conjugator(monkeypatch):
     def shifted(P, rows):  # f_1 is not central, so t f_1 conjugates differently
         return [t.mul(c, t.strides[0]) if c >= 0 else -1 for c in conjugators(P, rows)]
 
+    rows = _rows(P, count.maps)
+    k, c = next((k, c) for k, c in enumerate(shifted(P, rows)) if c >= 0)
+    images = tuple(map(t.decode, rows[k]))  # all n images, though only d are compared
     monkeypatch.setattr(au, "_conjugators", shifted)
-    with pytest.raises(pgw.Mismatch, match="does not reproduce"):
+    with pytest.raises(pgw.Mismatch) as err:
         pgw.cross_validate(P, precomputed=count)
+    assert str(err.value) == f"inner witness {t.decode(c)} does not reproduce {images}"
 
 
 @pytest.mark.parametrize("name", ["h27", "m243", "g2187"])
