@@ -5,8 +5,11 @@ certificate is pure collection.  verify() checks that a map's images are
 normal forms, numbers the distinct ones and hands the numbered row to
 verify_coded(), which the oracle calls directly on whole blocks of rows.  It
 checks them relation-major: each defining relation becomes an equality of
-two words in the images, and both sides are collected once per distinct
-tuple of images the relation reads, with no inverses and no table.
+two words in the images, with no inverses and no table, compiled once per
+presentation into a plan (_relation_plan, in P._memo): each side's start
+image and letters, and the images the relation reads.  One row is collected
+straight from its images; in a block, both sides are collected once per
+distinct key of the images read.  The oracle's sieve reads the same plan.
 Surjectivity is Burnside's basis test: a verified endomorphism is onto iff
 the images of f_1..f_d span G/Phi(G), which validate() makes the first d
 exponents.  On top of that sit conjugation maps (inner_from), the inner
@@ -97,22 +100,23 @@ def verify_coded(P, forms, coded, deadline=None):
     relation is an equality of words in the images: f_i^p = w holds iff
     A(f_i)^p = w(A), and [f_i, f_j] = w holds iff A(f_i) A(f_j) =
     A(f_j) A(f_i) w(A), where w(A) spells w in the images.  The relations go
-    in a fixed order, the powers of f_1..f_n, then the commutators [f_i, f_j]
-    for i > j.  Each side is collected from the exponent vector of the image
-    it starts with.  While more than one row is live, the numbers of the
-    images that a relation reads (A(f_i), A(f_j) and the images w spells for
-    [f_i, f_j] = w) make one tuple per row, both sides are collected once
-    per distinct tuple and compared (_first_failing), and only the first
-    failing row's sides are collected again, for its message.  No inverse is
-    formed; only a failing commutator relation is recomputed with comm for
-    its message.
+    in the fixed order of _relation_plan, the powers of f_1..f_n, then the
+    commutators [f_i, f_j] for i > j, each compiled once per presentation.
+    Each side is collected from the exponent vector of the image it starts
+    with.  One row is collected straight from its images.  While more than
+    one row is live, the numbers of the images that a relation reads (A(f_i),
+    A(f_j) and the images w spells) make one key per row, both sides are
+    collected once per distinct key and compared (_first_failing), and only
+    the first failing row's sides are collected again, for its message.  No
+    inverse is formed; only a failing commutator relation is recomputed with
+    comm for its message.
     Once every relation holds a row is an endomorphism, and by Burnside's
     basis theorem it is onto iff it is onto modulo Phi(G).  validate() makes
     Phi(G) = <f_{d+1}, ..., f_n> with d the minimal generator count, so the
     map is onto iff the first d exponents of A(f_1), ..., A(f_d) form a
     d x d matrix of rank d mod p: its rows have no kernel under
     structure._solve_mod_p, once per distinct matrix.  Nothing is kept
-    past one relation of one call, and nothing is read from the tables.
+    past one call but the plan, and nothing is read from the tables.
 
     A row drops out at its first failing relation, and so do the rows after
     it, which can no longer be the first to fail.  Returns None when every
@@ -123,65 +127,58 @@ def verify_coded(P, forms, coded, deadline=None):
     ends near the oracle's budget.
     """
     n, p = P.n, P.p
+    plan = _relation_plan(P)
     stacks = [pc.word_of(x)[::-1] for x in forms]  # in the collector's push order
-    conj = pc.conjugates(P)  # handed to the collector, which would look it up per call
-
-    def value(r, start, letters):
-        """A(f_start) times A(f_g)^m for each letter (g, m), start 0 being the
-        identity, for the row r of image numbers."""
-        stack = []
-        for g, m in reversed(letters):
-            stack += stacks[r[g - 1]] * m
-        return pc._collect_into(P, list(forms[r[start - 1]]) if start else [0] * n, stack, conj)
-
-    def differ(left, right):
-        """(q, lhs, rhs) for the first live row whose two sides, each a
-        (start, letters) pair, differ, or None.  While more than one row is
-        live, both sides are collected once per distinct tuple of the images
-        that the relation reads, and the first failing row's sides once more."""
-        q = 0
-        if m > 1:
-            read = list(dict.fromkeys(_reads(*left) + _reads(*right)))
-
-            def fails(key):
-                r = dict(zip(read, key))  # the images read, by generator
-                return value(r, *left) != value(r, *right)
-
-            q = _first_failing([columns[g] for g in read], fails)
-            if q is None:
-                return None
-        lhs, rhs = value(coded[q], *left), value(coded[q], *right)
-        return None if lhs == rhs else (q, lhs, rhs)
-
+    collect, conj = pc._collect_into, pc.conjugates(P)  # looked up per call: a meter may wrap it
     m = len(coded)  # rows 0..m-1 hold every relation so far
-    columns = list(zip(*coded)) if m > 1 else None  # the live rows' image numbers, by generator
     failed = None
-    for i in range(1, n + 1):
-        if not m:
-            return failed
-        if deadline is not None:  # no message to format on verify's path
-            check_deadline(deadline, f"certifying {len(coded)} rows, at f_{i}^{p}")
-        bad = differ((i, ((i, p - 1),)), (0, P.power_rel[i - 1]))
-        if bad is not None:
-            m, lhs, rhs = bad
-            failed = m, RelationViolated(f"power relation f_{i}^{p}: {lhs} != {rhs}")
-            columns = columns and [c[:m] for c in columns]
-    for i in range(2, n + 1):
-        for j in range(1, i):
+    if m == 1:  # both sides straight from the row's images, written out: verify's path
+        row = coded[0]
+        words, starts = [stacks[c] for c in row], [forms[c] for c in row]
+        for label, rel, word, _, ((s0, l0), (s1, l1)), _ in plan:
+            if deadline is not None:  # no message to format on verify's path
+                check_deadline(deadline, f"certifying {len(coded)} rows, at {label}")
+            stack = []
+            for g, e in l0:
+                stack += words[g] * e
+            lhs = collect(P, list(starts[s0]) if s0 is not None else [0] * n, stack, conj)
+            stack = []
+            for g, e in l1:
+                stack += words[g] * e
+            rhs = collect(P, list(starts[s1]) if s1 is not None else [0] * n, stack, conj)
+            if lhs != rhs:
+                return 0, _violation(P, forms, row, label, rel, word, lhs, rhs)
+    else:
+
+        def value(key, side):
+            """A relation's side (start, letters) for the image numbers key
+            that its positions index: a row, or the key of the images read."""
+            start, letters = side
+            stack = []
+            for k, e in letters:
+                stack += stacks[key[k]] * e
+            x = list(forms[key[start]]) if start is not None else [0] * n
+            return collect(P, x, stack, conj)
+
+        columns = list(zip(*coded))  # the live rows' image numbers, by generator
+        for label, rel, word, reads, (left, right), (left_, right_) in plan:
             if not m:
                 return failed
             if deadline is not None:
-                check_deadline(deadline, f"certifying {len(coded)} rows, at [f_{i},f_{j}]")
-            w = P.comm_rel.get((i, j), ())
-            bad = differ((i, ((j, 1),)), (j, ((i, 1),) + w))
-            if bad is not None:
-                m = bad[0]
-                r = coded[m]
-                lhs = pc.comm(P, forms[r[i - 1]], forms[r[j - 1]])
-                failed = m, RelationViolated(
-                    f"commutator relation [f_{i},f_{j}]: {lhs} != {value(r, 0, w)}"
+                check_deadline(deadline, f"certifying {len(coded)} rows, at {label}")
+            q = 0
+            if m > 1:
+                q = _first_failing(
+                    [columns[g] for g in reads], lambda key: value(key, left_) != value(key, right_)
                 )
-                columns = columns and [c[:m] for c in columns]
+                if q is None:
+                    continue
+            row = coded[q]
+            lhs, rhs = value(row, left), value(row, right)
+            if lhs != rhs:
+                failed = q, _violation(P, forms, row, label, rel, word, lhs, rhs)
+                m = q
+                columns = [c[:m] for c in columns]
     if not m:
         return failed
     if not P.validated:
@@ -205,10 +202,58 @@ def verify_coded(P, forms, coded, deadline=None):
     return failed
 
 
-def _reads(start, letters):
-    """The 0-based generators whose images a relation side (start, letters)
-    reads, each once, in order."""
-    return list(dict.fromkeys(([start - 1] if start else []) + [g - 1 for g, _ in letters]))
+def _violation(P, forms, row, label, rel, word, lhs, rhs):
+    """The RelationViolated for the row of image numbers whose two sides of
+    a relation, lhs and rhs, differ.  A commutator relation shows
+    [A(f_i), A(f_j)] and w(A) in place of the sides."""
+    if rel[0] == "pow":
+        return RelationViolated(f"power relation {label}: {lhs} != {rhs}")
+    lhs = pc.comm(P, forms[row[rel[1] - 1]], forms[row[rel[2] - 1]])
+    rhs = pc.collect(P, [x for g, e in word for x in pc.word_of(forms[row[g - 1]]) * e])
+    return RelationViolated(f"commutator relation {label}: {lhs} != {rhs}")
+
+
+# One relation compiled for verify_coded.  label: "f_i^p" or "[f_i,f_j]", as
+# messages and deadline texts name it; rel: ("pow", i) or ("comm", i, j), a
+# defn tag's form; word: its right-hand word; reads: the 0-based generators
+# whose images it reads, each once: f_i, f_j, then those word spells.
+# sides: left and right, each (start, letters), start the 0-based generator
+# whose image the side is collected from (None: the identity), letters
+# (generator, exponent) pairs in the collector's push order; keyed: the same
+# with each generator given by its position in reads.
+Relation = namedtuple("Relation", "label rel word reads sides keyed")
+
+
+@pc.memoized
+def _relation_plan(P):
+    """The relations of P as Relation entries, in verify_coded's order: the
+    powers of f_1..f_n, then the commutators [f_i, f_j] for i > j.  f_i^p = w
+    is A(f_i) A(f_i)^(p-1) = w(A), whose right side starts at the image of
+    w's first letter, and [f_i, f_j] = w is A(f_i) A(f_j) = A(f_j) A(f_i)
+    w(A).  Built once per presentation object; the oracle's sieve reads its
+    relations from here too."""
+    p = P.p
+    plan = []
+
+    def add(label, rel, word, *sides):
+        sides = tuple(
+            (start - 1 if start else None, tuple((g - 1, e) for g, e in letters[::-1] if e))
+            for start, letters in sides
+        )
+        reads = tuple(dict.fromkeys(g - 1 for g in rel[1:] + tuple(g for g, _ in word)))
+        at = {g: k for k, g in enumerate(reads)} | {None: None}
+        keyed = tuple((at[s], tuple((at[g], e) for g, e in letters)) for s, letters in sides)
+        plan.append(Relation(label, rel, word, reads, sides, keyed))
+
+    for i in range(1, P.n + 1):
+        w = P.power_rel[i - 1]
+        right = (w[0][0], ((w[0][0], w[0][1] - 1),) + tuple(w[1:])) if w else (0, ())
+        add(f"f_{i}^{p}", ("pow", i), w, (i, ((i, p - 1),)), right)
+    for i in range(2, P.n + 1):
+        for j in range(1, i):
+            w = P.comm_rel.get((i, j), ())
+            add(f"[f_{i},f_{j}]", ("comm", i, j), w, (i, ((j, 1),)), (j, ((i, 1),) + tuple(w)))
+    return plan
 
 
 def _first_failing(columns, fails):

@@ -182,7 +182,8 @@ def _arithmetic(ctx, cut):
 
 def _relations(P):
     """The relations the sieve checks, as (relation, right-hand word, the
-    forced generators whose images it needs), in an order fixed by the
+    forced generators whose images it needs), read from the certificate's
+    plan (automorphisms._relation_plan), in an order fixed by the
     presentation, so that every job does the same work: the relations that
     read only the images of f_1..f_d first, then the others by the highest
     generator whose image they read, each group in the order f_1^p, ...,
@@ -195,22 +196,14 @@ def _relations(P):
     for k in range(1, P.n + 1):
         tag = P.defn.get(k)
         needs[k] = set() if tag is None else {k}.union(*(needs[g] for g in tag[1:]))
-    relations = [("pow", i) for i in range(1, P.n + 1)]
-    relations += [("comm", i, j) for i in range(2, P.n + 1) for j in range(1, i)]
     defining = {tag: ((k, 1),) for k, tag in P.defn.items()}
     out = []
-    for rel in relations:
-        word = _relation_word(P, rel)
+    for _, rel, word, reads, _, _ in au._relation_plan(P):
         if defining.get(rel) != word:
-            reads = set(rel[1:]) | {g for g, _ in word}
+            reads = [g + 1 for g in reads]
             out.append((max(reads), rel, word, sorted(set().union(*(needs[g] for g in reads)))))
     out.sort(key=lambda entry: (entry[0] > P.minimal_count, entry[0]))
     return [entry[1:] for entry in out]
-
-
-def _relation_word(P, rel):
-    """Right-hand side of the relation ("comm", i, j) or ("pow", i)."""
-    return P.comm_rel.get(rel[1:], ()) if rel[0] == "comm" else P.power_rel[rel[1] - 1]
 
 
 def _force(ctx, img, k, arithmetic):
@@ -314,11 +307,17 @@ def _lift(ctx, nodes, level, deadline):
     relation sides are its parent's (see the module docstring).  Each node
     is therefore sieved once at level + 1, with its new digits zero, and
     only the nodes that pass are expanded, each into all its p^d children.
-    At level n the children only need their forced images.
+    At level n the children only need their forced images, and the p^d
+    siblings of a node share them: a child's factor lies in G_n, which is
+    central of order p, so it drops out of every p-th power and commutator
+    the defn tags force.  They are forced once per run of siblings, on its
+    first row, the node itself (when n = d, no image is forced).
     """
     P, d = ctx["P"], ctx["d"]
     if level == P.n:
-        yield list(zip(*_images(ctx, nodes)))
+        w = len(ctx["digits"]) if level > d else 1  # siblings per run
+        forced = _images(ctx, [col[::w] for col in nodes])[d:]
+        yield list(zip(*nodes, *[[x for x in col for _ in range(w)] for col in forced]))
         return
     s = ctx["t"].strides[level]
     steps = [[e[j] * s for e in ctx["digits"]] for j in range(d)]
@@ -572,10 +571,10 @@ def _split(items, k):
     return runs
 
 
-def _conjugates_by(P, images, t):
-    """True iff the certified automorphism A, given by its images of
-    f_1..f_d (any images after those are not read), is conjugation by t,
-    x -> t^-1 x t.
+def _conjugates_by(P, gens, images, t):
+    """True iff the certified automorphism A, given by its images of the
+    generators gens, f_1..f_d (any images after those are not read), is
+    conjugation by t, x -> t^-1 x t.
 
     Checks t A(f_i) = f_i t for i <= d only, each side collected from the
     exponent vector of its first factor.  That is enough: A and conjugation
@@ -583,10 +582,7 @@ def _conjugates_by(P, images, t):
     f_1..f_d generate G and their images determine each map.  A is already
     certified, so this skips inner_from and its second verify.
     """
-    return all(
-        pc.mul(P, t, a) == pc.mul(P, f, t)
-        for f, a in zip(P.generators()[: P.minimal_count], images)
-    )
+    return all(pc.mul(P, t, a) == pc.mul(P, f, t) for f, a in zip(gens, images))
 
 
 def cross_validate(P, precomputed):
@@ -628,10 +624,11 @@ def cross_validate(P, precomputed):
     found = au._conjugators(P, zip(*[iter(maps)] * n))
     labeled = [k for k, c in enumerate(found) if c >= 0]
     d = P.minimal_count
+    gens = P.generators()[:d]
     for k in labeled:
         c = t.decode(found[k])
         row = maps[k * n : (k + 1) * n]
-        if not _conjugates_by(P, [t.decode(x) for x in row[:d]], c):
+        if not _conjugates_by(P, gens, [t.decode(x) for x in row[:d]], c):
             images = tuple(map(t.decode, row))
             raise Mismatch(f"inner witness {c} does not reproduce {images}")
     if len(labeled) != count.inner:

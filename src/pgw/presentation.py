@@ -159,12 +159,12 @@ def normal_form(P, e):
     sequence of integers in 0..p-1 (a numpy integer or a bool counts as the
     int it stands for), else None."""
     try:
-        x = tuple(map(operator.index, e))
+        x = tuple(map(operator.index, e))  # exact ints, on Python >= 3.10
     except TypeError:
         return None
-    if len(x) != P.n or not all(0 <= v < P.p for v in x):
+    if len(x) != P.n or not (0 <= min(x, default=0) and max(x, default=0) < P.p):
         return None
-    return tuple(map(int, x))
+    return x
 
 
 def checked_form(P, e, what):

@@ -8,12 +8,13 @@ import pytest
 
 import pgw
 from pgw import automorphisms as au
+from pgw import oracle
 from pgw import report as rp
 from pgw import structure as st
 from pgw import tables
 
 import mask_reference as ref
-from conftest import ALL_NAMES, load_group
+from conftest import ALL_NAMES, FAMILY_NAMES, load_group
 
 ODD = [n for n in ALL_NAMES if pgw.load(n).p != 2]
 
@@ -140,13 +141,27 @@ def _defn_forced(P, minimal):
     return tuple(images)
 
 
+def _arith_rows(P, rng, count):
+    """Rows drawn as the arith benchmark draws them: the images of the
+    generators under conjugation by a random element index, and a random
+    index for each image."""
+    t = tables.get_tables(P)
+    rows = []
+    for _ in range(count):
+        c = t.decode(rng.randrange(P.order))
+        rows.append(tuple(pgw.conj(P, g, c) for g in P.generators()))
+        rows.append(tuple(t.decode(rng.randrange(P.order)) for _ in range(P.n)))
+    return rows
+
+
 def _verify_cases(name):
-    P = pgw.load(name)
+    P = load_group(name)
     elems = st.whole_group(P).elements
     if P.order ** P.n <= 20_000:
         return P, itertools.product(elems, repeat=P.n)
     rng = random.Random(f"verify-{name}")
-    cases = [tuple(rng.choice(elems) for _ in range(P.n)) for _ in range(300)]
+    cases = _arith_rows(P, rng, 100)
+    cases += [tuple(rng.choice(elems) for _ in range(P.n)) for _ in range(300)]
     cases += [
         _defn_forced(P, [rng.choice(elems) for _ in range(P.minimal_count)])
         for _ in range(300)
@@ -163,8 +178,12 @@ def _verify_cases(name):
     return P, cases
 
 
-@pytest.mark.parametrize("name", ["c9", "c3c3", "h27", "x27", "q8", "w81", "m243", "g2187"])
+@pytest.mark.parametrize(
+    "name", ["c9", "c3c3", "h27", "x27", "q8", "w81", "m243", "g2187", "m3125", "m16807"]
+)
 def test_verify_matches_closure_reference(name):
+    # at p = 5 and 7 (m3125, m16807) a power relation's left side pushes
+    # p - 1 copies of an image; the verdict is the exact (class, message) pair
     P, cases = _verify_cases(name)
     seen = set()
     for images in cases:
@@ -173,6 +192,43 @@ def test_verify_matches_closure_reference(name):
         seen.add(got[0])
     # an elementary abelian group breaks no relation
     assert seen == {None, "NotSurjective"} | ({"RelationViolated"} if name != "c3c3" else set())
+
+
+def test_relation_plan_is_built_once_per_presentation(monkeypatch):
+    # verify compiles the relations on first use and keeps them in P._memo;
+    # a P.replace() copy starts without them
+    made = []
+    relation = au.Relation
+    monkeypatch.setattr(au, "Relation", lambda *fields: made.append(fields[0]) or relation(*fields))
+    P = load_group("m3125")  # a fresh object
+    assert au._relation_plan not in P._memo
+    for images in _arith_rows(P, random.Random("plan"), 20):
+        _map_verdict(P, images)
+    plan = P._memo[au._relation_plan]
+    n = P.n
+    labels = [f"f_{i}^{P.p}" for i in range(1, n + 1)]
+    labels += [f"[f_{i},f_{j}]" for i in range(2, n + 1) for j in range(1, i)]
+    assert made == [entry.label for entry in plan] == labels
+    assert au._relation_plan(P) is plan
+    copy = P.replace()
+    assert au._relation_plan not in copy._memo
+    assert au._relation_plan not in pgw.validate(copy)._memo
+
+
+@pytest.mark.parametrize("name", ALL_NAMES + FAMILY_NAMES)
+def test_sieve_reads_the_relation_plan(name):
+    # the oracle's sieve takes its relations and words from the certificate's
+    # plan, leaving out only the relations that define a generator
+    P = load_group(name)
+    plan = {entry.rel: entry for entry in au._relation_plan(P)}
+    for i in range(1, P.n + 1):
+        assert plan[("pow", i)].word == P.power_rel[i - 1]
+        for j in range(1, i):
+            assert plan[("comm", i, j)].word == P.comm_rel.get((i, j), ())
+    sieve = oracle._relations(P)
+    assert all(word is plan[rel].word for rel, word, _ in sieve)
+    defining = {tag for k, tag in P.defn.items() if plan[tag].word == ((k, 1),)}
+    assert set(plan) - {rel for rel, _, _ in sieve} == defining
 
 
 def test_verify_rejects_non_onto_endomorphism():

@@ -7,6 +7,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -111,7 +112,7 @@ def test_construct_contradicting_witness_exits_three(capsys, monkeypatch, broken
 
 
 def test_count_cross_validation_mismatch_exits_three(capsys, monkeypatch):
-    monkeypatch.setattr(orc, "_conjugates_by", lambda P, A, t: False)
+    monkeypatch.setattr(orc, "_conjugates_by", lambda P, gens, images, t: False)
     assert cli.main(["count", data_path("h27")]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -183,7 +184,11 @@ def test_group_of_order_7_to_the_5(capsys, tmp_path):
         assert rep["verification"]["certified"] is True
         assert rep["verification"]["order"] == 7
 
-    code, out = run(capsys, "count", str(f), "--format", "json", "--budget", "0.5")
+    # half of a cold count on this host, so the budget runs out however fast it is
+    start = time.monotonic()
+    pgw.enumerate_automorphisms(P)
+    budget = (time.monotonic() - start) / 2
+    code, out = run(capsys, "count", str(f), "--format", "json", "--budget", f"{budget:.3f}")
     assert code == 2
     assert "budget" in out
 
