@@ -8,8 +8,9 @@ checks them relation-major: each defining relation becomes an equality of
 two words in the images, with no inverses and no table, compiled once per
 presentation into a plan (_relation_plan, in P._memo): each side's start
 image and letters, and the images the relation reads.  One row is collected
-straight from its images; in a block, both sides are collected once per
-distinct key of the images read.  The oracle's sieve reads the same plan.
+straight from its images; in a block, both sides are collected on the first
+row of each distinct key of the images read, in row order, up to the first
+row where they differ.  The oracle's sieve reads the same plan.
 Surjectivity is Burnside's basis test: a verified endomorphism is onto iff
 the images of f_1..f_d span G/Phi(G), which validate() makes the first d
 exponents.  On top of that sit conjugation maps (inner_from), the inner
@@ -105,18 +106,18 @@ def verify_coded(P, forms, coded, deadline=None):
     Each side is collected from the exponent vector of the image it starts
     with.  One row is collected straight from its images.  While more than
     one row is live, the numbers of the images that a relation reads (A(f_i),
-    A(f_j) and the images w spells) make one key per row, both sides are
-    collected once per distinct key and compared (_first_failing), and only
-    the first failing row's sides are collected again, for its message.  No
-    inverse is formed; only a failing commutator relation is recomputed with
-    comm for its message.
+    A(f_j) and the images w spells) make one key per row, and rows with one
+    key agree on the relation: both sides are collected on the first row of
+    each key, in row order (_first_rows), and the scan stops at the first row
+    whose sides differ, which give its message.  No inverse is formed; only a
+    failing commutator relation is recomputed with comm for its message.
     Once every relation holds a row is an endomorphism, and by Burnside's
     basis theorem it is onto iff it is onto modulo Phi(G).  validate() makes
     Phi(G) = <f_{d+1}, ..., f_n> with d the minimal generator count, so the
     map is onto iff the first d exponents of A(f_1), ..., A(f_d) form a
-    d x d matrix of rank d mod p: its rows have no kernel under
-    structure._solve_mod_p, once per distinct matrix.  Nothing is kept
-    past one call but the plan, and nothing is read from the tables.
+    d x d matrix of rank d mod p, which structure._solve_mod_p tests on the
+    first row of each distinct matrix, up to the first singular one.  Only
+    the plan outlives a call, and nothing is read from the tables.
 
     A row drops out at its first failing relation, and so do the rows after
     it, which can no longer be the first to fail.  Returns None when every
@@ -135,7 +136,7 @@ def verify_coded(P, forms, coded, deadline=None):
     if m == 1:  # both sides straight from the row's images, written out: verify's path
         row = coded[0]
         words, starts = [stacks[c] for c in row], [forms[c] for c in row]
-        for label, rel, word, _, ((s0, l0), (s1, l1)), _ in plan:
+        for label, rel, word, _, ((s0, l0), (s1, l1)) in plan:
             if deadline is not None:  # no message to format on verify's path
                 check_deadline(deadline, f"certifying {len(coded)} rows, at {label}")
             stack = []
@@ -150,35 +151,28 @@ def verify_coded(P, forms, coded, deadline=None):
                 return 0, _violation(P, forms, row, label, rel, word, lhs, rhs)
     else:
 
-        def value(key, side):
-            """A relation's side (start, letters) for the image numbers key
-            that its positions index: a row, or the key of the images read."""
+        def value(row, side):
             start, letters = side
             stack = []
-            for k, e in letters:
-                stack += stacks[key[k]] * e
-            x = list(forms[key[start]]) if start is not None else [0] * n
+            for g, e in letters:
+                stack += stacks[row[g]] * e
+            x = list(forms[row[start]]) if start is not None else [0] * n
             return collect(P, x, stack, conj)
 
         columns = list(zip(*coded))  # the live rows' image numbers, by generator
-        for label, rel, word, reads, (left, right), (left_, right_) in plan:
+        for label, rel, word, reads, (left, right) in plan:
             if not m:
                 return failed
             if deadline is not None:
                 check_deadline(deadline, f"certifying {len(coded)} rows, at {label}")
-            q = 0
-            if m > 1:
-                q = _first_failing(
-                    [columns[g] for g in reads], lambda key: value(key, left_) != value(key, right_)
-                )
-                if q is None:
-                    continue
-            row = coded[q]
-            lhs, rhs = value(row, left), value(row, right)
-            if lhs != rhs:
-                failed = q, _violation(P, forms, row, label, rel, word, lhs, rhs)
-                m = q
-                columns = [c[:m] for c in columns]
+            for q in _first_rows([columns[g] for g in reads]):
+                row = coded[q]
+                lhs, rhs = value(row, left), value(row, right)
+                if lhs != rhs:
+                    failed = q, _violation(P, forms, row, label, rel, word, lhs, rhs)
+                    m = q
+                    columns = [c[:m] for c in columns]
+                    break
     if not m:
         return failed
     if not P.validated:
@@ -192,13 +186,9 @@ def verify_coded(P, forms, coded, deadline=None):
     # d x d matrix share one elimination
     heads = {}
     head = [heads.setdefault(f[:d], len(heads)) for f in forms]
-    heads = list(heads)
-    k = _first_failing(
-        [[head[c] for c in column] for column in columns[:d]],
-        lambda key: st._solve_mod_p(p, [heads[h] for h in key])[0],  # rank < d
-    )
-    if k is not None:
-        return k, NotSurjective("images do not generate the group")
+    for k in _first_rows([[head[c] for c in column] for column in columns[:d]]):
+        if st._solve_mod_p(p, [forms[c][:d] for c in coded[k][:d]])[0]:  # rank < d
+            return k, NotSurjective("images do not generate the group")
     return failed
 
 
@@ -219,9 +209,9 @@ def _violation(P, forms, row, label, rel, word, lhs, rhs):
 # whose images it reads, each once: f_i, f_j, then those word spells.
 # sides: left and right, each (start, letters), start the 0-based generator
 # whose image the side is collected from (None: the identity), letters
-# (generator, exponent) pairs in the collector's push order; keyed: the same
-# with each generator given by its position in reads.
-Relation = namedtuple("Relation", "label rel word reads sides keyed")
+# (generator, exponent) pairs in the collector's push order.  A block is
+# collected on the first row of each key, its numbers of the images in reads.
+Relation = namedtuple("Relation", "label rel word reads sides")
 
 
 @pc.memoized
@@ -241,9 +231,7 @@ def _relation_plan(P):
             for start, letters in sides
         )
         reads = tuple(dict.fromkeys(g - 1 for g in rel[1:] + tuple(g for g, _ in word)))
-        at = {g: k for k, g in enumerate(reads)} | {None: None}
-        keyed = tuple((at[s], tuple((at[g], e) for g, e in letters)) for s, letters in sides)
-        plan.append(Relation(label, rel, word, reads, sides, keyed))
+        plan.append(Relation(label, rel, word, reads, sides))
 
     for i in range(1, P.n + 1):
         w = P.power_rel[i - 1]
@@ -256,16 +244,14 @@ def _relation_plan(P):
     return plan
 
 
-def _first_failing(columns, fails):
-    """The index of the first row of the equal-length columns for which
-    fails, called once on each distinct row as a tuple, is true; or None."""
-    if len(columns) == 1:  # no tuple per row
-        bad = {x for x in set(columns[0]) if fails((x,))}
-        rows = columns[0]
-    else:
-        bad = {row for row in set(zip(*columns)) if fails(row)}
-        rows = zip(*columns)
-    return next((q for q, row in enumerate(rows) if row in bad), None) if bad else None
+def _first_rows(columns):
+    """The index of the first row of each distinct key, in row order; a
+    row's key is its entries in the equal-length columns, as a tuple."""
+    seen = set()
+    for q, key in enumerate(zip(*columns)):
+        if key not in seen:
+            seen.add(key)
+            yield q
 
 
 def compose(A, B):

@@ -198,7 +198,7 @@ def _relations(P):
         needs[k] = set() if tag is None else {k}.union(*(needs[g] for g in tag[1:]))
     defining = {tag: ((k, 1),) for k, tag in P.defn.items()}
     out = []
-    for _, rel, word, reads, _, _ in au._relation_plan(P):
+    for _, rel, word, reads, _ in au._relation_plan(P):
         if defining.get(rel) != word:
             reads = [g + 1 for g in reads]
             out.append((max(reads), rel, word, sorted(set().union(*(needs[g] for g in reads)))))

@@ -9,6 +9,7 @@ import pytest
 import pgw
 from pgw import automorphisms as au
 from pgw import oracle
+from pgw import presentation as pc
 from pgw import report as rp
 from pgw import structure as st
 from pgw import tables
@@ -367,20 +368,51 @@ def _repeated_rows(rng, count, width, top):
 @pytest.mark.parametrize("width, top", [(1, 5), (3, 2), (6, 700), (17, 199_999)])
 def test_distinct_rows_match_the_bytewise_reference(width, top):
     # the certificate keys each live row by the images a relation reads
-    # (automorphisms._first_failing): it must test each bytewise-distinct
-    # row once, and name the first row of the earliest failing class
+    # (automorphisms._first_rows): it must collect the first row of each
+    # bytewise-distinct key once, in row order
     rng = np.random.default_rng(width)
     for keys in (_repeated_rows(rng, 3000, width, top), np.zeros((5, width), dtype=np.int64)):
         keys = keys.astype(np.int32)
         want_first, want_inverse = _distinct_rows_bytewise(keys)
         columns = [column.tolist() for column in keys.T]
-        tested = []
-        assert au._first_failing(columns, tested.append) is None  # append returns None
-        assert sorted(tested) == sorted(map(tuple, keys[want_first].tolist()))
-        classes = rng.choice(len(want_first), size=min(3, len(want_first)), replace=False)
-        bad = {tuple(keys[want_first[c]].tolist()) for c in classes}
-        assert au._first_failing(columns, bad.__contains__) == min(want_first[classes])
+        assert list(au._first_rows(columns)) == sorted(want_first.tolist())
         assert np.array_equal(keys[want_first[want_inverse]], keys)
+
+
+def test_block_collects_each_key_once_up_to_the_first_failure(monkeypatch):
+    # a block is collected on the first row of each key of the images a
+    # relation reads, in row order, up to the first failing row, whose sides
+    # give its message without being collected again
+    P = load_group("h27")
+    stream, t = pgw.enumerate_automorphisms(P).maps, tables.get_tables(P)
+    maps = list(zip(*[map(t.decode, stream)] * P.n))
+    a0, a1, a2, a3 = [row for row in maps if row[0] == P.generator(1)][:4]  # fixing f1
+    swapped = (P.generator(2), P.generator(1), P.generator(3))  # breaks [f2, f1] = f3
+    trivial = (P.generator(1), P.generator(2), pgw.identity(P))  # breaks it too
+    rows = [a0, a1, a0, a2, swapped, a3, trivial, a1, swapped]
+    verdicts = [_map_verdict(P, images) for images in rows]
+    q = next(k for k, v in enumerate(verdicts) if v != (None, None))
+    assert q == 4 and verdicts[q][1].startswith("commutator relation [f_2,f_1]")
+    forms, coded = _coded(P, rows)
+
+    log = []  # a collection's start and stack as passed: the collector consumes both
+    collect = pc._collect_into
+    monkeypatch.setattr(
+        pc, "_collect_into", lambda *a: log.append(("collect", *map(tuple, a[1:3]))) or collect(*a)
+    )
+    monkeypatch.setattr(au, "check_deadline", lambda _, where: log.append(("at", where)))
+    violation = au._violation
+    monkeypatch.setattr(au, "_violation", lambda *a: log.append(("message",)) or violation(*a))
+    k, e = au.verify_coded(P, forms, coded, deadline=float("inf"))
+    assert (k, type(e).__name__, str(e)) == (q, *verdicts[q])
+
+    start = log.index(("at", f"certifying {len(rows)} rows, at [f_2,f_1]"))
+    scan = log[start + 1 : log.index(("message",), start)]
+    reads = [(row[1], row[0], row[2]) for row in coded[: q + 1]]  # f_2, f_1, f_3
+    assert len(scan) == 2 * len(set(reads)) < 2 * (q + 1)
+    # the failing row's left side, A(f_2) A(f_1), is collected once, last but one
+    lhs = "collect", forms[coded[q][1]], tuple(pc.word_of(forms[coded[q][0]])[::-1])
+    assert scan.count(lhs) == 1 and scan[-2] == lhs
 
 
 def test_aut_order_examples(demo_group):

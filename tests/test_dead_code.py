@@ -3,8 +3,9 @@
 Three checks: every function and lambda parameter is read in its body
 (dunder methods, whose signatures Python fixes, are exempt); every
 module-level import is read in its module (`__init__.py`, which imports to
-export, and `from __future__` are exempt); every `_private` function or
-class is referenced somewhere in the package beyond its own definition.
+export, and `from __future__` are exempt); every `_private` function,
+class or module-level name (`_NAME = ...`) is referenced somewhere in the
+package beyond its own definition.
 """
 
 import ast
@@ -67,18 +68,33 @@ def test_every_module_level_import_is_read(module):
     assert _unread_imports(TREES[module]) == []
 
 
-def test_every_private_definition_is_referenced():
+def _unreferenced_privates(trees):
+    """The `_private` functions, classes and module-level assigned names of
+    trees, a dict from module name to syntax tree, that no name or attribute
+    reads, each with where it is defined."""
     defined, referenced = {}, set()
-    for module, tree in TREES.items():
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for name in (n for target in targets for n in ast.walk(target)):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = f"{module}:{node.lineno}"
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if node.name.startswith("_") and not _is_dunder(node.name):
-                    defined[node.name] = f"{module}:{node.lineno}"
-            elif isinstance(node, ast.Name):
-                referenced.add(node.id)
+                defined[node.name] = f"{module}:{node.lineno}"
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
-    assert {name: where for name, where in defined.items() if name not in referenced} == {}
+        referenced |= _loaded(tree)
+    return {
+        name: where
+        for name, where in defined.items()
+        if name.startswith("_") and not _is_dunder(name) and name not in referenced
+    }
+
+
+def test_every_private_definition_is_referenced():
+    assert _unreferenced_privates(TREES) == {}
 
 
 def test_the_checks_see_dead_code():
@@ -91,3 +107,10 @@ def test_the_checks_see_dead_code():
     )
     assert _unread_parameters(tree) == ["f(): b", "lambda at line 4: x"]
     assert _unread_imports(tree) == ["line 1: os"]
+    tree = ast.parse(
+        "_LIMIT = 3\n_SPARE, _USED = 4, 5\n"
+        "def _g():\n    return _LIMIT\n"
+        "def _h():\n    return _USED\n"
+        "k = _g\n"
+    )
+    assert _unreferenced_privates({"case": tree}) == {"_SPARE": "case:2", "_h": "case:5"}
