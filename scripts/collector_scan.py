@@ -87,7 +87,7 @@ def memo_entries(P):
     tails = P._memo.get(pc._fresh_tails)
     if tails is None:
         return None
-    dicts = {id(d): d for level in tails for d in level[2] or () if d is not None}
+    dicts = {id(d): d for level in tails for d in level[1] or () if d is not None}
     return sum(map(len, dicts.values()))
 
 

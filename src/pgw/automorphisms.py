@@ -370,14 +370,14 @@ def extend_to_automorphism(P, M, g, u):
         raise PreconditionFailed(f"(gu)^{p} != g^{p} for g = {g}, u = {u}")
 
     # each f_j factors uniquely as m_j g^i with m_j in M; re-point g at gu
+    back = [pc.pow_(P, g, -i) for i in range(p)]
     images = []
-    for j in range(1, P.n + 1):
-        fj = P.generator(j)
-        hits = [i for i in range(p) if pc.mul(P, fj, pc.pow_(P, g, -i)) in M]
+    for j, fj in enumerate(P.generators(), 1):
+        cosets = [pc.mul(P, fj, b) for b in back]
+        hits = [i for i, mj in enumerate(cosets) if mj in M]
         assert len(hits) == 1, f"coset decomposition of f_{j} not unique: {hits}"
         i = hits[0]
-        mj = pc.mul(P, fj, pc.pow_(P, g, -i))
-        images.append(pc.mul(P, mj, pc.pow_(P, gu, i)))
+        images.append(pc.mul(P, cosets[i], pc.pow_(P, gu, i)))
 
     try:
         A = verify(GenMap(P, tuple(images)))

@@ -28,35 +28,38 @@ once per set bit of m, at most bit_length(p-1) times, not m times.
 and `validate` hands them on.  Conjugating by f_j^h is collection in
 G_{j+1} = <f_{j+1}, ..., f_n>, which needs only the rows for f_{j+1}..f_n,
 so the collector builds the table itself from j = n down to 1; there is no
-second collector to bootstrap it.  On a validated presentation a letter f_j^m
-outside 0 < m < p is first reduced modulo |G_j| = p^(n-j+1), and pow_ spells
-the rest as a normal form, so a huge m costs O(n log p) collections.
+second collector to bootstrap it.  When f_j^m is placed and digit j
+reaches p, f_j^p is replaced by its power word w_j, which is pushed.
+
+A letter f_j^m outside 0 < m < p is replaced by the normal-form word of
+pow_(f_j, m), which reduces m modulo |G| and collects only letters in
+range, so a huge m costs O(n log p) collections.  That is one rule on any
+presentation, but ord(f_j) divides |G| only once the presentation is
+consistent: on an unvalidated one such a letter means f_j^m only after
+validate passes, and the consistency battery spells its checks with
+letters in range.
 
 A validated presentation also carries a tail memo (see conjugates()), and
-three shortcuts follow from its normal forms.  When f_j commutes with every
+two shortcuts follow from its normal forms.  When f_j commutes with every
 f_k, k > j, f_j^m crosses any tail unchanged, so it is added to digit j in
 place.  Otherwise, on a memoized level, one lookup keyed by the tail's
 digits gives those of T^{f_j^h}, or of w_j T^{f_j^h} when f_j^h overflows
-into its power word w_j, and they are written at once instead of pushing
-one stored word per nonzero digit and collecting them again.  A power word
-that lands on zero digits is a normal form right of f_j and is written
-directly.  The consistency battery collects on the unvalidated object,
-which holds no memo, so its verdicts and messages come from the plain
-collector above.
+into w_j, and they are written at once instead of pushing one stored word
+per nonzero digit and collecting them again.  The consistency battery
+collects on the unvalidated object, which holds no memo, so its verdicts
+and messages come from the plain collector above.
 
-The derived operations never collect an inverse word, whose negative
-letters each expand into an inverted power word.  inv, comm and conj are
-left division (Sims, Computation with Finitely Presented Groups, ch. 9):
+inv, comm and conj are left division (Sims, Computation with Finitely Presented Groups, ch. 9):
 _solve finds the x with u x = v one pc letter at a time, since right
 multiplication by f_k^x adds x to digit k modulo p and leaves the digits
 before it alone.  So inv(a) solves a x = 1, comm(a, b) solves b a x = a b
 and conj(a, t) solves t x = a t.  pow_ writes a^k as the product of
 (a^(p^i))^(k_i) over the base-p digits k_i of k, one collection of the
 concatenated words, with each a^(p^i) raised to the p from the term
-before it; a negative k is reduced modulo ord(a) = p^m, read off the same
-chain of p-th powers that element_order counts.  A power x^d with d >= 4 is
-taken by squaring, O(log d) products, and a smaller one is spelled as d
-copies of x's word, so pow_ costs O(n log p) products.
+before it.  k is first reduced modulo |G|, which ord(a) divides, so a
+negative k forms no inverse.  A power x^d with d >= 4 is taken by
+squaring, O(log d) products, and a smaller one is spelled as d copies of
+x's word, so pow_ costs O(n log p) products.
 """
 
 from __future__ import annotations
@@ -182,12 +185,11 @@ def word_of(e):
     return tuple([(i, ei) for i, ei in enumerate(e, 1) if ei])
 
 
-def inverse_word(w):
-    return tuple((g, -m) for (g, m) in reversed(w))
-
-
 def collect(P, w):
-    """Collection from the left: normal form of the group element spelled by w."""
+    """Collection from the left: normal form of the group element spelled by
+    w.  A letter f_j^m outside 0 < m < p stands for pow_(f_j, m), with m
+    taken modulo |G|; on an unvalidated presentation that is f_j^m only
+    once the presentation is consistent."""
     stack = list(w)
     stack.reverse()
     return _collect_into(P, [0] * P.n, stack)
@@ -278,33 +280,16 @@ def _collect_into(P, e, stack, table=None):
     # that conjugates() is building; else P's, read from P._memo directly
     conj = table or P._memo.get(conjugates) or conjugates(P)
     tails = P._memo.get(_fresh_tails)  # the tail memo, on a validated presentation only
-    pop, push = stack.pop, stack.extend  # a letter with m = 0 is dropped
+    pop, push = stack.pop, stack.extend
     last = top = P.n - 1
     while top >= 0 and not e[top]:
         top -= 1
     while stack:
         j, m = pop()
         if not (0 < m < p):
-            if P.validated:
-                # f_j lies in G_j, of order p^(n-j+1), and pow_ takes the rest
-                # p-adically: O(n log p) collections, not m/p copies of f_j's
-                # power word
-                m %= p ** (P.n - j + 1)
-                if m:
-                    push(reversed(word_of(pow_(P, P.generator(j), m))))
-                continue
-            if not m:
-                continue
-            r = m % p
-            q = (m - r) // p
-            # f_j^m = f_j^r * (f_j^p)^q, powers of f_j commute with each other
-            wj = power_rel[j - 1]
-            rep = wj if q > 0 else inverse_word(wj)
-            for _ in range(abs(q)):
-                if rep:
-                    push(reversed(rep))
-            if r:
-                stack.append((j, r))
+            # pow_ takes m modulo |G| p-adically, O(n log p) collections of
+            # letters in range, and spells f_j^0 as the empty word
+            push(reversed(word_of(pow_(P, P.generator(j), m))))
             continue
         jj = j - 1
         if jj < top:
@@ -314,7 +299,7 @@ def _collect_into(P, e, stack, table=None):
             h = m & -m
             memo = None
             if tails is not None:
-                _, central, memo, _ = tails[jj]
+                central, memo, _ = tails[jj]
                 if central:  # T^{f_j^m} = T, so f_j^m crosses in one step
                     if e[jj] + m < p:
                         e[jj] += m
@@ -358,15 +343,9 @@ def _collect_into(P, e, stack, table=None):
             continue
         # f_j^p overflows into its power word, which lies right of f_j
         e[jj] = s - p
-        if tails is not None:
-            # on zero digits the power word is a normal form: write it
-            e[j:], top = tails[jj][0]
-            if top >= 0:
-                continue
-        else:
-            wj = power_rel[jj]
-            if wj:
-                push(reversed(wj))
+        wj = power_rel[jj]
+        if wj:
+            push(reversed(wj))
         top = jj
         while top >= 0 and not e[top]:
             top -= 1
@@ -387,7 +366,7 @@ def _tail_entry(P, conj, memo, jj, h, over, tail):
     if over:
         stack += reversed(P.power_rel[jj])
     digits = _collect_into(P, [0] * P.n, stack, conj)[jj + 1:]
-    canon = P._memo[_fresh_tails][jj][3]
+    canon = P._memo[_fresh_tails][jj][2]
     digits = canon.setdefault(digits, digits)
     memo[canon.setdefault(tail, tail)] = digits
     return digits
@@ -396,18 +375,13 @@ def _tail_entry(P, conj, memo, jj, h, over, tail):
 def _fresh_tails(P):
     """A cold tail memo for the validated P (see conjugates()).
 
-    Entry j-1 is (the digits right of f_j of its power word w_j and their
-    top, whether f_j commutes with G_{j+1}, the level's dicts or None, the
-    level's interned tail tuples).  The dicts are indexed by h for a
+    Entry j-1 is (whether f_j commutes with G_{j+1}, the level's dicts or
+    None, the level's interned tail tuples).  The dicts are indexed by h for a
     crossing f_j^h and by p + h when f_j overflows; a central level has one
     dict, at every p + m, and nothing else."""
     p, n = P.p, P.n
     tails = []
     for j in range(1, n + 1):
-        digits = [0] * n
-        for g, m in P.power_rel[j - 1]:
-            digits[g - 1] = m
-        top = max((g - 1 for g, _ in P.power_rel[j - 1]), default=-1)
         central = not any(P.comm_rel.get((k, j)) for k in range(j + 1, n + 1))
         memo = None
         keys = (p ** (n - j) - 1) * (1 if central else 2 * (p - 1).bit_length())
@@ -419,7 +393,7 @@ def _fresh_tails(P):
                 for b in range((p - 1).bit_length()):
                     memo[1 << b] = {}
                     memo[p + (1 << b)] = {}
-        tails.append(((tuple(digits[j:]), top), central, memo, {}))
+        tails.append((central, memo, {}))
     return tails
 
 
@@ -482,10 +456,10 @@ def pth_power(P, x):
     return collect(P, _power_word(P, x, P.p))
 
 
-def _p_powers(P, a, limit=None):
+def _p_powers(P, a, limit):
     """The terms a^(p^i) = (a^(p^(i-1)))^p with p^i <= limit, each raised
     to the p by _power_word, stopping at the last term that limit needs or
-    before the identity; with no limit, ord(a) is p to the number of
+    before the identity; with limit |G|, ord(a) is p to the number of
     terms."""
     p, one = P.p, identity(P)
     chain = []
@@ -494,7 +468,7 @@ def _p_powers(P, a, limit=None):
         if len(chain) == P.n:
             raise AssertionError(f"the order of {a} exceeded the group order")
         chain.append(x)
-        if limit is not None and p ** len(chain) > limit:
+        if p ** len(chain) > limit:
             break
         x = pth_power(P, x)
     return chain
@@ -502,16 +476,12 @@ def _p_powers(P, a, limit=None):
 
 def pow_(P, a, k):
     """a^k as the product of (a^(p^i))^(k_i) over the base-p digits k_i of k,
-    collected as one word; powers of a commute.  A negative k is first
-    reduced modulo ord(a), so no inverse is formed."""
+    collected as one word; powers of a commute.  k is first reduced modulo
+    |G|, which ord(a) divides, so a negative k forms no inverse."""
     p = P.p
-    if k < 0:
-        chain = _p_powers(P, a)
-        k %= p ** len(chain)
-    else:
-        chain = _p_powers(P, a, k)
+    k %= P.order
     w = []
-    for x in chain:
+    for x in _p_powers(P, a, k):
         k, digit = divmod(k, p)
         w += _power_word(P, x, digit)
     return collect(P, w)
@@ -519,7 +489,7 @@ def pow_(P, a, k):
 
 def element_order(P, a):
     """Least k >= 1 with a^k = 1; always a power of p in a p-group."""
-    return P.p ** len(_p_powers(P, a))
+    return P.p ** len(_p_powers(P, a, P.order))
 
 
 def size_cap(**given):
@@ -614,19 +584,21 @@ def validate(P):
             raise BadDefinition(f"defn[{i}] = comm{tag[1:]}: indices must be < {i}")
 
     p = P.p
+    # f_i^p is the normal form of its power word, and f_i^(p+1) = f_i f_i^p
+    powers = [collect(P, w) for w in P.power_rel]
     for i in range(1, P.n + 1):
-        lhs = collect(P, ((i, p + 1),))  # = f_i * (f_i^p word)
-        rhs = mul(P, collect(P, ((i, p),)), P.generator(i))
+        lhs = mul(P, P.generator(i), powers[i - 1])
+        rhs = mul(P, powers[i - 1], P.generator(i))
         if lhs != rhs:
             raise ConsistencyViolation("power/power", (i,), lhs, rhs)
     for j in range(2, P.n + 1):
         for i in range(1, j):
             fji = collect(P, ((j, 1), (i, 1)))
-            lhs = mul(P, collect(P, ((j, p),)), P.generator(i))
+            lhs = mul(P, powers[j - 1], P.generator(i))
             rhs = collect(P, ((j, p - 1),) + word_of(fji))
             if lhs != rhs:
                 raise ConsistencyViolation("power/swap", (j, i), lhs, rhs)
-            lhs = collect(P, ((j, 1),) + word_of(collect(P, ((i, p),))))
+            lhs = collect(P, ((j, 1),) + word_of(powers[i - 1]))
             rhs = mul(P, fji, collect(P, ((i, p - 1),)))
             if lhs != rhs:
                 raise ConsistencyViolation("swap/power", (j, i), lhs, rhs)
@@ -642,7 +614,7 @@ def validate(P):
 
     for i, tag in sorted(P.defn.items()):
         if tag[0] == "pow":
-            value = collect(P, ((tag[1], p),))
+            value = powers[tag[1] - 1]
         else:
             value = comm(P, P.generator(tag[1]), P.generator(tag[2]))
         if value != P.generator(i):

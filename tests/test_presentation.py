@@ -244,7 +244,7 @@ def test_validate_keeps_no_reference_to_the_raw_presentation(monkeypatch):
 def _memo_dicts(P):
     """The distinct dicts of P's tail memo; a central level shares one."""
     dicts = {}
-    for _, _, memo, _ in P._memo.get(pc._fresh_tails) or ():
+    for _, memo, _ in P._memo.get(pc._fresh_tails) or ():
         for d in memo or ():
             if d is not None:
                 dicts[id(d)] = d
@@ -628,6 +628,19 @@ def test_derived_operations_match_index_algebra(name):
             assert t.encode(pc.pow_(P, a, k)) == t.pow(x, k), (a, k)
 
 
+def _refuse_letters_out_of_range(monkeypatch):
+    """Make pc._collect_into refuse a stack holding a letter f_j^m outside
+    0 < m < p, such as a negative letter of an inverse word."""
+    collect_into = pc._collect_into
+
+    def guarded(P, e, stack, table=None):
+        bad = [(g, m) for g, m in stack if not 0 < m < P.p]
+        assert not bad, f"letters out of range handed to the collector: {bad}"
+        return collect_into(P, e, stack, table)
+
+    monkeypatch.setattr(pc, "_collect_into", guarded)
+
+
 @pytest.mark.parametrize("name", ["h27", "q8", "g2187", "m3125"])
 def test_derived_operations_form_no_inverse_word(name, monkeypatch):
     P = load_group(name)
@@ -638,17 +651,38 @@ def test_derived_operations_form_no_inverse_word(name, monkeypatch):
         k = rng.randint(-2 * P.order, 2 * P.order)
         cases.append((a, b, k, pc.inv(P, a), pc.comm(P, a, b), pc.conj(P, a, b), pc.pow_(P, a, k)))
 
-    def refuse(w):
-        raise AssertionError(f"inverse word formed for {w}")
-
-    monkeypatch.setattr(pc, "inverse_word", refuse)
-    with pytest.raises(AssertionError, match="inverse word"):
-        # the guard bites on a negative letter, which only an unvalidated
-        # presentation spells with inverse words
-        pc.collect(P.replace(), ((1, -1),))
+    _refuse_letters_out_of_range(monkeypatch)
+    with pytest.raises(AssertionError, match="out of range"):
+        pc.collect(P, ((1, -1),))
     for a, b, k, *want in cases:
         got = [pc.inv(P, a), pc.comm(P, a, b), pc.conj(P, a, b), pc.pow_(P, a, k)]
         assert got == want, (a, b, k)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_consistency_battery_collects_letters_in_range(name, monkeypatch):
+    # f_i^p is spelled by its power word and f_i^(p+1) as f_i times it
+    text = importlib.resources.files("pgw").joinpath(f"data/{name}.pg").read_text()
+    _refuse_letters_out_of_range(monkeypatch)
+    assert groupfile.parse_text(text, source=name).presentation.validated
+
+
+@pytest.mark.parametrize("name", ALL_NAMES + ("m3125",))
+def test_out_of_range_letter_is_its_power_on_any_presentation(name):
+    # a letter f_j^m outside 0 < m < p goes through pow_, modulo |G|, on a
+    # validated presentation and on its unvalidated copy alike
+    P = load_group(name)
+    raw = P.replace()
+    t = tables.get_tables(P)
+    p = P.p
+    rng = random.Random(47)
+    for j in range(1, P.n + 1):
+        for m in (-P.order - 1, -p, -1, 0, p, p + 1, 2 * p + 1, P.order + 2, 10**12):
+            a = _random_element(rng, P)
+            w = pc.word_of(a) + ((j, m),)
+            got = pc.collect(P, w)
+            assert t.encode(got) == t.mul(t.encode(a), t.pow(t.strides[j - 1], m)), (a, j, m)
+            assert pc.collect(raw, w) == got, (a, j, m)
 
 
 @pytest.mark.parametrize("p", [31, 97])
