@@ -23,7 +23,10 @@ are expanded into their children.  The sieve works on columns of indices,
 one list per generator, in plain Python: modulo G_{k+2} the nodes' p-th
 powers and commutators take few distinct arguments, so each is computed
 once, by the tables' mul, pow and comm, and memoized (_arithmetic), and the
-relations go in an order fixed by the presentation (_relations).  At level
+relations go in an order fixed by the presentation (_relations), the ones
+whose forced images are all p-th powers first: a power is memoized on one
+argument and a commutator on a pair, so the images that need a commutator
+are forced on the fewest rows.  At level
 n the children only need their forced images, and they are exactly the
 automorphisms.  Each block of them that the lift yields is re-certified in
 one call to the pure collection of automorphisms.verify_coded, one row per
@@ -60,10 +63,21 @@ The sieve's tables come from the parsed relations by induction down the pc
 series and verify collects, so that agreement tests the induction and the
 lift against the collector.  Both routes read G/Phi(G) off the first d
 exponents.  cross_validate labels the whole map stream in one lookup of the
-inner table and decodes only the images of f_1..f_d of the maps labelled
-inner, each checked against conjugation by its conjugator t,
-t A(f_i) = f_i t for i <= d, by collection, without certifying it a second
-time: the map is certified and f_1..f_d generate G.
+inner table and checks each map labelled inner against conjugation by its
+label, once per central-twist class when n > d.  The labelled rows of the
+identity's class, and the first labelled row A = conj_c of each other
+class, are collected as t A(f_i) = f_i t for i <= d, without certifying
+them a second time: the map is certified and f_1..f_d generate G.  The
+identity's class holds the conj_y with [f_i, y] in G_n for i <= d.  For
+such y, x -> [x, y] is a homomorphism into G_n, central of order p, so it
+kills Phi(G), and conj_cy(f_i) = conj_c(f_i) [conj_c(f_i), y] =
+conj_c(f_i) [f_i, y]: conj_cy is A with the f_n digits of its minimal
+images moved by conj_y's twist, and agrees with A past d.  So another
+labelled row A' of A's class, with label c', is conj_c' when it differs
+from A by the twist of a labelled row conj_y of the identity's class and
+c^-1 c' (presentation._solve) lies in y Z(G), whose elements are collected
+once per twist.  A row that fails either test is collected, so every
+labelled row is proved conjugation by its label, on any stream.
 
 Work is partitioned into chunks of level-d nodes by the image of f_1 modulo
 Phi(G), with at most one worker per chunk; multiprocessing is imported only
@@ -187,11 +201,16 @@ def _relations(P):
     presentation, so that every job does the same work: the relations that
     read only the images of f_1..f_d first, then the others by the highest
     generator whose image they read, each group in the order f_1^p, ...,
-    f_n^p, [f_2, f_1], [f_3, f_1], [f_3, f_2], ....  The sieve forces an
-    image just before the first relation that needs it, so the images of the
-    later generators are forced only on the rows that pass the earlier
-    relations.  A relation that defines f_k holds by construction of f_k's
-    image and is left out."""
+    f_n^p, [f_2, f_1], [f_3, f_1], [f_3, f_2], ....  That order is then
+    split, stably, into the relations whose forced images are all defined
+    by p-th powers and, after them, those that need an image defined by a
+    commutator.  The sieve forces an image just before the first relation
+    that needs it, so the images of the later generators are forced only
+    on the rows that pass the earlier relations; a p-th power is memoized
+    on one argument and a commutator on a pair, so the commutators go on
+    the fewest rows (on g2187's last level, f_3 = [f_2, f_1] is forced on
+    1,458 rows, not 4,374).  A relation that defines f_k holds by
+    construction of f_k's image and is left out."""
     needs = {}  # k -> the forced generators that f_k's image is forced from
     for k in range(1, P.n + 1):
         tag = P.defn.get(k)
@@ -203,6 +222,7 @@ def _relations(P):
             reads = [g + 1 for g in reads]
             out.append((max(reads), rel, word, sorted(set().union(*(needs[g] for g in reads)))))
     out.sort(key=lambda entry: (entry[0] > P.minimal_count, entry[0]))
+    out.sort(key=lambda entry: any(P.defn[k][0] == "comm" for k in entry[3]))
     return [entry[1:] for entry in out]
 
 
@@ -331,6 +351,14 @@ def _lift(ctx, nodes, level, deadline):
             yield from _lift(ctx, children, level + 1, deadline)
 
 
+def _twist_key(P, row):
+    """The central-twist class of a row of n image indices, a tuple, when
+    n > d: its minimal images past f_n's digit (index // p) and its forced
+    entries (see the module docstring)."""
+    p, d = P.p, P.minimal_count
+    return tuple(x // p for x in row[:d]) + row[d:]
+
+
 def _certify_rows(ctx, rows, deadline):
     """Pure re-verification of one block of sieve survivors in one
     automorphisms.verify_coded call, which checks the deadline before each
@@ -344,9 +372,9 @@ def _certify_rows(ctx, rows, deadline):
     P, t, d = ctx["P"], ctx["t"], ctx["d"]
     reps = rows
     if P.n > d:
-        p, first = P.p, {}
+        first = {}
         for row in rows:
-            first.setdefault(tuple(x // p for x in row[:d]) + row[d:], row)
+            first.setdefault(_twist_key(P, row), row)
         reps = list(first.values())
     distinct = list(set(chain.from_iterable(reps)))
     number = dict(zip(distinct, range(len(distinct))))
@@ -593,8 +621,12 @@ def cross_validate(P, precomputed):
     oracle's inner tally equals |G/Z(G)|, so no inner map is labelled
     non-inner; (b) the stream is labelled in one lookup of the table of
     conjugation images, and every map labelled inner is conjugation by its
-    lex-least conjugator t, checked by pure collection as t A(f_i) = f_i t
-    on f_1..f_d (see _conjugates_by); their number equals the inner tally;
+    lex-least conjugator t: each labelled row of the identity's twist class,
+    and the first labelled row of each other class, by pure collection as
+    t A(f_i) = f_i t on f_1..f_d (see _conjugates_by); every other labelled
+    row by its twist from its class's first row and one left division into
+    a coset of Z(G) (see the module docstring), or by collection when that
+    fails; their number equals the inner tally;
     (c) when the witness construction succeeds, its images are one row of
     the stream, and the oracle's classifier puts that row in the order-p
     non-inner Frattini-fixing bucket: _order_p and _fixes_phi give its
@@ -621,16 +653,41 @@ def cross_validate(P, precomputed):
         raise Mismatch(
             f"a streamed image is not an element: index {outside} is outside 0..{P.order - 1}"
         )
-    found = au._conjugators(P, zip(*[iter(maps)] * n))
+    rows = list(zip(*[iter(maps)] * n))
+    found = au._conjugators(P, rows)
     labeled = [k for k, c in enumerate(found) if c >= 0]
-    d = P.minimal_count
+    d, p = P.minimal_count, P.p
     gens = P.generators()[:d]
+
+    def collected(k):
+        return _conjugates_by(P, gens, [t.decode(x) for x in rows[k][:d]], t.decode(found[k]))
+
+    def twist(a, b):  # b's f_n digits less a's, on the minimal images
+        return tuple((y - x) % p for x, y in zip(a[:d], b[:d]))
+
+    home, ys, firsts = {}, {}, {}  # home: verdicts in the identity's class; ys: twist -> y
+    cosets = Memo(lambda y: {pc.mul(P, t.decode(y), z) for z in Z.elements})  # y -> y Z(G)
+    if n > d:
+        identity = _twist_key(P, tuple(t.strides))
+        for k in labeled:
+            if _twist_key(P, rows[k]) == identity:
+                home[k] = collected(k)
+                if home[k]:
+                    ys[twist(t.strides, rows[k])] = found[k]
     for k in labeled:
-        c = t.decode(found[k])
-        row = maps[k * n : (k + 1) * n]
-        if not _conjugates_by(P, gens, [t.decode(x) for x in row[:d]], c):
-            images = tuple(map(t.decode, row))
-            raise Mismatch(f"inner witness {c} does not reproduce {images}")
+        if k in home:
+            ok = home[k]
+        else:
+            j = firsts.setdefault(_twist_key(P, rows[k]) if n > d else k, k)
+            y = ys.get(twist(rows[j], rows[k]))
+            if j == k or y is None:
+                ok = collected(k)
+            else:  # rows[j] is conj_c: rows[k] is conj_cy, so c^-1 c' must lie in y Z(G)
+                ok = pc._solve(P, t.decode(found[j]), t.decode(found[k])) in cosets[y]
+                ok = ok or collected(k)
+        if not ok:
+            c = t.decode(found[k])
+            raise Mismatch(f"inner witness {c} does not reproduce {tuple(map(t.decode, rows[k]))}")
     if len(labeled) != count.inner:
         raise Mismatch(
             f"stream relabeling finds {len(labeled)} inner maps, count says {count.inner}"
@@ -643,7 +700,7 @@ def cross_validate(P, precomputed):
     if wit is not None:
         target = tuple(wit.A.images)
         row = tuple(map(t.encode, target))
-        hits = [k for k, r in enumerate(zip(*[iter(maps)] * n)) if r == row]
+        hits = [k for k, r in enumerate(rows) if r == row]
         if len(hits) != 1:
             raise Mismatch(f"witness images {target} appear {len(hits)} times in the stream")
         if not _order_p(t, [row])[0]:

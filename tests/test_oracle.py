@@ -577,6 +577,100 @@ def test_cross_validation_catches_a_wrong_conjugator(monkeypatch):
     assert str(err.value) == f"inner witness {t.decode(c)} does not reproduce {images}"
 
 
+def _classes(P, rows):
+    """The stream's row numbers by twist class, in stream order, and the
+    key of the identity's class."""
+    classes = collections.defaultdict(list)
+    for k, row in enumerate(rows):
+        classes[_twist_key(P, row)].append(k)
+    return classes, _twist_key(P, tuple(get_tables(P).strides))
+
+
+def _relabeled(monkeypatch, count, labels):
+    """Make the stream's lookup of the inner table return labels."""
+    conjugators = au._conjugators
+
+    def relabeled(P, rows):
+        found = conjugators(P, rows)
+        return list(labels) if len(found) == count.total else found
+
+    monkeypatch.setattr(au, "_conjugators", relabeled)
+
+
+@pytest.mark.parametrize("case", ["identity-class", "other-class", "swapped"])
+def test_cross_validation_catches_a_label_moved_within_a_twist_class(case, monkeypatch):
+    # a class holds 3 inner maps of 9.  One inner label moves to a non-inner
+    # sibling after the class's first inner row, or two inner rows past the
+    # first swap their labels, so the inner tally and (a) still hold, and
+    # only the twist proof or its collection can see it
+    P = pgw.load("w81")
+    count = pgw.enumerate_automorphisms(P)
+    t = get_tables(P)
+    rows = _rows(P, count.maps)
+    found = au._conjugators(P, rows)
+    classes, identity = _classes(P, rows)
+    inner_classes = [key for key, ks in classes.items() if any(found[k] >= 0 for k in ks)]
+    others = [key for key in inner_classes if key != identity]
+    ks = classes[identity if case == "identity-class" else others[0]]
+    inner = [k for k in ks if found[k] >= 0]
+    assert (len(ks), len(inner)) == (9, 3)
+    labels = found.copy()
+    if case == "swapped":
+        bad, label = inner[1], found[inner[2]]
+        labels[inner[1]], labels[inner[2]] = label, found[inner[1]]
+    else:
+        bad, label = next(k for k in ks if found[k] < 0 and k > inner[0]), found[inner[-1]]
+        labels[bad], labels[inner[-1]] = label, -1
+    _relabeled(monkeypatch, count, labels)
+    with pytest.raises(pgw.Mismatch) as err:
+        pgw.cross_validate(P, precomputed=count)
+    images = tuple(map(t.decode, rows[bad]))
+    assert str(err.value) == f"inner witness {t.decode(label)} does not reproduce {images}"
+
+
+def test_cross_validation_catches_a_wrong_conjugator_past_a_class_first_row(
+    demo_group, demo_oracle_count, monkeypatch
+):
+    # the row is inner, so its twist is an inner one; t f_1 is a conjugator
+    # outside its label's coset of Z(G), since f_1 is not central
+    P, count = demo_group, demo_oracle_count
+    t = get_tables(P)
+    rows = _rows(P, count.maps)
+    found = au._conjugators(P, rows)
+    classes, identity = _classes(P, rows)
+    k = next(
+        inner[1]
+        for key, ks in classes.items()
+        if key != identity and len(inner := [k for k in ks if found[k] >= 0]) > 1
+    )
+    labels = found.copy()
+    labels[k] = t.mul(found[k], t.strides[0])
+    _relabeled(monkeypatch, count, labels)
+    with pytest.raises(pgw.Mismatch) as err:
+        pgw.cross_validate(P, precomputed=count)
+    images = tuple(map(t.decode, rows[k]))
+    assert str(err.value) == f"inner witness {t.decode(labels[k])} does not reproduce {images}"
+
+
+@pytest.mark.parametrize("name, collected", [("g2187", 89), ("m243", 17), ("w81", 11)])
+def test_cross_validation_collects_the_identity_class_and_each_first_row(
+    name, collected, request, monkeypatch
+):
+    # g2187's 729 inner maps fall in 81 classes of 9: the identity's 9 and
+    # the first labelled row of each of the other 80 are collected
+    P, count = _stream(name, request)
+    calls = []
+    conjugates_by = oracle._conjugates_by
+
+    def spy(*args):
+        calls.append(args)
+        return conjugates_by(*args)
+
+    monkeypatch.setattr(oracle, "_conjugates_by", spy)
+    assert pgw.cross_validate(P, precomputed=count) is True
+    assert len(calls) == collected
+
+
 @pytest.mark.parametrize("name", ["h27", "m243", "g2187"])
 def test_stream_labels_match_is_inner(name, request):
     if name == "g2187":
@@ -855,6 +949,73 @@ def test_stream_does_not_depend_on_the_relation_order(name, monkeypatch):
         b.order_p_noninner_fixing_frattini,
     )
     assert a.maps == b.maps
+
+
+UT4_3 = """name ut4_3
+p 3
+n 6
+comm 2 1 = g4^1
+comm 3 2 = g5^1
+comm 4 3 = g6^2
+comm 5 1 = g6^1
+def 4 = comm 2 1
+def 5 = comm 3 2
+def 6 = comm 5 1
+"""
+
+
+def _relation_keys(P):
+    """For each sieve relation, in the sieve's order: (needs an image forced
+    by a commutator, reads past f_d, highest generator read, place in the
+    certificate's plan)."""
+    plan = [entry.rel for entry in au._relation_plan(P)]
+    keys = []
+    for rel, word, needs in oracle._relations(P):
+        highest = max(rel[1:] + tuple(g for g, _ in word))
+        by_comm = any(P.defn[k][0] == "comm" for k in needs)
+        keys.append((by_comm, highest > P.minimal_count, highest, plan.index(rel)))
+    return keys
+
+
+@pytest.mark.parametrize("name", sorted(MODELS) + ["m3125", "m16807", "ut4_3"])
+def test_relations_put_the_power_forced_ones_first(name):
+    # a stable partition of the order by the highest generator read: the
+    # relations whose forced images are all p-th powers come first
+    P = groupfile.parse_text(UT4_3).presentation if name == "ut4_3" else load_group(name)
+    keys = _relation_keys(P)
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    defining = {tag: ((k, 1),) for k, tag in P.defn.items()}
+    plan = au._relation_plan(P)
+    assert sorted(k[3] for k in keys) == [
+        i for i, e in enumerate(plan) if defining.get(e.rel) != e.word
+    ]
+    if name == "ut4_3":  # every forced image is a commutator: the partition moves nothing
+        assert [k[1:] for k in keys] == sorted(k[1:] for k in keys)
+    if name == "g2187":
+        assert [rel for rel, _, _ in oracle._relations(P)[:4]] == [
+            ("comm", 4, 1),
+            ("pow", 6),
+            ("comm", 6, 1),
+            ("comm", 6, 4),
+        ]
+
+
+def test_sieve_products_on_g2187(monkeypatch):
+    # the last level forces f_3 = [f_2, f_1] only on the rows that pass the
+    # power-forced relations: 16,877 table products for the whole
+    # enumeration, the table of conjugation images' 98 included
+    P = pgw.validate(pgw.load("g2187").replace())  # a copy with no memo filled yet
+    t = get_tables(P)
+    calls = [0]
+    mul = type(t).mul
+
+    def spy(self, a, b):
+        calls[0] += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(type(t), "mul", spy)
+    count = pgw.enumerate_automorphisms(P)
+    assert (count.total, count.inner, calls[0]) == (4374, 729, 16877)
 
 
 @pytest.mark.parametrize("budget", [float("nan"), -1, "5", True, False], ids=repr)
