@@ -72,12 +72,16 @@ identity's class holds the conj_y with [f_i, y] in G_n for i <= d.  For
 such y, x -> [x, y] is a homomorphism into G_n, central of order p, so it
 kills Phi(G), and conj_cy(f_i) = conj_c(f_i) [conj_c(f_i), y] =
 conj_c(f_i) [f_i, y]: conj_cy is A with the f_n digits of its minimal
-images moved by conj_y's twist, and agrees with A past d.  So another
-labelled row A' of A's class, with label c', is conj_c' when it differs
-from A by the twist of a labelled row conj_y of the identity's class and
-c^-1 c' (presentation._solve) lies in y Z(G), whose elements are collected
-once per twist.  A row that fails either test is collected, so every
-labelled row is proved conjugation by its label, on any stream.
+images moved by conj_y's twist, and agrees with A past d.  Let A' be
+another labelled row of A's class, with label c', that differs from A by
+the twist of a row conj_y of the identity's class that passed its
+collection.  Then A' = conj_cy on f_1..f_d, and conj_cy = conj_c' iff
+(cy)^-1 c' lies in Z(G), that is iff c^-1 c' (presentation._solve) lies
+in y Z(G), whose elements are collected once per twist: the coset test
+gives A' the verdict its collection would.  A labelled row whose twist
+from A is that of no such conj_y is collected; on a true stream there is
+none, as c^-1 c' is such a y.  So every labelled row is proved
+conjugation by its label, on any stream.
 
 Work is partitioned into chunks of level-d nodes by the image of f_1 modulo
 Phi(G), with at most one worker per chunk; multiprocessing is imported only
@@ -198,19 +202,19 @@ def _relations(P):
     """The relations the sieve checks, as (relation, right-hand word, the
     forced generators whose images it needs), read from the certificate's
     plan (automorphisms._relation_plan), in an order fixed by the
-    presentation, so that every job does the same work: the relations that
-    read only the images of f_1..f_d first, then the others by the highest
-    generator whose image they read, each group in the order f_1^p, ...,
-    f_n^p, [f_2, f_1], [f_3, f_1], [f_3, f_2], ....  That order is then
-    split, stably, into the relations whose forced images are all defined
-    by p-th powers and, after them, those that need an image defined by a
-    commutator.  The sieve forces an image just before the first relation
-    that needs it, so the images of the later generators are forced only
-    on the rows that pass the earlier relations; a p-th power is memoized
-    on one argument and a commutator on a pair, so the commutators go on
-    the fewest rows (on g2187's last level, f_3 = [f_2, f_1] is forced on
-    1,458 rows, not 4,374).  A relation that defines f_k holds by
-    construction of f_k's image and is left out."""
+    presentation, so that every job does the same work.  One stable sort
+    of the plan's order f_1^p, ..., f_n^p, [f_2, f_1], [f_3, f_1],
+    [f_3, f_2], ... puts first the relations whose forced images are all
+    defined by p-th powers, then those that need an image defined by a
+    commutator; within each part, the relations that read only the images
+    of f_1..f_d come first, then the others by the highest generator whose
+    image they read.  The sieve forces an image just before the first
+    relation that needs it, so the images of the later generators are
+    forced only on the rows that pass the earlier relations; a p-th power
+    is memoized on one argument and a commutator on a pair, so the
+    commutators go on the fewest rows (on g2187's last level,
+    f_3 = [f_2, f_1] is forced on 1,458 rows, not 4,374).  A relation that
+    defines f_k holds by construction of f_k's image and is left out."""
     needs = {}  # k -> the forced generators that f_k's image is forced from
     for k in range(1, P.n + 1):
         tag = P.defn.get(k)
@@ -221,8 +225,8 @@ def _relations(P):
         if defining.get(rel) != word:
             reads = [g + 1 for g in reads]
             out.append((max(reads), rel, word, sorted(set().union(*(needs[g] for g in reads)))))
-    out.sort(key=lambda entry: (entry[0] > P.minimal_count, entry[0]))
-    out.sort(key=lambda entry: any(P.defn[k][0] == "comm" for k in entry[3]))
+    d = P.minimal_count
+    out.sort(key=lambda e: (any(P.defn[k][0] == "comm" for k in e[3]), e[0] > d, e[0]))
     return [entry[1:] for entry in out]
 
 
@@ -351,12 +355,14 @@ def _lift(ctx, nodes, level, deadline):
             yield from _lift(ctx, children, level + 1, deadline)
 
 
-def _twist_key(P, row):
-    """The central-twist class of a row of n image indices, a tuple, when
-    n > d: its minimal images past f_n's digit (index // p) and its forced
-    entries (see the module docstring)."""
+def _twist_keys(P, rows):
+    """The central-twist class of each row of n image indices, as a tuple,
+    when n > d: its minimal images past f_n's digit (index // p) and its
+    forced entries (see the module docstring).  Built from the block's
+    columns, not row by row."""
     p, d = P.p, P.minimal_count
-    return tuple(x // p for x in row[:d]) + row[d:]
+    columns = list(zip(*rows))
+    return list(zip(*[[x // p for x in col] for col in columns[:d]], *columns[d:]))
 
 
 def _certify_rows(ctx, rows, deadline):
@@ -373,8 +379,8 @@ def _certify_rows(ctx, rows, deadline):
     reps = rows
     if P.n > d:
         first = {}
-        for row in rows:
-            first.setdefault(_twist_key(P, row), row)
+        for key, row in zip(_twist_keys(P, rows), rows):
+            first.setdefault(key, row)
         reps = list(first.values())
     distinct = list(set(chain.from_iterable(reps)))
     number = dict(zip(distinct, range(len(distinct))))
@@ -625,8 +631,10 @@ def cross_validate(P, precomputed):
     and the first labelled row of each other class, by pure collection as
     t A(f_i) = f_i t on f_1..f_d (see _conjugates_by); every other labelled
     row by its twist from its class's first row and one left division into
-    a coset of Z(G) (see the module docstring), or by collection when that
-    fails; their number equals the inner tally;
+    a coset of Z(G), a test that holds iff its collection would (see the
+    module docstring), or by collection when its twist is not that of a
+    collected row of the identity's class; their number equals the inner
+    tally;
     (c) when the witness construction succeeds, its images are one row of
     the stream, and the oracle's classifier puts that row in the order-p
     non-inner Frattini-fixing bucket: _order_p and _fixes_phi give its
@@ -665,26 +673,26 @@ def cross_validate(P, precomputed):
     def twist(a, b):  # b's f_n digits less a's, on the minimal images
         return tuple((y - x) % p for x, y in zip(a[:d], b[:d]))
 
+    # n = d: a class per row, so every labelled row is collected
+    keys = _twist_keys(P, [rows[k] for k in labeled]) if n > d else labeled
+    identity = _twist_keys(P, [tuple(t.strides)])[0] if n > d else None
     home, ys, firsts = {}, {}, {}  # home: verdicts in the identity's class; ys: twist -> y
     cosets = Memo(lambda y: {pc.mul(P, t.decode(y), z) for z in Z.elements})  # y -> y Z(G)
-    if n > d:
-        identity = _twist_key(P, tuple(t.strides))
-        for k in labeled:
-            if _twist_key(P, rows[k]) == identity:
-                home[k] = collected(k)
-                if home[k]:
-                    ys[twist(t.strides, rows[k])] = found[k]
-    for k in labeled:
+    for k, key in zip(labeled, keys):
+        if key == identity:
+            home[k] = collected(k)
+            if home[k]:
+                ys[twist(t.strides, rows[k])] = found[k]
+    for k, key in zip(labeled, keys):
         if k in home:
             ok = home[k]
         else:
-            j = firsts.setdefault(_twist_key(P, rows[k]) if n > d else k, k)
+            j = firsts.setdefault(key, k)
             y = ys.get(twist(rows[j], rows[k]))
             if j == k or y is None:
                 ok = collected(k)
-            else:  # rows[j] is conj_c: rows[k] is conj_cy, so c^-1 c' must lie in y Z(G)
+            else:  # rows[j] is conj_c, rows[k] conj_cy, and conj_cy = conj_c' iff c^-1 c' in y Z(G)
                 ok = pc._solve(P, t.decode(found[j]), t.decode(found[k])) in cosets[y]
-                ok = ok or collected(k)
         if not ok:
             c = t.decode(found[k])
             raise Mismatch(f"inner witness {c} does not reproduce {tuple(map(t.decode, rows[k]))}")

@@ -378,6 +378,17 @@ def test_stream_splits_into_central_twist_classes(name, request):
     assert all(row[d:] == forced[_twist_key(P, row)] for row in rows)
 
 
+@pytest.mark.parametrize("name", ["w81", "m243", "g2187"])
+def test_twist_keys_match_the_reference_row_by_row(name, request):
+    # the block's keys, built from its columns, are the reference key of
+    # each row followed by its forced entries
+    P, count = _stream(name, request)
+    rows = _rows(P, count.maps)
+    d = P.minimal_count
+    assert oracle._twist_keys(P, rows) == [_twist_key(P, row) + row[d:] for row in rows]
+    assert oracle._twist_keys(P, []) == []
+
+
 @pytest.mark.parametrize("name, collected", [("c3c3", 48), ("g2187", 486)])
 def test_certify_rows_collects_one_row_per_class(name, collected, request, monkeypatch):
     # c3c3 has n = d, so its whole block is collected; the demo group's 4374
