@@ -10,21 +10,28 @@ for check); the oracle for count and --with-oracle.  One report follows.
 demo is that pipeline on the built-in group, followed by its fact list,
 which reads the pipeline's results.
 
-Exit codes: 0 success, 1 hypothesis not applicable, 2 input errors (an
-errors.InputError, an OSError, or a flag argparse rejects, such as a
---budget that is negative or not finite or a --jobs below 1), 3 internal
-contradiction (any other PgwError, or a failed assertion: a certificate,
-cross-check or invariant failed, which means a bug, not bad input), 130
-interrupted (Ctrl-C).
+A flag is written --flag value or --flag=value, before or after the file,
+or as any unique prefix of its name (--form json); the last of a repeated
+flag wins, and a flag's value is the next argument even when it starts
+with '-'.  -h or --help prints the help and exits 0.
 
-Only count and --with-oracle load the oracle and its tables; multiprocessing
-is loaded only for --jobs above 1.  No command needs a package outside the
-standard library.
+Exit codes: 0 success, 1 hypothesis not applicable, 2 input errors (an
+errors.InputError, an OSError, or an argv the parser rejects, such as an
+unknown flag, a --budget that is negative or not finite or a --jobs below
+1: main raises SystemExit(2) after a usage line and a `pgw <cmd>: error:`
+line on stderr), 3 internal contradiction (any other PgwError, or a failed
+assertion: a certificate, cross-check or invariant failed, which means a
+bug, not bad input), 130 interrupted (Ctrl-C).
+
+Each run loads only what it uses: the oracle and its tables only for count
+and --with-oracle, the demo facts (demofacts) only for demo, the text
+renderer (render) only for --format text, and multiprocessing only for
+--jobs above 1.  Parsing argv loads no module, argparse included.  No
+command needs a package outside the standard library.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 import time
@@ -33,127 +40,176 @@ from . import automorphisms as au
 from . import corpus
 from . import groupfile
 from . import hypotheses as hy
-from . import presentation as pc
 from . import report as rp
-from . import structure as st
 from .errors import InputError, Mismatch, PgwError
 
 
 def _at_least(convert, low, what):
-    """An argparse type: convert(text), which must lie in [low, inf)."""
+    """A flag's converter: convert(text), which must lie in [low, inf)."""
 
     def parse(text):
-        value = convert(text)
+        try:
+            value = convert(text)
+        except ValueError:
+            raise ValueError(f"invalid {convert.__name__} value: {text!r}") from None
         if not low <= value < math.inf:  # nan fails both
-            raise argparse.ArgumentTypeError(f"need {what}, got {text!r}")
+            raise ValueError(f"need {what}, got {text!r}")
         return value
 
-    parse.__name__ = convert.__name__  # text convert rejects reads "invalid float value"
     return parse
 
 
-def _parser():
-    ap = argparse.ArgumentParser(
-        prog="pgw",
-        description="non-inner automorphisms of finite p-groups "
-        "from power-commutator presentations",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
+def _choice(*choices):
+    """A flag's converter: text, which must be one of choices."""
 
-    def add(name, help_text, with_file=True):
-        sp = sub.add_parser(name, help=help_text)
-        if with_file:
-            sp.add_argument(
-                "file",
-                nargs="?",
-                help="group file; omitted means the built-in example group",
-            )
-        sp.add_argument("--report", default=None, metavar="PATH",
-                        help="write the JSON report to PATH")
-        sp.add_argument("--format", choices=("text", "json"), default="text",
-                        help="stdout format")
-        return sp
+    def parse(text):
+        if text not in choices:
+            listed = ", ".join(map(repr, choices))
+            raise ValueError(f"invalid choice: {text!r} (choose from {listed})")
+        return text
 
-    add("info", "structural summary: order, class, center, Frattini, maximals")
-    add("check", "decide the theorem hypotheses")
-    construct = add("construct", "build and certify the non-inner automorphism")
-    count = add("count", "enumerate Aut(G) and cross-validate the tallies")
-    demo = add("demo", "run the full pipeline on the built-in example group, "
-               "asserting every expected fact", with_file=False)
-    for sp in (construct, demo):
-        sp.add_argument("--with-oracle", action="store_true", dest="with_oracle",
-                        help="also enumerate the full automorphism group")
-    for sp in (construct, count, demo):
-        sp.add_argument("--budget", type=_at_least(float, 0, "a finite number of seconds >= 0"),
-                        default=None, metavar="SEC", help="wall-clock budget for the oracle")
-        sp.add_argument("--jobs", type=_at_least(int, 1, "a whole number >= 1"), default=1,
-                        metavar="K", help="worker processes for the oracle")
-    return ap
+    return parse
 
 
-def _demo_facts(P, h, w, count):
-    """(fact, holds) for each stored fact about the built-in group, in order;
-    h, w and count are the pipeline's hypotheses, witness and oracle count
-    (None without --with-oracle)."""
-    f = {i: P.generator(i) for i in range(1, 8)}
-    yield "|G| = 3^7 = 2187", P.order == 2187
-    yield "nilpotency class = 4", st.nilpotency_class(P) == 4
-    Z = st.center(P)
-    yield "Z(G) = <f7> of order 3", Z.order == 3 and Z == st.closure(P, [f[7]])
-    yield "G is monolithic", hy.is_monolithic(P)
-    F = st.frattini(P)
-    yield ("Phi(G) = <f3,f4,f5,f6,f7> of order 243",
-           F.order == 243 and F == st.closure(P, [f[3], f[4], f[5], f[6], f[7]]))
-    yield "Phi(G) is non-abelian", not st.is_abelian(P, F)
-    maxs = st.maximal_subgroups(P)
-    yield "exactly 4 maximal subgroups", len(maxs) == 4
-    yield "all maximal subgroups non-abelian", all(not st.is_abelian(P, M) for M in maxs)
+_WIDTH = 78  # columns of the help text
 
-    printed = [
-        ([f[1]], [f[6], f[7]]),
-        ([f[2]], [f[5], f[7]]),
-        ([pc.mul(P, f[1], pc.pow_(P, f[2], 2))],
-         [pc.mul(P, pc.mul(P, pc.pow_(P, f[5], 2), f[6]), f[7]), pc.pow_(P, f[7], 2)]),
-        ([pc.mul(P, f[1], f[2])],
-         [pc.mul(P, pc.mul(P, f[5], f[6]), pc.pow_(P, f[7], 2)), f[7]]),
-    ]
-    tail = [f[3], f[4], f[5], f[6], f[7]]
-    by_set = {M: M for M in maxs}
-    for k, (head, zgens) in enumerate(printed, start=1):
-        hit = by_set.pop(st.closure(P, head + tail), None)
-        yield f"M{k} matches a computed maximal subgroup as an element set", hit is not None
-        yield (f"Z(M{k}) matches as an element set",
-               hit is not None and st.center_of(P, hit) == st.closure(P, zgens))
-    yield "the four maximal subgroups are exactly M1..M4", not by_set
+_DESCRIPTION = ("non-inner automorphisms of finite p-groups "
+                "from power-commutator presentations")
 
-    yield "[Z(M), g] <= Z(G) for every maximal M and g outside M", h.zm_condition
-    yield "theorem hypotheses all hold", h.theorem_applicable
+_FILE_HELP = "group file; omitted means the built-in example group"
 
-    images = list(P.generators())
-    images[1] = pc.mul(P, f[2], f[6])
-    alpha = au.verify(au.GenMap(parent=P, images=tuple(images)))
-    yield "printed map (f2 -> f2 f6, others fixed) is an automorphism", True
-    yield "printed automorphism has order 3", au.aut_order(alpha) == 3
-    yield "printed automorphism is non-inner", not au.is_inner(alpha)[0]
-    yield "printed automorphism fixes Phi(G) elementwise", au.fixes_elementwise(alpha, F)
+# flag: (converter, None for a switch; metavar, "" for a switch; help; default)
+_FLAGS = {
+    "--report": (str, "PATH", "write the JSON report to PATH", None),
+    "--format": (_choice("text", "json"), "{text,json}", "stdout format", "text"),
+    "--with-oracle": (None, "", "also enumerate the full automorphism group", False),
+    "--budget": (_at_least(float, 0, "a finite number of seconds >= 0"), "SEC",
+                 "wall-clock budget for the oracle", None),
+    "--jobs": (_at_least(int, 1, "a whole number >= 1"), "K",
+               "worker processes for the oracle", 1),
+}
 
-    yield "witness construction succeeds", w is not None
-    yield "constructed automorphism has order 3", au.aut_order(w.A) == 3
-    yield "constructed automorphism is non-inner", not au.is_inner(w.A)[0]
-    yield "constructed automorphism fixes Phi(G) elementwise", au.fixes_elementwise(w.A, F)
+# command: (help, whether it takes a file, its flags)
+_COMMANDS = {
+    "info": ("structural summary: order, class, center, Frattini, maximals", True,
+             ("--report", "--format")),
+    "check": ("decide the theorem hypotheses", True, ("--report", "--format")),
+    "construct": ("build and certify the non-inner automorphism", True,
+                  ("--report", "--format", "--with-oracle", "--budget", "--jobs")),
+    "count": ("enumerate Aut(G) and cross-validate the tallies", True,
+              ("--report", "--format", "--budget", "--jobs")),
+    "demo": ("run the full pipeline on the built-in group, asserting each fact", False,
+             ("--report", "--format", "--with-oracle", "--budget", "--jobs")),
+}
 
-    if count is not None:
-        yield "|Aut(G)| = 4374", count.total == 4374
-        yield "|Inn(G)| = 729", count.inner == 729
-        yield ("oracle sees an order-3 non-inner automorphism fixing Phi(G)",
-               count.order_p_noninner_fixing_frattini >= 1)
+
+def _label(flag):
+    """flag with its metavar, as usage and help show it."""
+    return f"{flag} {_FLAGS[flag][1]}".rstrip()
+
+
+def _usage(command):
+    """The usage of pgw (command None) or of one command, wrapped at _WIDTH
+    columns with the file on a line of its own."""
+    if command is None:
+        return f"usage: pgw [-h] {{{','.join(_COMMANDS)}}} ..."
+    _, takes_file, flags = _COMMANDS[command]
+    head = f"usage: pgw {command}"
+    parts = ["[-h]"] + [f"[{_label(flag)}]" for flag in flags]
+    tail = ["[file]"] if takes_file else []
+    if len(" ".join([head, *parts, *tail])) <= _WIDTH:
+        return " ".join([head, *parts, *tail])
+    lines, line = [], head
+    for part in parts:
+        if len(line) + 1 + len(part) > _WIDTH:
+            lines.append(line)
+            line = " " * len(head)
+        line += " " + part
+    return "\n".join([*lines, line, *(" " * len(head) + " " + part for part in tail)])
+
+
+def _help(command):
+    """The -h text of pgw (command None) or of one command."""
+    if command is None:
+        description, flags = _DESCRIPTION, ()
+        sections = [("commands", [(name, spec[0]) for name, spec in _COMMANDS.items()])]
+    else:
+        description, takes_file, flags = _COMMANDS[command]
+        sections = [("positional arguments", [("file", _FILE_HELP)])] if takes_file else []
+    options = [(_label(flag), _FLAGS[flag][2]) for flag in flags]
+    sections.append(("options", [("-h, --help", "show this help message and exit"), *options]))
+    width = max(len(label) for _, rows in sections for label, _ in rows)
+    out = [_usage(command), "", description]
+    for title, rows in sections:
+        out += ["", f"{title}:", *(f"  {label:<{width}}  {text}" for label, text in rows)]
+    return "\n".join(out) + "\n"
+
+
+def _fail(command, message):
+    """Reject argv: the usage of pgw (command None) or of command, the
+    message, exit 2."""
+    prog = "pgw" if command is None else f"pgw {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _parse(argv):
+    """argv as a dict from "command", "file" and every flag to its value; -h
+    prints the help and exits 0, and a bad argv exits 2 by _fail."""
+    if not argv:
+        _fail(None, "the following arguments are required: command")
+    command, *rest = argv
+    if command in ("-h", "--help"):
+        sys.stdout.write(_help(None))
+        raise SystemExit(0)
+    if command not in _COMMANDS:
+        listed = ", ".join(map(repr, _COMMANDS))
+        _fail(None, f"argument command: invalid choice: {command!r} (choose from {listed})")
+    _, takes_file, flags = _COMMANDS[command]
+    args = {"command": command, "file": None, **{flag: spec[3] for flag, spec in _FLAGS.items()}}
+    unknown, wants_file, literal = [], takes_file, False
+    rest = iter(rest)
+    for arg in rest:
+        if arg == "--" and not literal:  # every later argument is positional
+            literal = True
+        elif literal or len(arg) < 2 or arg[0] != "-":
+            if wants_file:
+                args["file"], wants_file = arg, False
+            else:
+                unknown.append(arg)
+        else:
+            name, eq, value = ("--help" if arg == "-h" else arg).partition("=")
+            matches = [f for f in (*flags, "--help") if f.startswith(name)]
+            if not name.startswith("--") or len(matches) != 1:
+                unknown.append(arg)
+                continue
+            flag = matches[0]
+            if flag == "--help":
+                sys.stdout.write(_help(command))
+                raise SystemExit(0)
+            convert = _FLAGS[flag][0]
+            if convert is None:
+                if eq:
+                    _fail(command, f"argument {flag}: ignored explicit argument {value!r}")
+                value = True
+            else:
+                value = value if eq else next(rest, None)
+                if value is None:
+                    _fail(command, f"argument {flag}: expected one argument")
+                try:
+                    value = convert(value)
+                except ValueError as e:
+                    _fail(command, f"argument {flag}: {e}")
+            args[flag] = value
+    if unknown:
+        _fail(None, f"unrecognized arguments: {' '.join(unknown)}")
+    return args
 
 
 def _run(args, t0):
-    """The stages args.command needs, one report on stdout (and in
+    """The stages args["command"] needs, one report on stdout (and in
     --report), and the exit code."""
-    command = args.command
-    name = getattr(args, "file", None)
+    command, name = args["command"], args["file"]
     P = corpus.demo() if name is None else groupfile.parse_path(name).presentation
     h = w = count = None
     sections, lines = {}, []
@@ -166,13 +222,15 @@ def _run(args, t0):
             sections["verification"] = rp.verification_section(P)
         elif command == "construct":
             lines.append("hypotheses not applicable; no witness constructed")
-    if command == "count" or (w is not None and args.with_oracle):
+    if command == "count" or (w is not None and args["--with-oracle"]):
         from . import oracle as orc
 
-        count = orc.enumerate_automorphisms(P, budget=args.budget, jobs=args.jobs)
+        count = orc.enumerate_automorphisms(P, budget=args["--budget"], jobs=args["--jobs"])
         sections["oracle"] = rp.oracle_section(count, orc.cross_validate(P, precomputed=count))
     if command == "demo":
-        for fact, holds in _demo_facts(P, h, w, count):
+        from . import demofacts
+
+        for fact, holds in demofacts.facts(P, h, w, count):
             if not holds:
                 raise Mismatch(f"demo expectation failed: {fact}")
             lines.append(f"ok: {fact}")
@@ -182,18 +240,21 @@ def _run(args, t0):
     if count is not None:
         timing["oracle_s"] = count.elapsed
     rep = rp.build(P, **sections, timing=timing)
-    if args.format == "json":
-        sys.stdout.write(rp.to_json(rep))
+    text = rp.to_json(rep) if args["--format"] == "json" or args["--report"] else None
+    if args["--format"] == "json":
+        sys.stdout.write(text)
     else:
-        sys.stdout.write(rp.render_text(rep) + "".join(line + "\n" for line in lines))
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(rp.to_json(rep))
+        from . import render
+
+        sys.stdout.write(render.render_text(rep) + "".join(line + "\n" for line in lines))
+    if args["--report"]:
+        with open(args["--report"], "w", encoding="utf-8") as fh:
+            fh.write(text)
     return 1 if h is not None and not h.theorem_applicable else 0
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return _run(args, time.monotonic())
     except (InputError, OSError) as e:

@@ -443,6 +443,65 @@ def test_bad_budget_or_jobs_exits_two_at_parse_time(capsys, flags):
     assert f"argument {flags[0]}: need " in captured.err
 
 
+TOP_USAGE = "usage: pgw [-h] {info,check,construct,count,demo} ..."
+INFO_USAGE = "usage: pgw info [-h] [--report PATH] [--format {text,json}] [file]"
+COUNT_USAGE = "usage: pgw count [-h] [--report PATH] [--format {text,json}] [--budget SEC]"
+H27_TEXT = "group h27: p = 3, 3 pc generators, order 27 = 3^3"
+
+
+# argv -> exit code, the first line of stdout (of stderr when stdout is
+# empty) and, for an error, the last line of stderr
+PARITY = [
+    ("no-command", [], 2, TOP_USAGE,
+     "pgw: error: the following arguments are required: command"),
+    ("unknown-command", ["frob"], 2, TOP_USAGE,
+     "pgw: error: argument command: invalid choice: 'frob' "
+     "(choose from 'info', 'check', 'construct', 'count', 'demo')"),
+    ("top-h", ["-h"], 0, TOP_USAGE, None),
+    ("top-help", ["--help"], 0, TOP_USAGE, None),
+    ("info-h", ["info", "-h"], 0, INFO_USAGE, None),
+    ("check-h", ["check", "-h"], 0,
+     "usage: pgw check [-h] [--report PATH] [--format {text,json}] [file]", None),
+    ("construct-h", ["construct", "-h"], 0,
+     "usage: pgw construct [-h] [--report PATH] [--format {text,json}]", None),
+    ("count-help", ["count", "--help"], 0, COUNT_USAGE, None),
+    ("demo-h", ["demo", "-h"], 0,
+     "usage: pgw demo [-h] [--report PATH] [--format {text,json}] [--with-oracle]", None),
+    ("format-xml", ["info", data_path("h27"), "--format", "xml"], 2, INFO_USAGE,
+     "pgw info: error: argument --format: invalid choice: 'xml' (choose from 'text', 'json')"),
+    ("jobs-x", ["count", data_path("h27"), "--jobs", "x"], 2, COUNT_USAGE,
+     "pgw count: error: argument --jobs: invalid int value: 'x'"),
+    ("budget-x", ["count", data_path("h27"), "--budget", "x"], 2, COUNT_USAGE,
+     "pgw count: error: argument --budget: invalid float value: 'x'"),
+    ("jobs=2", ["construct", data_path("c9"), "--jobs=2", "--format", "json"], 1, "{", None),
+    ("jobs=0", ["count", data_path("h27"), "--jobs=0"], 2, COUNT_USAGE,
+     "pgw count: error: argument --jobs: need a whole number >= 1, got '0'"),
+    ("flag-before-file", ["info", "--format", "json", data_path("h27")], 0, "{", None),
+    ("repeated-flag-last-wins",
+     ["info", data_path("h27"), "--format", "json", "--format", "text"], 0, H27_TEXT, None),
+    ("prefix", ["info", data_path("h27"), "--form", "json"], 0, "{", None),
+    ("demo-file", ["demo", data_path("h27")], 2, TOP_USAGE,
+     f"pgw: error: unrecognized arguments: {data_path('h27')}"),
+    ("info-jobs", ["info", data_path("h27"), "--jobs", "2"], 2, TOP_USAGE,
+     "pgw: error: unrecognized arguments: --jobs 2"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, first, last", [row[1:] for row in PARITY], ids=[row[0] for row in PARITY]
+)
+def test_argv_parity(capsys, argv, code, first, last):
+    try:
+        got = cli.main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    captured = capsys.readouterr()
+    assert got == code
+    assert (captured.out or captured.err).splitlines()[0] == first
+    if last is not None:
+        assert captured.out == "" and captured.err.splitlines()[-1] == last
+
+
 # each command's stage that the policy test makes raise
 STAGES = [
     ("info", st, "upper_central_series"),
@@ -562,14 +621,19 @@ print(codes, loaded, counts, "numpy" in sys.modules, *totals)
 
 def test_construct_on_a_file_loads_no_heavy_module():
     # without site, nothing but pgw decides what a run on a group file loads;
-    # count adds the oracle, which loads none of them either
+    # count adds the oracle, which loads none of them either.  A JSON run
+    # loads neither the demo facts nor the text renderer, which a text run
+    # then loads; parsing argv loads nothing
     script = """
 import contextlib, io, sys
 from pgw import cli
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.main(["construct", PATH]), cli.main(["count", PATH])]
-heavy = ("dataclasses", "inspect", "importlib.resources", "numpy")
-print(codes, [m for m in heavy if m in sys.modules])
+    codes = [cli.main([cmd, PATH, "--format", "json"]) for cmd in ("construct", "count")]
+    by_json = [m for m in ("pgw.demofacts", "pgw.render") if m in sys.modules]
+    codes += [cli.main(["construct", PATH]), cli.main(["count", PATH])]
+heavy = ("dataclasses", "inspect", "importlib.resources", "numpy", "argparse", "gettext",
+         "locale")
+print(codes, by_json, "pgw.render" in sys.modules, [m for m in heavy if m in sys.modules])
 """
     src = os.path.dirname(os.path.dirname(pgw.__file__))
     proc = subprocess.run(
@@ -577,7 +641,7 @@ print(codes, [m for m in heavy if m in sys.modules])
         capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[0, 0] []\n"
+    assert proc.stdout == "[0, 0, 0, 0] [] True []\n"
 
 
 def test_report_file_written(capsys, tmp_path):
@@ -588,6 +652,17 @@ def test_report_file_written(capsys, tmp_path):
     assert rep["group"]["name"] == "w81"
     assert rep["hypotheses"]["zm_condition"] is False
     assert "zm_counterexample" in rep["hypotheses"]
+
+
+def test_json_report_is_serialized_once(capsys, monkeypatch, tmp_path):
+    # --format json with --report writes one serialization to stdout and the file
+    calls = []
+    to_json = cli.rp.to_json
+    monkeypatch.setattr(cli.rp, "to_json", lambda rep: calls.append(rep) or to_json(rep))
+    target = tmp_path / "rep.json"
+    code, out = run(capsys, "check", data_path("h27"), "--format", "json", "--report", str(target))
+    assert code == 1
+    assert len(calls) == 1 and out == target.read_text()
 
 
 def test_report_bytes_stable_across_runs(capsys, tmp_path):
