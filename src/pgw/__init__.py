@@ -55,37 +55,35 @@ from .structure import (
     upper_central_series,
     word_str,
 )
-from .hypotheses import (
-    HypothesisReport,
-    check_theorem_hypotheses,
-    check_zm_condition,
-    is_monolithic,
-)
-from .automorphisms import (
-    Automorphism,
-    GenMap,
-    WitnessResult,
-    apply,
-    aut_order,
-    compose,
-    construct_theorem_witness,
-    extend_to_automorphism,
-    fixes_elementwise,
-    identity_automorphism,
-    inner_from,
-    is_inner,
-    verify,
-)
 
 __version__ = "0.1.0"
 
-# the oracle's names load it, and with it the tables, on first use
-_ORACLE_NAMES = ("AutCount", "cross_validate", "enumerate_automorphisms")
+# name -> the module that defines it.  These modules load on first use of a
+# name, so a run that never decides the hypotheses, builds a witness or
+# enumerates Aut(G) never compiles them; the oracle also loads the tables.
+_LAZY = {
+    **dict.fromkeys(
+        ("hypotheses", "HypothesisReport", "check_theorem_hypotheses", "check_zm_condition",
+         "is_monolithic"),
+        "hypotheses",
+    ),
+    **dict.fromkeys(
+        ("automorphisms", "Automorphism", "GenMap", "WitnessResult", "apply", "aut_order",
+         "compose", "construct_theorem_witness", "extend_to_automorphism",
+         "fixes_elementwise", "identity_automorphism", "inner_from", "is_inner", "verify"),
+        "automorphisms",
+    ),
+    **dict.fromkeys(("AutCount", "cross_validate", "enumerate_automorphisms"), "oracle"),
+}
 
 
 def __getattr__(name):
-    if name in _ORACLE_NAMES:
-        from . import oracle
+    home = _LAZY.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = __import__(f"{__name__}.{home}", fromlist=[name])  # the submodule, not pgw
+    return module if name == home else getattr(module, name)
 
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

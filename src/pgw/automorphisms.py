@@ -22,8 +22,6 @@ conjugators, computed with the index algebra of tables.py, which only that
 route imports, inside the functions.
 """
 
-from __future__ import annotations
-
 from collections import Counter, namedtuple
 
 from . import hypotheses as hp

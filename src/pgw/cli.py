@@ -23,23 +23,23 @@ line on stderr), 3 internal contradiction (any other PgwError, or a failed
 assertion: a certificate, cross-check or invariant failed, which means a
 bug, not bad input), 130 interrupted (Ctrl-C).
 
-Each run loads only what it uses: the oracle and its tables only for count
-and --with-oracle, the demo facts (demofacts) only for demo, the text
-renderer (render) only for --format text, and multiprocessing only for
---jobs above 1.  Parsing argv loads no module, argparse included.  No
+Each run loads only what it uses: the hypotheses only for check, construct
+and demo; the witness layer (automorphisms) only to build a witness, that
+is, only when the hypotheses hold; the oracle and its tables only for count
+and --with-oracle (the oracle loads both layers itself); the demo facts
+(demofacts) only for demo; the text renderer (render) only for --format
+text; json only for --format json or --report; and multiprocessing only
+for --jobs above 1.  So info loads neither layer and check never the
+witness layer.  Parsing argv loads no module, argparse included.  No
 command needs a package outside the standard library.
 """
-
-from __future__ import annotations
 
 import math
 import sys
 import time
 
-from . import automorphisms as au
 from . import corpus
 from . import groupfile
-from . import hypotheses as hy
 from . import report as rp
 from .errors import InputError, Mismatch, PgwError
 
@@ -214,9 +214,13 @@ def _run(args, t0):
     h = w = count = None
     sections, lines = {}, []
     if command in ("check", "construct", "demo"):
+        from . import hypotheses as hy
+
         h = hy.check_theorem_hypotheses(P)
         sections["hypotheses"] = h.to_dict()
         if command != "check" and h.theorem_applicable:
+            from . import automorphisms as au
+
             w = au.construct_theorem_witness(P)
             sections["witness"] = rp.witness_section(P, w)
             sections["verification"] = rp.verification_section(P)

@@ -5,8 +5,6 @@ Every file was derived from an explicit integer model of the group
 reader as user input.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from . import groupfile

@@ -3,8 +3,6 @@
 Only demo imports this module, so no other command compiles it.
 """
 
-from __future__ import annotations
-
 from . import automorphisms as au
 from . import hypotheses as hy
 from . import presentation as pc

@@ -16,8 +16,6 @@ always holds a consistent group; serialize() emits the canonical form and
 parse(serialize(P)) reproduces P field for field.
 """
 
-from __future__ import annotations
-
 import re
 from collections import namedtuple
 

@@ -12,8 +12,6 @@ for the interesting examples yet are not part of the hypotheses, so a
 qualifying group is free to violate them.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from . import presentation as pc

@@ -97,8 +97,6 @@ inside verify_coded before each relation of a certified block.
 cross_validate runs after the enumeration and has no deadline.
 """
 
-from __future__ import annotations
-
 import numbers
 import time
 from array import array

@@ -62,8 +62,6 @@ squaring, O(log d) products, and a smaller one is spelled as d copies of
 x's word, so pow_ costs O(n log p) products.
 """
 
-from __future__ import annotations
-
 import functools
 import operator
 

@@ -1,11 +1,8 @@
 """Terminal rendering of a report.
 
-Only --format text imports this module, so a JSON run never compiles it.
+Only --format text imports this module, so a JSON run never compiles it,
+and it loads hypotheses only to render a hypotheses section.
 """
-
-from __future__ import annotations
-
-from . import hypotheses as hy
 
 
 def _fmt_subgroup(entry, label):
@@ -35,6 +32,8 @@ def render_text(rep):
         lines.append(f"      Z(M{k}) = <{zg}>, order {m['center_order']}")
     h = rep["hypotheses"]
     if h is not None:
+        from . import hypotheses as hy
+
         lines.append("hypotheses:")
         # each hypothesis once, the theorem's first, then the two verdicts
         for key in (*dict.fromkeys(hy.THEOREM + hy.COROLLARY), "theorem_applicable",

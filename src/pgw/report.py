@@ -8,10 +8,6 @@ so two runs over the same input produce byte-identical text once the timing
 section is dropped.  render.render_text renders a report for the terminal.
 """
 
-from __future__ import annotations
-
-import json
-
 from . import structure as st
 
 TOP_KEYS = ("group", "hypotheses", "witness", "verification", "oracle", "timing")
@@ -103,5 +99,7 @@ def build(P, *, hypotheses=None, witness=None, verification=None, oracle=None, t
 
 
 def to_json(rep):
+    import json  # here, so a text run without --report never loads it
+
     ordered = {k: rep.get(k) for k in TOP_KEYS}
     return json.dumps(ordered, indent=2) + "\n"

@@ -28,8 +28,6 @@ depend on P alone (the center, the central series, the maximal subgroups,
 ...) are kept in P._memo by presentation.memoized, and freed with P.
 """
 
-from __future__ import annotations
-
 import itertools
 from collections import namedtuple
 

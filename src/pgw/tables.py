@@ -30,8 +30,6 @@ of conjugation images); deciding the hypotheses and constructing the witness
 never do.
 """
 
-from __future__ import annotations
-
 from .presentation import check_enumerable, memoized
 
 

@@ -644,6 +644,39 @@ print(codes, by_json, "pgw.render" in sys.modules, [m for m in heavy if m in sys
     assert proc.stdout == "[0, 0, 0, 0] [] True []\n"
 
 
+LOAD_CASES = [
+    (["info", "w81"], 0, []),
+    (["info", "h27", "--format", "text"], 0, []),
+    (["check", "w81"], 1, ["pgw.hypotheses"]),
+    (["construct", "h27", "--format", "json"], 1, ["json", "pgw.hypotheses"]),
+    (["construct", "g2187"], 0, ["pgw.automorphisms", "pgw.hypotheses"]),
+    (["count", "q8"], 0, ["pgw.automorphisms", "pgw.hypotheses"]),
+]
+
+
+@pytest.mark.parametrize("argv, code, loaded", LOAD_CASES,
+                         ids=["-".join(argv) for argv, _, _ in LOAD_CASES])
+def test_each_run_loads_only_the_layers_it_uses(argv, code, loaded):
+    # one fresh interpreter without site per run: the hypotheses load only
+    # for check, construct and demo, the witness layer only when a witness is
+    # built or the oracle runs, and json only for a JSON report
+    argv = [argv[0], data_path(argv[1]), *argv[2:]]
+    script = f"""
+import sys
+from pgw import cli
+code = cli.main({argv!r})
+watched = ("json", "pgw.automorphisms", "pgw.hypotheses")
+print(code, [m for m in watched if m in sys.modules])
+"""
+    src = os.path.dirname(os.path.dirname(pgw.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{code} {loaded}"
+
+
 def test_report_file_written(capsys, tmp_path):
     target = tmp_path / "rep.json"
     code, out = run(capsys, "check", data_path("w81"), "--report", str(target))

@@ -3,7 +3,7 @@
 Three checks: every function and lambda parameter is read in its body
 (dunder methods, whose signatures Python fixes, are exempt); every
 module-level import is read in its module (`__init__.py`, which imports to
-export, and `from __future__` are exempt); every `_private` function,
+export, is exempt); every `_private` function,
 class or module-level name (`_NAME = ...`) is referenced somewhere in the
 package beyond its own definition.
 """
@@ -48,8 +48,6 @@ def _unread_imports(tree):
     read = _loaded(tree)
     out = []
     for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
