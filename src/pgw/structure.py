@@ -25,7 +25,10 @@ under ELEMENT_CAP, and exponent skips the scan when the class is below p.
 maximal_subgroups lists (p^d - 1)/(p - 1) subgroups, under the same cap.
 All functions take a validated presentation and are pure; the results that
 depend on P alone (the center, the central series, the maximal subgroups,
-...) are kept in P._memo by presentation.memoized, and freed with P.
+...) are kept in P._memo by presentation.memoized, and freed with P.  So is
+the one power memo, P._memo[_power]: (h, e) -> h^e for each sequence element
+h and 0 < e < p that sifting, coset reduction and kernel products multiply
+by, shared by every subgroup and call on P.
 """
 
 import itertools
@@ -47,7 +50,6 @@ class Subgroup:
         self.gens = tuple(seq)[::-1]
         self.order = parent.p ** len(self.gens)
         self._lead = {_leading(h): h for h in self.gens}
-        self._powers = {}  # (h, e) -> h^e, the factors sifting multiplies by
 
     @property
     def elements(self):
@@ -59,7 +61,7 @@ class Subgroup:
 
     def __contains__(self, e):
         x = pc.normal_form(self.parent, e)
-        return x is not None and _sift(self.parent, self._lead, self._powers, x)[1] < 0
+        return x is not None and _sift(self.parent, self._lead, x)[1] < 0
 
     def __eq__(self, other):
         if not isinstance(other, Subgroup):
@@ -93,14 +95,16 @@ def _leading(x):
     return next((i for i, v in enumerate(x) if v), -1)
 
 
-def _power(P, h, e, powers):
+def _power(P, h, e):
+    """h^e, through P's power memo (see the module docstring)."""
+    powers = P._memo.setdefault(_power, {})
     y = powers.get((h, e))
     if y is None:
         y = powers[h, e] = pc.pow_(P, h, e)
     return y
 
 
-def _sift(P, lead, powers, x):
+def _sift(P, lead, x):
     """(r, i): x right-multiplied by powers of the sequence elements lead[k]
     (leading digit 1 at k) to zero its digits at their positions, from the
     first digit on, until the first nonzero digit i that no element leads.
@@ -114,17 +118,17 @@ def _sift(P, lead, powers, x):
             h = lead.get(i)
             if h is None:
                 return x, i
-            x = pc.mul(P, x, _power(P, h, p - a, powers))
+            x = pc.mul(P, x, _power(P, h, p - a))
     return x, -1
 
 
 def least_in_coset(P, H, x):
     """The lex-least element of the coset x H; x must be a normal form, else
     ValueError."""
-    return _least(P, H._lead, pc.checked_form(P, x, "element"), H._powers)
+    return _least(P, H._lead, pc.checked_form(P, x, "element"))
 
 
-def _least(P, lead, x, powers):
+def _least(P, lead, x):
     """The lex-least element of x H, for H spanned by the induced sequence
     lead (position -> element): x with the digit at each leading position
     zeroed in turn.  Between two elements of x H that agree before position
@@ -132,11 +136,11 @@ def _least(P, lead, x, powers):
     p = P.p
     for k in sorted(lead):
         if x[k]:
-            x = pc.mul(P, x, _power(P, lead[k], p - x[k], powers))
+            x = pc.mul(P, x, _power(P, lead[k], p - x[k]))
     return x
 
 
-def _close(P, lead, powers, queue, conjugators=()):
+def _close(P, lead, queue, conjugators=()):
     """Extend the induced sequence lead (position -> element, updated in
     place) to that of the subgroup generated by it and the queued elements,
     and normalized by the conjugators.  Each element that does not sift is
@@ -146,7 +150,7 @@ def _close(P, lead, powers, queue, conjugators=()):
     of powers of the sequence, taken in order, are the whole subgroup."""
     p = P.p
     while queue:
-        r, i = _sift(P, lead, powers, queue.pop())
+        r, i = _sift(P, lead, queue.pop())
         if i < 0:
             continue
         if r[i] != 1:
@@ -158,13 +162,13 @@ def _close(P, lead, powers, queue, conjugators=()):
     return lead
 
 
-def _subgroup(P, lead, powers):
+def _subgroup(P, lead):
     """The Subgroup that the induced sequence lead spans: each element gets
     zeros at the deeper leading positions, deepest first."""
     positions = sorted(lead)
     canon = {}
     for i in reversed(positions):
-        canon[i] = _least(P, {j: canon[j] for j in positions if j > i}, lead[i], powers)
+        canon[i] = _least(P, {j: canon[j] for j in positions if j > i}, lead[i])
     return Subgroup(P, [canon[i] for i in positions])
 
 
@@ -219,12 +223,12 @@ def _solve_mod_p(p, vectors, target=None):
     return kernel[::-1], solution
 
 
-def _product(P, seq, comb, powers):
+def _product(P, seq, comb):
     """prod seq[j]^comb[j] over j in increasing order."""
     x = pc.identity(P)
     for j in sorted(comb):
         if comb[j]:
-            x = pc.mul(P, x, _power(P, seq[j], comb[j], powers))
+            x = pc.mul(P, x, _power(P, seq[j], comb[j]))
     return x
 
 
@@ -239,7 +243,7 @@ def _layer_values(P, seq, maps, k, N, values):
             key = (c, m)
             y = values.get(key)
             if y is None:
-                y = values[key] = _sift(P, N._lead, N._powers, f(c))
+                y = values[key] = _sift(P, N._lead, f(c))
             r, i = y
             assert i < 0 or i >= k, "a map left the layer it should lie in"
             row.append(r[k] if i == k else 0)
@@ -257,7 +261,7 @@ def kernel(P, H, maps, N=None):
     linear map that the layer's digit gives on the exponents of K_k's
     sequence, and K_n is the answer."""
     N = trivial_subgroup(P) if N is None else N
-    powers, values = {}, {}
+    values = {}
     seq = list(H.gens[::-1])
     for k in range(P.n):
         if k in N._lead:  # G_k N = G_{k+1} N: no condition here
@@ -265,8 +269,8 @@ def kernel(P, H, maps, N=None):
         vectors = _layer_values(P, seq, maps, k, N, values)
         if any(map(any, vectors)):
             combs, _ = _solve_mod_p(P.p, vectors)
-            seq = [_product(P, seq, comb, powers) for comb in combs]
-    return _subgroup(P, {_leading(x): x for x in seq}, powers)
+            seq = [_product(P, seq, comb) for comb in combs]
+    return _subgroup(P, {_leading(x): x for x in seq})
 
 
 def commutators_with(P, targets):
@@ -291,7 +295,7 @@ def conjugator(P, xs, ys):
     maps = commutators_with(P, ys)
     trivial = trivial_subgroup(P)
     t, seq = pc.identity(P), P.generators()
-    powers, values = {}, {}
+    values = {}
     images = [tuple(x) for x in xs]  # x^t
     for k in range(P.n):
         target = [(b[k] - y[k]) % p for b, y in zip(images, ys)]
@@ -302,12 +306,12 @@ def conjugator(P, xs, ys):
         if solution is None:
             return None
         if any(solution.values()):
-            t = pc.mul(P, t, _product(P, seq, solution, powers))
+            t = pc.mul(P, t, _product(P, seq, solution))
             images = [pc.conj(P, x, t) for x in xs]
-        seq = [_product(P, seq, comb, powers) for comb in combs]
+        seq = [_product(P, seq, comb) for comb in combs]
     if images != ys:
         return None
-    return _least(P, {_leading(z): z for z in seq}, t, powers)
+    return _least(P, {_leading(z): z for z in seq}, t)
 
 
 def least_outside(A, B):
@@ -323,9 +327,8 @@ def least_outside(A, B):
 def closure(P, S):
     """Smallest subgroup containing S (empty S gives 1); each element of S
     must be a normal form, else ValueError."""
-    powers = {}
     seeds = [pc.checked_form(P, x, "generator") for x in S]
-    return _subgroup(P, _close(P, {}, powers, seeds), powers)
+    return _subgroup(P, _close(P, {}, seeds))
 
 
 @pc.memoized
@@ -369,8 +372,7 @@ def is_abelian(P, H=None):
 def _normal_closure(P, seeds, conjugators):
     """The smallest subgroup containing the seeds and normalized by the
     conjugators (generators of an overgroup)."""
-    powers = {}
-    return _subgroup(P, _close(P, {}, powers, list(seeds), conjugators), powers)
+    return _subgroup(P, _close(P, {}, list(seeds), conjugators))
 
 
 def commutator_subgroup(P, A, B):
@@ -389,12 +391,12 @@ def derived(P):
 def agemo(P):
     """G^p = <g^p : g in G>, by a scan of G under ELEMENT_CAP."""
     pc.check_enumerable(P.order, "G")
-    lead, powers = {}, {}
+    lead = {}
     for x in itertools.product(range(P.p), repeat=P.n):
         y = pc.pth_power(P, x)
-        if _sift(P, lead, powers, y)[1] >= 0:
-            _close(P, lead, powers, [y])
-    return _subgroup(P, lead, powers)
+        if _sift(P, lead, y)[1] >= 0:
+            _close(P, lead, [y])
+    return _subgroup(P, lead)
 
 
 def _frattini_of(P, H):
@@ -538,14 +540,18 @@ def exponent(P, H=None):
     Below class p, G is regular (P. Hall), so is H, and the elements of
     order dividing p^k form a subgroup; exp(H) is then the largest order of
     a generator.  Otherwise H is scanned, under ELEMENT_CAP, generators
-    first, until an order reaches the bound p^c of _p_class."""
+    first, until an element_order reaches the bound p^c of _p_class."""
     gens = _minimal_generators(P) if H is None else H.gens
     if nilpotency_class(P) < P.p:
         return max((pc.element_order(P, h) for h in gens), default=1)
     K = whole_group(P) if H is None else H
     pc.check_enumerable(K.order, "G" if H is None else "H")
-    candidates = itertools.chain(gens, _leading_ones(P, K.gens))
-    return _largest_order(P, candidates, P.p ** _p_class(P))
+    bound, best = P.p ** _p_class(P), 1
+    for x in itertools.chain(gens, _leading_ones(P, K.gens)):
+        best = max(best, pc.element_order(P, x))
+        if best == bound:
+            break
+    return best
 
 
 def _p_class(P):
@@ -560,28 +566,6 @@ def _p_class(P):
         term = _normal_closure(P, seeds + [pc.pth_power(P, x) for x in term.gens], gens)
         c += 1
     return c
-
-
-def _largest_order(P, elements, bound):
-    """The largest order among the elements, or the bound once an order
-    reaches it, from |x| = p |x^p|: every order found is kept, so a chain
-    of p-th powers is followed only until it meets an element seen
-    before."""
-    order = {pc.identity(P): 1}
-    best = 1
-    for x in elements:
-        chain = []
-        while x not in order:
-            chain.append(x)
-            x = pc.pth_power(P, x)
-        k = order[x]
-        for y in reversed(chain):
-            k *= P.p
-            order[y] = k
-        best = max(best, k)
-        if best == bound:
-            break
-    return best
 
 
 def _leading_ones(P, gens):

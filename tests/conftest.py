@@ -33,13 +33,40 @@ ALL_NAMES = tuple(MODELS)
 FAMILY = derive_corpus.FAMILY
 FAMILY_NAMES = ("m3125", "m16807")  # p = 5 and p = 7
 
+# groups with d >= 3, which no shipped file has: es3 is 3^{1+4} of exponent
+# 3 (d = 4, 40 maximal subgroups), ut4_3 is UT(4, 3) (d = 3, class 3, so
+# irregular), c2h has class 2, Phi(G) <= Z(G) and one abelian maximal
+UT4_3 = """name ut4_3
+p 3
+n 6
+comm 2 1 = g4^1
+comm 3 2 = g5^1
+comm 4 3 = g6^2
+comm 5 1 = g6^1
+def 4 = comm 2 1
+def 5 = comm 3 2
+def 6 = comm 5 1
+"""
+TEXTS = {
+    "es3": "name es3\np 3\nn 5\ncomm 2 1 = g5^1\ncomm 4 3 = g5^1\ndef 5 = comm 2 1\n",
+    "ut4_3": UT4_3,
+    "c2h": (
+        "name c2h\np 3\nn 5\ncomm 3 1 = g4^1\ncomm 3 2 = g5^1\n"
+        "def 4 = comm 3 1\ndef 5 = comm 3 2\n"
+    ),
+}
+TEXT_NAMES = tuple(TEXTS)
+
 
 def load_group(name):
-    """A shipped group by name, or a FAMILY member parsed from its text."""
+    """A shipped group by name, or a FAMILY member or a TEXTS group parsed
+    from its text."""
     if name in FAMILY_NAMES:
         p = {"m3125": 5, "m16807": 7}[name]
         text = FAMILY.format(order=p**5, p=p, q=p - 1)
         return groupfile.parse_text(text, source=name).presentation
+    if name in TEXTS:
+        return groupfile.parse_text(TEXTS[name], source=name).presentation
     return pgw.load(name)
 
 

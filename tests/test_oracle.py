@@ -962,19 +962,6 @@ def test_stream_does_not_depend_on_the_relation_order(name, monkeypatch):
     assert a.maps == b.maps
 
 
-UT4_3 = """name ut4_3
-p 3
-n 6
-comm 2 1 = g4^1
-comm 3 2 = g5^1
-comm 4 3 = g6^2
-comm 5 1 = g6^1
-def 4 = comm 2 1
-def 5 = comm 3 2
-def 6 = comm 5 1
-"""
-
-
 def _relation_keys(P):
     """For each sieve relation, in the sieve's order: (needs an image forced
     by a commutator, reads past f_d, highest generator read, place in the
@@ -992,7 +979,7 @@ def _relation_keys(P):
 def test_relations_put_the_power_forced_ones_first(name):
     # a stable partition of the order by the highest generator read: the
     # relations whose forced images are all p-th powers come first
-    P = groupfile.parse_text(UT4_3).presentation if name == "ut4_3" else load_group(name)
+    P = load_group(name)
     keys = _relation_keys(P)
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
     defining = {tag: ((k, 1),) for k, tag in P.defn.items()}

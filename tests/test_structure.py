@@ -1,17 +1,19 @@
 """Subgroup machinery: closures, centers, series, Frattini, maximals."""
 
 import random
+from importlib import resources
 
 import numpy as np
 import pytest
 
 import pgw
+from pgw import groupfile
 from pgw import hypotheses as hy
 from pgw import structure as st
 
 import mask_reference as ref
 from mask_reference import get_tables  # the numpy view of pgw's tables
-from conftest import ALL_NAMES, FAMILY_NAMES, load_group
+from conftest import ALL_NAMES, FAMILY_NAMES, TEXT_NAMES, load_group
 
 SMALL = [n for n in ALL_NAMES if pgw.load(n).order <= 81]
 
@@ -437,7 +439,7 @@ def _same(P, H, mask):
     assert H.order == int(mask.sum())
 
 
-@pytest.mark.parametrize("name", ALL_NAMES + FAMILY_NAMES)
+@pytest.mark.parametrize("name", ALL_NAMES + FAMILY_NAMES + TEXT_NAMES)
 def test_pc_subgroups_match_mask_reference(name):
     # every subgroup the pc layer builds equals the mask the table algebra
     # gives; the reference is the mask code the pc layer replaced
@@ -504,6 +506,34 @@ def test_pc_subgroups_match_mask_reference(name):
     outside = ref.order_p_outside(P, Z2, Z)
     assert st.least_order_p_outside_center(P) == (outside[0] if outside else None)
     assert pgw.check_theorem_hypotheses(P).diagnostics["omega1_z2_exceeds_center"] is bool(outside)
+
+
+def _subgroups(value):
+    """The Subgroups in a memoized result: a Subgroup, or tuples of them."""
+    if isinstance(value, st.Subgroup):
+        yield value
+    elif isinstance(value, tuple):
+        for v in value:
+            yield from _subgroups(v)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_power_memo_is_one_dict_of_powers_per_presentation(name):
+    # the subgroup layer keeps its powers h^e in P._memo[st._power] alone:
+    # every entry is a true power with 0 < e < p, a fresh parse of the same
+    # text starts with none, and no Subgroup keeps a dict of its own
+    text = (resources.files("pgw") / "data" / f"{name}.pg").read_text(encoding="utf-8")
+    P = groupfile.parse_text(text).presentation
+    assert st._power not in P._memo
+    pgw.check_theorem_hypotheses(P)
+    st.maximal_centers(P)
+    for (h, e), y in P._memo.get(st._power, {}).items():
+        assert 0 < e < P.p and y == pgw.pow_(P, h, e)
+    assert st._power not in groupfile.parse_text(text).presentation._memo
+    subgroups = [H for value in P._memo.values() for H in _subgroups(value)]
+    assert subgroups
+    for H in subgroups:
+        assert [k for k, v in vars(H).items() if isinstance(v, dict)] == ["_lead"]
 
 
 @pytest.mark.parametrize("name", ["c9", "c3c3", "h27", "x27", "m3125", "m16807"])
