@@ -527,7 +527,9 @@ def test_power_memo_is_one_dict_of_powers_per_presentation(name):
     assert st._power not in P._memo
     pgw.check_theorem_hypotheses(P)
     st.maximal_centers(P)
-    for (h, e), y in P._memo.get(st._power, {}).items():
+    memo = P._memo[st._power]
+    assert memo
+    for (h, e), y in memo.items():
         assert 0 < e < P.p and y == pgw.pow_(P, h, e)
     assert st._power not in groupfile.parse_text(text).presentation._memo
     subgroups = [H for value in P._memo.values() for H in _subgroups(value)]
