@@ -6,8 +6,10 @@
 Each group is the FAMILY text of scripts/derive_corpus.py (C_{p^3} x| C_{p^2},
 m243 at p = 3), parsed and validated once; with p = 3 also comes c243h27 below,
 whose first pc level is central with 3^7 tails.  A repetition draws fresh seeded random
-elements and times presentation.mul and presentation.inv on them, and
-presentation.pow_ with k drawn from [-200, 200], in process time per call.
+elements and times presentation.mul, inv, comm and conj on them,
+presentation.pow_ with k drawn from [-200, 200], and automorphisms.verify on
+the conjugation map by a random element (always accepted), in process time
+per call.
 The first repetition of each group starts from a freshly parsed presentation,
 so any per-presentation memo is cold there and warm after it.  The script
 imports pgw from the src directory of the checkout it lives in, whatever
@@ -36,6 +38,7 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+from pgw import automorphisms as au  # noqa: E402
 from pgw import groupfile  # noqa: E402
 from pgw import presentation as pc  # noqa: E402
 
@@ -71,7 +74,7 @@ def family_text(p):
 
 
 def calls(p):
-    """(mul and inv calls, pow_ calls) per repetition."""
+    """(mul, inv, comm and conj calls, pow_ and verify calls) per repetition."""
     return (200, 50) if p < 31 else (100, 20)
 
 
@@ -102,16 +105,21 @@ def scan_group(name, text, seed, reps):
     def element():
         return tuple(rng.randrange(p) for _ in range(P.n))
 
-    ops = {"mul_us": [], "inv_us": [], "pow__us": []}
+    ops = {"mul_us": [], "inv_us": [], "pow__us": [], "comm_us": [], "conj_us": [], "verify_us": []}
     for _ in range(reps):
         pairs = [(P, element(), element()) for _ in range(n_mul)]
         singles = [(P, element()) for _ in range(n_mul)]
         powers = [(P, element(), rng.randint(-POW_RANGE, POW_RANGE)) for _ in range(n_pow)]
+        maps = [(au.GenMap(P, tuple(pc.conj(P, g, t) for g in P.generators())),)
+                for t in (element() for _ in range(n_pow))]
         ops["mul_us"].append(per_call_us(pc.mul, pairs))
         ops["inv_us"].append(per_call_us(pc.inv, singles))
         ops["pow__us"].append(per_call_us(pc.pow_, powers))
+        ops["comm_us"].append(per_call_us(pc.comm, pairs))
+        ops["conj_us"].append(per_call_us(pc.conj, pairs))
+        ops["verify_us"].append(per_call_us(au.verify, maps))
     out = {"parse_ms": round(parse_ms, 3), "mul_calls": n_mul, "pow__calls": n_pow,
-           "memo_entries": memo_entries(P)}
+           "verify_calls": n_pow, "memo_entries": memo_entries(P)}
     for name, times in ops.items():
         out[name] = round(statistics.median(times), 2)
         out[name + "_reps"] = [round(t, 2) for t in times]

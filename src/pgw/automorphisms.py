@@ -8,9 +8,11 @@ checks them relation-major: each defining relation becomes an equality of
 two words in the images, with no inverses and no table, compiled once per
 presentation into a plan (_relation_plan, in P._memo): each side's start
 image and letters, and the images the relation reads.  One row is collected
-straight from its images; in a block, both sides are collected on the first
-row of each distinct key of the images read, in row order, up to the first
-row where they differ.  The oracle's sieve reads the same plan.
+straight from its images, each spelled as a word only once a relation reads
+it, so a map that fails early spells few; in a block, both sides are
+collected on the first row of each distinct key of the images read, in row
+order, up to the first row where they differ.  The oracle's sieve reads the
+same plan.
 Surjectivity is Burnside's basis test: a verified endomorphism is onto iff
 the images of f_1..f_d span G/Phi(G), which validate() makes the first d
 exponents.  On top of that sit conjugation maps (inner_from), the inner
@@ -102,13 +104,16 @@ def verify_coded(P, forms, coded, deadline=None):
     in the fixed order of _relation_plan, the powers of f_1..f_n, then the
     commutators [f_i, f_j] for i > j, each compiled once per presentation.
     Each side is collected from the exponent vector of the image it starts
-    with.  One row is collected straight from its images.  While more than
-    one row is live, the numbers of the images that a relation reads (A(f_i),
-    A(f_j) and the images w spells) make one key per row, and rows with one
-    key agree on the relation: both sides are collected on the first row of
-    each key, in row order (_first_rows), and the scan stops at the first row
-    whose sides differ, which give its message.  No inverse is formed; only a
-    failing commutator relation is recomputed with comm for its message.
+    with.  One row is collected straight from its images, and an image's
+    word is formed when the first relation that reads it comes up, so a row
+    that fails at f_1^p forms only the words of the images f_1^p reads.
+    While more than one row is live, the numbers of the images that a
+    relation reads (A(f_i), A(f_j) and the images w spells) make one key per
+    row, and rows with one key agree on the relation: both sides are
+    collected on the first row of each key, in row order (_first_rows), and
+    the scan stops at the first row whose sides differ, which give its
+    message.  No inverse is formed; only a failing commutator relation is
+    recomputed with comm for its message.
     Once every relation holds a row is an endomorphism, and by Burnside's
     basis theorem it is onto iff it is onto modulo Phi(G).  validate() makes
     Phi(G) = <f_{d+1}, ..., f_n> with d the minimal generator count, so the
@@ -127,27 +132,31 @@ def verify_coded(P, forms, coded, deadline=None):
     """
     n, p = P.n, P.p
     plan = _relation_plan(P)
-    stacks = [pc.word_of(x)[::-1] for x in forms]  # in the collector's push order
-    collect, conj = pc._collect_into, pc.conjugates(P)  # looked up per call: a meter may wrap it
+    collect, word_of = pc._collect_into, pc.word_of  # per call: meters and tests wrap them
     m = len(coded)  # rows 0..m-1 hold every relation so far
     failed = None
     if m == 1:  # both sides straight from the row's images, written out: verify's path
         row = coded[0]
-        words, starts = [stacks[c] for c in row], [forms[c] for c in row]
-        for label, rel, word, _, ((s0, l0), (s1, l1)) in plan:
+        starts = [forms[c] for c in row]
+        words = [None] * n  # an image's word, in push order, once a relation reads it
+        for label, rel, word, reads, ((s0, l0), (s1, l1)) in plan:
             if deadline is not None:  # no message to format on verify's path
                 check_deadline(deadline, f"certifying {len(coded)} rows, at {label}")
+            for g in reads:
+                if words[g] is None:
+                    words[g] = word_of(starts[g])[::-1]
             stack = []
             for g, e in l0:
                 stack += words[g] * e
-            lhs = collect(P, list(starts[s0]) if s0 is not None else [0] * n, stack, conj)
+            lhs = collect(P, list(starts[s0]) if s0 is not None else [0] * n, stack)
             stack = []
             for g, e in l1:
                 stack += words[g] * e
-            rhs = collect(P, list(starts[s1]) if s1 is not None else [0] * n, stack, conj)
+            rhs = collect(P, list(starts[s1]) if s1 is not None else [0] * n, stack)
             if lhs != rhs:
                 return 0, _violation(P, forms, row, label, rel, word, lhs, rhs)
     else:
+        stacks = [word_of(x)[::-1] for x in forms]  # in the collector's push order
 
         def value(row, side):
             start, letters = side
@@ -155,7 +164,7 @@ def verify_coded(P, forms, coded, deadline=None):
             for g, e in letters:
                 stack += stacks[row[g]] * e
             x = list(forms[row[start]]) if start is not None else [0] * n
-            return collect(P, x, stack, conj)
+            return collect(P, x, stack)
 
         columns = list(zip(*coded))  # the live rows' image numbers, by generator
         for label, rel, word, reads, (left, right) in plan:

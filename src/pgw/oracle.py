@@ -294,28 +294,55 @@ def _bases(p, d, part, deadline):
     integer with base-p digits v.  Each new row lies outside the span of the
     rows before it.  Yields lists of tuples of d codes, depth first, in
     lexicographic order.
+
+    A partial basis hands its span, a set of codes, down to its children:
+    the span of rows + (c,) is S + F_p c for the span S of rows, and the
+    children whose new rows lie in one line modulo S share it, so a parent
+    forms (p^d - p^r) / ((p - 1) p^r) spans, not one per child.
     """
-    if not part:
-        return
-    r = len(part[0])
-    if r == d:
-        yield part
-        return
+    q = p**d
     vectors = list(product(range(p), repeat=d))  # a code's digits
     radix = [p**k for k in range(d - 1, -1, -1)]
-    combos = list(product(range(p), repeat=r))
-    per = max(1, _ROWS // (p**d - p**r))
-    for s in range(0, len(part), per):
-        check_deadline(deadline, f"building row {r + 1} of the images modulo Phi(G)")
-        grown = []
-        for rows in part[s : s + per]:
-            vs = [vectors[c] for c in rows]
-            span = {
-                sum(sum(c * v[k] for c, v in zip(cs, vs)) % p * radix[k] for k in range(d))
-                for cs in combos
-            }
-            grown += [rows + (c,) for c in range(p**d) if c not in span]
-        yield from _bases(p, d, grown, deadline)
+
+    def extend(span, c):
+        """The span of span's vectors and the row coded c."""
+        v = vectors[c]
+        return span | {
+            sum((x + a * y) % p * b for x, y, b in zip(vectors[s], v, radix))
+            for s in span
+            for a in range(1, p)
+        }
+
+    def grow(part, spans):
+        if not part:
+            return
+        r = len(part[0])
+        if r == d:
+            yield part
+            return
+        per = max(1, _ROWS // (q - p**r))
+        for s in range(0, len(part), per):
+            check_deadline(deadline, f"building row {r + 1} of the images modulo Phi(G)")
+            grown, below = [], []
+            for rows, span in zip(part[s : s + per], spans[s : s + per]):
+                new = [c for c in range(q) if c not in span]
+                grown += [rows + (c,) for c in new]
+                if r + 1 < d:  # the children grow further, so they need their spans
+                    line = {}  # a new row -> the span it gives
+                    for c in new:
+                        if c not in line:
+                            wider = extend(span, c)
+                            line.update(dict.fromkeys(wider - span, wider))
+                        below.append(line[c])
+            yield from grow(grown, below)
+
+    spans = []
+    for rows in part:
+        span = {0}
+        for c in rows:
+            span = extend(span, c)
+        spans.append(span)
+    yield from grow(part, spans)
 
 
 def _lift(ctx, nodes, level, deadline):

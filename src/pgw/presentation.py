@@ -49,17 +49,29 @@ per nonzero digit and collecting them again.  The consistency battery
 collects on the unvalidated object, which holds no memo, so its verdicts
 and messages come from the plain collector above.
 
+What a collection reads of P (p, n - 1, the power words, the stored
+conjugates and the tail memo, None before validation) is bound once per
+presentation into one tuple, P._memo[_collector], so a call pays for one
+lookup, not for each of them.  Only conjugates(), while it builds its rows,
+collects from the partial table it is given.
+
 inv, comm and conj are left division (Sims, Computation with Finitely Presented Groups, ch. 9):
 _solve finds the x with u x = v one pc letter at a time, since right
 multiplication by f_k^x adds x to digit k modulo p and leaves the digits
 before it alone.  So inv(a) solves a x = 1, comm(a, b) solves b a x = a b
-and conj(a, t) solves t x = a t.  pow_ writes a^k as the product of
-(a^(p^i))^(k_i) over the base-p digits k_i of k, one collection of the
-concatenated words, with each a^(p^i) raised to the p from the term
-before it.  k is first reduced modulo |G|, which ord(a) divides, so a
-negative k forms no inverse.  A power x^d with d >= 4 is taken by
-squaring, O(log d) products, and a smaller one is spelled as d copies of
-x's word, so pow_ costs O(n log p) products.
+and conj(a, t) solves t x = a t.
+
+pow_, pth_power and element_order walk one p-power chain, a, a^p,
+a^(p^2), ... (_p_powers), each term made only when asked for, as the
+pth_power of the one before.  A power x^d (_power) with d < 4 collects
+d - 1 more copies of x's word onto x's own exponent vector, and one with
+d >= 4 is taken by squaring, O(log d) products, so a term costs O(log p)
+products.  pow_ writes a^k as the product of (a^(p^i))^(k_i) over the
+base-p digits k_i of k, one collection of the factors' words onto the
+first factor's vector, and stops at k's last nonzero digit or at the
+identity.  k is first reduced modulo |G|, which ord(a)
+divides, so a negative k forms no inverse, and pow_ costs O(n log p)
+products.  element_order counts the chain's terms.
 """
 
 import functools
@@ -163,9 +175,15 @@ def normal_form(P, e):
         x = tuple(map(operator.index, e))  # exact ints, on Python >= 3.10
     except TypeError:
         return None
-    if len(x) != P.n or not (0 <= min(x, default=0) and max(x, default=0) < P.p):
+    if len(x) != P.n or not (P._memo.get(_digits) or _digits(P)).issuperset(x):
         return None
     return x
+
+
+@memoized
+def _digits(P):
+    """The digits of a normal form, range(p) as a set."""
+    return frozenset(range(P.p))
 
 
 def checked_form(P, e, what):
@@ -266,20 +284,29 @@ def conjugates(P):
     return table
 
 
+@memoized
+def _collector(P):
+    """What every collection on P reads, bound once per presentation:
+    (p, n - 1, the power words, the stored conjugates, the tail memo or
+    None).  Only a validated presentation has a tail memo, which validate()
+    puts in P._memo before the first collection on it."""
+    return P.p, P.n - 1, P.power_rel, conjugates(P), P._memo.get(_fresh_tails)
+
+
 def _collect_into(P, e, stack, table=None):
     """Collect the letters of the list stack, in push order (the last one
     first), to the right of the exponent vector e; both are consumed, and
-    the normal form is returned as a tuple."""
+    the normal form is returned as a tuple.  table is only for conjugates(),
+    the rows it is building, with no tail memo; every other caller reads
+    P's bound state, _collector(P)."""
     # invariant: value = normalform(e) * product(stack, top first), and
     # e[k] == 0 for every k > top, e[top] != 0 (top = -1 when e is all zero)
-    p = P.p
-    power_rel = P.power_rel
-    # table: the stored conjugates when the caller holds them, or the rows
-    # that conjugates() is building; else P's, read from P._memo directly
-    conj = table or P._memo.get(conjugates) or conjugates(P)
-    tails = P._memo.get(_fresh_tails)  # the tail memo, on a validated presentation only
+    if table is None:
+        p, last, power_rel, conj, tails = P._memo.get(_collector) or _collector(P)
+    else:
+        p, last, power_rel, conj, tails = P.p, P.n - 1, P.power_rel, table, None
     pop, push = stack.pop, stack.extend
-    last = top = P.n - 1
+    top = last
     while top >= 0 and not e[top]:
         top -= 1
     while stack:
@@ -314,7 +341,7 @@ def _collect_into(P, e, stack, table=None):
                 key = tuple(e[j:])
                 digits = memo.get(key)
                 if digits is None:
-                    digits = _tail_entry(P, conj, memo, jj, h, over, key)
+                    digits = _tail_entry(P, memo, jj, h, over, key)
                 e[j:] = digits
                 e[jj] = s - p if over else s
                 top = last
@@ -350,11 +377,12 @@ def _collect_into(P, e, stack, table=None):
     return tuple(e)
 
 
-def _tail_entry(P, conj, memo, jj, h, over, tail):
+def _tail_entry(P, memo, jj, h, over, tail):
     """Fill memo[tail] with the digits right of f_j, j = jj + 1, of
     T^{f_j^h}, or of w_j T^{f_j^h} when over, where T is the element whose
     digits right of f_j are tail, by one collection in G_{j+1}; return them.
     Key and value are the level's one copy of each tuple."""
+    conj, tails = P._memo[_collector][3:]
     row = conj[jj][h.bit_length() - 1]
     stack = []
     for k in range(P.n - 1, jj, -1):
@@ -363,8 +391,8 @@ def _tail_entry(P, conj, memo, jj, h, over, tail):
             stack += row[k][ek]
     if over:
         stack += reversed(P.power_rel[jj])
-    digits = _collect_into(P, [0] * P.n, stack, conj)[jj + 1:]
-    canon = P._memo[_fresh_tails][jj][2]
+    digits = _collect_into(P, [0] * P.n, stack)[jj + 1:]
+    canon = tails[jj][2]
     digits = canon.setdefault(digits, digits)
     memo[canon.setdefault(tail, tail)] = digits
     return digits
@@ -408,14 +436,13 @@ def _solve(P, u, v):
     alone: x_k = v_k - cur_k modulo p.
     """
     p = P.p
-    table = conjugates(P)
     cur = list(u)
     x = [0] * P.n
     for k, vk in enumerate(v):
         xk = (vk - cur[k]) % p
         if xk:
             x[k] = xk
-            _collect_into(P, cur, [(k + 1, xk)], table)
+            _collect_into(P, cur, [(k + 1, xk)])
     return tuple(x)
 
 
@@ -433,61 +460,80 @@ def conj(P, a, t):
     return _solve(P, t, mul(P, a, t))
 
 
-def _power_word(P, x, d):
-    """A word for x^d, d >= 0: d copies of x's word when d < 4, else the
-    normal form of x^d by squaring, x^(2^b) for each bit of d multiplied
-    over the set bits, O(log d) products; powers of x commute."""
+def _power(P, x, d):
+    """x^d, d >= 1: d - 1 more copies of x's word collected onto x's own
+    exponent vector when d < 4, else by squaring, x^(2^b) for each bit of d
+    multiplied over the set bits, O(log d) products; powers of x commute."""
     if d < 4:
-        return word_of(x) * d
+        return _collect_into(P, list(x), list(word_of(x)[::-1] * (d - 1))) if d > 1 else x
     acc = None
     while True:
         if d & 1:
             acc = x if acc is None else mul(P, acc, x)
         d >>= 1
         if not d:
-            return word_of(acc)
+            return acc
         x = mul(P, x, x)
 
 
 def pth_power(P, x):
-    """x^p, collected from _power_word's word for it."""
-    return collect(P, _power_word(P, x, P.p))
+    """x^p, by _power."""
+    return _power(P, x, P.p)
 
 
-def _p_powers(P, a, limit):
-    """The terms a^(p^i) = (a^(p^(i-1)))^p with p^i <= limit, each raised
-    to the p by _power_word, stopping at the last term that limit needs or
-    before the identity; with limit |G|, ord(a) is p to the number of
+def _element(P, a):
+    """a when it is a normal form, else the normal form of the word it
+    spells, as collect reads any word."""
+    x = normal_form(P, a)
+    return collect(P, word_of(a)) if x is None else x
+
+
+def _p_powers(P, x):
+    """The p-power chain of the normal form x: x, x^p, x^(p^2), ... up to
+    the last term before the identity, each the pth_power of the one before,
+    made only when the caller asks for it; ord(x) is p to the number of
     terms."""
-    p, one = P.p, identity(P)
-    chain = []
-    x = tuple(a)
-    while x != one:
-        if len(chain) == P.n:
-            raise AssertionError(f"the order of {a} exceeded the group order")
-        chain.append(x)
-        if p ** len(chain) > limit:
-            break
+    one = identity(P)
+    a = x
+    for _ in range(P.n):
+        if x == one:
+            return
+        yield x
         x = pth_power(P, x)
-    return chain
+    if x != one:
+        raise AssertionError(f"the order of {a} exceeded the group order")
 
 
 def pow_(P, a, k):
-    """a^k as the product of (a^(p^i))^(k_i) over the base-p digits k_i of k,
-    collected as one word; powers of a commute.  k is first reduced modulo
-    |G|, which ord(a) divides, so a negative k forms no inverse."""
+    """a^k as the product of (a^(p^i))^(k_i) over the base-p digits k_i of
+    k, collected as one word onto the first factor's exponent vector; powers
+    of a commute.  k is first reduced modulo |G|, which ord(a) divides, so a
+    negative k forms no inverse, and the chain stops at k's last nonzero
+    digit.  An a that is no normal form stands for the element its word
+    spells."""
     p = P.p
     k %= P.order
-    w = []
-    for x in _p_powers(P, a, k):
-        k, digit = divmod(k, p)
-        w += _power_word(P, x, digit)
-    return collect(P, w)
+    base = _element(P, a)
+    start, stack = None, []
+    if k:
+        for x in _p_powers(P, base):
+            k, digit = divmod(k, p)
+            if digit >= 4:
+                x, digit = _power(P, x, digit), 1
+            if digit:
+                if start is None:
+                    start, digit = x, digit - 1
+                stack += word_of(x)[::-1] * digit
+            if not k:
+                break
+    if start is None:
+        return identity(P)
+    return _collect_into(P, list(start), stack) if stack else start
 
 
 def element_order(P, a):
     """Least k >= 1 with a^k = 1; always a power of p in a p-group."""
-    return P.p ** len(_p_powers(P, a, P.order))
+    return P.p ** sum(1 for _ in _p_powers(P, _element(P, a)))
 
 
 def size_cap(**given):

@@ -540,15 +540,29 @@ def exponent(P, H=None):
     Below class p, G is regular (P. Hall), so is H, and the elements of
     order dividing p^k form a subgroup; exp(H) is then the largest order of
     a generator.  Otherwise H is scanned, under ELEMENT_CAP, generators
-    first, until an element_order reaches the bound p^c of _p_class."""
+    first, until an order reaches the bound p^c of _p_class.  The scan
+    keeps every order it finds: each candidate's p-power chain stops at its
+    first term whose order is known, since chains meet."""
     gens = _minimal_generators(P) if H is None else H.gens
     if nilpotency_class(P) < P.p:
         return max((pc.element_order(P, h) for h in gens), default=1)
     K = whole_group(P) if H is None else H
     pc.check_enumerable(K.order, "G" if H is None else "H")
     bound, best = P.p ** _p_class(P), 1
+    orders = {}  # element -> order, for every chain term met so far
     for x in itertools.chain(gens, _leading_ones(P, K.gens)):
-        best = max(best, pc.element_order(P, x))
+        chain = []
+        for y in pc._p_powers(P, x):
+            if y in orders:
+                break
+            chain.append(y)
+        else:
+            y = None  # the chain reached the identity
+        order = orders.get(y, 1)
+        for y in reversed(chain):
+            order *= P.p
+            orders[y] = order
+        best = max(best, order)
         if best == bound:
             break
     return best

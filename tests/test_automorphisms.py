@@ -87,6 +87,31 @@ def test_verify_certifies_images_as_ints(one):
     assert all(type(v) is int for x in A.images for v in x)
 
 
+def test_verify_forms_only_the_words_the_failing_relation_reads(monkeypatch):
+    # seeded random maps of g2187 that break f_1^3, the first relation: verify
+    # spells in letters only the images that relation reads, not all seven
+    P = pgw.load("g2187")
+    reads = au._relation_plan(P)[0].reads
+    assert len(reads) < P.n
+    rng = random.Random(67)
+    spelled = []
+    word_of = pc.word_of
+    monkeypatch.setattr(pc, "word_of", lambda e: spelled.append(e) or word_of(e))
+    broken = 0
+    while broken < 20:
+        images = tuple(tuple(rng.randrange(3) for _ in range(P.n)) for _ in range(P.n))
+        spelled.clear()
+        try:
+            au.verify(au.GenMap(P, images))
+        except pgw.RelationViolated as e:
+            if not str(e).startswith("power relation f_1^3:"):
+                continue
+        else:
+            continue
+        broken += 1
+        assert spelled and set(spelled) <= {images[g] for g in reads}, (images, spelled)
+
+
 def test_verify_rejects_relation_break():
     P = pgw.load("h27")
     # swap f1 <-> f2 : [f2,f1] = f3 becomes [f1,f2] = f3^-1 != f3

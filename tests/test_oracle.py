@@ -469,6 +469,46 @@ def test_bases_are_gl_d_p(p, d):
         assert d - len(kernel) == d
 
 
+def _blocks_by_combinations(p, d, part, rows):
+    """oracle._bases' blocks, with each partial basis's span rebuilt from all
+    p^r combinations of its rows, and at most `rows` rows grown per block."""
+    r = len(part[0])
+    if r == d:
+        yield part
+        return
+    radix = [p**k for k in range(d - 1, -1, -1)]
+    per = max(1, rows // (p**d - p**r))
+    for s in range(0, len(part), per):
+        grown = []
+        for basis in part[s : s + per]:
+            vs = [[c // b % p for b in radix] for c in basis]
+            span = {
+                sum(sum(a * v[k] for a, v in zip(cs, vs)) % p * radix[k] for k in range(d))
+                for cs in itertools.product(range(p), repeat=r)
+            }
+            grown += [basis + (c,) for c in range(p**d) if c not in span]
+        yield from _blocks_by_combinations(p, d, grown, rows)
+
+
+@pytest.mark.parametrize("p, d", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2)])
+@pytest.mark.parametrize("rows", [None, 7])
+def test_bases_list_gl_d_p_by_brute_force(p, d, rows, monkeypatch):
+    # every d x d matrix over F_p, kept when of rank d, in lexicographic
+    # order of its row codes; the blocks are those of the spans rebuilt from
+    # scratch, also when blocks hold a few rows each
+    if rows is not None:
+        monkeypatch.setattr(oracle, "_ROWS", rows)
+    radix = [p**k for k in range(d - 1, -1, -1)]
+    brute = [
+        m for m in itertools.product(range(p**d), repeat=d)
+        if not st._solve_mod_p(p, [[c // b % p for b in radix] for c in m])[0]
+    ]
+    part = [(c,) for c in range(1, p**d)]
+    blocks = list(oracle._bases(p, d, part, None))
+    assert [row for block in blocks for row in block] == brute
+    assert blocks == list(_blocks_by_combinations(p, d, part, oracle._ROWS))
+
+
 def test_small_blocks_change_nothing(monkeypatch):
     P = pgw.load("m243")
     a = pgw.enumerate_automorphisms(P, budget=300)

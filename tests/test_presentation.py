@@ -11,6 +11,7 @@ import sys
 import time
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
@@ -324,6 +325,32 @@ def test_tail_memo_only_on_validated_and_never_shared(monkeypatch):
         pc.mul(P, _random_element(rng, P), _random_element(rng, P))
     assert _memo_entries(P) > 0 and _memo_entries(Q) == 0
     assert not {id(d) for d in _memo_dicts(P)} & {id(d) for d in _memo_dicts(Q)}
+
+
+def test_collector_binds_its_state_once_per_presentation(monkeypatch):
+    # p, n - 1, the power words, the stored conjugates and the tail memo sit
+    # in one P._memo entry; the raw object the battery collects on binds no
+    # tail memo, and a P.replace() copy binds its own
+    raws = []
+    validate = pc.validate
+
+    def recording(P):
+        raws.append(P)
+        return validate(P)
+
+    monkeypatch.setattr(pc, "validate", recording)
+    P = groupfile.parse_text(_g2187_text()).presentation
+    pgw.mul(P, P.generator(2), P.generator(1))
+    state = P._memo[pc._collector]
+    assert state[:3] == (P.p, P.n - 1, P.power_rel)
+    assert state[3] is P._memo[pc.conjugates] and state[4] is P._memo[pc._fresh_tails]
+    raw = raws[0]._memo[pc._collector]
+    assert raw[3] is state[3] and raw[4] is None
+    copy = P.replace()
+    assert pc._collector not in copy._memo
+    f2, f1 = P.generator(2), P.generator(1)
+    assert pgw.mul(copy, f2, f1) == pgw.mul(P, f2, f1)
+    assert copy._memo[pc._collector][4] is None
 
 
 @pytest.mark.parametrize("memo_keys", [None, 0])
@@ -728,6 +755,104 @@ def test_large_p_arithmetic_matches_integer_model(p):
             a = _random_element(rng, P)
             got = pc.collect(P, pc.word_of(a) + ((j, m),))
             assert image(got) == model(image(a), power(gens[j - 1], m)), (a, j, m)
+
+
+def _family_p97():
+    return groupfile.parse_text(FAMILY.format(order=97**5, p=97, q=96)).presentation
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_pow_equals_repeated_mul(name):
+    # every k in [-2|G|, 2|G|]: a^k for k >= 0 by multiplying by a, and for
+    # k < 0 by multiplying by inv(a), one step at a time
+    P = pgw.load(name)
+    rng = random.Random(53)
+    for a in [P.generator(1), _random_element(rng, P)]:
+        up, down = pgw.identity(P), pgw.identity(P)
+        a_inv = pgw.inv(P, a)
+        for k in range(2 * P.order + 1):
+            assert pgw.pow_(P, a, k) == up, (a, k)
+            assert pgw.pow_(P, a, -k) == down, (a, -k)
+            up, down = pgw.mul(P, up, a), pgw.mul(P, down, a_inv)
+
+
+def test_pow_equals_repeated_mul_at_p97():
+    # |G| = 97^5 is too large to walk, but a^k depends only on k modulo
+    # ord(a) <= 97^3: k = r + m ord(a) over [-2|G|, 2|G|], with a^r for r up
+    # to 2p by repeated mul, so k's base-97 digits take every value
+    P = _family_p97()
+    rng = random.Random(59)
+    one = pgw.identity(P)
+    for a in [P.generator(1), P.generator(2)] + [_random_element(rng, P) for _ in range(3)]:
+        order = pgw.element_order(P, a)
+        assert pgw.pow_(P, a, order) == one and pgw.pow_(P, a, order // P.p) != one
+        powers = [one]
+        for _ in range(2 * P.p):
+            powers.append(pgw.mul(P, powers[-1], a))
+        for _ in range(60):
+            r = rng.randrange(len(powers))
+            m = rng.randint(-2 * P.order // order, 2 * P.order // order - 1)
+            assert pgw.pow_(P, a, r + m * order) == powers[r], (a, r, m)
+
+
+def test_pow_collections_stay_logarithmic_at_p97(monkeypatch):
+    # squaring keeps every term's power at O(log p) products, so a call
+    # collects O(n log p) times, far below the n p of spelling out digits
+    P = _family_p97()
+    rng = random.Random(61)
+    calls = []
+    collect_into = pc._collect_into
+    monkeypatch.setattr(pc, "_collect_into", lambda *a: calls.append(1) or collect_into(*a))
+    most = 0
+    for k in [P.order - 1, -1, 96 * (97**4 + 97**3 + 97**2 + 97 + 1)] + [
+        rng.randint(-P.order, P.order) for _ in range(40)
+    ]:
+        calls.clear()
+        pc.pow_(P, _random_element(rng, P), k)
+        most = max(most, len(calls))
+    assert most <= 3 * P.n * P.p.bit_length()
+
+
+def test_pow_stops_at_the_last_nonzero_digit(monkeypatch):
+    # a^1 and a^p need no term past a^p; a^0 needs none
+    P = pgw.load("g2187")
+    a = P.generator(1)
+    made = []
+    pth_power = pc.pth_power
+    monkeypatch.setattr(pc, "pth_power", lambda P, x: made.append(x) or pth_power(P, x))
+    assert pc.pow_(P, a, 0) == pgw.identity(P) and made == []
+    assert pc.pow_(P, a, 1) == a and made == []
+    assert pc.pow_(P, a, P.p) == pth_power(P, a) and made == [a]
+
+
+@pytest.mark.parametrize(
+    "e, ok",
+    [
+        ((1, 0, 2), True),
+        ((True, False, 2), True),
+        ((np.int64(1), np.int32(0), np.uint8(2)), True),
+        ([2, 2, 2], True),
+        ((-1, 0, 0), False),
+        ((3, 0, 0), False),
+        ((0, 0, 10**20), False),
+        ((1, 0), False),
+        ((1, 0, 0, 0), False),
+        ((1.0, 0, 0), False),
+        (("1", 0, 0), False),
+        (None, False),
+    ],
+)
+def test_normal_form_takes_exact_digits_below_p(e, ok):
+    P = pgw.load("h27")
+    x = pc.normal_form(P, e)
+    if not ok:
+        assert x is None
+        with pytest.raises(ValueError, match=r"is not a normal form: need 3 ints in 0\.\.2"):
+            pc.checked_form(P, e, "element")
+        return
+    assert x == tuple(int(v) for v in e)
+    assert all(type(v) is int for v in x)
+    assert pc.checked_form(P, e, "element") == x
 
 
 @pytest.mark.parametrize("k", [10**12, -(10**12), 10**6 + 1, -(10**6 + 1)])

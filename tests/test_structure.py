@@ -552,6 +552,29 @@ def test_exponent_below_class_p_matches_the_scan(name):
         assert pgw.exponent(P, H) == scan == every
 
 
+# w81 x C_3^4, with the four central generators among the minimal ones: class
+# 3 = p, so exponent() scans all 3^8 elements, whose p-power chains meet
+W81_C3_4 = (
+    "name w81c34\np 3\nn 8\ncomm 2 1 = g7^1\ncomm 7 1 = g8^1\n"
+    "def 7 = comm 2 1\ndef 8 = comm 7 1\n"
+)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES + TEXT_NAMES + ("w81c34",))
+def test_exponent_is_the_largest_element_order(name):
+    # the scan keeps every order it finds and cuts chains at a known one;
+    # element_order walks each chain to the identity on its own
+    if name == "w81c34":
+        P = groupfile.parse_text(W81_C3_4, source=name).presentation
+    else:
+        P = load_group(name)
+    for H in (None, pgw.center(P), pgw.derived(P)):
+        K = st.whole_group(P) if H is None else H
+        assert pgw.exponent(P, H) == max(pgw.element_order(P, x) for x in K.elements)
+    if name == "w81c34":
+        assert pgw.exponent(P) == 9 < P.p ** st._p_class(P)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
