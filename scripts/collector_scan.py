@@ -13,8 +13,17 @@ per call.
 The first repetition of each group starts from a freshly parsed presentation,
 so any per-presentation memo is cold there and warm after it.  The script
 imports pgw from the src directory of the checkout it lives in, whatever
-PYTHONPATH says; to compare two checkouts, run each one's own copy, in
-alternating fresh interpreters.
+PYTHONPATH says, so each checkout is timed by its own copy.  Alternating
+fresh interpreters of two checkouts cannot resolve a change of a few percent
+on a shared host: whole interpreters run up to 1.5x slow, and mul at p = 31
+read 11.4-19.6 us across 20 interpreters of two near-identical trees on a
+2-CPU Linux host.  For that, time both trees in one interpreter: import the
+second tree's pgw under another package name, give each its own parsed
+presentation, and time them in alternating blocks on fresh seeded inputs,
+with a run of one tree against itself as the control for what the blocks
+can resolve (the in_process.interleaved_in_process entry of
+BENCH_fixedcost.json; there the control read within 0.6% and the method
+resolved 1-2%).
 --file adds the group of a .pg file, under its file name.  --memo-keys B
 and --memo-tails T set presentation.MEMO_KEYS and MEMO_TAILS, the largest
 key count and tail count of a pc level that the collector memoizes, before

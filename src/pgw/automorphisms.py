@@ -104,9 +104,11 @@ def verify_coded(P, forms, coded, deadline=None):
     in the fixed order of _relation_plan, the powers of f_1..f_n, then the
     commutators [f_i, f_j] for i > j, each compiled once per presentation.
     Each side is collected from the exponent vector of the image it starts
-    with.  One row is collected straight from its images, and an image's
-    word is formed when the first relation that reads it comes up, so a row
-    that fails at f_1^p forms only the words of the images f_1^p reads.
+    with; a side with no letters (the right side of f_i^p = f_k or of
+    f_i^p = 1) is that image, or the identity, with no collection.  One row
+    is collected straight from its images, and an image's word is formed
+    when the first relation that reads it comes up, so a row that fails at
+    f_1^p forms only the words of the images f_1^p reads.
     While more than one row is live, the numbers of the images that a
     relation reads (A(f_i), A(f_j) and the images w spells) make one key per
     row, and rows with one key agree on the relation: both sides are
@@ -133,6 +135,7 @@ def verify_coded(P, forms, coded, deadline=None):
     n, p = P.n, P.p
     plan = _relation_plan(P)
     collect, word_of = pc._collect_into, pc.word_of  # per call: meters and tests wrap them
+    one = pc.identity(P)
     m = len(coded)  # rows 0..m-1 hold every relation so far
     failed = None
     if m == 1:  # both sides straight from the row's images, written out: verify's path
@@ -148,11 +151,12 @@ def verify_coded(P, forms, coded, deadline=None):
             stack = []
             for g, e in l0:
                 stack += words[g] * e
-            lhs = collect(P, list(starts[s0]) if s0 is not None else [0] * n, stack)
+            lhs = collect(P, list(starts[s0] if s0 is not None else one), stack)
             stack = []
             for g, e in l1:
                 stack += words[g] * e
-            rhs = collect(P, list(starts[s1]) if s1 is not None else [0] * n, stack)
+            start = starts[s1] if s1 is not None else one
+            rhs = collect(P, list(start), stack) if stack else start
             if lhs != rhs:
                 return 0, _violation(P, forms, row, label, rel, word, lhs, rhs)
     else:
@@ -160,11 +164,11 @@ def verify_coded(P, forms, coded, deadline=None):
 
         def value(row, side):
             start, letters = side
+            x = forms[row[start]] if start is not None else one
             stack = []
             for g, e in letters:
                 stack += stacks[row[g]] * e
-            x = list(forms[row[start]]) if start is not None else [0] * n
-            return collect(P, x, stack)
+            return collect(P, list(x), stack) if stack else x
 
         columns = list(zip(*coded))  # the live rows' image numbers, by generator
         for label, rel, word, reads, (left, right) in plan:

@@ -26,12 +26,14 @@ once, by the tables' mul, pow and comm, and memoized (_arithmetic), and the
 relations go in an order fixed by the presentation (_relations), the ones
 whose forced images are all p-th powers first: a power is memoized on one
 argument and a commutator on a pair, so the images that need a commutator
-are forced on the fewest rows.  At level
-n the children only need their forced images, and they are exactly the
-automorphisms.  Each block of them that the lift yields is re-certified in
-one call to the pure collection of automorphisms.verify_coded, one row per
-central-twist class.  When n > d, two rows are in one class if their minimal
-images agree past f_n's digit (index // p) and their forced entries agree.
+are forced on the fewest rows.  The sieve at level n cuts nothing, so the
+images it forces on a node are exact, and the node's p^d children, which
+differ from it only in f_n's digit of their minimal images, share them:
+those children are exactly the automorphisms.  Each block of them that
+the lift yields is re-certified in one call to the pure collection of
+automorphisms.verify_coded, one row per central-twist class.  When n > d,
+two rows are in one class if their minimal images agree past f_n's digit
+(index // p) and their forced entries agree.
 validate()'s weighted form makes G_n = <f_n> central of order p, and G_n
 lies in Phi(G) = G_{d+1}.  Let A be an automorphism and A' a row of its
 class.  The elements A(f_i)^-1 A'(f_i), i <= d, lie in G_n, which is
@@ -228,63 +230,46 @@ def _relations(P):
     return [entry[1:] for entry in out]
 
 
-def _force(ctx, img, k, arithmetic):
-    """Set img[k - 1] to the column of f_k's images that its defn tag forces
-    from the columns before it, by the functions of _arithmetic."""
-    tag = ctx["P"].defn[k]
-    powers, _, commutators, _ = arithmetic
-    if tag[0] == "pow":
-        img[k - 1] = powers(img[tag[1] - 1])
-    else:
-        img[k - 1] = commutators(img[tag[1] - 1], img[tag[2] - 1])
-
-
-def _images(ctx, mins):
-    """The columns of all n generator images from the d columns mins of
-    minimal images."""
-    P, d = ctx["P"], ctx["d"]
-    img = list(mins) + [None] * (P.n - d)
-    arithmetic = _arithmetic(ctx, 1)
-    for k in range(d + 1, P.n + 1):
-        _force(ctx, img, k, arithmetic)
-    return img
-
-
 def _sieve(ctx, mins, level, deadline):
     """The relation check modulo G_{level+1}.
 
     mins: the columns of candidate images of f_1..f_d, one list per
     generator.  Both sides of every relation are taken modulo G_{level+1},
     as indices cut to their first `level` digits, by the functions of
-    _arithmetic.  The image of f_k is forced (_force) just before the first
-    relation that needs it, on the rows still alive.  Returns the surviving
-    rows of d minimal images, in order.  _lift passes level-(level - 1)
-    nodes, whose digit `level` is zero: G_level/G_{level+1} is central in
-    G/G_{level+1}, so a node's verdict here is that of each of its
-    children.
+    _arithmetic.  The image of f_k is forced by its defn tag just before the
+    first relation that needs it, on the rows still alive; every f_k past d
+    is needed by some relation (_relations).  Returns the surviving rows, in
+    order: of d minimal images below level n, and of all n images at level
+    n, where the cut is 1 and the forced images are exact.  _lift passes
+    level-(level - 1) nodes, whose digit `level` is zero:
+    G_level/G_{level+1} is central in G/G_{level+1}, so a node's verdict
+    here is that of each of its children, and at level n so are its forced
+    images.
     """
-    d, n = ctx["d"], ctx["P"].n
-    arithmetic = _arithmetic(ctx, ctx["t"].strides[level - 1])
-    powers, products, commutators, small = arithmetic
-    img = list(mins) + [None] * (n - d)
+    P, d = ctx["P"], ctx["d"]
+    powers, products, commutators, small = _arithmetic(ctx, ctx["t"].strides[level - 1])
+    img = list(mins) + [None] * (P.n - d)
+
+    def value(tag):  # the column of f_a^p for ("pow", a), of [f_a, f_b] for ("comm", a, b)
+        if tag[0] == "comm":
+            return commutators(img[tag[1] - 1], img[tag[2] - 1])
+        return powers(img[tag[1] - 1])
+
     for rel, word, needs in ctx["relations"]:
         if not img[0]:
-            break
+            return []
         check_deadline(deadline, f"in the sieve at level {level}")
         for k in needs:
             if img[k - 1] is None:
-                _force(ctx, img, k, arithmetic)
-        if rel[0] == "comm":
-            lhs = commutators(img[rel[1] - 1], img[rel[2] - 1])
-        else:
-            lhs = powers(img[rel[1] - 1])
+                img[k - 1] = value(P.defn[k])
+        lhs = value(rel)
         rhs = [0] * len(lhs)
         for g, m in word:
             rhs = products(rhs, img[g - 1] if m == 1 else small(img[g - 1], m))
         if lhs != rhs:
             ok = list(map(eq, lhs, rhs))
             img = [col and list(compress(col, ok)) for col in img]
-    return list(zip(*img[:d]))
+    return list(zip(*img[: P.n if level == P.n else d]))
 
 
 def _bases(p, d, part, deadline):
@@ -350,26 +335,27 @@ def _lift(ctx, nodes, level, deadline):
     blocks of rows of n image indices.
 
     nodes: the d columns of the nodes' minimal images, with zero digits past
-    `level`.  A child adds e_j * p^(n-level-1) to the j-th minimal image for
+    `level`, then at level n > d the columns of their forced images.  A
+    child adds e_j * p^(n-level-1) to the j-th minimal image for
     each e in F_p^d, a factor from G_{level+1}, which is central modulo
     G_{level+2}; so modulo G_{level+2} the child's forced images and
     relation sides are its parent's (see the module docstring).  Each node
     is therefore sieved once at level + 1, with its new digits zero, and
     only the nodes that pass are expanded, each into all its p^d children.
-    At level n the children only need their forced images, and the p^d
-    siblings of a node share them: a child's factor lies in G_n, which is
-    central of order p, so it drops out of every p-th power and commutator
-    the defn tags force.  They are forced once per run of siblings, on its
-    first row, the node itself (when n = d, no image is forced).
+    At level n the sieve returns whole rows, its forced images exact, and
+    the p^d siblings of a node share them: a child's factor lies in G_n,
+    which is central of order p, so it drops out of every p-th power and
+    commutator the defn tags force.  So each child repeats its node's
+    forced entries, and the level-n nodes are the rows (when n = d, the
+    level-d nodes, with no image forced).
     """
     P, d = ctx["P"], ctx["d"]
     if level == P.n:
-        w = len(ctx["digits"]) if level > d else 1  # siblings per run
-        forced = _images(ctx, [col[::w] for col in nodes])[d:]
-        yield list(zip(*nodes, *[[x for x in col for _ in range(w)] for col in forced]))
+        yield list(zip(*nodes))
         return
     s = ctx["t"].strides[level]
     steps = [[e[j] * s for e in ctx["digits"]] for j in range(d)]
+    steps += [[0] * len(ctx["digits"])] * (P.n - d)  # the forced entries of a level-n row
     per = max(1, _ROWS // len(ctx["digits"]))
     for start in range(0, len(nodes[0]), _ROWS):
         check_deadline(deadline, f"at level {level + 1}")

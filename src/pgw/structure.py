@@ -27,8 +27,10 @@ All functions take a validated presentation and are pure; the results that
 depend on P alone (the center, the central series, the maximal subgroups,
 ...) are kept in P._memo by presentation.memoized, and freed with P.  So is
 the one power memo, P._memo[_power]: (h, e) -> h^e for each sequence element
-h and 0 < e < p that sifting, coset reduction and kernel products multiply
-by, shared by every subgroup and call on P.
+h and 0 < e < p that sifting, coset reduction, kernel products and the
+listing of a subgroup's elements multiply by, shared by every subgroup and
+call on P.  A subgroup's rank and a quotient's are differences of sequence
+lengths.
 """
 
 import itertools
@@ -172,19 +174,11 @@ def _subgroup(P, lead):
     return Subgroup(P, [canon[i] for i in positions])
 
 
-def _powers_of(P, h):
-    """h^0, h^1, ..., h^(p-1)."""
-    powers = [pc.identity(P)]
-    for _ in range(P.p - 1):
-        powers.append(pc.mul(P, powers[-1], h))
-    return powers
-
-
 def _products(P, gens):
     """Every h_1^a_1 ... h_r^a_r over the sequence gens (deepest first)."""
     out = [pc.identity(P)]
     for h in gens:
-        out = [pc.mul(P, a, y) for a in _powers_of(P, h) for y in out]
+        out += [pc.mul(P, _power(P, h, a), y) for a in range(1, P.p) for y in out]
     return out
 
 
@@ -591,7 +585,7 @@ def _leading_ones(P, gens):
     for k, h in enumerate(gens):
         yield from (pc.mul(P, h, y) for y in deeper)
         if k + 1 < len(gens):
-            deeper = [pc.mul(P, a, y) for a in _powers_of(P, h) for y in deeper]
+            deeper += [pc.mul(P, _power(P, h, a), y) for a in range(1, P.p) for y in deeper]
 
 
 def rank(P, H=None):
@@ -599,17 +593,7 @@ def rank(P, H=None):
     minimal_count, as validate() makes Phi(G) = G_{d+1}."""
     if H is None:
         return P.minimal_count
-    return _log(P.p, H.order // _frattini_of(P, H).order)
-
-
-def _log(p, q):
-    """The exact d with p^d = q."""
-    d = 0
-    while q % p == 0:
-        q //= p
-        d += 1
-    assert q == 1, "not a power of p"
-    return d
+    return len(H.gens) - len(_frattini_of(P, H).gens)
 
 
 def quotient_facts(P, A, B):
@@ -626,6 +610,7 @@ def quotient_facts(P, A, B):
                 raise NotNormal(f"conjugate of {b} by {a} leaves B")
     order = A.order // B.order
     ea = all(pc.pth_power(P, a) in B for a in A.gens) and all(
-        pc.comm(P, a, b) in B for a in A.gens for b in A.gens
+        pc.comm(P, a, b) in B for i, a in enumerate(A.gens) for b in A.gens[:i]
     )
-    return {"order": order, "elementary_abelian": ea, "rank": _log(P.p, order) if ea else None}
+    rank = len(A.gens) - len(B.gens) if ea else None
+    return {"order": order, "elementary_abelian": ea, "rank": rank}

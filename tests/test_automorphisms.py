@@ -404,6 +404,29 @@ def test_distinct_rows_match_the_bytewise_reference(width, top):
         assert np.array_equal(keys[want_first[want_inverse]], keys)
 
 
+def test_letterless_sides_are_taken_without_a_collection(demo_group, monkeypatch):
+    # on g2187 the right sides of f_1^3 = f_4, f_2^3 = f_3, f_3^3 = f_5,
+    # f_4^3 = f_6, f_5^3 = f_7, f_6^3 = 1 and f_7^3 = 1 have no letters: each
+    # is an image or the identity, on verify's one-row path and in a block
+    P = demo_group
+    elems = st.whole_group(P).elements
+    conjugators = random.Random(3).sample(elems, 20)
+    maps = [tuple(pc.conj(P, g, t) for g in P.generators()) for t in conjugators]
+    forms, coded = _coded(P, maps)
+    stacks = []  # the length of each collection's stack, as passed
+    collect = pc._collect_into
+
+    def counting(P, e, stack, *rest):
+        stacks.append(len(stack))
+        return collect(P, e, stack, *rest)
+
+    monkeypatch.setattr(pc, "_collect_into", counting)
+    for images in maps:
+        assert au.verify(au.GenMap(P, images)).images == images
+    assert au.verify_coded(P, forms, coded) is None
+    assert stacks and 0 not in stacks
+
+
 def test_block_collects_each_key_once_up_to_the_first_failure(monkeypatch):
     # a block is collected on the first row of each key of the images a
     # relation reads, in row order, up to the first failing row, whose sides

@@ -2,6 +2,7 @@
 
 import collections
 import gc
+import hashlib
 import importlib.resources
 import itertools
 import multiprocessing.connection
@@ -27,7 +28,7 @@ from pgw import structure as st
 from pgw.tables import get_tables
 
 import mask_reference as ref
-from conftest import MODELS, assert_isomorphic, load_group
+from conftest import ALL_NAMES, FAMILY_NAMES, MODELS, TEXT_NAMES, assert_isomorphic, load_group
 
 # total, inner, order-p non-inner Frattini-fixing bucket (None = not pinned here)
 EXPECTED = {
@@ -854,7 +855,8 @@ def _comm_sieve(ctx, mins, level):
     whole indices (mask_reference's view of the tables): every image forced
     by the tag's pow or comm, every relation [a, b] = w by comm and
     f_i^p = w by pow against w by mul, both sides compared on their first
-    `level` digits."""
+    `level` digits.  The surviving rows are of d minimal images, and at
+    level n of all n images, as _sieve returns them."""
     P, d = ctx["P"], ctx["d"]
     t = ref.get_tables(P)
     img = [np.array(col, dtype=np.int64) for col in mins] + [None] * (P.n - d)
@@ -876,7 +878,7 @@ def _comm_sieve(ctx, mins, level):
                 rhs = t.mul(rhs, img[g - 1])
         ok = lhs // cut == rhs // cut
         img = [x[ok] for x in img]
-    return list(zip(*[x.tolist() for x in img[:d]]))
+    return list(zip(*[x.tolist() for x in img[: P.n if level == P.n else d]]))
 
 
 def _children(ctx, rows, level):
@@ -907,13 +909,14 @@ def test_sieve_matches_the_commutator_form(name, total):
         children = _children(ctx, rows, level)
         rows = oracle._sieve(ctx, children, level + 1, None)
         assert rows == _comm_sieve(ctx, children, level + 1), level + 1
-    assert len(rows) == total
+    assert len(rows) == total and {len(row) for row in rows} == {P.n}
 
 
 def _lift_reference(ctx, mins, level):
     """The lift _lift replaced: every child of every node goes through
-    _sieve one level down, in blocks of at most _ROWS children; yields the
-    rows of minimal images at level n."""
+    _sieve one level down, in blocks of at most _ROWS children, so each
+    child's images are forced on the child itself; yields the rows of n
+    images at level n."""
     rows = list(zip(*mins))
     if level == ctx["P"].n:
         yield rows
@@ -929,8 +932,9 @@ def test_lift_matches_the_children_sieve(name):
     P = load_group(name)
     ctx = oracle._prepare(P)
     mins = _level_d_nodes(ctx)
-    got = [row[: ctx["d"]] for block in oracle._lift(ctx, mins, ctx["d"], None) for row in block]
+    got = [row for block in oracle._lift(ctx, mins, ctx["d"], None) for row in block]
     assert got == [row for block in _lift_reference(ctx, mins, ctx["d"]) for row in block]
+    assert {len(row) for row in got} == {P.n}
 
 
 def test_lift_level_sizes_g2187(demo_group, monkeypatch):
@@ -943,19 +947,56 @@ def test_lift_level_sizes_g2187(demo_group, monkeypatch):
 
     monkeypatch.setattr(oracle, "_lift", counting)
     forced = []
-    images = oracle._images
+    sieve = oracle._sieve
 
-    def forcing(ctx, mins):
-        forced.append(len(mins[0]))
-        return images(ctx, mins)
+    def forcing(ctx, mins, level, deadline):
+        kept = sieve(ctx, mins, level, deadline)
+        if level == ctx["P"].n:
+            forced.extend(kept)
+        return kept
 
-    monkeypatch.setattr(oracle, "_images", forcing)
+    monkeypatch.setattr(oracle, "_sieve", forcing)
     ctx = oracle._prepare(demo_group)
     blocks = oracle._lift(ctx, _level_d_nodes(ctx), ctx["d"], None)
     rows = [row for block in blocks for row in block]
     assert len(rows) == 4374
     assert [sizes[k] for k in sorted(sizes)] == [48, 162, 486, 1458, 4374, 4374]
-    assert sum(forced) == 486  # once per surviving level-6 node, shared by its 9 children
+    # the level-7 sieve forces the images of each surviving level-6 node,
+    # and its 9 children repeat them
+    assert len(forced) == 486 and {len(row) for row in forced} == {demo_group.n}
+    assert [row[2:] for row in rows] == [row[2:] for row in forced for _ in range(9)]
+
+
+# SHA-256 of each map stream as little-endian 4-byte indices: a rework of
+# the lift must keep every row, entry and the order of the rows
+MAPS_SHA256 = {
+    "c3c3": "63bce453590e26d6f23f7ec87dcb1af798bf54e99b25796dcbb8d841f62d4ad7",
+    "c9": "d172428474fd4a94425609be35db945eb6d3c5d305aac3637d89c08f1de7064b",
+    "g2187": "eb0a81a696bb46f1b535b3c4a9df98dee0a8760feaf65e947882d6de939a35a9",
+    "h27": "cf8bedff7861f70bfb39940acbbd7598d1f44e8f91ea5e1a25e442d7a2764641",
+    "m16807": "95ee5f2f8c048a7f48945c6751bd79456fb4c541aacdef4f660c7507ccd088e6",
+    "m243": "65f97055d1c27a42daae9c4c43b36a7b76cb6c8b17bfbe3e9db16814ef5e6133",
+    "m3125": "493307cb756a8332cea778ca84248fa260c53a30a82af285fc88a2b4af0f824b",
+    "q8": "bf0ce6c2ce79b49c5e0b0c9d5d883a9b78bbfd91d0e7a685780eeff6c9555388",
+    "ut4_3": "19ab562dd017c1f0655367ea7d4f09bf8f247fde06849f86f8a9c8302df3c6f6",
+    "w81": "0334b00b85bfc6ef361fd5f54989284dc8f0a27f2631f8dccfec60fdcc4d7415",
+    "x27": "41c5cbb9d51fd7525aea85926e4a2420e6204e5439ec5de6a83932d0d4df5758",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MAPS_SHA256))
+def test_map_streams_keep_their_bytes(name):
+    maps = pgw.enumerate_automorphisms(load_group(name)).maps
+    assert hashlib.sha256(np.asarray(maps, dtype="<i4").tobytes()).hexdigest() == MAPS_SHA256[name]
+
+
+@pytest.mark.parametrize("name", ALL_NAMES + TEXT_NAMES + FAMILY_NAMES)
+def test_every_forced_image_is_needed_by_a_sieve_relation(name):
+    # the sieve forces f_k's image only for a relation that needs it, and at
+    # level n its rows hold every image: each f_k past d must be needed
+    P = load_group(name)
+    needed = set().union(*(needs for _, _, needs in oracle._relations(P)))
+    assert needed == set(range(P.minimal_count + 1, P.n + 1))
 
 
 @pytest.mark.parametrize("name", sorted(MODELS) + ["m3125"])
@@ -969,12 +1010,13 @@ def test_children_share_their_parents_verdict(name):
     nodes = list(zip(*_level_d_nodes(ctx)))
     for level in range(d, P.n):
         children = _children(ctx, nodes, level)
-        kept = set(oracle._sieve(ctx, children, level + 1, None))
+        kept = {row[:d] for row in oracle._sieve(ctx, children, level + 1, None)}
         passed = [row in kept for row in zip(*children)]
+        assert any(passed), level + 1  # the identity's row always passes
         groups = [passed[k : k + width] for k in range(0, len(passed), width)]
         assert all(all(g) or not any(g) for g in groups), level + 1
         columns = [list(c) for c in zip(*nodes)] if nodes else [[]] * d
-        alone = set(oracle._sieve(ctx, columns, level + 1, None))
+        alone = {row[:d] for row in oracle._sieve(ctx, columns, level + 1, None)}
         assert [g[0] for g in groups] == [row in alone for row in nodes]
         nodes = [row for row in zip(*children) if row in kept]
 
