@@ -4,15 +4,42 @@ A GenMap is an unverified candidate: one image per pc generator.  The
 certificate is pure collection.  verify() checks that a map's images are
 normal forms, numbers the distinct ones and hands the numbered row to
 verify_coded(), which the oracle calls directly on whole blocks of rows.  It
-checks them relation-major: each defining relation becomes an equality of
-two words in the images, with no inverses and no table, compiled once per
-presentation into a plan (_relation_plan, in P._memo): each side's start
-image and letters, and the images the relation reads.  One row is collected
+checks them relation-major: each relation of the plan becomes an equality
+of two words in the images, with no inverses and no table, compiled once
+per presentation (_relation_plan, in P._memo): each side's start image and
+letters, and the images the relation reads.  One row is collected
 straight from its images, each spelled as a word only once a relation reads
 it, so a map that fails early spells few; in a block, both sides are
 collected on the first row of each distinct key of the images read, in row
 order, up to the first row where they differ.  The oracle's sieve reads the
 same plan.
+The plan holds the n - d definitions and a set S of other relations, not
+every pc relation (Holt, Eick & O'Brien, Handbook of Computational Group
+Theory, sec. 9.4; Newman & O'Brien, J. Symb. Comput. 21, 1996).  Let F be
+free on x_1..x_d and G = F/R, with x_i -> f_i for i <= d and each later
+f_k the word in f_1..f_{k-1} its defn tag names.  A map A that satisfies
+the definitions sends each f_k to that word in the images, so it is
+the homomorphism phi: F -> G, x_i -> A(f_i), on every pc word, and it
+satisfies a relation r exactly when phi(r) = 1, r read as an element of R.
+_multiplicator_basis finds S with R = <<S>>[R,F]R^p: the images of S span
+R/[R,F]R^p, the multiplicator of the p-covering group.  If A satisfies S
+as well, then N = phi(R), a normal subgroup of the finite p-group phi(F),
+has N = [N, phi(F)] N^p; but a normal subgroup N > 1 of a finite p-group H
+has [N, H] N^p < N, so N = 1: A satisfies every relation.  The argument
+holds for a map into any finite p-group, so the oracle's sieve, which
+checks relations modulo each G_{k+1}, keeps the same nodes with S as with
+every relation; it checks S alone, as the forced images satisfy the
+definitions, and forces at level n the images no relation of S reads.
+The plan keeps the full plan's order (_full_plan): 7 relations of 28 on
+g2187, 5 on m243, w81 and h27, 3 on x27, q8 and c3c3, 2 on c9.  A row
+that fails a relation of the plan is checked again on the relations left
+out before it, so its message names the first relation of the full plan
+that it breaks, as when every relation is checked.  S is computed once per
+validated presentation, when the plan is first built, never by validate()
+or the parse; an unvalidated presentation keeps the full plan.  The sieve
+and a block build the plan at once, but the first _FULL_PLAN_MAPS
+certifications of one map check the full plan (_plan), so a run that
+certifies a map or two, as construct and demo do, never pays for S.
 Surjectivity is Burnside's basis test: a verified endomorphism is onto iff
 the images of f_1..f_d span G/Phi(G), which validate() makes the first d
 exponents.  On top of that sit conjugation maps (inner_from), the inner
@@ -101,8 +128,11 @@ def verify_coded(P, forms, coded, deadline=None):
     relation is an equality of words in the images: f_i^p = w holds iff
     A(f_i)^p = w(A), and [f_i, f_j] = w holds iff A(f_i) A(f_j) =
     A(f_j) A(f_i) w(A), where w(A) spells w in the images.  The relations go
-    in the fixed order of _relation_plan, the powers of f_1..f_n, then the
-    commutators [f_i, f_j] for i > j, each compiled once per presentation.
+    in the fixed order of _plan: the definitions and S (or, for the first
+    few calls on one row, every relation) among the powers of f_1..f_n,
+    then the commutators [f_i, f_j] for i > j, each compiled once per
+    presentation; a row that holds the definitions and S holds every
+    relation (see the module docstring).
     Each side is collected from the exponent vector of the image it starts
     with; a side with no letters (the right side of f_i^p = f_k or of
     f_i^p = 1) is that image, or the identity, with no collection.  One row
@@ -114,8 +144,9 @@ def verify_coded(P, forms, coded, deadline=None):
     row, and rows with one key agree on the relation: both sides are
     collected on the first row of each key, in row order (_first_rows), and
     the scan stops at the first row whose sides differ, which give its
-    message.  No inverse is formed; only a failing commutator relation is
-    recomputed with comm for its message.
+    message once the relations left out before that relation are checked
+    on it (_violation).  No inverse is formed; only a failing commutator
+    relation is recomputed with comm for its message.
     Once every relation holds a row is an endomorphism, and by Burnside's
     basis theorem it is onto iff it is onto modulo Phi(G).  validate() makes
     Phi(G) = <f_{d+1}, ..., f_n> with d the minimal generator count, so the
@@ -133,7 +164,7 @@ def verify_coded(P, forms, coded, deadline=None):
     ends near the oracle's budget.
     """
     n, p = P.n, P.p
-    plan = _relation_plan(P)
+    plan = _plan(P, len(coded))
     collect, word_of = pc._collect_into, pc.word_of  # per call: meters and tests wrap them
     one = pc.identity(P)
     m = len(coded)  # rows 0..m-1 hold every relation so far
@@ -142,9 +173,10 @@ def verify_coded(P, forms, coded, deadline=None):
         row = coded[0]
         starts = [forms[c] for c in row]
         words = [None] * n  # an image's word, in push order, once a relation reads it
-        for label, rel, word, reads, ((s0, l0), (s1, l1)) in plan:
+        for entry in plan:
+            _, _, _, reads, ((s0, l0), (s1, l1)), _ = entry
             if deadline is not None:  # no message to format on verify's path
-                check_deadline(deadline, f"certifying {len(coded)} rows, at {label}")
+                check_deadline(deadline, f"certifying {len(coded)} rows, at {entry.label}")
             for g in reads:
                 if words[g] is None:
                     words[g] = word_of(starts[g])[::-1]
@@ -158,7 +190,7 @@ def verify_coded(P, forms, coded, deadline=None):
             start = starts[s1] if s1 is not None else one
             rhs = collect(P, list(start), stack) if stack else start
             if lhs != rhs:
-                return 0, _violation(P, forms, row, label, rel, word, lhs, rhs)
+                return 0, _violation(P, forms, row, entry, lhs, rhs)
     else:
         stacks = [word_of(x)[::-1] for x in forms]  # in the collector's push order
 
@@ -171,16 +203,17 @@ def verify_coded(P, forms, coded, deadline=None):
             return collect(P, list(x), stack) if stack else x
 
         columns = list(zip(*coded))  # the live rows' image numbers, by generator
-        for label, rel, word, reads, (left, right) in plan:
+        for entry in plan:
             if not m:
                 return failed
             if deadline is not None:
-                check_deadline(deadline, f"certifying {len(coded)} rows, at {label}")
-            for q in _first_rows([columns[g] for g in reads]):
+                check_deadline(deadline, f"certifying {len(coded)} rows, at {entry.label}")
+            left, right = entry.sides
+            for q in _first_rows([columns[g] for g in entry.reads]):
                 row = coded[q]
                 lhs, rhs = value(row, left), value(row, right)
                 if lhs != rhs:
-                    failed = q, _violation(P, forms, row, label, rel, word, lhs, rhs)
+                    failed = q, _violation(P, forms, row, entry, lhs, rhs)
                     m = q
                     columns = [c[:m] for c in columns]
                     break
@@ -203,15 +236,49 @@ def verify_coded(P, forms, coded, deadline=None):
     return failed
 
 
-def _violation(P, forms, row, label, rel, word, lhs, rhs):
+def _violation(P, forms, row, entry, lhs, rhs):
     """The RelationViolated for the row of image numbers whose two sides of
-    a relation, lhs and rhs, differ.  A commutator relation shows
+    the plan's relation entry, lhs and rhs, differ.  It names the first
+    relation of the full plan that the row breaks: entry, or one that the
+    plan leaves out before it (entry.before), each collected from the
+    images as verify_coded collects.  A commutator relation shows
     [A(f_i), A(f_j)] and w(A) in place of the sides."""
+    one = pc.identity(P)
+    for earlier in entry.before:
+        sides = []
+        for start, letters in earlier.sides:
+            x = forms[row[start]] if start is not None else one
+            stack = [u for g, e in letters for u in pc.word_of(forms[row[g]])[::-1] * e]
+            sides.append(pc._collect_into(P, list(x), stack) if stack else x)
+        if sides[0] != sides[1]:
+            entry, (lhs, rhs) = earlier, sides
+            break
+    label, rel, word = entry.label, entry.rel, entry.word
     if rel[0] == "pow":
         return RelationViolated(f"power relation {label}: {lhs} != {rhs}")
     lhs = pc.comm(P, forms[row[rel[1] - 1]], forms[row[rel[2] - 1]])
     rhs = pc.collect(P, [x for g, e in word for x in pc.word_of(forms[row[g - 1]]) * e])
     return RelationViolated(f"commutator relation {label}: {lhs} != {rhs}")
+
+
+# One-map certifications that check the full plan before S is found.  On
+# g2187 finding S takes about 1.1 ms and saves about 0.06 ms a conjugation
+# map, so S pays for itself after some 18 maps, and a run that certifies a
+# map or two, as construct and demo do, is cheaper without it.
+_FULL_PLAN_MAPS = 16
+
+
+def _plan(P, rows):
+    """The relations verify_coded checks in a call on `rows` rows: the full
+    plan for each of the first _FULL_PLAN_MAPS calls on one row while
+    _relation_plan is not built, else _relation_plan.  Both give every row
+    the same verdict and message."""
+    if rows == 1 and _relation_plan not in P._memo:
+        done = P._memo.get(_plan, 0)
+        if done < _FULL_PLAN_MAPS:
+            P._memo[_plan] = done + 1
+            return _full_plan(P)
+    return _relation_plan(P)
 
 
 # One relation compiled for verify_coded.  label: "f_i^p" or "[f_i,f_j]", as
@@ -222,17 +289,18 @@ def _violation(P, forms, row, label, rel, word, lhs, rhs):
 # whose image the side is collected from (None: the identity), letters
 # (generator, exponent) pairs in the collector's push order.  A block is
 # collected on the first row of each key, its numbers of the images in reads.
-Relation = namedtuple("Relation", "label rel word reads sides")
+# before: the relations of the full plan before this one that the plan
+# leaves out, which a failing row checks for its message.
+Relation = namedtuple("Relation", "label rel word reads sides before")
 
 
 @pc.memoized
-def _relation_plan(P):
-    """The relations of P as Relation entries, in verify_coded's order: the
+def _full_plan(P):
+    """Every relation of P as a Relation entry, in verify_coded's order: the
     powers of f_1..f_n, then the commutators [f_i, f_j] for i > j.  f_i^p = w
     is A(f_i) A(f_i)^(p-1) = w(A), whose right side starts at the image of
     w's first letter, and [f_i, f_j] = w is A(f_i) A(f_j) = A(f_j) A(f_i)
-    w(A).  Built once per presentation object; the oracle's sieve reads its
-    relations from here too."""
+    w(A).  Built once per presentation object."""
     p = P.p
     plan = []
 
@@ -242,7 +310,7 @@ def _relation_plan(P):
             for start, letters in sides
         )
         reads = tuple(dict.fromkeys(g - 1 for g in rel[1:] + tuple(g for g, _ in word)))
-        plan.append(Relation(label, rel, word, reads, sides))
+        plan.append(Relation(label, rel, word, reads, sides, ()))
 
     for i in range(1, P.n + 1):
         w = P.power_rel[i - 1]
@@ -253,6 +321,40 @@ def _relation_plan(P):
             w = P.comm_rel.get((i, j), ())
             add(f"[f_{i},f_{j}]", ("comm", i, j), w, (i, ((j, 1),)), (j, ((i, 1),) + tuple(w)))
     return plan
+
+
+@pc.memoized
+def _relation_plan(P):
+    """The relations verify_coded checks, in _full_plan's order: on a
+    validated presentation the definitions and the relations of
+    _multiplicator_basis, S, each holding the full plan's relations left
+    out before it; else the full plan.  A row that satisfies the definitions
+    and S satisfies every relation (see the module docstring).  Built once
+    per presentation object, on first use, never by validate(); the oracle's
+    sieve reads its relations from here too."""
+    full = _full_plan(P)
+    if not P.validated:
+        return full
+    kept = {entry.rel for entry in _multiplicator_basis(P)}
+    defining = {tag: ((k, 1),) for k, tag in P.defn.items()}
+    plan, left_out = [], []
+    for entry in full:
+        if defining.get(entry.rel) == entry.word or entry.rel in kept:
+            plan.append(entry._replace(before=tuple(left_out)))
+        else:
+            left_out.append(entry)
+    return plan
+
+
+@pc.memoized
+def _multiplicator_basis(P):
+    """S: the relations of the full plan whose tails are a basis of
+    R/[R,F]R^p, in plan order, found by multiplicator.basis; P must be
+    validated.  That module is imported here, so a run that never finds S
+    never compiles it."""
+    from .multiplicator import basis
+
+    return basis(P, _full_plan(P))
 
 
 def _first_rows(columns):

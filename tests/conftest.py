@@ -57,16 +57,28 @@ TEXTS = {
 }
 TEXT_NAMES = tuple(TEXTS)
 
+# two more unshipped texts, kept out of TEXT_NAMES: m243c3 is m243 x C_3 on
+# (a, b, c, a^3, b^3, a^9), heis5 the Heisenberg group of order 5^3
+MORE_TEXTS = {
+    "m243c3": (
+        "name m243c3\np 3\nn 6\npow 1 = g4^1\npow 2 = g5^1\npow 4 = g6^1\n"
+        "comm 2 1 = g4^1 g6^2\ncomm 4 2 = g6^2\ncomm 5 1 = g6^1\n"
+        "def 4 = pow 1\ndef 5 = pow 2\ndef 6 = pow 4\n"
+    ),
+    "heis5": "name heis5\np 5\nn 3\ncomm 2 1 = g3^1\ndef 3 = comm 2 1\n",
+}
+
 
 def load_group(name):
-    """A shipped group by name, or a FAMILY member or a TEXTS group parsed
-    from its text."""
+    """A shipped group by name, or a FAMILY member or a TEXTS or MORE_TEXTS
+    group parsed from its text."""
     if name in FAMILY_NAMES:
         p = {"m3125": 5, "m16807": 7}[name]
         text = FAMILY.format(order=p**5, p=p, q=p - 1)
         return groupfile.parse_text(text, source=name).presentation
-    if name in TEXTS:
-        return groupfile.parse_text(TEXTS[name], source=name).presentation
+    texts = TEXTS | MORE_TEXTS
+    if name in texts:
+        return groupfile.parse_text(texts[name], source=name).presentation
     return pgw.load(name)
 
 

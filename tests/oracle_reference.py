@@ -1,12 +1,16 @@
 """The exhaustive Aut(G) route, kept as a test reference for pgw.oracle.
 
-Every |G|^d tuple of images of the minimal generators f_1..f_d goes through
-automorphisms.verify, one map at a time; the images of f_{d+1}..f_n are
-forced by collection from the defn tags.  No table is read and nothing is
-pruned.  Each certified map is tallied with is_inner, aut_order and
-fixes_elementwise, where the oracle uses its inner table and its row
-classifier.  On every group the tests run it on, the oracle's layered lift
-must return the same counts, tallies and maps.
+Every |G|^d tuple of images of the minimal generators f_1..f_d is extended
+to f_{d+1}..f_n through the defn tags by collection, then checked against
+every pc relation, f_i^p = w and [f_i, f_j] = w, with pow_ and comm, and
+kept when the images generate G: by Burnside's basis theorem, when the
+first d exponents of the images of f_1..f_d have rank d modulo p, as
+validate() makes Phi(G) = <f_{d+1}, ..., f_n>.  It reads neither the
+certificate's plan nor the tables, and prunes nothing.  Each kept map is
+tallied with is_inner, aut_order and fixes_elementwise, where the oracle
+uses its inner table and its row classifier.  On every group the tests run
+it on, the oracle's layered lift must return the same counts, tallies and
+maps.
 """
 
 import itertools
@@ -15,7 +19,27 @@ from array import array
 from pgw import automorphisms as au
 from pgw import presentation as pc
 from pgw import structure as st
-from pgw.errors import NotSurjective, RelationViolated
+
+
+def is_automorphism(P, images):
+    """True iff the images of f_1..f_n satisfy every pc relation of P and
+    generate G."""
+    one = pc.identity(P)
+
+    def word(w):
+        acc = one
+        for g, m in w:
+            acc = pc.mul(P, acc, pc.pow_(P, images[g - 1], m))
+        return acc
+
+    for i in range(1, P.n + 1):
+        if pc.pow_(P, images[i - 1], P.p) != word(P.power_rel[i - 1]):
+            return False
+        for j in range(1, i):
+            if pc.comm(P, images[i - 1], images[j - 1]) != word(P.comm_rel.get((i, j), ())):
+                return False
+    d = P.minimal_count  # Burnside: onto iff onto G/Phi(G), the first d exponents
+    return not st._solve_mod_p(P.p, [x[:d] for x in images[:d]])[0]
 
 
 def enumerate_unpruned(P):
@@ -37,10 +61,9 @@ def enumerate_unpruned(P):
                 images[i - 1] = pc.pow_(P, images[tag[1] - 1], P.p)
             else:
                 images[i - 1] = pc.comm(P, images[tag[1] - 1], images[tag[2] - 1])
-        try:
-            A = au.verify(au.GenMap(P, tuple(images)))
-        except (RelationViolated, NotSurjective):
+        if not is_automorphism(P, images):
             continue
+        A = au.Automorphism(P, tuple(images))
         total += 1
         if au.is_inner(A)[0]:
             inner += 1

@@ -221,40 +221,130 @@ def test_verify_matches_closure_reference(name):
 
 
 def test_relation_plan_is_built_once_per_presentation(monkeypatch):
-    # verify compiles the relations on first use and keeps them in P._memo;
-    # a P.replace() copy starts without them
+    # verify compiles every relation on first use; the first
+    # _FULL_PLAN_MAPS one-map certifications check them all, and the next
+    # one finds S and keeps the definitions and S in P._memo, in the full
+    # plan's order.  Neither the parse nor validate() finds S, a block finds
+    # it at once, and a P.replace() copy starts without it
     made = []
     relation = au.Relation
     monkeypatch.setattr(au, "Relation", lambda *fields: made.append(fields[0]) or relation(*fields))
     P = load_group("m3125")  # a fresh object
-    assert au._relation_plan not in P._memo
-    for images in _arith_rows(P, random.Random("plan"), 20):
+    plans = {au._full_plan, au._relation_plan, au._multiplicator_basis}
+    assert not plans & set(P._memo)
+    rows = _arith_rows(P, random.Random("plan"), 20)
+    for images in rows[: au._FULL_PLAN_MAPS]:
+        _map_verdict(P, images)
+    assert au._full_plan in P._memo and au._relation_plan not in P._memo
+    for images in rows[au._FULL_PLAN_MAPS :]:
         _map_verdict(P, images)
     plan = P._memo[au._relation_plan]
     n = P.n
     labels = [f"f_{i}^{P.p}" for i in range(1, n + 1)]
     labels += [f"[f_{i},f_{j}]" for i in range(2, n + 1) for j in range(1, i)]
-    assert made == [entry.label for entry in plan] == labels
+    assert made == [entry.label for entry in au._full_plan(P)] == labels
+    defining = {f"f_{tag[1]}^{P.p}" for tag in P.defn.values()}  # m3125's are p-th powers
+    kept = {entry.label for entry in P._memo[au._multiplicator_basis]}
+    assert [entry.label for entry in plan] == [x for x in labels if x in defining | kept]
+    assert len(plan) == 5
     assert au._relation_plan(P) is plan
     copy = P.replace()
     assert au._relation_plan not in copy._memo
-    assert au._relation_plan not in pgw.validate(copy)._memo
+    Q = pgw.validate(copy)
+    assert not plans & set(Q._memo)
+    forms = list(dict.fromkeys(rows[0] + rows[2]))
+    assert au.verify_coded(Q, forms, [[forms.index(x) for x in rows[k]] for k in (0, 2)]) is None
+    assert au._relation_plan in Q._memo
 
 
 @pytest.mark.parametrize("name", ALL_NAMES + FAMILY_NAMES)
 def test_sieve_reads_the_relation_plan(name):
     # the oracle's sieve takes its relations and words from the certificate's
-    # plan, leaving out only the relations that define a generator
+    # plan, leaving out only the relations that define a generator: it
+    # checks S, each relation with the word the full plan compiled for it
     P = load_group(name)
-    plan = {entry.rel: entry for entry in au._relation_plan(P)}
+    full = {entry.rel: entry for entry in au._full_plan(P)}
     for i in range(1, P.n + 1):
-        assert plan[("pow", i)].word == P.power_rel[i - 1]
+        assert full[("pow", i)].word == P.power_rel[i - 1]
         for j in range(1, i):
-            assert plan[("comm", i, j)].word == P.comm_rel.get((i, j), ())
+            assert full[("comm", i, j)].word == P.comm_rel.get((i, j), ())
+    plan = {entry.rel: entry for entry in au._relation_plan(P)}
     sieve = oracle._relations(P)
-    assert all(word is plan[rel].word for rel, word, _ in sieve)
-    defining = {tag for k, tag in P.defn.items() if plan[tag].word == ((k, 1),)}
+    assert all(word is plan[rel].word is full[rel].word for rel, word, _ in sieve)
+    defining = {tag for k, tag in P.defn.items() if full[tag].word == ((k, 1),)}
     assert set(plan) - {rel for rel, _, _ in sieve} == defining
+    assert {rel for rel, _, _ in sieve} == {entry.rel for entry in au._multiplicator_basis(P)}
+
+
+# len(_relation_plan): the n - d definitions and S
+PLAN_SIZES = {"g2187": 7, "m243": 5, "w81": 5, "h27": 5, "x27": 3, "q8": 3, "c3c3": 3, "c9": 2}
+# the rank of R/[R,F]R^p, |S|; where it can be checked by hand it is
+# d(G) + d(M(G)), as for the extraspecial es3 (4 + 5) and heis5 (2 + 2)
+RANKS = {
+    "c9": 1, "c3c3": 3, "h27": 4, "x27": 2, "w81": 3, "q8": 2, "m243": 2, "g2187": 2,
+    "es3": 9, "ut4_3": 8, "m243c3": 5, "heis5": 4,
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANKS))
+def test_plan_holds_the_definitions_and_a_basis_of_the_multiplicator(name):
+    P = load_group(name)
+    full, plan, basis = au._full_plan(P), au._relation_plan(P), au._multiplicator_basis(P)
+    assert len(basis) == RANKS[name]
+    assert len(plan) == P.n - P.minimal_count + RANKS[name]
+    if name in PLAN_SIZES:
+        assert len(plan) == PLAN_SIZES[name]
+    # the full plan's order, and each entry holds the relations left out before it
+    labels, kept = [x.label for x in full], [entry.label for entry in plan]
+    places = [labels.index(label) for label in kept]
+    assert places == sorted(places)
+    for entry, place in zip(plan, places):
+        assert [x.label for x in entry.before] == [x for x in labels[:place] if x not in kept]
+    # an unvalidated copy keeps every relation
+    assert [entry.label for entry in au._relation_plan(P.replace())] == labels
+
+
+def _full_plan_verdicts(P, rows, monkeypatch):
+    """verify's (class, message) pair for each row of images, with the
+    reduced plan and then with the full plan in its place."""
+    au._relation_plan(P)  # every certification reads it once it is built
+    reduced = [_map_verdict(P, images) for images in rows]
+    with monkeypatch.context() as m:
+        m.setattr(au, "_relation_plan", au._full_plan)
+        full = [_map_verdict(P, images) for images in rows]
+    return reduced, full
+
+
+@pytest.mark.parametrize("name", ["c9", "h27", "x27", "w81", "q8", "m243", "heis5"])
+def test_reduced_plan_verdicts_match_the_full_plan_on_every_tuple(name, monkeypatch):
+    # every d-tuple of minimal images, the rest forced by the defn tags: the
+    # definitions and S pass exactly when every relation does, and a failing
+    # map names the first relation of the full plan that it breaks
+    P = load_group(name)
+    elems = st.whole_group(P).elements
+    rows = [_defn_forced(P, mins) for mins in itertools.product(elems, repeat=P.minimal_count)]
+    reduced, full = _full_plan_verdicts(P, rows, monkeypatch)
+    assert reduced == full
+    assert None in {v[0] for v in full}
+
+
+@pytest.mark.parametrize("name", ["g2187", "es3", "ut4_3", "m243c3"])
+def test_reduced_plan_verdicts_match_the_full_plan_on_seeded_maps(name, monkeypatch):
+    # 20,000 seeded d-tuples with forced images, plus seeded maps of n
+    # arbitrary images and the arith benchmark's rows
+    P = load_group(name)
+    rng = random.Random(f"reduced-{name}")
+    p, n, d = P.p, P.n, P.minimal_count
+
+    def element():
+        return tuple(rng.randrange(p) for _ in range(n))
+
+    rows = [_defn_forced(P, [element() for _ in range(d)]) for _ in range(20_000)]
+    rows += [tuple(element() for _ in range(n)) for _ in range(2_000)]
+    rows += _arith_rows(P, rng, 200)
+    reduced, full = _full_plan_verdicts(P, rows, monkeypatch)
+    assert reduced == full
+    assert {None, "RelationViolated"} <= {v[0] for v in full}
 
 
 def test_verify_rejects_non_onto_endomorphism():

@@ -650,7 +650,7 @@ LOAD_CASES = [
     (["check", "w81"], 1, ["pgw.hypotheses"]),
     (["construct", "h27", "--format", "json"], 1, ["json", "pgw.hypotheses"]),
     (["construct", "g2187"], 0, ["pgw.automorphisms", "pgw.hypotheses"]),
-    (["count", "q8"], 0, ["pgw.automorphisms", "pgw.hypotheses"]),
+    (["count", "q8"], 0, ["pgw.automorphisms", "pgw.hypotheses", "pgw.multiplicator"]),
 ]
 
 
@@ -659,13 +659,15 @@ LOAD_CASES = [
 def test_each_run_loads_only_the_layers_it_uses(argv, code, loaded):
     # one fresh interpreter without site per run: the hypotheses load only
     # for check, construct and demo, the witness layer only when a witness is
-    # built or the oracle runs, and json only for a JSON report
+    # built or the oracle runs, the multiplicator only when the oracle's
+    # sieve needs S (construct certifies its one map with every relation),
+    # and json only for a JSON report
     argv = [argv[0], data_path(argv[1]), *argv[2:]]
     script = f"""
 import sys
 from pgw import cli
 code = cli.main({argv!r})
-watched = ("json", "pgw.automorphisms", "pgw.hypotheses")
+watched = ("json", "pgw.automorphisms", "pgw.hypotheses", "pgw.multiplicator")
 print(code, [m for m in watched if m in sys.modules])
 """
     src = os.path.dirname(os.path.dirname(pgw.__file__))

@@ -992,11 +992,20 @@ def test_map_streams_keep_their_bytes(name):
 
 @pytest.mark.parametrize("name", ALL_NAMES + TEXT_NAMES + FAMILY_NAMES)
 def test_every_forced_image_is_needed_by_a_sieve_relation(name):
-    # the sieve forces f_k's image only for a relation that needs it, and at
-    # level n its rows hold every image: each f_k past d must be needed
+    # the sieve forces f_k's image for the first relation that reads it, and
+    # at level n it forces the images no relation reads, so its rows hold
+    # every image: the identity's row holds f_1, ..., f_n
     P = load_group(name)
+    d = P.minimal_count
     needed = set().union(*(needs for _, _, needs in oracle._relations(P)))
-    assert needed == set(range(P.minimal_count + 1, P.n + 1))
+    assert needed <= set(range(d + 1, P.n + 1))
+    if name == "g2187":  # f_5 = f_3^3 and f_7 = f_5^3 are forced at level n only
+        assert needed == {3, 4, 6}
+    ctx = oracle._prepare(P)
+    strides = ctx["t"].strides
+    for level in range(d + 1, P.n + 1):
+        rows = oracle._sieve(ctx, [[x] for x in strides[:d]], level, None)
+        assert rows == [tuple(strides[: P.n if level == P.n else d])]
 
 
 @pytest.mark.parametrize("name", sorted(MODELS) + ["m3125"])
@@ -1071,18 +1080,14 @@ def test_relations_put_the_power_forced_ones_first(name):
     ]
     if name == "ut4_3":  # every forced image is a commutator: the partition moves nothing
         assert [k[1:] for k in keys] == sorted(k[1:] for k in keys)
-    if name == "g2187":
-        assert [rel for rel, _, _ in oracle._relations(P)[:4]] == [
-            ("comm", 4, 1),
-            ("pow", 6),
-            ("comm", 6, 1),
-            ("comm", 6, 4),
-        ]
+    if name == "g2187":  # S is f_2^3 = f_3 and f_6^3 = 1; f_3 = [f_2, f_1]
+        assert [rel for rel, _, _ in oracle._relations(P)] == [("pow", 6), ("pow", 2)]
 
 
 def test_sieve_products_on_g2187(monkeypatch):
-    # the last level forces f_3 = [f_2, f_1] only on the rows that pass the
-    # power-forced relations: 16,877 table products for the whole
+    # the sieve checks S, f_6^3 = 1 and then f_2^3 = f_3, so it forces
+    # f_3 = [f_2, f_1] only on the rows that pass f_6^3 = 1, and f_5 and f_7
+    # only at the last level: 12,108 table products for the whole
     # enumeration, the table of conjugation images' 98 included
     P = pgw.validate(pgw.load("g2187").replace())  # a copy with no memo filled yet
     t = get_tables(P)
@@ -1095,7 +1100,7 @@ def test_sieve_products_on_g2187(monkeypatch):
 
     monkeypatch.setattr(type(t), "mul", spy)
     count = pgw.enumerate_automorphisms(P)
-    assert (count.total, count.inner, calls[0]) == (4374, 729, 16877)
+    assert (count.total, count.inner, calls[0]) == (4374, 729, 12108)
 
 
 @pytest.mark.parametrize("budget", [float("nan"), -1, "5", True, False], ids=repr)
