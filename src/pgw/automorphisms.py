@@ -261,11 +261,14 @@ def _violation(P, forms, row, entry, lhs, rhs):
     return RelationViolated(f"commutator relation {label}: {lhs} != {rhs}")
 
 
-# One-map certifications that check the full plan before S is found.  On
-# g2187 finding S takes about 1.1 ms and saves about 0.06 ms a conjugation
-# map, so S pays for itself after some 18 maps, and a run that certifies a
-# map or two, as construct and demo do, is cheaper without it.
-_FULL_PLAN_MAPS = 16
+# One-map certifications that check the full plan before S is found.  S
+# costs its one-time search (and, once per process, the compile of
+# multiplicator.py) and saves a few collections a map: on the 16 groups of
+# BENCH_relators.json it pays for itself after a median of about 55 maps
+# (g2187 56 with the compile, m243 36, p = 97 some 2,700; c3c3 never), so a
+# run that certifies a map or two, as construct and demo do, is cheaper
+# without it; without this rule decide demo_s read +4.6%.
+_FULL_PLAN_MAPS = 64
 
 
 def _plan(P, rows):

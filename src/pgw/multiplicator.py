@@ -17,22 +17,6 @@ compiles it.
 
 from . import presentation as pc
 
-# A tail vector of G* is packed in one int, coefficient r at bit _FIELD * r.
-# Stored vectors have coefficients below p^2, and a relation among the tails
-# sums far fewer than 2^_FIELD / p^3 of them, so no coefficient carries.
-_FIELD = 64
-
-
-def _reduced(v, p):
-    """The packed tail vector v with each coefficient reduced modulo p."""
-    out = shift = 0
-    mask = (1 << _FIELD) - 1
-    while v:
-        out |= (v & mask) % p << shift
-        v >>= _FIELD
-        shift += _FIELD
-    return out
-
 
 def basis(P, full):
     """S, in plan order: the relations of full (every relation of the
@@ -41,153 +25,68 @@ def basis(P, full):
 
     _tail_relations gives the linear relations among the tails.  Each is
     reduced against those kept before it, and its last nonzero tail is left
-    out, so the tails of the earliest relations stay free; each step adds
-    less than p^2 to a coefficient, which is reduced modulo p only in a new
-    pivot.  When a defn tag is no relation of the plan, such as [f_j, f_k]
-    with j < k, every relation is kept."""
+    out, so the tails of the earliest relations stay free.  When a defn tag
+    is no relation of the plan, such as [f_j, f_k] with j < k, every
+    relation is kept."""
     defining = {tag: ((k, 1),) for k, tag in P.defn.items()}
     tailed = [e for e in full if defining.get(e.rel) != e.word]
     if len(tailed) + len(defining) > len(full):
         return tailed
     p = P.p
-    pivots = {}  # a left-out tail r -> t_r + (the relation below r), coefficient 1 at r
-    for row in _tail_relations(P, {e.rel: 1 << (_FIELD * r) for r, e in enumerate(tailed)}):
-        while row:
-            r = (row.bit_length() - 1) // _FIELD
-            low = row & ((1 << (_FIELD * r)) - 1)
-            c = (row >> (_FIELD * r)) % p
-            if c and r not in pivots:
-                pivots[r] = _reduced(low * pow(c, -1, p), p)
+    pivots = {}  # a left-out tail r -> the kept relation, coefficient 1 at r
+    for row in _tail_relations(P, tailed):
+        for r in range(len(row) - 1, -1, -1):
+            c = row[r]
+            if not c:
+                continue
+            if r not in pivots:
+                inv = pow(c, -1, p)
+                pivots[r] = [x * inv % p for x in row]
                 break
-            row = low + (p - c) * pivots[r] if c else low
+            row = [(x - c * y) % p for x, y in zip(row, pivots[r])]
     return [e for r, e in enumerate(tailed) if r not in pivots]
 
 
-def _tail_relations(P, unit):
-    """Relations among the tails of G*, as packed tail vectors: the two
-    sides of each check of validate()'s consistency battery, collected in
-    G*, differ by one.  unit[rel] is the tail vector of relation rel's
-    tail.
-
-    An element of G* is (exponent vector, tail vector), collected as
-    presentation._collect_into collects, without its tail memo: each stored
-    conjugate (f_k^e)^{f_j^(2^b)} carries its tail, reduced modulo p, and so
-    does each power word, so a letter crosses a tail once per set bit of
-    its exponent.  The conjugates are built as presentation.conjugates
-    builds them, from j = n down to 1, except that the powers e of a unit
-    f_k^{f_j^(2^b)} other than f_k t are collected only up to the highest e
-    a collection reads (on scripts/derive_corpus.py's FAMILY at p = 97, a
-    small part of them).  Every step applies a relation of G*, so the two
-    sides of a check are one element: their exponent vectors agree, since G
-    is consistent, and their tails differ by a true relation.  The checks
-    are the overlaps of the tailed presentation's rules, so once all these
-    relations hold it is consistent: they span every relation among the
-    tails."""
+def _tail_relations(P, tailed):
+    """Relations among the tails of G*, as lists of coefficients modulo p,
+    one per relation of tailed.  G* is written as a pc presentation on
+    f_1..f_n and, after f_n, one central generator of order p per tail, and
+    validate()'s consistency battery on f_1..f_n is collected in it by
+    presentation's collector.  Every step applies a relation of G*, so the
+    two sides of a check are one element: they agree on f_1..f_n, since G
+    is consistent, and their tail digits differ by a true relation.  The
+    checks are the overlaps of the tailed presentation's rules, so once all
+    these relations hold it is consistent: they span every relation among
+    the tails."""
     n, p = P.n, P.p
-    power = [(tuple(reversed(w)), unit.get(("pow", i), 0)) for i, w in enumerate(P.power_rel, 1)]
-    rows = [None] * n  # rows[j-1][b][k-1][e]: (f_k^e)^{f_j^(2^b)}, its word in push order and tail
-    powers_of = {}  # id(entries) of a row whose unit is no f_k t -> the unit, the last power
+    power_rel = list(P.power_rel) + [()] * len(tailed)
+    comm_rel = dict(P.comm_rel)
+    for t, e in enumerate(tailed, n + 1):  # f_t: the tail of relation e
+        if e.rel[0] == "pow":
+            power_rel[e.rel[1] - 1] = e.word + ((t, 1),)
+        else:
+            comm_rel[e.rel[1:]] = e.word + ((t, 1),)
+    star = pc.PcPresentation(P.name, p, len(power_rel), tuple(power_rel), comm_rel)
+    gens = star.generators()[:n]
+    powers = [pc.collect(star, w) for w in power_rel[:n]]
+    below = [pc.collect(star, ((i, p - 1),)) for i in range(1, n + 1)]
+    mul = pc.mul
 
-    def entry(entries, e):
-        """entries[e], made first, if need be, by collecting the powers of
-        its unit up to the e-th."""
-        if e < len(entries):
-            return entries[e]
-        (word, t), (x, tx) = powers_of[id(entries)]
-        while len(entries) <= e:
-            tx = _reduced(tx + t + collect(x, list(reversed(word))), p)
-            entries.append((pc.word_of(x)[::-1], tx))
-        powers_of[id(entries)] = (word, t), (x, tx)
-        return entries[e]
-
-    def collect(e, stack):
-        """Collect the letters of stack, in push order, onto the list e;
-        return the tail vector of the relations applied."""
-        tail = 0
-        top = n - 1
-        while top >= 0 and not e[top]:
-            top -= 1
-        while stack:
-            j, m = stack.pop()
-            jj = j - 1
-            if jj < top:  # f_j^h, h the lowest bit of m, crosses f_{j+1}^e .. f_top^e
-                h = m & -m
-                if m > h:
-                    stack.append((j, m - h))
-                row = rows[jj][h.bit_length() - 1]
-                for k in range(top, jj, -1):
-                    ek = e[k]
-                    if ek:
-                        e[k] = 0
-                        entries = row[k]
-                        word, t = entries[ek] if ek < len(entries) else entry(entries, ek)
-                        stack += word
-                        tail += t
-                m = h
-            s = e[jj] + m
-            if s < p:
-                e[jj] = s
-                top = jj
-                continue
-            e[jj] = s - p
-            word, t = power[jj]
-            stack += word
-            tail += t
-            top = jj
-            while top >= 0 and not e[top]:
-                top -= 1
-        return tail
-
-    for j in range(n, 0, -1):
-        # units[k]: f_k^{f_j^(2^b)}, a word and a tail; row 0 is f_k [f_k, f_j]
-        units = {
-            k: (((k, 1),) + P.comm_rel.get((k, j), ()), unit.get(("comm", k, j), 0))
-            for k in range(j + 1, n + 1)
-        }
-        level = []
-        for _ in range((p - 1).bit_length()):
-            if level:  # conjugate each unit once more by f_j^(2^(b-1)), letter by letter
-                last = level[-1]
-                for k in units:
-                    word, t = entry(last[k - 1], 1)
-                    parts = [entry(last[g - 1], e) for g, e in reversed(word)]
-                    units[k] = (
-                        tuple(u for w, _ in parts for u in reversed(w)),
-                        _reduced(t + sum(t for _, t in parts), p),
-                    )
-            row = [None] * n
-            for k, (word, t) in units.items():
-                entries = row[k - 1] = [((), 0)]
-                if word == ((k, 1),):  # (f_k t)^e = f_k^e t^e
-                    entries += [(((k, e),), e * t) for e in range(1, p)]
-                else:  # the powers of the unit, as far as a collection asks for them
-                    powers_of[id(entries)] = (word, t), ([0] * n, 0)
-            level.append(row)
-        rows[j - 1] = level
-
-    def mul(x, y):  # x y for x, y: (exponent vector, tail vector)
-        e = list(x[0])
-        tail = collect(e, list(pc.word_of(y[0])[::-1]))
-        return tuple(e), x[1] + y[1] + tail
-
-    def checks():  # validate()'s battery, as pairs of sides, f_i^p = w_i t
-        gens = [(P.generator(i), 0) for i in range(1, n + 1)]
-        below = [(pc.pow_(P, x, p - 1), 0) for x, _ in gens]
-        powers = [(pc.collect(P, w), unit.get(("pow", i), 0)) for i, w in enumerate(P.power_rel, 1)]
+    def checks():  # validate()'s battery, as pairs of sides
         for i in range(n):
-            yield mul(gens[i], powers[i]), mul(powers[i], gens[i])
+            yield mul(star, gens[i], powers[i]), mul(star, powers[i], gens[i])
         pairs = {}  # (j, i) -> f_j f_i
         for j in range(1, n):
             for i in range(j):
-                fji = pairs[j, i] = mul(gens[j], gens[i])
-                yield mul(powers[j], gens[i]), mul(below[j], fji)
-                yield mul(gens[j], powers[i]), mul(fji, below[i])
+                fji = pairs[j, i] = mul(star, gens[j], gens[i])
+                yield mul(star, powers[j], gens[i]), mul(star, below[j], fji)
+                yield mul(star, gens[j], powers[i]), mul(star, fji, below[i])
         for k in range(2, n):
             for j in range(1, k):
                 for i in range(j):
-                    yield mul(gens[k], pairs[j, i]), mul(pairs[k, j], gens[i])
+                    yield mul(star, gens[k], pairs[j, i]), mul(star, pairs[k, j], gens[i])
 
-    for (x, u), (y, v) in checks():
-        assert x == y, "the consistency battery disagrees on an exponent vector"
-        if u != v:
-            yield u + (p - 1) * v  # coefficient r is u_r - v_r modulo p
+    for x, y in checks():
+        assert x[:n] == y[:n], "the consistency battery disagrees on an exponent vector"
+        if x != y:
+            yield [(u - v) % p for u, v in zip(x[n:], y[n:])]

@@ -232,7 +232,7 @@ def test_relation_plan_is_built_once_per_presentation(monkeypatch):
     P = load_group("m3125")  # a fresh object
     plans = {au._full_plan, au._relation_plan, au._multiplicator_basis}
     assert not plans & set(P._memo)
-    rows = _arith_rows(P, random.Random("plan"), 20)
+    rows = _arith_rows(P, random.Random("plan"), au._FULL_PLAN_MAPS // 2 + 4)
     for images in rows[: au._FULL_PLAN_MAPS]:
         _map_verdict(P, images)
     assert au._full_plan in P._memo and au._relation_plan not in P._memo
